@@ -56,7 +56,7 @@ inline ExperimentConfig ior_config(core::Approach a) {
   // The paper runs 10 iterations; on its testbed these outlast the t=100 s
   // migration point. Our sustained write-back path is slower per iteration,
   // so we run 30 iterations to keep full I/O pressure on the migration
-  // window, matching the paper's intent (see EXPERIMENTS.md).
+  // window, matching the paper's intent.
   cfg.ior.iterations = 30;
   cfg.ior.file_bytes = 1 * kGiB;
   cfg.ior.block_bytes = 256 * kKiB;

@@ -3,6 +3,8 @@
 // These bound how large a scenario the harness can simulate per wall-second.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "cloud/experiment.h"
 #include "net/flow_network.h"
 #include "sim/random.h"
@@ -182,26 +184,30 @@ void BM_YieldChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_YieldChurn)->Arg(1)->Arg(64);
 
-// Incremental-solver churn: 1000 long-lived background flows over disjoint
-// NIC pairs while short flows join and leave one pair at a time. With
-// component-scoped solving (arg 1) each churn epoch re-solves only the
-// touched pair; the full-solve ablation (arg 0) re-derives every rate each
-// epoch. The spread between the two arms is the incremental win.
+// Incremental-solver churn: long-lived background flows (second arg: 1 000
+// or 10 000, two per disjoint NIC pair) while short flows join and leave one
+// pair at a time. With component-scoped solving (first arg 1) each churn
+// epoch re-solves only the touched pair; the full-solve ablation (first arg
+// 0) re-derives every rate each epoch. ns_per_epoch times the churn phase
+// alone (setup and the initial background solve excluded): a flat value
+// across background sizes is the per-epoch-cost target, modulo the
+// per-instant byte advance, which still walks every live flow.
 void BM_IncrementalSolveChurn(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;
-  constexpr int kPairs = 500;  // 2 background flows per pair = 1000 flows
+  const int pairs = static_cast<int>(state.range(1)) / 2;
   constexpr int kChurn = 256;
-  std::uint64_t resolved = 0, epochs = 0;
+  std::uint64_t resolved = 0, epochs = 0, churn_epochs = 0;
+  double churn_ns = 0.0;
   for (auto _ : state) {
     sim::Simulator s;
     net::FlowNetwork net(s, net::FlowNetworkConfig{net::kUnlimitedRate, 0.0, 8e9});
     net.set_incremental(incremental);
     std::vector<net::NodeId> src, dst;
-    for (int p = 0; p < kPairs; ++p) {
+    for (int p = 0; p < pairs; ++p) {
       src.push_back(net.add_node(117.5e6));
       dst.push_back(net.add_node(117.5e6));
     }
-    for (int p = 0; p < kPairs; ++p)
+    for (int p = 0; p < pairs; ++p)
       for (int k = 0; k < 2; ++k)
         s.spawn([](net::FlowNetwork* n, net::NodeId a, net::NodeId b) -> sim::Task {
           co_await n->transfer(a, b, 1e18, net::TrafficClass::kMemory);
@@ -211,24 +217,39 @@ void BM_IncrementalSolveChurn(benchmark::State& state) {
       net::FlowNetwork& net;
       std::vector<net::NodeId>& src;
       std::vector<net::NodeId>& dst;
+      int pairs;
       void kick(int i) {
         s.spawn([](net::FlowNetwork* n, net::NodeId a, net::NodeId b) -> sim::Task {
           co_await n->transfer(a, b, 1e6, net::TrafficClass::kStoragePush);
-        }(&net, src[i % kPairs], dst[i % kPairs]));
+        }(&net, src[i % pairs], dst[i % pairs]));
       }
-    } churn{s, net, src, dst};
+    } churn{s, net, src, dst, pairs};
     for (int i = 0; i < kChurn; ++i) {
       s.schedule(1.0 + i, [c = &churn, i] { c->kick(i); });
     }
+    s.run_until(0.5);  // background started and solved
+    const std::uint64_t epochs_before = net.recompute_count();
+    const auto t0 = std::chrono::steady_clock::now();
     s.run_until(kChurn + 10.0);
+    churn_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - t0).count();
+    churn_epochs += net.recompute_count() - epochs_before;
     resolved += net.touched_flow_count();
     epochs += net.recompute_count();
   }
   state.SetItemsProcessed(state.iterations() * kChurn);
   state.counters["flows_resolved_per_epoch"] =
       epochs ? static_cast<double>(resolved) / static_cast<double>(epochs) : 0.0;
+  state.counters["ns_per_epoch"] =
+      churn_epochs ? churn_ns / static_cast<double>(churn_epochs) : 0.0;
 }
-BENCHMARK(BM_IncrementalSolveChurn)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IncrementalSolveChurn)
+    ->ArgNames({"incremental", "background"})
+    ->Args({0, 1000})
+    ->Args({1, 1000})
+    ->Args({0, 10000})
+    ->Args({1, 10000})
+    ->Unit(benchmark::kMillisecond);
 
 // Dirty-bitmap round scan: one pre-copy round = touch a working set, then
 // snapshot-and-clear the dirty map. Sparse (1% of pages) exercises the

@@ -78,6 +78,12 @@ double FlowNetwork::flow_rate(NodeId src, NodeId dst) const noexcept {
   return it == pair_rates_.end() ? 0.0 : it->second.rate;
 }
 
+double FlowNetwork::current_rate_sum() const noexcept {
+  double sum = 0.0;
+  live_bits_.for_each_set([&](std::uint64_t s) { sum += flow_slots_[s].flow.rate; });
+  return sum;
+}
+
 std::uint32_t FlowNetwork::alloc_flow_slot() {
   if (free_head_ != kNilIndex) {
     const std::uint32_t slot = free_head_;
@@ -138,6 +144,7 @@ std::uint32_t FlowNetwork::alloc_component() {
   }
   Component& c = comps_[id];
   c.count = 0;
+  c.head = kNilIndex;
   c.next_free = kNilIndex;
   ++c.gen;  // invalidates NIC-owner entries from previous occupants
   c.dirty = false;
@@ -154,15 +161,43 @@ void FlowNetwork::release_component(std::uint32_t id) noexcept {
   --live_components_;
 }
 
-void FlowNetwork::detach_from_component(FlowSlot& fs) noexcept {
-  if (fs.comp == kNilIndex) return;
-  Component& c = comps_[fs.comp];
+void FlowNetwork::dirty_component(std::uint32_t id) {
+  Component& c = comps_[id];
+  if (c.dirty) return;
   c.dirty = true;
-  if (--c.count == 0) release_component(fs.comp);
+  dirty_comps_.push_back(id);
+}
+
+void FlowNetwork::detach_from_component(std::uint32_t slot) {
+  FlowSlot& fs = flow_slots_[slot];
+  if (fs.comp == kNilIndex) return;
+  const std::uint32_t id = fs.comp;
+  unlink(comps_[id].head, slot, &FlowSlot::comp_link);
+  dirty_component(id);
+  if (--comps_[id].count == 0) release_component(id);
   fs.comp = kNilIndex;
 }
 
-void FlowNetwork::release_flow_slot(std::uint32_t slot) noexcept {
+void FlowNetwork::link_front(std::uint32_t& head, std::uint32_t slot,
+                             Link FlowSlot::*l) noexcept {
+  Link& x = flow_slots_[slot].*l;
+  x.prev = kNilIndex;
+  x.next = head;
+  if (head != kNilIndex) (flow_slots_[head].*l).prev = slot;
+  head = slot;
+}
+
+void FlowNetwork::unlink(std::uint32_t& head, std::uint32_t slot,
+                         Link FlowSlot::*l) noexcept {
+  const Link x = flow_slots_[slot].*l;
+  if (x.prev != kNilIndex)
+    (flow_slots_[x.prev].*l).next = x.next;
+  else
+    head = x.next;
+  if (x.next != kNilIndex) (flow_slots_[x.next].*l).prev = x.prev;
+}
+
+void FlowNetwork::release_flow_slot(std::uint32_t slot) {
   FlowSlot& fs = flow_slots_[slot];
   Flow& f = fs.flow;
   if (!mirror_) {
@@ -181,7 +216,9 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) noexcept {
   // and may split it, so the merge-only membership fast path is off the
   // table until the next item-level rebuild re-derives the partition.
   if (fs.comp != kNilIndex) comps_[fs.comp].split_risk = true;
-  detach_from_component(fs);
+  detach_from_component(slot);
+  unlink(nodes_[f.src].out_head, slot, &FlowSlot::out_link);
+  unlink(nodes_[f.dst].in_head, slot, &FlowSlot::in_link);
   for (std::uint8_t k = 2; k < fs.n_constraints; ++k) {
     if (fs.constraints[k] < shared_users_.size()) --shared_users_[fs.constraints[k]];
     if (coupled_) coupled_demand_.push_back({fs.constraints[k], -1.0});
@@ -245,33 +282,25 @@ void FlowNetwork::start_leg(FlowOp* op) {
   sim_.schedule(cfg_.latency_s, [this, op] { begin_flow(op); });
 }
 
-void FlowNetwork::begin_flow(FlowOp* op) {
-  if (!nodes_[op->src].up || !nodes_[op->dst].up) {
-    // An endpoint crashed before the leg's latency elapsed: the flow never
-    // materializes and its bytes are never counted. Step through the same
-    // zero-delay event a completion would use.
-    op->failed = true;
-    sim_.post([](void* p, void*) { auto* o = static_cast<FlowOp*>(p); o->step(o); }, op);
-    return;
-  }
-  traffic_[static_cast<std::size_t>(op->cls)] += op->bytes;
-
-  advance_to_now();
+std::uint32_t FlowNetwork::add_flow(NodeId src, NodeId dst, double bytes, double cap,
+                                    FlowOp* op) {
   const std::uint32_t slot = alloc_flow_slot();
   FlowSlot& fs = flow_slots_[slot];
   fs.in_use = true;
   fs.op = op;
   live_bits_.set(slot);
   Flow& f = fs.flow;
-  f.src = op->src;
-  f.dst = op->dst;
-  f.remaining = op->bytes;
+  f.src = src;
+  f.dst = dst;
+  f.remaining = bytes;
   f.rate = 0.0;
-  f.cap = op->cap;
+  f.cap = cap;
   f.proj = kUnlimitedRate;
   fs.comp = kNilIndex;  // affected at the next settle (comp == nil)
   compute_incidence(fs);
   for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
+  link_front(nodes_[src].out_head, slot, &FlowSlot::out_link);
+  link_front(nodes_[dst].in_head, slot, &FlowSlot::in_link);
   // The arrival can merge with any component reachable through its
   // endpoints: dirty whatever currently owns those NIC constraints. The
   // generation check rejects entries whose owner has dissolved — a live
@@ -287,16 +316,35 @@ void FlowNetwork::begin_flow(FlowOp* op) {
     const std::uint32_t owner = nic_owner_[c];
     if (owner != kNilIndex && comps_[owner].in_use &&
         comps_[owner].gen == nic_owner_gen_[c])
-      comps_[owner].dirty = true;
+      dirty_component(owner);
   }
-  ++pair_rates_[pair_key(f.src, f.dst)].count;
+  // Coupled shards never solve, so they must not accumulate arrivals.
+  if (!coupled_) arrivals_.push_back(slot);
   ++live_flows_;
   ++flows_started_;
+  return slot;
+}
+
+void FlowNetwork::begin_flow(FlowOp* op) {
+  if (!nodes_[op->src].up || !nodes_[op->dst].up) {
+    // An endpoint crashed before the leg's latency elapsed: the flow never
+    // materializes and its bytes are never counted. Step through the same
+    // zero-delay event a completion would use.
+    op->failed = true;
+    sim_.post([](void* p, void*) { auto* o = static_cast<FlowOp*>(p); o->step(o); }, op);
+    return;
+  }
+  traffic_[static_cast<std::size_t>(op->cls)] += op->bytes;
+
+  advance_to_now();
+  const std::uint32_t slot = add_flow(op->src, op->dst, op->bytes, op->cap, op);
+  ++pair_rates_[pair_key(op->src, op->dst)].count;
   if (coupled_) {
     // Epoch-coupled shard mode: the solve happens in the coordinator's
     // mirror. Record the arrival and the demand it places on cross-shard
     // constraints; rates come back through apply_external_rates.
-    coupled_adds_.push_back(CoupledAdd{slot, f.src, f.dst, op->bytes, f.cap});
+    const FlowSlot& fs = flow_slots_[slot];
+    coupled_adds_.push_back(CoupledAdd{slot, op->src, op->dst, op->bytes, op->cap});
     for (std::uint8_t k = 2; k < fs.n_constraints; ++k)
       coupled_demand_.push_back({fs.constraints[k], +1.0});
     coupled_sync_ = true;
@@ -318,7 +366,7 @@ void FlowNetwork::dirty_node_components(NodeId n) {
     const std::uint32_t owner = nic_owner_[c];
     if (owner != kNilIndex && comps_[owner].in_use &&
         comps_[owner].gen == nic_owner_gen_[c])
-      comps_[owner].dirty = true;
+      dirty_component(owner);
   }
 }
 
@@ -357,13 +405,18 @@ void FlowNetwork::set_link_flapped(NodeId n, bool flapped) {
 
 void FlowNetwork::fail_flows_at(NodeId n) {
   advance_to_now();
+  // The node's flows come from its incidence lists. Failed ops are posted in
+  // ascending slot order (post order is part of the timeline), and a flow
+  // from n to itself would sit on both lists.
   finished_scratch_.clear();
-  live_bits_.for_each_set([&](std::uint64_t s) {
-    const Flow& f = flow_slots_[s].flow;
-    if (f.src == n || f.dst == n)
-      finished_scratch_.push_back(static_cast<std::uint32_t>(s));
-  });
+  for (std::uint32_t s = nodes_[n].out_head; s != kNilIndex; s = flow_slots_[s].out_link.next)
+    finished_scratch_.push_back(s);
+  for (std::uint32_t s = nodes_[n].in_head; s != kNilIndex; s = flow_slots_[s].in_link.next)
+    finished_scratch_.push_back(s);
   if (finished_scratch_.empty()) return;
+  std::sort(finished_scratch_.begin(), finished_scratch_.end());
+  finished_scratch_.erase(std::unique(finished_scratch_.begin(), finished_scratch_.end()),
+                          finished_scratch_.end());
   if (settle_pending_) {
     // The inline solve below covers any arrivals already queued this instant.
     settle_timer_.cancel();
@@ -579,30 +632,58 @@ void FlowNetwork::solve_epoch() {
   if (topo_changed) {
     std::fill(shared_users_.begin(), shared_users_.end(), 0u);
     reset_arena();  // constraint ids shifted: the dense layout is invalid
+    finite_shared_ = false;
+    for (std::uint32_t c = n_local; c < cspace; ++c)
+      if (std::isfinite(constraint_cap(c))) finite_shared_ = true;
   }
 
-  // Phase 1 — canonical live scan in slot order (word-skipping bitmap, so
-  // the epoch pays for live flows, not for the slab's high-water mark):
-  // collect affected flows. Affected = new arrival, member of a dirty
-  // component, ablated-off, or any flow after a topology change (incidence
-  // ids shift with node count).
+  // Phase 1 — collect the affected flows in canonical slot order. Affected
+  // = new arrival, member of a dirty component, ablated-off, or any flow
+  // after a topology change (incidence ids shift with node count).
   items_.clear();
   bool any_split_risk = false;
-  live_bits_.for_each_set([&](std::uint64_t s) {
-    const std::uint32_t slot = static_cast<std::uint32_t>(s);
+  const auto collect = [&](std::uint32_t slot) {
     FlowSlot& fs = flow_slots_[slot];
-    if (topo_changed) {
-      compute_incidence(fs);
-      for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
-    }
-    const bool affected = !incremental_ || topo_changed || fs.comp == kNilIndex ||
-                          comps_[fs.comp].dirty;
-    if (!affected) return;
     const std::uint32_t prev = fs.comp;  // kNil for this epoch's arrivals
     if (prev != kNilIndex && comps_[prev].split_risk) any_split_risk = true;
-    detach_from_component(fs);
+    detach_from_component(slot);
     items_.push_back(SolverItem{&fs.flow, slot, 0.0, false, 0, prev, {}, 0});
-  });
+  };
+  // Worklist size bound: dirty members plus arrivals (which may repeat).
+  std::size_t pending = arrivals_.size();
+  for (const std::uint32_t id : dirty_comps_)
+    if (comps_[id].in_use) pending += comps_[id].count;
+  if (topo_changed || !incremental_ || coupled_ || 2 * pending >= live_flows_) {
+    // Live scan (word-skipping bitmap, so it pays for live flows, not for
+    // the slab's high-water mark): required when every flow is affected,
+    // and cheaper than walk+sort when the dirty region covers most of them.
+    live_bits_.for_each_set([&](std::uint64_t s) {
+      const std::uint32_t slot = static_cast<std::uint32_t>(s);
+      FlowSlot& fs = flow_slots_[slot];
+      if (topo_changed) {
+        compute_incidence(fs);
+        for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
+      }
+      const bool affected = !incremental_ || topo_changed || fs.comp == kNilIndex ||
+                            comps_[fs.comp].dirty;
+      if (affected) collect(slot);
+    });
+  } else {
+    // Worklist: the members of the dirty components plus the arrivals still
+    // awaiting a solve, sorted back into slot order. Dedupe because a slot
+    // freed and reused within one instant is on the arrival list twice.
+    worklist_.clear();
+    for (const std::uint32_t id : dirty_comps_) {
+      if (!comps_[id].in_use) continue;  // dissolved by departures
+      for (std::uint32_t s = comps_[id].head; s != kNilIndex; s = flow_slots_[s].comp_link.next)
+        worklist_.push_back(s);
+    }
+    for (const std::uint32_t s : arrivals_)
+      if (flow_slots_[s].in_use && flow_slots_[s].comp == kNilIndex) worklist_.push_back(s);
+    std::sort(worklist_.begin(), worklist_.end());
+    worklist_.erase(std::unique(worklist_.begin(), worklist_.end()), worklist_.end());
+    for (const std::uint32_t s : worklist_) collect(s);
+  }
 
   bool escalated = false;
   std::size_t n_groups = 0;
@@ -667,7 +748,7 @@ void FlowNetwork::solve_epoch() {
           }
           // Arrival-to-previous-component bridging through the NIC-owner
           // map. A live owner is necessarily collected this epoch (the
-          // arrival dirtied it in begin_flow), so it has a representative.
+          // arrival dirtied it in add_flow), so it has a representative.
           if (c >= nic_owner_.size()) continue;
           const std::uint32_t owner = nic_owner_[c];
           if (owner != kNilIndex && nic_owner_gen_[c] == comps_[owner].gen &&
@@ -732,23 +813,26 @@ void FlowNetwork::solve_epoch() {
     // accumulation order whichever components were re-solved, so the
     // escalation decision cannot diverge between ablation modes). Freshly
     // solved slots are recognized by their solve-pass stamp instead of an
-    // O(slab) slot->item map rebuild.
-    for (std::uint32_t c = n_local; c < cspace; ++c) usage_[c] = 0.0;
-    ++solve_pass_gen_;
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      FlowSlot& fs = flow_slots_[items_[i].slot];
-      fs.item_idx = static_cast<std::uint32_t>(i);
-      fs.solve_gen = solve_pass_gen_;
-    }
-    live_bits_.for_each_set([&](std::uint64_t s) {
-      const FlowSlot& fs = flow_slots_[s];
-      const double r =
-          fs.solve_gen == solve_pass_gen_ ? items_[fs.item_idx].alloc : fs.flow.rate;
-      for (std::uint8_t k = 2; k < fs.n_constraints; ++k) usage_[fs.constraints[k]] += r;
-    });
-    for (std::uint32_t c = n_local; c < cspace && !escalated; ++c) {
-      const double cap = constraint_cap(c);
-      if (std::isfinite(cap) && usage_[c] > cap + kEpsRate) escalated = true;
+    // O(slab) slot->item map rebuild. With no finite shared constraint
+    // nothing can be violated, so the O(live) walk is skipped.
+    if (finite_shared_) {
+      for (std::uint32_t c = n_local; c < cspace; ++c) usage_[c] = 0.0;
+      ++solve_pass_gen_;
+      for (std::size_t i = 0; i < items_.size(); ++i) {
+        FlowSlot& fs = flow_slots_[items_[i].slot];
+        fs.item_idx = static_cast<std::uint32_t>(i);
+        fs.solve_gen = solve_pass_gen_;
+      }
+      live_bits_.for_each_set([&](std::uint64_t s) {
+        const FlowSlot& fs = flow_slots_[s];
+        const double r =
+            fs.solve_gen == solve_pass_gen_ ? items_[fs.item_idx].alloc : fs.flow.rate;
+        for (std::uint8_t k = 2; k < fs.n_constraints; ++k) usage_[fs.constraints[k]] += r;
+      });
+      for (std::uint32_t c = n_local; c < cspace && !escalated; ++c) {
+        const double cap = constraint_cap(c);
+        if (std::isfinite(cap) && usage_[c] > cap + kEpsRate) escalated = true;
+      }
     }
 
     // Phase 5 — escalation: a shared constraint binds across components, so
@@ -760,10 +844,10 @@ void FlowNetwork::solve_epoch() {
       ++escalations_;
       items_.clear();
       live_bits_.for_each_set([&](std::uint64_t s) {
-        FlowSlot& fs = flow_slots_[s];
-        detach_from_component(fs);  // clean components join the mega solve
-        items_.push_back(SolverItem{&fs.flow, static_cast<std::uint32_t>(s), 0.0, false,
-                                    0, kNilIndex, {}, 0});
+        const std::uint32_t slot = static_cast<std::uint32_t>(s);
+        detach_from_component(slot);  // clean components join the mega solve
+        items_.push_back(SolverItem{&flow_slots_[slot].flow, slot, 0.0, false, 0,
+                                    kNilIndex, {}, 0});
       });
       water_fill_escalated();
       n_groups = 1;
@@ -774,30 +858,38 @@ void FlowNetwork::solve_epoch() {
     }
   }
 
-  // Phase 6 — publish: assign (re)built components, record NIC-constraint
-  // ownership for arrival dirtying, apply rates (projections push only for
-  // flows whose rate actually changed), refresh the drift-free rate sum.
+  // Phase 6 — publish: assign (re)built components and their member lists,
+  // record NIC-constraint ownership for arrival dirtying, apply rates
+  // (projections push only for flows whose rate actually changed).
   if (nic_owner_.size() < 2 * nodes_.size()) {
     nic_owner_.resize(2 * nodes_.size(), kNilIndex);
     nic_owner_gen_.resize(2 * nodes_.size(), 0);
   }
   for (std::size_t g = 0; g < n_groups; ++g) {
     const std::uint32_t comp = alloc_component();
+    Component& c = comps_[comp];
     // An escalated publish artificially merges every live flow — including
     // NIC-disconnected ones — into a single component. Only the item-level
     // rebuild can split it back, so the merge-only fast path must not trust
     // its membership.
-    comps_[comp].split_risk = escalated;
-    comps_[comp].count = group_start_[g + 1] - group_start_[g];
-    for (std::uint32_t i = group_start_[g]; i < group_start_[g + 1]; ++i) {
-      FlowSlot& fs = flow_slots_[items_[i].slot];
+    c.split_risk = escalated;
+    c.count = group_start_[g + 1] - group_start_[g];
+    // Back to front, so head-insertion leaves the member list in slot order.
+    for (std::uint32_t i = group_start_[g + 1]; i-- > group_start_[g];) {
+      const std::uint32_t slot = items_[i].slot;
+      FlowSlot& fs = flow_slots_[slot];
       fs.comp = comp;
+      link_front(c.head, slot, &FlowSlot::comp_link);
       for (int k = 0; k < 2; ++k) {
         nic_owner_[fs.constraints[k]] = comp;
-        nic_owner_gen_[fs.constraints[k]] = comps_[comp].gen;
+        nic_owner_gen_[fs.constraints[k]] = c.gen;
       }
     }
   }
+  // The worklists are consumed. Anything queued during this solve (detaches
+  // of collected or escalated flows) names components dissolved above.
+  dirty_comps_.clear();
+  arrivals_.clear();
   solved_components_ += n_groups;
   touched_flows_ += items_.size();
   if (trace_solver_) {
@@ -806,12 +898,6 @@ void FlowNetwork::solve_epoch() {
                  items_.size(), n_groups, static_cast<int>(escalated));
   }
   for (SolverItem& it : items_) apply_rate(*it.f, it.alloc, it.slot);
-  {
-    double sum = 0.0;
-    live_bits_.for_each_set(
-        [&](std::uint64_t s) { sum += flow_slots_[s].flow.rate; });
-    rate_sum_ = sum;
-  }
 }
 
 void FlowNetwork::schedule_completion() {
@@ -928,46 +1014,14 @@ void FlowNetwork::apply_external_rates(
   advance_to_now();
   for (const auto& [slot, rate] : rates)
     apply_rate(flow_slots_[slot].flow, rate, slot);
-  double sum = 0.0;
-  live_bits_.for_each_set([&](std::uint64_t s) { sum += flow_slots_[s].flow.rate; });
-  rate_sum_ = sum;
   schedule_completion();
 }
 
 std::uint32_t FlowNetwork::mirror_add_flow(NodeId src, NodeId dst, double bytes,
                                            double cap) {
-  // begin_flow's solver-relevant middle: slot setup, incidence, shared-user
-  // counts, NIC-owner dirtying. No traffic, no op, no settle, no pair rates.
-  const std::uint32_t slot = alloc_flow_slot();
-  FlowSlot& fs = flow_slots_[slot];
-  fs.in_use = true;
-  fs.op = nullptr;
-  live_bits_.set(slot);
-  Flow& f = fs.flow;
-  f.src = src;
-  f.dst = dst;
-  f.remaining = bytes;
-  f.rate = 0.0;
-  f.cap = cap;
-  f.proj = kUnlimitedRate;
-  fs.comp = kNilIndex;  // affected at the next mirror solve
-  compute_incidence(fs);
-  for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
-  const std::size_t nn = nodes_.size();
-  if (nic_owner_.size() < 2 * nn) {
-    nic_owner_.resize(2 * nn, kNilIndex);
-    nic_owner_gen_.resize(2 * nn, 0);
-  }
-  for (int k = 0; k < 2; ++k) {
-    const std::uint32_t c = fs.constraints[k];
-    const std::uint32_t owner = nic_owner_[c];
-    if (owner != kNilIndex && comps_[owner].in_use &&
-        comps_[owner].gen == nic_owner_gen_[c])
-      comps_[owner].dirty = true;
-  }
-  ++live_flows_;
-  ++flows_started_;
-  return slot;
+  // begin_flow's solver-relevant middle only: no traffic, no op, no settle,
+  // no pair rates.
+  return add_flow(src, dst, bytes, cap, nullptr);
 }
 
 void FlowNetwork::mirror_remove_flow(std::uint32_t slot) {

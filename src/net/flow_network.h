@@ -33,8 +33,9 @@
 //  * Completions come from a min-heap of projected finish times that is
 //    invalidated lazily: entries are re-validated against the flow's
 //    current projection when popped instead of being rescanned.
-//  * flow_rate()/current_rate_sum() are maintained incrementally and cost
-//    O(1) per query.
+//  * flow_rate() is maintained incrementally and costs O(1) per query;
+//    current_rate_sum() walks the live flows on demand (only tests read it,
+//    so no epoch pays for keeping it current).
 //
 // Incremental solver invariants
 // -----------------------------
@@ -54,6 +55,20 @@
 //     existing component reachable through their endpoints' local
 //     constraints (arrivals can merge components; departures can split them
 //     — membership is rebuilt from scratch for the dirty region only).
+//     The epoch finds the dirty region from worklists, not a live scan:
+//     dirtying a component pushes it onto a dirty list (once, when its flag
+//     flips) and every arrival is pushed onto an arrival list. Collection
+//     gathers the members of the dirty components (each component keeps an
+//     intrusive member list, linked at publish in slot order) plus the
+//     arrivals still awaiting a solve, then sorts and dedupes them back into
+//     canonical slot order — a slot can be freed and reused within one
+//     instant, so the arrival list may name it twice. The result is exactly
+//     the set and order a live scan would collect, so cost is O(dirty +
+//     arrivals) per epoch. The live scan remains where it is required or
+//     cheaper: after a topology change (every incidence is recomputed), with
+//     incremental solving ablated off, in coupled shard mode (no worklists
+//     are kept there), and when the dirty region covers at least half the
+//     live flows (the escalated mega-component re-solved every epoch).
 //  2. Dirty components are re-partitioned and water-filled ignoring
 //     non-contained shared constraints; clean components keep their CACHED
 //     rates, projections and completion-heap entries untouched.
@@ -63,7 +78,10 @@
 //     max-min fair for the relaxation, whose feasible set contains the full
 //     problem's. A shared constraint that is not binding never determines a
 //     water-fill increment, so the per-component solution is bit-identical
-//     to the full solve's.
+//     to the full solve's. Whether any shared constraint (fabric, uplinks)
+//     has a finite capacity is recorded at topology change; when none does
+//     (a non-blocking core) nothing can be violated and the O(live) usage
+//     walk is skipped outright.
 //  4. If a shared constraint IS violated, the epoch escalates: one global
 //     water-fill over all live flows with every constraint (exactly the
 //     pre-incremental algorithm, in canonical slot order), and all flows
@@ -372,7 +390,8 @@ class FlowNetwork {
 
   // --- introspection (tests, benches) -------------------------------------
   std::size_t active_flows() const noexcept { return live_flows_; }
-  double current_rate_sum() const noexcept { return live_flows_ ? rate_sum_ : 0.0; }
+  /// Sum of all live flow rates, accumulated in slot order (O(live flows)).
+  double current_rate_sum() const noexcept;
   double flow_rate(NodeId src, NodeId dst) const noexcept;  // sum over matching flows
   /// Max-min solve epochs so far; lets tests assert that a burst of
   /// same-timestamp arrivals settles with exactly one recompute.
@@ -435,8 +454,8 @@ class FlowNetwork {
                           std::vector<std::uint32_t>& removes,
                           std::vector<std::pair<std::uint32_t, double>>& demand);
   /// Apply rates computed by the coordinator's mirror solve: advances flow
-  /// progress to now, applies each (local slot, rate), refreshes the rate
-  /// sum and re-arms the completion timer. Called once per sync round.
+  /// progress to now, applies each (local slot, rate) and re-arms the
+  /// completion timer. Called once per sync round.
   void apply_external_rates(
       const std::vector<std::pair<std::uint32_t, double>>& rates);
   /// Earliest live completion projection this shard tracks (-1 when none).
@@ -470,6 +489,11 @@ class FlowNetwork {
     double cap = kUnlimitedRate;
     double proj = kUnlimitedRate;  // projected completion (absolute time)
   };
+  /// Links of one intrusive doubly-linked list of flow slots.
+  struct Link {
+    std::uint32_t prev = kNilIndex;
+    std::uint32_t next = kNilIndex;
+  };
   struct FlowSlot {
     Flow flow;
     // Continuation of the awaiting transfer op; stepped (via one zero-delay
@@ -488,6 +512,9 @@ class FlowNetwork {
     std::uint32_t constraints[5] = {};
     std::uint8_t n_constraints = 0;
     std::uint32_t comp = kNilIndex;  // owning component; kNil until solved
+    Link comp_link;  // owning component's member list (valid while comp set)
+    Link out_link;   // src node's outgoing-flow list (while in use)
+    Link in_link;    // dst node's incoming-flow list (while in use)
     // Cached dense indices into the escalation arena (valid while
     // arena_bound_gen matches arena_gen_; see "persistent compact arena").
     std::uint32_t acidx[5] = {};
@@ -503,17 +530,23 @@ class FlowNetwork {
     std::uint32_t flap_holds = 0;
     bool up = true;
     std::uint64_t epoch = 0;  // bumped on every crash
+    // Heads of the node's incidence lists (FlowSlot::out_link/in_link), so
+    // a crash finds its flows without scanning every live flow.
+    std::uint32_t out_head = kNilIndex;
+    std::uint32_t in_head = kNilIndex;
   };
   struct Group {
     double uplink_Bps;
   };
-  /// Component of the flows<->constraints incidence graph. Membership is
-  /// implicit (flows point at components); only the live count and the
-  /// dirty flag persist between epochs. `gen` survives slot reuse so stale
-  /// NIC-owner entries can be detected instead of dirtying an innocent
-  /// component that recycled the id.
+  /// Component of the flows<->constraints incidence graph. Flows point at
+  /// their component, and the component threads its members through
+  /// FlowSlot::comp_link in slot order (linked at publish, unlinked on
+  /// departure) so a dirty component's members are found without a live
+  /// scan. `gen` survives slot reuse so stale NIC-owner entries can be
+  /// detected instead of dirtying an innocent component that recycled the id.
   struct Component {
     std::uint32_t count = 0;     // live member flows
+    std::uint32_t head = kNilIndex;  // first member slot (comp_link list)
     std::uint32_t next_free = kNilIndex;
     std::uint32_t gen = 0;
     bool dirty = false;
@@ -540,7 +573,7 @@ class FlowNetwork {
   };
 
   std::uint32_t alloc_flow_slot();
-  void release_flow_slot(std::uint32_t slot) noexcept;
+  void release_flow_slot(std::uint32_t slot);
   static std::uint64_t pair_key(NodeId src, NodeId dst) noexcept {
     return (static_cast<std::uint64_t>(src) << 32) | dst;
   }
@@ -564,7 +597,16 @@ class FlowNetwork {
   double constraint_cap(std::uint32_t c) const noexcept;
   std::uint32_t alloc_component();
   void release_component(std::uint32_t id) noexcept;
-  void detach_from_component(FlowSlot& fs) noexcept;
+  /// Flag a component for re-solve, queueing it on the dirty list once.
+  void dirty_component(std::uint32_t id);
+  void detach_from_component(std::uint32_t slot);
+  /// Intrusive slot lists threaded through one Link member of FlowSlot.
+  void link_front(std::uint32_t& head, std::uint32_t slot, Link FlowSlot::*l) noexcept;
+  void unlink(std::uint32_t& head, std::uint32_t slot, Link FlowSlot::*l) noexcept;
+  /// Register a new flow in a fresh slot (arrival half shared by begin_flow
+  /// and mirror_add_flow): incidence, shared-user counts, node incidence
+  /// lists, NIC-owner dirtying and the arrival worklist.
+  std::uint32_t add_flow(NodeId src, NodeId dst, double bytes, double cap, FlowOp* op);
 
   /// Tear down every live flow with an endpoint at `n` (crash): credit back
   /// un-transferred bytes, step the ops with failed=true, release the slots
@@ -592,9 +634,11 @@ class FlowNetwork {
   // Slab of flow slots. A flat vector: slots hold no non-movable members
   // anymore (the done Event became the op pointer) and no reference into the
   // slab is held across an alloc_flow_slot() call. Live slots are tracked in
-  // a packed bitmap so the per-epoch passes (collect, shared-usage
-  // validation, rate-sum refresh) walk live flows in canonical slot order
-  // while word-skipping dead regions, instead of touching every slab slot.
+  // a packed bitmap so the live passes (byte advance each instant; the
+  // collect scan only on its fallback paths; shared-usage validation only
+  // while some shared constraint is finite; escalation) walk live flows in
+  // canonical slot order while word-skipping dead regions, instead of
+  // touching every slab slot.
   std::vector<FlowSlot> flow_slots_;
   util::DirtyBitmap live_bits_{0};
   std::uint32_t free_head_ = kNilIndex;
@@ -614,6 +658,15 @@ class FlowNetwork {
   std::vector<std::uint32_t> shared_users_;
   std::uint64_t topology_gen_ = 0;   // bumped by add_node/add_switch_group
   std::uint64_t solved_topology_gen_ = 0;
+  // Any shared constraint with a finite capacity (recomputed at topology
+  // change)? When false, shared-constraint validation cannot fail.
+  bool finite_shared_ = false;
+  // Settle worklists (see "Incremental solver invariants" step 1): consumed
+  // and cleared by every solve_epoch. Coupled shards never solve and keep
+  // neither list.
+  std::vector<std::uint32_t> dirty_comps_;  // components whose flag flipped
+  std::vector<std::uint32_t> arrivals_;     // slots begun since the last solve
+  std::vector<std::uint32_t> worklist_;     // collect scratch
 
   double last_advance_ = 0.0;
   bool settle_pending_ = false;
@@ -623,7 +676,6 @@ class FlowNetwork {
   sim::Simulator::Timer completion_timer_;
   double completion_timer_t_ = -1.0;
 
-  double rate_sum_ = 0.0;
   struct PairRate {
     double rate = 0.0;
     std::uint32_t count = 0;

@@ -1,7 +1,6 @@
 // Shape-level reproduction checks: the qualitative orderings reported in the
 // paper's evaluation (who wins, roughly by how much) must hold on a scaled
-// scenario. Absolute values differ from Grid'5000 — EXPERIMENTS.md records
-// the full-scale numbers and the documented deviations.
+// scenario. Absolute values differ from Grid'5000.
 #include <gtest/gtest.h>
 
 #include <map>

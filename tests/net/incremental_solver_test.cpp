@@ -1,9 +1,11 @@
 // Incremental-vs-full solver equivalence: the component-scoped solver must
 // produce byte-identical rate streams and completion times to re-solving
 // every component each epoch (ABLATE_INCREMENTAL=off), across randomized
-// flow churn on several topology shapes — flat, fabric-bound (escalation),
-// oversubscribed switch groups, per-flow caps. Also covers the component
-// introspection hooks the benches report.
+// flow churn on several topology shapes — flat, unlimited fabric,
+// fabric-bound (escalation), oversubscribed switch groups, per-flow caps —
+// and across the settle-worklist edge cases: slot reuse within one instant,
+// crashes racing arrivals, nodes added under load, escalation and split-back.
+// Also covers the component introspection hooks the benches report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,9 +33,23 @@ struct Topology {
   std::vector<double> nic;              // per-node NIC
 };
 
+/// Timed topology/fault change, replayed identically in both arms.
+struct NetEvent {
+  enum Kind { kCrash, kReboot, kAddNode };
+  double t;
+  Kind kind;
+  NodeId node = 0;   // crash/reboot target
+  double nic = 0.0;  // capacity of an added node
+  // Zero-delay yields before applying: one is enough to land behind the
+  // same-instant arrivals but ahead of their settle.
+  int yields = 0;
+};
+
 struct RunLog {
-  std::vector<double> completions;       // completion time per flow (spec order)
+  std::vector<double> completions;       // per flow (spec order); -t = failed at t
   std::vector<double> rate_samples;      // flow_rate(src,dst) probes
+  std::vector<std::size_t> components;   // component_count() per probe
+  int crashes_racing_arrivals = 0;       // crashes hitting an unsettled epoch
   std::uint64_t recomputes = 0;
   std::uint64_t touched = 0;
   std::uint64_t escalations = 0;
@@ -41,12 +57,13 @@ struct RunLog {
 
 sim::Task run_flow(FlowNetwork* net, const FlowSpec* f, double* done_at,
                    sim::Simulator* s) {
-  co_await net->transfer(f->src, f->dst, f->bytes, TrafficClass::kMemory, f->cap);
-  *done_at = s->now();
+  const bool ok =
+      co_await net->transfer(f->src, f->dst, f->bytes, TrafficClass::kMemory, f->cap);
+  *done_at = ok ? s->now() : -s->now();
 }
 
 RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
-                    bool incremental) {
+                    bool incremental, const std::vector<NetEvent>& events = {}) {
   sim::Simulator s;
   FlowNetwork net(s, FlowNetworkConfig{topo.fabric, 0.0, 8e9});
   net.set_incremental(incremental);
@@ -67,19 +84,42 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
     sim::Simulator& s;
     FlowNetwork& net;
     const std::vector<FlowSpec>& flows;
-    const std::vector<NodeId>& nodes;
+    std::vector<NodeId>& nodes;
     RunLog& log;
     void launch(std::size_t i) {
       s.spawn(run_flow(&net, &flows[i], &log.completions[i], &s));
+    }
+    void fire(const NetEvent& e) {
+      if (e.yields == 0) return apply(e);
+      s.spawn([](Ctx* c, const NetEvent* ev) -> sim::Task {
+        for (int i = 0; i < ev->yields; ++i) co_await c->s.yield();
+        c->apply(*ev);
+      }(this, &e));
+    }
+    void apply(const NetEvent& e) {
+      switch (e.kind) {
+        case NetEvent::kCrash:
+          if (net.settle_pending()) ++log.crashes_racing_arrivals;
+          net.set_node_up(e.node, false);
+          break;
+        case NetEvent::kReboot: net.set_node_up(e.node, true); break;
+        case NetEvent::kAddNode: nodes.push_back(net.add_node(e.nic)); break;
+      }
     }
     void probe() {
       for (NodeId a = 0; a < nodes.size(); ++a)
         for (NodeId b = 0; b < nodes.size(); ++b)
           if (a != b) log.rate_samples.push_back(net.flow_rate(a, b));
+      log.components.push_back(net.component_count());
     }
   } ctx{s, net, flows, nodes, log};
   for (std::size_t i = 0; i < flows.size(); ++i) {
     s.schedule(flows[i].start, [c = &ctx, i] { c->launch(i); });
+  }
+  // Scheduled after the flows, so an event fires behind the same-instant
+  // launches (identically in both arms).
+  for (const NetEvent& e : events) {
+    s.schedule(e.t, [c = &ctx, ev = &e] { c->fire(*ev); });
   }
   // Probe the full pair-rate matrix at fixed virtual times: these reads hit
   // the cached rates of clean components, which is exactly what must be
@@ -191,6 +231,172 @@ TEST(IncrementalSolver, EquivalentWithHeterogeneousNics) {
     expect_identical(run_scenario(topo, flows, true),
                      run_scenario(topo, flows, false));
   }
+}
+
+// --- settle-worklist edge cases ----------------------------------------------
+
+TEST(IncrementalSolver, EquivalentWithUnlimitedFabric) {
+  // No finite shared constraint at all (no switch groups, unlimited fabric):
+  // the shared-usage validation is skipped outright.
+  const Topology topo = flat_topology(16, kUnlimitedRate);
+  for (std::uint64_t seed = 51; seed <= 53; ++seed) {
+    const auto flows = random_flows(150, topo.nic.size(), true, seed);
+    const RunLog inc = run_scenario(topo, flows, true);
+    const RunLog full = run_scenario(topo, flows, false);
+    expect_identical(inc, full);
+    EXPECT_EQ(inc.escalations, 0u);
+    EXPECT_LT(inc.touched, full.touched) << "seed " << seed;
+  }
+}
+
+TEST(IncrementalSolver, EquivalentWhenSlotsAreReusedWithinAnInstant) {
+  // Eight disjoint pairs each run a back-to-back chain of flows at the full
+  // 100 MB/s NIC rate; byte counts are multiples of 25 MB, so every link's
+  // completion lands exactly on the next link's arrival and the freed slot
+  // is reused in the same instant. Long background flows on other nodes
+  // keep the dirty region small relative to the live set.
+  Topology topo = flat_topology(24);
+  std::vector<FlowSpec> flows;
+  sim::Rng rng(61);
+  for (NodeId p = 0; p < 8; ++p) {
+    double t = 0.25 * static_cast<double>(rng.uniform(4));
+    for (int link = 0; link < 6; ++link) {
+      const double bytes = 25e6 * static_cast<double>(1 + rng.uniform(4));
+      flows.push_back(FlowSpec{t, 2 * p, 2 * p + 1, bytes, kUnlimitedRate});
+      t += bytes / 100e6;
+    }
+  }
+  for (NodeId n = 16; n < 24; ++n)
+    flows.push_back(FlowSpec{0.0, n, n == 23 ? 16 : n + 1, 4e8, kUnlimitedRate});
+  const RunLog inc = run_scenario(topo, flows, true);
+  const RunLog full = run_scenario(topo, flows, false);
+  expect_identical(inc, full);
+  EXPECT_LT(inc.touched, full.touched);
+}
+
+TEST(IncrementalSolver, EquivalentWhenCrashRacesSameInstantArrivals) {
+  // Quantized starts put arrivals at every crash/reboot instant; the crash
+  // yields behind them so it lands on an unsettled epoch (the inline solve
+  // must cover both the failed flows and the pending arrivals).
+  const Topology topo = flat_topology(12);
+  const std::vector<NetEvent> events = {
+      {1.0, NetEvent::kCrash, 3, 0.0, 1},  {1.5, NetEvent::kReboot, 3},
+      {2.5, NetEvent::kCrash, 7, 0.0, 1},  {2.5, NetEvent::kCrash, 3, 0.0, 1},
+      {3.0, NetEvent::kReboot, 7},         {4.0, NetEvent::kReboot, 3},
+  };
+  for (std::uint64_t seed = 71; seed <= 73; ++seed) {
+    const auto flows = random_flows(140, topo.nic.size(), true, seed);
+    const RunLog inc = run_scenario(topo, flows, true, events);
+    const RunLog full = run_scenario(topo, flows, false, events);
+    expect_identical(inc, full);
+    EXPECT_GT(inc.crashes_racing_arrivals, 0) << "seed " << seed;
+    int failed = 0;
+    for (const double t : inc.completions) failed += t < 0 ? 1 : 0;
+    EXPECT_GT(failed, 0) << "seed " << seed;
+  }
+}
+
+TEST(IncrementalSolver, EquivalentWhenNodesAreAddedUnderLoad) {
+  // Four nodes join at t=1 while flows are live (a topology change
+  // mid-run: every incidence is recomputed); flows touching them start
+  // later. Switch groups keep a finite shared constraint in play.
+  Topology topo;
+  topo.fabric = 1e12;
+  topo.uplinks = {150e6, 150e6};
+  topo.nic.assign(8, 100e6);
+  topo.node_group = {0, 0, 0, 0, 1, 1, 1, 1};
+  std::vector<NetEvent> events;
+  for (int i = 0; i < 4; ++i) events.push_back({1.0, NetEvent::kAddNode, 0, 100e6});
+  for (std::uint64_t seed = 81; seed <= 83; ++seed) {
+    auto flows = random_flows(120, 12, true, seed);
+    for (FlowSpec& f : flows)
+      if (f.src >= 8 || f.dst >= 8) f.start = std::max(f.start, 1.25);
+    const RunLog inc = run_scenario(topo, flows, true, events);
+    const RunLog full = run_scenario(topo, flows, false, events);
+    expect_identical(inc, full);
+  }
+}
+
+TEST(IncrementalSolver, EscalatesThenSplitsBack) {
+  // Three NIC-disjoint flows over-demand the 250 MB/s fabric: the epoch
+  // escalates and merges them. When the short one leaves, the survivors fit
+  // and the re-solve splits the mega-component back into two; a later
+  // arrival re-escalates from the worklist path.
+  const Topology topo = flat_topology(6, /*fabric=*/250e6);
+  const std::vector<FlowSpec> flows = {
+      {0.0, 0, 1, 1000e6, kUnlimitedRate},
+      {0.0, 2, 3, 1000e6, kUnlimitedRate},
+      {0.0, 4, 5, 50e6, kUnlimitedRate},   // done at 0.6 s
+      {1.0, 4, 5, 400e6, kUnlimitedRate},  // re-escalates
+  };
+  const RunLog inc = run_scenario(topo, flows, true);
+  const RunLog full = run_scenario(topo, flows, false);
+  expect_identical(inc, full);
+  EXPECT_GE(inc.escalations, 2u);
+  ASSERT_GE(inc.components.size(), 2u);
+  EXPECT_EQ(inc.components[0], 2u);  // t=0.7: split back
+  EXPECT_EQ(inc.components[1], 1u);  // t=1.4: merged again
+}
+
+TEST(IncrementalSolver, MirrorSlotReusedBeforeSolveIsDeduped) {
+  // Mirror mode applies a whole round of removals and additions before one
+  // solve, so a slot can be freed and re-added (twice on the arrival list)
+  // within a single epoch. Both arms must publish identical rates. A sparse
+  // graph (~40 flows over 128 nodes) keeps components small, so each
+  // round's dirty region stays well below half the live set.
+  constexpr int kNodes = 128;
+  struct Arm {
+    sim::Simulator s;
+    FlowNetwork net{s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9}};
+    std::vector<double> rate;  // by slot, folded from each solve's items
+    std::vector<std::uint32_t> live;
+    explicit Arm(bool incremental) {
+      net.set_incremental(incremental);
+      net.set_mirror(true);
+      for (int i = 0; i < kNodes; ++i) net.add_node(100e6);
+    }
+    void add(NodeId a, NodeId b) { live.push_back(net.mirror_add_flow(a, b, 1e9, kUnlimitedRate)); }
+    void remove(std::size_t i) {
+      net.mirror_remove_flow(live[i]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    void solve() {
+      net.mirror_solve();
+      for (std::size_t i = 0; i < net.solved_item_count(); ++i) {
+        const auto [slot, r] = net.solved_item(i);
+        if (rate.size() <= slot) rate.resize(slot + 1, 0.0);
+        rate[slot] = r;
+      }
+    }
+  };
+  Arm inc(true), full(false);
+  sim::Rng rng(91);
+  for (int round = 0; round < 200; ++round) {
+    const auto n_add = 1 + rng.uniform(3);
+    for (std::uint64_t k = 0; k < n_add; ++k) {
+      const auto a = static_cast<NodeId>(rng.uniform(kNodes));
+      const auto b = static_cast<NodeId>((a + 1 + rng.uniform(kNodes - 1)) % kNodes);
+      inc.add(a, b);
+      full.add(a, b);
+      if (rng.uniform(3) == 0) {  // drop the newcomer and re-add: same slot
+        inc.remove(inc.live.size() - 1);
+        full.remove(full.live.size() - 1);
+        inc.add(b, a);
+        full.add(b, a);
+      }
+    }
+    while (inc.live.size() > 40) {
+      const auto i = static_cast<std::size_t>(rng.uniform(inc.live.size()));
+      inc.remove(i);
+      full.remove(i);
+    }
+    inc.solve();
+    full.solve();
+    ASSERT_EQ(inc.live, full.live) << "round " << round;
+    for (const std::uint32_t slot : inc.live)
+      EXPECT_EQ(inc.rate[slot], full.rate[slot]) << "round " << round << " slot " << slot;
+  }
+  EXPECT_LT(inc.net.touched_flow_count(), full.net.touched_flow_count());
 }
 
 // --- introspection hooks ----------------------------------------------------

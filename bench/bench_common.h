@@ -4,6 +4,8 @@
 // chunks, VMs with 4 GB RAM, QEMU pre-copy memory migration capped at 1 Gbps.
 #pragma once
 
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "cloud/experiment.h"
@@ -22,6 +24,17 @@ using storage::kMiB;
 inline const std::vector<core::Approach> kAllApproaches = {
     core::Approach::kHybrid, core::Approach::kMirror, core::Approach::kPostcopy,
     core::Approach::kPrecopy, core::Approach::kPvfsShared};
+
+/// Solver regime of the scale sweeps: ABLATE_INCREMENTAL=off|0|false picks
+/// the full re-solve (FlowNetworkConfig::incremental = false), which must
+/// reproduce the incremental timeline. The library reads no environment;
+/// this is the one place a front end maps the variable onto the config.
+inline bool incremental_from_env() {
+  const char* env = std::getenv("ABLATE_INCREMENTAL");
+  if (env == nullptr) return true;
+  const std::string v = env;
+  return !(v == "off" || v == "0" || v == "false");
+}
 
 /// Paper testbed defaults (Section 5.1).
 inline ExperimentConfig paper_config(core::Approach a) {

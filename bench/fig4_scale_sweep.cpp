@@ -64,6 +64,7 @@
 // Usage: fig4_scale_sweep [max_concurrency] [oversub|nonblocking] [stagger_s]
 //                         [asyncwr|trace:SPEC] [none|faults:SPEC] [shards|auto]
 //        (defaults: 256 oversub 0 asyncwr none 1)
+//        ABLATE_INCREMENTAL=off runs the full-solve regime (bench_common.h).
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -158,6 +159,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const bool incremental = incremental_from_env();
   bool any_error = false;
   std::cout << "[\n";
   bool first = true;
@@ -165,6 +167,7 @@ int main(int argc, char** argv) {
     cloud::ExperimentConfig cfg = scale_config(n, nonblocking, stagger_s, workload);
     cfg.faults = faults;
     cfg.shards = shards;
+    cfg.cluster.network.incremental = incremental;
     // Churn regimes carry the watchdog/invariant auditor: its periodic tick
     // is part of the timeline, so the churn goldens are generated with it on.
     cfg.audit = faults.churn;

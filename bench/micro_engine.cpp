@@ -200,8 +200,7 @@ void BM_IncrementalSolveChurn(benchmark::State& state) {
   double churn_ns = 0.0;
   for (auto _ : state) {
     sim::Simulator s;
-    net::FlowNetwork net(s, net::FlowNetworkConfig{net::kUnlimitedRate, 0.0, 8e9});
-    net.set_incremental(incremental);
+    net::FlowNetwork net(s, net::FlowNetworkConfig{net::kUnlimitedRate, 0.0, 8e9, incremental});
     std::vector<net::NodeId> src, dst;
     for (int p = 0; p < pairs; ++p) {
       src.push_back(net.add_node(117.5e6));

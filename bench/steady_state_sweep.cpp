@@ -27,6 +27,7 @@
 // Usage: steady_state_sweep [max_vms] [oversub|nonblocking] [auto|SPEC]
 //                           [none|faults:SPEC] [shards|auto]
 //        (defaults: 64 oversub auto none 1)
+//        ABLATE_INCREMENTAL=off runs the full-solve regime (bench_common.h).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -108,6 +109,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const bool incremental = incremental_from_env();
   bool any_error = false;
   std::cout << "[\n";
   bool first = true;
@@ -123,6 +125,7 @@ int main(int argc, char** argv) {
     }
     cfg.faults = faults;
     cfg.shards = shards;
+    cfg.cluster.network.incremental = incremental;
     cfg.audit = faults.churn;  // same convention as fig4_scale_sweep
     const bool audit = cfg.audit;
     cloud::Experiment exp(std::move(cfg));

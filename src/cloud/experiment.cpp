@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
-#include <thread>
 
 #include "cloud/auditor.h"
 #include "cloud/fault_injector.h"
@@ -88,19 +85,6 @@ void wire_mirror_topology(net::FlowNetwork& net, const vm::ClusterConfig& cfg) {
     }
     net.add_node(cfg.nic_Bps, group);
   }
-}
-
-/// Epoch-coupled driver selection: shard bodies on dedicated threads
-/// rendezvousing on the EpochBarrier, or the same round protocol executed
-/// inline round-robin on the caller (the right choice on a single-core
-/// host, where thread hand-offs per barrier would dominate). Both produce
-/// the identical timeline; HM_COUPLED_DRIVER=threads|seq overrides.
-bool coupled_driver_threads() {
-  if (const char* e = std::getenv("HM_COUPLED_DRIVER")) {
-    if (std::strcmp(e, "threads") == 0) return true;
-    if (std::strcmp(e, "seq") == 0) return false;
-  }
-  return std::thread::hardware_concurrency() > 1;
 }
 
 }  // namespace
@@ -562,8 +546,8 @@ ExperimentResult Experiment::run_epoch_coupled(const ShardPlan& plan) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   // The mirror is built from the same FlowNetworkConfig as every shard
-  // replica, so its incremental/full-solve regime (ABLATE_INCREMENTAL)
-  // resolves identically — both regimes stay byte-identical to shards=1.
+  // replica, so it runs the same incremental/full-solve regime — both
+  // regimes stay byte-identical to shards=1.
   net::CoupledCoordinator coord(n, cfg_.cluster.network);
   wire_mirror_topology(coord.mirror(), cfg_.cluster);
 
@@ -584,7 +568,7 @@ ExperimentResult Experiment::run_epoch_coupled(const ShardPlan& plan) const {
     bool churn = false;      // this round's instant ran at least one solve
     bool truncated = false;  // max_sim_time guard tripped
     bool drift = false;      // demand-message cross-check failed
-    bool phase_b = false;    // which reduce the next barrier runs (threads)
+    bool phase_b = false;    // which reduce the next barrier runs
   } rs;
   rs.t_next.assign(n, kInf);
   rs.c_next.assign(n, -1.0);
@@ -662,50 +646,28 @@ ExperimentResult Experiment::run_epoch_coupled(const ShardPlan& plan) const {
     parts[s] = std::move(rt.res);
   };
 
-  if (coupled_driver_threads()) {
-    // Two barrier epochs per round; the hook alternates the reduces (the
-    // toggle is flipped under the barrier, with every shard parked).
-    shards.set_reduce_hook([&](std::uint64_t) {
-      if (!rs.phase_b)
-        reduce_a();
-      else
-        reduce_b();
-      rs.phase_b = !rs.phase_b;
-    });
-    shards.run_epochs([&](std::uint32_t s) {
-      SliceRuntime rt(cfg_, &plan.slices[s], &details[s], /*coupled=*/true);
-      for (;;) {
-        publish_phase_a(s, rt);
-        shards.barrier().arrive_and_wait();  // runs reduce_a
-        if (rs.stop) break;
-        run_instant(s, rt);
-        shards.barrier().arrive_and_wait();  // runs reduce_b
-        if (rs.stop) break;
-        apply_round(s, rt);
-      }
-      finish_slice(s, rt);
-    });
-  } else {
-    // Inline round-robin driver: the identical protocol on one thread (the
-    // right shape for a single-core host, where per-barrier thread
-    // hand-offs would dominate the wall-clock).
-    std::vector<std::unique_ptr<SliceRuntime>> rts;
-    rts.reserve(n);
-    for (std::uint32_t s = 0; s < n; ++s)
-      rts.push_back(std::make_unique<SliceRuntime>(cfg_, &plan.slices[s], &details[s],
-                                                   /*coupled=*/true));
-    for (;;) {
-      for (std::uint32_t s = 0; s < n; ++s) publish_phase_a(s, *rts[s]);
+  // Two barrier epochs per round; the hook alternates the reduces (the
+  // toggle is flipped under the barrier, with every shard parked).
+  shards.set_reduce_hook([&](std::uint64_t) {
+    if (!rs.phase_b)
       reduce_a();
-      if (rs.stop) break;
-      for (std::uint32_t s = 0; s < n; ++s) run_instant(s, *rts[s]);
-      shards.merge_now();
+    else
       reduce_b();
+    rs.phase_b = !rs.phase_b;
+  });
+  shards.run_epochs([&](std::uint32_t s) {
+    SliceRuntime rt(cfg_, &plan.slices[s], &details[s], /*coupled=*/true);
+    for (;;) {
+      publish_phase_a(s, rt);
+      shards.barrier().arrive_and_wait();  // runs reduce_a
       if (rs.stop) break;
-      for (std::uint32_t s = 0; s < n; ++s) apply_round(s, *rts[s]);
+      run_instant(s, rt);
+      shards.barrier().arrive_and_wait();  // runs reduce_b
+      if (rs.stop) break;
+      apply_round(s, rt);
     }
-    for (std::uint32_t s = 0; s < n; ++s) finish_slice(s, *rts[s]);
-  }
+    finish_slice(s, rt);
+  });
 
   // Conservative runtime guards, as in run_sharded — plus the coupled
   // protocol's own consistency cross-check. Correctness is never traded for

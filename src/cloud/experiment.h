@@ -95,7 +95,8 @@ struct ExperimentConfig {
   /// PVFS, trace recording, non-broadcast replay) still conservatively
   /// collapse to one shard. Every virtual-time field of the result is
   /// byte-identical for any shard count — only wall_ms may change.
-  /// kShardsAuto picks min(component count, workers available) at plan time.
+  /// kShardsAuto picks min(component count, workers available) at plan time
+  /// and never an epoch-coupled plan (that needs an explicit count).
   std::uint32_t shards = 1;
   static constexpr std::uint32_t kShardsAuto = 0xffffffffu;
 

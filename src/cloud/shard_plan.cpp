@@ -104,6 +104,11 @@ ShardPlan plan_shards(const ExperimentConfig& cfg) {
   std::string reason = hard_coupling_reason(cfg);
   if (!reason.empty()) return single(n_vms, std::move(reason));
   std::string net_reason = network_coupling_reason(cfg);
+  // The epoch-coupled executor pays a barrier round per settle instant and
+  // loses to one shard except on the largest fleets, so auto never picks
+  // it; an explicit shard count still does.
+  if (auto_shards && !net_reason.empty())
+    return single(n_vms, "auto: " + net_reason + "; pass --shards=N to run epoch-coupled");
 
   // Constraint-graph edges: each VM pins its home node's NICs for its whole
   // life; a migrated VM additionally pins its destination's. Destination

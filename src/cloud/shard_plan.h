@@ -30,7 +30,9 @@
 //
 // cfg.shards == ExperimentConfig::kShardsAuto resolves the shard count at
 // plan time to min(component count, workers available to sim::WorkerBudget
-// plus the caller's thread).
+// plus the caller's thread). Auto never picks the epoch-coupled plan: a
+// config with finite shared network constraints runs single-shard unless
+// an explicit shard count asks for coupling.
 //
 // Residual couplings only observable at runtime (a repository fetch from a
 // foreign-owned stripe, a max_sim_time truncation whose cut point depends

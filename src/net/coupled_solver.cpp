@@ -1,10 +1,6 @@
 #include "net/coupled_solver.h"
 
 #include <cmath>
-#ifdef HM_EPOCH_TRACE
-#include <cstdio>
-#include <cstdlib>
-#endif
 
 namespace hm::net {
 
@@ -49,16 +45,6 @@ int CoupledCoordinator::reduce(
   const bool split = has_rm && has_add && ctimer_t_ == t_star &&
                      ctimer_set_t_ + latency_s_ < t_star;
   int epochs = 0;
-#ifdef HM_EPOCH_TRACE
-  // Build with -DHM_EPOCH_TRACE and set HM_EPOCH_TRACE=1 to dump one "E t"
-  // line per mirror epoch; the single-shard FlowNetwork emits the same
-  // stream from solve_epoch, so `diff` pinpoints the first instant where
-  // the coupled epoch structure deviates from the sequential one.
-  if (std::getenv("HM_EPOCH_TRACE")) {
-    std::fprintf(stderr, "E %.17g\n", t_star);
-    if (split) std::fprintf(stderr, "E %.17g\n", t_star);
-  }
-#endif
   if (split) {
     apply_epoch(deltas, /*removals=*/true, /*adds=*/false, rates_out);
     apply_epoch(deltas, /*removals=*/false, /*adds=*/true, rates_out);

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace hm::net {
 
@@ -17,13 +14,6 @@ constexpr double kEpsRate = 1.0;     // rates below 1 B/s are "saturated"
 
 bool flow_is_done(double remaining, double rate) noexcept {
   return remaining <= kEpsBytes || (rate > kEpsRate && remaining / rate < 1e-9);
-}
-
-bool incremental_default() noexcept {
-  const char* env = std::getenv("ABLATE_INCREMENTAL");
-  if (!env) return true;
-  return !(std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-           std::strcmp(env, "false") == 0);
 }
 }  // namespace
 
@@ -42,12 +32,8 @@ const char* traffic_class_name(TrafficClass cls) noexcept {
 }
 
 FlowNetwork::FlowNetwork(sim::Simulator& sim, FlowNetworkConfig cfg)
-    : sim_(sim),
-      cfg_(cfg),
-      incremental_(cfg.incremental < 0 ? incremental_default() : cfg.incremental != 0),
-      trace_solver_(std::getenv("HM_TRACE_SOLVER") != nullptr) {
+    : sim_(sim), cfg_(cfg) {
   groups_.push_back(Group{kUnlimitedRate});  // group 0: flat network default
-  pair_rates_.reserve(64);
 }
 
 SwitchGroupId FlowNetwork::add_switch_group(double uplink_Bps) {
@@ -74,8 +60,10 @@ void FlowNetwork::reset_traffic() noexcept {
 }
 
 double FlowNetwork::flow_rate(NodeId src, NodeId dst) const noexcept {
-  const auto it = pair_rates_.find(pair_key(src, dst));
-  return it == pair_rates_.end() ? 0.0 : it->second.rate;
+  double sum = 0.0;
+  for (std::uint32_t s = nodes_[src].out_head; s != kNilIndex; s = flow_slots_[s].out_link.next)
+    if (flow_slots_[s].flow.dst == dst) sum += flow_slots_[s].flow.rate;
+  return sum;
 }
 
 double FlowNetwork::current_rate_sum() const noexcept {
@@ -149,7 +137,6 @@ std::uint32_t FlowNetwork::alloc_component() {
   ++c.gen;  // invalidates NIC-owner entries from previous occupants
   c.dirty = false;
   c.in_use = true;
-  c.split_risk = false;
   ++live_components_;
   return id;
 }
@@ -199,23 +186,8 @@ void FlowNetwork::unlink(std::uint32_t& head, std::uint32_t slot,
 
 void FlowNetwork::release_flow_slot(std::uint32_t slot) {
   FlowSlot& fs = flow_slots_[slot];
-  Flow& f = fs.flow;
-  if (!mirror_) {
-    auto it = pair_rates_.find(pair_key(f.src, f.dst));
-    if (it != pair_rates_.end()) {
-      if (--it->second.count == 0) {
-        // Keep the node (steady-state re-use of the pair never re-allocates)
-        // but pin the rate to exactly zero, which also resets FP dust.
-        it->second.rate = 0.0;
-      } else {
-        it->second.rate -= f.rate;
-      }
-    }
-  }
-  // The departure dirties its component so the survivors get re-solved —
-  // and may split it, so the merge-only membership fast path is off the
-  // table until the next item-level rebuild re-derives the partition.
-  if (fs.comp != kNilIndex) comps_[fs.comp].split_risk = true;
+  const Flow& f = fs.flow;
+  // The departure dirties its component so the survivors get re-solved.
   detach_from_component(slot);
   unlink(nodes_[f.src].out_head, slot, &FlowSlot::out_link);
   unlink(nodes_[f.dst].in_head, slot, &FlowSlot::in_link);
@@ -234,16 +206,10 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) {
 
 void FlowNetwork::apply_rate(Flow& f, double new_rate, std::uint32_t slot) {
   if (new_rate != f.rate) {
-    if (mirror_) {
-      // The mirror only needs the rate itself: projections, completion
-      // entries and per-pair introspection belong to the shard replicas.
-      f.rate = new_rate;
-      return;
-    }
-    auto& pr = pair_rates_[pair_key(f.src, f.dst)];
-    pr.rate += new_rate - f.rate;
     f.rate = new_rate;
-    push_projection(f, slot);
+    // The mirror only needs the rate itself: projections and completion
+    // entries belong to the shard replicas.
+    if (!mirror_) push_projection(f, slot);
   }
 }
 
@@ -338,7 +304,6 @@ void FlowNetwork::begin_flow(FlowOp* op) {
 
   advance_to_now();
   const std::uint32_t slot = add_flow(op->src, op->dst, op->bytes, op->cap, op);
-  ++pair_rates_[pair_key(op->src, op->dst)].count;
   if (coupled_) {
     // Epoch-coupled shard mode: the solve happens in the coordinator's
     // mirror. Record the arrival and the demand it places on cross-shard
@@ -618,10 +583,6 @@ void FlowNetwork::run_fill(std::size_t first_item, std::size_t n_items) {
 // "Incremental solver invariants"), validate shared constraints, escalate to
 // a global solve when one is violated, publish rates and components.
 void FlowNetwork::solve_epoch() {
-#ifdef HM_EPOCH_TRACE
-  if (!mirror_ && std::getenv("HM_EPOCH_TRACE"))
-    std::fprintf(stderr, "E %.17g\n", sim_.now());
-#endif
   ++recompute_count_;
   const bool topo_changed = solved_topology_gen_ != topology_gen_;
   solved_topology_gen_ = topology_gen_;
@@ -641,19 +602,15 @@ void FlowNetwork::solve_epoch() {
   // = new arrival, member of a dirty component, ablated-off, or any flow
   // after a topology change (incidence ids shift with node count).
   items_.clear();
-  bool any_split_risk = false;
   const auto collect = [&](std::uint32_t slot) {
-    FlowSlot& fs = flow_slots_[slot];
-    const std::uint32_t prev = fs.comp;  // kNil for this epoch's arrivals
-    if (prev != kNilIndex && comps_[prev].split_risk) any_split_risk = true;
     detach_from_component(slot);
-    items_.push_back(SolverItem{&fs.flow, slot, 0.0, false, 0, prev, {}, 0});
+    items_.push_back(SolverItem{&flow_slots_[slot].flow, slot, 0.0, false, 0, {}, 0});
   };
   // Worklist size bound: dirty members plus arrivals (which may repeat).
   std::size_t pending = arrivals_.size();
   for (const std::uint32_t id : dirty_comps_)
     if (comps_[id].in_use) pending += comps_[id].count;
-  if (topo_changed || !incremental_ || coupled_ || 2 * pending >= live_flows_) {
+  if (topo_changed || !cfg_.incremental || coupled_ || 2 * pending >= live_flows_) {
     // Live scan (word-skipping bitmap, so it pays for live flows, not for
     // the slab's high-water mark): required when every flow is affected,
     // and cheaper than walk+sort when the dirty region covers most of them.
@@ -664,7 +621,7 @@ void FlowNetwork::solve_epoch() {
         compute_incidence(fs);
         for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
       }
-      const bool affected = !incremental_ || topo_changed || fs.comp == kNilIndex ||
+      const bool affected = !cfg_.incremental || topo_changed || fs.comp == kNilIndex ||
                             comps_[fs.comp].dirty;
       if (affected) collect(slot);
     });
@@ -707,66 +664,15 @@ void FlowNetwork::solve_epoch() {
       std::uint32_t ra = find_root(a), rb = find_root(b);
       if (ra != rb) items_[std::max(ra, rb)].uf_parent = std::min(ra, rb);
     };
-    // Merge-only fast path: no split-risk member and an unchanged topology
-    // means membership can only have grown. Union each item into its
-    // previous component's representative (first member in slot order), then
-    // bridge the arrivals — the only items that can connect two previous
-    // components, since published components never share a NIC constraint.
-    // The union rule keeps the minimal item index as root either way, so the
-    // resulting partition, group numbering and item order are identical to
-    // the item-level rebuild below (see the header's membership fast path
-    // invariant).
-    const bool merge_only = incremental_ && !topo_changed && !any_split_risk;
-    if (merge_only) {
-      ++membership_fast_epochs_;
-      if (comp_map_epoch_.size() < comps_.size()) {
-        comp_map_epoch_.resize(comps_.size(), 0);
-        comp_map_.resize(comps_.size(), kNilIndex);
-      }
-      ++comp_map_gen_;
-      for (std::uint32_t i = 0; i < items_.size(); ++i) {
-        const std::uint32_t prev = items_[i].prev_comp;
-        if (prev == kNilIndex) continue;
-        if (comp_map_epoch_[prev] != comp_map_gen_) {
-          comp_map_epoch_[prev] = comp_map_gen_;
-          comp_map_[prev] = i;
+    for (std::uint32_t i = 0; i < items_.size(); ++i) {
+      const FlowSlot& fs = flow_slots_[items_[i].slot];
+      for (int k = 0; k < 2; ++k) {
+        const std::uint32_t c = fs.constraints[k];
+        if (citem_epoch_[c] != pgen) {
+          citem_epoch_[c] = pgen;
+          citem_[c] = i;
         } else {
-          link(i, comp_map_[prev]);
-        }
-      }
-      for (std::uint32_t i = 0; i < items_.size(); ++i) {
-        if (items_[i].prev_comp != kNilIndex) continue;  // arrivals only
-        const FlowSlot& fs = flow_slots_[items_[i].slot];
-        for (int k = 0; k < 2; ++k) {
-          const std::uint32_t c = fs.constraints[k];
-          // Arrival-to-arrival sharing through the constraint-seed map.
-          if (citem_epoch_[c] != pgen) {
-            citem_epoch_[c] = pgen;
-            citem_[c] = i;
-          } else {
-            link(i, citem_[c]);
-          }
-          // Arrival-to-previous-component bridging through the NIC-owner
-          // map. A live owner is necessarily collected this epoch (the
-          // arrival dirtied it in add_flow), so it has a representative.
-          if (c >= nic_owner_.size()) continue;
-          const std::uint32_t owner = nic_owner_[c];
-          if (owner != kNilIndex && nic_owner_gen_[c] == comps_[owner].gen &&
-              comp_map_epoch_[owner] == comp_map_gen_)
-            link(i, comp_map_[owner]);
-        }
-      }
-    } else {
-      for (std::uint32_t i = 0; i < items_.size(); ++i) {
-        const FlowSlot& fs = flow_slots_[items_[i].slot];
-        for (int k = 0; k < 2; ++k) {
-          const std::uint32_t c = fs.constraints[k];
-          if (citem_epoch_[c] != pgen) {
-            citem_epoch_[c] = pgen;
-            citem_[c] = i;
-          } else {
-            link(i, citem_[c]);
-          }
+          link(i, citem_[c]);
         }
       }
     }
@@ -846,8 +752,7 @@ void FlowNetwork::solve_epoch() {
       live_bits_.for_each_set([&](std::uint64_t s) {
         const std::uint32_t slot = static_cast<std::uint32_t>(s);
         detach_from_component(slot);  // clean components join the mega solve
-        items_.push_back(SolverItem{&flow_slots_[slot].flow, slot, 0.0, false, 0,
-                                    kNilIndex, {}, 0});
+        items_.push_back(SolverItem{&flow_slots_[slot].flow, slot, 0.0, false, 0, {}, 0});
       });
       water_fill_escalated();
       n_groups = 1;
@@ -868,11 +773,6 @@ void FlowNetwork::solve_epoch() {
   for (std::size_t g = 0; g < n_groups; ++g) {
     const std::uint32_t comp = alloc_component();
     Component& c = comps_[comp];
-    // An escalated publish artificially merges every live flow — including
-    // NIC-disconnected ones — into a single component. Only the item-level
-    // rebuild can split it back, so the merge-only fast path must not trust
-    // its membership.
-    c.split_risk = escalated;
     c.count = group_start_[g + 1] - group_start_[g];
     // Back to front, so head-insertion leaves the member list in slot order.
     for (std::uint32_t i = group_start_[g + 1]; i-- > group_start_[g];) {
@@ -892,11 +792,6 @@ void FlowNetwork::solve_epoch() {
   arrivals_.clear();
   solved_components_ += n_groups;
   touched_flows_ += items_.size();
-  if (trace_solver_) {
-    std::fprintf(stderr, "epoch %llu: live=%zu items=%zu groups=%zu esc=%d\n",
-                 static_cast<unsigned long long>(recompute_count_), live_flows_,
-                 items_.size(), n_groups, static_cast<int>(escalated));
-  }
   for (SolverItem& it : items_) apply_rate(*it.f, it.alloc, it.slot);
 }
 
@@ -1019,8 +914,7 @@ void FlowNetwork::apply_external_rates(
 
 std::uint32_t FlowNetwork::mirror_add_flow(NodeId src, NodeId dst, double bytes,
                                            double cap) {
-  // begin_flow's solver-relevant middle only: no traffic, no op, no settle,
-  // no pair rates.
+  // begin_flow's solver-relevant middle only: no traffic, no op, no settle.
   return add_flow(src, dst, bytes, cap, nullptr);
 }
 

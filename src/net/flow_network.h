@@ -33,9 +33,9 @@
 //  * Completions come from a min-heap of projected finish times that is
 //    invalidated lazily: entries are re-validated against the flow's
 //    current projection when popped instead of being rescanned.
-//  * flow_rate() is maintained incrementally and costs O(1) per query;
-//    current_rate_sum() walks the live flows on demand (only tests read it,
-//    so no epoch pays for keeping it current).
+//  * flow_rate() walks the source node's outgoing-flow list and
+//    current_rate_sum() walks the live flows, both on demand: only tests
+//    read them, so no epoch pays for keeping them current.
 //
 // Incremental solver invariants
 // -----------------------------
@@ -92,25 +92,12 @@
 // Cached rates are reusable because a component's solution is a pure
 // function of (member flows in slot order, their caps, endpoint capacities,
 // contained shared capacities) — none of which change while the component
-// stays clean. This is what makes ABLATE_INCREMENTAL=off (re-solve every
-// component each epoch) byte-identical to the incremental mode, which the
-// randomized equivalence suite asserts.
-//
-// Membership fast path (merge-only epochs): arrivals and capacity changes
-// can only MERGE components, never split them — splits require a departure
-// (or an escalated publish, whose mega-component was never NIC-connected).
-// Components carry a split_risk flag, set by real departures and escalated
-// publishes; when no affected item comes from a split-risk component (and
-// the topology is unchanged), the epoch derives membership by unioning each
-// item with its previous component's representative (O(1) per item) and
-// running constraint union-find over the arrivals only, bridging into
-// previous components through the NIC-owner map. Published components never
-// share a NIC constraint, so arrivals are the only possible bridges, and
-// the union rule (root = minimal item index) makes the resulting partition,
-// group order and in-group item order identical to the item-level rebuild —
-// the counters and rates cannot tell the paths apart. Epochs with a
-// split-risk member fall back to the item-level rebuild, which re-splits
-// exactly.
+// stays clean. This is what makes the full-solve regime
+// (FlowNetworkConfig::incremental = false: re-solve every component each
+// epoch) byte-identical to the incremental mode, which the randomized
+// equivalence suite asserts. The library reads no environment; the scale
+// sweeps (fig4_scale_sweep, steady_state_sweep) map ABLATE_INCREMENTAL=off
+// onto that field.
 //
 // Introspection: solved_component_count() counts component water-fills,
 // touched_flow_count() counts flow re-solves (both cumulative), so benches
@@ -122,7 +109,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -156,11 +142,10 @@ struct FlowNetworkConfig {
   double fabric_Bps = 8.0e9;     // aggregate switch capacity
   double latency_s = 100e-6;     // one-way message latency (paper: ~0.1 ms)
   double loopback_Bps = 8.0e9;   // same-node transfers (not counted as traffic)
-  /// Incremental component-scoped solving: -1 = follow the
-  /// ABLATE_INCREMENTAL env var (default on), 0 = off (full re-solve each
-  /// epoch), 1 = on. Lets harnesses pin the regime per experiment instead
-  /// of process-wide (e.g. the record→replay equivalence tests).
-  int incremental = -1;
+  /// Incremental component-scoped solving; false re-solves every
+  /// component each epoch. Rates are byte-identical either way; only the
+  /// solver-work counters differ.
+  bool incremental = true;
 };
 
 using SwitchGroupId = std::uint32_t;
@@ -392,7 +377,8 @@ class FlowNetwork {
   std::size_t active_flows() const noexcept { return live_flows_; }
   /// Sum of all live flow rates, accumulated in slot order (O(live flows)).
   double current_rate_sum() const noexcept;
-  double flow_rate(NodeId src, NodeId dst) const noexcept;  // sum over matching flows
+  /// Sum of the rates of the live src->dst flows (walks src's out-list).
+  double flow_rate(NodeId src, NodeId dst) const noexcept;
   /// Max-min solve epochs so far; lets tests assert that a burst of
   /// same-timestamp arrivals settles with exactly one recompute.
   std::uint64_t recompute_count() const noexcept { return recompute_count_; }
@@ -407,18 +393,8 @@ class FlowNetwork {
   std::uint64_t touched_flow_count() const noexcept { return touched_flows_; }
   /// Epochs where a violated shared constraint forced a global solve.
   std::uint64_t escalation_count() const noexcept { return escalations_; }
-  /// Epochs whose component membership came from the merge-only fast path
-  /// (no split-risk member: unions across arrivals instead of the
-  /// item-level rebuild). Tests assert it is exercised; the partition is
-  /// provably identical either way.
-  std::uint64_t membership_fast_epochs() const noexcept { return membership_fast_epochs_; }
   /// Live connected components right now (0 when idle).
   std::size_t component_count() const noexcept { return live_components_; }
-  bool incremental_enabled() const noexcept { return incremental_; }
-  /// Ablation toggle (also honoured from the ABLATE_INCREMENTAL env var at
-  /// construction): off re-solves every component each epoch. Rates are
-  /// byte-identical either way; only the work counters differ.
-  void set_incremental(bool on) noexcept { incremental_ = on; }
 
   // --- epoch-coupled sharding ----------------------------------------------
   // Two auxiliary modes back the epoch-coupled shard executor (see
@@ -551,12 +527,6 @@ class FlowNetwork {
     std::uint32_t gen = 0;
     bool dirty = false;
     bool in_use = false;
-    // Membership may have shrunk (a real departure) or was never
-    // NIC-connected to begin with (escalated publish merges every live flow
-    // into one component). Either way the merge-only membership fast path
-    // is unsound for this component and the epoch falls back to the
-    // item-level union-find rebuild, which re-splits it exactly.
-    bool split_risk = false;
   };
   /// Lazily-invalidated projected completion; stale when the generation or
   /// the projection no longer matches the flow.
@@ -574,9 +544,6 @@ class FlowNetwork {
 
   std::uint32_t alloc_flow_slot();
   void release_flow_slot(std::uint32_t slot);
-  static std::uint64_t pair_key(NodeId src, NodeId dst) noexcept {
-    return (static_cast<std::uint64_t>(src) << 32) | dst;
-  }
   void apply_rate(Flow& f, double new_rate, std::uint32_t slot);
   void push_projection(Flow& f, std::uint32_t slot);
   /// Schedule the epoch-settle event if one is not already pending.
@@ -676,15 +643,6 @@ class FlowNetwork {
   sim::Simulator::Timer completion_timer_;
   double completion_timer_t_ = -1.0;
 
-  struct PairRate {
-    double rate = 0.0;
-    std::uint32_t count = 0;
-  };
-  std::unordered_map<std::uint64_t, PairRate> pair_rates_;
-
-  bool incremental_ = true;
-  bool trace_solver_ = false;  // HM_TRACE_SOLVER: per-epoch work to stderr
-
   // Epoch-coupled sharding state (see the public section above).
   bool coupled_ = false;   // shard mode: record deltas instead of solving
   bool mirror_ = false;    // mirror mode: solve only; no time, no projections
@@ -700,7 +658,6 @@ class FlowNetwork {
   std::uint64_t solved_components_ = 0;
   std::uint64_t touched_flows_ = 0;
   std::uint64_t escalations_ = 0;
-  std::uint64_t membership_fast_epochs_ = 0;
   double traffic_[kNumTrafficClasses] = {};
 
   // scratch buffers for the solver (avoid per-epoch allocations)
@@ -710,7 +667,6 @@ class FlowNetwork {
     double alloc;
     bool frozen;
     std::uint32_t uf_parent;   // union-find over affected items
-    std::uint32_t prev_comp;   // component before this epoch (kNil = arrival)
     std::uint32_t cidx[5];     // compact constraint indices for one water-fill
     std::uint8_t n_cidx;
   };
@@ -734,12 +690,6 @@ class FlowNetwork {
   std::vector<std::uint64_t> citem_epoch_;
   std::uint64_t citem_gen_used_ = 0;
   std::vector<std::uint32_t> finished_scratch_;
-  // Epoch-stamped previous-component -> representative-item map for the
-  // merge-only membership fast path (indexed by component id; ids released
-  // during the collect pass stay valid keys until publish re-allocates).
-  std::vector<std::uint32_t> comp_map_;
-  std::vector<std::uint64_t> comp_map_epoch_;
-  std::uint64_t comp_map_gen_ = 0;
 
   // Persistent compact arena for the escalated global solve: dense
   // constraint indices assigned on first use and kept alive across epochs

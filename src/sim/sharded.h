@@ -133,12 +133,8 @@ class ShardedSimulator {
   /// composes with it.)
   void set_reduce_hook(std::function<void(std::uint64_t epoch)> fn);
 
-  /// Run the mailbox merge outside any barrier. For single-threaded drivers
-  /// that execute the epoch protocol inline instead of via run_epochs().
-  void merge_now() { merge_epoch(); }
-
-  /// Merged inbox for `shard` as of the last merge (barrier reduce or
-  /// merge_now). Sorted by (t, shard, seq).
+  /// Merged inbox for `shard` as of the last barrier reduce. Sorted by
+  /// (t, shard, seq).
   const std::vector<ShardMessage>& inbox(std::uint32_t shard) const {
     return boxes_[shard].inbox;
   }

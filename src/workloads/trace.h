@@ -41,7 +41,7 @@
 // structure of the original workload (the recorder assigns them from op
 // overlap), which is what makes a replayed run reproduce a recorded run's
 // timeline bit-for-bit: same seed + same trace => byte-identical migration
-// metrics, in both ABLATE_INCREMENTAL regimes (enforced by
+// metrics, in both solver regimes (enforced by
 // tests/integration/trace_replay_test.cpp and the CI sweep golden gate).
 #pragma once
 

@@ -274,7 +274,7 @@ TEST(Placement, CommitVacatesPreviousPoolResidency) {
 // End-to-end scheduler rig: a small cluster driven to drain.
 
 vm::ClusterConfig rig_cluster(std::uint64_t seed, std::size_t n_vms,
-                              std::uint32_t n_dsts, int incremental) {
+                              std::uint32_t n_dsts, bool incremental) {
   vm::ClusterConfig c;
   c.num_nodes = n_vms + n_dsts + 2;
   c.image = storage::ImageConfig{64 * kMiB, static_cast<std::uint32_t>(kMiB)};
@@ -313,7 +313,7 @@ struct Rig {
   std::unique_ptr<Scheduler> sched;
 
   explicit Rig(const std::string& spec, std::uint64_t seed = 42,
-               std::size_t vms = 6, std::uint32_t dsts = 3, int incremental = -1)
+               std::size_t vms = 6, std::uint32_t dsts = 3, bool incremental = true)
       : n_vms(vms),
         n_dsts(dsts),
         cluster(sim, rig_cluster(seed, vms, dsts, incremental)),
@@ -548,9 +548,9 @@ TEST(Scheduler, RequestTimelineIsDeterministicAcrossRerunsAndSolverRegimes) {
   const std::string spec =
       "poisson:rate=0.5,until=60,hi=0.34;sched:concurrent=2,capacity=2,"
       "groups=2,preempt=1";
-  Rig a(spec, 42, 6, 3, /*incremental=*/1);
-  Rig b(spec, 42, 6, 3, /*incremental=*/1);
-  Rig c(spec, 42, 6, 3, /*incremental=*/0);  // full-solve regime
+  Rig a(spec, 42, 6, 3, /*incremental=*/true);
+  Rig b(spec, 42, 6, 3, /*incremental=*/true);
+  Rig c(spec, 42, 6, 3, /*incremental=*/false);  // full-solve regime
   ASSERT_TRUE(a.run());
   ASSERT_TRUE(b.run());
   ASSERT_TRUE(c.run());

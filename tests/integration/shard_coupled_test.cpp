@@ -7,12 +7,10 @@
 // replays the single-shard solver literally, so settle-epoch counts,
 // component water-fills, flow re-solves and escalations are all exact in
 // BOTH solver regimes (the independent path can only promise that for the
-// incremental one). Both drivers — threaded barrier and inline round-robin
-// — must produce the identical stream; the TSan CI job runs this suite to
-// prove the threaded one's publication discipline.
+// incremental one). The TSan CI job runs this suite to prove the threaded
+// barrier driver's publication discipline.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "cloud/experiment.h"
@@ -171,23 +169,6 @@ TEST(EpochCoupledDeterminism, FiniteUplinksByteIdentical) {
     ASSERT_TRUE(ref.completed);
     const ExperimentResult got = run_with_shards(finite_uplink_config(1), n);
     EXPECT_EQ(got.shards_used, n);
-    expect_identical(ref, got);
-  }
-}
-
-TEST(EpochCoupledDeterminism, ThreadsDriverMatchesSequential) {
-  // The coupled executor picks its driver from the host's concurrency; pin
-  // each explicitly so a 1-core CI runner still exercises the threaded
-  // barrier (and TSan sees its publication discipline) and a many-core one
-  // still exercises the inline round-robin.
-  const ExperimentResult ref = run_with_shards(finite_fabric_config(1), 1);
-  ASSERT_TRUE(ref.completed);
-  for (const char* driver : {"threads", "seq"}) {
-    SCOPED_TRACE(driver);
-    ::setenv("HM_COUPLED_DRIVER", driver, 1);
-    const ExperimentResult got = run_with_shards(finite_fabric_config(1), 4);
-    ::unsetenv("HM_COUPLED_DRIVER");
-    EXPECT_EQ(got.shards_used, 4u);
     expect_identical(ref, got);
   }
 }

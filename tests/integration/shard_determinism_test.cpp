@@ -15,6 +15,7 @@
 #include "cloud/shard_plan.h"
 #include "net/flow_network.h"
 #include "sim/fault_plan.h"
+#include "sim/worker_budget.h"
 
 namespace hm::cloud {
 namespace {
@@ -201,6 +202,36 @@ TEST(ShardPlanning, HardCouplersCollapseNetworkCouplersRunCoupled) {
     EXPECT_EQ(plan.shard_count(), 1u);
     EXPECT_EQ(plan.coupled_reason, "single connected component");
   }
+}
+
+TEST(ShardPlanning, AutoNeverPicksEpochCoupled) {
+  // The coupled executor loses to one shard except on the largest fleets,
+  // so auto runs an oversubscribed config single-shard and names the opt-in;
+  // a decomposable config still shards independently when workers exist.
+  sim::WorkerBudget& budget = sim::WorkerBudget::instance();
+  const unsigned saved = budget.capacity();
+  budget.set_capacity(3);
+  ExperimentConfig nb = decomposable_config(1);
+  nb.shards = ExperimentConfig::kShardsAuto;
+  nb.normalize();
+  const ShardPlan indep = plan_shards(nb);
+  EXPECT_EQ(indep.kind, PlanKind::kIndependent);
+  EXPECT_EQ(indep.shard_count(), 4u);  // min(8 components, 3 workers + caller)
+
+  ExperimentConfig oversub = nb;
+  oversub.cluster.network.fabric_Bps = 8e9;
+  oversub.cluster.nodes_per_switch = 4;
+  oversub.cluster.switch_uplink_Bps = 1.25e9;
+  oversub.normalize();
+  const ShardPlan plan = plan_shards(oversub);
+  EXPECT_NE(plan.kind, PlanKind::kEpochCoupled);
+  EXPECT_EQ(plan.shard_count(), 1u);
+  EXPECT_EQ(plan.coupled_reason,
+            "auto: finite fabric aggregate couples all flows; "
+            "pass --shards=N to run epoch-coupled");
+  oversub.shards = 4;  // an explicit count still runs it coupled
+  EXPECT_EQ(plan_shards(oversub).kind, PlanKind::kEpochCoupled);
+  budget.set_capacity(saved);
 }
 
 TEST(ShardDeterminism, ByteIdenticalAcrossShardCounts) {

@@ -213,6 +213,30 @@ TEST(FlowNetwork, ActiveFlowIntrospection) {
   EXPECT_EQ(f.net.active_flows(), 0u);
 }
 
+TEST(FlowNetwork, FlowRateSumsThePairsLiveFlows) {
+  // Two capped a->b flows plus an uncapped a->c flow on a's 100 MB/s egress:
+  // max-min gives 20, 30 and 50 MB/s (all exact in binary). flow_rate(a,b)
+  // walks a's outgoing flows and must sum exactly the pair's two.
+  NetFixture f;
+  const NodeId a = f.net.add_node(kNic), b = f.net.add_node(kNic);
+  const NodeId c = f.net.add_node(kNic);
+  double done_1 = -1, done_2 = -1, done_3 = -1;
+  f.s.spawn(xfer(&f.net, a, b, 20e6, TrafficClass::kMemory, &done_1, &f.s, 20e6));
+  f.s.spawn(xfer(&f.net, a, b, 300e6, TrafficClass::kMemory, &done_2, &f.s, 30e6));
+  f.s.spawn(xfer(&f.net, a, c, 300e6, TrafficClass::kMemory, &done_3, &f.s));
+  f.s.run_until(0.5);
+  EXPECT_EQ(f.net.flow_rate(a, b), 20e6 + 30e6);
+  EXPECT_EQ(f.net.flow_rate(a, c), 50e6);
+  EXPECT_EQ(f.net.flow_rate(b, a), 0.0);
+  f.s.run_until(2.0);  // the 20 MB/s flow finished at t=1
+  EXPECT_NEAR(done_1, 1.0, 1e-9);
+  EXPECT_EQ(f.net.flow_rate(a, b), 30e6);
+  f.s.run();
+  EXPECT_EQ(f.net.active_flows(), 0u);
+  EXPECT_EQ(f.net.flow_rate(a, b), 0.0);
+  EXPECT_EQ(f.net.flow_rate(a, c), 0.0);
+}
+
 // Property-style sweep: with N equal flows through one bottleneck, each gets
 // capacity/N and total rate never exceeds capacity.
 class FairnessSweep : public ::testing::TestWithParam<int> {};

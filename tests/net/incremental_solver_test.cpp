@@ -1,11 +1,13 @@
 // Incremental-vs-full solver equivalence: the component-scoped solver must
 // produce byte-identical rate streams and completion times to re-solving
-// every component each epoch (ABLATE_INCREMENTAL=off), across randomized
-// flow churn on several topology shapes — flat, unlimited fabric,
-// fabric-bound (escalation), oversubscribed switch groups, per-flow caps —
-// and across the settle-worklist edge cases: slot reuse within one instant,
-// crashes racing arrivals, nodes added under load, escalation and split-back.
-// Also covers the component introspection hooks the benches report.
+// every component each epoch (FlowNetworkConfig::incremental = false),
+// across randomized flow churn on several topology shapes — flat, unlimited
+// fabric, fabric-bound (escalation), oversubscribed switch groups, per-flow
+// caps — across the settle-worklist edge cases: slot reuse within one
+// instant, crashes racing arrivals, nodes added under load, escalation and
+// split-back — and across staggered arrival-only and departure epochs, whose
+// solver counters must also repeat exactly across reruns. Also covers the
+// component introspection hooks the benches report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -53,6 +55,7 @@ struct RunLog {
   std::uint64_t recomputes = 0;
   std::uint64_t touched = 0;
   std::uint64_t escalations = 0;
+  std::uint64_t solved_components = 0;
 };
 
 sim::Task run_flow(FlowNetwork* net, const FlowSpec* f, double* done_at,
@@ -65,8 +68,7 @@ sim::Task run_flow(FlowNetwork* net, const FlowSpec* f, double* done_at,
 RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
                     bool incremental, const std::vector<NetEvent>& events = {}) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{topo.fabric, 0.0, 8e9});
-  net.set_incremental(incremental);
+  FlowNetwork net(s, FlowNetworkConfig{topo.fabric, 0.0, 8e9, incremental});
   std::vector<SwitchGroupId> groups;
   for (double up : topo.uplinks) groups.push_back(net.add_switch_group(up));
   std::vector<NodeId> nodes;
@@ -131,6 +133,7 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
   log.recomputes = net.recompute_count();
   log.touched = net.touched_flow_count();
   log.escalations = net.escalation_count();
+  log.solved_components = net.solved_component_count();
   EXPECT_EQ(net.active_flows(), 0u);
   return log;
 }
@@ -347,11 +350,11 @@ TEST(IncrementalSolver, MirrorSlotReusedBeforeSolveIsDeduped) {
   constexpr int kNodes = 128;
   struct Arm {
     sim::Simulator s;
-    FlowNetwork net{s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9}};
+    FlowNetwork net;
     std::vector<double> rate;  // by slot, folded from each solve's items
     std::vector<std::uint32_t> live;
-    explicit Arm(bool incremental) {
-      net.set_incremental(incremental);
+    explicit Arm(bool incremental)
+        : net(s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9, incremental}) {
       net.set_mirror(true);
       for (int i = 0; i < kNodes; ++i) net.add_node(100e6);
     }
@@ -399,6 +402,59 @@ TEST(IncrementalSolver, MirrorSlotReusedBeforeSolveIsDeduped) {
   EXPECT_LT(inc.net.touched_flow_count(), full.net.touched_flow_count());
 }
 
+// --- staggered arrival and departure epochs ------------------------------
+
+/// One flow per disjoint (2i -> 2i+1) node pair, started at `starts[i]`.
+std::vector<FlowSpec> staggered_pairs(const std::vector<double>& starts, double bytes) {
+  std::vector<FlowSpec> flows;
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    const auto src = static_cast<NodeId>(2 * i);
+    flows.push_back(FlowSpec{starts[i], src, src + 1, bytes, kUnlimitedRate});
+  }
+  return flows;
+}
+
+TEST(IncrementalSolver, EquivalentForStaggeredArrivals) {
+  // Big flows, staggered arrivals: every arrival epoch after the first sees
+  // no departure, so membership only ever grows until the completions.
+  const std::vector<double> starts = {0.0, 1.0, 2.0, 3.0};
+  const Topology topo = flat_topology(2 * starts.size(), kUnlimitedRate);
+  const auto flows = staggered_pairs(starts, 800e6);
+  const RunLog inc = run_scenario(topo, flows, true);
+  expect_identical(inc, run_scenario(topo, flows, false));
+  for (const double t : inc.completions) EXPECT_GT(t, 3.0);
+}
+
+TEST(IncrementalSolver, EquivalentWhenDeparturesShrinkAComponent) {
+  // A long-lived A plus two short flows B and C sharing its egress NIC (n0):
+  // each arrives while A is live and departs before the next arrival, so the
+  // surviving component shrinks back to A twice.
+  const Topology topo = flat_topology(3, kUnlimitedRate);
+  const std::vector<FlowSpec> flows = {
+      {0.0, 0, 1, 800e6, kUnlimitedRate},
+      {1.0, 0, 2, 30e6, kUnlimitedRate},
+      {3.0, 0, 2, 30e6, kUnlimitedRate},
+  };
+  const RunLog inc = run_scenario(topo, flows, true);
+  expect_identical(inc, run_scenario(topo, flows, false));
+  // B and C finished while A was still draining; A finished last.
+  EXPECT_GT(inc.completions[0], inc.completions[1]);
+  EXPECT_GT(inc.completions[0], inc.completions[2]);
+  EXPECT_GT(inc.completions[2], inc.completions[1]);
+}
+
+TEST(IncrementalSolver, IdenticalCountersAcrossReruns) {
+  const std::vector<double> starts = {0.0, 0.5, 0.5, 2.0, 2.0, 2.5};
+  const Topology topo = flat_topology(2 * starts.size(), kUnlimitedRate);
+  const auto flows = staggered_pairs(starts, 600e6);
+  const RunLog a = run_scenario(topo, flows, true);
+  const RunLog b = run_scenario(topo, flows, true);
+  expect_identical(a, b);
+  EXPECT_EQ(a.solved_components, b.solved_components);
+  EXPECT_EQ(a.touched, b.touched);
+  EXPECT_EQ(a.escalations, b.escalations);
+}
+
 // --- introspection hooks ----------------------------------------------------
 
 sim::Task xfer(FlowNetwork* net, NodeId a, NodeId b, double bytes) {
@@ -408,7 +464,6 @@ sim::Task xfer(FlowNetwork* net, NodeId a, NodeId b, double bytes) {
 TEST(IncrementalSolver, DisjointArrivalTouchesOnlyItsComponent) {
   sim::Simulator s;
   FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9});
-  net.set_incremental(true);  // the counters below assert incremental mode
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6), d = net.add_node(100e6);
   s.spawn(xfer(&net, a, b, 500e6));
@@ -433,7 +488,6 @@ TEST(IncrementalSolver, DisjointArrivalTouchesOnlyItsComponent) {
 TEST(IncrementalSolver, SharedEndpointMergesComponents) {
   sim::Simulator s;
   FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9});
-  net.set_incremental(true);
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6);
   s.spawn(xfer(&net, a, b, 800e6));
@@ -457,7 +511,6 @@ TEST(IncrementalSolver, SharedEndpointMergesComponents) {
 TEST(IncrementalSolver, DepartureSplitsComponent) {
   sim::Simulator s;
   FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9});
-  net.set_incremental(true);
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6), d = net.add_node(100e6);
   // a->c and b->c share ingress(c); b->d and b->c share egress(b): one

@@ -67,7 +67,8 @@ void usage() {
       "                      the run)\n"
       "  --shards=N|auto     parallel in-process simulator shards (default 1;\n"
       "                      byte-identical virtual timeline for any value;\n"
-      "                      auto = min(components, worker threads available))\n"
+      "                      auto = min(components, worker threads available),\n"
+      "                      never epoch-coupled)\n"
       "  --explain-shards    print the shard plan (count, per-shard VM loads,\n"
       "                      coupling reason) for this config and exit\n"
       "  --seed=N            RNG seed (default 42)\n"

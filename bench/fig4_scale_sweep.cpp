@@ -54,11 +54,11 @@
 // to min(component count, worker threads available)): every experiment in
 // the sweep runs on that many parallel in-process simulator shards (see
 // cloud/shard_plan.h). The nonblocking core decomposes into independent
-// shards; the oversub core's finite fabric/uplinks run epoch-coupled, with
-// a central mirror solver arbitrating the shared constraints every settle
-// epoch. Either way the sharded timeline is byte-identical to shards=1 in
-// every virtual-time field; only the wall-clock fields move, so a shards=N
-// sweep gates against the same committed goldens via
+// shards; the oversub core's finite fabric/uplinks couple every flow, so
+// its plan collapses to one shard (the JSON rows report shards=1 and the
+// collapse reason). Either way the sharded timeline is byte-identical to
+// shards=1 in every virtual-time field; only the wall-clock fields move,
+// so a shards=N sweep gates against the same committed goldens via
 // check_sweep_golden.py --shards.
 //
 // Usage: fig4_scale_sweep [max_concurrency] [oversub|nonblocking] [stagger_s]

@@ -374,10 +374,8 @@ void BM_ChunkStoreWrites(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkStoreWrites)->Arg(1000)->Arg(10000);
 
-// Settle-epoch rendezvous cost: N shard threads spinning through the
-// EpochBarrier + mailbox exchange (one small message to every peer per
-// epoch). Bounds how fine an epoch granularity the conservative-window
-// PDES mode can afford before synchronization dominates.
+// Epoch rendezvous cost: N shard threads spinning through the EpochBarrier
+// + mailbox exchange (one small message to every peer per epoch).
 void BM_ShardBarrier(benchmark::State& state) {
   const auto shards = static_cast<std::uint32_t>(state.range(0));
   constexpr int kEpochsPerIter = 200;
@@ -399,43 +397,7 @@ void BM_ShardBarrier(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardBarrier)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 
-// The epoch-coupled round is TWO rendezvous per global instant: phase A
-// agrees on t* (the min over per-shard next-event times), phase B folds the
-// shards' value-carrying demand messages into the coordinator's mirror and
-// broadcasts rate caps back. This prices that double barrier + demand fold
-// against the single-exchange independent epoch above — the fixed
-// synchronization overhead every coupled settle instant pays.
-void BM_EpochCoupledBarrier(benchmark::State& state) {
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  constexpr int kRoundsPerIter = 200;
-  std::uint64_t rounds = 0;
-  double folded = 0.0;
-  for (auto _ : state) {
-    sim::ShardedSimulator sim(shards);
-    bool phase_b = false;
-    sim.set_reduce_hook([&](std::uint64_t) {
-      if (phase_b)  // phase B: the coordinator folds shard demand
-        for (const sim::ShardMessage& m : sim.inbox(0)) folded += m.value;
-      phase_b = !phase_b;
-    });
-    sim.run_epochs([&](std::uint32_t s) {
-      for (int r = 0; r < kRoundsPerIter; ++r) {
-        sim.barrier().arrive_and_wait();  // phase A: agree on t*
-        sim.post(s, 0, static_cast<double>(r), s, 1.0 + s);
-        sim.barrier().arrive_and_wait();  // phase B: fold demand, take rates
-      }
-    });
-    rounds += kRoundsPerIter;
-  }
-  benchmark::DoNotOptimize(folded);
-  state.SetItemsProcessed(state.iterations() * kRoundsPerIter);
-  state.counters["rounds/sec"] =
-      benchmark::Counter(static_cast<double>(rounds), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EpochCoupledBarrier)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-// 64-VM AsyncWR migration fleet shared by the two sweep-point benchmarks
-// below; only the network core and launch pattern differ.
+// 64-VM AsyncWR migration fleet for the sweep-point benchmark below.
 cloud::ExperimentConfig sharded_sweep_config() {
   using storage::kMiB;
   cloud::ExperimentConfig cfg;
@@ -477,32 +439,6 @@ void BM_ShardedSweepPoint(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ShardedSweepPoint)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
-// The same fleet forced through finite shared constraints — oversubscribed
-// fabric aggregate plus rack uplinks, every migration launched at one
-// instant — so the plan runs EPOCH-COUPLED instead of independent: shards
-// advance in conservative lockstep while the coordinator's mirror solver
-// arbitrates the shared constraints each settle round. Timeline stays
-// byte-identical across all arguments; the per-shard delta against
-// BM_ShardedSweepPoint is the price of the coupled round protocol.
-void BM_EpochCoupledSweepPoint(benchmark::State& state) {
-  cloud::ExperimentConfig cfg = sharded_sweep_config();
-  cfg.cluster.network.fabric_Bps = 8e9;
-  cfg.cluster.nodes_per_switch = 20;
-  cfg.cluster.switch_uplink_Bps = 1.25e9;
-  cfg.migration_interval_s = 0.0;
-  cfg.shards = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    cloud::Experiment exp(cfg);
-    const cloud::ExperimentResult res = exp.run();
-    events += res.engine_events;
-    benchmark::DoNotOptimize(res.sim_duration);
-  }
-  state.counters["events/sec"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EpochCoupledSweepPoint)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <limits>
 #include <memory>
 
 #include "cloud/auditor.h"
 #include "cloud/fault_injector.h"
 #include "cloud/shard_plan.h"
-#include "net/coupled_solver.h"
 #include "sim/frame_pool.h"
 #include "sim/sharded.h"
 
@@ -71,22 +69,6 @@ struct MigLaunch {
   net::NodeId dst;
 };
 
-/// Replicate vm::Cluster's topology wiring on a bare FlowNetwork, so the
-/// coordinator's mirror gets node ids and switch groups — and therefore
-/// constraint ids — identical to every shard's full cluster replica.
-void wire_mirror_topology(net::FlowNetwork& net, const vm::ClusterConfig& cfg) {
-  for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
-    net::SwitchGroupId group = 0;
-    if (cfg.nodes_per_switch > 0) {
-      const std::size_t sw = i / cfg.nodes_per_switch;
-      while (net.switch_group_count() <= sw + 1)
-        net.add_switch_group(cfg.switch_uplink_Bps);
-      group = static_cast<net::SwitchGroupId>(sw + 1);  // group 0 stays flat
-    }
-    net.add_node(cfg.nic_Bps, group);
-  }
-}
-
 }  // namespace
 
 struct Experiment::SliceDetail {
@@ -106,324 +88,270 @@ struct Experiment::SliceDetail {
   std::uint64_t repo_chunks_served = 0;
 };
 
-struct Experiment::SliceRuntime {
-  const ExperimentConfig& cfg;
-  const std::vector<std::uint32_t>* owned;
-  SliceDetail* detail;
-  // Everything below (setup included) lives on the constructing thread, so
-  // the thread-local frame pool's counters bracket the whole slice.
-  sim::FramePool::Stats frames_before;
-  // NOTE: the simulator must be declared first among the simulation members
+ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
+                                       SliceDetail* detail) const {
+  const ExperimentConfig& cfg = cfg_;
+  // Everything below (setup included) lives on this thread, so the
+  // thread-local frame pool's counters bracket the whole slice.
+  const sim::FramePool::Stats frames_before = sim::FramePool::local().stats();
+  // NOTE: the simulator must be declared first among the simulation objects
   // (destroyed last) so pending event closures never outlive it.
   sim::Simulator simulator;
-  vm::Cluster cluster;
-  Middleware mw;
+  vm::Cluster cluster(simulator, cfg.cluster);
+  Middleware mw(simulator, cluster, cfg.approach_cfg);
   std::vector<vm::VmInstance*> vms;
   ExperimentResult res;
   std::unique_ptr<workloads::TraceRecorder> recorder_owned;
-  workloads::TraceRecorder* recorder;
-  sim::WaitGroup workload_done;
+  workloads::TraceRecorder* recorder = cfg.trace_recorder;
+  sim::WaitGroup workload_done(simulator);
   std::vector<std::unique_ptr<workloads::Workload>> single_vm_workloads;
   std::unique_ptr<workloads::Cm1Application> cm1_app;
   std::unique_ptr<workloads::TraceData> trace_owned;
   std::unique_ptr<workloads::TraceApplication> trace_app;
-  double workload_started_at = 0;
-  sim::WaitGroup migrations_done;
+  sim::WaitGroup migrations_done(simulator);
   std::vector<MigLaunch> launches;
   std::unique_ptr<FaultInjector> injector;
   std::unique_ptr<Auditor> auditor;
   std::unique_ptr<Scheduler> scheduler;
 
-  SliceRuntime(const ExperimentConfig& cfg_in, const std::vector<std::uint32_t>* owned_in,
-               SliceDetail* detail_in, bool coupled)
-      : cfg(cfg_in),
-        owned(owned_in),
-        detail(detail_in),
-        frames_before(sim::FramePool::local().stats()),
-        cluster(simulator, cfg.cluster),
-        mw(simulator, cluster, cfg.approach_cfg),
-        recorder(cfg.trace_recorder),
-        workload_done(simulator),
-        migrations_done(simulator) {
-    // Coupled shards never solve locally; flip the mode before any event
-    // (deploys, workload spawns) can reach the network.
-    if (coupled) cluster.network().set_coupled(true);
+  const std::size_t n_vms = cfg.num_vms;
+  // Global ids of the VMs this slice owns (all of them on the single-shard
+  // path). Each shard holds a full cluster replica with the global node
+  // numbering, so VM i always deploys on node i regardless of slicing.
+  const std::size_t n_owned = owned ? owned->size() : n_vms;
+  vms.reserve(n_owned);
+  for (std::size_t idx = 0; idx < n_owned; ++idx) {
+    const auto gid = static_cast<std::uint32_t>(owned ? (*owned)[idx] : idx);
+    vms.push_back(&mw.deploy(static_cast<net::NodeId>(gid), cfg.vm, static_cast<int>(gid)));
+  }
 
-    const std::size_t n_vms = cfg.num_vms;
-    // Global ids of the VMs this slice owns (all of them on the single-shard
-    // path). Each shard holds a full cluster replica with the global node
-    // numbering, so VM i always deploys on node i regardless of slicing.
-    const std::size_t n_owned = owned ? owned->size() : n_vms;
-    vms.reserve(n_owned);
+  // --- trace recording (passive observation of the workload API) ----------
+  if (recorder == nullptr && !cfg.record_trace_path.empty()) {
+    workloads::TraceHeader hdr;
+    hdr.page_bytes = cfg.vm.memory.page_bytes;
+    hdr.chunk_bytes = cfg.cluster.image.chunk_bytes;
+    hdr.pages = (cfg.vm.memory.ram_bytes + cfg.vm.memory.page_bytes - 1) /
+                cfg.vm.memory.page_bytes;
+    hdr.chunks = cfg.cluster.image.num_chunks();
+    hdr.name = std::string("rec:") + workload_name(cfg.workload);
+    recorder_owned = std::make_unique<workloads::TraceRecorder>(hdr);
+    recorder = recorder_owned.get();
+  }
+  if (recorder != nullptr)
+    for (auto* v : vms) recorder->attach(*v);
+
+  // --- workloads -----------------------------------------------------------
+  const double workload_started_at = simulator.now();
+  switch (cfg.workload) {
+    case WorkloadKind::kNone:
+      break;
+    case WorkloadKind::kIor:
+      for (auto* v : vms) {
+        single_vm_workloads.push_back(std::make_unique<workloads::IorWorkload>(cfg.ior));
+        workload_done.add();
+        simulator.spawn(run_and_signal(single_vm_workloads.back().get(), v, &workload_done));
+      }
+      break;
+    case WorkloadKind::kAsyncWr:
+      for (auto* v : vms) {
+        single_vm_workloads.push_back(
+            std::make_unique<workloads::AsyncWrWorkload>(cfg.asyncwr));
+        workload_done.add();
+        simulator.spawn(run_and_signal(single_vm_workloads.back().get(), v, &workload_done));
+      }
+      break;
+    case WorkloadKind::kCm1:
+      cm1_app = std::make_unique<workloads::Cm1Application>(simulator, vms, cfg.cm1);
+      workload_done.add();
+      simulator.spawn(run_cm1_and_signal(cm1_app.get(), &workload_done));
+      break;
+    case WorkloadKind::kTrace: {
+      workloads::TraceReplayOptions opts;
+      opts.broadcast = cfg.trace.broadcast;
+      if (cfg.trace.data != nullptr) {
+        trace_app = std::make_unique<workloads::TraceApplication>(simulator, vms,
+                                                                  *cfg.trace.data, opts);
+      } else if (!cfg.trace.path.empty()) {
+        // One streaming reader drives every VM: bounded memory even for
+        // long traces at high VM counts.
+        trace_app = std::make_unique<workloads::TraceApplication>(simulator, vms,
+                                                                  cfg.trace.path, opts);
+      } else {
+        trace_owned = std::make_unique<workloads::TraceData>(
+            workloads::generate_trace(cfg.trace.gen, cfg.seed));
+        trace_app = std::make_unique<workloads::TraceApplication>(simulator, vms,
+                                                                  *trace_owned, opts);
+      }
+      workload_done.add();
+      simulator.spawn(run_trace_and_signal(trace_app.get(), &workload_done));
+      break;
+    }
+  }
+
+  // --- migration schedule -------------------------------------------------
+  // Launch k targets VM k with destination n_vms + (k % num_destinations);
+  // times and schedule order depend only on the global index, so a slice
+  // schedules its owned subset identically to the full run.
+  // With the continuous scheduler enabled the fixed launch schedule is
+  // replaced wholesale: requests arrive from the configured stream and the
+  // scheduler owns VM choice, placement, admission and retries. Scheduler
+  // regimes statically collapse the shard plan (shard_plan.cpp), so this
+  // branch only ever runs on the full (owned == nullptr) path.
+  if (cfg.perform_migrations && cfg.scheduler.enabled()) {
+    migrations_done.add();
+    scheduler = std::make_unique<Scheduler>(
+        simulator, cluster, mw, cfg.scheduler, static_cast<net::NodeId>(n_vms),
+        static_cast<std::uint32_t>(cfg.num_destinations), &migrations_done);
+    scheduler->start();
+  } else if (cfg.perform_migrations) {
+    launches.reserve(n_owned);  // addresses must survive the timers
     for (std::size_t idx = 0; idx < n_owned; ++idx) {
-      const auto gid = static_cast<std::uint32_t>(owned ? (*owned)[idx] : idx);
-      vms.push_back(&mw.deploy(static_cast<net::NodeId>(gid), cfg.vm, static_cast<int>(gid)));
-    }
-
-    // --- trace recording (passive observation of the workload API) ----------
-    if (recorder == nullptr && !cfg.record_trace_path.empty()) {
-      workloads::TraceHeader hdr;
-      hdr.page_bytes = cfg.vm.memory.page_bytes;
-      hdr.chunk_bytes = cfg.cluster.image.chunk_bytes;
-      hdr.pages = (cfg.vm.memory.ram_bytes + cfg.vm.memory.page_bytes - 1) /
-                  cfg.vm.memory.page_bytes;
-      hdr.chunks = cfg.cluster.image.num_chunks();
-      hdr.name = std::string("rec:") + workload_name(cfg.workload);
-      recorder_owned = std::make_unique<workloads::TraceRecorder>(hdr);
-      recorder = recorder_owned.get();
-    }
-    if (recorder != nullptr)
-      for (auto* v : vms) recorder->attach(*v);
-
-    // --- workloads -----------------------------------------------------------
-    workload_started_at = simulator.now();
-    switch (cfg.workload) {
-      case WorkloadKind::kNone:
-        break;
-      case WorkloadKind::kIor:
-        for (auto* v : vms) {
-          single_vm_workloads.push_back(std::make_unique<workloads::IorWorkload>(cfg.ior));
-          workload_done.add();
-          simulator.spawn(run_and_signal(single_vm_workloads.back().get(), v, &workload_done));
-        }
-        break;
-      case WorkloadKind::kAsyncWr:
-        for (auto* v : vms) {
-          single_vm_workloads.push_back(
-              std::make_unique<workloads::AsyncWrWorkload>(cfg.asyncwr));
-          workload_done.add();
-          simulator.spawn(run_and_signal(single_vm_workloads.back().get(), v, &workload_done));
-        }
-        break;
-      case WorkloadKind::kCm1:
-        cm1_app = std::make_unique<workloads::Cm1Application>(simulator, vms, cfg.cm1);
-        workload_done.add();
-        simulator.spawn(run_cm1_and_signal(cm1_app.get(), &workload_done));
-        break;
-      case WorkloadKind::kTrace: {
-        workloads::TraceReplayOptions opts;
-        opts.broadcast = cfg.trace.broadcast;
-        if (cfg.trace.data != nullptr) {
-          trace_app = std::make_unique<workloads::TraceApplication>(simulator, vms,
-                                                                    *cfg.trace.data, opts);
-        } else if (!cfg.trace.path.empty()) {
-          // One streaming reader drives every VM: bounded memory even for
-          // long traces at high VM counts.
-          trace_app = std::make_unique<workloads::TraceApplication>(simulator, vms,
-                                                                    cfg.trace.path, opts);
-        } else {
-          trace_owned = std::make_unique<workloads::TraceData>(
-              workloads::generate_trace(cfg.trace.gen, cfg.seed));
-          trace_app = std::make_unique<workloads::TraceApplication>(simulator, vms,
-                                                                    *trace_owned, opts);
-        }
-        workload_done.add();
-        simulator.spawn(run_trace_and_signal(trace_app.get(), &workload_done));
-        break;
-      }
-    }
-
-    // --- migration schedule -------------------------------------------------
-    // Launch k targets VM k with destination n_vms + (k % num_destinations);
-    // times and schedule order depend only on the global index, so a slice
-    // schedules its owned subset identically to the full run.
-    // With the continuous scheduler enabled the fixed launch schedule is
-    // replaced wholesale: requests arrive from the configured stream and the
-    // scheduler owns VM choice, placement, admission and retries. Scheduler
-    // regimes statically collapse the shard plan (shard_plan.cpp), so this
-    // branch only ever runs on the full (owned == nullptr) path.
-    if (cfg.perform_migrations && cfg.scheduler.enabled()) {
+      const std::size_t k = owned ? (*owned)[idx] : idx;
+      if (k >= cfg.num_migrations) continue;
+      const double at = cfg.first_migration_at + static_cast<double>(k) *
+                                                     cfg.migration_interval_s;
+      const net::NodeId dst =
+          static_cast<net::NodeId>(n_vms + (k % cfg.num_destinations));
+      launches.push_back(MigLaunch{&simulator, &mw, vms[idx], &migrations_done, dst});
       migrations_done.add();
-      scheduler = std::make_unique<Scheduler>(
-          simulator, cluster, mw, cfg.scheduler, static_cast<net::NodeId>(n_vms),
-          static_cast<std::uint32_t>(cfg.num_destinations), &migrations_done);
-      scheduler->start();
-    } else if (cfg.perform_migrations) {
-      launches.reserve(n_owned);  // addresses must survive the timers
-      for (std::size_t idx = 0; idx < n_owned; ++idx) {
-        const std::size_t k = owned ? (*owned)[idx] : idx;
-        if (k >= cfg.num_migrations) continue;
-        const double at = cfg.first_migration_at + static_cast<double>(k) *
-                                                       cfg.migration_interval_s;
-        const net::NodeId dst =
-            static_cast<net::NodeId>(n_vms + (k % cfg.num_destinations));
-        launches.push_back(MigLaunch{&simulator, &mw, vms[idx], &migrations_done, dst});
-        migrations_done.add();
-        simulator.schedule(at, [l = &launches.back()] {
-          l->sim->spawn(migrate_and_signal(l->mw, l->target, l->dst, l->done));
-        });
-        if (detail != nullptr) detail->launch_ks.push_back(static_cast<std::uint32_t>(k));
-      }
-    }
-
-    // --- fault plan ---------------------------------------------------------
-    // Churn/rand/global-scoped plans statically collapse to one shard, so
-    // those only ever arm on the full (owned == nullptr) path. Routable
-    // scripted plans (plan_shards verified every target maps into one
-    // component) arm per slice with the events the slice owns.
-    if (cfg.faults.enabled()) {
-      sim::FaultPlan plan = sim::build_fault_plan(
-          cfg.faults, cluster.rng(), static_cast<std::uint32_t>(cfg.num_migrations));
-      if (owned != nullptr) {
-        std::erase_if(plan.events, [&](const sim::FaultEvent& ev) {
-          const auto v = static_cast<std::uint32_t>(
-              cfg.num_vms > 0 ? ev.target % cfg.num_vms : 0);
-          return !std::binary_search(owned->begin(), owned->end(), v);
-        });
-      }
-      if (owned == nullptr || plan.enabled()) {
-        injector = std::make_unique<FaultInjector>(simulator, cluster, mw, std::move(plan),
-                                                   cfg.num_vms, cfg.num_destinations);
-        injector->arm();
-      }
-    }
-
-    // --- invariant auditor --------------------------------------------------
-    if (cfg.audit) {
-      auditor = std::make_unique<Auditor>(simulator, mw, cfg.audit_check_interval_s,
-                                          cfg.audit_progress_deadline_s);
-      if (injector) auditor->set_injector(injector.get());
-      mw.set_auditor(auditor.get());
-      auditor->arm();
+      simulator.schedule(at, [l = &launches.back()] {
+        l->sim->spawn(migrate_and_signal(l->mw, l->target, l->dst, l->done));
+      });
+      if (detail != nullptr) detail->launch_ks.push_back(static_cast<std::uint32_t>(k));
     }
   }
 
-  bool finished() const {
-    return workload_done.count() == 0 && migrations_done.count() == 0;
-  }
-
-  /// The legacy free-running event loop (single-shard and independent-slice
-  /// paths). The epoch-coupled executor drives the simulator itself with
-  /// run_until() instead.
-  void run_loop() {
-    const auto wall_start = std::chrono::steady_clock::now();
-    while (!finished()) {
-      if (!simulator.step()) break;
-      if (cfg.max_sim_time > 0 && simulator.now() > cfg.max_sim_time) {
-        res.completed = false;
-        break;
-      }
+  // --- fault plan ---------------------------------------------------------
+  // Churn/rand/global-scoped plans statically collapse to one shard, so
+  // those only ever arm on the full (owned == nullptr) path. Routable
+  // scripted plans (plan_shards verified every target maps into one
+  // component) arm per slice with the events the slice owns.
+  if (cfg.faults.enabled()) {
+    sim::FaultPlan plan = sim::build_fault_plan(
+        cfg.faults, cluster.rng(), static_cast<std::uint32_t>(cfg.num_migrations));
+    if (owned != nullptr) {
+      std::erase_if(plan.events, [&](const sim::FaultEvent& ev) {
+        const auto v = static_cast<std::uint32_t>(
+            cfg.num_vms > 0 ? ev.target % cfg.num_vms : 0);
+        return !std::binary_search(owned->begin(), owned->end(), v);
+      });
     }
-    res.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - wall_start)
-                      .count();
+    if (owned == nullptr || plan.enabled()) {
+      injector = std::make_unique<FaultInjector>(simulator, cluster, mw, std::move(plan),
+                                                 cfg.num_vms, cfg.num_destinations);
+      injector->arm();
+    }
   }
 
-  void collect() {
-    if (trace_app && trace_app->failed()) {
-      res.error = trace_app->error();
+  // --- invariant auditor --------------------------------------------------
+  if (cfg.audit) {
+    auditor = std::make_unique<Auditor>(simulator, mw, cfg.audit_check_interval_s,
+                                        cfg.audit_progress_deadline_s);
+    if (injector) auditor->set_injector(injector.get());
+    mw.set_auditor(auditor.get());
+    auditor->arm();
+  }
+
+  // --- event loop -----------------------------------------------------------
+  const auto wall_start = std::chrono::steady_clock::now();
+  while (workload_done.count() != 0 || migrations_done.count() != 0) {
+    if (!simulator.step()) break;
+    if (cfg.max_sim_time > 0 && simulator.now() > cfg.max_sim_time) {
       res.completed = false;
+      break;
     }
-    if (recorder != nullptr && recorder->failed() && res.error.empty())
-      res.error = recorder->error();
-    if (recorder_owned) {
-      std::string werr;
-      if (!write_trace(cfg.record_trace_path, recorder_owned->data(), &werr) &&
-          res.error.empty())
-        res.error = werr;
-    }
-    res.approach = core::approach_name(cfg.approach);
-    res.workload = workload_name(cfg.workload);
-    res.sim_duration = simulator.now();
-    res.migrations.assign(mw.metrics().migrations().begin(),
-                          mw.metrics().migrations().end());
-    res.total_migration_time = mw.metrics().total_migration_time();
-    res.avg_migration_time = mw.metrics().avg_migration_time();
-    res.max_downtime = mw.metrics().max_downtime();
-
-    if (injector) {
-      res.recovery.faults_injected = injector->faults_applied();
-      res.recovery.fault_downtime_s = injector->fault_pause_s();
-      res.recovery.node_crashes = injector->node_crashes();
-      res.recovery.correlated_events = injector->correlated_events();
-      res.recovery.node_downtime_s = injector->node_downtime_s();
-    }
-    recovery_from_migrations(res.migrations, &res.recovery);
-    if (scheduler) res.scheduler = scheduler->stats();
-    if (auditor) {
-      res.audit_checks = auditor->checks_run();
-      res.audit_violations = auditor->violations();
-    }
-
-    auto& network = cluster.network();
-    res.engine_events = simulator.events_processed();
-    res.engine_flows = network.flows_started();
-    res.engine_recomputes = network.recompute_count();
-    res.engine_components = network.solved_component_count();
-    res.engine_flows_resolved = network.touched_flow_count();
-    res.engine_escalations = network.escalation_count();
-    const sim::FramePool::Stats frames_after = sim::FramePool::local().stats();
-    res.engine_frames = frames_after.served - frames_before.served;
-    res.engine_frames_reused = frames_after.reused - frames_before.reused;
-    res.engine_frame_heap_allocs = frames_after.heap - frames_before.heap;
-
-    for (std::size_t i = 0; i < net::kNumTrafficClasses; ++i)
-      res.traffic_bytes[i] = network.traffic_bytes(static_cast<net::TrafficClass>(i));
-    res.total_traffic = network.total_traffic_bytes();
-    res.migration_traffic =
-        res.total_traffic - network.traffic_bytes(net::TrafficClass::kAppComm);
-
-    double wtime = 0, rtime = 0;
-    for (std::size_t idx = 0; idx < vms.size(); ++idx) {
-      vm::VmInstance* v = vms[idx];
-      const core::IoStats& io = v->io_stats();
-      res.bytes_written += io.bytes_written;
-      res.bytes_read += io.bytes_read;
-      wtime += io.write_time_s;
-      rtime += io.read_time_s;
-      res.cpu_seconds_total += v->cpu_seconds();
-      if (detail != nullptr) {
-        const auto gid = static_cast<std::uint32_t>(owned ? (*owned)[idx] : idx);
-        detail->per_vm.push_back(SliceDetail::VmAgg{gid, io, v->cpu_seconds()});
-      }
-    }
-    res.write_Bps = wtime > 0 ? res.bytes_written / wtime : 0;
-    res.read_Bps = rtime > 0 ? res.bytes_read / rtime : 0;
-
-    switch (cfg.workload) {
-      case WorkloadKind::kCm1:
-        res.app_execution_time = cm1_app ? cm1_app->execution_time() : 0;
-        break;
-      default:
-        res.app_execution_time = simulator.now() - workload_started_at;
-        break;
-    }
-    if (detail != nullptr) detail->repo_chunks_served = cluster.repository().chunks_served();
-    // Reclaim daemons still parked on awaitables (writeback loops, truncated
-    // workloads) while the cluster they reference is alive: frame destructors
-    // may touch backend objects, and the cluster dies before the simulator in
-    // this scope's reverse destruction order.
-    simulator.destroy_detached();
   }
-};
+  res.wall_ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - wall_start)
+                    .count();
 
-ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
-                                       SliceDetail* detail) const {
-  SliceRuntime rt(cfg_, owned, detail, /*coupled=*/false);
-  rt.run_loop();
-  rt.collect();
-  return std::move(rt.res);
-}
-
-namespace {
-
-/// Why a sharded run had to abandon its plan, or empty. Shared by the
-/// independent and epoch-coupled executors' conservative runtime guards.
-/// (Templated over the detail record so this free helper needn't name the
-/// private Experiment::SliceDetail type.)
-template <class Detail>
-std::string runtime_guard_reason(const std::vector<ExperimentResult>& parts,
-                                 const std::vector<Detail>& details) {
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    if (!parts[s].error.empty()) return "runtime guard: slice error: " + parts[s].error;
-    if (!parts[s].completed) return "runtime guard: max_sim_time truncation";
-    if (details[s].repo_chunks_served > 0)
-      return "runtime guard: repository stripe served cross-shard traffic";
+  // --- collect --------------------------------------------------------------
+  if (trace_app && trace_app->failed()) {
+    res.error = trace_app->error();
+    res.completed = false;
   }
-  return {};
-}
+  if (recorder != nullptr && recorder->failed() && res.error.empty())
+    res.error = recorder->error();
+  if (recorder_owned) {
+    std::string werr;
+    if (!write_trace(cfg.record_trace_path, recorder_owned->data(), &werr) &&
+        res.error.empty())
+      res.error = werr;
+  }
+  res.approach = core::approach_name(cfg.approach);
+  res.workload = workload_name(cfg.workload);
+  res.sim_duration = simulator.now();
+  res.migrations.assign(mw.metrics().migrations().begin(),
+                        mw.metrics().migrations().end());
+  res.total_migration_time = mw.metrics().total_migration_time();
+  res.avg_migration_time = mw.metrics().avg_migration_time();
+  res.max_downtime = mw.metrics().max_downtime();
 
-}  // namespace
+  if (injector) {
+    res.recovery.faults_injected = injector->faults_applied();
+    res.recovery.fault_downtime_s = injector->fault_pause_s();
+    res.recovery.node_crashes = injector->node_crashes();
+    res.recovery.correlated_events = injector->correlated_events();
+    res.recovery.node_downtime_s = injector->node_downtime_s();
+  }
+  recovery_from_migrations(res.migrations, &res.recovery);
+  if (scheduler) res.scheduler = scheduler->stats();
+  if (auditor) {
+    res.audit_checks = auditor->checks_run();
+    res.audit_violations = auditor->violations();
+  }
+
+  auto& network = cluster.network();
+  res.engine_events = simulator.events_processed();
+  res.engine_flows = network.flows_started();
+  res.engine_recomputes = network.recompute_count();
+  res.engine_components = network.solved_component_count();
+  res.engine_flows_resolved = network.touched_flow_count();
+  res.engine_escalations = network.escalation_count();
+  const sim::FramePool::Stats frames_after = sim::FramePool::local().stats();
+  res.engine_frames = frames_after.served - frames_before.served;
+  res.engine_frames_reused = frames_after.reused - frames_before.reused;
+  res.engine_frame_heap_allocs = frames_after.heap - frames_before.heap;
+
+  for (std::size_t i = 0; i < net::kNumTrafficClasses; ++i)
+    res.traffic_bytes[i] = network.traffic_bytes(static_cast<net::TrafficClass>(i));
+  res.total_traffic = network.total_traffic_bytes();
+  res.migration_traffic =
+      res.total_traffic - network.traffic_bytes(net::TrafficClass::kAppComm);
+
+  double wtime = 0, rtime = 0;
+  for (std::size_t idx = 0; idx < vms.size(); ++idx) {
+    vm::VmInstance* v = vms[idx];
+    const core::IoStats& io = v->io_stats();
+    res.bytes_written += io.bytes_written;
+    res.bytes_read += io.bytes_read;
+    wtime += io.write_time_s;
+    rtime += io.read_time_s;
+    res.cpu_seconds_total += v->cpu_seconds();
+    if (detail != nullptr) {
+      const auto gid = static_cast<std::uint32_t>(owned ? (*owned)[idx] : idx);
+      detail->per_vm.push_back(SliceDetail::VmAgg{gid, io, v->cpu_seconds()});
+    }
+  }
+  res.write_Bps = wtime > 0 ? res.bytes_written / wtime : 0;
+  res.read_Bps = rtime > 0 ? res.bytes_read / rtime : 0;
+
+  switch (cfg.workload) {
+    case WorkloadKind::kCm1:
+      res.app_execution_time = cm1_app ? cm1_app->execution_time() : 0;
+      break;
+    default:
+      res.app_execution_time = simulator.now() - workload_started_at;
+      break;
+  }
+  if (detail != nullptr) detail->repo_chunks_served = cluster.repository().chunks_served();
+  // Reclaim daemons still parked on awaitables (writeback loops, truncated
+  // workloads) while the cluster they reference is alive: frame destructors
+  // may touch backend objects, and the cluster dies before the simulator in
+  // this scope's reverse destruction order.
+  simulator.destroy_detached();
+  return res;
+}
 
 ExperimentResult Experiment::run_sharded(const ShardPlan& plan) const {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -438,7 +366,15 @@ ExperimentResult Experiment::run_sharded(const ShardPlan& plan) const {
   // truncation whose cut point depends on the global interleave, any error
   // whose text mentions global state) reruns single-shard. Correctness is
   // never traded for wall-clock.
-  std::string guard = runtime_guard_reason(parts, details);
+  std::string guard;
+  for (std::uint32_t s = 0; s < n && guard.empty(); ++s) {
+    if (!parts[s].error.empty())
+      guard = "runtime guard: slice error: " + parts[s].error;
+    else if (!parts[s].completed)
+      guard = "runtime guard: max_sim_time truncation";
+    else if (details[s].repo_chunks_served > 0)
+      guard = "runtime guard: repository stripe served cross-shard traffic";
+  }
   if (!guard.empty()) {
     ExperimentResult res = run_slice(nullptr, nullptr);
     res.shards_used = 1;
@@ -540,171 +476,14 @@ ExperimentResult Experiment::merge_parts(std::vector<ExperimentResult>& parts,
   return res;
 }
 
-ExperimentResult Experiment::run_epoch_coupled(const ShardPlan& plan) const {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint32_t n = plan.shard_count();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  // The mirror is built from the same FlowNetworkConfig as every shard
-  // replica, so it runs the same incremental/full-solve regime — both
-  // regimes stay byte-identical to shards=1.
-  net::CoupledCoordinator coord(n, cfg_.cluster.network);
-  wire_mirror_topology(coord.mirror(), cfg_.cluster);
-
-  std::vector<ExperimentResult> parts(n);
-  std::vector<SliceDetail> details(n);
-  sim::ShardedSimulator shards(n);
-
-  // Per-round state, written by the shards in their private lanes and
-  // reduced single-threadedly while every shard is parked at the barrier.
-  struct RoundState {
-    std::vector<double> t_next;  // per-shard next event time (+inf = none)
-    std::vector<double> c_next;  // per-shard completion projection (-1 = none)
-    std::vector<char> fin;       // per-shard finished() flag
-    std::vector<net::CoupledCoordinator::ShardDelta> deltas;
-    std::vector<std::vector<std::pair<std::uint32_t, double>>> rates;
-    double t_star = 0.0;
-    bool stop = false;       // exit the round loop after this barrier
-    bool churn = false;      // this round's instant ran at least one solve
-    bool truncated = false;  // max_sim_time guard tripped
-    bool drift = false;      // demand-message cross-check failed
-    bool phase_b = false;    // which reduce the next barrier runs
-  } rs;
-  rs.t_next.assign(n, kInf);
-  rs.c_next.assign(n, -1.0);
-  rs.fin.assign(n, 0);
-  rs.deltas.resize(n);
-  rs.rates.resize(n);
-
-  // Phase A reduce: pick the next global event instant, fold the completion
-  // projections into the coordinator's virtual completion timer, decide
-  // whether the run is over. Runs while all shards are parked.
-  auto reduce_a = [&] {
-    bool all_done = true;
-    double t_star = kInf;
-    for (std::uint32_t s = 0; s < n; ++s) {
-      if (!rs.fin[s]) all_done = false;
-      t_star = std::min(t_star, rs.t_next[s]);
-    }
-    rs.t_star = t_star;
-    if (all_done || t_star == kInf) {
-      // All metrics complete — or no shard has a runnable event, which is
-      // the lockstep analogue of the single-shard `!simulator.step()` break.
-      rs.stop = true;
-      return;
-    }
-    coord.observe(t_star, rs.c_next);
-    if (cfg_.max_sim_time > 0 && t_star > cfg_.max_sim_time) {
-      rs.truncated = true;
-      rs.stop = true;
-    }
-  };
-  // Phase B reduce: fold the demand messages (posted to shard 0, merged and
-  // (t, shard, seq)-sorted by the mailbox), apply the deltas to the mirror
-  // in fixed shard order, solve, and stage the per-shard rate updates.
-  auto reduce_b = [&] {
-    for (auto& r : rs.rates) r.clear();
-    rs.churn = coord.reduce(rs.t_star, rs.deltas, rs.rates) > 0;
-    // Folded AFTER the mirror absorbed the round's deltas: the running
-    // message totals must now equal its live shared-user counts.
-    if (!coord.fold_demand_messages(shards.inbox(0))) {
-      rs.drift = true;
-      rs.stop = true;
-    }
-  };
-
-  // One shard's run phase for instant t_star: process every local event at
-  // (or before) it, then publish the recorded deltas.
-  auto run_instant = [&](std::uint32_t s, SliceRuntime& rt) {
-    auto& net = rt.cluster.network();
-    rt.simulator.run_until(rs.t_star);
-    rs.deltas[s].sync = net.coupled_sync_pending();
-    net.take_coupled_delta(rs.deltas[s].adds, rs.deltas[s].removes, rs.deltas[s].demand);
-    for (const auto& [c, dv] : rs.deltas[s].demand)
-      shards.post(s, 0, rs.t_star, c, dv);
-  };
-  // After the phase B barrier: whenever the mirror solved this instant,
-  // EVERY shard re-applies — even one with no deltas and no staged rates.
-  // The single-shard solver advances all flows at every settle instant, so
-  // a quiet shard must advance (and re-partition its flows' byte integrals)
-  // at exactly the same instants or its completion projections drift in the
-  // low FP bits and byte-coincident events split. A shard that recorded
-  // deltas also needs this to re-arm the completion timer its removals
-  // killed, even when its rate list came back empty.
-  auto apply_round = [&](std::uint32_t s, SliceRuntime& rt) {
-    if (rs.churn || rs.deltas[s].sync || !rs.rates[s].empty())
-      rt.cluster.network().apply_external_rates(rs.rates[s]);
-  };
-  auto publish_phase_a = [&](std::uint32_t s, SliceRuntime& rt) {
-    rs.t_next[s] = rt.simulator.next_event_time();
-    rs.c_next[s] = rt.cluster.network().next_completion_time();
-    rs.fin[s] = rt.finished() ? 1 : 0;
-  };
-  auto finish_slice = [&](std::uint32_t s, SliceRuntime& rt) {
-    if (rs.truncated) rt.res.completed = false;
-    rt.collect();
-    parts[s] = std::move(rt.res);
-  };
-
-  // Two barrier epochs per round; the hook alternates the reduces (the
-  // toggle is flipped under the barrier, with every shard parked).
-  shards.set_reduce_hook([&](std::uint64_t) {
-    if (!rs.phase_b)
-      reduce_a();
-    else
-      reduce_b();
-    rs.phase_b = !rs.phase_b;
-  });
-  shards.run_epochs([&](std::uint32_t s) {
-    SliceRuntime rt(cfg_, &plan.slices[s], &details[s], /*coupled=*/true);
-    for (;;) {
-      publish_phase_a(s, rt);
-      shards.barrier().arrive_and_wait();  // runs reduce_a
-      if (rs.stop) break;
-      run_instant(s, rt);
-      shards.barrier().arrive_and_wait();  // runs reduce_b
-      if (rs.stop) break;
-      apply_round(s, rt);
-    }
-    finish_slice(s, rt);
-  });
-
-  // Conservative runtime guards, as in run_sharded — plus the coupled
-  // protocol's own consistency cross-check. Correctness is never traded for
-  // wall-clock: any doubt reruns the exact single-shard path.
-  std::string guard = rs.drift ? std::string("runtime guard: shard demand drift")
-                               : runtime_guard_reason(parts, details);
-  if (!guard.empty()) {
-    ExperimentResult res = run_slice(nullptr, nullptr);
-    res.shards_used = 1;
-    res.shard_fallback_reason = std::move(guard);
-    return res;
-  }
-
-  ExperimentResult res = merge_parts(parts, details);
-  // The solver ran in the coordinator's mirror — its work counters ARE the
-  // single-shard ones; the per-shard replicas never solved (their counters,
-  // summed by the merge, are zero).
-  res.engine_recomputes = coord.mirror().recompute_count();
-  res.engine_components = coord.mirror().solved_component_count();
-  res.engine_flows_resolved = coord.mirror().touched_flow_count();
-  res.engine_escalations = coord.mirror().escalation_count();
-  res.shards_used = n;
-  res.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
-  return res;
-}
-
 ExperimentResult Experiment::run() {
   const ShardPlan plan = plan_shards(cfg_);
-  if (plan.kind == PlanKind::kSingle || plan.shard_count() <= 1) {
+  if (plan.shard_count() <= 1) {
     ExperimentResult res = run_slice(nullptr, nullptr);
     res.shards_used = 1;
-    res.shard_fallback_reason = plan.coupled_reason;
+    res.shard_fallback_reason = plan.collapse_reason;
     return res;
   }
-  if (plan.kind == PlanKind::kEpochCoupled) return run_epoch_coupled(plan);
   return run_sharded(plan);
 }
 

@@ -88,15 +88,12 @@ struct ExperimentConfig {
   /// Simulator shards for this one experiment (parallel in-process). The
   /// deterministic partitioner (cloud/shard_plan.h) decomposes the VM fleet
   /// into constraint-graph components and runs them on worker threads drawn
-  /// from sim::WorkerBudget. Finite shared *network* constraints (fabric
-  /// aggregate, switch uplinks) no longer collapse the plan: those regimes
-  /// run epoch-coupled, with a central mirror solver arbitrating the shared
-  /// constraints at every settle epoch. Hard couplers (CM1/IOR, faults,
-  /// PVFS, trace recording, non-broadcast replay) still conservatively
-  /// collapse to one shard. Every virtual-time field of the result is
-  /// byte-identical for any shard count — only wall_ms may change.
-  /// kShardsAuto picks min(component count, workers available) at plan time
-  /// and never an epoch-coupled plan (that needs an explicit count).
+  /// from sim::WorkerBudget. Anything that couples slices — a finite fabric
+  /// aggregate or finite switch uplinks, CM1/IOR, faults, PVFS, trace
+  /// recording, non-broadcast replay — conservatively collapses the plan to
+  /// one shard. Every virtual-time field of the result is byte-identical
+  /// for any shard count — only wall_ms may change. kShardsAuto picks
+  /// min(component count, workers available) at plan time.
   std::uint32_t shards = 1;
   static constexpr std::uint32_t kShardsAuto = 0xffffffffu;
 
@@ -196,10 +193,6 @@ class Experiment {
   /// Per-slice raw material the deterministic merge needs at finer grain
   /// than ExperimentResult's aggregates (accumulation order matters).
   struct SliceDetail;
-  /// One slice's live simulation state (simulator, cluster, workloads,
-  /// schedule), factored out of run_slice so the epoch-coupled executor can
-  /// drive the event loop round-by-round instead of to completion.
-  struct SliceRuntime;
 
   /// One simulator slice over the owned VM ids (nullptr = all VMs — the
   /// exact legacy single-shard path). Thread-safe: touches only locals and
@@ -207,13 +200,7 @@ class Experiment {
   ExperimentResult run_slice(const std::vector<std::uint32_t>* owned,
                              SliceDetail* detail) const;
   ExperimentResult run_sharded(const ShardPlan& plan) const;
-  /// Epoch-coupled executor: slices advance in lockstep over global event
-  /// instants while a mirror FlowNetwork (net/coupled_solver.h) arbitrates
-  /// the finite shared constraints. Merged result is byte-identical to the
-  /// single-shard run in every virtual-time field.
-  ExperimentResult run_epoch_coupled(const ShardPlan& plan) const;
-  /// Deterministic merge of completed slice results (shared by the
-  /// independent and epoch-coupled executors).
+  /// Deterministic merge of completed slice results.
   ExperimentResult merge_parts(std::vector<ExperimentResult>& parts,
                                std::vector<SliceDetail>& details) const;
 

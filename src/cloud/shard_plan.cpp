@@ -12,23 +12,11 @@ namespace {
 
 ShardPlan single(std::size_t n_vms, std::string reason) {
   ShardPlan plan;
-  plan.kind = PlanKind::kSingle;
-  plan.coupled_reason = std::move(reason);
+  plan.collapse_reason = std::move(reason);
   plan.slices.emplace_back();
   plan.slices[0].reserve(n_vms);
   for (std::uint32_t i = 0; i < n_vms; ++i) plan.slices[0].push_back(i);
   return plan;
-}
-
-/// Finite shared *network* constraint spanning the slices, or empty. These
-/// no longer collapse the plan: the epoch-coupled executor arbitrates them
-/// through the mirror solver.
-std::string network_coupling_reason(const ExperimentConfig& cfg) {
-  if (std::isfinite(cfg.cluster.network.fabric_Bps))
-    return "finite fabric aggregate couples all flows";
-  if (cfg.cluster.nodes_per_switch > 0 && std::isfinite(cfg.cluster.switch_uplink_Bps))
-    return "finite switch uplinks couple racks";
-  return {};
 }
 
 /// Why the fault axis forbids sharding this config, or empty when the fault
@@ -51,18 +39,13 @@ std::string fault_coupling_reason(const ExperimentConfig& cfg) {
     if (dst_scoped && (!cfg.perform_migrations || k >= cfg.num_migrations))
       return "scripted fault targets an unused migration destination";
   }
-  // Node up/down state and capacity scaling are invisible to the
-  // epoch-coupled mirror network, which replays flow demand only.
-  if (!network_coupling_reason(cfg).empty())
-    return "fault injection under finite shared network constraints";
   return {};
 }
 
-/// Statically known cross-slice coupling the epoch-coupled protocol cannot
-/// arbitrate (storage services, cross-VM workload channels, shared RNG
-/// streams, global observers), or empty if slices only ever share network
-/// constraints.
-std::string hard_coupling_reason(const ExperimentConfig& cfg) {
+/// Statically known cross-slice coupling (fault regimes, global observers,
+/// storage services, cross-VM workload channels, shared network
+/// constraints), or empty if the slices can run independently.
+std::string coupling_reason(const ExperimentConfig& cfg) {
   std::string fault_reason = fault_coupling_reason(cfg);
   if (!fault_reason.empty()) return fault_reason;
   if (cfg.audit) return "auditor observes every migration";
@@ -83,6 +66,12 @@ std::string hard_coupling_reason(const ExperimentConfig& cfg) {
   }
   if (cfg.trace_recorder != nullptr || !cfg.record_trace_path.empty())
     return "trace recording observes every VM";
+  // A finite shared network constraint ties every flow crossing it to every
+  // other: no slice could water-fill it alone.
+  if (std::isfinite(cfg.cluster.network.fabric_Bps))
+    return "finite fabric aggregate couples all flows";
+  if (cfg.cluster.nodes_per_switch > 0 && std::isfinite(cfg.cluster.switch_uplink_Bps))
+    return "finite switch uplinks couple racks";
   return {};
 }
 
@@ -101,14 +90,8 @@ ShardPlan plan_shards(const ExperimentConfig& cfg) {
   const std::size_t n_vms = cfg.num_vms;
   const bool auto_shards = cfg.shards == ExperimentConfig::kShardsAuto;
   if (cfg.shards <= 1 || n_vms <= 1) return single(n_vms, {});
-  std::string reason = hard_coupling_reason(cfg);
+  std::string reason = coupling_reason(cfg);
   if (!reason.empty()) return single(n_vms, std::move(reason));
-  std::string net_reason = network_coupling_reason(cfg);
-  // The epoch-coupled executor pays a barrier round per settle instant and
-  // loses to one shard except on the largest fleets, so auto never picks
-  // it; an explicit shard count still does.
-  if (auto_shards && !net_reason.empty())
-    return single(n_vms, "auto: " + net_reason + "; pass --shards=N to run epoch-coupled");
 
   // Constraint-graph edges: each VM pins its home node's NICs for its whole
   // life; a migrated VM additionally pins its destination's. Destination
@@ -152,8 +135,6 @@ ShardPlan plan_shards(const ExperimentConfig& cfg) {
     slots[asg.shard_of_item[i]].push_back(i);
   for (auto& b : slots)
     if (!b.empty()) plan.slices.push_back(std::move(b));  // VM ids already ascending
-  plan.kind = net_reason.empty() ? PlanKind::kIndependent : PlanKind::kEpochCoupled;
-  plan.coupled_reason = std::move(net_reason);
   return plan;
 }
 

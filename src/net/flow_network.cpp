@@ -191,10 +191,8 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) {
   detach_from_component(slot);
   unlink(nodes_[f.src].out_head, slot, &FlowSlot::out_link);
   unlink(nodes_[f.dst].in_head, slot, &FlowSlot::in_link);
-  for (std::uint8_t k = 2; k < fs.n_constraints; ++k) {
+  for (std::uint8_t k = 2; k < fs.n_constraints; ++k)
     if (fs.constraints[k] < shared_users_.size()) --shared_users_[fs.constraints[k]];
-    if (coupled_) coupled_demand_.push_back({fs.constraints[k], -1.0});
-  }
   fs.op = nullptr;
   fs.in_use = false;
   ++fs.gen;
@@ -207,9 +205,7 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) {
 void FlowNetwork::apply_rate(Flow& f, double new_rate, std::uint32_t slot) {
   if (new_rate != f.rate) {
     f.rate = new_rate;
-    // The mirror only needs the rate itself: projections and completion
-    // entries belong to the shard replicas.
-    if (!mirror_) push_projection(f, slot);
+    push_projection(f, slot);
   }
 }
 
@@ -248,25 +244,35 @@ void FlowNetwork::start_leg(FlowOp* op) {
   sim_.schedule(cfg_.latency_s, [this, op] { begin_flow(op); });
 }
 
-std::uint32_t FlowNetwork::add_flow(NodeId src, NodeId dst, double bytes, double cap,
-                                    FlowOp* op) {
+void FlowNetwork::begin_flow(FlowOp* op) {
+  if (!nodes_[op->src].up || !nodes_[op->dst].up) {
+    // An endpoint crashed before the leg's latency elapsed: the flow never
+    // materializes and its bytes are never counted. Step through the same
+    // zero-delay event a completion would use.
+    op->failed = true;
+    sim_.post([](void* p, void*) { auto* o = static_cast<FlowOp*>(p); o->step(o); }, op);
+    return;
+  }
+  traffic_[static_cast<std::size_t>(op->cls)] += op->bytes;
+
+  advance_to_now();
   const std::uint32_t slot = alloc_flow_slot();
   FlowSlot& fs = flow_slots_[slot];
   fs.in_use = true;
   fs.op = op;
   live_bits_.set(slot);
   Flow& f = fs.flow;
-  f.src = src;
-  f.dst = dst;
-  f.remaining = bytes;
+  f.src = op->src;
+  f.dst = op->dst;
+  f.remaining = op->bytes;
   f.rate = 0.0;
-  f.cap = cap;
+  f.cap = op->cap;
   f.proj = kUnlimitedRate;
   fs.comp = kNilIndex;  // affected at the next settle (comp == nil)
   compute_incidence(fs);
   for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
-  link_front(nodes_[src].out_head, slot, &FlowSlot::out_link);
-  link_front(nodes_[dst].in_head, slot, &FlowSlot::in_link);
+  link_front(nodes_[f.src].out_head, slot, &FlowSlot::out_link);
+  link_front(nodes_[f.dst].in_head, slot, &FlowSlot::in_link);
   // The arrival can merge with any component reachable through its
   // endpoints: dirty whatever currently owns those NIC constraints. The
   // generation check rejects entries whose owner has dissolved — a live
@@ -284,37 +290,9 @@ std::uint32_t FlowNetwork::add_flow(NodeId src, NodeId dst, double bytes, double
         comps_[owner].gen == nic_owner_gen_[c])
       dirty_component(owner);
   }
-  // Coupled shards never solve, so they must not accumulate arrivals.
-  if (!coupled_) arrivals_.push_back(slot);
+  arrivals_.push_back(slot);
   ++live_flows_;
   ++flows_started_;
-  return slot;
-}
-
-void FlowNetwork::begin_flow(FlowOp* op) {
-  if (!nodes_[op->src].up || !nodes_[op->dst].up) {
-    // An endpoint crashed before the leg's latency elapsed: the flow never
-    // materializes and its bytes are never counted. Step through the same
-    // zero-delay event a completion would use.
-    op->failed = true;
-    sim_.post([](void* p, void*) { auto* o = static_cast<FlowOp*>(p); o->step(o); }, op);
-    return;
-  }
-  traffic_[static_cast<std::size_t>(op->cls)] += op->bytes;
-
-  advance_to_now();
-  const std::uint32_t slot = add_flow(op->src, op->dst, op->bytes, op->cap, op);
-  if (coupled_) {
-    // Epoch-coupled shard mode: the solve happens in the coordinator's
-    // mirror. Record the arrival and the demand it places on cross-shard
-    // constraints; rates come back through apply_external_rates.
-    const FlowSlot& fs = flow_slots_[slot];
-    coupled_adds_.push_back(CoupledAdd{slot, op->src, op->dst, op->bytes, op->cap});
-    for (std::uint8_t k = 2; k < fs.n_constraints; ++k)
-      coupled_demand_.push_back({fs.constraints[k], +1.0});
-    coupled_sync_ = true;
-    return;
-  }
   // Epoch batching: the max-min solve is deferred to a zero-delay settle
   // event, so every other arrival in this virtual instant shares it. The
   // flow carries rate 0 for zero virtual time, which integrates to nothing.
@@ -606,11 +584,11 @@ void FlowNetwork::solve_epoch() {
     detach_from_component(slot);
     items_.push_back(SolverItem{&flow_slots_[slot].flow, slot, 0.0, false, 0, {}, 0});
   };
-  // Worklist size bound: dirty members plus arrivals (which may repeat).
+  // Worklist size bound: dirty members plus arrivals.
   std::size_t pending = arrivals_.size();
   for (const std::uint32_t id : dirty_comps_)
     if (comps_[id].in_use) pending += comps_[id].count;
-  if (topo_changed || !cfg_.incremental || coupled_ || 2 * pending >= live_flows_) {
+  if (topo_changed || !cfg_.incremental || 2 * pending >= live_flows_) {
     // Live scan (word-skipping bitmap, so it pays for live flows, not for
     // the slab's high-water mark): required when every flow is affected,
     // and cheaper than walk+sort when the dirty region covers most of them.
@@ -627,8 +605,8 @@ void FlowNetwork::solve_epoch() {
     });
   } else {
     // Worklist: the members of the dirty components plus the arrivals still
-    // awaiting a solve, sorted back into slot order. Dedupe because a slot
-    // freed and reused within one instant is on the arrival list twice.
+    // awaiting a solve, sorted back into slot order (no slot can appear
+    // twice; see "Incremental solver invariants" step 1).
     worklist_.clear();
     for (const std::uint32_t id : dirty_comps_) {
       if (!comps_[id].in_use) continue;  // dissolved by departures
@@ -636,9 +614,9 @@ void FlowNetwork::solve_epoch() {
         worklist_.push_back(s);
     }
     for (const std::uint32_t s : arrivals_)
-      if (flow_slots_[s].in_use && flow_slots_[s].comp == kNilIndex) worklist_.push_back(s);
+      if (flow_slots_[s].in_use) worklist_.push_back(s);  // crashed arrivals are gone
     std::sort(worklist_.begin(), worklist_.end());
-    worklist_.erase(std::unique(worklist_.begin(), worklist_.end()), worklist_.end());
+    assert(std::adjacent_find(worklist_.begin(), worklist_.end()) == worklist_.end());
     for (const std::uint32_t s : worklist_) collect(s);
   }
 
@@ -852,75 +830,10 @@ void FlowNetwork::on_completion_timer() {
   for (std::uint32_t slot : finished_scratch_) {
     sim_.post([](void* p, void*) { auto* op = static_cast<FlowOp*>(p); op->step(op); },
               flow_slots_[slot].op);
-    if (coupled_) coupled_removes_.push_back(slot);
     release_flow_slot(slot);
-  }
-  if (coupled_) {
-    // Epoch-coupled shard mode: departures defer the solve to the
-    // coordinator's mirror (apply_external_rates re-arms the completion
-    // timer afterwards). A pure stale-purge / FP re-projection pass touches
-    // no cross-shard state and re-arms locally.
-    if (!finished_scratch_.empty())
-      coupled_sync_ = true;
-    else
-      schedule_completion();
-    return;
   }
   solve_epoch();
   schedule_completion();
-}
-
-// --- epoch-coupled sharding --------------------------------------------------
-
-void FlowNetwork::take_coupled_delta(
-    std::vector<CoupledAdd>& adds, std::vector<std::uint32_t>& removes,
-    std::vector<std::pair<std::uint32_t, double>>& demand) {
-  adds.swap(coupled_adds_);
-  coupled_adds_.clear();
-  removes.swap(coupled_removes_);
-  coupled_removes_.clear();
-  demand.clear();
-  if (!coupled_demand_.empty()) {
-    // Aggregate the raw (constraint, ±1) stream into one delta per
-    // constraint, in first-touch order (stamped — no clearing).
-    const std::size_t cspace = constraint_space();
-    if (demand_stamp_.size() < cspace) {
-      demand_stamp_.resize(cspace, 0);
-      demand_val_.resize(cspace, 0.0);
-    }
-    ++demand_gen_;
-    for (const auto& [c, v] : coupled_demand_) {
-      if (demand_stamp_[c] != demand_gen_) {
-        demand_stamp_[c] = demand_gen_;
-        demand_val_[c] = v;
-        demand.push_back({c, 0.0});
-      } else {
-        demand_val_[c] += v;
-      }
-    }
-    for (auto& d : demand) d.second = demand_val_[d.first];
-    coupled_demand_.clear();
-  }
-  coupled_sync_ = false;
-}
-
-void FlowNetwork::apply_external_rates(
-    const std::vector<std::pair<std::uint32_t, double>>& rates) {
-  advance_to_now();
-  for (const auto& [slot, rate] : rates)
-    apply_rate(flow_slots_[slot].flow, rate, slot);
-  schedule_completion();
-}
-
-std::uint32_t FlowNetwork::mirror_add_flow(NodeId src, NodeId dst, double bytes,
-                                           double cap) {
-  // begin_flow's solver-relevant middle only: no traffic, no op, no settle.
-  return add_flow(src, dst, bytes, cap, nullptr);
-}
-
-void FlowNetwork::mirror_remove_flow(std::uint32_t slot) {
-  flow_slots_[slot].flow.proj = -1.0;
-  release_flow_slot(slot);
 }
 
 }  // namespace hm::net

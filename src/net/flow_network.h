@@ -60,15 +60,17 @@
 //     flips) and every arrival is pushed onto an arrival list. Collection
 //     gathers the members of the dirty components (each component keeps an
 //     intrusive member list, linked at publish in slot order) plus the
-//     arrivals still awaiting a solve, then sorts and dedupes them back into
-//     canonical slot order — a slot can be freed and reused within one
-//     instant, so the arrival list may name it twice. The result is exactly
-//     the set and order a live scan would collect, so cost is O(dirty +
-//     arrivals) per epoch. The live scan remains where it is required or
-//     cheaper: after a topology change (every incidence is recomputed), with
-//     incremental solving ablated off, in coupled shard mode (no worklists
-//     are kept there), and when the dirty region covers at least half the
-//     live flows (the escalated mega-component re-solved every epoch).
+//     arrivals still awaiting a solve, then sorts them back into canonical
+//     slot order. No slot can appear twice: every slot release (completion
+//     or crash) is followed by a solve in the same call, before any arrival
+//     can reuse the freed slot, so the arrival list never names a slot
+//     twice, and member lists are disjoint and hold no unsolved arrival.
+//     The result is exactly the set and order a live scan would collect, so
+//     cost is O(dirty + arrivals) per epoch. The live scan remains where it
+//     is required or cheaper: after a topology change (every incidence is
+//     recomputed), with incremental solving ablated off, and when the dirty
+//     region covers at least half the live flows (the escalated
+//     mega-component re-solved every epoch).
 //  2. Dirty components are re-partitioned and water-filled ignoring
 //     non-contained shared constraints; clean components keep their CACHED
 //     rates, projections and completion-heap entries untouched.
@@ -396,64 +398,6 @@ class FlowNetwork {
   /// Live connected components right now (0 when idle).
   std::size_t component_count() const noexcept { return live_components_; }
 
-  // --- epoch-coupled sharding ----------------------------------------------
-  // Two auxiliary modes back the epoch-coupled shard executor (see
-  // net/coupled_solver.h). They are duals of one trick: run the ordinary
-  // single-shard solver on the ordinary global state, just split across
-  // objects — so the allocation, the escalation decisions and the solver
-  // counters are the single-shard ones by construction.
-  //  * coupled SHARD mode (set_coupled): this network simulates one shard's
-  //    events but never solves. Arrivals and completions are recorded as
-  //    deltas; the shard driver ships them to the coordinator at the
-  //    settle-epoch barrier and applies back the rates the coordinator's
-  //    mirror solve produced (apply_external_rates).
-  //  * MIRROR mode (set_mirror): this network belongs to the coordinator,
-  //    holds every live flow of the experiment, and runs solve_epoch over
-  //    them exactly as a single-shard run would — but never advances time,
-  //    never projects completions and never steps ops.
-
-  /// One recorded arrival, identified by the shard-local slot id.
-  struct CoupledAdd {
-    std::uint32_t slot;
-    NodeId src, dst;
-    double bytes, cap;
-  };
-
-  void set_coupled(bool on) noexcept { coupled_ = on; }
-  /// True when this shard recorded deltas the coordinator has not seen.
-  bool coupled_sync_pending() const noexcept { return coupled_sync_; }
-  /// Drain this round's recorded deltas: adds in begin order, removals in
-  /// completion order, plus the aggregated per-shared-constraint live-user
-  /// deltas (the demand this shard's churn placed on each cross-shard
-  /// constraint — what travels as ShardMessages).
-  void take_coupled_delta(std::vector<CoupledAdd>& adds,
-                          std::vector<std::uint32_t>& removes,
-                          std::vector<std::pair<std::uint32_t, double>>& demand);
-  /// Apply rates computed by the coordinator's mirror solve: advances flow
-  /// progress to now, applies each (local slot, rate) and re-arms the
-  /// completion timer. Called once per sync round.
-  void apply_external_rates(
-      const std::vector<std::pair<std::uint32_t, double>>& rates);
-  /// Earliest live completion projection this shard tracks (-1 when none).
-  double next_completion_time() const noexcept { return completion_timer_t_; }
-  double latency_s() const noexcept { return cfg_.latency_s; }
-
-  void set_mirror(bool on) noexcept { mirror_ = on; }
-  std::uint32_t mirror_add_flow(NodeId src, NodeId dst, double bytes, double cap);
-  void mirror_remove_flow(std::uint32_t slot);
-  void mirror_solve() { solve_epoch(); }
-  /// Post-solve readback: the flows the last epoch re-rated, in publish
-  /// order (group order, slot-ascending within a group).
-  std::size_t solved_item_count() const noexcept { return items_.size(); }
-  std::pair<std::uint32_t, double> solved_item(std::size_t i) const noexcept {
-    return {items_[i].slot, items_[i].alloc};
-  }
-  /// Live users of a shared constraint (containment bookkeeping); exposed so
-  /// the coordinator can cross-check the ShardMessage demand totals.
-  std::uint32_t shared_user_count(std::uint32_t c) const noexcept {
-    return c < shared_users_.size() ? shared_users_[c] : 0;
-  }
-
  private:
   static constexpr std::uint32_t kNilIndex = 0xffffffffu;
 
@@ -570,10 +514,6 @@ class FlowNetwork {
   /// Intrusive slot lists threaded through one Link member of FlowSlot.
   void link_front(std::uint32_t& head, std::uint32_t slot, Link FlowSlot::*l) noexcept;
   void unlink(std::uint32_t& head, std::uint32_t slot, Link FlowSlot::*l) noexcept;
-  /// Register a new flow in a fresh slot (arrival half shared by begin_flow
-  /// and mirror_add_flow): incidence, shared-user counts, node incidence
-  /// lists, NIC-owner dirtying and the arrival worklist.
-  std::uint32_t add_flow(NodeId src, NodeId dst, double bytes, double cap, FlowOp* op);
 
   /// Tear down every live flow with an endpoint at `n` (crash): credit back
   /// un-transferred bytes, step the ops with failed=true, release the slots
@@ -629,8 +569,7 @@ class FlowNetwork {
   // change)? When false, shared-constraint validation cannot fail.
   bool finite_shared_ = false;
   // Settle worklists (see "Incremental solver invariants" step 1): consumed
-  // and cleared by every solve_epoch. Coupled shards never solve and keep
-  // neither list.
+  // and cleared by every solve_epoch.
   std::vector<std::uint32_t> dirty_comps_;  // components whose flag flipped
   std::vector<std::uint32_t> arrivals_;     // slots begun since the last solve
   std::vector<std::uint32_t> worklist_;     // collect scratch
@@ -643,16 +582,6 @@ class FlowNetwork {
   sim::Simulator::Timer completion_timer_;
   double completion_timer_t_ = -1.0;
 
-  // Epoch-coupled sharding state (see the public section above).
-  bool coupled_ = false;   // shard mode: record deltas instead of solving
-  bool mirror_ = false;    // mirror mode: solve only; no time, no projections
-  bool coupled_sync_ = false;
-  std::vector<CoupledAdd> coupled_adds_;
-  std::vector<std::uint32_t> coupled_removes_;
-  std::vector<std::pair<std::uint32_t, double>> coupled_demand_;  // raw (c, ±1)
-  std::vector<std::uint64_t> demand_stamp_;  // take_coupled_delta aggregation
-  std::vector<double> demand_val_;
-  std::uint64_t demand_gen_ = 0;
   std::uint64_t recompute_count_ = 0;
   std::uint64_t flows_started_ = 0;
   std::uint64_t solved_components_ = 0;

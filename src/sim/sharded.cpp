@@ -34,23 +34,15 @@ ShardedSimulator::ShardedSimulator(std::uint32_t shards)
 }
 
 void ShardedSimulator::post(std::uint32_t from, std::uint32_t to, double t,
-                            std::uint64_t payload, double value) {
+                            std::uint64_t payload) {
   Mailbox& box = boxes_[from];
   ShardMessage m;
   m.t = t;
   m.shard = from;
   m.seq = box.next_seq++;
   m.payload = payload;
-  m.value = value;
   box.out.push_back(m);
   box.dest.push_back(to);
-}
-
-void ShardedSimulator::set_reduce_hook(std::function<void(std::uint64_t)> fn) {
-  barrier_.set_reduce([this, fn = std::move(fn)](std::uint64_t epoch) {
-    merge_epoch();
-    if (fn) fn(epoch);
-  });
 }
 
 void ShardedSimulator::merge_epoch() {
@@ -102,9 +94,9 @@ ShardedSimulator::Stats ShardedSimulator::run_epochs(
     const std::function<void(std::uint32_t)>& body) {
   Stats st;
   st.shards = shards_;
-  // Epoch-coupled bodies block on the shared barrier, so every shard needs
-  // its own thread; budget tokens are taken as available (advisory) but the
-  // thread count is fixed by correctness.
+  // Bodies block on the shared barrier, so every shard needs its own
+  // thread; budget tokens are taken as available (advisory) but the thread
+  // count is fixed by correctness.
   WorkerGrant grant(WorkerBudget::instance(),
                     shards_ > 0 ? shards_ - 1 : 0);
   std::vector<std::thread> pool;

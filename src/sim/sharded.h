@@ -8,15 +8,13 @@
 //    shared counter; any number of threads (including just the caller)
 //    produces the same per-shard results, because slices never communicate.
 //    This is the mode the experiment harness uses once the deterministic
-//    partitioner has proven the slices share no finite network constraint.
+//    partitioner has proven the slices share no coupling at all.
 //
-//  * run_epochs(body): epoch-coupled slices. One dedicated thread per shard
-//    (spawned regardless of budget grants — correctness over fairness, the
-//    shard count itself is the user's cap), so bodies may rendezvous on the
-//    shared EpochBarrier and exchange ShardMessages at settle-epoch
-//    boundaries. This is the conservative-window PDES harness: a shard may
-//    only advance past an epoch boundary once every peer has contributed
-//    its cross-shard rate updates for that epoch.
+//  * run_epochs(body): message-passing slices. One dedicated thread per
+//    shard (spawned regardless of budget grants — the shard count itself is
+//    the caller's cap), so bodies may rendezvous on the shared EpochBarrier
+//    and exchange ShardMessages at epoch boundaries. No experiment executor
+//    uses it; perfbench's sim.shard_round_us probe times one exchange round.
 //
 // Determinism contract — why (t, shard, seq) ordering preserves
 // byte-identity: within one shard, event order is already a pure function
@@ -47,7 +45,6 @@ struct ShardMessage {
   std::uint32_t shard = 0;  // origin shard
   std::uint64_t seq = 0;    // origin-local emission sequence
   std::uint64_t payload = 0;
-  double value = 0.0;       // payload scalar (e.g. a shared-constraint demand delta)
 
   friend bool operator<(const ShardMessage& a, const ShardMessage& b) noexcept {
     if (a.t != b.t) return a.t < b.t;
@@ -55,16 +52,14 @@ struct ShardMessage {
     return a.seq < b.seq;
   }
   friend bool operator==(const ShardMessage& a, const ShardMessage& b) noexcept {
-    return a.t == b.t && a.shard == b.shard && a.seq == b.seq &&
-           a.payload == b.payload && a.value == b.value;
+    return a.t == b.t && a.shard == b.shard && a.seq == b.seq && a.payload == b.payload;
   }
 };
 
-/// Conservative settle-epoch rendezvous for N parties. The last party to
-/// arrive runs the reduce step (the hook where an escalated global solve or
-/// a mailbox merge lives) while every peer is parked, then releases them —
-/// so the reduce observes a quiescent epoch and its effects are visible to
-/// all shards before any of them resumes.
+/// Epoch rendezvous for N parties. The last party to arrive runs the reduce
+/// step (ShardedSimulator's mailbox merge) while every peer is parked, then
+/// releases them — so the reduce observes a quiescent epoch and its effects
+/// are visible to all shards before any of them resumes.
 class EpochBarrier {
  public:
   explicit EpochBarrier(std::uint32_t parties) : parties_(parties) {}
@@ -78,7 +73,6 @@ class EpochBarrier {
   /// completed (0-based, monotonically increasing).
   std::uint64_t arrive_and_wait();
 
-  std::uint32_t parties() const noexcept { return parties_; }
   std::uint64_t epochs_completed() const noexcept;
 
  private:
@@ -103,13 +97,10 @@ class ShardedSimulator {
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
-  std::uint32_t shard_count() const noexcept { return shards_; }
-
   /// Post a cross-shard message from shard `from` to shard `to`. Visible to
   /// `to` after the next exchange(). Safe to call concurrently from
   /// different shards; a single shard posts from its own thread only.
-  void post(std::uint32_t from, std::uint32_t to, double t, std::uint64_t payload,
-            double value = 0.0);
+  void post(std::uint32_t from, std::uint32_t to, double t, std::uint64_t payload);
 
   /// Rendezvous with every shard, then read this shard's merged inbox for
   /// the epoch: all messages addressed to `shard`, sorted by
@@ -121,25 +112,9 @@ class ShardedSimulator {
   /// Uses the caller plus up to (shards-1) budget-granted threads.
   Stats run(const std::function<void(std::uint32_t shard)>& body);
 
-  /// Epoch-coupled mode: one dedicated thread per shard (budget-advisory),
+  /// Message-passing mode: one dedicated thread per shard (budget-advisory),
   /// so bodies may call exchange()/post() and block on the barrier.
   Stats run_epochs(const std::function<void(std::uint32_t shard)>& body);
-
-  EpochBarrier& barrier() noexcept { return barrier_; }
-
-  /// Install a reduce step that runs AFTER the built-in mailbox merge, still
-  /// inside the barrier with every shard parked. (Calling
-  /// barrier().set_reduce directly would replace the mailbox routing; this
-  /// composes with it.)
-  void set_reduce_hook(std::function<void(std::uint64_t epoch)> fn);
-
-  /// Merged inbox for `shard` as of the last barrier reduce. Sorted by
-  /// (t, shard, seq).
-  const std::vector<ShardMessage>& inbox(std::uint32_t shard) const {
-    return boxes_[shard].inbox;
-  }
-
-  std::uint64_t messages_exchanged() const noexcept { return messages_total_; }
 
  private:
   void merge_epoch();

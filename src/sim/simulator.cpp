@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace hm::sim {
 
@@ -175,20 +174,6 @@ void Simulator::run_until(double t) {
     pop_and_run();
   }
   if (now_ < t) now_ = t;
-}
-
-double Simulator::next_event_time() noexcept {
-  while (fast_count_ > 0 && fast_[fast_head_].fn == nullptr) fast_pop();
-  if (fast_count_ > 0) return now_;  // fast entries sit at exactly now()
-  for (;;) {
-    const HeapItem* top = peek_item();
-    if (top == nullptr) return std::numeric_limits<double>::infinity();
-    if (pool_[top->slot()].cancelled) {
-      release_slot(pop_item().slot());
-      continue;
-    }
-    return top->t;
-  }
 }
 
 bool Simulator::run_while_pending(const std::function<bool()>& done_pred) {

@@ -165,13 +165,6 @@ class Simulator {
   /// drains. Returns the predicate value.
   bool run_while_pending(const std::function<bool()>& done_pred);
 
-  /// Timestamp of the next event that will actually run, without running it:
-  /// now() when a live fast-lane entry is pending, the head timer's time
-  /// otherwise, +infinity on an empty queue. Cancelled entries are purged
-  /// while peeking so they cannot inflate the answer. Used by the
-  /// epoch-coupled shard driver to agree on the global next settle instant.
-  double next_event_time() noexcept;
-
   std::size_t pending_events() const noexcept {
     return heap_.size() + (tail_.size() - tail_head_) + fast_count_;
   }

@@ -2,13 +2,13 @@
 // decomposable scenario, the merged result must be BYTE-identical to the
 // single-shard run in every virtual-time field — migration records, traffic
 // by class, workload aggregates, solver work counters — for any shard
-// count, in both solver regimes. Coupled regimes (CM1, faults) and runtime
-// guard trips (max_sim_time truncation) must fall back to one shard
-// transparently. Scheduler-implementation counters (engine_events, frame
-// counters) legitimately differ — a finished slice stops stepping at its
-// own last event and frame pools are per-thread — and are the only fields
-// excluded here; see tools/check_sweep_golden.py --shards for the same
-// split applied to the CI sweep gates.
+// count, in both solver regimes. Coupled regimes (CM1, faults, finite
+// fabric or uplinks) and runtime guard trips (max_sim_time truncation) must
+// fall back to one shard transparently. Scheduler-implementation counters
+// (engine_events, frame counters) legitimately differ — a finished slice
+// stops stepping at its own last event and frame pools are per-thread — and
+// are the only fields excluded here; see tools/check_sweep_golden.py
+// --shards for the same split applied to the CI sweep gates.
 #include <gtest/gtest.h>
 
 #include "cloud/experiment.h"
@@ -132,19 +132,18 @@ ExperimentResult run_with_shards(ExperimentConfig cfg, std::uint32_t shards) {
   return Experiment(std::move(cfg)).run();
 }
 
-TEST(ShardPlanning, HardCouplersCollapseNetworkCouplersRunCoupled) {
+TEST(ShardPlanning, HardCouplersCollapse) {
   ExperimentConfig base = decomposable_config(1);
   base.shards = 4;
   base.normalize();
   EXPECT_GT(plan_shards(base).shard_count(), 1u);
-  EXPECT_EQ(plan_shards(base).kind, PlanKind::kIndependent);
-  EXPECT_TRUE(plan_shards(base).coupled_reason.empty());
+  EXPECT_TRUE(plan_shards(base).collapse_reason.empty());
 
   auto reason = [](ExperimentConfig cfg) {
     cfg.normalize();
     const ShardPlan plan = plan_shards(cfg);
     EXPECT_EQ(plan.shard_count(), 1u);
-    return plan.coupled_reason;
+    return plan.collapse_reason;
   };
 
   {
@@ -163,27 +162,6 @@ TEST(ShardPlanning, HardCouplersCollapseNetworkCouplersRunCoupled) {
     EXPECT_FALSE(reason(c).empty());
   }
   {
-    // Finite network constraints no longer collapse the plan: they keep the
-    // component partition and run it epoch-coupled under the mirror solver.
-    ExperimentConfig c = base;
-    c.cluster.network.fabric_Bps = 8e9;
-    c.normalize();
-    const ShardPlan plan = plan_shards(c);
-    EXPECT_EQ(plan.kind, PlanKind::kEpochCoupled);
-    EXPECT_GT(plan.shard_count(), 1u);
-    EXPECT_FALSE(plan.coupled_reason.empty());
-  }
-  {
-    ExperimentConfig c = base;
-    c.cluster.nodes_per_switch = 4;
-    c.cluster.switch_uplink_Bps = 1e9;  // finite uplinks: also epoch-coupled
-    c.normalize();
-    const ShardPlan plan = plan_shards(c);
-    EXPECT_EQ(plan.kind, PlanKind::kEpochCoupled);
-    EXPECT_GT(plan.shard_count(), 1u);
-    EXPECT_FALSE(plan.coupled_reason.empty());
-  }
-  {
     ExperimentConfig c = base;
     std::string err;
     ASSERT_TRUE(sim::parse_fault_spec("rand:crashes=1", &c.faults, &err)) << err;
@@ -200,37 +178,53 @@ TEST(ShardPlanning, HardCouplersCollapseNetworkCouplersRunCoupled) {
     c.normalize();
     const ShardPlan plan = plan_shards(c);
     EXPECT_EQ(plan.shard_count(), 1u);
-    EXPECT_EQ(plan.coupled_reason, "single connected component");
+    EXPECT_EQ(plan.collapse_reason, "single connected component");
   }
 }
 
-TEST(ShardPlanning, AutoNeverPicksEpochCoupled) {
-  // The coupled executor loses to one shard except on the largest fleets,
-  // so auto runs an oversubscribed config single-shard and names the opt-in;
-  // a decomposable config still shards independently when workers exist.
+TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
+  // A finite fabric aggregate or finite switch uplinks tie every flow to
+  // every other, so the plan is one shard at any requested count — explicit
+  // or auto — and says why. The budget leaves auto room to shard, as the
+  // unlimited-network control shows.
   sim::WorkerBudget& budget = sim::WorkerBudget::instance();
   const unsigned saved = budget.capacity();
   budget.set_capacity(3);
-  ExperimentConfig nb = decomposable_config(1);
-  nb.shards = ExperimentConfig::kShardsAuto;
-  nb.normalize();
-  const ShardPlan indep = plan_shards(nb);
-  EXPECT_EQ(indep.kind, PlanKind::kIndependent);
-  EXPECT_EQ(indep.shard_count(), 4u);  // min(8 components, 3 workers + caller)
+  ExperimentConfig control = decomposable_config(1);
+  control.shards = ExperimentConfig::kShardsAuto;
+  control.normalize();
+  EXPECT_EQ(plan_shards(control).shard_count(), 4u);  // min(8 components, 3 + caller)
 
-  ExperimentConfig oversub = nb;
-  oversub.cluster.network.fabric_Bps = 8e9;
-  oversub.cluster.nodes_per_switch = 4;
-  oversub.cluster.switch_uplink_Bps = 1.25e9;
-  oversub.normalize();
-  const ShardPlan plan = plan_shards(oversub);
-  EXPECT_NE(plan.kind, PlanKind::kEpochCoupled);
-  EXPECT_EQ(plan.shard_count(), 1u);
-  EXPECT_EQ(plan.coupled_reason,
-            "auto: finite fabric aggregate couples all flows; "
-            "pass --shards=N to run epoch-coupled");
-  oversub.shards = 4;  // an explicit count still runs it coupled
-  EXPECT_EQ(plan_shards(oversub).kind, PlanKind::kEpochCoupled);
+  ExperimentConfig fabric = decomposable_config(1);
+  fabric.cluster.network.fabric_Bps = 8e9;
+  ExperimentConfig uplinks = decomposable_config(1);
+  uplinks.cluster.nodes_per_switch = 4;
+  uplinks.cluster.switch_uplink_Bps = 1e9;
+  const std::pair<ExperimentConfig, const char*> cases[] = {
+      {fabric, "finite fabric aggregate couples all flows"},
+      {uplinks, "finite switch uplinks couple racks"},
+  };
+  for (const auto& [base, why] : cases) {
+    SCOPED_TRACE(why);
+    for (std::uint32_t n : {4u, 8u, ExperimentConfig::kShardsAuto}) {
+      SCOPED_TRACE("shards=" + std::to_string(n));
+      ExperimentConfig c = base;
+      c.shards = n;
+      c.normalize();
+      const ShardPlan plan = plan_shards(c);
+      EXPECT_EQ(plan.shard_count(), 1u);
+      EXPECT_EQ(plan.collapse_reason, why);
+    }
+    // The run takes the exact single-shard path: every field matches.
+    const ExperimentResult ref = run_with_shards(base, 1);
+    EXPECT_TRUE(ref.completed);
+    const ExperimentResult got = run_with_shards(base, 4);
+    EXPECT_EQ(got.shards_used, 1u);
+    EXPECT_EQ(got.shard_fallback_reason, why);
+    expect_identical(ref, got, /*exact_epochs=*/true);
+    EXPECT_EQ(ref.engine_events, got.engine_events);
+    EXPECT_EQ(ref.engine_frames, got.engine_frames);
+  }
   budget.set_capacity(saved);
 }
 
@@ -345,7 +339,7 @@ TEST(ShardFallback, ChurnAndNodeScopedFaultsCollapseWithSpecificReasons) {
     cfg.normalize();
     const ShardPlan plan = plan_shards(cfg);
     EXPECT_EQ(plan.shard_count(), 1u) << spec;
-    return plan.coupled_reason;
+    return plan.collapse_reason;
   };
   EXPECT_EQ(reason_for("churn:crash-mtbf=50,crash-mttr=5"),
             "churn fault process spans every node");
@@ -388,7 +382,7 @@ TEST(ShardFallback, DstScopedEventOnUnusedMigrationCollapses) {
   cfg.normalize();
   const ShardPlan plan = plan_shards(cfg);
   EXPECT_EQ(plan.shard_count(), 1u);
-  EXPECT_EQ(plan.coupled_reason, "scripted fault targets an unused migration destination");
+  EXPECT_EQ(plan.collapse_reason, "scripted fault targets an unused migration destination");
 }
 
 TEST(ShardFallback, AuditedRunCollapsesToOneShard) {
@@ -398,7 +392,7 @@ TEST(ShardFallback, AuditedRunCollapsesToOneShard) {
   cfg.normalize();
   const ShardPlan plan = plan_shards(cfg);
   EXPECT_EQ(plan.shard_count(), 1u);
-  EXPECT_EQ(plan.coupled_reason, "auditor observes every migration");
+  EXPECT_EQ(plan.collapse_reason, "auditor observes every migration");
 }
 
 TEST(ShardFallback, Cm1CollapsesToOneShard) {

@@ -341,67 +341,6 @@ TEST(IncrementalSolver, EscalatesThenSplitsBack) {
   EXPECT_EQ(inc.components[1], 1u);  // t=1.4: merged again
 }
 
-TEST(IncrementalSolver, MirrorSlotReusedBeforeSolveIsDeduped) {
-  // Mirror mode applies a whole round of removals and additions before one
-  // solve, so a slot can be freed and re-added (twice on the arrival list)
-  // within a single epoch. Both arms must publish identical rates. A sparse
-  // graph (~40 flows over 128 nodes) keeps components small, so each
-  // round's dirty region stays well below half the live set.
-  constexpr int kNodes = 128;
-  struct Arm {
-    sim::Simulator s;
-    FlowNetwork net;
-    std::vector<double> rate;  // by slot, folded from each solve's items
-    std::vector<std::uint32_t> live;
-    explicit Arm(bool incremental)
-        : net(s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9, incremental}) {
-      net.set_mirror(true);
-      for (int i = 0; i < kNodes; ++i) net.add_node(100e6);
-    }
-    void add(NodeId a, NodeId b) { live.push_back(net.mirror_add_flow(a, b, 1e9, kUnlimitedRate)); }
-    void remove(std::size_t i) {
-      net.mirror_remove_flow(live[i]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    void solve() {
-      net.mirror_solve();
-      for (std::size_t i = 0; i < net.solved_item_count(); ++i) {
-        const auto [slot, r] = net.solved_item(i);
-        if (rate.size() <= slot) rate.resize(slot + 1, 0.0);
-        rate[slot] = r;
-      }
-    }
-  };
-  Arm inc(true), full(false);
-  sim::Rng rng(91);
-  for (int round = 0; round < 200; ++round) {
-    const auto n_add = 1 + rng.uniform(3);
-    for (std::uint64_t k = 0; k < n_add; ++k) {
-      const auto a = static_cast<NodeId>(rng.uniform(kNodes));
-      const auto b = static_cast<NodeId>((a + 1 + rng.uniform(kNodes - 1)) % kNodes);
-      inc.add(a, b);
-      full.add(a, b);
-      if (rng.uniform(3) == 0) {  // drop the newcomer and re-add: same slot
-        inc.remove(inc.live.size() - 1);
-        full.remove(full.live.size() - 1);
-        inc.add(b, a);
-        full.add(b, a);
-      }
-    }
-    while (inc.live.size() > 40) {
-      const auto i = static_cast<std::size_t>(rng.uniform(inc.live.size()));
-      inc.remove(i);
-      full.remove(i);
-    }
-    inc.solve();
-    full.solve();
-    ASSERT_EQ(inc.live, full.live) << "round " << round;
-    for (const std::uint32_t slot : inc.live)
-      EXPECT_EQ(inc.rate[slot], full.rate[slot]) << "round " << round << " slot " << slot;
-  }
-  EXPECT_LT(inc.net.touched_flow_count(), full.net.touched_flow_count());
-}
-
 // --- staggered arrival and departure epochs ------------------------------
 
 /// One flow per disjoint (2i -> 2i+1) node pair, started at `starts[i]`.

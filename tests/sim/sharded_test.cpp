@@ -227,46 +227,6 @@ TEST(ShardedSimulator, ExchangeDeliversDeterministicMergedInbox) {
     for (int e = 0; e < kEpochs; ++e) EXPECT_EQ(seen[s][e], seen2[s][e]);
 }
 
-TEST(ShardedSimulator, ValueMessagesFoldDeterministically) {
-  // The epoch-coupled executor ships per-constraint demand deltas as
-  // value-carrying messages posted to shard 0 (including shard 0 posting to
-  // itself); the fold must see them in (t, shard, seq) order with values
-  // intact regardless of thread timing, so the folded totals are one fixed
-  // FP summation order.
-  constexpr std::uint32_t kShards = 4;
-  constexpr int kEpochs = 5;
-  ShardedSimulator shards(kShards);
-  std::vector<std::vector<ShardMessage>> folded(kEpochs);
-  shards.run_epochs([&](std::uint32_t s) {
-    for (int e = 0; e < kEpochs; ++e) {
-      // One timestamp for the whole epoch: order must fall back to origin
-      // shard then seq. Values mix signs the way add/remove demand does.
-      shards.post(s, 0, 5.0 * e, /*payload=*/s, /*value=*/+1.0 * (s + 1));
-      shards.post(s, 0, 5.0 * e, /*payload=*/s, /*value=*/-0.5 * (s + 1));
-      const std::vector<ShardMessage>& inbox = shards.exchange(s);
-      if (s == 0) folded[e] = inbox;
-    }
-  });
-  for (int e = 0; e < kEpochs; ++e) {
-    const auto& inbox = folded[e];
-    ASSERT_EQ(inbox.size(), 2u * kShards) << "epoch " << e;
-    EXPECT_TRUE(std::is_sorted(inbox.begin(), inbox.end()));
-    double total = 0.0;
-    for (std::size_t i = 0; i < inbox.size(); ++i) {
-      const ShardMessage& m = inbox[i];
-      EXPECT_EQ(m.shard, m.payload);
-      EXPECT_EQ(m.t, 5.0 * e);
-      // Same-shard tie keeps emission order: the +w post precedes -w/2.
-      if (i % 2 == 0)
-        EXPECT_GT(m.value, 0.0);
-      else
-        EXPECT_LT(m.value, 0.0);
-      total += m.value;
-    }
-    EXPECT_EQ(total, 5.0);  // sum of 0.5*(s+1), exact in FP
-  }
-}
-
 TEST(ShardedSimulator, SingleShardEpochModeRunsInline) {
   ShardedSimulator shards(1);
   int epochs_seen = 0;

@@ -30,16 +30,14 @@ shards=1 golden. A sharded run processes slightly fewer scheduler events
 than the single run (a finished slice stops stepping at its own last
 needed event, while the global loop drains residual timers of
 already-finished VMs until the last slice finishes), splits coroutine
-frames across per-shard thread-local pools, and — in the independent mode
-— cannot share a settle epoch between components living on different
-shards (so same-timestamp churn that one global epoch would batch costs
-one epoch per shard — more epochs, same work). Those counters measure the
-engine, not the simulated system. Every simulated quantity — sim_s, flows,
-solver WORK counters (components water-filled, flows resolved,
-escalations), migration times, traffic — must still match EXACTLY: that is
-the sharding determinism contract. (The epoch-coupled mode's mirror solver
-replays the single-shard epoch structure literally, so for it even the
-excluded solver_epochs happens to match.)
+frames across per-shard thread-local pools, and cannot share a settle
+epoch between components living on different shards (so same-timestamp
+churn that one global epoch would batch costs one epoch per shard — more
+epochs, same work). Those counters measure the engine, not the simulated
+system. Every simulated quantity — sim_s, flows, solver WORK counters
+(components water-filled, flows resolved, escalations), migration times,
+traffic — must still match EXACTLY: that is the sharding determinism
+contract.
 """
 import json
 import sys

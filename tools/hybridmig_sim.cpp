@@ -8,10 +8,13 @@
 //   hybridmig_sim --approach=pvfs-shared --workload=cm1 --grid=4x4
 //   hybridmig_sim --list
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -67,10 +70,10 @@ void usage() {
       "                      the run)\n"
       "  --shards=N|auto     parallel in-process simulator shards (default 1;\n"
       "                      byte-identical virtual timeline for any value;\n"
-      "                      auto = min(components, worker threads available),\n"
-      "                      never epoch-coupled)\n"
+      "                      auto = min(components, worker threads available);\n"
+      "                      a finite fabric or finite uplinks collapse to 1)\n"
       "  --explain-shards    print the shard plan (count, per-shard VM loads,\n"
-      "                      coupling reason) for this config and exit\n"
+      "                      collapse reason) for this config and exit\n"
       "  --seed=N            RNG seed (default 42)\n"
       "  --baseline          disable migrations (reference run)\n"
       "  --list              print the approach summary (paper Table 1)\n";
@@ -81,6 +84,24 @@ std::optional<std::string> arg_value(const char* arg, const char* key) {
   if (std::strncmp(arg, key, klen) == 0 && arg[klen] == '=')
     return std::string(arg + klen + 1);
   return std::nullopt;
+}
+
+/// Parse a whole flag value as a number in [lo, hi]; anything else (empty,
+/// trailing characters, out of range) prints a diagnostic and exits 2.
+template <class T>
+T parse_number(const char* flag, const std::string& text,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  const bool whole = !text.empty() && ptr == end;
+  if (whole && ec == std::errc{} && value >= lo && value <= hi) return value;
+  if (whole && (ec == std::errc{} || ec == std::errc::result_out_of_range))
+    std::cerr << flag << ": " << text << " is out of range [" << lo << ", " << hi << "]\n";
+  else
+    std::cerr << flag << ": expected a number, got '" << text << "'\n";
+  std::exit(2);
 }
 
 std::optional<core::Approach> parse_approach(const std::string& s) {
@@ -153,19 +174,28 @@ int main(int argc, char** argv) {
       cfg.record_trace_path = *v;
       continue;
     }
-    if (auto v = arg_value(arg, "--vms")) { cfg.num_vms = std::stoul(*v); continue; }
+    if (auto v = arg_value(arg, "--vms")) {
+      cfg.num_vms = parse_number<std::size_t>("--vms", *v);
+      continue;
+    }
     if (auto v = arg_value(arg, "--migrations")) {
-      cfg.num_migrations = std::stoul(*v);
+      cfg.num_migrations = parse_number<std::size_t>("--migrations", *v);
       if (!explicit_dests) cfg.num_destinations = cfg.num_migrations;
       continue;
     }
     if (auto v = arg_value(arg, "--destinations")) {
-      cfg.num_destinations = std::stoul(*v);
+      cfg.num_destinations = parse_number<std::size_t>("--destinations", *v);
       explicit_dests = true;
       continue;
     }
-    if (auto v = arg_value(arg, "--migrate-at")) { cfg.first_migration_at = std::stod(*v); continue; }
-    if (auto v = arg_value(arg, "--interval")) { cfg.migration_interval_s = std::stod(*v); continue; }
+    if (auto v = arg_value(arg, "--migrate-at")) {
+      cfg.first_migration_at = parse_number<double>("--migrate-at", *v);
+      continue;
+    }
+    if (auto v = arg_value(arg, "--interval")) {
+      cfg.migration_interval_s = parse_number<double>("--interval", *v);
+      continue;
+    }
     if (auto v = arg_value(arg, "--arrivals")) {
       std::string err;
       if (!cloud::parse_scheduler_spec(*v, &cfg.scheduler, &err)) {
@@ -175,11 +205,12 @@ int main(int argc, char** argv) {
       continue;
     }
     if (auto v = arg_value(arg, "--threshold")) {
-      cfg.approach_cfg.hybrid.threshold = static_cast<std::uint32_t>(std::stoul(*v));
+      cfg.approach_cfg.hybrid.threshold = parse_number<std::uint32_t>("--threshold", *v);
       continue;
     }
     if (auto v = arg_value(arg, "--chunk-kib")) {
-      cfg.cluster.image.chunk_bytes = static_cast<std::uint32_t>(std::stoul(*v)) * 1024;
+      cfg.cluster.image.chunk_bytes =
+          parse_number<std::uint32_t>("--chunk-kib", *v, 1, UINT32_MAX / 1024) * 1024;
       continue;
     }
     if (auto v = arg_value(arg, "--grid")) {
@@ -188,11 +219,15 @@ int main(int argc, char** argv) {
         std::cerr << "--grid expects XxY\n";
         return 2;
       }
-      cfg.cm1.grid_x = std::stoi(v->substr(0, x));
-      cfg.cm1.grid_y = std::stoi(v->substr(x + 1));
+      // 32767 per side keeps the rank count grid_x * grid_y inside an int.
+      cfg.cm1.grid_x = parse_number<int>("--grid", v->substr(0, x), 1, 32767);
+      cfg.cm1.grid_y = parse_number<int>("--grid", v->substr(x + 1), 1, 32767);
       continue;
     }
-    if (auto v = arg_value(arg, "--iterations")) { iterations = std::stoi(*v); continue; }
+    if (auto v = arg_value(arg, "--iterations")) {
+      iterations = parse_number<int>("--iterations", *v);
+      continue;
+    }
     if (auto v = arg_value(arg, "--faults")) {
       std::string err;
       if (!sim::parse_fault_spec(*v, &cfg.faults, &err)) {
@@ -202,8 +237,11 @@ int main(int argc, char** argv) {
       continue;
     }
     if (auto v = arg_value(arg, "--shards")) {
+      // kShardsAuto is UINT32_MAX, so a numeric count stops one below it.
       cfg.shards = (*v == "auto") ? cloud::ExperimentConfig::kShardsAuto
-                                  : static_cast<std::uint32_t>(std::stoul(*v));
+                                  : parse_number<std::uint32_t>(
+                                        "--shards", *v, 1,
+                                        cloud::ExperimentConfig::kShardsAuto - 1);
       continue;
     }
     if (std::strcmp(arg, "--explain-shards") == 0) {
@@ -218,7 +256,10 @@ int main(int argc, char** argv) {
       cfg.audit = true;
       continue;
     }
-    if (auto v = arg_value(arg, "--seed")) { cfg.seed = std::stoull(*v); continue; }
+    if (auto v = arg_value(arg, "--seed")) {
+      cfg.seed = parse_number<std::uint64_t>("--seed", *v);
+      continue;
+    }
     std::cerr << "unknown argument: " << arg << " (try --help)\n";
     return 2;
   }
@@ -310,19 +351,14 @@ int main(int argc, char** argv) {
     cloud::ExperimentConfig planned = cfg;
     planned.normalize();
     const cloud::ShardPlan plan = cloud::plan_shards(planned);
-    const char* kind = plan.kind == cloud::PlanKind::kSingle        ? "single"
-                       : plan.kind == cloud::PlanKind::kIndependent ? "independent"
-                                                                    : "epoch-coupled";
     std::cout << "shard plan: " << plan.shard_count() << " shard"
-              << (plan.shard_count() == 1 ? "" : "s") << " (" << kind << ")";
+              << (plan.shard_count() == 1 ? " (single)" : "s (independent)");
     if (plan.components > 0) std::cout << ", " << plan.components << " components";
     std::cout << "\n";
     for (std::uint32_t s = 0; s < plan.shard_count(); ++s)
       std::cout << "  shard " << s << ": " << plan.slices[s].size() << " VMs\n";
-    if (!plan.coupled_reason.empty())
-      std::cout << (plan.kind == cloud::PlanKind::kEpochCoupled ? "coupling: "
-                                                                : "collapse: ")
-                << plan.coupled_reason << "\n";
+    if (!plan.collapse_reason.empty())
+      std::cout << "collapse: " << plan.collapse_reason << "\n";
     return 0;
   }
 

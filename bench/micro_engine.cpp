@@ -36,6 +36,39 @@ void BM_EventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventThroughput)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// Timer-queue cost at a fleet-like depth: ~500 pending self-rescheduling
+// timers whose delays cycle through the fleet workloads' mix (0.1 ms to
+// 100 ms: station service times, latencies, think times), so most pushes
+// land out of timestamp order.
+void BM_TimerMixedDelays(benchmark::State& state) {
+  static constexpr double kDelays[] = {0.0001,     0.000985504, 0.00262144,
+                                       0.00526625, 0.0667,      0.1};
+  constexpr int kPending = 500;
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator s;
+    struct Mix {
+      sim::Simulator& s;
+      std::uint64_t left;
+      std::uint32_t lcg = 12345;
+      void hop() {
+        if (left == 0) return;
+        --left;
+        lcg = lcg * 1664525u + 1013904223u;
+        s.schedule(kDelays[(lcg >> 16) % 6], [this] { hop(); });
+      }
+    } mix{s, n};
+    for (int i = 0; i < kPending; ++i) mix.hop();
+    s.run();
+    events += s.events_processed();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.counters["events/sec"] =
+      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TimerMixedDelays)->Arg(200000);
+
 // Timer cancellation churn: schedule/cancel pairs exercise handle overhead
 // (previously weak_ptr lock, now generation-counter checks).
 void BM_TimerCancelChurn(benchmark::State& state) {

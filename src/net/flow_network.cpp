@@ -189,13 +189,13 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) {
   const Flow& f = fs.flow;
   // The departure dirties its component so the survivors get re-solved.
   detach_from_component(slot);
+  comp_heap_erase(slot);
   unlink(nodes_[f.src].out_head, slot, &FlowSlot::out_link);
   unlink(nodes_[f.dst].in_head, slot, &FlowSlot::in_link);
   for (std::uint8_t k = 2; k < fs.n_constraints; ++k)
     if (fs.constraints[k] < shared_users_.size()) --shared_users_[fs.constraints[k]];
   fs.op = nullptr;
   fs.in_use = false;
-  ++fs.gen;
   live_bits_.reset(slot);
   fs.next_free = free_head_;
   free_head_ = slot;
@@ -209,11 +209,51 @@ void FlowNetwork::apply_rate(Flow& f, double new_rate, std::uint32_t slot) {
   }
 }
 
-void FlowNetwork::push_projection(Flow& f, std::uint32_t slot) {
-  f.proj = f.rate > kEpsRate ? sim_.now() + f.remaining / f.rate : kUnlimitedRate;
-  if (!std::isfinite(f.proj)) return;  // stalled flows carry no completion entry
-  comp_heap_.push_back(CompEntry{f.proj, slot, flow_slots_[slot].gen});
-  std::push_heap(comp_heap_.begin(), comp_heap_.end(), CompLater{});
+void FlowNetwork::push_projection(const Flow& f, std::uint32_t slot) {
+  const double t = f.rate > kEpsRate ? sim_.now() + f.remaining / f.rate : kUnlimitedRate;
+  if (!std::isfinite(t)) {
+    comp_heap_erase(slot);  // stalled flows carry no completion entry
+    return;
+  }
+  std::uint32_t pos = flow_slots_[slot].heap_pos;
+  if (pos == kNilIndex) {
+    pos = static_cast<std::uint32_t>(comp_heap_.size());
+    comp_heap_.emplace_back();  // the hole comp_heap_place fills
+  }
+  comp_heap_place(pos, CompEntry{t, slot});
+}
+
+void FlowNetwork::comp_heap_erase(std::uint32_t slot) {
+  const std::uint32_t pos = flow_slots_[slot].heap_pos;
+  if (pos == kNilIndex) return;
+  flow_slots_[slot].heap_pos = kNilIndex;
+  const CompEntry last = comp_heap_.back();
+  comp_heap_.pop_back();
+  if (pos < comp_heap_.size()) comp_heap_place(pos, last);
+}
+
+// Fill the hole at `pos` with `e`, sifting up or down as the order requires
+// and recording the position of every entry that moves.
+void FlowNetwork::comp_heap_place(std::uint32_t pos, CompEntry e) {
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!comp_before(e, comp_heap_[parent])) break;
+    comp_heap_[pos] = comp_heap_[parent];
+    flow_slots_[comp_heap_[pos].slot].heap_pos = pos;
+    pos = parent;
+  }
+  const std::size_t n = comp_heap_.size();
+  for (;;) {
+    std::size_t child = 2 * std::size_t{pos} + 1;
+    if (child >= n) break;
+    if (child + 1 < n && comp_before(comp_heap_[child + 1], comp_heap_[child])) ++child;
+    if (!comp_before(comp_heap_[child], e)) break;
+    comp_heap_[pos] = comp_heap_[child];
+    flow_slots_[comp_heap_[pos].slot].heap_pos = pos;
+    pos = static_cast<std::uint32_t>(child);
+  }
+  comp_heap_[pos] = e;
+  flow_slots_[e.slot].heap_pos = pos;
 }
 
 void FlowNetwork::mark_dirty() {
@@ -267,7 +307,7 @@ void FlowNetwork::begin_flow(FlowOp* op) {
   f.remaining = op->bytes;
   f.rate = 0.0;
   f.cap = op->cap;
-  f.proj = kUnlimitedRate;
+  assert(fs.heap_pos == kNilIndex);  // released slots hold no heap entry
   fs.comp = kNilIndex;  // affected at the next settle (comp == nil)
   compute_incidence(fs);
   for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
@@ -374,7 +414,6 @@ void FlowNetwork::fail_flows_at(NodeId n) {
     // The un-sent remainder never crossed the wire: uncount it (bytes are
     // charged in full at flow start).
     traffic_[static_cast<std::size_t>(op->cls)] -= fs.flow.remaining;
-    fs.flow.proj = -1.0;  // any completion-heap entries turn stale
     sim_.post([](void* p, void*) { auto* o = static_cast<FlowOp*>(p); o->step(o); },
               op);
     release_flow_slot(slot);
@@ -771,21 +810,13 @@ void FlowNetwork::solve_epoch() {
   solved_components_ += n_groups;
   touched_flows_ += items_.size();
   for (SolverItem& it : items_) apply_rate(*it.f, it.alloc, it.slot);
+  assert(comp_heap_.size() <= live_flows_);
 }
 
 void FlowNetwork::schedule_completion() {
-  // Purge stale heads (finished flows or superseded projections), then make
-  // sure the single completion timer tracks the earliest live projection.
-  while (!comp_heap_.empty()) {
-    const CompEntry& top = comp_heap_.front();
-    const FlowSlot& fs = flow_slots_[top.slot];
-    if (fs.in_use && fs.gen == top.gen && top.t == fs.flow.proj) break;
-    std::pop_heap(comp_heap_.begin(), comp_heap_.end(), CompLater{});
-    comp_heap_.pop_back();
-  }
+  // Keep the single completion timer on the earliest projection.
   if (comp_heap_.empty()) {
     completion_timer_.cancel();
-    completion_timer_t_ = -1.0;
     return;
   }
   const double t = comp_heap_.front().t;
@@ -802,25 +833,23 @@ void FlowNetwork::on_completion_timer() {
     settle_timer_.cancel();
     settle_pending_ = false;
   }
+  // Every due entry is a live flow's current projection. They pop in
+  // (t, slot) order, which fixes the order the finished ops are posted in.
+  const double now = sim_.now();
   finished_scratch_.clear();
-  while (!comp_heap_.empty()) {
-    const CompEntry top = comp_heap_.front();
-    const FlowSlot& fs = flow_slots_[top.slot];
-    const bool stale = !fs.in_use || fs.gen != top.gen || top.t != fs.flow.proj;
-    if (!stale && top.t > sim_.now()) break;
-    std::pop_heap(comp_heap_.begin(), comp_heap_.end(), CompLater{});
-    comp_heap_.pop_back();
-    if (stale) continue;
-    Flow& f = flow_slots_[top.slot].flow;
+  while (!comp_heap_.empty() && comp_heap_.front().t <= now) {
+    const std::uint32_t slot = comp_heap_.front().slot;
+    const Flow& f = flow_slots_[slot].flow;
     if (flow_is_done(f.remaining, f.rate) ||
-        (f.rate > kEpsRate && sim_.now() + f.remaining / f.rate <= sim_.now())) {
+        (f.rate > kEpsRate && now + f.remaining / f.rate <= now)) {
       // Done, or the residue is below the clock's resolution at this
       // magnitude (re-projecting would spin on the same timestamp).
-      finished_scratch_.push_back(top.slot);
-      f.proj = -1.0;  // no entry can match: duplicates turn stale immediately
+      finished_scratch_.push_back(slot);
+      comp_heap_erase(slot);
     } else {
-      // Projection drifted (FP residue): re-project from current state.
-      push_projection(f, top.slot);
+      // Projection drifted (FP residue): re-key it from the current state,
+      // which lands strictly after now.
+      push_projection(f, slot);
     }
   }
   // Stepping an op only enqueues one zero-delay wakeup (exactly what the

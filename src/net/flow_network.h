@@ -30,9 +30,12 @@
 //    The event sequence is identical to the previous coroutine-based path.
 //  * Flows live in a slab of slots recycled through a free list, so
 //    starting a flow performs no per-flow heap allocation in steady state.
-//  * Completions come from a min-heap of projected finish times that is
-//    invalidated lazily: entries are re-validated against the flow's
-//    current projection when popped instead of being rescanned.
+//  * Completions come from an indexed min-heap of projected finish times
+//    with exactly one entry per flow whose projection is finite, ordered by
+//    (projection, slot). Each flow slot records its entry's position, so a
+//    rate change re-keys the entry in place and completion, failure,
+//    stalling or slot release erase it: the heap never outgrows the live
+//    flows and every entry popped is current.
 //  * flow_rate() walks the source node's outgoing-flow list and
 //    current_rate_sum() walks the live flows, both on demand: only tests
 //    read them, so no epoch pays for keeping them current.
@@ -407,7 +410,6 @@ class FlowNetwork {
     double remaining = 0;
     double rate = 0.0;
     double cap = kUnlimitedRate;
-    double proj = kUnlimitedRate;  // projected completion (absolute time)
   };
   /// Links of one intrusive doubly-linked list of flow slots.
   struct Link {
@@ -419,7 +421,9 @@ class FlowNetwork {
     // Continuation of the awaiting transfer op; stepped (via one zero-delay
     // event) when the flow completes. Replaces the per-transfer done Event.
     FlowOp* op = nullptr;
-    std::uint32_t gen = 0;  // bumped on release; completion entries compare it
+    // Position of the flow's completion-heap entry; kNil while its
+    // projection is infinite (stalled, or not yet solved).
+    std::uint32_t heap_pos = kNilIndex;
     std::uint32_t next_free = kNilIndex;
     bool in_use = false;
     // Position in items_ for the current solve pass (valid while solve_gen
@@ -472,24 +476,28 @@ class FlowNetwork {
     bool dirty = false;
     bool in_use = false;
   };
-  /// Lazily-invalidated projected completion; stale when the generation or
-  /// the projection no longer matches the flow.
+  /// A flow's projected completion (absolute time). Entries order by
+  /// (t, slot), so simultaneous completions pop in ascending slot order.
   struct CompEntry {
     double t;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
-  struct CompLater {
-    bool operator()(const CompEntry& a, const CompEntry& b) const noexcept {
-      if (a.t != b.t) return a.t > b.t;
-      return a.slot > b.slot;
-    }
-  };
+  static bool comp_before(const CompEntry& a, const CompEntry& b) noexcept {
+    if (a.t != b.t) return a.t < b.t;
+    return a.slot < b.slot;
+  }
 
   std::uint32_t alloc_flow_slot();
   void release_flow_slot(std::uint32_t slot);
   void apply_rate(Flow& f, double new_rate, std::uint32_t slot);
-  void push_projection(Flow& f, std::uint32_t slot);
+  /// Re-project the flow's completion from its current remaining bytes and
+  /// rate: insert or re-key its heap entry, or erase it when the rate is
+  /// too small to finish.
+  void push_projection(const Flow& f, std::uint32_t slot);
+  // Indexed completion heap (binary, comp_before order, positions kept in
+  // FlowSlot::heap_pos).
+  void comp_heap_erase(std::uint32_t slot);
+  void comp_heap_place(std::uint32_t pos, CompEntry e);
   /// Schedule the epoch-settle event if one is not already pending.
   void mark_dirty();
   void on_settle();
@@ -580,7 +588,7 @@ class FlowNetwork {
 
   std::vector<CompEntry> comp_heap_;
   sim::Simulator::Timer completion_timer_;
-  double completion_timer_t_ = -1.0;
+  double completion_timer_t_ = 0.0;  // deadline while completion_timer_ is active
 
   std::uint64_t recompute_count_ = 0;
   std::uint64_t flows_started_ = 0;

@@ -1,29 +1,68 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-
 namespace hm::sim {
 
 std::uint32_t Simulator::alloc_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = pool_[slot].next_free;
+    free_head_ = links_[slot].next;
     return slot;
   }
+  assert(pool_.size() < kFastSlot);
   pool_.emplace_back();
+  links_.emplace_back();
   return static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
 Simulator::Timer Simulator::schedule_at(double t, SmallFn fn) {
   if (!(t > now_)) t = now_;  // clamps past deadlines and NaN to "now"
   const std::uint32_t slot = alloc_slot();
-  assert(slot < (1u << kSlotBits));           // <= 16M concurrently pending
   Slot& s = pool_[slot];
   s.fn = std::move(fn);
+  s.seq = seq_++;
   s.cancelled = false;
-  assert(seq_ < (1ull << (64 - kSlotBits)));  // ~1.1e12 events per simulation
-  push_item(HeapItem{t, (seq_++ << kSlotBits) | slot});
+  lane_push(slot, t);
   return Timer{this, slot, s.gen};
+}
+
+void Simulator::rebucket(unsigned b, std::uint64_t base) noexcept {
+  std::uint32_t list = buckets_[b].head;
+  buckets_[b] = Bucket{};
+  nonempty_ &= ~(std::uint64_t{1} << (b - 1));
+  last_ = base;
+  while (list != kNilSlot) {
+    const LaneNode node = links_[list];
+    bucket_append(bucket_of(node.key), list, node.key);
+    list = node.next;
+  }
+}
+
+std::uint32_t Simulator::lane_front(std::uint64_t limit) noexcept {
+  if (buckets_[0].head != kNilSlot) return buckets_[0].head;
+  if (nonempty_ == 0) return kNilSlot;
+  const unsigned b = static_cast<unsigned>(std::countr_zero(nonempty_)) + 1;
+  const std::uint64_t min_key = buckets_[b].min_key;
+  if (min_key > limit) return kNilSlot;
+  // Every other bucket keeps its index: the new base agrees with the old one
+  // on every bit above b-1, so only bucket b's entries move (all downwards,
+  // the minimum's run into bucket 0).
+  rebucket(b, min_key);
+  return buckets_[0].head;
+}
+
+void Simulator::rebase_lane() noexcept {
+  const std::uint64_t base = key_of(now_);
+  if (lane_size_ == 0 || base == last_) {
+    last_ = base;
+    return;
+  }
+  // Every pending key is >= now(), so the buckets below bucket_of(base) are
+  // empty and only bucket_of(base)'s entries change bucket (the argument in
+  // lane_front, with now() in place of the minimum).
+  const unsigned b = bucket_of(base);
+  assert(last_ < base && buckets_[0].head == kNilSlot &&
+         (nonempty_ & ((std::uint64_t{1} << (b - 1)) - 1)) == 0);
+  rebucket(b, base);
 }
 
 void Simulator::destroy_detached() noexcept {
@@ -55,92 +94,38 @@ void Simulator::grow_fast() {
   fast_head_ = 0;
 }
 
-// 4-ary sift with a moving hole: half the depth of a binary heap and the
-// four children share a cache line, so ordering costs fewer misses.
-void Simulator::heap_push(HeapItem item) {
-  std::size_t i = heap_.size();
-  heap_.push_back(item);  // reserve the space; overwritten below
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!before(item, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = item;
-}
-
-Simulator::HeapItem Simulator::pop_item() {
-  const bool have_tail = tail_head_ < tail_.size();
-  if (!heap_.empty() && (!have_tail || before(heap_.front(), tail_[tail_head_])))
-    return heap_pop();
-  const HeapItem item = tail_[tail_head_++];
-  if (tail_head_ == tail_.size()) {
-    tail_.clear();
-    tail_head_ = 0;
-  } else if (tail_head_ >= 1024 && tail_head_ * 2 >= tail_.size()) {
-    // Drop the consumed prefix so a long-lived run does not pin memory;
-    // amortized O(1) because at least half the entries left between trims.
-    tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(tail_head_));
-    tail_head_ = 0;
-  }
-  return item;
-}
-
-Simulator::HeapItem Simulator::heap_pop() {
-  const HeapItem top = heap_.front();
-  const HeapItem last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n > 0) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first_child = (i << 2) + 1;
-      if (first_child >= n) break;
-      const std::size_t last_child = std::min(first_child + 4, n);
-      std::size_t best = first_child;
-      for (std::size_t c = first_child + 1; c < last_child; ++c)
-        if (before(heap_[c], heap_[best])) best = c;
-      if (!before(heap_[best], last)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
-  }
-  return top;
-}
-
 bool Simulator::pop_and_run() {
   for (;;) {
     // Skip cancelled fast-lane heads (not counted as processed, mirroring
-    // cancelled slab entries).
+    // cancelled timer entries).
     while (fast_count_ > 0 && fast_[fast_head_].fn == nullptr) fast_pop();
-    const HeapItem* top = peek_item();
     if (fast_count_ > 0) {
       // Every pending fast entry sits at exactly now() (see FastItem), so
-      // it loses only to a timer entry at the same instant with a smaller
-      // global seq.
-      const FastItem& head = fast_[fast_head_];
-      if (top == nullptr || top->t > now_ || (top->key >> kSlotBits) > head.seq) {
+      // it loses only to a timer due at now() — those are exactly bucket 0
+      // (see the lane invariants) — with a smaller global seq.
+      const std::uint32_t due = buckets_[0].head;
+      if (due == kNilSlot || pool_[due].seq > fast_[fast_head_].seq) {
         const FastItem item = fast_pop();
         ++processed_;
         item.fn(item.a, item.b);
         return true;
       }
+    } else if (lane_front(~std::uint64_t{0}) == kNilSlot) {
+      return false;
     }
-    if (top == nullptr) return false;
-    const HeapItem item = pop_item();
-    Slot& s = pool_[item.slot()];
+    const std::uint32_t slot = lane_pop_front();
+    Slot& s = pool_[slot];
     if (s.cancelled) {
-      release_slot(item.slot());
+      release_slot(slot);
       continue;
     }
-    assert(item.t >= now_);
-    now_ = item.t;
+    assert(deadline(slot) >= now_);
+    now_ = deadline(slot);
     ++processed_;
     // Move the callback out and release the slot first, so the callback can
     // re-schedule (and the pool recycle the slot) while it runs.
     SmallFn fn = std::move(s.fn);
-    release_slot(item.slot());
+    release_slot(slot);
     fn();
     return true;
   }
@@ -154,26 +139,36 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(double t) {
+  if (t != t) {  // a NaN horizon bounds nothing: every comparison with it fails
+    run();
+    return;
+  }
+  // A horizon behind the clock admits only the timers due at now(), which
+  // are all later than it.
+  const std::uint64_t limit = key_of(t > now_ ? t : now_);
   for (;;) {
     while (fast_count_ > 0 && fast_[fast_head_].fn == nullptr) fast_pop();
     if (fast_count_ > 0) {
       // Pending fast entries sit at now(); run them unless the boundary is
-      // already behind the clock (matching the old t-vs-entry comparison).
+      // already behind the clock.
       if (now_ > t) break;
       pop_and_run();
       continue;
     }
-    const HeapItem* top = peek_item();
-    if (top == nullptr) break;
-    // Skip over cancelled entries without advancing time.
-    if (pool_[top->slot()].cancelled) {
-      release_slot(pop_item().slot());
+    // The horizon check comes before any pop, cancelled entries included:
+    // the lane must not redistribute around a key the clock will not reach.
+    const std::uint32_t top = lane_front(limit);
+    if (top == kNilSlot || deadline(top) > t) break;
+    if (pool_[top].cancelled) {
+      release_slot(lane_pop_front());  // skip without advancing time
       continue;
     }
-    if (top->t > t) break;
     pop_and_run();
   }
-  if (now_ < t) now_ = t;
+  if (now_ < t) {
+    now_ = t;
+    rebase_lane();
+  }
 }
 
 bool Simulator::run_while_pending(const std::function<bool()>& done_pred) {

@@ -1,27 +1,36 @@
-// Discrete-event simulation core: virtual clock, timer wheel and coroutine
+// Discrete-event simulation core: virtual clock, timer queue and coroutine
 // scheduling. All substrates (network, disks, hypervisor, workloads) run as
 // coroutines driven by one Simulator instance, giving fully deterministic
 // experiments.
 //
 // The event core is allocation-free in steady state and the pending set is
-// THREE lanes, popped by the globally smallest (time, seq) key so the event
+// TWO lanes, popped by the globally smallest (time, seq) key so the event
 // order is a pure function of the schedule calls, never of the lane:
 //  * fast lane  — an O(1) FIFO ring of seq-stamped raw continuations
 //    (function pointer + two opaque words) for zero-delay work: coroutine
 //    wakeups, yields, flow-completion steps, FIFO-station handoffs. No slot
 //    allocation, no callable construction, no heap.
-//  * tail lane  — a monotone sorted-run FIFO for the dominant
-//    in-timestamp-order timer schedules (O(1) push).
-//  * heap lane  — an index-based 4-ary min-heap with inline (t, seq) keys
-//    for out-of-order timer pushes.
+//  * timer lane — a radix heap over the bit patterns of the deadlines.
+//    Every timer is due at or after now(), and non-negative doubles order
+//    the same way as their bits, so this is the monotone priority queue
+//    radix heaps are built for (Ahuja, Mehlhorn, Orlin & Tarjan, JACM
+//    1990): bucket b > 0 holds the keys whose highest bit differing from
+//    the last extracted key is bit b-1, and bucket 0 the keys equal to it.
+//    A push is O(1); a pop that finds bucket 0 empty redistributes the
+//    lowest non-empty bucket around its minimum (tracked per bucket, so
+//    that is one pass), and each key only ever moves to lower buckets. The
+//    65 buckets are FIFO lists threaded through the timer slots, so equal
+//    deadlines pop in seq order and the lane never allocates beyond the
+//    slot pool.
 // Timer entries live in a slab pool recycled through a free list and hold a
 // SmallFn (two-word inline callable, compile-time capture check — see
 // small_fn.h) instead of a std::function, so no scheduled event ever
 // heap-allocates. Timer handles validate against per-slot generation
-// counters (slab lanes) or against the fast lane's monotone pop count, so
+// counters (timer slots) or against the fast lane's monotone pop count, so
 // handles outliving their entry are safely inert.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -81,9 +90,10 @@ class Simulator {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
-  /// Schedule `fn` at absolute virtual time `t` (clamped to >= now). Used
-  /// where the caller already holds an absolute deadline (e.g. the flow
-  /// network's completion heap) and re-deriving a delay would round twice.
+  /// Schedule `fn` at absolute virtual time `t` (clamped to >= now; NaN
+  /// counts as now). Used where the caller already holds an absolute
+  /// deadline (e.g. the flow network's completion heap) and re-deriving a
+  /// delay would round twice.
   Timer schedule_at(double t, SmallFn fn);
 
   // --- fast lane ------------------------------------------------------------
@@ -166,7 +176,7 @@ class Simulator {
   bool run_while_pending(const std::function<bool()>& done_pred);
 
   std::size_t pending_events() const noexcept {
-    return heap_.size() + (tail_.size() - tail_head_) + fast_count_;
+    return lane_size_ + fast_count_;
   }
   std::uint64_t events_processed() const noexcept { return processed_; }
 
@@ -174,32 +184,23 @@ class Simulator {
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
   /// Sentinel slot id marking a Timer that refers to a fast-lane entry (its
   /// gen field then carries the entry's global fast-lane index). Distinct
-  /// from any slab slot: the slab is capped at 2^24 entries.
+  /// from any slab slot: alloc_slot keeps slot ids below it.
   static constexpr std::uint32_t kFastSlot = 0xfffffffeu;
 
-  /// Pooled timer entry; the sort keys live in HeapItem, not here.
+  /// Pooled timer entry; its deadline and list link live in the parallel
+  /// LaneNode, which is all a bucket redistribution touches.
   struct Slot {
     SmallFn fn;
+    std::uint64_t seq = 0;  // global schedule order (ties on the deadline)
     std::uint64_t gen = 0;  // bumped on release; Timer handles compare it
-    std::uint32_t next_free = kNilSlot;
     bool cancelled = false;
   };
-  /// Heap element with inline keys: sift operations stay within one
-  /// contiguous array, never dereferencing the pool. The 16-byte layout
-  /// packs (seq, slot) into one word so four children span one cache line;
-  /// comparing `key` directly yields FIFO order within a timestamp.
-  static constexpr unsigned kSlotBits = 24;  // <= 16M concurrently pending
-  struct HeapItem {
-    double t;
-    std::uint64_t key;  // (seq << kSlotBits) | slot
-    std::uint32_t slot() const noexcept {
-      return static_cast<std::uint32_t>(key & ((1u << kSlotBits) - 1));
-    }
+  /// `key` is the deadline's bit pattern; `next` links the radix bucket's
+  /// FIFO while the slot is pending and the free list while it is free.
+  struct LaneNode {
+    std::uint64_t key = 0;
+    std::uint32_t next = kNilSlot;
   };
-  static bool before(const HeapItem& a, const HeapItem& b) noexcept {
-    if (a.t != b.t) return a.t < b.t;
-    return a.key < b.key;
-  }
 
   /// Fast-lane ring entry. Its timestamp is implicit: entries are pushed at
   /// the then-current virtual time, and because pops always take the global
@@ -213,30 +214,66 @@ class Simulator {
     std::uint64_t seq;
   };
 
-  // Two timer lanes. DES schedules are overwhelmingly monotone (each event
-  // schedules successors at now + delay, and now only moves forward), so a
-  // push that is not earlier than the newest tail entry appends to a sorted
-  // run in O(1); only out-of-order pushes pay the heap's O(log n).
-  void push_item(HeapItem item) {
-    if (tail_head_ == tail_.size()) {
-      tail_.clear();
-      tail_head_ = 0;
-    }
-    if (tail_.empty() || !before(item, tail_.back())) {
-      tail_.push_back(item);
-      return;
-    }
-    heap_push(item);
+  // --- timer lane (radix heap; see the file comment) -----------------------
+  // Invariants: every pending key is >= last_, and each pending slot sits in
+  // bucket_of(its key). Whenever a callback runs or the fast lane is
+  // compared against the lane, last_ is also the key of now() (or the lane
+  // is empty), so the timers due exactly at now() are precisely bucket 0.
+  // Only a pop re-bases the lane past now(): it either moves the clock
+  // there or drops a cancelled entry with nothing else running in between,
+  // and run_until never pops past its horizon. run_until re-bases onto the
+  // horizon when it moves the clock there without a pop, and a push into an
+  // empty lane re-bases onto now().
+  static constexpr unsigned kBuckets = 65;
+  struct Bucket {
+    std::uint32_t head = kNilSlot;
+    std::uint32_t tail = kNilSlot;
+    std::uint64_t min_key = ~std::uint64_t{0};  // smallest key appended since emptied
+  };
+  static std::uint64_t key_of(double t) noexcept { return std::bit_cast<std::uint64_t>(t); }
+  double deadline(std::uint32_t slot) const noexcept {
+    return std::bit_cast<double>(links_[slot].key);
   }
-  /// Head of the two timer lanes only (the fast lane is compared against
-  /// this by the pop loop, which knows the ring's implicit timestamp).
-  const HeapItem* peek_item() const noexcept {
-    const bool have_tail = tail_head_ < tail_.size();
-    if (heap_.empty()) return have_tail ? &tail_[tail_head_] : nullptr;
-    if (!have_tail || before(heap_.front(), tail_[tail_head_])) return &heap_.front();
-    return &tail_[tail_head_];
+  unsigned bucket_of(std::uint64_t key) const noexcept {
+    return static_cast<unsigned>(64 - std::countl_zero(key ^ last_));
   }
-  HeapItem pop_item();
+  void bucket_append(unsigned b, std::uint32_t slot, std::uint64_t key) noexcept {
+    links_[slot].next = kNilSlot;
+    Bucket& bk = buckets_[b];
+    if (key < bk.min_key) bk.min_key = key;
+    if (bk.tail == kNilSlot) {
+      bk.head = slot;
+      if (b > 0) nonempty_ |= std::uint64_t{1} << (b - 1);
+    } else {
+      links_[bk.tail].next = slot;
+    }
+    bk.tail = slot;
+  }
+  void lane_push(std::uint32_t slot, double t) noexcept {
+    if (lane_size_ == 0) last_ = key_of(now_);  // rebase an empty lane
+    ++lane_size_;
+    const std::uint64_t key = key_of(t);
+    links_[slot].key = key;
+    bucket_append(bucket_of(key), slot, key);
+  }
+  /// Re-base the lane on `base` (<= every pending key, and agreeing with
+  /// last_ above bit b-1) by moving bucket b's entries, in list order, to
+  /// their buckets relative to it.
+  void rebucket(unsigned b, std::uint64_t base) noexcept;
+  /// The lane's earliest entry, moved to the head of bucket 0 — unless the
+  /// lane is empty or its earliest key exceeds `limit`, in which case
+  /// nothing moves and the result is kNilSlot.
+  std::uint32_t lane_front(std::uint64_t limit) noexcept;
+  std::uint32_t lane_pop_front() noexcept {
+    Bucket& b0 = buckets_[0];
+    const std::uint32_t slot = b0.head;
+    b0.head = links_[slot].next;
+    if (b0.head == kNilSlot) b0.tail = kNilSlot;
+    --lane_size_;
+    return slot;
+  }
+  /// Re-key the lane on now() after the clock moved without a pop.
+  void rebase_lane() noexcept;
 
   std::uint32_t alloc_slot();
   void release_slot(std::uint32_t slot) noexcept {
@@ -244,7 +281,7 @@ class Simulator {
     s.fn = nullptr;  // drop captured state promptly
     s.cancelled = false;
     ++s.gen;
-    s.next_free = free_head_;
+    links_[slot].next = free_head_;
     free_head_ = slot;
   }
   void cancel_entry(std::uint32_t slot, std::uint64_t gen) noexcept {
@@ -279,19 +316,18 @@ class Simulator {
   }
   void grow_fast();
 
-  void heap_push(HeapItem item);
-  HeapItem heap_pop();
-
   bool pop_and_run();
 
-  std::vector<HeapItem> heap_;  // out-of-order lane: implicit 4-ary min-heap
-  std::vector<HeapItem> tail_;  // monotone lane: sorted run consumed from tail_head_
-  std::size_t tail_head_ = 0;
+  Bucket buckets_[kBuckets];
+  std::uint64_t nonempty_ = 0;  // bit b-1 set while bucket b (1..64) is non-empty
+  std::uint64_t last_ = 0;      // key the buckets are relative to
+  std::size_t lane_size_ = 0;   // pending timer entries, cancelled ones included
   std::vector<FastItem> fast_;  // fast lane: power-of-two ring buffer
   std::size_t fast_head_ = 0;
   std::size_t fast_count_ = 0;
   std::uint64_t fast_popped_ = 0;  // entries ever popped (handle validation)
   std::vector<Slot> pool_;
+  std::vector<LaneNode> links_;  // parallel to pool_
   std::uint32_t free_head_ = kNilSlot;
   double now_ = 0.0;
   std::uint64_t seq_ = 0;

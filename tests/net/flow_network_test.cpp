@@ -353,8 +353,9 @@ TEST(FlowNetwork, StaleCompletionEntryDoesNotFireEarly) {
 }
 
 TEST(FlowNetwork, CompletionHeapSurvivesSlotReuse) {
-  // Sequential transfers recycle flow slot 0; completion entries from dead
-  // generations must never terminate the current occupant.
+  // Sequential transfers recycle flow slot 0; releasing a slot erases its
+  // completion entry, so nothing left from an earlier occupant can
+  // terminate the current one.
   NetFixture f;
   const NodeId a = f.net.add_node(kNic), b = f.net.add_node(kNic);
   double done_at = -1;
@@ -368,6 +369,94 @@ TEST(FlowNetwork, CompletionHeapSurvivesSlotReuse) {
   EXPECT_NEAR(done_at, 0.5, 1e-6);
   // Each flow is its own epoch: arrival solve + completion solve.
   EXPECT_EQ(f.net.recompute_count(), 10u);
+  EXPECT_EQ(f.net.active_flows(), 0u);
+}
+
+sim::Task xfer_tagged(FlowNetwork* net, NodeId a, NodeId b, double bytes, int tag,
+                      std::vector<int>* order, double* done_at, sim::Simulator* s) {
+  co_await net->transfer(a, b, bytes, TrafficClass::kMemory);
+  order->push_back(tag);
+  *done_at = s->now();
+}
+
+// Flows that project the same completion time post their ops in ascending
+// slot order, even when the solver re-keyed their entries (rate churn)
+// inside an escalated global solve and the slots were handed out in the
+// reverse of arrival order. Four warm-up flows finish one after another and
+// free slots 0..3 in that order, so the free list hands X0..X3 slots 3, 2,
+// 1, 0.
+TEST(FlowNetwork, SimultaneousCompletionsPostInSlotOrder) {
+  NetFixture f(/*fabric=*/200e6);
+  std::vector<NodeId> src, dst;
+  for (int i = 0; i < 5; ++i) {
+    src.push_back(f.net.add_node(kNic));
+    dst.push_back(f.net.add_node(kNic));
+  }
+  std::vector<int> order;
+  double warm[4], done[4], bg = -1;
+  // Disjoint pairs, each alone at 100 MB/s, oversubscribe the 200 MB/s
+  // fabric: the epoch escalates and the flows share it equally.
+  for (int i = 0; i < 4; ++i)
+    f.s.spawn(xfer(&f.net, src[i], dst[i], 5e6 * (i + 1), TrafficClass::kMemory, &warm[i],
+                   &f.s));
+  struct Churn {
+    NetFixture& f;
+    std::vector<NodeId>& src;
+    std::vector<NodeId>& dst;
+    std::vector<int>& order;
+    double* done;
+    double* bg;
+    void start_xs() {
+      for (int i = 0; i < 4; ++i)
+        f.s.spawn(xfer_tagged(&f.net, src[i], dst[i], 25e6, i, &order, &done[i], &f.s));
+    }
+    void start_bg() {
+      f.s.spawn(xfer(&f.net, src[4], dst[4], 5e6, TrafficClass::kMemory, bg, &f.s));
+    }
+  } churn{f, src, dst, order, done, &bg};
+  f.s.schedule(1.0, [&churn] { churn.start_xs(); });
+  // A fifth flow joins and leaves mid-way: 50 -> 40 -> 50 MB/s for X0..X3.
+  f.s.schedule(1.05, [&churn] { churn.start_bg(); });
+  f.s.run();
+  EXPECT_NEAR(warm[0], 0.1, 1e-9);
+  EXPECT_NEAR(warm[1], 0.175, 1e-9);
+  EXPECT_NEAR(warm[2], 0.225, 1e-9);
+  EXPECT_NEAR(warm[3], 0.275, 1e-9);
+  EXPECT_NEAR(bg, 1.175, 1e-9);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(done[i], done[0]);
+  EXPECT_NEAR(done[0], 1.525, 1e-9);
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
+  EXPECT_GT(f.net.escalation_count(), 0u);
+}
+
+// A flow stalled at rate 0 holds no completion entry: once its neighbour
+// finishes no timer is left and the queue drains with the flow still live.
+// When the capacity returns it completes at the re-projected time.
+TEST(FlowNetwork, StalledFlowHasNoEntryAndCompletesWhenCapacityReturns) {
+  NetFixture f(/*fabric=*/150e6);
+  const NodeId a = f.net.add_node(kNic), b = f.net.add_node(kNic);
+  const NodeId c = f.net.add_node(kNic), d = f.net.add_node(kNic);
+  double done_ab = -1, done_cd = -1;
+  // Both alone would run at 100 MB/s: the 150 MB/s fabric escalates the
+  // epoch and splits it 75/75.
+  f.s.spawn(xfer(&f.net, a, b, 100e6, TrafficClass::kMemory, &done_ab, &f.s));
+  f.s.spawn(xfer(&f.net, c, d, 30e6, TrafficClass::kMemory, &done_cd, &f.s));
+  struct Flap {
+    FlowNetwork& net;
+    NodeId n;
+    void go() { net.set_link_flapped(n, true); }
+  } flap{f.net, a};
+  f.s.schedule(0.1, [&flap] { flap.go(); });  // a->b stalls with 92.5 MB left
+  f.s.run();
+  EXPECT_GT(f.net.escalation_count(), 0u);
+  EXPECT_NEAR(done_cd, 0.325, 1e-9);  // 22.5 MB at the full 100 MB/s
+  EXPECT_EQ(done_ab, -1);
+  EXPECT_EQ(f.net.active_flows(), 1u);
+  EXPECT_EQ(f.s.pending_events(), 0u);
+  EXPECT_NEAR(f.s.now(), 0.325, 1e-9);
+  f.net.set_link_flapped(a, false);
+  f.s.run();
+  EXPECT_NEAR(done_ab, 0.325 + 0.925, 1e-9);
   EXPECT_EQ(f.net.active_flows(), 0u);
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace hm::sim {
@@ -175,8 +180,8 @@ TEST(Simulator, RecycledEntryKeepsOldHandlesInert) {
   EXPECT_TRUE(second);
 }
 
-// Mixed monotone and out-of-order scheduling exercises both pending lanes
-// (sorted-run FIFO and heap); global time order must hold regardless.
+// Out-of-order deadlines land in different radix buckets and are
+// redistributed as the clock advances; global time order must hold.
 TEST(Simulator, OutOfOrderSchedulingInterleavesLanes) {
   Simulator s;
   std::vector<double> order;
@@ -187,7 +192,7 @@ TEST(Simulator, OutOfOrderSchedulingInterleavesLanes) {
 }
 
 // Long self-rescheduling chain: the slab must recycle entries instead of
-// growing, and the clock must stay monotone across lane switches.
+// growing, and the clock must stay monotone across bucket redistributions.
 TEST(Simulator, PoolRecyclingUnderChainedScheduling) {
   Simulator s;
   // Hop state lives in one struct so each event's callback is a single
@@ -221,6 +226,173 @@ TEST(Simulator, PendingEventsTracksQueue) {
   EXPECT_EQ(s.pending_events(), 0u);
 }
 
+// A cancelled entry beyond run_until's horizon stays queued: popping it
+// would rebuild the radix lane around a deadline the clock never reached,
+// and a later timer between the horizon and that deadline would misorder.
+TEST(Simulator, RunUntilKeepsCancelledEntryBeyondHorizon) {
+  Simulator s;
+  Simulator::Timer far = s.schedule(10.0, [] {});
+  far.cancel();
+  s.run_until(2.0);
+  EXPECT_DOUBLE_EQ(s.now(), 2.0);
+  std::vector<double> fired;
+  s.schedule(1.0, [&] { fired.push_back(s.now()); });     // t = 3
+  s.schedule_at(2.5, [&] { fired.push_back(s.now()); });  // t = 2.5
+  s.schedule(0.0, [&] { fired.push_back(s.now()); });     // t = 2
+  s.run();
+  EXPECT_EQ(fired, (std::vector<double>{2.0, 2.5, 3.0}));
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+// run() drains by popping a cancelled entry later than the clock; timers
+// scheduled afterwards, earlier than that entry, must still run in order.
+TEST(Simulator, SchedulesAfterDrainFollowingCancelledPop) {
+  Simulator s;
+  s.schedule(1.0, [] {});
+  s.schedule(5.0, [] {}).cancel();
+  s.run();
+  EXPECT_DOUBLE_EQ(s.now(), 1.0);
+  std::vector<double> fired;
+  s.schedule(2.0, [&] { fired.push_back(s.now()); });
+  s.schedule(0.5, [&] { fired.push_back(s.now()); });
+  s.schedule(0.0, [&] { fired.push_back(s.now()); });
+  s.run();
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 1.5, 3.0}));
+}
+
+// Randomized check of the timer and fast lanes against a reference ordered
+// by (t, seq). Every event asserts that it is the reference's earliest, then
+// draws a few more actions: timers with the fleet workloads' delay mix,
+// arbitrary absolute deadlines, past and NaN deadlines (clamped to now),
+// +inf deadlines, posts, cancellable posts and cancellations. The test loop
+// interleaves step(), run_until() horizons (some behind the clock) and
+// actions taken between events.
+class LaneOracle {
+ public:
+  LaneOracle(Simulator& s, std::uint64_t seed, int budget)
+      : s_(s), rng_(seed), budget_(budget) {}
+
+  /// One random action at the current time (a no-op once the budget is
+  /// spent, so every run drains).
+  void act() {
+    if (budget_ <= 0) return;
+    --budget_;
+    static constexpr double kDelays[] = {0.0001,     0.000985504, 0.00262144,
+                                         0.00526625, 0.0667,      0.1};
+    static constexpr double kOddDeadlines[] = {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                                               std::numeric_limits<double>::infinity()};
+    const unsigned kind = static_cast<unsigned>(rng_() % 10);
+    if (kind == 9) {
+      cancel_one();
+      return;
+    }
+    const double now = s_.now();
+    const std::uint64_t seq = seq_++;  // mirrors the simulator's schedule counter
+    if (kind < 4) {
+      const double d = kDelays[rng_() % 6];
+      add_timer(s_.schedule(d, [this, seq] { fire(seq); }), now + d, seq);
+    } else if (kind == 4) {
+      // Arbitrary absolute deadline on a coarse grid, so some tie exactly.
+      const double t = now + static_cast<double>(rng_() % 64) * 0.00390625;
+      add_timer(s_.schedule_at(t, [this, seq] { fire(seq); }), t, seq);
+    } else if (kind == 5) {
+      const double t = kOddDeadlines[rng_() % 3];
+      add_timer(s_.schedule_at(t, [this, seq] { fire(seq); }), t > now ? t : now, seq);
+    } else if (kind < 8) {
+      s_.post(&fire_fast, this, reinterpret_cast<void*>(static_cast<std::uintptr_t>(seq)));
+      pending_.insert(Key{now, seq});
+    } else {
+      add_timer(s_.post_cancellable(&fire_fast, this,
+                                    reinterpret_cast<void*>(static_cast<std::uintptr_t>(seq))),
+                now, seq);
+    }
+  }
+
+  bool idle() const { return pending_.empty(); }
+  bool none_due_by(double t) const { return pending_.empty() || pending_.begin()->t > t; }
+  std::uint64_t fired() const { return fired_; }
+
+ private:
+  struct Key {
+    double t;
+    std::uint64_t seq;
+    bool operator<(const Key& o) const { return t < o.t || (t == o.t && seq < o.seq); }
+  };
+
+  static void fire_fast(void* self, void* seq) {
+    static_cast<LaneOracle*>(self)->fire(reinterpret_cast<std::uintptr_t>(seq));
+  }
+  void fire(std::uint64_t seq) {
+    ASSERT_FALSE(pending_.empty());
+    EXPECT_EQ(pending_.begin()->seq, seq);
+    EXPECT_EQ(pending_.begin()->t, s_.now());
+    pending_.erase(Key{s_.now(), seq});
+    ++fired_;
+    for (unsigned n = static_cast<unsigned>(rng_() % 4); n > 0; --n) act();
+  }
+  void add_timer(Simulator::Timer h, double t, std::uint64_t seq) {
+    pending_.insert(Key{t, seq});
+    handles_.emplace_back(h, Key{t, seq});
+  }
+  // Cancel a random handle, fired or not: a handle is active exactly while
+  // its event is pending, and cancelling a fired one is inert.
+  void cancel_one() {
+    if (handles_.empty()) return;
+    const std::size_t i = rng_() % handles_.size();
+    auto [h, key] = handles_[i];
+    handles_[i] = handles_.back();
+    handles_.pop_back();
+    EXPECT_EQ(h.active(), pending_.count(key) > 0);
+    h.cancel();
+    EXPECT_FALSE(h.active());
+    pending_.erase(key);
+  }
+
+  Simulator& s_;
+  std::mt19937_64 rng_;
+  int budget_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t fired_ = 0;
+  std::set<Key> pending_;  // uncancelled events, in (t, seq) order
+  std::vector<std::pair<Simulator::Timer, Key>> handles_;
+};
+
+TEST(Simulator, TimerLaneMatchesReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulator s;
+    LaneOracle oracle(s, seed, 20000);
+    std::mt19937_64 drive(seed * 7919);
+    for (int i = 0; i < 64; ++i) oracle.act();
+    while (!oracle.idle()) {
+      switch (drive() % 4) {
+        case 0:
+          s.step();
+          break;
+        case 1:
+          for (int i = 0; i < 8 && !oracle.idle(); ++i) s.step();
+          break;
+        case 2: {
+          // A horizon up to 4 ms behind the clock or 35 ms ahead of it.
+          const double before = s.now();
+          const double h = before + (static_cast<double>(drive() % 40) - 4.0) * 0.001;
+          s.run_until(h);
+          EXPECT_EQ(s.now(), std::max(before, h));
+          EXPECT_TRUE(oracle.none_due_by(h));
+          break;
+        }
+        default:
+          oracle.act();  // between events, after a step or a clock jump
+          break;
+      }
+    }
+    s.run();
+    EXPECT_TRUE(oracle.idle());
+    EXPECT_EQ(s.pending_events(), 0u);
+    EXPECT_EQ(s.events_processed(), oracle.fired());
+  }
+}
+
 // --- fast lane ---------------------------------------------------------------
 
 namespace {
@@ -231,8 +403,9 @@ void push_tag(void* vec, void* tag) {
 void bump(void* counter, void*) { ++*static_cast<int*>(counter); }
 }  // namespace
 
-// All three lanes holding events at ONE timestamp must drain in global
-// schedule order (FIFO by seq), regardless of which lane each landed in.
+// Events reaching ONE timestamp by all three routes — timers redistributed
+// into the radix lane's bucket 0, timers pushed straight into it, and
+// fast-lane posts — must drain in global schedule order (FIFO by seq).
 TEST(Simulator, SameTimestampFifoAcrossAllThreeLanes) {
   Simulator s;
   std::vector<int> order;
@@ -240,19 +413,19 @@ TEST(Simulator, SameTimestampFifoAcrossAllThreeLanes) {
     Simulator& s;
     std::vector<int>& order;
   } ctx{s, order};
-  // seq 0: tail entry at t=1 that fans out into the other lanes when run.
+  // seq 0: timer at t=1 that fans out into both lanes when run.
   s.schedule(1.0, [&ctx] {
     ctx.order.push_back(1);
-    // The tail's newest entry is the t=5 event, so these zero-delay
-    // schedules are out-of-order and land in the HEAP...
+    // The clock is at t=1, so these zero-delay timers land straight in
+    // bucket 0, behind the seq-2 timer redistributed there before...
     ctx.s.schedule(0.0, [&ctx] { ctx.order.push_back(3); });
     // ...while posts land in the fast lane's ring.
     ctx.s.post(&push_tag, &ctx.order, reinterpret_cast<void*>(4));
     ctx.s.schedule(0.0, [&ctx] { ctx.order.push_back(5); });
     ctx.s.post(&push_tag, &ctx.order, reinterpret_cast<void*>(6));
   });
-  s.schedule(5.0, [&ctx] { ctx.order.push_back(7); });  // seq 1: tail, future
-  s.schedule(1.0, [&ctx] { ctx.order.push_back(2); });  // seq 2: heap (out of order)
+  s.schedule(5.0, [&ctx] { ctx.order.push_back(7); });  // seq 1: future bucket
+  s.schedule(1.0, [&ctx] { ctx.order.push_back(2); });  // seq 2: ties seq 0
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
   EXPECT_DOUBLE_EQ(s.now(), 5.0);

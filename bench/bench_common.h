@@ -4,10 +4,13 @@
 // chunks, VMs with 4 GB RAM, QEMU pre-copy memory migration capped at 1 Gbps.
 #pragma once
 
-#include <cstdlib>
+#include <cstdint>
+#include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "cloud/experiment.h"
 #include "cloud/report.h"
 #include "cloud/sweep.h"
@@ -24,17 +27,6 @@ using storage::kMiB;
 inline const std::vector<core::Approach> kAllApproaches = {
     core::Approach::kHybrid, core::Approach::kMirror, core::Approach::kPostcopy,
     core::Approach::kPrecopy, core::Approach::kPvfsShared};
-
-/// Solver regime of the scale sweeps: ABLATE_INCREMENTAL=off|0|false picks
-/// the full re-solve (FlowNetworkConfig::incremental = false), which must
-/// reproduce the incremental timeline. The library reads no environment;
-/// this is the one place a front end maps the variable onto the config.
-inline bool incremental_from_env() {
-  const char* env = std::getenv("ABLATE_INCREMENTAL");
-  if (env == nullptr) return true;
-  const std::string v = env;
-  return !(v == "off" || v == "0" || v == "false");
-}
 
 /// Paper testbed defaults (Section 5.1).
 inline ExperimentConfig paper_config(core::Approach a) {
@@ -94,6 +86,68 @@ inline ExperimentConfig cm1_config(core::Approach a) {
   cfg.cluster.num_nodes = 80;        // 64 sources + destinations + headroom
   cfg.vm.compute_slice_s = 0.25;
   return cfg;
+}
+
+/// The scale sweeps' lean fleet: paper network parameters with a 1 GiB
+/// image and 1 GiB of RAM per VM, so a 64-way point stays a seconds-scale
+/// run (the sweeps stress the engine, not the figures' absolute migration
+/// times), on the oversubscribed graphene-style core or a non-blocking
+/// full-bisection one.
+inline ExperimentConfig lean_fleet_config(bool nonblocking) {
+  ExperimentConfig cfg = asyncwr_config(core::Approach::kHybrid);
+  cfg.cluster.image = storage::ImageConfig{1 * kGiB, 256 * static_cast<std::uint32_t>(kKiB)};
+  cfg.vm.memory.ram_bytes = 1 * kGiB;
+  cfg.vm.memory.base_used_bytes = 128 * kMiB;
+  cfg.vm.cache.capacity_bytes = 768 * kMiB;
+  cfg.vm.cache.dirty_limit_bytes = 256 * kMiB;
+  cfg.asyncwr.iterations = 300;
+  cfg.asyncwr.file_offset = 256 * kMiB;  // must stay inside the 1 GiB image
+  if (nonblocking) {
+    cfg.cluster.network.fabric_Bps = net::kUnlimitedRate;
+    cfg.cluster.nodes_per_switch = 0;  // flat full-bisection core
+  } else {
+    cfg.cluster.nodes_per_switch = 20;
+    cfg.cluster.switch_uplink_Bps = 1.25e9;
+  }
+  return cfg;
+}
+
+/// Remove every `--full-solve` from argv and report whether there was one.
+/// It selects the full re-solve regime (FlowNetworkConfig::incremental =
+/// false), which must reproduce the incremental timeline.
+inline bool take_full_solve(int& argc, char** argv) {
+  bool found = false;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--full-solve") == 0) found = true;
+    else argv[kept++] = argv[i];
+  }
+  argc = kept;
+  return found;
+}
+
+/// The sweep rows' shard and error identity fields: the shard count used
+/// and the collapse reason (only when a shard count was asked for), then
+/// the run's error (only on failure), so the default-regime goldens stay
+/// byte-compatible.
+inline void shard_error_fields(std::ostream& os, std::uint32_t shards,
+                               const ExperimentResult& r) {
+  if (shards != 1) {
+    os << ", \"shards\": " << r.shards_used;
+    if (!r.shard_fallback_reason.empty())
+      os << ", \"shard_fallback_reason\": \"" << r.shard_fallback_reason << "\"";
+  }
+  if (!r.error.empty()) os << ", \"error\": \"" << r.error << "\"";
+}
+
+/// Print a sweep point's error and audit violations on stderr; true if it
+/// has any. The sweep keeps going (the JSON stays well-formed) and its exit
+/// code reports the failure.
+inline bool report_failures(const char* prog, std::size_t n, const ExperimentResult& r) {
+  if (!r.error.empty()) std::cerr << prog << ": n=" << n << ": " << r.error << "\n";
+  for (const std::string& v : r.audit_violations)
+    std::cerr << prog << ": n=" << n << " AUDIT VIOLATION: " << v << "\n";
+  return !r.error.empty() || !r.audit_violations.empty();
 }
 
 inline double storage_traffic(const ExperimentResult& r) {

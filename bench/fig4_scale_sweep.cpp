@@ -34,21 +34,22 @@
 // every VM, opening the sweep to skewed/bursty/phase-shifting write
 // patterns the closed-form workloads cannot produce; generated traces are
 // seeded from the experiment seed, so trace sweeps carry the same
-// determinism contract (and CI golden gate) as the AsyncWR ones.
+// determinism contract (and golden gate) as the AsyncWR ones.
 //
 // The fifth argument selects the fault regime: "none" (default) or any
 // --faults spec ("faults:rand:crashes=2,degrades=4", "src-crash@40+15",
 // "faults:churn:crash-mtbf=300,...;domains:rack0=0-3", ...) replayed
 // identically at every concurrency point. Fault plans (scripted, seeded
 // draws and continuous churn processes) fork the experiment seed, so fault
-// sweeps are golden-gateable like the rest — and CI runs the same fault and
-// churn goldens under both solver regimes to pin the determinism contract
-// down under failure timelines. Recovery metrics (retries, re-transferred
-// bytes, fault/node downtime, availability counters and p50/p99/p999
-// recovery-time + downtime percentiles) appear as extra JSON fields only
-// for fault regimes, keeping the committed fault-free goldens
-// byte-identical. Churn regimes additionally run the invariant auditor
-// (cloud/auditor.h); any liveness/conservation violation fails the sweep.
+// sweeps are golden-gateable like the rest — and the `golden` ctests run the
+// same fault and churn goldens under both solver regimes to pin the
+// determinism contract down under failure timelines. Recovery metrics
+// (retries, re-transferred bytes, fault/node downtime, availability
+// counters and p50/p99/p999 recovery-time + downtime percentiles) appear
+// as extra JSON fields only for fault regimes, keeping the committed
+// fault-free goldens byte-identical. Churn regimes additionally run the
+// invariant auditor (cloud/auditor.h); any liveness/conservation violation
+// fails the sweep.
 //
 // The sixth argument sets the shard count ("auto" resolves it at plan time
 // to min(component count, worker threads available)): every experiment in
@@ -61,10 +62,12 @@
 // so a shards=N sweep gates against the same committed goldens via
 // check_sweep_golden.py --shards.
 //
-// Usage: fig4_scale_sweep [max_concurrency] [oversub|nonblocking] [stagger_s]
+// Usage: fig4_scale_sweep [max_n] [oversub|nonblocking] [stagger_s]
 //                         [asyncwr|trace:SPEC] [none|faults:SPEC] [shards|auto]
-//        (defaults: 256 oversub 0 asyncwr none 1)
-//        ABLATE_INCREMENTAL=off runs the full-solve regime (bench_common.h).
+//                         [--full-solve]
+//        (defaults: 256 oversub 0 asyncwr none 1). --full-solve, anywhere on
+//        the command line, runs the full re-solve regime, which must
+//        reproduce the incremental timeline.
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -78,19 +81,9 @@ using namespace hm::bench;
 
 namespace {
 
-// Paper network parameters, but a leaner per-VM footprint so the 256-way
-// point stays a seconds-scale run: the sweep stresses the engine (flow
-// churn, solver pressure), not the figure's absolute migration times.
 cloud::ExperimentConfig scale_config(std::size_t n, bool nonblocking, double stagger_s,
                                      const std::string& workload) {
-  cloud::ExperimentConfig cfg = asyncwr_config(core::Approach::kHybrid);
-  cfg.cluster.image = storage::ImageConfig{1 * kGiB, 256 * static_cast<std::uint32_t>(kKiB)};
-  cfg.vm.memory.ram_bytes = 1 * kGiB;
-  cfg.vm.memory.base_used_bytes = 128 * kMiB;
-  cfg.vm.cache.capacity_bytes = 768 * kMiB;
-  cfg.vm.cache.dirty_limit_bytes = 256 * kMiB;
-  cfg.asyncwr.iterations = 300;
-  cfg.asyncwr.file_offset = 256 * kMiB;  // must stay inside the 1 GiB image
+  cloud::ExperimentConfig cfg = lean_fleet_config(nonblocking);
   if (workload != "asyncwr") {
     cfg.workload = cloud::WorkloadKind::kTrace;
     // Geometry tuned to the sweep VMs (1 GiB image / 1 GiB RAM): a 128 MiB
@@ -113,13 +106,6 @@ cloud::ExperimentConfig scale_config(std::size_t n, bool nonblocking, double sta
     }
   }
   cfg.first_migration_at = 20.0;
-  if (nonblocking) {
-    cfg.cluster.network.fabric_Bps = net::kUnlimitedRate;
-    cfg.cluster.nodes_per_switch = 0;  // flat full-bisection core
-  } else {
-    cfg.cluster.nodes_per_switch = 20;
-    cfg.cluster.switch_uplink_Bps = 1.25e9;
-  }
   cfg.num_vms = n;
   cfg.num_migrations = n;
   cfg.num_destinations = n;
@@ -132,25 +118,24 @@ cloud::ExperimentConfig scale_config(std::size_t n, bool nonblocking, double sta
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t max_n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 256;
+  const bool full_solve = take_full_solve(argc, argv);
+  const std::size_t max_n =
+      argc > 1 ? cli::parse_number<std::size_t>("max_n", argv[1], 2, SIZE_MAX / 2) : 256;
   bool nonblocking = false;
   if (argc > 2) {
     if (std::strcmp(argv[2], "nonblocking") == 0) {
       nonblocking = true;
     } else if (std::strcmp(argv[2], "oversub") != 0) {
-      std::cerr << "usage: fig4_scale_sweep [max_concurrency] [oversub|nonblocking]"
-                   " [stagger_s] [asyncwr|trace:SPEC] [none|faults:SPEC] [shards]\n";
+      std::cerr << "usage: fig4_scale_sweep [max_n] [oversub|nonblocking]"
+                   " [stagger_s] [asyncwr|trace:SPEC] [none|faults:SPEC] [shards]"
+                   " [--full-solve]\n";
       return 2;
     }
   }
-  const double stagger_s = argc > 3 ? std::strtod(argv[3], nullptr) : 0.0;
+  const double stagger_s = argc > 3 ? cli::parse_number<double>("stagger_s", argv[3], 0.0) : 0.0;
   const std::string workload = argc > 4 ? argv[4] : "asyncwr";
   const std::string faults_arg = argc > 5 ? argv[5] : "none";
-  const std::uint32_t shards =
-      argc > 6 ? (std::strcmp(argv[6], "auto") == 0
-                      ? cloud::ExperimentConfig::kShardsAuto
-                      : static_cast<std::uint32_t>(std::strtoul(argv[6], nullptr, 10)))
-               : 1;
+  const std::uint32_t shards = argc > 6 ? cli::parse_shards("shards", argv[6]) : 1;
   sim::FaultSpec faults;
   {
     std::string err;
@@ -159,7 +144,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool incremental = incremental_from_env();
   bool any_error = false;
   std::cout << "[\n";
   bool first = true;
@@ -167,46 +151,30 @@ int main(int argc, char** argv) {
     cloud::ExperimentConfig cfg = scale_config(n, nonblocking, stagger_s, workload);
     cfg.faults = faults;
     cfg.shards = shards;
-    cfg.cluster.network.incremental = incremental;
+    cfg.cluster.network.incremental = !full_solve;
     // Churn regimes carry the watchdog/invariant auditor: its periodic tick
     // is part of the timeline, so the churn goldens are generated with it on.
     cfg.audit = faults.churn;
     const bool audit = cfg.audit;
     cloud::Experiment exp(std::move(cfg));
     const ExperimentResult r = exp.run();
-    if (!r.error.empty()) {
-      // Keep sweeping (and keep the JSON well-formed): the row carries the
-      // error and the process exit code reports the failure.
-      std::cerr << "fig4_scale_sweep: n=" << n << ": " << r.error << "\n";
-      any_error = true;
-    }
+    any_error = report_failures("fig4_scale_sweep", n, r) || any_error;
     const double epochs = r.engine_recomputes ? static_cast<double>(r.engine_recomputes) : 1.0;
     if (!first) std::cout << ",\n";
     first = false;
     std::cout << "  {\"concurrent_migrations\": " << n
               << ", \"core\": \"" << (nonblocking ? "nonblocking" : "oversub") << "\"";
-    // The workload/faults/error fields appear only for non-default regimes
-    // (or on failure), keeping the committed AsyncWR goldens byte-compatible.
+    // The workload/faults/shards/error fields appear only for non-default
+    // regimes (or on failure), keeping the committed AsyncWR goldens
+    // byte-compatible.
     if (workload != "asyncwr") std::cout << ", \"workload\": \"" << workload << "\"";
     if (faults.enabled()) std::cout << ", \"faults\": \"" << faults_arg << "\"";
-    if (shards != 1) {
-      std::cout << ", \"shards\": " << r.shards_used;
-      if (!r.shard_fallback_reason.empty())
-        std::cout << ", \"shard_fallback_reason\": \"" << r.shard_fallback_reason
-                  << "\"";
-    }
-    if (!r.error.empty()) std::cout << ", \"error\": \"" << r.error << "\"";
+    shard_error_fields(std::cout, shards, r);
     std::cout << ", \"stagger_s\": " << stagger_s;
     cloud::SweepRowOptions row;
     row.fault_regime = faults.enabled();
     row.audit = audit;
     cloud::sweep_row_fields(std::cout, r, row);
-    if (audit && !r.audit_violations.empty()) {
-      any_error = true;
-      for (const std::string& v : r.audit_violations)
-        std::cerr << "fig4_scale_sweep: n=" << n << " AUDIT VIOLATION: " << v
-                  << "\n";
-    }
     std::cout << "}";
     std::cerr << "fig4_scale: n=" << n << " wall=" << r.wall_ms << " ms, "
               << r.engine_events << " events, "

@@ -12,11 +12,11 @@
 // Determinism contract: arrivals, priorities and victim-VM picks are forked
 // RNG streams and every scheduling decision happens inside ordinary
 // simulator events, so the whole sweep is a pure function of (config,
-// seed) — byte-identical across reruns, in both ABLATE_INCREMENTAL regimes
+// seed) — byte-identical across reruns, with and without --full-solve
 // (modulo solver-work counters, --ignore-solver-work), and under --shards
 // (the scheduler spans the fleet, so the plan collapses and shards=N
-// trivially reproduces the shards=1 timeline). CI gates all three against
-// tests/golden/steady_state_n64.json.
+// trivially reproduces the shards=1 timeline). The `golden` ctests gate all
+// three against tests/golden/steady_state_n64.json.
 //
 // The third argument overrides the arrival/scheduler spec (the --arrivals
 // grammar of cloud/scheduler.h). The default, "auto", scales the stream to
@@ -24,12 +24,11 @@
 // concurrency max(2, n/8), capacity 2, 4 anti-affinity groups,
 // least-loaded placement, preemption on.
 //
-// Usage: steady_state_sweep [max_vms] [oversub|nonblocking] [auto|SPEC]
-//                           [none|faults:SPEC] [shards|auto]
-//        (defaults: 64 oversub auto none 1)
-//        ABLATE_INCREMENTAL=off runs the full-solve regime (bench_common.h).
+// Usage: steady_state_sweep [max_n] [oversub|nonblocking] [auto|SPEC]
+//                           [none|faults:SPEC] [shards|auto] [--full-solve]
+//        (defaults: 64 oversub auto none 1). --full-solve, anywhere on the
+//        command line, runs the full re-solve regime.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -42,24 +41,9 @@ using namespace hm::bench;
 
 namespace {
 
-// The fig4_scale_sweep engine-stress footprint (lean per-VM images so the
-// 64-way point stays a seconds-scale run), minus its fixed launch schedule.
+// The fig4_scale_sweep lean fleet, minus its fixed launch schedule.
 cloud::ExperimentConfig steady_config(std::size_t n, bool nonblocking) {
-  cloud::ExperimentConfig cfg = asyncwr_config(core::Approach::kHybrid);
-  cfg.cluster.image = storage::ImageConfig{1 * kGiB, 256 * static_cast<std::uint32_t>(kKiB)};
-  cfg.vm.memory.ram_bytes = 1 * kGiB;
-  cfg.vm.memory.base_used_bytes = 128 * kMiB;
-  cfg.vm.cache.capacity_bytes = 768 * kMiB;
-  cfg.vm.cache.dirty_limit_bytes = 256 * kMiB;
-  cfg.asyncwr.iterations = 300;
-  cfg.asyncwr.file_offset = 256 * kMiB;
-  if (nonblocking) {
-    cfg.cluster.network.fabric_Bps = net::kUnlimitedRate;
-    cfg.cluster.nodes_per_switch = 0;
-  } else {
-    cfg.cluster.nodes_per_switch = 20;
-    cfg.cluster.switch_uplink_Bps = 1.25e9;
-  }
+  cloud::ExperimentConfig cfg = lean_fleet_config(nonblocking);
   cfg.num_vms = n;
   // A destination pool half the fleet size makes the capacity and
   // anti-affinity constraints bind at peak load instead of being vacuous.
@@ -83,24 +67,22 @@ std::string default_spec(std::size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t max_n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 64;
+  const bool full_solve = take_full_solve(argc, argv);
+  const std::size_t max_n =
+      argc > 1 ? cli::parse_number<std::size_t>("max_n", argv[1], 8, SIZE_MAX / 2) : 64;
   bool nonblocking = false;
   if (argc > 2) {
     if (std::strcmp(argv[2], "nonblocking") == 0) {
       nonblocking = true;
     } else if (std::strcmp(argv[2], "oversub") != 0) {
-      std::cerr << "usage: steady_state_sweep [max_vms] [oversub|nonblocking]"
-                   " [auto|SPEC] [none|faults:SPEC] [shards]\n";
+      std::cerr << "usage: steady_state_sweep [max_n] [oversub|nonblocking]"
+                   " [auto|SPEC] [none|faults:SPEC] [shards] [--full-solve]\n";
       return 2;
     }
   }
   const std::string spec_arg = argc > 3 ? argv[3] : "auto";
   const std::string faults_arg = argc > 4 ? argv[4] : "none";
-  const std::uint32_t shards =
-      argc > 5 ? (std::strcmp(argv[5], "auto") == 0
-                      ? cloud::ExperimentConfig::kShardsAuto
-                      : static_cast<std::uint32_t>(std::strtoul(argv[5], nullptr, 10)))
-               : 1;
+  const std::uint32_t shards = argc > 5 ? cli::parse_shards("shards", argv[5]) : 1;
   sim::FaultSpec faults;
   {
     std::string err;
@@ -109,7 +91,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool incremental = incremental_from_env();
   bool any_error = false;
   std::cout << "[\n";
   bool first = true;
@@ -125,39 +106,24 @@ int main(int argc, char** argv) {
     }
     cfg.faults = faults;
     cfg.shards = shards;
-    cfg.cluster.network.incremental = incremental;
+    cfg.cluster.network.incremental = !full_solve;
     cfg.audit = faults.churn;  // same convention as fig4_scale_sweep
     const bool audit = cfg.audit;
     cloud::Experiment exp(std::move(cfg));
     const ExperimentResult r = exp.run();
-    if (!r.error.empty()) {
-      std::cerr << "steady_state_sweep: n=" << n << ": " << r.error << "\n";
-      any_error = true;
-    }
+    any_error = report_failures("steady_state_sweep", n, r) || any_error;
     if (!first) std::cout << ",\n";
     first = false;
     std::cout << "  {\"vms\": " << n
               << ", \"core\": \"" << (nonblocking ? "nonblocking" : "oversub") << "\""
               << ", \"arrivals\": \"" << spec << "\"";
     if (faults.enabled()) std::cout << ", \"faults\": \"" << faults_arg << "\"";
-    if (shards != 1) {
-      std::cout << ", \"shards\": " << r.shards_used;
-      if (!r.shard_fallback_reason.empty())
-        std::cout << ", \"shard_fallback_reason\": \"" << r.shard_fallback_reason
-                  << "\"";
-    }
-    if (!r.error.empty()) std::cout << ", \"error\": \"" << r.error << "\"";
+    shard_error_fields(std::cout, shards, r);
     cloud::SweepRowOptions row;
     row.fault_regime = faults.enabled();
     row.scheduler_regime = true;
     row.audit = audit;
     cloud::sweep_row_fields(std::cout, r, row);
-    if (audit && !r.audit_violations.empty()) {
-      any_error = true;
-      for (const std::string& v : r.audit_violations)
-        std::cerr << "steady_state_sweep: n=" << n << " AUDIT VIOLATION: " << v
-                  << "\n";
-    }
     std::cout << "}";
     std::cerr << "steady_state: n=" << n << " wall=" << r.wall_ms << " ms, "
               << r.scheduler.requests << " requests, "

@@ -95,10 +95,6 @@ std::string fmt_bytes(double bytes) {
   return printf_str("%.0f B", bytes);
 }
 
-std::string fmt_mb(double bytes) { return printf_str("%.0f MB", bytes / (1024.0 * 1024)); }
-std::string fmt_gb(double bytes) {
-  return printf_str("%.2f GB", bytes / (1024.0 * 1024 * 1024));
-}
 std::string fmt_pct(double fraction) { return printf_str("%.1f%%", fraction * 100.0); }
 std::string fmt_double(double v, int precision) {
   char fmt[16];
@@ -137,28 +133,6 @@ void Table::print(std::ostream& os) const {
   print_sep();
   for (const auto& row : rows_) print_row(row);
   print_sep();
-}
-
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&os](const std::vector<std::string>& cells, std::size_t width) {
-    for (std::size_t i = 0; i < width; ++i) {
-      if (i > 0) os << ',';
-      const std::string cell = i < cells.size() ? cells[i] : "";
-      if (cell.find_first_of(",\"\n") != std::string::npos) {
-        os << '"';
-        for (char c : cell) {
-          if (c == '"') os << '"';
-          os << c;
-        }
-        os << '"';
-      } else {
-        os << cell;
-      }
-    }
-    os << '\n';
-  };
-  emit(headers_, headers_.size());
-  for (const auto& row : rows_) emit(row, headers_.size());
 }
 
 void print_table1(std::ostream& os) {

@@ -38,8 +38,6 @@ void sweep_row_fields(std::ostream& os, const ExperimentResult& r,
 
 std::string fmt_seconds(double s);
 std::string fmt_bytes(double bytes);   // auto KB/MB/GB
-std::string fmt_mb(double bytes);      // fixed MB
-std::string fmt_gb(double bytes);      // fixed GB
 std::string fmt_pct(double fraction);  // 0.42 -> "42.0%"
 std::string fmt_double(double v, int precision = 2);
 
@@ -48,9 +46,6 @@ class Table {
   explicit Table(std::vector<std::string> headers);
   void add_row(std::vector<std::string> cells);
   void print(std::ostream& os) const;
-  /// Machine-readable form (plotting scripts, spreadsheets). Cells
-  /// containing commas or quotes are quoted per RFC 4180.
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

@@ -20,11 +20,6 @@ TEST(Report, FormatBytesPicksUnit) {
 
 TEST(Report, FormatPct) { EXPECT_EQ(fmt_pct(0.4265), "42.6%"); }
 
-TEST(Report, FormatFixedUnits) {
-  EXPECT_EQ(fmt_mb(10 * 1024.0 * 1024), "10 MB");
-  EXPECT_EQ(fmt_gb(1.5 * 1024.0 * 1024 * 1024), "1.50 GB");
-}
-
 TEST(Report, FormatDoublePrecision) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_double(3.14159, 0), "3");
@@ -67,44 +62,6 @@ TEST(Report, BannerContainsTitle) {
   std::ostringstream os;
   print_banner(os, "Hello");
   EXPECT_NE(os.str().find("=== Hello ==="), std::string::npos);
-}
-
-}  // namespace
-}  // namespace hm::cloud
-
-namespace hm::cloud {
-namespace {
-
-TEST(ReportCsv, PlainCellsAndHeader) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
-TEST(ReportCsv, QuotesCellsWithCommas) {
-  Table t({"a"});
-  t.add_row({"x,y"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a\n\"x,y\"\n");
-}
-
-TEST(ReportCsv, EscapesEmbeddedQuotes) {
-  Table t({"a"});
-  t.add_row({"say \"hi\""});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a\n\"say \"\"hi\"\"\"\n");
-}
-
-TEST(ReportCsv, ShortRowsPaddedToHeaderWidth) {
-  Table t({"a", "b", "c"});
-  t.add_row({"1"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b,c\n1,,\n");
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ ExperimentConfig decomposable_config(int incremental) {
 /// more epochs), so those pass false. `exact_work` compares the solver
 /// work counters (components water-filled, flows resolved): they sum
 /// exactly in the incremental regime (work is component-scoped), but a
-/// full re-solve (ABLATE_INCREMENTAL=off) touches every live flow each
+/// full re-solve (the sweeps' --full-solve) touches every live flow each
 /// epoch, so a global run does strictly more work than the shards' local
 /// full-solves — the same split check_sweep_golden.py makes with
 /// --ignore-solver-work.

@@ -1,11 +1,12 @@
 // Record→replay equivalence on the full pipeline: a live run recorded via
 // TraceRecorder and then replayed through TraceApplication must reproduce
 // the live run's migration metrics BYTE-identically (downtime, transferred
-// bytes, per-phase/per-class traffic, whole timeline), in both
-// ABLATE_INCREMENTAL regimes. This is the trace axis's determinism
-// contract: the trace carries the workload's op stream with enough fidelity
-// that the simulated system cannot tell the difference. Also pins that
-// attaching a recorder is passive (recorded live run == unrecorded run).
+// bytes, per-phase/per-class traffic, whole timeline), in both solver
+// regimes (incremental, and the full re-solve of the sweeps' --full-solve).
+// This is the trace axis's determinism contract: the trace carries the
+// workload's op stream with enough fidelity that the simulated system
+// cannot tell the difference. Also pins that attaching a recorder is
+// passive (recorded live run == unrecorded run).
 #include <gtest/gtest.h>
 
 #include "cloud/experiment.h"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff a fig4_scale_sweep JSON against a committed golden, ignoring wall time.
+"""Diff a sweep JSON against a committed golden, ignoring wall time.
 
 Every virtual-time field (events, sim_s, traffic, migration times, solver
 counters, frame counters) must match the golden EXACTLY: the engine's
@@ -8,19 +8,23 @@ timeline, so any drift here is a behavioural regression hiding behind
 wall-clock noise. Wall-derived fields (wall_ms, events_per_sec,
 flows_per_sec) are host-dependent and excluded.
 
-Usage: check_sweep_golden.py [--ignore-solver-work]
-           <golden.json> <fresh.json> [<golden2> <fresh2> ...]
-Multiple golden/fresh pairs are checked in one invocation (the CI matrix:
-AsyncWR regimes plus the trace-replay, fault and steady-state scheduler
-sweeps — scheduler rows carry the regime-gated request/queueing-percentile
-fields, diffed exactly like any other virtual-time field); the exit status
-is 0 only if EVERY pair matches, 1 with a per-field diff otherwise.
+Usage: check_sweep_golden.py [MODE] <golden.json> <fresh.json>
+       check_sweep_golden.py [MODE] <golden.json> --run NAME BINARY [ARG...]
+
+The --run form runs BINARY with its arguments, writes its stdout to
+golden/NAME.json under the working directory (the `golden` ctests run
+from the build tree, so CI uploads build/golden/), and diffs that; a
+non-zero exit of the binary fails the check. The exit status is 0 on a
+match, 1 with a per-field diff otherwise.
+
+MODE is empty (exact) or one of:
 
 --ignore-solver-work additionally excludes the solver-work counters
 (solver_components, flows_resolved, flows_resolved_per_epoch, escalations).
 Those legitimately differ between the incremental and full-solve regimes
-(ABLATE_INCREMENTAL) while every virtual-time field stays byte-identical —
-use the flag when gating a fullsolve run against an incremental golden.
+(the sweeps' --full-solve) while every virtual-time field stays
+byte-identical — use the flag when gating a full-solve run against an
+incremental golden.
 
 --shards additionally excludes the scheduler-implementation counters
 (events, solver_epochs, flows_resolved_per_epoch, coroutine_frames,
@@ -40,6 +44,8 @@ traffic — must still match EXACTLY: that is the sharding determinism
 contract.
 """
 import json
+import os
+import subprocess
 import sys
 
 WALL_FIELDS = {"wall_ms", "events_per_sec", "flows_per_sec"}
@@ -75,22 +81,37 @@ def check_pair(golden_path, fresh_path, ignored) -> bool:
     return ok
 
 
+def run_leg(name, command):
+    """Run one sweep leg, saving its JSON as golden/NAME.json; None if it failed."""
+    fresh_path = os.path.join("golden", name + ".json")
+    os.makedirs(os.path.dirname(fresh_path), exist_ok=True)
+    with open(fresh_path, "w") as out:
+        status = subprocess.run(command, stdout=out).returncode
+    if status != 0:
+        print(f"{name}: {' '.join(command)} exited with status {status}")
+        return None
+    return fresh_path
+
+
 def main() -> int:
     args = sys.argv[1:]
     ignored = set(WALL_FIELDS)
-    while args and args[0] in ("--ignore-solver-work", "--shards"):
-        if args[0] == "--ignore-solver-work":
-            ignored |= SOLVER_WORK_FIELDS
-        else:
-            ignored |= SCHEDULER_FIELDS
+    if args and args[0] == "--ignore-solver-work":
+        ignored |= SOLVER_WORK_FIELDS
         args = args[1:]
-    if len(args) < 2 or len(args) % 2 != 0:
+    elif args and args[0] == "--shards":
+        ignored |= SCHEDULER_FIELDS
+        args = args[1:]
+    if len(args) >= 4 and args[1] == "--run":
+        fresh_path = run_leg(args[2], args[3:])
+        if fresh_path is None:
+            return 1
+    elif len(args) == 2:
+        fresh_path = args[1]
+    else:
         print(__doc__, file=sys.stderr)
         return 2
-    ok = True
-    for i in range(0, len(args), 2):
-        ok = check_pair(args[i], args[i + 1], ignored) and ok
-    if ok:
+    if check_pair(args[0], fresh_path, ignored):
         return 0
     print("virtual-time drift detected: if this change is INTENDED to alter "
           "simulated behaviour, regenerate the goldens under tests/golden/")

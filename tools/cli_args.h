@@ -1,0 +1,43 @@
+// Checked numeric arguments for the command-line front ends (hybridmig_sim
+// and the scale sweeps): a malformed number prints a diagnostic and exits 2
+// instead of silently becoming 0 or wrapping.
+#pragma once
+
+#include <charconv>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <limits>
+#include <string>
+
+#include "cloud/experiment.h"
+
+namespace hm::cli {
+
+/// Parse a whole argument as a number in [lo, hi]; anything else (empty,
+/// trailing characters, out of range) prints a diagnostic and exits 2.
+template <class T>
+T parse_number(const char* flag, const std::string& text,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  const bool whole = !text.empty() && ptr == end;
+  if (whole && ec == std::errc{} && value >= lo && value <= hi) return value;
+  if (whole && (ec == std::errc{} || ec == std::errc::result_out_of_range))
+    std::cerr << flag << ": " << text << " is out of range [" << lo << ", " << hi << "]\n";
+  else
+    std::cerr << flag << ": expected a number, got '" << text << "'\n";
+  std::exit(2);
+}
+
+/// A shard count: "auto" or a number >= 1. kShardsAuto is UINT32_MAX, so a
+/// numeric count stops one below it.
+inline std::uint32_t parse_shards(const char* flag, const std::string& text) {
+  if (text == "auto") return cloud::ExperimentConfig::kShardsAuto;
+  return parse_number<std::uint32_t>(flag, text, 1,
+                                     cloud::ExperimentConfig::kShardsAuto - 1);
+}
+
+}  // namespace hm::cli

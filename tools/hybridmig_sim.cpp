@@ -8,21 +8,21 @@
 //   hybridmig_sim --approach=pvfs-shared --workload=cm1 --grid=4x4
 //   hybridmig_sim --list
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 
 #include "cloud/experiment.h"
 #include "cloud/report.h"
 #include "cloud/shard_plan.h"
+#include "cli_args.h"
 
 using namespace hm;
+using cli::parse_number;
 
 namespace {
 
@@ -84,24 +84,6 @@ std::optional<std::string> arg_value(const char* arg, const char* key) {
   if (std::strncmp(arg, key, klen) == 0 && arg[klen] == '=')
     return std::string(arg + klen + 1);
   return std::nullopt;
-}
-
-/// Parse a whole flag value as a number in [lo, hi]; anything else (empty,
-/// trailing characters, out of range) prints a diagnostic and exits 2.
-template <class T>
-T parse_number(const char* flag, const std::string& text,
-               T lo = std::numeric_limits<T>::lowest(),
-               T hi = std::numeric_limits<T>::max()) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  const bool whole = !text.empty() && ptr == end;
-  if (whole && ec == std::errc{} && value >= lo && value <= hi) return value;
-  if (whole && (ec == std::errc{} || ec == std::errc::result_out_of_range))
-    std::cerr << flag << ": " << text << " is out of range [" << lo << ", " << hi << "]\n";
-  else
-    std::cerr << flag << ": expected a number, got '" << text << "'\n";
-  std::exit(2);
 }
 
 std::optional<core::Approach> parse_approach(const std::string& s) {
@@ -237,11 +219,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (auto v = arg_value(arg, "--shards")) {
-      // kShardsAuto is UINT32_MAX, so a numeric count stops one below it.
-      cfg.shards = (*v == "auto") ? cloud::ExperimentConfig::kShardsAuto
-                                  : parse_number<std::uint32_t>(
-                                        "--shards", *v, 1,
-                                        cloud::ExperimentConfig::kShardsAuto - 1);
+      cfg.shards = cli::parse_shards("--shards", *v);
       continue;
     }
     if (std::strcmp(arg, "--explain-shards") == 0) {

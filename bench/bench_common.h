@@ -126,20 +126,6 @@ inline bool take_full_solve(int& argc, char** argv) {
   return found;
 }
 
-/// The sweep rows' shard and error identity fields: the shard count used
-/// and the collapse reason (only when a shard count was asked for), then
-/// the run's error (only on failure), so the default-regime goldens stay
-/// byte-compatible.
-inline void shard_error_fields(std::ostream& os, std::uint32_t shards,
-                               const ExperimentResult& r) {
-  if (shards != 1) {
-    os << ", \"shards\": " << r.shards_used;
-    if (!r.shard_fallback_reason.empty())
-      os << ", \"shard_fallback_reason\": \"" << r.shard_fallback_reason << "\"";
-  }
-  if (!r.error.empty()) os << ", \"error\": \"" << r.error << "\"";
-}
-
 /// Print a sweep point's error and audit violations on stderr; true if it
 /// has any. The sweep keeps going (the JSON stays well-formed) and its exit
 /// code reports the failure.

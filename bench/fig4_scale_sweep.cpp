@@ -1,9 +1,9 @@
 // Engine-perf scaling sweep: Figure 4's concurrent-migration axis pushed to
 // datacenter scale (2 -> 256 simultaneous migrations under AsyncWR I/O
-// pressure). Emits one JSON object per scenario on stdout so BENCH_*.json
-// files can track the engine-throughput trajectory (events/sec, flows/sec,
-// wall ms) across PRs, alongside the virtual-time results they must not
-// perturb.
+// pressure). Emits one JSON row per scenario on stdout, after the field-class
+// map of cloud/report.h's result-field table, so BENCH_*.json files can
+// track the engine-throughput trajectory (events/sec, flows/sec, wall ms)
+// across PRs, alongside the virtual-time results they must not perturb.
 //
 // Since the component-scoped incremental solver the sweep also reports
 // solver-work counters: component water-fills, flow re-solves (total and
@@ -43,13 +43,9 @@
 // draws and continuous churn processes) fork the experiment seed, so fault
 // sweeps are golden-gateable like the rest — and the `golden` ctests run the
 // same fault and churn goldens under both solver regimes to pin the
-// determinism contract down under failure timelines. Recovery metrics
-// (retries, re-transferred bytes, fault/node downtime, availability
-// counters and p50/p99/p999 recovery-time + downtime percentiles) appear
-// as extra JSON fields only for fault regimes, keeping the committed
-// fault-free goldens byte-identical. Churn regimes additionally run the
-// invariant auditor (cloud/auditor.h); any liveness/conservation violation
-// fails the sweep.
+// determinism contract down under failure timelines. Fault regimes add the
+// result-field table's recovery fields to each row. Churn regimes also run
+// the invariant auditor (cloud/auditor.h); any violation fails the sweep.
 //
 // The sixth argument sets the shard count ("auto" resolves it at plan time
 // to min(component count, worker threads available)): every experiment in
@@ -126,9 +122,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[2], "nonblocking") == 0) {
       nonblocking = true;
     } else if (std::strcmp(argv[2], "oversub") != 0) {
-      std::cerr << "usage: fig4_scale_sweep [max_n] [oversub|nonblocking]"
-                   " [stagger_s] [asyncwr|trace:SPEC] [none|faults:SPEC] [shards]"
-                   " [--full-solve]\n";
+      std::cerr << "usage: fig4_scale_sweep [max_n] [oversub|nonblocking] [stagger_s]"
+                   " [asyncwr|trace:SPEC] [none|faults:SPEC] [shards|auto] [--full-solve]\n";
       return 2;
     }
   }
@@ -145,8 +140,10 @@ int main(int argc, char** argv) {
     }
   }
   bool any_error = false;
-  std::cout << "[\n";
+  cloud::write_sweep_header(std::cout);
   bool first = true;
+  const auto status_fields = cloud::result_fields().first(cloud::kRunStatusFields);
+  const auto measured_fields = cloud::result_fields().subspan(cloud::kRunStatusFields);
   for (std::size_t n = 2; n <= max_n; n *= 2) {
     cloud::ExperimentConfig cfg = scale_config(n, nonblocking, stagger_s, workload);
     cfg.faults = faults;
@@ -155,31 +152,24 @@ int main(int argc, char** argv) {
     // Churn regimes carry the watchdog/invariant auditor: its periodic tick
     // is part of the timeline, so the churn goldens are generated with it on.
     cfg.audit = faults.churn;
-    const bool audit = cfg.audit;
     cloud::Experiment exp(std::move(cfg));
     const ExperimentResult r = exp.run();
     any_error = report_failures("fig4_scale_sweep", n, r) || any_error;
-    const double epochs = r.engine_recomputes ? static_cast<double>(r.engine_recomputes) : 1.0;
     if (!first) std::cout << ",\n";
     first = false;
     std::cout << "  {\"concurrent_migrations\": " << n
               << ", \"core\": \"" << (nonblocking ? "nonblocking" : "oversub") << "\"";
-    // The workload/faults/shards/error fields appear only for non-default
-    // regimes (or on failure), keeping the committed AsyncWR goldens
-    // byte-compatible.
+    // The workload and faults specs appear only for non-default regimes,
+    // keeping the committed AsyncWR goldens byte-compatible.
     if (workload != "asyncwr") std::cout << ", \"workload\": \"" << workload << "\"";
     if (faults.enabled()) std::cout << ", \"faults\": \"" << faults_arg << "\"";
-    shard_error_fields(std::cout, shards, r);
+    cloud::write_json_fields(std::cout, status_fields, exp.config(), r);
     std::cout << ", \"stagger_s\": " << stagger_s;
-    cloud::SweepRowOptions row;
-    row.fault_regime = faults.enabled();
-    row.audit = audit;
-    cloud::sweep_row_fields(std::cout, r, row);
+    cloud::write_json_fields(std::cout, measured_fields, exp.config(), r);
     std::cout << "}";
     std::cerr << "fig4_scale: n=" << n << " wall=" << r.wall_ms << " ms, "
-              << r.engine_events << " events, "
-              << (r.engine_flows_resolved / epochs) << " flows-resolved/epoch\n";
+              << r.engine_events << " events\n";
   }
-  std::cout << "\n]\n";
+  std::cout << "\n]}\n";
   return any_error ? 1 : 0;
 }

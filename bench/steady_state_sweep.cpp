@@ -4,10 +4,11 @@
 // 8 -> max_vms, with bounded concurrent admission, per-node capacity and
 // anti-affinity placement constraints, and high-priority preemption — the
 // paper's take-over scenario operated as a service rather than a one-shot
-// experiment. Emits one JSON object per fleet size on stdout, rows in the
-// fig4_scale_sweep shape (shared emitter: cloud/report.h sweep_row_fields)
-// plus the scheduler block: request counters, queue/running peaks, and
-// deterministic nearest-rank queueing-delay and downtime p50/p99/p999.
+// experiment. Emits one JSON row per fleet size on stdout, in the
+// fig4_scale_sweep shape (both draw their fields from cloud/report.h's
+// result-field table) plus the scheduler block: request counters,
+// queue/running peaks, and deterministic nearest-rank queueing-delay and
+// downtime p50/p99/p999.
 //
 // Determinism contract: arrivals, priorities and victim-VM picks are forked
 // RNG streams and every scheduling decision happens inside ordinary
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
       nonblocking = true;
     } else if (std::strcmp(argv[2], "oversub") != 0) {
       std::cerr << "usage: steady_state_sweep [max_n] [oversub|nonblocking]"
-                   " [auto|SPEC] [none|faults:SPEC] [shards] [--full-solve]\n";
+                   " [auto|SPEC] [none|faults:SPEC] [shards|auto] [--full-solve]\n";
       return 2;
     }
   }
@@ -92,7 +93,7 @@ int main(int argc, char** argv) {
     }
   }
   bool any_error = false;
-  std::cout << "[\n";
+  cloud::write_sweep_header(std::cout);
   bool first = true;
   for (std::size_t n = 8; n <= max_n; n *= 2) {
     const std::string spec = spec_arg == "auto" ? default_spec(n) : spec_arg;
@@ -108,7 +109,6 @@ int main(int argc, char** argv) {
     cfg.shards = shards;
     cfg.cluster.network.incremental = !full_solve;
     cfg.audit = faults.churn;  // same convention as fig4_scale_sweep
-    const bool audit = cfg.audit;
     cloud::Experiment exp(std::move(cfg));
     const ExperimentResult r = exp.run();
     any_error = report_failures("steady_state_sweep", n, r) || any_error;
@@ -118,12 +118,7 @@ int main(int argc, char** argv) {
               << ", \"core\": \"" << (nonblocking ? "nonblocking" : "oversub") << "\""
               << ", \"arrivals\": \"" << spec << "\"";
     if (faults.enabled()) std::cout << ", \"faults\": \"" << faults_arg << "\"";
-    shard_error_fields(std::cout, shards, r);
-    cloud::SweepRowOptions row;
-    row.fault_regime = faults.enabled();
-    row.scheduler_regime = true;
-    row.audit = audit;
-    cloud::sweep_row_fields(std::cout, r, row);
+    cloud::write_json_fields(std::cout, cloud::result_fields(), exp.config(), r);
     std::cout << "}";
     std::cerr << "steady_state: n=" << n << " wall=" << r.wall_ms << " ms, "
               << r.scheduler.requests << " requests, "
@@ -131,6 +126,6 @@ int main(int argc, char** argv) {
               << r.scheduler.preemptions << " preempted, q-p99="
               << r.scheduler.queueing_p99_s << " s\n";
   }
-  std::cout << "\n]\n";
+  std::cout << "\n]}\n";
   return any_error ? 1 : 0;
 }

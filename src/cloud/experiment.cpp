@@ -36,6 +36,28 @@ void ExperimentConfig::normalize() {
   approach_cfg.approach = approach;
 }
 
+std::string ExperimentConfig::validate() const {
+  // The selected workload writes file_offset + count x unit bytes.
+  struct Extent { std::uint64_t offset = 0, count = 0, unit = 0; } e;
+  const auto n = [](int v) { return static_cast<std::uint64_t>(std::max(v, 0)); };
+  if (workload == WorkloadKind::kIor) {
+    e = {ior.file_offset, 1, ior.file_bytes};
+  } else if (workload == WorkloadKind::kAsyncWr) {
+    e = {asyncwr.file_offset, n(asyncwr.iterations), asyncwr.bytes_per_iter};
+  } else if (workload == WorkloadKind::kCm1) {
+    // Dumps rotate over dump_slots slots (0 = every output keeps its own).
+    const int slots = cm1.dump_slots > 0 ? std::min(cm1.dump_slots, cm1.num_outputs)
+                                         : cm1.num_outputs;
+    e = {cm1.file_offset, n(slots), cm1.output_bytes};
+  }
+  const std::uint64_t image = cluster.image.image_bytes;
+  // offset + count * unit <= image, without overflowing.
+  if (e.offset <= image && (e.unit == 0 || e.count <= (image - e.offset) / e.unit)) return {};
+  return std::string(workload_name(workload)) + ": file_offset " + std::to_string(e.offset) +
+         " + " + std::to_string(e.count) + " x " + std::to_string(e.unit) +
+         " bytes runs past the " + std::to_string(image) + "-byte image";
+}
+
 namespace {
 
 sim::Task run_and_signal(workloads::Workload* w, vm::VmInstance* v, sim::WaitGroup* wg) {
@@ -477,6 +499,12 @@ ExperimentResult Experiment::merge_parts(std::vector<ExperimentResult>& parts,
 }
 
 ExperimentResult Experiment::run() {
+  if (std::string err = cfg_.validate(); !err.empty()) {
+    ExperimentResult res;
+    res.completed = false;
+    res.error = std::move(err);
+    return res;
+  }
   const ShardPlan plan = plan_shards(cfg_);
   if (plan.shard_count() <= 1) {
     ExperimentResult res = run_slice(nullptr, nullptr);

@@ -102,6 +102,10 @@ struct ExperimentConfig {
   /// Ensure the cluster is large enough for sources + destinations and that
   /// approach-specific settings (PVFS) are consistent.
   void normalize();
+
+  /// A diagnostic when this config cannot run, else empty: the selected
+  /// workload's file extent must fit inside the image.
+  std::string validate() const;
 };
 
 struct ExperimentResult {
@@ -109,8 +113,8 @@ struct ExperimentResult {
   std::string workload;
   double sim_duration = 0;
   bool completed = true;  // false if the max_sim_time guard hit
-  /// Non-empty on a workload-axis failure (malformed trace, record/write
-  /// error); such runs also clear `completed`.
+  /// Non-empty on a rejected config (validate()) or a workload failure
+  /// (malformed trace, record/write error); such runs also clear `completed`.
   std::string error;
 
   std::vector<core::MigrationRecord> migrations;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "cloud/experiment.h"
 #include "core/metrics.h"
@@ -9,80 +10,147 @@
 namespace hm::cloud {
 
 namespace {
+
 std::string printf_str(const char* fmt, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), fmt, v);
   return buf;
 }
+
+constexpr double kGiB = 1024.0 * 1024 * 1024;
+
+#define HM_GET(expr) [](const ExperimentResult& r) -> FieldValue { return (expr); }
+using enum Regime;
+using net::TrafficClass;
+
+const ResultField kFields[] = {
+    // Run status (kRunStatusFields rows).
+    {"shards", HM_GET(r.shards_used), kShards, kImplementation},
+    {"shard_fallback_reason", HM_GET(r.shard_fallback_reason), kNonEmpty, kImplementation},
+    {"error", HM_GET(r.error), kNonEmpty},
+    // Engine and paper metrics.
+    {"completed", HM_GET(r.completed), kAlways},
+    {"sim_s", HM_GET(r.sim_duration), kAlways},
+    {"wall_ms", HM_GET(r.wall_ms), kAlways, kWall},
+    {"events", HM_GET(r.engine_events), kAlways, kImplementation},
+    {"events_per_sec", HM_GET(r.wall_ms > 0 ? r.engine_events / (r.wall_ms / 1e3) : 0.0),
+     kAlways, kWall},
+    {"flows", HM_GET(r.engine_flows), kAlways},
+    {"flows_per_sec", HM_GET(r.wall_ms > 0 ? r.engine_flows / (r.wall_ms / 1e3) : 0.0),
+     kAlways, kWall},
+    {"solver_epochs", HM_GET(r.engine_recomputes), kAlways, kImplementation},
+    {"solver_components", HM_GET(r.engine_components), kAlways, kSolverWork},
+    {"flows_resolved", HM_GET(r.engine_flows_resolved), kAlways, kSolverWork},
+    {"flows_resolved_per_epoch",
+     HM_GET(r.engine_flows_resolved / std::max(1.0, double(r.engine_recomputes))), kAlways,
+     kSolverWork | kImplementation},
+    {"escalations", HM_GET(r.engine_escalations), kAlways, kSolverWork},
+    {"coroutine_frames", HM_GET(r.engine_frames), kAlways, kImplementation},
+    {"frames_reused", HM_GET(r.engine_frames_reused), kAlways, kImplementation},
+    {"frame_heap_allocs", HM_GET(r.engine_frame_heap_allocs), kAlways, kImplementation},
+    {"avg_migration_s", HM_GET(r.avg_migration_time), kAlways},
+    {"total_traffic_gb", HM_GET(r.total_traffic / kGiB), kAlways},
+    // Fault recovery and availability.
+    {"faults_injected", HM_GET(r.recovery.faults_injected), kFaults},
+    {"node_crashes", HM_GET(r.recovery.node_crashes), kFaults},
+    {"correlated_events", HM_GET(r.recovery.correlated_events), kFaults},
+    {"retries", HM_GET(r.recovery.total_retries), kFaults},
+    {"abandoned", HM_GET(r.recovery.migrations_abandoned), kFaults},
+    {"recovered", HM_GET(r.recovery.migrations_recovered), kFaults},
+    {"salvaged_chunks", HM_GET(r.recovery.salvaged_chunks), kFaults},
+    {"retransferred_gb", HM_GET(r.recovery.retransferred_bytes / kGiB), kFaults},
+    {"fault_downtime_s", HM_GET(r.recovery.fault_downtime_s), kFaults},
+    {"node_downtime_s", HM_GET(r.recovery.node_downtime_s), kFaults},
+    {"max_time_to_recover_s", HM_GET(r.recovery.max_time_to_recover_s), kFaults},
+    {"recovery_p50_s", HM_GET(r.recovery.recovery_p50_s), kFaults},
+    {"recovery_p99_s", HM_GET(r.recovery.recovery_p99_s), kFaults},
+    {"recovery_p999_s", HM_GET(r.recovery.recovery_p999_s), kFaults},
+    // Fault recovery stretches downtime, preemption churn multiplies it;
+    // for fault rows these close the recovery block.
+    {"downtime_p50_s", HM_GET(r.recovery.downtime_p50_s), kFaultsOrScheduler},
+    {"downtime_p99_s", HM_GET(r.recovery.downtime_p99_s), kFaultsOrScheduler},
+    {"downtime_p999_s", HM_GET(r.recovery.downtime_p999_s), kFaultsOrScheduler},
+    // Continuous-arrival scheduler.
+    {"requests", HM_GET(r.scheduler.requests), kScheduler},
+    {"requests_dispatched", HM_GET(r.scheduler.dispatched), kScheduler},
+    {"requests_completed", HM_GET(r.scheduler.completed), kScheduler},
+    {"requests_abandoned", HM_GET(r.scheduler.abandoned), kScheduler},
+    {"requests_rejected", HM_GET(r.scheduler.rejected), kScheduler},
+    {"preemptions", HM_GET(r.scheduler.preemptions), kScheduler},
+    {"peak_queue_depth", HM_GET(r.scheduler.peak_queue_depth), kScheduler},
+    {"peak_running", HM_GET(r.scheduler.peak_running), kScheduler},
+    {"queueing_p50_s", HM_GET(r.scheduler.queueing_p50_s), kScheduler},
+    {"queueing_p99_s", HM_GET(r.scheduler.queueing_p99_s), kScheduler},
+    {"queueing_p999_s", HM_GET(r.scheduler.queueing_p999_s), kScheduler},
+    {"max_queueing_delay_s", HM_GET(r.scheduler.max_queueing_delay_s), kScheduler},
+    // Invariant auditor.
+    {"audit_checks", HM_GET(r.audit_checks), kAudit},
+    {"audit_violations", HM_GET(r.audit_violations.size()), kAudit},
+    // The rest of the paper's metrics, printed by the CLI.
+    {"app_execution_s", HM_GET(r.app_execution_time), kCli},
+    {"total_migration_s", HM_GET(r.total_migration_time), kCli},
+    {"max_downtime_s", HM_GET(r.max_downtime), kCli},
+    {"memory_traffic_gb", HM_GET(r.traffic(TrafficClass::kMemory) / kGiB), kCli},
+    {"storage_push_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePush) / kGiB), kCli},
+    {"storage_pull_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePull) / kGiB), kCli},
+    {"repo_read_traffic_gb", HM_GET(r.traffic(TrafficClass::kRepoRead) / kGiB), kCli},
+    {"pvfs_data_traffic_gb", HM_GET(r.traffic(TrafficClass::kPvfsData) / kGiB), kCli},
+    {"app_comm_traffic_gb", HM_GET(r.traffic(TrafficClass::kAppComm) / kGiB), kCli},
+    {"control_traffic_gb", HM_GET(r.traffic(TrafficClass::kControl) / kGiB), kCli},
+    {"migration_traffic_gb", HM_GET(r.migration_traffic / kGiB), kCli},
+    {"bytes_written", HM_GET(r.bytes_written), kCli},
+    {"bytes_read", HM_GET(r.bytes_read), kCli},
+    {"write_Bps", HM_GET(r.write_Bps), kCli},
+    {"read_Bps", HM_GET(r.read_Bps), kCli},
+    {"cpu_s", HM_GET(r.cpu_seconds_total), kCli},
+};
+#undef HM_GET
+static_assert(net::kNumTrafficClasses == 7, "one *_traffic_gb row per class");
+
+constexpr std::pair<FieldClass, const char*> kClassNames[] = {
+    {kWall, "wall"}, {kSolverWork, "solver_work"}, {kImplementation, "implementation"}};
+
 }  // namespace
 
-void sweep_row_fields(std::ostream& os, const ExperimentResult& r,
-                      const SweepRowOptions& opt) {
-  const double wall_s = r.wall_ms / 1e3;
-  const double epochs =
-      r.engine_recomputes ? static_cast<double>(r.engine_recomputes) : 1.0;
-  os << ", \"completed\": " << (r.completed ? "true" : "false")
-     << ", \"sim_s\": " << r.sim_duration
-     << ", \"wall_ms\": " << r.wall_ms
-     << ", \"events\": " << r.engine_events
-     << ", \"events_per_sec\": " << (wall_s > 0 ? r.engine_events / wall_s : 0)
-     << ", \"flows\": " << r.engine_flows
-     << ", \"flows_per_sec\": " << (wall_s > 0 ? r.engine_flows / wall_s : 0)
-     << ", \"solver_epochs\": " << r.engine_recomputes
-     << ", \"solver_components\": " << r.engine_components
-     << ", \"flows_resolved\": " << r.engine_flows_resolved
-     << ", \"flows_resolved_per_epoch\": " << (r.engine_flows_resolved / epochs)
-     << ", \"escalations\": " << r.engine_escalations
-     << ", \"coroutine_frames\": " << r.engine_frames
-     << ", \"frames_reused\": " << r.engine_frames_reused
-     << ", \"frame_heap_allocs\": " << r.engine_frame_heap_allocs
-     << ", \"avg_migration_s\": " << r.avg_migration_time
-     << ", \"total_traffic_gb\": " << r.total_traffic / (1024.0 * 1024 * 1024);
-  if (opt.fault_regime) {
-    const RecoveryStats& rc = r.recovery;
-    os << ", \"faults_injected\": " << rc.faults_injected
-       << ", \"node_crashes\": " << rc.node_crashes
-       << ", \"correlated_events\": " << rc.correlated_events
-       << ", \"retries\": " << rc.total_retries
-       << ", \"abandoned\": " << rc.migrations_abandoned
-       << ", \"recovered\": " << rc.migrations_recovered
-       << ", \"salvaged_chunks\": " << rc.salvaged_chunks
-       << ", \"retransferred_gb\": "
-       << rc.retransferred_bytes / (1024.0 * 1024 * 1024)
-       << ", \"fault_downtime_s\": " << rc.fault_downtime_s
-       << ", \"node_downtime_s\": " << rc.node_downtime_s
-       << ", \"max_time_to_recover_s\": " << rc.max_time_to_recover_s
-       << ", \"recovery_p50_s\": " << rc.recovery_p50_s
-       << ", \"recovery_p99_s\": " << rc.recovery_p99_s
-       << ", \"recovery_p999_s\": " << rc.recovery_p999_s;
+std::ostream& operator<<(std::ostream& os, const FieldValue& value) {
+  if (const auto* b = std::get_if<bool>(&value.v)) return os << (*b ? "true" : "false");
+  if (const auto* s = std::get_if<std::string_view>(&value.v)) return os << '"' << *s << '"';
+  if (const auto* i = std::get_if<std::int64_t>(&value.v)) return os << *i;
+  return os << std::get<double>(value.v);
+}
+
+std::span<const ResultField> result_fields() { return kFields; }
+
+bool field_active(const ResultField& f, const ExperimentConfig& cfg,
+                  const ExperimentResult& r, bool cli) {
+  switch (f.regime) {
+    case kAlways: return true;
+    case kFaults: return cfg.faults.enabled();
+    case kFaultsOrScheduler: return cfg.faults.enabled() || cfg.scheduler.enabled();
+    case kScheduler: return cfg.scheduler.enabled();
+    case kAudit: return cfg.audit;
+    case kShards: return cfg.shards != 1;
+    case kNonEmpty: return !std::get<std::string_view>(f.get(r).v).empty();
+    case kCli: return cli;
   }
-  // Downtime percentiles move under either regime (fault recovery stretches
-  // them, preemption churn multiplies attempts); for fault rows they close
-  // the recovery block, byte-identical to the pre-scheduler layout.
-  if (opt.fault_regime || opt.scheduler_regime) {
-    os << ", \"downtime_p50_s\": " << r.recovery.downtime_p50_s
-       << ", \"downtime_p99_s\": " << r.recovery.downtime_p99_s
-       << ", \"downtime_p999_s\": " << r.recovery.downtime_p999_s;
+  return false;
+}
+
+void write_json_fields(std::ostream& os, std::span<const ResultField> fields,
+                       const ExperimentConfig& cfg, const ExperimentResult& r) {
+  for (const ResultField& f : fields)
+    if (field_active(f, cfg, r, /*cli=*/false)) os << ", \"" << f.name << "\": " << f.get(r);
+}
+
+void write_sweep_header(std::ostream& os) {
+  os << "{\"field_classes\": {";
+  for (const auto& [cls, name] : kClassNames) {
+    os << (cls == kWall ? "\"" : "], \"") << name << "\": [";
+    const char* sep = "\"";
+    for (const ResultField& f : kFields)
+      if (f.classes & cls) os << std::exchange(sep, ", \"") << f.name << '"';
   }
-  if (opt.scheduler_regime) {
-    const SchedulerStats& s = r.scheduler;
-    os << ", \"requests\": " << s.requests
-       << ", \"requests_dispatched\": " << s.dispatched
-       << ", \"requests_completed\": " << s.completed
-       << ", \"requests_abandoned\": " << s.abandoned
-       << ", \"requests_rejected\": " << s.rejected
-       << ", \"preemptions\": " << s.preemptions
-       << ", \"peak_queue_depth\": " << s.peak_queue_depth
-       << ", \"peak_running\": " << s.peak_running
-       << ", \"queueing_p50_s\": " << s.queueing_p50_s
-       << ", \"queueing_p99_s\": " << s.queueing_p99_s
-       << ", \"queueing_p999_s\": " << s.queueing_p999_s
-       << ", \"max_queueing_delay_s\": " << s.max_queueing_delay_s;
-  }
-  if (opt.audit) {
-    os << ", \"audit_checks\": " << r.audit_checks
-       << ", \"audit_violations\": " << r.audit_violations.size();
-  }
+  os << "]}, \"rows\": [\n";
 }
 
 std::string fmt_seconds(double s) { return printf_str("%.2f s", s); }

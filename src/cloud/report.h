@@ -1,40 +1,78 @@
-// Plain-text reporting helpers: fixed-width tables in the shape of the
-// paper's figures, unit formatting, and the Table 1 approach summary.
+// Reporting: the result-field table behind sweep rows, CLI output and golden
+// field classes; plain-text figure tables, unit formatting, Table 1.
 #pragma once
 
+#include <concepts>
+#include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 namespace hm::cloud {
 
+struct ExperimentConfig;
 struct ExperimentResult;
 
-/// Which regime-gated field groups a sweep row carries. Mirrors the
-/// fault-field convention of bench/fig4_scale_sweep.cpp: a field group is
-/// emitted (and golden-checked) only when its regime is active, so the
-/// committed default-regime goldens stay byte-compatible as new regimes are
-/// added.
-struct SweepRowOptions {
-  /// --faults regime: the recovery/availability block (counters, recovery
-  /// percentiles, max_time_to_recover_s).
-  bool fault_regime = false;
-  /// --arrivals regime: the scheduler block (request counters, queue/running
-  /// peaks, queueing-delay percentiles). Downtime percentiles are emitted
-  /// whenever either regime is active — fault recovery and preemption churn
-  /// both move them.
-  bool scheduler_regime = false;
-  /// Audit fields (checks run, violations found).
-  bool audit = false;
+/// A result field's value in its ExperimentResult type (integers widen to
+/// int64; strings view the result they came from). Streams as JSON.
+struct FieldValue {
+  std::variant<bool, std::int64_t, double, std::string_view> v;
+  FieldValue(bool b) : v(b) {}
+  FieldValue(std::integral auto i) : v(static_cast<std::int64_t>(i)) {}
+  FieldValue(double d) : v(d) {}
+  FieldValue(const std::string& s) : v(std::string_view(s)) {}
+  bool operator==(const FieldValue&) const = default;
+};
+std::ostream& operator<<(std::ostream& os, const FieldValue& value);
+
+/// When a field is printed, judged on the config that ran: regime fields
+/// appear only in their regime, so older rows keep their shape.
+enum class Regime : std::uint8_t {
+  kAlways,
+  kFaults,             // cfg.faults.enabled()
+  kFaultsOrScheduler,  // either moves the downtime percentiles
+  kScheduler,          // cfg.scheduler.enabled()
+  kAudit,              // cfg.audit
+  kShards,             // cfg.shards != 1: a shard count was asked for
+  kNonEmpty,           // the (string) value is non-empty
+  kCli,                // hybridmig_sim only, never in sweep rows
 };
 
-/// Emit the shared tail of one sweep-JSON row — every field from
-/// "completed" onward, starting with ", " — onto `os`. The caller emits its
-/// own identity fields (concurrency, core, workload/faults/shards specs)
-/// first. Shared by fig4_scale_sweep and steady_state_sweep so the row
-/// shape (and the byte-exact golden contract) cannot drift between them.
-void sweep_row_fields(std::ostream& os, const ExperimentResult& r,
-                      const SweepRowOptions& opt);
+/// Golden-gate classes (bit set); tools/check_sweep_golden.py strips them
+/// by mode. A field in no class is virtual: equal configs reproduce it
+/// exactly.
+enum FieldClass : std::uint8_t {
+  kWall = 1,            // host wall-clock derived
+  kSolverWork = 2,      // differs between solver regimes
+  kImplementation = 4,  // engine bookkeeping that differs across shard counts
+};
+
+struct ResultField {
+  const char* name;
+  FieldValue (*get)(const ExperimentResult&);
+  Regime regime;
+  std::uint8_t classes = 0;  // FieldClass bits; 0 = virtual
+};
+
+/// Every result field the CLI prints and the sweeps emit and gate, in row
+/// order. The first kRunStatusFields rows (shards, shard_fallback_reason,
+/// error) tell how the run went; sweeps print them among identity fields.
+std::span<const ResultField> result_fields();
+inline constexpr std::size_t kRunStatusFields = 3;
+
+/// Whether `f` is printed for `cfg`'s run `r`; kCli rows only when `cli`.
+bool field_active(const ResultField& f, const ExperimentConfig& cfg,
+                  const ExperimentResult& r, bool cli);
+
+/// Append `, "name": value` for every active sweep field of `fields`.
+void write_json_fields(std::ostream& os, std::span<const ResultField> fields,
+                       const ExperimentConfig& cfg, const ExperimentResult& r);
+
+/// A sweep's opening JSON line: the field-class map, then `"rows": [`.
+void write_sweep_header(std::ostream& os);
 
 std::string fmt_seconds(double s);
 std::string fmt_bytes(double bytes);   // auto KB/MB/GB

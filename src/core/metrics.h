@@ -44,6 +44,8 @@ struct MigrationRecord {
   double t_first_abort = 0;         // first fault-induced abort (0 = none)
   bool abandoned = false;           // gave up after max_attempts
 
+  bool operator==(const MigrationRecord&) const = default;
+
   /// Paper definition: "time elapsed between the moment when the migration
   /// has been initiated and the source has been relinquished".
   double migration_time() const noexcept { return t_source_released - t_request; }

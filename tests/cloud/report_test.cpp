@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <regex>
+#include <set>
 #include <sstream>
 
 #include "cloud/experiment.h"
@@ -68,20 +71,24 @@ TEST(Report, BannerContainsTitle) {
 }  // namespace hm::cloud
 
 // --------------------------------------------------------------------------
-// Sweep-row JSON shape: the regime-gated field convention. Fields specific
-// to a regime (fault recovery, scheduler queueing, audit counters) appear
-// if and only if that regime is active, so committed fault-free goldens stay
+// The result-field table and its regime-gated sweep rows. Fields specific to
+// a regime (fault recovery, scheduler queueing, audit counters) appear if and
+// only if that regime is active, so committed fault-free goldens stay
 // byte-identical when a new regime adds fields.
 
 namespace hm::cloud {
 namespace {
 
-std::string row_for(const SweepRowOptions& opt) {
+std::string row_for(bool faults, bool scheduler, bool audit) {
+  ExperimentConfig cfg;
+  cfg.faults.rand = faults;
+  if (scheduler) cfg.scheduler.arrivals.kind = sim::ArrivalKind::kPoisson;
+  cfg.audit = audit;
   ExperimentResult r;
   r.recovery.max_time_to_recover_s = 1.5;
   r.scheduler.requests = 3;
   std::ostringstream os;
-  sweep_row_fields(os, r, opt);
+  write_json_fields(os, result_fields(), cfg, r);
   return os.str();
 }
 
@@ -89,8 +96,43 @@ bool has_field(const std::string& row, const char* name) {
   return row.find("\"" + std::string(name) + "\":") != std::string::npos;
 }
 
+// Names are unique, and every quoted word of the class map other than the
+// envelope's keys is a table row, once per class the row is in.
+TEST(ResultFields, UniqueNamesAndClassListsOfTableRows) {
+  std::set<std::string> names;
+  int memberships = 0;
+  for (const ResultField& f : result_fields()) {
+    EXPECT_TRUE(names.insert(f.name).second) << "duplicate field " << f.name;
+    memberships += std::popcount(f.classes);
+  }
+  std::ostringstream os;
+  write_sweep_header(os);
+  const std::string header = os.str();
+  const std::set<std::string> keys = {"field_classes", "wall", "solver_work",
+                                      "implementation", "rows"};
+  const std::regex quoted("\"([^\"]*)\"");
+  int listed = 0;
+  for (std::sregex_iterator m(header.begin(), header.end(), quoted), end; m != end; ++m) {
+    if (keys.count((*m)[1])) continue;
+    EXPECT_TRUE(names.count((*m)[1])) << (*m)[1] << " is not a table row";
+    ++listed;
+  }
+  EXPECT_EQ(listed, memberships) << header;
+}
+
+TEST(ResultFields, DefaultRegimeEmitsExactlyTheAlwaysFieldsInTableOrder) {
+  std::vector<std::string> expected, got;
+  for (const ResultField& f : result_fields())
+    if (f.regime == Regime::kAlways) expected.push_back(f.name);
+  const std::string row = row_for(false, false, false);
+  const std::regex key(", \"([^\"]*)\":");
+  for (std::sregex_iterator m(row.begin(), row.end(), key), end; m != end; ++m)
+    got.push_back((*m)[1]);
+  EXPECT_EQ(got, expected) << row;
+}
+
 TEST(SweepRowShape, DefaultRegimeEmitsOnlyTheCoreFields) {
-  const std::string row = row_for(SweepRowOptions{});
+  const std::string row = row_for(false, false, false);
   for (const char* f : {"completed", "sim_s", "events", "solver_epochs",
                         "coroutine_frames", "avg_migration_s", "total_traffic_gb"})
     EXPECT_TRUE(has_field(row, f)) << f << " missing from: " << row;
@@ -105,9 +147,7 @@ TEST(SweepRowShape, DefaultRegimeEmitsOnlyTheCoreFields) {
 }
 
 TEST(SweepRowShape, FaultRegimeAddsRecoveryBlockClosedByDowntimePercentiles) {
-  SweepRowOptions opt;
-  opt.fault_regime = true;
-  const std::string row = row_for(opt);
+  const std::string row = row_for(/*faults=*/true, false, false);
   for (const char* f : {"faults_injected", "salvaged_chunks", "max_time_to_recover_s",
                         "recovery_p999_s", "downtime_p50_s", "downtime_p999_s"})
     EXPECT_TRUE(has_field(row, f)) << f << " missing from: " << row;
@@ -119,9 +159,7 @@ TEST(SweepRowShape, FaultRegimeAddsRecoveryBlockClosedByDowntimePercentiles) {
 }
 
 TEST(SweepRowShape, SchedulerRegimeAddsQueueingAndDowntimeFields) {
-  SweepRowOptions opt;
-  opt.scheduler_regime = true;
-  const std::string row = row_for(opt);
+  const std::string row = row_for(false, /*scheduler=*/true, false);
   for (const char* f :
        {"requests", "requests_dispatched", "requests_completed",
         "requests_abandoned", "requests_rejected", "preemptions",
@@ -134,9 +172,7 @@ TEST(SweepRowShape, SchedulerRegimeAddsQueueingAndDowntimeFields) {
 }
 
 TEST(SweepRowShape, AuditFlagAppendsAuditCounters) {
-  SweepRowOptions opt;
-  opt.audit = true;
-  const std::string row = row_for(opt);
+  const std::string row = row_for(false, false, /*audit=*/true);
   EXPECT_TRUE(has_field(row, "audit_checks")) << row;
   EXPECT_TRUE(has_field(row, "audit_violations")) << row;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "integration/result_compare.h"
+
 namespace hm::cloud {
 namespace {
 
@@ -76,10 +78,7 @@ TEST(Experiment, BaselineRunHasNoMigrations) {
 TEST(Experiment, DeterministicAcrossRuns) {
   ExperimentResult a = Experiment(small_config(core::Approach::kHybrid)).run();
   ExperimentResult b = Experiment(small_config(core::Approach::kHybrid)).run();
-  EXPECT_DOUBLE_EQ(a.sim_duration, b.sim_duration);
-  EXPECT_DOUBLE_EQ(a.total_traffic, b.total_traffic);
-  EXPECT_DOUBLE_EQ(a.avg_migration_time, b.avg_migration_time);
-  EXPECT_DOUBLE_EQ(a.cpu_seconds_total, b.cpu_seconds_total);
+  expect_virtual_fields_equal(a, b);
 }
 
 TEST(Experiment, EveryApproachCompletesTheScenario) {
@@ -131,6 +130,48 @@ TEST(Experiment, GuardTripsOnImpossibleDeadline) {
   cfg.max_sim_time = 1.0;  // IOR cannot finish in 1 simulated second
   ExperimentResult res = Experiment(cfg).run();
   EXPECT_FALSE(res.completed);
+}
+
+// A workload whose file extent runs past the image end is rejected before
+// anything is built; the same extent ending exactly at the image end runs.
+void expect_rejected(const ExperimentConfig& cfg) {
+  const ExperimentResult res = Experiment(cfg).run();
+  EXPECT_FALSE(res.completed);
+  EXPECT_NE(res.error.find("past the 536870912-byte image"), std::string::npos) << res.error;
+  EXPECT_EQ(res.engine_events, 0u);
+}
+
+TEST(ExperimentValidate, IorFilePastImageEnd) {
+  ExperimentConfig cfg = small_config(core::Approach::kHybrid);  // 96 MiB file
+  cfg.ior.file_offset = 417 * kMiB;
+  expect_rejected(cfg);
+  cfg.ior.file_offset = 416 * kMiB;
+  EXPECT_EQ(cfg.validate(), "");
+}
+
+TEST(ExperimentValidate, AsyncWrIterationsPastImageEnd) {
+  ExperimentConfig cfg = small_config(core::Approach::kHybrid);
+  cfg.workload = WorkloadKind::kAsyncWr;
+  cfg.asyncwr.file_offset = 128 * kMiB;  // 1 MiB per iteration
+  cfg.asyncwr.iterations = 385;
+  expect_rejected(cfg);
+  cfg.asyncwr.iterations = 384;
+  EXPECT_EQ(cfg.validate(), "");
+}
+
+TEST(ExperimentValidate, Cm1DumpSlotsPastImageEnd) {
+  ExperimentConfig cfg = small_config(core::Approach::kHybrid);
+  cfg.workload = WorkloadKind::kCm1;
+  cfg.cm1.file_offset = 128 * kMiB;
+  cfg.cm1.output_bytes = 128 * kMiB;
+  cfg.cm1.dump_slots = 4;  // 10 outputs rotate over 4 slots
+  expect_rejected(cfg);
+  cfg.cm1.dump_slots = 3;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.cm1.dump_slots = 0;  // every output keeps its own slot
+  expect_rejected(cfg);
+  cfg.cm1.num_outputs = 3;
+  EXPECT_EQ(cfg.validate(), "");
 }
 
 TEST(Experiment, MigrationTrafficExcludesAppComm) {

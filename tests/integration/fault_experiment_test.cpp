@@ -8,6 +8,7 @@
 #include <string>
 
 #include "cloud/experiment.h"
+#include "integration/result_compare.h"
 
 namespace hm::cloud {
 namespace {
@@ -69,14 +70,7 @@ TEST(FaultExperiment, SameSeedSameFaultsByteIdenticalTimeline) {
   const char* spec = "src-crash@2.2+4;degrade@8+5*0.25;flap@15+2";
   ExperimentResult a = Experiment(fault_config(core::Approach::kHybrid, spec)).run();
   ExperimentResult b = Experiment(fault_config(core::Approach::kHybrid, spec)).run();
-  EXPECT_DOUBLE_EQ(a.sim_duration, b.sim_duration);
-  EXPECT_DOUBLE_EQ(a.total_traffic, b.total_traffic);
-  EXPECT_DOUBLE_EQ(a.avg_migration_time, b.avg_migration_time);
-  EXPECT_DOUBLE_EQ(a.recovery.retransferred_bytes, b.recovery.retransferred_bytes);
-  EXPECT_DOUBLE_EQ(a.recovery.fault_downtime_s, b.recovery.fault_downtime_s);
-  EXPECT_DOUBLE_EQ(a.recovery.max_time_to_recover_s, b.recovery.max_time_to_recover_s);
-  EXPECT_EQ(a.recovery.total_retries, b.recovery.total_retries);
-  EXPECT_EQ(a.recovery.faults_injected, b.recovery.faults_injected);
+  expect_virtual_fields_equal(a, b);
 }
 
 TEST(FaultExperiment, SeededRandomPlanAppliesEveryCategory) {
@@ -160,22 +154,8 @@ TEST(ChurnExperiment, ChurnWithDomainsByteIdenticalAcrossSolverRegimes) {
   EXPECT_GE(a.recovery.node_crashes, 2u);  // each domain event kills 2 nodes
   EXPECT_GE(a.recovery.total_retries, 1);  // churn aborted at least one attempt
   EXPECT_GE(a.recovery.migrations_recovered, 1u);
-  for (const ExperimentResult* r : {&a2, &b}) {
-    EXPECT_DOUBLE_EQ(a.sim_duration, r->sim_duration);
-    EXPECT_DOUBLE_EQ(a.total_traffic, r->total_traffic);
-    EXPECT_DOUBLE_EQ(a.avg_migration_time, r->avg_migration_time);
-    EXPECT_EQ(a.recovery.faults_injected, r->recovery.faults_injected);
-    EXPECT_EQ(a.recovery.node_crashes, r->recovery.node_crashes);
-    EXPECT_EQ(a.recovery.correlated_events, r->recovery.correlated_events);
-    EXPECT_EQ(a.recovery.total_retries, r->recovery.total_retries);
-    EXPECT_DOUBLE_EQ(a.recovery.retransferred_bytes, r->recovery.retransferred_bytes);
-    EXPECT_DOUBLE_EQ(a.recovery.fault_downtime_s, r->recovery.fault_downtime_s);
-    EXPECT_DOUBLE_EQ(a.recovery.node_downtime_s, r->recovery.node_downtime_s);
-    EXPECT_DOUBLE_EQ(a.recovery.max_time_to_recover_s, r->recovery.max_time_to_recover_s);
-    EXPECT_DOUBLE_EQ(a.recovery.recovery_p50_s, r->recovery.recovery_p50_s);
-    EXPECT_DOUBLE_EQ(a.recovery.recovery_p999_s, r->recovery.recovery_p999_s);
-    EXPECT_DOUBLE_EQ(a.recovery.downtime_p99_s, r->recovery.downtime_p99_s);
-  }
+  expect_virtual_fields_equal(a, a2);  // rerun
+  expect_virtual_fields_equal(a, b);   // incremental vs full-solve
   // The auditor ran and the run is invariant-clean.
   EXPECT_GT(a.audit_checks, 0u);
   EXPECT_TRUE(a.audit_violations.empty())

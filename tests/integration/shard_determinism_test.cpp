@@ -4,15 +4,14 @@
 // by class, workload aggregates, solver work counters — for any shard
 // count, in both solver regimes. Coupled regimes (CM1, faults, finite
 // fabric or uplinks) and runtime guard trips (max_sim_time truncation) must
-// fall back to one shard transparently. Scheduler-implementation counters
-// (engine_events, frame counters) legitimately differ — a finished slice
-// stops stepping at its own last event and frame pools are per-thread — and
-// are the only fields excluded here; see tools/check_sweep_golden.py
-// --shards for the same split applied to the CI sweep gates.
+// fall back to one shard transparently. Only the result-field table's
+// implementation-class counters (events, frames, epochs) may differ, as in
+// the --shards sweep gates.
 #include <gtest/gtest.h>
 
 #include "cloud/experiment.h"
 #include "cloud/shard_plan.h"
+#include "integration/result_compare.h"
 #include "net/flow_network.h"
 #include "sim/fault_plan.h"
 #include "sim/worker_budget.h"
@@ -51,12 +50,10 @@ ExperimentConfig decomposable_config(int incremental) {
   return cfg;
 }
 
-/// EXPECT_EQ on doubles is exact comparison — that is the point: the
-/// sharded run must land on the identical bit pattern, not within a
-/// tolerance. `exact_epochs` additionally compares settle-epoch counts;
-/// burst/broadcast scenarios batch same-timestamp churn of several
-/// components into shared epochs a sharded run cannot share (same work,
-/// more epochs), so those pass false. `exact_work` compares the solver
+/// Every virtual field, plus solver work. `exact_epochs` compares
+/// settle-epoch counts; burst/broadcast scenarios batch same-timestamp churn
+/// of several components into shared epochs a sharded run cannot share
+/// (same work, more epochs), so those pass false. `exact_work` compares the solver
 /// work counters (components water-filled, flows resolved): they sum
 /// exactly in the incremental regime (work is component-scoped), but a
 /// full re-solve (the sweeps' --full-solve) touches every live flow each
@@ -65,60 +62,9 @@ ExperimentConfig decomposable_config(int incremental) {
 /// --ignore-solver-work.
 void expect_identical(const ExperimentResult& ref, const ExperimentResult& got,
                       bool exact_epochs, bool exact_work = true) {
-  EXPECT_EQ(ref.completed, got.completed);
-  EXPECT_EQ(ref.error, got.error);
-  EXPECT_EQ(ref.sim_duration, got.sim_duration);
-  EXPECT_EQ(ref.app_execution_time, got.app_execution_time);
-
-  ASSERT_EQ(ref.migrations.size(), got.migrations.size());
-  for (std::size_t i = 0; i < ref.migrations.size(); ++i) {
-    const core::MigrationRecord& a = ref.migrations[i];
-    const core::MigrationRecord& b = got.migrations[i];
-    EXPECT_EQ(a.vm_id, b.vm_id) << "migration " << i;
-    EXPECT_EQ(a.t_request, b.t_request) << "migration " << i;
-    EXPECT_EQ(a.t_control_transfer, b.t_control_transfer) << "migration " << i;
-    EXPECT_EQ(a.t_source_released, b.t_source_released) << "migration " << i;
-    EXPECT_EQ(a.downtime_s, b.downtime_s) << "migration " << i;
-    EXPECT_EQ(a.memory_rounds, b.memory_rounds) << "migration " << i;
-    EXPECT_EQ(a.memory_bytes_sent, b.memory_bytes_sent) << "migration " << i;
-    EXPECT_EQ(a.storage_chunks_pushed, b.storage_chunks_pushed) << "migration " << i;
-    EXPECT_EQ(a.storage_chunks_pulled, b.storage_chunks_pulled) << "migration " << i;
-  }
-  EXPECT_EQ(ref.total_migration_time, got.total_migration_time);
-  EXPECT_EQ(ref.avg_migration_time, got.avg_migration_time);
-  EXPECT_EQ(ref.max_downtime, got.max_downtime);
-
-  for (std::size_t c = 0; c < net::kNumTrafficClasses; ++c)
-    EXPECT_EQ(ref.traffic_bytes[c], got.traffic_bytes[c])
-        << net::traffic_class_name(static_cast<net::TrafficClass>(c));
-  EXPECT_EQ(ref.total_traffic, got.total_traffic);
-  EXPECT_EQ(ref.migration_traffic, got.migration_traffic);
-
-  EXPECT_EQ(ref.bytes_written, got.bytes_written);
-  EXPECT_EQ(ref.bytes_read, got.bytes_read);
-  EXPECT_EQ(ref.write_Bps, got.write_Bps);
-  EXPECT_EQ(ref.read_Bps, got.read_Bps);
-  EXPECT_EQ(ref.cpu_seconds_total, got.cpu_seconds_total);
-
-  EXPECT_EQ(ref.recovery.faults_injected, got.recovery.faults_injected);
-  EXPECT_EQ(ref.recovery.node_crashes, got.recovery.node_crashes);
-  EXPECT_EQ(ref.recovery.correlated_events, got.recovery.correlated_events);
-  EXPECT_EQ(ref.recovery.total_retries, got.recovery.total_retries);
-  EXPECT_EQ(ref.recovery.migrations_abandoned, got.recovery.migrations_abandoned);
-  EXPECT_EQ(ref.recovery.retransferred_bytes, got.recovery.retransferred_bytes);
-  EXPECT_EQ(ref.recovery.fault_downtime_s, got.recovery.fault_downtime_s);
-  EXPECT_EQ(ref.recovery.node_downtime_s, got.recovery.node_downtime_s);
-  EXPECT_EQ(ref.recovery.max_time_to_recover_s, got.recovery.max_time_to_recover_s);
-  EXPECT_EQ(ref.recovery.recovery_p50_s, got.recovery.recovery_p50_s);
-  EXPECT_EQ(ref.recovery.recovery_p99_s, got.recovery.recovery_p99_s);
-  EXPECT_EQ(ref.recovery.recovery_p999_s, got.recovery.recovery_p999_s);
-  EXPECT_EQ(ref.recovery.downtime_p50_s, got.recovery.downtime_p50_s);
-  EXPECT_EQ(ref.recovery.downtime_p99_s, got.recovery.downtime_p99_s);
-  EXPECT_EQ(ref.recovery.downtime_p999_s, got.recovery.downtime_p999_s);
-
-  // Flows started is a simulated quantity and always sums exactly;
-  // scheduler bookkeeping (events, frames) is never compared.
-  EXPECT_EQ(ref.engine_flows, got.engine_flows);
+  expect_virtual_fields_equal(ref, got);
+  // Solver work: escalations always sum exactly; scheduler bookkeeping
+  // (events, frames) is never compared.
   EXPECT_EQ(ref.engine_escalations, got.engine_escalations);
   if (exact_work) {
     EXPECT_EQ(ref.engine_components, got.engine_components);

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "cloud/experiment.h"
+#include "integration/result_compare.h"
 
 namespace hm::cloud {
 namespace {
@@ -71,38 +72,6 @@ void expect_monotone(double p50, double p99, double p999, const char* what) {
   EXPECT_LE(p99, p999) << what;
 }
 
-/// Bit-identical virtual-time comparison (EXPECT_EQ on doubles on purpose).
-void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.sim_duration, b.sim_duration);
-  EXPECT_EQ(a.total_traffic, b.total_traffic);
-  EXPECT_EQ(a.scheduler.requests, b.scheduler.requests);
-  EXPECT_EQ(a.scheduler.dispatched, b.scheduler.dispatched);
-  EXPECT_EQ(a.scheduler.completed, b.scheduler.completed);
-  EXPECT_EQ(a.scheduler.preemptions, b.scheduler.preemptions);
-  EXPECT_EQ(a.scheduler.abandoned, b.scheduler.abandoned);
-  EXPECT_EQ(a.scheduler.rejected, b.scheduler.rejected);
-  EXPECT_EQ(a.scheduler.peak_queue_depth, b.scheduler.peak_queue_depth);
-  EXPECT_EQ(a.scheduler.peak_running, b.scheduler.peak_running);
-  EXPECT_EQ(a.scheduler.queueing_p50_s, b.scheduler.queueing_p50_s);
-  EXPECT_EQ(a.scheduler.queueing_p99_s, b.scheduler.queueing_p99_s);
-  EXPECT_EQ(a.scheduler.queueing_p999_s, b.scheduler.queueing_p999_s);
-  EXPECT_EQ(a.scheduler.max_queueing_delay_s, b.scheduler.max_queueing_delay_s);
-  EXPECT_EQ(a.recovery.faults_injected, b.recovery.faults_injected);
-  EXPECT_EQ(a.recovery.total_retries, b.recovery.total_retries);
-  EXPECT_EQ(a.recovery.retransferred_bytes, b.recovery.retransferred_bytes);
-  EXPECT_EQ(a.recovery.fault_downtime_s, b.recovery.fault_downtime_s);
-  EXPECT_EQ(a.recovery.downtime_p99_s, b.recovery.downtime_p99_s);
-  ASSERT_EQ(a.migrations.size(), b.migrations.size());
-  for (std::size_t i = 0; i < a.migrations.size(); ++i) {
-    EXPECT_EQ(a.migrations[i].vm_id, b.migrations[i].vm_id) << i;
-    EXPECT_EQ(a.migrations[i].t_request, b.migrations[i].t_request) << i;
-    EXPECT_EQ(a.migrations[i].t_control_transfer, b.migrations[i].t_control_transfer) << i;
-    EXPECT_EQ(a.migrations[i].t_source_released, b.migrations[i].t_source_released) << i;
-    EXPECT_EQ(a.migrations[i].downtime_s, b.migrations[i].downtime_s) << i;
-    EXPECT_EQ(a.migrations[i].salvaged_chunks, b.migrations[i].salvaged_chunks) << i;
-  }
-}
-
 TEST(SteadyStateSoak, TwoVirtualHoursOfChurnWithAuditorArmed) {
   ExperimentResult res = Experiment(soak_config(/*incremental=*/1)).run();
   ASSERT_TRUE(res.completed) << res.error;
@@ -146,8 +115,8 @@ TEST(SteadyStateSoak, TimelineIsBitIdenticalAcrossRerunsAndSolverRegimes) {
   ASSERT_TRUE(a.completed) << a.error;
   ASSERT_TRUE(b.completed) << b.error;
   ASSERT_TRUE(c.completed) << c.error;
-  expect_identical(a, b);  // rerun
-  expect_identical(a, c);  // incremental vs full-solve
+  expect_virtual_fields_equal(a, b);  // rerun
+  expect_virtual_fields_equal(a, c);  // incremental vs full-solve
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/experiment.h"
+#include "integration/result_compare.h"
 
 namespace hm::cloud {
 namespace {
@@ -67,35 +68,6 @@ ExperimentConfig cm1_config(int incremental) {
   return cfg;
 }
 
-/// EXPECT_EQ on doubles is exact comparison — that is the point: the replay
-/// must land on the identical bit pattern, not within a tolerance.
-void expect_metrics_identical(const ExperimentResult& live, const ExperimentResult& rep) {
-  ASSERT_EQ(live.migrations.size(), rep.migrations.size());
-  for (std::size_t i = 0; i < live.migrations.size(); ++i) {
-    const core::MigrationRecord& a = live.migrations[i];
-    const core::MigrationRecord& b = rep.migrations[i];
-    EXPECT_EQ(a.vm_id, b.vm_id) << "migration " << i;
-    EXPECT_EQ(a.t_request, b.t_request) << "migration " << i;
-    EXPECT_EQ(a.t_control_transfer, b.t_control_transfer) << "migration " << i;
-    EXPECT_EQ(a.t_source_released, b.t_source_released) << "migration " << i;
-    EXPECT_EQ(a.downtime_s, b.downtime_s) << "migration " << i;
-    EXPECT_EQ(a.memory_rounds, b.memory_rounds) << "migration " << i;
-    EXPECT_EQ(a.memory_bytes_sent, b.memory_bytes_sent) << "migration " << i;
-    EXPECT_EQ(a.storage_chunks_pushed, b.storage_chunks_pushed) << "migration " << i;
-    EXPECT_EQ(a.storage_chunks_pulled, b.storage_chunks_pulled) << "migration " << i;
-  }
-  for (std::size_t c = 0; c < net::kNumTrafficClasses; ++c)
-    EXPECT_EQ(live.traffic_bytes[c], rep.traffic_bytes[c])
-        << net::traffic_class_name(static_cast<net::TrafficClass>(c));
-  EXPECT_EQ(live.total_traffic, rep.total_traffic);
-  EXPECT_EQ(live.migration_traffic, rep.migration_traffic);
-  EXPECT_EQ(live.max_downtime, rep.max_downtime);
-  EXPECT_EQ(live.total_migration_time, rep.total_migration_time);
-  EXPECT_EQ(live.bytes_written, rep.bytes_written);
-  EXPECT_EQ(live.bytes_read, rep.bytes_read);
-  EXPECT_EQ(live.sim_duration, rep.sim_duration);
-}
-
 void run_roundtrip(ExperimentConfig cfg) {
   // Baseline: the same live run without a recorder — observation must be
   // passive.
@@ -111,7 +83,7 @@ void run_roundtrip(ExperimentConfig cfg) {
   ASSERT_EQ(live.migrations.size(), cfg.num_migrations);
   EXPECT_GT(live.max_downtime, 0.0);
   EXPECT_GT(live.traffic(net::TrafficClass::kMemory), 0.0);
-  expect_metrics_identical(unrecorded, live);
+  expect_virtual_fields_equal(unrecorded, live);
 
   const workloads::TraceData& trace = recorder.data();
   ASSERT_FALSE(recorder.failed()) << recorder.error();
@@ -125,7 +97,7 @@ void run_roundtrip(ExperimentConfig cfg) {
   const ExperimentResult rep = Experiment(replay_cfg).run();
   ASSERT_TRUE(rep.error.empty()) << rep.error;
   ASSERT_TRUE(rep.completed);
-  expect_metrics_identical(live, rep);
+  expect_virtual_fields_equal(live, rep);
 }
 
 TEST(TraceReplay, AsyncWrByteIdenticalIncremental) { run_roundtrip(asyncwr_config(1)); }
@@ -155,7 +127,7 @@ TEST(TraceReplay, FileReplayMatchesInMemoryReplay) {
   replay_cfg.trace.broadcast = false;
   const ExperimentResult rep = Experiment(replay_cfg).run();
   ASSERT_TRUE(rep.error.empty()) << rep.error;
-  expect_metrics_identical(live, rep);
+  expect_virtual_fields_equal(live, rep);
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,7 @@
 // hybridmig_sim — command-line experiment runner.
 //
 // Runs one live-migration experiment with configurable approach, workload
-// and scale, printing the paper's metrics. Examples:
+// and scale, printing each active field of cloud/report.h's table. Examples:
 //
 //   hybridmig_sim --approach=our-approach --workload=ior
 //   hybridmig_sim --approach=precopy --workload=asyncwr --migrations=4
@@ -350,69 +350,12 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   cloud::Experiment exp(std::move(cfg));
-  cloud::ExperimentResult res = exp.run();
-
-  if (!res.error.empty()) std::cerr << "error: " << res.error << "\n";
-  std::cout << "\ncompleted:          " << (res.completed ? "yes" : "NO (guard hit)")
-            << "\nshards:             " << res.shards_used;
-  if (!res.shard_fallback_reason.empty())
-    std::cout << " (" << res.shard_fallback_reason << ")";
-  std::cout << "\nsimulated time:     " << cloud::fmt_seconds(res.sim_duration)
-            << "\napp execution time: " << cloud::fmt_seconds(res.app_execution_time)
-            << "\navg migration time: " << cloud::fmt_seconds(res.avg_migration_time)
-            << "\nmax downtime:       " << cloud::fmt_double(res.max_downtime * 1e3, 1)
-            << " ms\n";
-  if (res.scheduler.requests > 0) {
-    const cloud::SchedulerStats& sc = res.scheduler;
-    std::cout << "\nscheduler:          " << sc.requests << " requests ("
-              << sc.completed << " completed, " << sc.abandoned << " abandoned, "
-              << sc.rejected << " rejected)"
-              << "\n  preemptions:      " << sc.preemptions
-              << "\n  peak depth:       " << sc.peak_queue_depth << " queued, "
-              << sc.peak_running << " running"
-              << "\n  queueing delay:   p50 " << cloud::fmt_seconds(sc.queueing_p50_s)
-              << ", p99 " << cloud::fmt_seconds(sc.queueing_p99_s)
-              << ", p999 " << cloud::fmt_seconds(sc.queueing_p999_s)
-              << ", max " << cloud::fmt_seconds(sc.max_queueing_delay_s) << "\n";
-  }
-  if (res.recovery.faults_injected > 0) {
-    const cloud::RecoveryStats& rc = res.recovery;
-    std::cout << "\nfault axis:         " << rc.faults_injected << " faults injected"
-              << "\n  node crashes:     " << rc.node_crashes << " ("
-              << rc.correlated_events << " correlated domain event"
-              << (rc.correlated_events == 1 ? "" : "s") << ")"
-              << "\n  retries:          " << rc.total_retries
-              << " (abandoned: " << rc.migrations_abandoned
-              << ", recovered: " << rc.migrations_recovered << ")"
-              << "\n  re-transferred:   " << cloud::fmt_bytes(rc.retransferred_bytes)
-              << " (" << cloud::fmt_double(rc.salvaged_chunks, 0)
-              << " chunks salvaged)"
-              << "\n  fault downtime:   " << cloud::fmt_seconds(rc.fault_downtime_s)
-              << "\n  node downtime:    " << cloud::fmt_seconds(rc.node_downtime_s)
-              << "\n  time-to-recover:  max " << cloud::fmt_seconds(rc.max_time_to_recover_s)
-              << ", p50 " << cloud::fmt_seconds(rc.recovery_p50_s)
-              << ", p99 " << cloud::fmt_seconds(rc.recovery_p99_s)
-              << ", p999 " << cloud::fmt_seconds(rc.recovery_p999_s)
-              << "\n  downtime pctile:  p50 " << cloud::fmt_seconds(rc.downtime_p50_s)
-              << ", p99 " << cloud::fmt_seconds(rc.downtime_p99_s)
-              << ", p999 " << cloud::fmt_seconds(rc.downtime_p999_s) << "\n";
-  }
-  if (res.audit_checks > 0 || !res.audit_violations.empty()) {
-    std::cout << "\nauditor:            " << res.audit_checks << " checks, "
-              << res.audit_violations.size() << " violation"
-              << (res.audit_violations.size() == 1 ? "" : "s") << "\n";
-    for (const std::string& v : res.audit_violations)
-      std::cout << "  VIOLATION: " << v << "\n";
-  }
-  std::cout << "\ntraffic by class:\n";
-  for (std::size_t i = 0; i < net::kNumTrafficClasses; ++i) {
-    const auto cls = static_cast<net::TrafficClass>(i);
-    if (res.traffic(cls) > 0)
-      std::cout << "  " << net::traffic_class_name(cls) << ": "
-                << cloud::fmt_bytes(res.traffic(cls)) << "\n";
-  }
-  std::cout << "  total: " << cloud::fmt_bytes(res.total_traffic) << "\n";
-  std::cout << "\nin-VM throughput: write " << cloud::fmt_bytes(res.write_Bps)
-            << "/s, read " << cloud::fmt_bytes(res.read_Bps) << "/s\n";
+  const cloud::ExperimentResult res = exp.run();
+  for (const std::string& v : res.audit_violations)
+    std::cerr << "audit violation: " << v << "\n";
+  std::cout << "\n";
+  for (const cloud::ResultField& f : cloud::result_fields())
+    if (cloud::field_active(f, exp.config(), res, /*cli=*/true))
+      std::cout << f.name << ": " << f.get(res) << "\n";
   return (res.completed && res.audit_violations.empty()) ? 0 : 1;
 }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
+#include <numeric>
 
 #include "cloud/auditor.h"
 #include "cloud/fault_injector.h"
@@ -37,6 +38,9 @@ void ExperimentConfig::normalize() {
 }
 
 std::string ExperimentConfig::validate() const {
+  // Chunk and page counts divide by these granularities.
+  if (cluster.image.chunk_bytes == 0) return "cluster.image.chunk_bytes must be positive";
+  if (vm.memory.page_bytes == 0) return "vm.memory.page_bytes must be positive";
   // The selected workload writes file_offset + count x unit bytes.
   struct Extent { std::uint64_t offset = 0, count = 0, unit = 0; } e;
   const auto n = [](int v) { return static_cast<std::uint64_t>(std::max(v, 0)); };
@@ -93,25 +97,45 @@ struct MigLaunch {
 
 }  // namespace
 
-struct Experiment::SliceDetail {
+/// What one simulator slice hands the merge: raw material, no aggregates.
+/// Everything ExperimentResult reports is derived from these in
+/// merge_parts(), for one slice or N.
+struct Experiment::Slice {
   struct VmAgg {
     std::uint32_t id;  // global VM id
     core::IoStats io;
     double cpu_seconds;
   };
-  /// Per owned VM, ascending id — lets the merge re-accumulate the per-VM
-  /// doubles in global VM order, the same order the single-shard loop uses.
-  std::vector<VmAgg> per_vm;
-  /// Global launch indices of the slice's migrations, ascending; parallel
-  /// to the slice result's `migrations` records.
+  /// Migration records in the order the slice began them.
+  std::vector<core::MigrationRecord> migrations;
+  /// Global launch index of each record on the fixed schedule, ascending
+  /// and parallel to `migrations`: the N-slice merge orders records by it.
+  /// Empty under the scheduler, which has no launch index (and collapses
+  /// the plan to one slice).
   std::vector<std::uint32_t> launch_ks;
+  /// Per owned VM, ascending id.
+  std::vector<VmAgg> per_vm;
+  std::array<double, net::kNumTrafficClasses> traffic_bytes{};
+  // Simulator, network and frame-pool counters (this slice's deltas).
+  std::uint64_t events = 0, flows = 0, recomputes = 0, components = 0;
+  std::uint64_t flows_resolved = 0, escalations = 0;
+  std::uint64_t frames = 0, frames_reused = 0, frame_heap_allocs = 0;
+  /// Injector-side counters only; the record-derived half is the merge's.
+  RecoveryStats injector{};
+  SchedulerStats scheduler{};
+  std::uint64_t audit_checks = 0;
+  std::vector<std::string> audit_violations;
+  std::string error;
+  bool completed = true;
+  double sim_duration = 0;
+  double app_execution_time = 0;
+  double wall_ms = 0;  // the event loop only
   /// Runtime coupling guard: any base-image fetch means a repository stripe
   /// on a foreign-owned node served traffic this slice cannot account for.
   std::uint64_t repo_chunks_served = 0;
 };
 
-ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
-                                       SliceDetail* detail) const {
+Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned) const {
   const ExperimentConfig& cfg = cfg_;
   // Everything below (setup included) lives on this thread, so the
   // thread-local frame pool's counters bracket the whole slice.
@@ -122,7 +146,7 @@ ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
   vm::Cluster cluster(simulator, cfg.cluster);
   Middleware mw(simulator, cluster, cfg.approach_cfg);
   std::vector<vm::VmInstance*> vms;
-  ExperimentResult res;
+  Slice out;
   std::unique_ptr<workloads::TraceRecorder> recorder_owned;
   workloads::TraceRecorder* recorder = cfg.trace_recorder;
   sim::WaitGroup workload_done(simulator);
@@ -137,15 +161,12 @@ ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
   std::unique_ptr<Scheduler> scheduler;
 
   const std::size_t n_vms = cfg.num_vms;
-  // Global ids of the VMs this slice owns (all of them on the single-shard
-  // path). Each shard holds a full cluster replica with the global node
-  // numbering, so VM i always deploys on node i regardless of slicing.
-  const std::size_t n_owned = owned ? owned->size() : n_vms;
-  vms.reserve(n_owned);
-  for (std::size_t idx = 0; idx < n_owned; ++idx) {
-    const auto gid = static_cast<std::uint32_t>(owned ? (*owned)[idx] : idx);
+  // `owned` holds global VM ids. Each slice builds a full cluster replica
+  // with the global node numbering, so VM i always deploys on node i
+  // regardless of slicing.
+  vms.reserve(owned.size());
+  for (const std::uint32_t gid : owned)
     vms.push_back(&mw.deploy(static_cast<net::NodeId>(gid), cfg.vm, static_cast<int>(gid)));
-  }
 
   // --- trace recording (passive observation of the workload API) ----------
   if (recorder == nullptr && !cfg.record_trace_path.empty()) {
@@ -213,12 +234,12 @@ ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
   // --- migration schedule -------------------------------------------------
   // Launch k targets VM k with destination n_vms + (k % num_destinations);
   // times and schedule order depend only on the global index, so a slice
-  // schedules its owned subset identically to the full run.
+  // schedules its owned subset identically to the whole fleet.
   // With the continuous scheduler enabled the fixed launch schedule is
   // replaced wholesale: requests arrive from the configured stream and the
   // scheduler owns VM choice, placement, admission and retries. Scheduler
   // regimes statically collapse the shard plan (shard_plan.cpp), so this
-  // branch only ever runs on the full (owned == nullptr) path.
+  // branch only ever runs in the one-slice plan.
   if (cfg.perform_migrations && cfg.scheduler.enabled()) {
     migrations_done.add();
     scheduler = std::make_unique<Scheduler>(
@@ -226,9 +247,9 @@ ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
         static_cast<std::uint32_t>(cfg.num_destinations), &migrations_done);
     scheduler->start();
   } else if (cfg.perform_migrations) {
-    launches.reserve(n_owned);  // addresses must survive the timers
-    for (std::size_t idx = 0; idx < n_owned; ++idx) {
-      const std::size_t k = owned ? (*owned)[idx] : idx;
+    launches.reserve(owned.size());  // addresses must survive the timers
+    for (std::size_t idx = 0; idx < owned.size(); ++idx) {
+      const std::uint32_t k = owned[idx];
       if (k >= cfg.num_migrations) continue;
       const double at = cfg.first_migration_at + static_cast<double>(k) *
                                                      cfg.migration_interval_s;
@@ -239,30 +260,27 @@ ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
       simulator.schedule(at, [l = &launches.back()] {
         l->sim->spawn(migrate_and_signal(l->mw, l->target, l->dst, l->done));
       });
-      if (detail != nullptr) detail->launch_ks.push_back(static_cast<std::uint32_t>(k));
+      out.launch_ks.push_back(k);
     }
   }
 
   // --- fault plan ---------------------------------------------------------
-  // Churn/rand/global-scoped plans statically collapse to one shard, so
-  // those only ever arm on the full (owned == nullptr) path. Routable
-  // scripted plans (plan_shards verified every target maps into one
-  // component) arm per slice with the events the slice owns.
+  // Churn/rand/global-scoped plans statically collapse to one slice, which
+  // owns every VM and arms the whole plan. Routable scripted plans
+  // (plan_shards verified every target maps into one component) arm per
+  // slice with the events the slice owns.
   if (cfg.faults.enabled()) {
     sim::FaultPlan plan = sim::build_fault_plan(
         cfg.faults, cluster.rng(), static_cast<std::uint32_t>(cfg.num_migrations));
-    if (owned != nullptr) {
+    if (owned.size() < n_vms) {
       std::erase_if(plan.events, [&](const sim::FaultEvent& ev) {
-        const auto v = static_cast<std::uint32_t>(
-            cfg.num_vms > 0 ? ev.target % cfg.num_vms : 0);
-        return !std::binary_search(owned->begin(), owned->end(), v);
+        const auto v = static_cast<std::uint32_t>(ev.target % n_vms);
+        return !std::binary_search(owned.begin(), owned.end(), v);
       });
     }
-    if (owned == nullptr || plan.enabled()) {
-      injector = std::make_unique<FaultInjector>(simulator, cluster, mw, std::move(plan),
-                                                 cfg.num_vms, cfg.num_destinations);
-      injector->arm();
-    }
+    injector = std::make_unique<FaultInjector>(simulator, cluster, mw, std::move(plan),
+                                               cfg.num_vms, cfg.num_destinations);
+    injector->arm();
   }
 
   // --- invariant auditor --------------------------------------------------
@@ -279,214 +297,147 @@ ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
   while (workload_done.count() != 0 || migrations_done.count() != 0) {
     if (!simulator.step()) break;
     if (cfg.max_sim_time > 0 && simulator.now() > cfg.max_sim_time) {
-      res.completed = false;
+      out.completed = false;
       break;
     }
   }
-  res.wall_ms = std::chrono::duration<double, std::milli>(
+  out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - wall_start)
                     .count();
 
-  // --- collect --------------------------------------------------------------
+  // --- raw material for the merge -----------------------------------------
   if (trace_app && trace_app->failed()) {
-    res.error = trace_app->error();
-    res.completed = false;
+    out.error = trace_app->error();
+    out.completed = false;
   }
-  if (recorder != nullptr && recorder->failed() && res.error.empty())
-    res.error = recorder->error();
+  if (recorder != nullptr && recorder->failed() && out.error.empty())
+    out.error = recorder->error();
   if (recorder_owned) {
     std::string werr;
     if (!write_trace(cfg.record_trace_path, recorder_owned->data(), &werr) &&
-        res.error.empty())
-      res.error = werr;
+        out.error.empty())
+      out.error = werr;
   }
-  res.approach = core::approach_name(cfg.approach);
-  res.workload = workload_name(cfg.workload);
-  res.sim_duration = simulator.now();
-  res.migrations.assign(mw.metrics().migrations().begin(),
+  out.sim_duration = simulator.now();
+  out.app_execution_time = cfg.workload == WorkloadKind::kCm1
+                               ? cm1_app->execution_time()
+                               : simulator.now() - workload_started_at;
+  out.migrations.assign(mw.metrics().migrations().begin(),
                         mw.metrics().migrations().end());
-  res.total_migration_time = mw.metrics().total_migration_time();
-  res.avg_migration_time = mw.metrics().avg_migration_time();
-  res.max_downtime = mw.metrics().max_downtime();
+  for (vm::VmInstance* v : vms)
+    out.per_vm.push_back(Slice::VmAgg{static_cast<std::uint32_t>(v->id()), v->io_stats(),
+                                      v->cpu_seconds()});
 
   if (injector) {
-    res.recovery.faults_injected = injector->faults_applied();
-    res.recovery.fault_downtime_s = injector->fault_pause_s();
-    res.recovery.node_crashes = injector->node_crashes();
-    res.recovery.correlated_events = injector->correlated_events();
-    res.recovery.node_downtime_s = injector->node_downtime_s();
+    out.injector.faults_injected = injector->faults_applied();
+    out.injector.fault_downtime_s = injector->fault_pause_s();
+    out.injector.node_crashes = injector->node_crashes();
+    out.injector.correlated_events = injector->correlated_events();
+    out.injector.node_downtime_s = injector->node_downtime_s();
   }
-  recovery_from_migrations(res.migrations, &res.recovery);
-  if (scheduler) res.scheduler = scheduler->stats();
+  if (scheduler) out.scheduler = scheduler->stats();
   if (auditor) {
-    res.audit_checks = auditor->checks_run();
-    res.audit_violations = auditor->violations();
+    out.audit_checks = auditor->checks_run();
+    out.audit_violations = auditor->violations();
   }
 
   auto& network = cluster.network();
-  res.engine_events = simulator.events_processed();
-  res.engine_flows = network.flows_started();
-  res.engine_recomputes = network.recompute_count();
-  res.engine_components = network.solved_component_count();
-  res.engine_flows_resolved = network.touched_flow_count();
-  res.engine_escalations = network.escalation_count();
-  const sim::FramePool::Stats frames_after = sim::FramePool::local().stats();
-  res.engine_frames = frames_after.served - frames_before.served;
-  res.engine_frames_reused = frames_after.reused - frames_before.reused;
-  res.engine_frame_heap_allocs = frames_after.heap - frames_before.heap;
-
   for (std::size_t i = 0; i < net::kNumTrafficClasses; ++i)
-    res.traffic_bytes[i] = network.traffic_bytes(static_cast<net::TrafficClass>(i));
-  res.total_traffic = network.total_traffic_bytes();
-  res.migration_traffic =
-      res.total_traffic - network.traffic_bytes(net::TrafficClass::kAppComm);
-
-  double wtime = 0, rtime = 0;
-  for (std::size_t idx = 0; idx < vms.size(); ++idx) {
-    vm::VmInstance* v = vms[idx];
-    const core::IoStats& io = v->io_stats();
-    res.bytes_written += io.bytes_written;
-    res.bytes_read += io.bytes_read;
-    wtime += io.write_time_s;
-    rtime += io.read_time_s;
-    res.cpu_seconds_total += v->cpu_seconds();
-    if (detail != nullptr) {
-      const auto gid = static_cast<std::uint32_t>(owned ? (*owned)[idx] : idx);
-      detail->per_vm.push_back(SliceDetail::VmAgg{gid, io, v->cpu_seconds()});
-    }
-  }
-  res.write_Bps = wtime > 0 ? res.bytes_written / wtime : 0;
-  res.read_Bps = rtime > 0 ? res.bytes_read / rtime : 0;
-
-  switch (cfg.workload) {
-    case WorkloadKind::kCm1:
-      res.app_execution_time = cm1_app ? cm1_app->execution_time() : 0;
-      break;
-    default:
-      res.app_execution_time = simulator.now() - workload_started_at;
-      break;
-  }
-  if (detail != nullptr) detail->repo_chunks_served = cluster.repository().chunks_served();
+    out.traffic_bytes[i] = network.traffic_bytes(static_cast<net::TrafficClass>(i));
+  out.events = simulator.events_processed();
+  out.flows = network.flows_started();
+  out.recomputes = network.recompute_count();
+  out.components = network.solved_component_count();
+  out.flows_resolved = network.touched_flow_count();
+  out.escalations = network.escalation_count();
+  const sim::FramePool::Stats frames_after = sim::FramePool::local().stats();
+  out.frames = frames_after.served - frames_before.served;
+  out.frames_reused = frames_after.reused - frames_before.reused;
+  out.frame_heap_allocs = frames_after.heap - frames_before.heap;
+  out.repo_chunks_served = cluster.repository().chunks_served();
   // Reclaim daemons still parked on awaitables (writeback loops, truncated
   // workloads) while the cluster they reference is alive: frame destructors
   // may touch backend objects, and the cluster dies before the simulator in
   // this scope's reverse destruction order.
   simulator.destroy_detached();
-  return res;
+  return out;
 }
 
-ExperimentResult Experiment::run_sharded(const ShardPlan& plan) const {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint32_t n = plan.shard_count();
-  std::vector<ExperimentResult> parts(n);
-  std::vector<SliceDetail> details(n);
-  sim::ShardedSimulator shards(n);
-  shards.run([&](std::uint32_t s) { parts[s] = run_slice(&plan.slices[s], &details[s]); });
-
-  // Conservative runtime guards: anything a slice cannot prove independent
-  // (a repository fetch from a stripe another shard owns, a max_sim_time
-  // truncation whose cut point depends on the global interleave, any error
-  // whose text mentions global state) reruns single-shard. Correctness is
-  // never traded for wall-clock.
-  std::string guard;
-  for (std::uint32_t s = 0; s < n && guard.empty(); ++s) {
-    if (!parts[s].error.empty())
-      guard = "runtime guard: slice error: " + parts[s].error;
-    else if (!parts[s].completed)
-      guard = "runtime guard: max_sim_time truncation";
-    else if (details[s].repo_chunks_served > 0)
-      guard = "runtime guard: repository stripe served cross-shard traffic";
-  }
-  if (!guard.empty()) {
-    ExperimentResult res = run_slice(nullptr, nullptr);
-    res.shards_used = 1;
-    res.shard_fallback_reason = std::move(guard);
-    return res;
-  }
-
-  ExperimentResult res = merge_parts(parts, details);
-  res.shards_used = n;
-  res.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
-  return res;
-}
-
-ExperimentResult Experiment::merge_parts(std::vector<ExperimentResult>& parts,
-                                         std::vector<SliceDetail>& details) const {
-  const std::uint32_t n = static_cast<std::uint32_t>(parts.size());
-  // --- deterministic merge --------------------------------------------------
-  // Every reduction replicates the accumulation order of the single-shard
-  // collect pass: migration records by global launch index, per-VM doubles
-  // in global VM order, spans as maxima. Traffic and byte counters are sums
-  // of integer-valued doubles, so shard-order summation is exact.
+ExperimentResult Experiment::merge_parts(std::vector<Slice>& parts) const {
+  // The one place every aggregate is computed, for one slice or N. Every
+  // reduction follows the accumulation order of one simulator over the
+  // whole fleet: migration records in begin order (by global launch index
+  // across N slices), per-VM doubles in global VM order, spans as maxima.
+  // Traffic and byte counters are sums of integer-valued doubles, so
+  // slice-order summation is exact.
   ExperimentResult res;
-  res.approach = parts[0].approach;
-  res.workload = parts[0].workload;
-  res.completed = true;
-  for (const ExperimentResult& p : parts) {
+  res.approach = core::approach_name(cfg_.approach);
+  res.workload = workload_name(cfg_.workload);
+  res.shards_used = static_cast<std::uint32_t>(parts.size());
+  // The scheduler collapses the plan, so at most the one slice ran it.
+  res.scheduler = parts[0].scheduler;
+  for (Slice& p : parts) {
+    res.completed = res.completed && p.completed;
+    if (res.error.empty()) res.error = std::move(p.error);
     res.sim_duration = std::max(res.sim_duration, p.sim_duration);
     res.app_execution_time = std::max(res.app_execution_time, p.app_execution_time);
-    res.engine_events += p.engine_events;
-    res.engine_flows += p.engine_flows;
-    res.engine_recomputes += p.engine_recomputes;
-    res.engine_components += p.engine_components;
-    res.engine_flows_resolved += p.engine_flows_resolved;
-    res.engine_escalations += p.engine_escalations;
-    res.engine_frames += p.engine_frames;
-    res.engine_frames_reused += p.engine_frames_reused;
-    res.engine_frame_heap_allocs += p.engine_frame_heap_allocs;
+    res.engine_events += p.events;
+    res.engine_flows += p.flows;
+    res.engine_recomputes += p.recomputes;
+    res.engine_components += p.components;
+    res.engine_flows_resolved += p.flows_resolved;
+    res.engine_escalations += p.escalations;
+    res.engine_frames += p.frames;
+    res.engine_frames_reused += p.frames_reused;
+    res.engine_frame_heap_allocs += p.frame_heap_allocs;
     for (std::size_t i = 0; i < net::kNumTrafficClasses; ++i)
       res.traffic_bytes[i] += p.traffic_bytes[i];
+    res.recovery.faults_injected += p.injector.faults_injected;
+    res.recovery.node_crashes += p.injector.node_crashes;
+    res.recovery.correlated_events += p.injector.correlated_events;
+    res.recovery.fault_downtime_s += p.injector.fault_downtime_s;
+    res.recovery.node_downtime_s += p.injector.node_downtime_s;
+    res.audit_checks += p.audit_checks;
+    for (std::string& v : p.audit_violations) res.audit_violations.push_back(std::move(v));
   }
   for (std::size_t i = 0; i < net::kNumTrafficClasses; ++i)
     res.total_traffic += res.traffic_bytes[i];
   res.migration_traffic =
       res.total_traffic - res.traffic(net::TrafficClass::kAppComm);
 
-  // Migration records, ordered by global launch index (each slice's list is
-  // already ascending and the slices are disjoint — a k-way merge).
-  std::vector<std::pair<std::uint32_t, const core::MigrationRecord*>> recs;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    assert(details[s].launch_ks.size() == parts[s].migrations.size());
-    for (std::size_t j = 0; j < parts[s].migrations.size(); ++j)
-      recs.emplace_back(details[s].launch_ks[j], &parts[s].migrations[j]);
+  // Migration records: one slice keeps its own order; N slices interleave
+  // by global launch index (each slice's list is ascending and the slices
+  // are disjoint — a k-way merge).
+  if (parts.size() == 1) {
+    res.migrations = std::move(parts[0].migrations);
+  } else {
+    std::vector<std::pair<std::uint32_t, core::MigrationRecord*>> recs;
+    for (Slice& p : parts) {
+      assert(p.launch_ks.size() == p.migrations.size());
+      for (std::size_t j = 0; j < p.migrations.size(); ++j)
+        recs.emplace_back(p.launch_ks[j], &p.migrations[j]);
+    }
+    std::sort(recs.begin(), recs.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    res.migrations.reserve(recs.size());
+    for (const auto& [k, rec] : recs) res.migrations.push_back(std::move(*rec));
   }
-  std::sort(recs.begin(), recs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  res.migrations.reserve(recs.size());
-  for (const auto& [k, rec] : recs) res.migrations.push_back(*rec);
   for (const core::MigrationRecord& m : res.migrations) {
     res.total_migration_time += m.migration_time();
     res.max_downtime = std::max(res.max_downtime, m.downtime_s);
   }
   res.avg_migration_time =
       res.migrations.empty() ? 0 : res.total_migration_time / res.migrations.size();
-
-  // Record-derived recovery aggregates recompute from the merged records
-  // (identical accumulation order to the single-shard collect); injector-
-  // and auditor-side counters sum across the slices that armed them.
   recovery_from_migrations(res.migrations, &res.recovery);
-  for (const ExperimentResult& p : parts) {
-    res.recovery.faults_injected += p.recovery.faults_injected;
-    res.recovery.node_crashes += p.recovery.node_crashes;
-    res.recovery.correlated_events += p.recovery.correlated_events;
-    res.recovery.fault_downtime_s += p.recovery.fault_downtime_s;
-    res.recovery.node_downtime_s += p.recovery.node_downtime_s;
-    res.audit_checks += p.audit_checks;
-    for (const std::string& v : p.audit_violations) res.audit_violations.push_back(v);
-  }
 
   // Per-VM doubles in global VM order (slices hold disjoint ascending ids).
-  std::vector<const SliceDetail::VmAgg*> by_vm;
-  for (const SliceDetail& d : details)
-    for (const SliceDetail::VmAgg& a : d.per_vm) by_vm.push_back(&a);
+  std::vector<const Slice::VmAgg*> by_vm;
+  for (const Slice& p : parts)
+    for (const Slice::VmAgg& a : p.per_vm) by_vm.push_back(&a);
   std::sort(by_vm.begin(), by_vm.end(),
-            [](const SliceDetail::VmAgg* a, const SliceDetail::VmAgg* b) {
-              return a->id < b->id;
-            });
+            [](const Slice::VmAgg* a, const Slice::VmAgg* b) { return a->id < b->id; });
   double wtime = 0, rtime = 0;
-  for (const SliceDetail::VmAgg* a : by_vm) {
+  for (const Slice::VmAgg* a : by_vm) {
     res.bytes_written += a->io.bytes_written;
     res.bytes_read += a->io.bytes_read;
     wtime += a->io.write_time_s;
@@ -505,14 +456,42 @@ ExperimentResult Experiment::run() {
     res.error = std::move(err);
     return res;
   }
-  const ShardPlan plan = plan_shards(cfg_);
-  if (plan.shard_count() <= 1) {
-    ExperimentResult res = run_slice(nullptr, nullptr);
-    res.shards_used = 1;
-    res.shard_fallback_reason = plan.collapse_reason;
-    return res;
+  ShardPlan plan = plan_shards(cfg_);
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::vector<Slice> parts(plan.shard_count());
+  sim::ShardedSimulator(plan.shard_count()).run([&](std::uint32_t s) {
+    parts[s] = run_slice(plan.slices[s]);
+  });
+
+  // Conservative runtime guards for N slices: anything a slice cannot prove
+  // independent (a repository fetch from a stripe another slice owns, a
+  // max_sim_time truncation whose cut point depends on the global
+  // interleave, any error whose text mentions global state) reruns the
+  // one-slice plan. Correctness is never traded for wall-clock.
+  std::string guard;
+  for (std::size_t s = 0; parts.size() > 1 && s < parts.size() && guard.empty(); ++s) {
+    if (!parts[s].error.empty())
+      guard = "runtime guard: slice error: " + parts[s].error;
+    else if (!parts[s].completed)
+      guard = "runtime guard: max_sim_time truncation";
+    else if (parts[s].repo_chunks_served > 0)
+      guard = "runtime guard: repository stripe served cross-shard traffic";
   }
-  return run_sharded(plan);
+  if (!guard.empty()) {
+    plan.slices.assign(1, std::vector<std::uint32_t>(cfg_.num_vms));
+    std::iota(plan.slices[0].begin(), plan.slices[0].end(), 0u);
+    plan.collapse_reason = std::move(guard);
+    parts.assign(1, run_slice(plan.slices[0]));
+  }
+
+  ExperimentResult res = merge_parts(parts);
+  res.shard_fallback_reason = std::move(plan.collapse_reason);
+  // One slice reports its event loop; N slices the whole sharded run.
+  res.wall_ms = parts.size() == 1 ? parts[0].wall_ms
+                                  : std::chrono::duration<double, std::milli>(
+                                        std::chrono::steady_clock::now() - wall_start)
+                                        .count();
+  return res;
 }
 
 ExperimentResult run_baseline(ExperimentConfig cfg) {

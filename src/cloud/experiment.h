@@ -103,8 +103,9 @@ struct ExperimentConfig {
   /// approach-specific settings (PVFS) are consistent.
   void normalize();
 
-  /// A diagnostic when this config cannot run, else empty: the selected
-  /// workload's file extent must fit inside the image.
+  /// A diagnostic when this config cannot run, else empty: the chunk and
+  /// page sizes must be positive and the selected workload's file extent
+  /// must fit inside the image.
   std::string validate() const;
 };
 
@@ -170,43 +171,42 @@ struct ExperimentResult {
   std::uint32_t shards_used = 1;
   /// Why shards_used fell short of the requested shard count: the plan's
   /// static collapse reason, or the runtime guard that forced the
-  /// single-shard rerun. Empty when the run used the planned shards.
+  /// one-slice rerun. Empty when the run used the planned shards.
   std::string shard_fallback_reason;
-  double wall_ms = 0;                   // host wall-clock for the run loop
+  /// Host wall-clock: the event loop of a one-slice run, or the whole
+  /// sharded run (slices and merge) for N slices.
+  double wall_ms = 0;
 
   double traffic(net::TrafficClass c) const {
     return traffic_bytes[static_cast<std::size_t>(c)];
   }
 };
 
-struct ShardPlan;
-
 class Experiment {
  public:
   explicit Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) { cfg_.normalize(); }
 
-  /// Run the full simulation and collect metrics. With cfg.shards > 1 and a
-  /// decomposable scenario, component slices run on parallel simulator
-  /// shards and the results are merged deterministically; the virtual-time
-  /// fields are byte-identical to the single-shard run either way.
+  /// Run the simulation and collect metrics: plan_shards, one simulator per
+  /// slice (in parallel when there are several), runtime guards, then one
+  /// deterministic merge. With cfg.shards > 1 and a decomposable scenario
+  /// the plan has several slices; the virtual-time fields are
+  /// byte-identical to the one-slice run either way.
   ExperimentResult run();
 
   const ExperimentConfig& config() const noexcept { return cfg_; }
 
  private:
-  /// Per-slice raw material the deterministic merge needs at finer grain
-  /// than ExperimentResult's aggregates (accumulation order matters).
-  struct SliceDetail;
+  /// What one slice hands the merge (defined in experiment.cpp).
+  struct Slice;
 
-  /// One simulator slice over the owned VM ids (nullptr = all VMs — the
-  /// exact legacy single-shard path). Thread-safe: touches only locals and
-  /// the const config.
-  ExperimentResult run_slice(const std::vector<std::uint32_t>* owned,
-                             SliceDetail* detail) const;
-  ExperimentResult run_sharded(const ShardPlan& plan) const;
-  /// Deterministic merge of completed slice results.
-  ExperimentResult merge_parts(std::vector<ExperimentResult>& parts,
-                               std::vector<SliceDetail>& details) const;
+  /// One simulator over the given global VM ids (ascending). run() sends
+  /// every plan through here, so a collapsed plan is just the one slice
+  /// that lists every VM. Thread-safe: touches only locals and the const
+  /// config.
+  Slice run_slice(const std::vector<std::uint32_t>& owned) const;
+  /// The one deterministic merge: every aggregate of the result, from one
+  /// slice or N.
+  ExperimentResult merge_parts(std::vector<Slice>& parts) const;
 
   ExperimentConfig cfg_;
 };

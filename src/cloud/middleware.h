@@ -91,10 +91,6 @@ class Middleware {
   const std::vector<std::unique_ptr<core::StorageMigrationSession>>& sessions() const {
     return sessions_;
   }
-  /// Sessions with an attempt currently in flight (the watchdog's scan set).
-  const std::vector<core::StorageMigrationSession*>& active_sessions() const noexcept {
-    return active_sessions_;
-  }
   /// Invariant auditor (optional): receives adoption/completion conservation
   /// checks from the migrate loop. Caller keeps ownership.
   void set_auditor(Auditor* a) noexcept { auditor_ = a; }
@@ -117,7 +113,7 @@ class Middleware {
   core::Metrics metrics_;
   std::vector<std::unique_ptr<VmSlot>> slots_;
   std::vector<std::unique_ptr<core::StorageMigrationSession>> sessions_;
-  std::vector<core::StorageMigrationSession*> active_sessions_;
+  std::vector<core::StorageMigrationSession*> active_sessions_;  // attempts in flight
   /// Partial destination replicas discarded on retry (destination crashed or
   /// target changed). In-flight host-bus/flusher work may still reference
   /// them, so they are parked until teardown instead of destroyed mid-run.

@@ -1,7 +1,7 @@
 // Static coupling analysis + slice planning for sharded experiments.
 //
 // The sharded execution contract is byte-identity: every virtual-time field
-// of the merged result must equal the single-shard run's. That is provable
+// of the merged result must equal the one-slice run's. That is provable
 // only when the slices are causally independent — no finite network
 // constraint, no storage service, no workload channel and no fault event
 // spans two slices. plan_shards() decides that *conservatively* from the
@@ -33,8 +33,8 @@
 // Residual couplings only observable at runtime (a repository fetch from a
 // foreign-owned stripe, a max_sim_time truncation whose cut point depends
 // on the global interleave) are caught by the executor's guards, which
-// rerun the experiment single-shard. Wrong-but-fast is never an outcome;
-// the fallback costs wall-clock only.
+// rerun the experiment as the one-slice plan. Wrong-but-fast is never an
+// outcome; the fallback costs wall-clock only.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +46,10 @@
 namespace hm::cloud {
 
 struct ShardPlan {
-  /// Slices that actually run (non-empty, ascending VM ids inside each).
-  /// Size 1 means the plan collapsed — the executor takes the exact
-  /// single-shard code path. More than one: the slices are causally
-  /// independent and run with zero synchronization.
+  /// Slices that actually run (ascending VM ids inside each). Size 1 means
+  /// the plan collapsed to the one slice that lists every VM; the executor
+  /// runs and merges it like any other plan. More than one: the slices are
+  /// causally independent and run with zero synchronization.
   std::vector<std::vector<std::uint32_t>> slices;
   /// Why the plan collapsed to one shard; empty when it did not, or when
   /// the config never asked for shards.

@@ -1,8 +1,8 @@
 // Coroutine synchronization primitives for the simulator: one-shot events,
 // repeatable notifications, gates (suspend/resume), FIFO semaphores,
-// wait-groups, barriers, typed mailboxes and a single-server FIFO service
-// station. All wakeups are funneled through the simulator's event queue so
-// resumption order is deterministic and stack depth stays bounded.
+// wait-groups, barriers and a single-server FIFO service station. All
+// wakeups are funneled through the simulator's event queue so resumption
+// order is deterministic and stack depth stays bounded.
 //
 // Waiter storage is intrusive: each awaiter embeds a WaitNode that lives in
 // the suspended coroutine's frame, so registering a waiter and waking it
@@ -16,9 +16,6 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
-#include <optional>
-#include <utility>
 
 #include "sim/simulator.h"
 
@@ -355,63 +352,6 @@ class Barrier {
   Simulator* sim_;
   std::size_t parties_;
   WaiterList waiters_;
-};
-
-/// Unbounded typed mailbox (header-only): send never blocks, recv suspends
-/// while empty. FIFO on both messages and receivers. Receiver registration
-/// is intrusive (the awaiter chains itself), so only message buffering can
-/// allocate.
-template <class T>
-class Mailbox {
- public:
-  explicit Mailbox(Simulator& sim) : sim_(&sim) {}
-  Mailbox(const Mailbox&) = delete;
-  Mailbox& operator=(const Mailbox&) = delete;
-
-  struct Awaiter {
-    Mailbox& mb;
-    std::optional<T> slot;
-    std::coroutine_handle<> h = nullptr;
-    Awaiter* next = nullptr;
-
-    bool await_ready() {
-      // Only take the fast path when no earlier receiver is queued, so
-      // message delivery stays strictly FIFO across receivers.
-      if (!mb.items_.empty() && mb.receivers_.empty()) {
-        slot = std::move(mb.items_.front());
-        mb.items_.pop_front();
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> handle) noexcept {
-      h = handle;
-      mb.receivers_.push(this);
-    }
-    T await_resume() { return std::move(*slot); }
-  };
-
-  void send(T value) {
-    if (!receivers_.empty()) {
-      // Hand the item directly to the oldest receiver; this avoids a
-      // ready-path receiver stealing it before the wakeup fires.
-      Awaiter* w = receivers_.pop();
-      w->slot = std::move(value);
-      sim_->resume_later(w->h);
-      return;
-    }
-    items_.push_back(std::move(value));
-  }
-
-  Awaiter recv() noexcept { return Awaiter{*this, std::nullopt, nullptr, nullptr}; }
-
-  std::size_t size() const noexcept { return items_.size(); }
-  bool empty() const noexcept { return items_.empty(); }
-
- private:
-  Simulator* sim_;
-  std::deque<T> items_;
-  IntrusiveQueue<Awaiter> receivers_;
 };
 
 }  // namespace hm::sim

@@ -174,6 +174,26 @@ TEST(ExperimentValidate, Cm1DumpSlotsPastImageEnd) {
   EXPECT_EQ(cfg.validate(), "");
 }
 
+// A zero chunk or page size would divide by zero while building the
+// cluster; it is rejected before anything is built instead.
+TEST(ExperimentValidate, ZeroChunkBytes) {
+  ExperimentConfig cfg = small_config(core::Approach::kHybrid);
+  cfg.cluster.image.chunk_bytes = 0;
+  const ExperimentResult res = Experiment(cfg).run();
+  EXPECT_FALSE(res.completed);
+  EXPECT_EQ(res.error, "cluster.image.chunk_bytes must be positive");
+  EXPECT_EQ(res.engine_events, 0u);
+}
+
+TEST(ExperimentValidate, ZeroPageBytes) {
+  ExperimentConfig cfg = small_config(core::Approach::kHybrid);
+  cfg.vm.memory.page_bytes = 0;
+  const ExperimentResult res = Experiment(cfg).run();
+  EXPECT_FALSE(res.completed);
+  EXPECT_EQ(res.error, "vm.memory.page_bytes must be positive");
+  EXPECT_EQ(res.engine_events, 0u);
+}
+
 TEST(Experiment, MigrationTrafficExcludesAppComm) {
   ExperimentConfig cfg = small_config(core::Approach::kHybrid);
   cfg.workload = WorkloadKind::kCm1;

@@ -161,7 +161,7 @@ TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
       EXPECT_EQ(plan.shard_count(), 1u);
       EXPECT_EQ(plan.collapse_reason, why);
     }
-    // The run takes the exact single-shard path: every field matches.
+    // The run is the one-slice plan, as at shards=1: every field matches.
     const ExperimentResult ref = run_with_shards(base, 1);
     EXPECT_TRUE(ref.completed);
     const ExperimentResult got = run_with_shards(base, 4);

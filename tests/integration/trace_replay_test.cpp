@@ -149,5 +149,19 @@ TEST(TraceReplay, RecordTracePathWritesReplayableFile) {
   std::remove(path.c_str());
 }
 
+// A replay failure inside the run surfaces through the one-slice merge: the
+// reader's diagnostic lands in `error` and the run is marked incomplete.
+TEST(TraceReplay, UnreadableTraceReportsErrorAtOneShard) {
+  ExperimentConfig cfg = asyncwr_config(1);
+  cfg.workload = WorkloadKind::kTrace;
+  cfg.trace.path = ::testing::TempDir() + "no_such_trace.trace";
+  cfg.trace.broadcast = true;
+  cfg.shards = 1;
+  const ExperimentResult res = Experiment(cfg).run();
+  EXPECT_FALSE(res.completed);
+  EXPECT_NE(res.error.find("cannot open trace"), std::string::npos) << res.error;
+  EXPECT_EQ(res.shards_used, 1u);
+}
+
 }  // namespace
 }  // namespace hm::cloud

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -229,57 +228,6 @@ TEST(Barrier, SinglePartyNeverBlocks) {
   s.spawn(barrier_loop(&s, &b, 3, 1.0, &completed));
   s.run();
   EXPECT_EQ(completed, 1);
-}
-
-Task mb_producer(Simulator* s, Mailbox<std::string>* mb, double dt, std::string msg) {
-  co_await s->delay(dt);
-  mb->send(std::move(msg));
-}
-
-Task mb_consumer(Mailbox<std::string>* mb, std::vector<std::string>* got, int n) {
-  for (int i = 0; i < n; ++i) {
-    std::string v = co_await mb->recv();
-    got->push_back(std::move(v));
-  }
-}
-
-TEST(Mailbox, DeliversInSendOrder) {
-  Simulator s;
-  Mailbox<std::string> mb(s);
-  std::vector<std::string> got;
-  s.spawn(mb_consumer(&mb, &got, 3));
-  s.spawn(mb_producer(&s, &mb, 2.0, "b"));
-  s.spawn(mb_producer(&s, &mb, 1.0, "a"));
-  s.spawn(mb_producer(&s, &mb, 3.0, "c"));
-  s.run();
-  EXPECT_EQ(got, (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(Mailbox, BufferedSendBeforeRecv) {
-  Simulator s;
-  Mailbox<std::string> mb(s);
-  mb.send("x");
-  mb.send("y");
-  EXPECT_EQ(mb.size(), 2u);
-  std::vector<std::string> got;
-  s.spawn(mb_consumer(&mb, &got, 2));
-  s.run();
-  EXPECT_EQ(got, (std::vector<std::string>{"x", "y"}));
-  EXPECT_TRUE(mb.empty());
-}
-
-TEST(Mailbox, MultipleReceiversFifo) {
-  Simulator s;
-  Mailbox<std::string> mb(s);
-  std::vector<std::string> got_a, got_b;
-  s.spawn(mb_consumer(&mb, &got_a, 1));  // registered first
-  s.spawn(mb_consumer(&mb, &got_b, 1));
-  s.run();
-  mb.send("first");
-  mb.send("second");
-  s.run();
-  EXPECT_EQ(got_a, (std::vector<std::string>{"first"}));
-  EXPECT_EQ(got_b, (std::vector<std::string>{"second"}));
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <memory>
+#include <vector>
 
 #include "cloud/experiment.h"
+#include "core/hybrid_migrator.h"
 #include "net/flow_network.h"
 #include "sim/random.h"
 #include "sim/sharded.h"
@@ -406,6 +409,61 @@ void BM_ChunkStoreWrites(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ChunkStoreWrites)->Arg(1000)->Arg(10000);
+
+// Data-path locality probe: N HybridSessions, each on its own node pair of
+// a non-blocking core, push the same number of chunks at once, so the event
+// loop interleaves them round-robin. The per-chunk work is identical at
+// every N; only the per-session state the loop cycles through (replicas,
+// LRU slabs, bitmaps, counters) grows. ns/chunk that climbs with N is
+// footprint falling out of cache. Only the push phase is timed.
+sim::Task populate_replica(core::MigrationManager* mgr, std::uint32_t n) {
+  for (storage::ChunkId c = 0; c < n; ++c) co_await mgr->backend_write_chunk(c);
+}
+
+void BM_SessionRoundRobin(benchmark::State& state) {
+  constexpr std::uint32_t kChunksPerSession = 64;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  double timed_s = 0;
+  std::uint64_t pushed = 0;
+  for (auto _ : state) {
+    sim::Simulator s;
+    vm::ClusterConfig ccfg;
+    ccfg.num_nodes = 2 * n;
+    ccfg.image = storage::ImageConfig{1 * storage::kGiB, 256 * 1024};
+    vm::Cluster cluster(s, ccfg);
+    core::Metrics metrics;
+    std::vector<std::unique_ptr<core::MigrationManager>> mgrs;
+    std::vector<std::unique_ptr<core::HybridSession>> sessions;
+    for (std::size_t i = 0; i < n; ++i) {
+      mgrs.push_back(std::make_unique<core::MigrationManager>(
+          s, cluster, static_cast<net::NodeId>(2 * i), static_cast<int>(i)));
+      s.spawn(populate_replica(mgrs.back().get(), kChunksPerSession));
+    }
+    s.run();
+    for (std::size_t i = 0; i < n; ++i) {
+      sessions.push_back(std::make_unique<core::HybridSession>(
+          s, cluster, mgrs[i].get(), static_cast<net::NodeId>(2 * i + 1),
+          metrics.new_migration(static_cast<int>(i))));
+      mgrs[i]->begin_migration(sessions.back().get());
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto& session : sessions) session->start();
+    s.run();
+    const double dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    state.SetIterationTime(dt);
+    timed_s += dt;
+    for (const auto& session : sessions) {
+      if (session->chunks_pushed() != kChunksPerSession) {
+        state.SkipWithError("a session did not push its whole modified set");
+        return;
+      }
+      pushed += session->chunks_pushed();
+    }
+    s.destroy_detached();  // parked push tasks reference the sessions
+  }
+  state.counters["ns/chunk"] = timed_s * 1e9 / static_cast<double>(pushed);
+}
+BENCHMARK(BM_SessionRoundRobin)->Arg(1)->Arg(64)->Arg(1024)->UseManualTime();
 
 // Epoch rendezvous cost: N shard threads spinning through the EpochBarrier
 // + mailbox exchange (one small message to every peer per epoch).

@@ -17,7 +17,7 @@ HybridSession::HybridSession(sim::Simulator& sim, vm::Cluster& cluster,
       push_wakeup_(sim),
       push_stopped_(sim),
       pull_gate_(sim, /*open=*/true),
-      inflight_slot_(mgr->replica().num_chunks(), kNilSlot),
+      pulling_(mgr->replica().num_chunks()),
       source_released_(sim),
       rng_(cluster.rng().fork("hybrid-session", static_cast<std::uint64_t>(rec.vm_id))) {}
 
@@ -36,9 +36,22 @@ std::uint32_t HybridSession::alloc_pull_slot() {
 void HybridSession::release_pull_slot(std::uint32_t slot) noexcept {
   PullState& st = pull_slab_[slot];
   st.done.reset();  // waiters were already enqueued by set()
+  st.chunk = storage::kNoChunk;
   st.cancelled = false;
   st.next_free = pull_free_;
   pull_free_ = slot;
+}
+
+std::uint32_t HybridSession::inflight_slot(ChunkId c) const noexcept {
+  if (!pulling_.test(c)) return kNilSlot;
+  for (std::uint32_t slot = 0; slot < pull_slab_.size(); ++slot)
+    if (pull_slab_[slot].chunk == c) return slot;
+  assert(false && "pulling_ bit set without a slab slot");
+  return kNilSlot;
+}
+
+void HybridSession::count_transfer(ChunkId c) noexcept {
+  if (transfer_count_[c] != std::numeric_limits<std::uint8_t>::max()) ++transfer_count_[c];
 }
 
 void HybridSession::add_remaining(ChunkId c) { in_remaining_.set(c); }
@@ -121,7 +134,7 @@ sim::Task HybridSession::push_task() {
     }
     co_await dst_store_->write_chunk(c);
     ++chunks_pushed_;
-    ++transfer_count_[c];
+    count_transfer(c);
     rec_.storage_chunks_pushed += 1;
   }
   push_running_ = false;
@@ -148,7 +161,7 @@ sim::Task HybridSession::vm_write(ChunkId c) {
   // Destination role: the new data supersedes whatever the source had —
   // cancel any pull in progress and drop the chunk from RemainingSet.
   superseded_.set(c);
-  const std::uint32_t slot = inflight_slot_[c];
+  const std::uint32_t slot = inflight_slot(c);
   if (slot != kNilSlot) {
     pull_slab_[slot].cancelled = true;
     ++cancelled_pulls_;
@@ -163,7 +176,7 @@ sim::Task HybridSession::vm_write(ChunkId c) {
 // Algorithm 4 (READ) on the destination.
 sim::Task HybridSession::vm_read(ChunkId c) {
   if (control_transferred_) {
-    const std::uint32_t slot = inflight_slot_[c];
+    const std::uint32_t slot = inflight_slot(c);
     if (slot != kNilSlot) {
       // Case 1: already being pulled — wait for completion. The slot's
       // event is registered with synchronously here; the slot itself may
@@ -230,8 +243,9 @@ sim::Task HybridSession::do_pull(ChunkId c, bool on_demand) {
   (void)on_demand;
   const std::uint32_t slot = alloc_pull_slot();
   pull_slab_[slot].done.emplace(sim_);
+  pull_slab_[slot].chunk = c;
   pull_slab_[slot].cancelled = false;
-  inflight_slot_[c] = slot;
+  pulling_.set(c);
   ++active_pulls_;
   auto& net = cluster_.network();
   // Pulls run only after control transfer, where aborts no longer happen:
@@ -255,10 +269,10 @@ sim::Task HybridSession::do_pull(ChunkId c, bool on_demand) {
     co_await dst_store_->write_chunk(c);
   }
   ++chunks_pulled_;
-  ++transfer_count_[c];
+  count_transfer(c);
   pull_log_.push_back(c);
   rec_.storage_chunks_pulled += 1;
-  inflight_slot_[c] = kNilSlot;
+  pulling_.reset(c);
   --active_pulls_;
   pull_slab_[slot].done->set();
   release_pull_slot(slot);

@@ -98,7 +98,9 @@ class HybridSession final : public StorageMigrationSession {
   std::uint64_t cancelled_pulls() const noexcept { return cancelled_pulls_; }
   std::uint64_t push_skipped_hot() const noexcept { return push_skipped_hot_; }
   /// Per-chunk network transfer count (push + pull); the paper's invariant
-  /// is that this never exceeds Threshold + 1 for any chunk.
+  /// is that this never exceeds Threshold + 1 for any chunk. Stored in one
+  /// byte that saturates at 255: exact whenever Threshold + 1 <= 255. Only
+  /// tests read it; nothing in a result depends on it.
   std::uint32_t transfer_count(ChunkId c) const { return transfer_count_[c]; }
   /// Completed pulls in completion order (tests assert prefetch priority).
   const std::vector<ChunkId>& pull_log() const noexcept { return pull_log_; }
@@ -109,19 +111,26 @@ class HybridSession final : public StorageMigrationSession {
 
   /// In-flight pull bookkeeping lives in a slab of value slots recycled
   /// through a free list (one steady-state shared_ptr allocation per pull in
-  /// the seed); the per-chunk index replaces the hash map on the pull path.
-  /// A deque keeps the non-movable intrusive Event stable across growth.
-  /// The Event's waiter list is intrusive (nodes live in the waiting
-  /// coroutines' frames), so emplacing and setting it never allocates —
-  /// pull wakeups are heap-free end to end.
+  /// the seed). Each slot names its chunk; the `pulling_` bitmap says
+  /// whether a chunk has a slot at all, so only an in-flight chunk pays a
+  /// scan of the slab, which holds one slot per concurrent pull (the
+  /// background pull plus any on-demand reads). A deque keeps the
+  /// non-movable intrusive Event stable across growth. The Event's waiter
+  /// list is intrusive (nodes live in the waiting coroutines' frames), so
+  /// emplacing and setting it never allocates — pull wakeups are heap-free
+  /// end to end.
   struct PullState {
     std::optional<sim::Event> done;  // emplaced per use of the slot
+    ChunkId chunk = storage::kNoChunk;
     bool cancelled = false;
     std::uint32_t next_free = kNilSlot;
   };
 
   std::uint32_t alloc_pull_slot();
   void release_pull_slot(std::uint32_t slot) noexcept;
+  /// Slab slot of c's in-flight pull, kNilSlot when c is not being pulled.
+  std::uint32_t inflight_slot(ChunkId c) const noexcept;
+  void count_transfer(ChunkId c) noexcept;  // saturating ++transfer_count_[c]
   void add_remaining(ChunkId c);
   void remove_remaining(ChunkId c);
   /// Deterministic content-duplicate draw for chunk `c`.
@@ -135,8 +144,8 @@ class HybridSession final : public StorageMigrationSession {
   void maybe_release_source();
 
   HybridConfig cfg_;
-  std::vector<std::uint32_t> write_count_;
-  std::vector<std::uint32_t> transfer_count_;
+  std::vector<std::uint32_t> write_count_;  // exact: it is the pull priority
+  std::vector<std::uint8_t> transfer_count_;  // saturating, see transfer_count()
   util::DirtyBitmap in_remaining_;  // the paper's RemainingSet, packed
   // Chunks overwritten by the destination after control transfer; the
   // source copy is obsolete the moment the write is issued, so the source
@@ -157,7 +166,7 @@ class HybridSession final : public StorageMigrationSession {
   sim::Gate pull_gate_;
   std::deque<PullState> pull_slab_;
   std::uint32_t pull_free_ = kNilSlot;
-  std::vector<std::uint32_t> inflight_slot_;  // chunk -> pull slab slot
+  util::DirtyBitmap pulling_;  // chunks with an in-flight pull slot
   std::size_t active_pulls_ = 0;
   bool pull_started_ = false;
   sim::Event source_released_;

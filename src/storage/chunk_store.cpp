@@ -15,7 +15,6 @@ ChunkStore::ChunkStore(sim::Simulator& sim, Disk& disk, ImageConfig img, ChunkSt
       cache_(static_cast<std::size_t>(cfg.host_cache_bytes / img.chunk_bytes), num_chunks_),
       bus_(sim),
       host_dirty_(num_chunks_),
-      dirty_stamp_(num_chunks_, 0),
       flush_wakeup_(sim),
       flush_progress_(sim) {}
 
@@ -27,7 +26,7 @@ std::vector<ChunkId> ChunkStore::modified_set() const {
 }
 
 void ChunkStore::mark_host_dirty(ChunkId c) {
-  dirty_stamp_[c] = ++dirty_epoch_;
+  if (c == flush_inflight_) flush_redirtied_ = true;
   host_dirty_.set(c);
   if (cfg_.background_flush) {
     if (!flusher_running_) {
@@ -50,11 +49,13 @@ sim::Task ChunkStore::flusher_loop() {
     if (next == util::DirtyBitmap::npos) next = host_dirty_.find_next(0);
     const ChunkId c = static_cast<ChunkId>(next);
     flush_cursor_ = (c + 1 < num_chunks_) ? c + 1 : 0;
-    const std::uint64_t stamp = dirty_stamp_[c];
+    flush_inflight_ = c;
+    flush_redirtied_ = false;
     co_await disk_.write(img_.chunk_bytes);
     // Only clean the bit if the chunk was not re-dirtied while the write
     // was in flight; otherwise leave it set and the cursor revisits it.
-    if (dirty_stamp_[c] == stamp) host_dirty_.reset(c);
+    if (!flush_redirtied_) host_dirty_.reset(c);
+    flush_inflight_ = kNoChunk;
     flush_progress_.notify_all();
   }
 }

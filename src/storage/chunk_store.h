@@ -8,11 +8,13 @@
 // and are flushed to disk in the background; reads of recently written
 // chunks (the common case when pushing fresh data) are served from host RAM.
 //
-// Host-dirty bookkeeping is an epoch-stamped slot bitmap: mark_host_dirty
-// sets the chunk's bit and stamps it, the background flusher scans the
-// bitmap with a round-robin cursor (word-skip over clean regions), and a
-// re-dirty during the disk write is detected by a stamp mismatch — no
-// deque, no hash probes on the write path.
+// Host-dirty bookkeeping is one bit per chunk: mark_host_dirty sets the
+// chunk's bit, and the background flusher scans the bitmap with a
+// round-robin cursor (word-skip over clean regions). The flusher has
+// exactly one disk write in flight, so detecting a re-dirty during that
+// write needs two members, not a per-chunk array: the in-flight chunk id
+// and a flag that mark_host_dirty raises when it hits that id — no deque,
+// no hash probes on the write path.
 //
 // read_chunk/write_chunk/install_base_chunk are frameless awaitables: the
 // fixed-latency bus or disk leg is an intrusive FifoStation node embedded
@@ -37,6 +39,8 @@
 namespace hm::storage {
 
 using ChunkId = std::uint32_t;
+/// "No chunk" sentinel (an idle flusher, an unlinked LRU neighbour).
+constexpr ChunkId kNoChunk = 0xffffffffu;
 
 constexpr std::uint64_t kKiB = 1024ULL;
 constexpr std::uint64_t kMiB = 1024ULL * kKiB;
@@ -58,39 +62,39 @@ struct ImageConfig {
 /// LRU set of chunk ids (host page cache residency).
 ///
 /// Intrusive doubly-linked list threaded through a flat slot vector indexed
-/// by chunk id: membership is one flag load, insert/refresh/erase are
-/// pointer splices with zero allocation (the old std::list +
-/// unordered_map<ChunkId, iterator> paid a hash probe plus a node
-/// allocation per operation). Slots grow lazily to the largest id seen, so
-/// the default constructor stays cheap for sparsely-used sets.
+/// by chunk id, with membership in a packed bitmap: contains() is one bit
+/// test, insert/refresh/erase are pointer splices with zero allocation (the
+/// old std::list + unordered_map<ChunkId, iterator> paid a hash probe plus
+/// a node allocation per operation). A slot is two links, 8 B per chunk.
+/// Given a universe, the bitmap is sized once and the slot vector is
+/// reserved to it, so inserts never allocate; with universe 0 both grow to
+/// the largest id seen.
 class LruChunkSet {
  public:
   explicit LruChunkSet(std::size_t capacity, std::size_t universe = 0)
-      : capacity_(capacity) {
+      : capacity_(capacity), in_(universe) {
     slots_.reserve(universe);
   }
 
-  bool contains(ChunkId c) const noexcept {
-    return c < slots_.size() && slots_[c].in;
-  }
-  std::size_t size() const noexcept { return size_; }
+  bool contains(ChunkId c) const noexcept { return c < in_.size() && in_.test(c); }
+  std::size_t size() const noexcept { return static_cast<std::size_t>(in_.count()); }
   std::size_t capacity() const noexcept { return capacity_; }
 
   /// Insert or refresh c; returns true if an old entry was evicted.
   bool insert(ChunkId c) {
-    if (c >= slots_.size()) slots_.resize(c + 1);
-    Slot& s = slots_[c];
-    if (s.in) {
+    if (c >= slots_.size()) {
+      slots_.resize(c + 1);
+      in_.grow(c + 1);  // no-op inside the constructor's universe
+    }
+    if (!in_.set(c)) {
       if (head_ != c) {
         unlink(c);
         link_front(c);
       }
       return false;
     }
-    s.in = true;
-    ++size_;
     link_front(c);
-    if (capacity_ > 0 && size_ > capacity_) {
+    if (capacity_ > 0 && size() > capacity_) {
       erase(static_cast<ChunkId>(tail_));
       return true;
     }
@@ -100,13 +104,12 @@ class LruChunkSet {
   void erase(ChunkId c) {
     if (!contains(c)) return;
     unlink(c);
-    slots_[c].in = false;
-    --size_;
+    in_.reset(c);
   }
 
   /// Least-recently-used member (kNil when empty); exposed so eviction
   /// policies can scan from the cold end instead of by id.
-  static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::uint32_t kNil = kNoChunk;
   std::uint32_t least_recent() const noexcept { return tail_; }
   /// Next-more-recent member after c (walks cold -> hot).
   std::uint32_t more_recent(ChunkId c) const noexcept { return slots_[c].prev; }
@@ -115,7 +118,6 @@ class LruChunkSet {
   struct Slot {
     std::uint32_t prev = kNil;  // toward MRU
     std::uint32_t next = kNil;  // toward LRU
-    bool in = false;
   };
 
   void link_front(ChunkId c) noexcept {
@@ -140,9 +142,9 @@ class LruChunkSet {
   }
 
   std::size_t capacity_;
-  std::size_t size_ = 0;
   std::uint32_t head_ = kNil;  // most recently used
   std::uint32_t tail_ = kNil;  // least recently used
+  util::DirtyBitmap in_;       // membership, one bit per chunk id
   std::vector<Slot> slots_;
 };
 
@@ -287,10 +289,11 @@ class ChunkStore {
   LruChunkSet cache_;
   sim::FifoStation bus_;  // host-bus arbitration (single server, FIFO)
   // Host-dirty bookkeeping: bit set while a chunk is cached but not yet on
-  // disk; the stamp detects re-dirtying during the in-flight disk write.
+  // disk. flush_redirtied_ records a mark_host_dirty of flush_inflight_
+  // (the chunk under the one in-flight disk write, kNoChunk when idle).
   util::DirtyBitmap host_dirty_;
-  std::vector<std::uint64_t> dirty_stamp_;
-  std::uint64_t dirty_epoch_ = 0;
+  ChunkId flush_inflight_ = kNoChunk;
+  bool flush_redirtied_ = false;
   std::uint32_t flush_cursor_ = 0;
   sim::Notification flush_wakeup_;
   sim::Notification flush_progress_;

@@ -14,13 +14,12 @@ PageCache::PageCache(sim::Simulator& sim, BlockBackend& backend, ImageConfig img
       lru_(static_cast<std::size_t>(cfg.capacity_bytes / img.chunk_bytes),
            img.num_chunks()),
       dirty_(img.num_chunks()),
-      dirty_stamp_(img.num_chunks(), 0),
       guest_bus_(sim, 1),
       wb_wakeup_(sim),
       wb_progress_(sim) {}
 
 void PageCache::mark_dirty(ChunkId c) {
-  dirty_stamp_[c] = ++dirty_epoch_;
+  if (c == wb_inflight_) wb_redirtied_ = true;
   dirty_.set(c);
   state_[c] = State::kDirty;
   if (!wb_running_) {
@@ -44,18 +43,18 @@ sim::Task PageCache::writeback_loop() {
     if (next == util::DirtyBitmap::npos) next = dirty_.find_next(0);
     const ChunkId c = static_cast<ChunkId>(next);
     wb_cursor_ = (c + 1 < n) ? c + 1 : 0;
-    const std::uint64_t stamp = dirty_stamp_[c];
-    ++writeback_inflight_;
+    wb_inflight_ = c;
+    wb_redirtied_ = false;
     co_await backend_.backend_write_chunk(c);
-    --writeback_inflight_;
     ++writeback_ops_;
     // Only clean the chunk if it was not re-dirtied while the write-back
     // was in flight; otherwise the bit stays set and the cursor revisits it
     // on its next lap (which is what keeps write-back fair).
-    if (dirty_stamp_[c] == stamp) {
+    if (!wb_redirtied_) {
       dirty_.reset(c);
       if (state_[c] == State::kDirty) state_[c] = State::kClean;
     }
+    wb_inflight_ = kNoChunk;
     wb_progress_.notify_all();
   }
 }
@@ -132,7 +131,7 @@ sim::Task PageCache::read_miss(ChunkId c) {
 }
 
 sim::Task PageCache::fsync() {
-  while (dirty_.any() || writeback_inflight_ > 0) {
+  while (dirty_.any() || wb_inflight_ != kNoChunk) {
     co_await wb_progress_.wait();
   }
   co_await backend_.backend_sync();

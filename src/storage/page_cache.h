@@ -23,15 +23,15 @@
 // started by symmetric transfer from the awaiter: misses leave the steady
 // state by definition, and the backend interface is Task-shaped.
 //
-// Dirty bookkeeping is the same epoch-stamped bitmap + round-robin cursor
-// pattern as ChunkStore's host-dirty set: mark_dirty stamps the chunk and
-// sets its bit, the write-back task scans the bitmap from a cursor
-// (word-skipping clean regions), and a re-dirty during an in-flight
-// write-back is a stamp mismatch that leaves the bit set for the cursor's
-// next lap — no deque, no hash probes on the write path. Fairness holds
-// because the cursor always advances past a just-written chunk before
-// considering it again, so a continuously re-dirtied chunk cannot starve
-// the rest of the dirty set.
+// Dirty bookkeeping is the same bitmap + round-robin cursor pattern as
+// ChunkStore's host-dirty set: mark_dirty sets the chunk's bit, and the
+// write-back task scans the bitmap from a cursor (word-skipping clean
+// regions). The task has one write-back in flight at a time; mark_dirty of
+// that chunk raises a flag that leaves the bit set for the cursor's next
+// lap — no per-chunk array, no deque, no hash probes on the write path.
+// Fairness holds because the cursor always advances past a just-written
+// chunk before considering it again, so a continuously re-dirtied chunk
+// cannot starve the rest of the dirty set.
 #pragma once
 
 #include <coroutine>
@@ -208,12 +208,13 @@ class PageCache {
   PageCacheConfig cfg_;
   std::vector<State> state_;
   LruChunkSet lru_;
-  // Epoch-stamped dirty bitmap + cursor (see header comment).
+  // Dirty bitmap + cursor (see header comment). wb_redirtied_ records a
+  // mark_dirty of wb_inflight_ (the chunk under the one in-flight
+  // write-back, kNoChunk when idle).
   util::DirtyBitmap dirty_;
-  std::vector<std::uint64_t> dirty_stamp_;
-  std::uint64_t dirty_epoch_ = 0;
   std::uint32_t wb_cursor_ = 0;
-  std::size_t writeback_inflight_ = 0;
+  ChunkId wb_inflight_ = kNoChunk;
+  bool wb_redirtied_ = false;
   sim::Semaphore guest_bus_;
   sim::Notification wb_wakeup_;
   sim::Notification wb_progress_;

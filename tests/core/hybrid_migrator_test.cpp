@@ -185,6 +185,71 @@ TEST(HybridSession, DestinationWriteCancelsPendingPull) {
   EXPECT_TRUE(f.mgr.replica().modified(4));
 }
 
+// Two pulls in flight at once: the background pull of the hottest chunk
+// (2) and an on-demand pull of chunk 5. The pull slab holds one slot per
+// pull, and a lookup must find the slot of the chunk asked about.
+struct TwoPullsInFlight {
+  static constexpr ChunkId kBackground = 2;
+  static constexpr ChunkId kDemand = 5;
+  SessionFixture f;
+  std::unique_ptr<HybridSession> session;
+  bool first_read_done = false;
+
+  TwoPullsInFlight() {
+    HybridConfig cfg;
+    cfg.threshold = 1;  // nothing is pushed: both chunks move by pull
+    session = make_session(f, cfg);
+    session->start();
+    for (int i = 0; i < 3; ++i) f.write_chunk_now(kBackground);
+    for (int i = 0; i < 2; ++i) f.write_chunk_now(kDemand);
+    f.s.run();
+    f.sync_and_transfer(*session);  // the background pull of chunk 2 starts
+    spawn_read(kDemand, &first_read_done);
+    f.s.run_while_pending([&] { return session->demand_pulls() == 1; });
+  }
+
+  void spawn_read(ChunkId c, bool* done) {
+    f.s.spawn([](MigrationManager* m, ChunkId ch, bool* d) -> sim::Task {
+      co_await m->backend_read_chunk(ch);
+      *d = true;
+    }(&f.mgr, c, done));
+  }
+};
+
+TEST(HybridSessionInFlightPulls, ReadWaitsOnItsOwnChunksPull) {
+  TwoPullsInFlight t;
+  ASSERT_EQ(t.session->chunks_pulled(), 0u) << "both pulls must be in flight";
+  // A second read of chunk 5 must wait for chunk 5's pull. Woken by chunk
+  // 2's (earlier) completion instead, it would find chunk 5 absent at the
+  // destination and fetch base-image content from the repository.
+  bool second_read_done = false;
+  t.spawn_read(TwoPullsInFlight::kDemand, &second_read_done);
+  t.f.wait_release(*t.session);
+  t.f.s.run();
+  EXPECT_TRUE(t.first_read_done);
+  EXPECT_TRUE(second_read_done);
+  EXPECT_EQ(t.session->pull_log(),
+            (std::vector<ChunkId>{TwoPullsInFlight::kBackground, TwoPullsInFlight::kDemand}));
+  EXPECT_EQ(t.f.mgr.repo_fetches(), 0u);
+  EXPECT_EQ(t.session->transfer_count(TwoPullsInFlight::kDemand), 1u);
+}
+
+TEST(HybridSessionInFlightPulls, DestinationWriteCancelsOnlyItsOwnChunksPull) {
+  TwoPullsInFlight t;
+  ASSERT_EQ(t.session->chunks_pulled(), 0u) << "both pulls must be in flight";
+  t.f.write_chunk_async(TwoPullsInFlight::kDemand);  // supersedes chunk 5 only
+  t.f.wait_release(*t.session);
+  t.f.s.run();
+  EXPECT_TRUE(t.first_read_done);
+  EXPECT_EQ(t.session->cancelled_pulls(), 1u);
+  EXPECT_EQ(t.session->chunks_pulled(), 2u);
+  // Chunk 2's pull was not the one cancelled: its content reached the
+  // destination replica.
+  EXPECT_TRUE(t.f.mgr.replica().present(TwoPullsInFlight::kBackground));
+  EXPECT_TRUE(t.f.mgr.replica().modified(TwoPullsInFlight::kBackground));
+  EXPECT_EQ(t.f.mgr.repo_fetches(), 0u);
+}
+
 TEST(HybridSession, SourceReleasedOnlyAfterAllPulls) {
   SessionFixture f;
   HybridConfig cfg;

@@ -8,25 +8,32 @@
 // are frameless awaitables, sync-primitive waiters are intrusive, and the
 // flow/pull slabs recycle their slots.
 //
+// The same counters also sum the bytes requested, which pins the per-chunk
+// heap footprint of the per-VM storage objects (FootprintGate below).
+//
 // Kept in its own test binary so the replaced allocator does not interact
 // with any other suite.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "core/hybrid_migrator.h"
 #include "core/session_fixture.h"
 #include "sim/sync.h"
 #include "storage/chunk_store.h"
+#include "storage/page_cache.h"
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -112,6 +119,74 @@ TEST(AllocRegression, PullPhaseSteadyStateIsAllocationFree) {
       << "the pull-phase chunk path (request/response round trip, source "
          "read, destination write, pull-slab recycling) must not touch the "
          "heap in steady state";
+}
+
+// Footprint gate: heap bytes requested per image chunk while constructing
+// each per-VM storage object over a 4096-chunk image (1 GiB of 256 KiB
+// chunks, the fleet benchmarks' geometry). Every VM holds one PageCache and
+// one source ChunkStore, and a migrating VM adds a HybridSession, whose
+// construction includes its destination ChunkStore. Sizes are a function
+// of the code alone, so host drift cannot move them; the slack absorbs
+// standard-library differences in the fixed-size parts (deque maps,
+// node buffers), about 2 KiB per object.
+//
+// Pinned values, bytes per chunk (the per-chunk arrays, then the object
+// itself and its fixed-size parts spread over 4096 chunks):
+//   ChunkStore     8.6   8 B LRU link slot + 4 bitmaps (present, modified,
+//                        host-dirty, LRU membership) at 1/8 B each
+//   PageCache      9.36  1 B state + 8 B LRU link slot + 2 bitmaps
+//   HybridSession 15.36  4 B write count + 1 B transfer count + 4 bitmaps,
+//                        its destination ChunkStore (8.6), three deques
+namespace {
+
+constexpr std::uint32_t kFootprintChunks = 4096;
+constexpr double kFootprintSlack = 0.5;  // bytes per chunk
+
+storage::ImageConfig footprint_image() {
+  return storage::ImageConfig{1 * storage::kGiB, 256 * 1024};
+}
+
+template <class Build>
+double heap_bytes_per_chunk(Build&& build) {
+  const std::uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  auto obj = build();
+  const std::uint64_t after = g_heap_bytes.load(std::memory_order_relaxed);
+  return static_cast<double>(after - before) / kFootprintChunks;
+}
+
+class NullBackend final : public storage::BlockBackend {
+ public:
+  sim::Task backend_read_chunk(storage::ChunkId) override { co_return; }
+  sim::Task backend_write_chunk(storage::ChunkId) override { co_return; }
+};
+
+}  // namespace
+
+TEST(FootprintGate, ChunkStoreBytesPerChunk) {
+  ASSERT_EQ(footprint_image().num_chunks(), kFootprintChunks);
+  sim::Simulator s;
+  storage::Disk disk(s, storage::DiskConfig{});
+  const double per_chunk = heap_bytes_per_chunk(
+      [&] { return std::make_unique<storage::ChunkStore>(s, disk, footprint_image()); });
+  EXPECT_NEAR(per_chunk, 8.6, kFootprintSlack);
+}
+
+TEST(FootprintGate, PageCacheBytesPerChunk) {
+  sim::Simulator s;
+  NullBackend backend;
+  const double per_chunk = heap_bytes_per_chunk(
+      [&] { return std::make_unique<storage::PageCache>(s, backend, footprint_image()); });
+  EXPECT_NEAR(per_chunk, 9.36, kFootprintSlack);
+}
+
+TEST(FootprintGate, HybridSessionBytesPerChunk) {
+  vm::ClusterConfig ccfg = testing::small_cluster_cfg();
+  ccfg.image = footprint_image();
+  SessionFixture f(ccfg);
+  const double per_chunk = heap_bytes_per_chunk([&] {
+    return std::make_unique<HybridSession>(f.s, f.cluster, &f.mgr, /*dst_node=*/1, *f.rec);
+  });
+  EXPECT_NEAR(per_chunk, 15.36, kFootprintSlack);
 }
 
 // Wakeup-heavy steady state: every event in this scenario is a zero-delay

@@ -12,8 +12,8 @@ struct StoreFixture {
   Disk disk;
   ChunkStore store;
   StoreFixture(ImageConfig img = {64 * kMiB, 1 * static_cast<std::uint32_t>(kMiB)},
-               ChunkStoreConfig cfg = {})
-      : disk(s, DiskConfig{100e6, 0.0}), store(s, disk, img, cfg) {}
+               ChunkStoreConfig cfg = {}, DiskConfig disk_cfg = {100e6, 0.0})
+      : disk(s, disk_cfg), store(s, disk, img, cfg) {}
 
   void run_write(ChunkId c) {
     s.spawn([](ChunkStore* st, ChunkId ch) -> sim::Task { co_await st->write_chunk(ch); }(
@@ -84,6 +84,56 @@ TEST(LruChunkSet, ColdEndIterationWalksLruOrder) {
   lru.erase(2);  // unlink from the middle
   EXPECT_EQ(lru.least_recent(), 7u);
   EXPECT_EQ(lru.more_recent(7), 4u);
+}
+
+// Membership lives in a bitmap next to the link slab. With universe 0 both
+// grow to the largest id inserted; ids past the grown range read as absent.
+TEST(LruChunkSet, GrowsPastUniverseZero) {
+  LruChunkSet lru(0);
+  EXPECT_FALSE(lru.contains(1000));  // beyond anything grown: absent, no UB
+  lru.insert(5);
+  lru.insert(700);  // grows slots and bitmap past the first word
+  lru.insert(64);
+  EXPECT_TRUE(lru.contains(5));
+  EXPECT_TRUE(lru.contains(64));
+  EXPECT_TRUE(lru.contains(700));
+  EXPECT_FALSE(lru.contains(6));
+  EXPECT_FALSE(lru.contains(699));
+  EXPECT_FALSE(lru.contains(701));
+  EXPECT_EQ(lru.size(), 3u);
+}
+
+TEST(LruChunkSet, EraseOfAbsentIdIsNoOp) {
+  LruChunkSet lru(0, /*universe=*/64);
+  lru.insert(3);
+  lru.insert(9);
+  lru.erase(4);     // inside the universe, never inserted
+  lru.erase(9000);  // past every slot
+  lru.erase(3);
+  lru.erase(3);  // second erase of the same id
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_FALSE(lru.contains(3));
+  EXPECT_TRUE(lru.contains(9));
+  EXPECT_EQ(lru.least_recent(), 9u);
+  EXPECT_EQ(lru.more_recent(9), LruChunkSet::kNil);
+}
+
+TEST(LruChunkSet, EvictionOrderSurvivesGrowth) {
+  LruChunkSet lru(3);
+  lru.insert(1);
+  lru.insert(2);
+  lru.insert(500);              // grows the slab: links 1 and 2 must survive
+  lru.insert(1);                // refresh: 2 is now the LRU entry
+  EXPECT_TRUE(lru.insert(900));  // grows again and evicts 2
+  EXPECT_FALSE(lru.contains(2));
+  std::vector<std::uint32_t> cold_to_hot;
+  for (std::uint32_t c = lru.least_recent(); c != LruChunkSet::kNil;
+       c = lru.more_recent(static_cast<ChunkId>(c)))
+    cold_to_hot.push_back(c);
+  EXPECT_EQ(cold_to_hot, (std::vector<std::uint32_t>{500, 1, 900}));
+  EXPECT_TRUE(lru.insert(2));  // re-insert below the grown range: evicts 500
+  EXPECT_FALSE(lru.contains(500));
+  EXPECT_EQ(lru.size(), 3u);
 }
 
 TEST(ChunkStore, StartsEmpty) {
@@ -202,6 +252,43 @@ TEST(ChunkStore, RedirtyDuringFlushWritesAgain) {
   f.s.run();
   // The chunk must have reached the disk at least once and end clean.
   EXPECT_GE(f.disk.bytes_written(), 1.0 * kMiB);
+  EXPECT_EQ(f.store.host_dirty_chunks(), 0u);
+}
+
+// The flusher keeps one disk write in flight and tracks only that chunk:
+// a re-dirty of it must cost exactly one more disk write, and dirtying any
+// other chunk must not stop the in-flight one from being cleaned. A 10 MB/s
+// disk makes each 1 MiB flush ~10x longer than the 100 MB/s host-bus write,
+// so the second write below lands while the first flush is on the disk.
+TEST(ChunkStoreFlusher, RedirtyOfInFlightChunkWritesExactlyOnceMore) {
+  StoreFixture f({64 * kMiB, static_cast<std::uint32_t>(kMiB)}, {}, DiskConfig{10e6, 0.0});
+  std::uint64_t flushes_at_redirty = ~std::uint64_t{0};
+  f.s.spawn([](StoreFixture* fx, std::uint64_t* at) -> sim::Task {
+    co_await fx->store.write_chunk(0);  // the flusher starts writing chunk 0
+    co_await fx->store.write_chunk(0);  // re-dirty while that write is in flight
+    *at = fx->disk.requests_served();
+    co_await fx->store.flush();
+  }(&f, &flushes_at_redirty));
+  f.s.run();
+  EXPECT_EQ(flushes_at_redirty, 0u) << "the re-dirty must land mid-flush";
+  EXPECT_DOUBLE_EQ(f.disk.bytes_written(), 2.0 * kMiB);
+  EXPECT_EQ(f.disk.requests_served(), 2u);
+  EXPECT_EQ(f.store.host_dirty_chunks(), 0u);
+}
+
+TEST(ChunkStoreFlusher, DirtyingAnotherChunkStillCleansInFlightOne) {
+  StoreFixture f({64 * kMiB, static_cast<std::uint32_t>(kMiB)}, {}, DiskConfig{10e6, 0.0});
+  std::uint64_t flushes_at_second = ~std::uint64_t{0};
+  f.s.spawn([](StoreFixture* fx, std::uint64_t* at) -> sim::Task {
+    co_await fx->store.write_chunk(0);  // the flusher starts writing chunk 0
+    co_await fx->store.write_chunk(1);  // dirty a different chunk mid-flush
+    *at = fx->disk.requests_served();
+    co_await fx->store.flush();
+  }(&f, &flushes_at_second));
+  f.s.run();
+  EXPECT_EQ(flushes_at_second, 0u) << "chunk 1 must be dirtied mid-flush";
+  // One disk write per chunk: chunk 0 was cleaned by its first flush.
+  EXPECT_DOUBLE_EQ(f.disk.bytes_written(), 2.0 * kMiB);
   EXPECT_EQ(f.store.host_dirty_chunks(), 0u);
 }
 

@@ -162,10 +162,10 @@ TEST(PageCache, WritebackOpsCounted) {
 }
 
 // --- write-back ordering / fairness contract ------------------------------
-// These pin the semantics the dirty tracker must preserve regardless of its
-// representation (insertion-order FIFO in the seed, epoch-stamped bitmap +
-// round-robin cursor now): ascending-id write-back for sequential dirtying,
-// exactly-once write-back per dirty episode, rewrite after re-dirtying, and
+// These pin the semantics the dirty tracker must preserve whatever its
+// representation: ascending-id write-back for sequential dirtying,
+// exactly-once write-back per dirty episode, exactly one rewrite after
+// re-dirtying the in-flight chunk (and none after dirtying another), and
 // no starvation of other dirty chunks by a hot one.
 
 TEST(PageCacheWriteback, SequentialDirtyingWritesBackInAscendingOrder) {
@@ -192,15 +192,35 @@ TEST(PageCacheWriteback, RedirtyDuringWritebackCausesRewrite) {
   // Backend op takes 0.5 s, guest write 1 MiB / 100 MBps ~ 0.01 s: the
   // second write of chunk 0 lands while the first write-back is in flight.
   CacheFixture f(CacheFixture::make_cfg(), /*backend_op_s=*/0.5);
-  f.s.spawn([](PageCache* pc) -> sim::Task {
-    co_await pc->write_chunk(0);  // write-back starts
-    co_await pc->write_chunk(0);  // re-dirty while in flight
-    co_await pc->fsync();
-  }(&f.cache));
+  std::size_t writes_at_redirty = ~std::size_t{0};
+  f.s.spawn([](CacheFixture* fx, std::size_t* at) -> sim::Task {
+    co_await fx->cache.write_chunk(0);  // write-back starts
+    co_await fx->cache.write_chunk(0);  // re-dirty while in flight
+    *at = fx->backend.writes.size();
+    co_await fx->cache.fsync();
+  }(&f, &writes_at_redirty));
   f.s.run();
+  EXPECT_EQ(writes_at_redirty, 0u) << "the re-dirty must land mid-write-back";
   // The stale in-flight write-back must not clean the chunk: the re-dirtied
-  // content is written again (2 backend writes), and fsync saw it through.
+  // content is written exactly once more (2 backend writes), and fsync saw
+  // it through.
   EXPECT_EQ(f.backend.writes, (std::vector<ChunkId>{0, 0}));
+  EXPECT_EQ(f.cache.dirty_bytes(), 0u);
+}
+
+TEST(PageCacheWriteback, DirtyingAnotherChunkStillCleansInFlightOne) {
+  CacheFixture f(CacheFixture::make_cfg(), /*backend_op_s=*/0.5);
+  std::size_t writes_at_second = ~std::size_t{0};
+  f.s.spawn([](CacheFixture* fx, std::size_t* at) -> sim::Task {
+    co_await fx->cache.write_chunk(0);  // write-back of chunk 0 starts
+    co_await fx->cache.write_chunk(1);  // dirty a different chunk mid-flight
+    *at = fx->backend.writes.size();
+    co_await fx->cache.fsync();
+  }(&f, &writes_at_second));
+  f.s.run();
+  EXPECT_EQ(writes_at_second, 0u) << "chunk 1 must be dirtied mid-write-back";
+  // One backend write per chunk: chunk 0 was cleaned by its first write-back.
+  EXPECT_EQ(f.backend.writes, (std::vector<ChunkId>{0, 1}));
   EXPECT_EQ(f.cache.dirty_bytes(), 0u);
 }
 

@@ -79,7 +79,7 @@ namespace {
 
 cloud::ExperimentConfig scale_config(std::size_t n, bool nonblocking, double stagger_s,
                                      const std::string& workload) {
-  cloud::ExperimentConfig cfg = lean_fleet_config(nonblocking);
+  cloud::ExperimentConfig cfg = cloud::lean_fleet_config(nonblocking);
   if (workload != "asyncwr") {
     cfg.workload = cloud::WorkloadKind::kTrace;
     // Geometry tuned to the sweep VMs (1 GiB image / 1 GiB RAM): a 128 MiB
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     cfg.audit = faults.churn;
     cloud::Experiment exp(std::move(cfg));
     const ExperimentResult r = exp.run();
-    any_error = report_failures("fig4_scale_sweep", n, r) || any_error;
+    any_error = report_failures("fig4_scale_sweep", "n=" + std::to_string(n), r) || any_error;
     if (!first) std::cout << ",\n";
     first = false;
     std::cout << "  {\"concurrent_migrations\": " << n

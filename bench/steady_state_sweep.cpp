@@ -44,7 +44,7 @@ namespace {
 
 // The fig4_scale_sweep lean fleet, minus its fixed launch schedule.
 cloud::ExperimentConfig steady_config(std::size_t n, bool nonblocking) {
-  cloud::ExperimentConfig cfg = lean_fleet_config(nonblocking);
+  cloud::ExperimentConfig cfg = cloud::lean_fleet_config(nonblocking);
   cfg.num_vms = n;
   // A destination pool half the fleet size makes the capacity and
   // anti-affinity constraints bind at peak load instead of being vacuous.
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     cfg.audit = faults.churn;  // same convention as fig4_scale_sweep
     cloud::Experiment exp(std::move(cfg));
     const ExperimentResult r = exp.run();
-    any_error = report_failures("steady_state_sweep", n, r) || any_error;
+    any_error = report_failures("steady_state_sweep", "n=" + std::to_string(n), r) || any_error;
     if (!first) std::cout << ",\n";
     first = false;
     std::cout << "  {\"vms\": " << n

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 
 #include "cloud/experiment.h"
@@ -18,6 +19,14 @@ std::string printf_str(const char* fmt, double v) {
 }
 
 constexpr double kGiB = 1024.0 * 1024 * 1024;
+
+/// One MigrationRecord member summed over the run's migrations.
+template <auto member>
+auto migration_sum(const ExperimentResult& r) {
+  std::remove_cvref_t<decltype(r.migrations[0].*member)> sum{};
+  for (const core::MigrationRecord& m : r.migrations) sum += m.*member;
+  return sum;
+}
 
 #define HM_GET(expr) [](const ExperimentResult& r) -> FieldValue { return (expr); }
 using enum Regime;
@@ -86,23 +95,28 @@ const ResultField kFields[] = {
     // Invariant auditor.
     {"audit_checks", HM_GET(r.audit_checks), kAudit},
     {"audit_violations", HM_GET(r.audit_violations.size()), kAudit},
-    // The rest of the paper's metrics, printed by the CLI.
-    {"app_execution_s", HM_GET(r.app_execution_time), kCli},
-    {"total_migration_s", HM_GET(r.total_migration_time), kCli},
-    {"max_downtime_s", HM_GET(r.max_downtime), kCli},
-    {"memory_traffic_gb", HM_GET(r.traffic(TrafficClass::kMemory) / kGiB), kCli},
-    {"storage_push_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePush) / kGiB), kCli},
-    {"storage_pull_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePull) / kGiB), kCli},
-    {"repo_read_traffic_gb", HM_GET(r.traffic(TrafficClass::kRepoRead) / kGiB), kCli},
-    {"pvfs_data_traffic_gb", HM_GET(r.traffic(TrafficClass::kPvfsData) / kGiB), kCli},
-    {"app_comm_traffic_gb", HM_GET(r.traffic(TrafficClass::kAppComm) / kGiB), kCli},
-    {"control_traffic_gb", HM_GET(r.traffic(TrafficClass::kControl) / kGiB), kCli},
-    {"migration_traffic_gb", HM_GET(r.migration_traffic / kGiB), kCli},
-    {"bytes_written", HM_GET(r.bytes_written), kCli},
-    {"bytes_read", HM_GET(r.bytes_read), kCli},
-    {"write_Bps", HM_GET(r.write_Bps), kCli},
-    {"read_Bps", HM_GET(r.read_Bps), kCli},
-    {"cpu_s", HM_GET(r.cpu_seconds_total), kCli},
+    // The rest of the paper's metrics, printed by the CLI and the figures.
+    {"app_execution_s", HM_GET(r.app_execution_time), kDetail},
+    {"total_migration_s", HM_GET(r.total_migration_time), kDetail},
+    {"max_downtime_s", HM_GET(r.max_downtime), kDetail},
+    {"memory_rounds", HM_GET(migration_sum<&core::MigrationRecord::memory_rounds>(r)), kDetail},
+    {"chunks_pushed", HM_GET(migration_sum<&core::MigrationRecord::storage_chunks_pushed>(r)),
+     kDetail},
+    {"chunks_pulled", HM_GET(migration_sum<&core::MigrationRecord::storage_chunks_pulled>(r)),
+     kDetail},
+    {"memory_traffic_gb", HM_GET(r.traffic(TrafficClass::kMemory) / kGiB), kDetail},
+    {"storage_push_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePush) / kGiB), kDetail},
+    {"storage_pull_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePull) / kGiB), kDetail},
+    {"repo_read_traffic_gb", HM_GET(r.traffic(TrafficClass::kRepoRead) / kGiB), kDetail},
+    {"pvfs_data_traffic_gb", HM_GET(r.traffic(TrafficClass::kPvfsData) / kGiB), kDetail},
+    {"app_comm_traffic_gb", HM_GET(r.traffic(TrafficClass::kAppComm) / kGiB), kDetail},
+    {"control_traffic_gb", HM_GET(r.traffic(TrafficClass::kControl) / kGiB), kDetail},
+    {"migration_traffic_gb", HM_GET(r.migration_traffic / kGiB), kDetail},
+    {"bytes_written", HM_GET(r.bytes_written), kDetail},
+    {"bytes_read", HM_GET(r.bytes_read), kDetail},
+    {"write_Bps", HM_GET(r.write_Bps), kDetail},
+    {"read_Bps", HM_GET(r.read_Bps), kDetail},
+    {"cpu_s", HM_GET(r.cpu_seconds_total), kDetail},
 };
 #undef HM_GET
 static_assert(net::kNumTrafficClasses == 7, "one *_traffic_gb row per class");
@@ -122,7 +136,7 @@ std::ostream& operator<<(std::ostream& os, const FieldValue& value) {
 std::span<const ResultField> result_fields() { return kFields; }
 
 bool field_active(const ResultField& f, const ExperimentConfig& cfg,
-                  const ExperimentResult& r, bool cli) {
+                  const ExperimentResult& r, bool detail) {
   switch (f.regime) {
     case kAlways: return true;
     case kFaults: return cfg.faults.enabled();
@@ -131,15 +145,16 @@ bool field_active(const ResultField& f, const ExperimentConfig& cfg,
     case kAudit: return cfg.audit;
     case kShards: return cfg.shards != 1;
     case kNonEmpty: return !std::get<std::string_view>(f.get(r).v).empty();
-    case kCli: return cli;
+    case kDetail: return detail;
   }
   return false;
 }
 
 void write_json_fields(std::ostream& os, std::span<const ResultField> fields,
-                       const ExperimentConfig& cfg, const ExperimentResult& r) {
+                       const ExperimentConfig& cfg, const ExperimentResult& r,
+                       bool detail) {
   for (const ResultField& f : fields)
-    if (field_active(f, cfg, r, /*cli=*/false)) os << ", \"" << f.name << "\": " << f.get(r);
+    if (field_active(f, cfg, r, detail)) os << ", \"" << f.name << "\": " << f.get(r);
 }
 
 void write_sweep_header(std::ostream& os) {
@@ -181,18 +196,19 @@ void Table::print(std::ostream& os) const {
     for (std::size_t i = 0; i < row.size() && i < widths.size(); ++i)
       widths[i] = std::max(widths[i], row[i].size());
 
+  // "| cell |" and "+------+": each column is its width plus three.
   auto print_row = [&](const std::vector<std::string>& cells) {
-    os << "| ";
+    os << "|";
     for (std::size_t i = 0; i < widths.size(); ++i) {
       std::string cell = i < cells.size() ? cells[i] : "";
       cell.resize(widths[i], ' ');
-      os << cell << " | ";
+      os << " " << cell << " |";
     }
     os << "\n";
   };
   auto print_sep = [&] {
     os << "+";
-    for (std::size_t w : widths) os << std::string(w + 3, '-') << "+";
+    for (std::size_t w : widths) os << std::string(w + 2, '-') << "+";
     os << "\n";
   };
 
@@ -212,10 +228,6 @@ void print_table1(std::ostream& os) {
   }
   os << "Table 1: Summary of compared approaches\n";
   t.print(os);
-}
-
-void print_banner(std::ostream& os, const std::string& title) {
-  os << "\n=== " << title << " ===\n";
 }
 
 }  // namespace hm::cloud

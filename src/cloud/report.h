@@ -1,5 +1,5 @@
 // Reporting: the result-field table behind sweep rows, CLI output and golden
-// field classes; plain-text figure tables, unit formatting, Table 1.
+// field classes; plain-text tables, unit formatting, Table 1.
 #pragma once
 
 #include <concepts>
@@ -38,7 +38,7 @@ enum class Regime : std::uint8_t {
   kAudit,              // cfg.audit
   kShards,             // cfg.shards != 1: a shard count was asked for
   kNonEmpty,           // the (string) value is non-empty
-  kCli,                // hybridmig_sim only, never in sweep rows
+  kDetail,             // hybridmig_sim and the figure rows, never the scale sweeps
 };
 
 /// Golden-gate classes (bit set); tools/check_sweep_golden.py strips them
@@ -63,13 +63,15 @@ struct ResultField {
 std::span<const ResultField> result_fields();
 inline constexpr std::size_t kRunStatusFields = 3;
 
-/// Whether `f` is printed for `cfg`'s run `r`; kCli rows only when `cli`.
+/// Whether `f` is printed for `cfg`'s run `r`; kDetail rows only when
+/// `detail`.
 bool field_active(const ResultField& f, const ExperimentConfig& cfg,
-                  const ExperimentResult& r, bool cli);
+                  const ExperimentResult& r, bool detail);
 
-/// Append `, "name": value` for every active sweep field of `fields`.
+/// Append `, "name": value` for every active field of `fields`.
 void write_json_fields(std::ostream& os, std::span<const ResultField> fields,
-                       const ExperimentConfig& cfg, const ExperimentResult& r);
+                       const ExperimentConfig& cfg, const ExperimentResult& r,
+                       bool detail = false);
 
 /// A sweep's opening JSON line: the field-class map, then `"rows": [`.
 void write_sweep_header(std::ostream& os);
@@ -92,8 +94,5 @@ class Table {
 
 /// Print the paper's Table 1 (summary of compared approaches).
 void print_table1(std::ostream& os);
-
-/// Section header helper for bench output.
-void print_banner(std::ostream& os, const std::string& title);
 
 }  // namespace hm::cloud

@@ -1,0 +1,218 @@
+#include "cloud/scenarios.h"
+
+#include <cstdint>
+#include <utility>
+
+namespace hm::cloud {
+
+namespace {
+
+using storage::kGiB;
+using storage::kKiB;
+using storage::kMiB;
+
+constexpr core::Approach kAllApproaches[] = {
+    core::Approach::kHybrid, core::Approach::kMirror, core::Approach::kPostcopy,
+    core::Approach::kPrecopy, core::Approach::kPvfsShared};
+
+/// Paper testbed defaults (Section 5.1): graphene cluster nodes with
+/// ~117.5 MB/s GbE, ~8 GB/s switch fabric, 55 MB/s local disks, 4 GB disk
+/// images striped in 256 KB chunks, VMs with 4 GB RAM, QEMU pre-copy memory
+/// migration capped at 1 Gbps.
+ExperimentConfig paper_config(core::Approach a) {
+  ExperimentConfig cfg;
+  cfg.approach = a;
+  cfg.cluster.num_nodes = 40;  // enough nodes for sources+destinations+striping
+  cfg.cluster.nic_Bps = 117.5e6;
+  cfg.cluster.network.fabric_Bps = 8.0e9;
+  cfg.cluster.network.latency_s = 1e-4;
+  // graphene-style edge switches with 10 GbE uplinks: the oversubscription
+  // is what makes 30 simultaneous pre-copy migrations contend (Figure 4).
+  cfg.cluster.nodes_per_switch = 20;
+  cfg.cluster.switch_uplink_Bps = 1.25e9;
+  cfg.cluster.disk = storage::DiskConfig{55e6, 0.5e-3};
+  cfg.cluster.image = storage::ImageConfig{4 * kGiB, 256 * static_cast<std::uint32_t>(kKiB)};
+  cfg.vm.memory.ram_bytes = 4 * kGiB;
+  cfg.vm.memory.page_bytes = 256 * kKiB;
+  cfg.vm.memory.base_used_bytes = 512 * kMiB;
+  cfg.vm.cache.capacity_bytes = 3 * kGiB;
+  cfg.vm.cache.dirty_limit_bytes = 800 * kMiB;
+  cfg.vm.cache.write_Bps = 266e6;   // paper's observed IOR write ceiling
+  cfg.vm.cache.read_Bps = 1.0e9;    // paper's observed IOR read ceiling
+  cfg.approach_cfg.hypervisor.migration_speed_Bps = 125e6;  // "1G" QEMU cap
+  cfg.first_migration_at = 100.0;   // the paper's warm-up delay
+  cfg.max_sim_time = 7200.0;
+  return cfg;
+}
+
+ExperimentConfig ior_config(core::Approach a) {
+  ExperimentConfig cfg = paper_config(a);
+  cfg.workload = WorkloadKind::kIor;
+  // The paper runs 10 iterations; on its testbed these outlast the t=100 s
+  // migration point. Our sustained write-back path is slower per iteration,
+  // so we run 30 iterations to keep full I/O pressure on the migration
+  // window, matching the paper's intent.
+  cfg.ior.iterations = 30;
+  cfg.ior.file_bytes = 1 * kGiB;
+  cfg.ior.block_bytes = 256 * kKiB;
+  cfg.ior.file_offset = 1 * kGiB;
+  return cfg;
+}
+
+ExperimentConfig asyncwr_config(core::Approach a) {
+  ExperimentConfig cfg = paper_config(a);
+  cfg.workload = WorkloadKind::kAsyncWr;
+  cfg.asyncwr.iterations = 1800;  // 1800 MB total (Figure 4 setup)
+  cfg.asyncwr.bytes_per_iter = 1 * kMiB;
+  cfg.asyncwr.iter_compute_s = 1.0 / 6.0;  // ~6 MB/s pressure
+  cfg.asyncwr.file_offset = 1 * kGiB;
+  return cfg;
+}
+
+ExperimentConfig cm1_config(core::Approach a) {
+  ExperimentConfig cfg = paper_config(a);
+  cfg.workload = WorkloadKind::kCm1;
+  cfg.cm1 = workloads::Cm1Config{};  // 8x8 ranks, ~40 s per 200 MB output
+  cfg.cluster.num_nodes = 80;        // 64 sources + destinations + headroom
+  cfg.vm.compute_slice_s = 0.25;
+  return cfg;
+}
+
+/// The migration-free run the baseline-relative panels divide by.
+ExperimentConfig without_migrations(ExperimentConfig cfg) {
+  cfg.perform_migrations = false;
+  return cfg;
+}
+
+/// Figure 4: AsyncWR on 30 sources, n of them migrated simultaneously to n
+/// destinations.
+ExperimentConfig fig4_config(core::Approach a, std::size_t n) {
+  ExperimentConfig cfg = asyncwr_config(a);
+  cfg.cluster.num_nodes = 70;  // 30 sources + 30 dests + headroom
+  cfg.num_vms = 30;
+  cfg.num_migrations = n;
+  cfg.num_destinations = n;
+  cfg.migration_interval_s = 0.0;  // simultaneous
+  return cfg;
+}
+
+/// Figure 5: CM1 (64 MPI ranks, one per VM), n successive migrations
+/// initiated 60 s apart.
+ExperimentConfig fig5_config(core::Approach a, std::size_t n) {
+  ExperimentConfig cfg = cm1_config(a);
+  cfg.num_migrations = n;
+  cfg.num_destinations = n;
+  cfg.first_migration_at = 60.0;
+  cfg.migration_interval_s = 60.0;  // successive, one per minute
+  return cfg;
+}
+
+}  // namespace
+
+ExperimentConfig lean_fleet_config(bool nonblocking) {
+  ExperimentConfig cfg = asyncwr_config(core::Approach::kHybrid);
+  cfg.cluster.image = storage::ImageConfig{1 * kGiB, 256 * static_cast<std::uint32_t>(kKiB)};
+  cfg.vm.memory.ram_bytes = 1 * kGiB;
+  cfg.vm.memory.base_used_bytes = 128 * kMiB;
+  cfg.vm.cache.capacity_bytes = 768 * kMiB;
+  cfg.vm.cache.dirty_limit_bytes = 256 * kMiB;
+  cfg.asyncwr.iterations = 300;
+  cfg.asyncwr.file_offset = 256 * kMiB;  // must stay inside the 1 GiB image
+  if (nonblocking) {
+    cfg.cluster.network.fabric_Bps = net::kUnlimitedRate;
+    cfg.cluster.nodes_per_switch = 0;  // flat full-bisection core
+  } else {
+    cfg.cluster.nodes_per_switch = 20;
+    cfg.cluster.switch_uplink_Bps = 1.25e9;
+  }
+  return cfg;
+}
+
+std::vector<ScenarioPoint> scenario_points() {
+  std::vector<ScenarioPoint> out;
+  auto add = [&out](const char* figure, std::string approach, std::string x,
+                    ExperimentConfig cfg) {
+    out.push_back({figure, std::move(approach), std::move(x), std::move(cfg)});
+  };
+  const core::Approach hybrid = core::Approach::kHybrid;
+
+  // Figure 3: one VM (4 GB RAM) under IOR and AsyncWR, migrated once at
+  // t=100 s: (a) migration time, (b) total network traffic, (c) throughput
+  // normalised to the no-migration run.
+  for (core::Approach a : kAllApproaches) {
+    add("paper/fig3", core::approach_name(a), "ior", ior_config(a));
+    add("paper/fig3", core::approach_name(a), "awr", asyncwr_config(a));
+  }
+  add("paper/fig3", "baseline", "ior", without_migrations(ior_config(hybrid)));
+  add("paper/fig3", "baseline", "awr", without_migrations(asyncwr_config(hybrid)));
+
+  // Figure 4: (a) average migration time per instance, (b) total network
+  // traffic, (c) performance degradation against the migration-free run.
+  for (core::Approach a : kAllApproaches)
+    for (std::size_t n : {1, 10, 20, 30})
+      add("paper/fig4", core::approach_name(a), std::to_string(n), fig4_config(a, n));
+  add("paper/fig4", "baseline", "0", without_migrations(fig4_config(hybrid, 1)));
+
+  // Figure 5: (a) cumulated migration time, (b) traffic excluding CM1's own
+  // communication, (c) increase in application execution time.
+  for (core::Approach a : kAllApproaches)
+    for (std::size_t n : {1, 3, 5, 7})
+      add("paper/fig5", core::approach_name(a), std::to_string(n), fig5_config(a, n));
+  add("paper/fig5", "baseline", "0", without_migrations(cm1_config(hybrid)));
+
+  // Chunk / stripe size. The paper picks 256 KB as "large enough to avoid
+  // excessive fragmentation overhead, yet small enough to avoid contention
+  // under concurrent read accesses": smaller chunks cost per-chunk overhead,
+  // larger ones coarser dirty tracking. Page tracking stays at the memory
+  // default and IOR blocks at 256 KB, so the larger sizes see partial-chunk
+  // writes.
+  for (std::uint32_t kib : {64, 128, 256, 512, 1024}) {
+    ExperimentConfig cfg = ior_config(hybrid);
+    cfg.cluster.image.chunk_bytes = kib * 1024;
+    add("ablation/chunk-size", core::approach_name(hybrid), std::to_string(kib), cfg);
+  }
+
+  // De-duplication (Section 6 future work): the fraction of chunk content
+  // already present at the destination; a duplicate moves only its
+  // 64-byte fingerprint.
+  const std::pair<double, const char*> fractions[] = {
+      {0.0, "0"}, {0.25, "0.25"}, {0.5, "0.5"}, {0.75, "0.75"}};
+  for (const auto& [fraction, x] : fractions) {
+    ExperimentConfig cfg = ior_config(hybrid);
+    cfg.approach_cfg.hybrid.dedup.enabled = fraction > 0;
+    cfg.approach_cfg.hybrid.dedup.duplicate_fraction = fraction;
+    add("ablation/dedup", core::approach_name(hybrid), x, cfg);
+  }
+
+  // Pull order: prioritised prefetch (Algorithm 3) against FIFO and random,
+  // for the hybrid scheme and for pure post-copy, whose pull phase carries
+  // everything. Pulling the hottest chunks first should make the data the
+  // workload touches next already local after control transfer.
+  const std::pair<core::PullOrder, const char*> orders[] = {
+      {core::PullOrder::kByWriteCount, "by-write-count"},
+      {core::PullOrder::kFifo, "fifo"},
+      {core::PullOrder::kRandom, "random"}};
+  for (const auto& [order, x] : orders) {
+    ExperimentConfig cfg = ior_config(hybrid);
+    cfg.approach_cfg.hybrid.pull_order = order;
+    add("ablation/pull-order", core::approach_name(hybrid), x, cfg);
+    ExperimentConfig pc = ior_config(core::Approach::kPostcopy);
+    pc.approach_cfg.postcopy.pull_order = order;
+    add("ablation/pull-order", core::approach_name(core::Approach::kPostcopy), x, pc);
+  }
+
+  // The hybrid write-count Threshold (Section 4.1): 1 approaches post-copy
+  // (push once at most), inf degenerates toward pre-copy (push everything,
+  // repeatedly).
+  const std::pair<std::uint32_t, const char*> thresholds[] = {
+      {1, "1"}, {2, "2"}, {3, "3"}, {5, "5"}, {10, "10"},
+      {core::HybridConfig::kUnlimitedThreshold, "inf"}};
+  for (const auto& [threshold, x] : thresholds) {
+    ExperimentConfig cfg = ior_config(hybrid);
+    cfg.approach_cfg.hybrid.threshold = threshold;
+    add("ablation/threshold", core::approach_name(hybrid), x, cfg);
+  }
+  return out;
+}
+
+}  // namespace hm::cloud

@@ -53,7 +53,7 @@ struct DedupConfig {
 
 struct HybridConfig {
   /// Max times a chunk is pushed before being declared hot. The paper keeps
-  /// this a free parameter; bench/ablation_threshold sweeps it.
+  /// this a free parameter; the ablation/threshold scenarios sweep it.
   std::uint32_t threshold = 3;
   /// Disable to obtain the pure post-copy baseline.
   bool push_enabled = true;

@@ -1,59 +1,35 @@
 // Shape-level reproduction checks: the qualitative orderings reported in the
-// paper's evaluation (who wins, roughly by how much) must hold on a scaled
-// scenario. Absolute values differ from Grid'5000.
+// paper's evaluation (who wins, roughly by how much) must hold on the
+// scenario table's paper/fig3 points, the runs bench/paper_figures reports
+// as Figure 3. Absolute values differ from Grid'5000.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "cloud/experiment.h"
+#include "cloud/scenarios.h"
+#include "cloud/sweep.h"
 
 namespace hm::cloud {
 namespace {
 
-using storage::kKiB;
-using storage::kMiB;
-
 enum class Wl { kIor, kAsyncWr };
 
-ExperimentConfig shape_config(core::Approach a, Wl wl) {
-  ExperimentConfig cfg;
-  cfg.approach = a;
-  cfg.cluster.num_nodes = 12;
-  cfg.cluster.nic_Bps = 117.5e6;
-  cfg.cluster.network.latency_s = 1e-4;
-  cfg.cluster.disk = storage::DiskConfig{55e6, 0.5e-3};
-  cfg.cluster.image = storage::ImageConfig{1024 * kMiB, 256 * static_cast<std::uint32_t>(kKiB)};
-  cfg.vm.memory.ram_bytes = 1024 * kMiB;
-  cfg.vm.memory.page_bytes = 256 * kKiB;
-  cfg.vm.memory.base_used_bytes = 128 * kMiB;
-  cfg.vm.cache.capacity_bytes = 640 * kMiB;
-  cfg.vm.cache.dirty_limit_bytes = 200 * kMiB;
-  cfg.vm.cache.write_Bps = 266e6;
-  cfg.vm.cache.read_Bps = 1e9;
-  cfg.approach_cfg.hypervisor.migration_speed_Bps = 125e6;
-  if (wl == Wl::kIor) {
-    cfg.workload = WorkloadKind::kIor;
-    cfg.ior.iterations = 12;  // sustained pressure through the migration
-    cfg.ior.file_bytes = 256 * kMiB;
-    cfg.ior.block_bytes = 256 * kKiB;
-    cfg.ior.file_offset = 256 * kMiB;
-  } else {
-    cfg.workload = WorkloadKind::kAsyncWr;
-    cfg.asyncwr.iterations = 600;  // 600 MB over ~100 s (~6 MB/s)
-    cfg.asyncwr.file_offset = 256 * kMiB;
-  }
-  cfg.first_migration_at = 10.0;
-  cfg.max_sim_time = 3600.0;
-  return cfg;
-}
-
 const ExperimentResult& result_for(core::Approach a, Wl wl) {
-  static std::map<std::pair<core::Approach, Wl>, ExperimentResult> cache;
-  auto key = std::make_pair(a, wl);
-  auto it = cache.find(key);
-  if (it == cache.end())
-    it = cache.emplace(key, Experiment(shape_config(a, wl)).run()).first;
-  return it->second;
+  static const std::map<std::string, ExperimentResult> results = [] {
+    std::vector<SweepItem> items;
+    for (const ScenarioPoint& p : scenario_points())
+      if (p.figure == "paper/fig3" && p.approach != "baseline")
+        items.push_back({p.label(), p.config});
+    std::vector<ExperimentResult> run = run_sweep(items);
+    std::map<std::string, ExperimentResult> by_label;
+    for (std::size_t i = 0; i < items.size(); ++i)
+      by_label.emplace(items[i].label, std::move(run[i]));
+    return by_label;
+  }();
+  return results.at(std::string("paper/fig3/") + core::approach_name(a) +
+                    (wl == Wl::kIor ? "/ior" : "/awr"));
 }
 
 double storage_traffic(const ExperimentResult& r) {

@@ -57,10 +57,12 @@ def check_pair(golden_path, fresh_path, classes) -> bool:
         print(f"{fresh_path}: row count differs: golden {len(golden_rows)}"
               f" vs fresh {len(fresh_rows)}")
     for g, s in zip(golden_rows, fresh_rows):
-        scale = g.get("concurrent_migrations", "?")
+        # Each sweep writes its row's identity first (concurrent_migrations,
+        # vms, label).
+        identity, value = next(iter(g.items()))
         for key in sorted(set(g) | set(s)):
             if g.get(key) != s.get(key):
-                print(f"{fresh_path}: n={scale} {key}: "
+                print(f"{fresh_path}: {identity}={value} {key}: "
                       f"golden {g.get(key)!r} != fresh {s.get(key)!r}")
                 ok = False
     if ok:

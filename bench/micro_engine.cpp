@@ -112,7 +112,7 @@ void BM_FlowNetworkChurn(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulator s;
-    net::FlowNetwork net(s, net::FlowNetworkConfig{8e9, 0.0, 8e9});
+    net::FlowNetwork net(s, net::FlowNetworkConfig{8e9, 0.0});
     std::vector<net::NodeId> nodes;
     for (int i = 0; i < 32; ++i) nodes.push_back(net.add_node(117.5e6));
     for (int i = 0; i < flows; ++i)
@@ -138,7 +138,7 @@ void BM_WaterFill(benchmark::State& state) {
   std::uint64_t events = 0;
   for (auto _ : state) {
     sim::Simulator s;
-    net::FlowNetwork net(s, net::FlowNetworkConfig{8e9, 0.0, 8e9});
+    net::FlowNetwork net(s, net::FlowNetworkConfig{8e9, 0.0});
     // Wave context behind one pointer: event callbacks fit SmallFn's budget.
     struct Wave {
       sim::Simulator& s;
@@ -236,7 +236,7 @@ void BM_IncrementalSolveChurn(benchmark::State& state) {
   double churn_ns = 0.0;
   for (auto _ : state) {
     sim::Simulator s;
-    net::FlowNetwork net(s, net::FlowNetworkConfig{net::kUnlimitedRate, 0.0, 8e9, incremental});
+    net::FlowNetwork net(s, net::FlowNetworkConfig{net::kUnlimitedRate, 0.0, incremental});
     std::vector<net::NodeId> src, dst;
     for (int p = 0; p < pairs; ++p) {
       src.push_back(net.add_node(117.5e6));
@@ -336,7 +336,7 @@ void BM_TransferPath(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulator s;
-    net::FlowNetwork net(s, net::FlowNetworkConfig{8e9, 100e-6, 8e9});
+    net::FlowNetwork net(s, net::FlowNetworkConfig{8e9, 100e-6});
     const net::NodeId a = net.add_node(117.5e6);
     const net::NodeId b = net.add_node(117.5e6);
     storage::Disk disk_a(s, storage::DiskConfig{55e6, 0.0});
@@ -372,7 +372,7 @@ void BM_PullPath(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulator s;
-    net::FlowNetwork net(s, net::FlowNetworkConfig{8e9, 100e-6, 8e9});
+    net::FlowNetwork net(s, net::FlowNetworkConfig{8e9, 100e-6});
     const net::NodeId a = net.add_node(117.5e6);
     const net::NodeId b = net.add_node(117.5e6);
     storage::Disk disk_a(s, storage::DiskConfig{55e6, 0.0});

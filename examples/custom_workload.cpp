@@ -69,9 +69,8 @@ int main() {
   vm::Cluster cluster(simulator, ccfg);
 
   cloud::ApproachConfig acfg;
-  acfg.approach = core::Approach::kHybrid;
   acfg.hybrid.threshold = 3;
-  cloud::Middleware mw(simulator, cluster, acfg);
+  cloud::Middleware mw(simulator, cluster, core::Approach::kHybrid, acfg);
 
   vm::VmInstance& vm = mw.deploy(/*node=*/0);
   KvStoreWorkload wl({}, sim::Rng(7).fork("kvstore"));

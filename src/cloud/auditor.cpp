@@ -8,8 +8,8 @@ Auditor::Auditor(sim::Simulator& sim, Middleware& mw, double check_interval_s,
                  double progress_deadline_s)
     : sim_(sim),
       mw_(mw),
-      interval_s_(check_interval_s > 0 ? check_interval_s : 10.0),
-      deadline_s_(progress_deadline_s > 0 ? progress_deadline_s : 120.0) {}
+      interval_s_(check_interval_s),
+      deadline_s_(progress_deadline_s) {}
 
 void Auditor::arm() {
   sim_.schedule(interval_s_, [this] { tick(); });

@@ -33,6 +33,12 @@ class FaultInjector;
 
 class Auditor {
  public:
+  /// The experiment's cadence: a watchdog tick every 10 s of virtual time,
+  /// and a stall flagged after 120 s without progress or fault excuse.
+  static constexpr double kCheckIntervalS = 10.0;
+  static constexpr double kProgressDeadlineS = 120.0;
+
+  /// Both periods must be positive.
   Auditor(sim::Simulator& sim, Middleware& mw, double check_interval_s,
           double progress_deadline_s);
   Auditor(const Auditor&) = delete;

@@ -34,7 +34,6 @@ void ExperimentConfig::normalize() {
   if (cluster.num_nodes < needed) cluster.num_nodes = needed;
   cluster.enable_pvfs = (approach == core::Approach::kPvfsShared);
   cluster.seed = seed;
-  approach_cfg.approach = approach;
 }
 
 std::string ExperimentConfig::validate() const {
@@ -144,10 +143,9 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   // (destroyed last) so pending event closures never outlive it.
   sim::Simulator simulator;
   vm::Cluster cluster(simulator, cfg.cluster);
-  Middleware mw(simulator, cluster, cfg.approach_cfg);
+  Middleware mw(simulator, cluster, cfg.approach, cfg.approach_cfg);
   std::vector<vm::VmInstance*> vms;
   Slice out;
-  std::unique_ptr<workloads::TraceRecorder> recorder_owned;
   workloads::TraceRecorder* recorder = cfg.trace_recorder;
   sim::WaitGroup workload_done(simulator);
   std::vector<std::unique_ptr<workloads::Workload>> single_vm_workloads;
@@ -169,17 +167,6 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
     vms.push_back(&mw.deploy(static_cast<net::NodeId>(gid), cfg.vm, static_cast<int>(gid)));
 
   // --- trace recording (passive observation of the workload API) ----------
-  if (recorder == nullptr && !cfg.record_trace_path.empty()) {
-    workloads::TraceHeader hdr;
-    hdr.page_bytes = cfg.vm.memory.page_bytes;
-    hdr.chunk_bytes = cfg.cluster.image.chunk_bytes;
-    hdr.pages = (cfg.vm.memory.ram_bytes + cfg.vm.memory.page_bytes - 1) /
-                cfg.vm.memory.page_bytes;
-    hdr.chunks = cfg.cluster.image.num_chunks();
-    hdr.name = std::string("rec:") + workload_name(cfg.workload);
-    recorder_owned = std::make_unique<workloads::TraceRecorder>(hdr);
-    recorder = recorder_owned.get();
-  }
   if (recorder != nullptr)
     for (auto* v : vms) recorder->attach(*v);
 
@@ -285,8 +272,8 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
 
   // --- invariant auditor --------------------------------------------------
   if (cfg.audit) {
-    auditor = std::make_unique<Auditor>(simulator, mw, cfg.audit_check_interval_s,
-                                        cfg.audit_progress_deadline_s);
+    auditor = std::make_unique<Auditor>(simulator, mw, Auditor::kCheckIntervalS,
+                                        Auditor::kProgressDeadlineS);
     if (injector) auditor->set_injector(injector.get());
     mw.set_auditor(auditor.get());
     auditor->arm();
@@ -312,12 +299,6 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   }
   if (recorder != nullptr && recorder->failed() && out.error.empty())
     out.error = recorder->error();
-  if (recorder_owned) {
-    std::string werr;
-    if (!write_trace(cfg.record_trace_path, recorder_owned->data(), &werr) &&
-        out.error.empty())
-      out.error = werr;
-  }
   out.sim_duration = simulator.now();
   out.app_execution_time = cfg.workload == WorkloadKind::kCm1
                                ? cm1_app->execution_time()

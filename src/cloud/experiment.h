@@ -44,9 +44,6 @@ struct ExperimentConfig {
   /// its data() after run()). Recording is passive — the timeline is
   /// unchanged.
   workloads::TraceRecorder* trace_recorder = nullptr;
-  /// Convenience: record the run into this trace file (experiment owns the
-  /// recorder; a write failure lands in ExperimentResult::error).
-  std::string record_trace_path;
 
   /// Number of source VMs (CM1 overrides this with its rank count).
   std::size_t num_vms = 1;
@@ -82,8 +79,6 @@ struct ExperimentConfig {
   /// gate only against goldens generated with audit on. Collapses the
   /// shard plan (the auditor must observe every migration).
   bool audit = false;
-  double audit_check_interval_s = 10.0;
-  double audit_progress_deadline_s = 120.0;
 
   /// Simulator shards for this one experiment (parallel in-process). The
   /// deterministic partitioner (cloud/shard_plan.h) decomposes the VM fleet

@@ -12,7 +12,6 @@
 #include "core/metrics.h"
 #include "core/migration_manager.h"
 #include "core/mirror_migrator.h"
-#include "core/postcopy_migrator.h"
 #include "core/precopy_migrator.h"
 #include "core/shared_migrator.h"
 #include "vm/hypervisor.h"
@@ -22,23 +21,25 @@ namespace hm::cloud {
 
 class Auditor;
 
+/// Fault recovery: how long an aborted migration waits, on top of both
+/// endpoints being back up, before MIGRATION_REQUEST is re-issued (the
+/// middleware's retry loop and the scheduler's retry in place).
+constexpr double kRetryBackoffS = 1.0;
+
 struct ApproachConfig {
-  core::Approach approach = core::Approach::kHybrid;
+  /// Our approach, and post-copy: the paper's post-copy baseline "is based
+  /// on our approach and simply remains passive during the push phase"
+  /// (Section 5.2.2), so it reads this too, with the push phase disabled.
   core::HybridConfig hybrid{};
-  core::PostcopyConfig postcopy{};
-  core::PrecopyConfig precopy{};
-  core::MirrorConfig mirror{};
   vm::HypervisorConfig hypervisor{};
-  /// Fault recovery: how often an aborted migration is retried and how long
-  /// the middleware waits (on top of both endpoints being back up) before
-  /// re-issuing MIGRATION_REQUEST.
+  /// Fault recovery: how often an aborted migration is retried.
   int max_attempts = 8;
-  double retry_backoff_s = 1.0;
 };
 
 class Middleware {
  public:
-  Middleware(sim::Simulator& sim, vm::Cluster& cluster, ApproachConfig cfg = {});
+  Middleware(sim::Simulator& sim, vm::Cluster& cluster, core::Approach approach,
+             ApproachConfig cfg = {});
   Middleware(const Middleware&) = delete;
   Middleware& operator=(const Middleware&) = delete;
 
@@ -108,6 +109,7 @@ class Middleware {
 
   sim::Simulator& sim_;
   vm::Cluster& cluster_;
+  core::Approach approach_;
   ApproachConfig cfg_;
   Auditor* auditor_ = nullptr;
   core::Metrics metrics_;

@@ -197,7 +197,7 @@ std::vector<ScenarioPoint> scenario_points() {
     cfg.approach_cfg.hybrid.pull_order = order;
     add("ablation/pull-order", core::approach_name(hybrid), x, cfg);
     ExperimentConfig pc = ior_config(core::Approach::kPostcopy);
-    pc.approach_cfg.postcopy.pull_order = order;
+    pc.approach_cfg.hybrid.pull_order = order;
     add("ablation/pull-order", core::approach_name(core::Approach::kPostcopy), x, pc);
   }
 

@@ -103,7 +103,6 @@ Scheduler::Scheduler(sim::Simulator& sim, vm::Cluster& cluster, Middleware& mw,
       all_done_(all_done),
       max_attempts_(cfg.max_attempts > 0 ? cfg.max_attempts
                                          : mw.config().max_attempts),
-      retry_backoff_s_(mw.config().retry_backoff_s),
       vm_busy_(mw.vm_count(), 0) {}
 
 void Scheduler::start() { sim_.spawn(pump_arrivals()); }
@@ -269,7 +268,7 @@ sim::Task Scheduler::run_request(RequestRecord* r) {
     }
     co_await net.wait_node_up(vm.node());
     co_await net.wait_node_up(r->dst);
-    co_await sim_.delay(retry_backoff_s_);
+    co_await sim_.delay(kRetryBackoffS);
   }
 }
 

@@ -160,7 +160,6 @@ class Scheduler {
   sim::Rng vm_rng_;
   sim::WaitGroup* all_done_;
   int max_attempts_;
-  double retry_backoff_s_;
 
   std::deque<RequestRecord> requests_;  // stable addresses for timers/tasks
   std::deque<RequestRecord*> high_q_;

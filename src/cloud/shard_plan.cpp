@@ -64,7 +64,7 @@ std::string coupling_reason(const ExperimentConfig& cfg) {
     default:
       break;
   }
-  if (cfg.trace_recorder != nullptr || !cfg.record_trace_path.empty())
+  if (cfg.trace_recorder != nullptr)
     return "trace recording observes every VM";
   // A finite shared network constraint ties every flow crossing it to every
   // other: no slice could water-fill it alone.

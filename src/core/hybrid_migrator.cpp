@@ -71,7 +71,7 @@ bool HybridSession::is_duplicate(ChunkId c) const {
 double HybridSession::wire_bytes(ChunkId c) {
   if (is_duplicate(c)) {
     ++dedup_hits_;
-    return cfg_.dedup.fingerprint_bytes;
+    return kFingerprintBytes;
   }
   return static_cast<double>(src_store_->image().chunk_bytes);
 }
@@ -252,7 +252,7 @@ sim::Task HybridSession::do_pull(ChunkId c, bool on_demand) {
   // a crashed endpoint is waited out (rebooted) and the pull retried, so
   // the destination never loses a chunk it already committed to fetch.
   for (;;) {
-    if (!co_await net.transfer(dst_node_, src_node_, cfg_.pull_request_bytes,
+    if (!co_await net.transfer(dst_node_, src_node_, kPullRequestBytes,
                                net::TrafficClass::kControl)) {
       co_await net.wait_node_up(dst_node_);
       co_await net.wait_node_up(src_node_);
@@ -296,7 +296,7 @@ sim::Task HybridSession::pre_control_transfer() {
 
   // Ship RemainingSet + WriteCount to the destination.
   const double list_bytes =
-      cfg_.list_entry_bytes * static_cast<double>(in_remaining_.count()) + 64;
+      kListEntryBytes * static_cast<double>(in_remaining_.count()) + 64;
   if (!co_await cluster_.network().transfer(src_node_, dst_node_, list_bytes,
                                             net::TrafficClass::kControl)) {
     aborted_ = true;  // a crash raced the handoff: control must not move

@@ -48,7 +48,6 @@ enum class PullOrder : std::uint8_t {
 struct DedupConfig {
   bool enabled = false;
   double duplicate_fraction = 0.0;
-  std::uint32_t fingerprint_bytes = 64;
 };
 
 struct HybridConfig {
@@ -58,12 +57,6 @@ struct HybridConfig {
   /// Disable to obtain the pure post-copy baseline.
   bool push_enabled = true;
   PullOrder pull_order = PullOrder::kByWriteCount;
-  /// Wire size of one (chunk id, write count) entry in TRANSFER_IO_CONTROL.
-  /// Wire sizes are integral byte counts; they only become doubles at the
-  /// fluid-flow boundary (net::FlowNetwork::transfer).
-  std::uint32_t list_entry_bytes = 12;
-  /// Wire size of one pull request.
-  std::uint32_t pull_request_bytes = 256;
   DedupConfig dedup{};
 
   static constexpr std::uint32_t kUnlimitedThreshold =
@@ -72,6 +65,15 @@ struct HybridConfig {
 
 class HybridSession final : public StorageMigrationSession {
  public:
+  // Wire sizes are integral byte counts; they only become doubles at the
+  // fluid-flow boundary (net::FlowNetwork::transfer).
+  /// One (chunk id, write count) entry in TRANSFER_IO_CONTROL.
+  static constexpr std::uint32_t kListEntryBytes = 12;
+  /// One pull request.
+  static constexpr std::uint32_t kPullRequestBytes = 256;
+  /// The content fingerprint a de-duplicated chunk moves instead of itself.
+  static constexpr std::uint32_t kFingerprintBytes = 64;
+
   HybridSession(sim::Simulator& sim, vm::Cluster& cluster, MigrationManager* mgr,
                 net::NodeId dst_node, MigrationRecord& rec, HybridConfig cfg = {});
   ~HybridSession() override;

@@ -4,9 +4,8 @@ namespace hm::core {
 
 MirrorSession::MirrorSession(sim::Simulator& sim, vm::Cluster& cluster,
                              MigrationManager* mgr, net::NodeId dst_node,
-                             MigrationRecord& rec, MirrorConfig cfg)
+                             MigrationRecord& rec)
     : StorageMigrationSession(sim, cluster, mgr, dst_node, rec),
-      cfg_(cfg),
       mirrored_(mgr->replica().num_chunks(), 0),
       bg_done_(sim),
       drain_(sim) {}
@@ -43,29 +42,25 @@ std::unique_ptr<storage::ChunkStore> MirrorSession::take_partial_destination(
 sim::Task MirrorSession::background_copy() {
   auto& net = cluster_.network();
   const double chunk_bytes = src_store_->image().chunk_bytes;
-  std::vector<ChunkId> snapshot;
-  if (cfg_.copy_full_image) {
-    // Device-level mirroring: stream the entire disk, present or not.
-    snapshot.resize(src_store_->num_chunks());
-    for (ChunkId c = 0; c < src_store_->num_chunks(); ++c) snapshot[c] = c;
-  } else {
-    snapshot = src_store_->modified_set();
-  }
-  std::size_t i = 0;
-  while (i < snapshot.size()) {
+  // Haselhorst-style mirroring works at the block-device level and has no
+  // notion of a shared base image: the copy streams the entire disk,
+  // present or not, not just the locally modified chunks.
+  const ChunkId n = src_store_->num_chunks();
+  ChunkId next = 0;
+  while (next < n) {
     if (aborted_) break;
     std::vector<ChunkId> batch;
-    while (i < snapshot.size() && batch.size() < cfg_.batch_chunks) {
-      const ChunkId c = snapshot[i++];
+    while (next < n && batch.size() < kBatchChunks) {
+      const ChunkId c = next++;
       if (!mirrored_[c]) batch.push_back(c);  // sync writes may have covered it
     }
     if (batch.empty()) continue;
     for (ChunkId c : batch) {
-      // Present chunks are read through the host path; untouched parts of a
-      // device-level mirror are raw disk reads on the source.
+      // Present chunks are read through the host path; untouched parts of
+      // the disk are raw disk reads on the source.
       if (src_store_->present(c)) {
         co_await src_store_->read_chunk(c);
-      } else if (cfg_.copy_full_image) {
+      } else {
         co_await src_store_->disk().read(chunk_bytes);
       }
     }

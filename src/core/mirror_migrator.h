@@ -1,9 +1,9 @@
 // Mirroring baseline (Haselhorst et al., reproduced per Section 5.2.2):
-// a background task copies the existing modified chunks to the destination
-// while every new write is issued synchronously to BOTH source and
-// destination — a write completes only after both replicas have it. This
-// guarantees convergence but inflates write latency, throttling the guest
-// under I/O intensive workloads (the trade-off the paper measures).
+// a background task copies the whole disk to the destination while every
+// new write is issued synchronously to BOTH source and destination — a
+// write completes only after both replicas have it. This guarantees
+// convergence but inflates write latency, throttling the guest under I/O
+// intensive workloads (the trade-off the paper measures).
 #pragma once
 
 #include <cstdint>
@@ -13,19 +13,13 @@
 
 namespace hm::core {
 
-struct MirrorConfig {
-  std::uint32_t batch_chunks = 16;  // background copy batching
-  /// Haselhorst-style mirroring works at the block-device level and has no
-  /// notion of a shared base image: the first phase transfers the *whole*
-  /// disk content, not just the locally modified chunks. Disable to get a
-  /// sparse variant that leans on the repository for base content.
-  bool copy_full_image = true;
-};
-
 class MirrorSession final : public StorageMigrationSession {
  public:
+  /// Chunks per background-copy transfer.
+  static constexpr std::size_t kBatchChunks = 16;
+
   MirrorSession(sim::Simulator& sim, vm::Cluster& cluster, MigrationManager* mgr,
-                net::NodeId dst_node, MigrationRecord& rec, MirrorConfig cfg = {});
+                net::NodeId dst_node, MigrationRecord& rec);
 
   void start() override;
   sim::Task pre_control_transfer() override;
@@ -44,7 +38,6 @@ class MirrorSession final : public StorageMigrationSession {
   sim::Task background_copy();
   sim::Task mirror_remote_write(ChunkId c, sim::WaitGroup& wg);
 
-  MirrorConfig cfg_;
   std::vector<std::uint8_t> mirrored_;  // chunk already at destination
   std::size_t inflight_writes_ = 0;
   sim::Event bg_done_;

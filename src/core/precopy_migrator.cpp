@@ -6,9 +6,8 @@ namespace hm::core {
 
 PrecopySession::PrecopySession(sim::Simulator& sim, vm::Cluster& cluster,
                                MigrationManager* mgr, net::NodeId dst_node,
-                               MigrationRecord& rec, PrecopyConfig cfg)
+                               MigrationRecord& rec)
     : StorageMigrationSession(sim, cluster, mgr, dst_node, rec),
-      cfg_(cfg),
       cow_(mgr->replica().image()),
       dirty_(mgr->replica().num_chunks()),
       send_count_(mgr->replica().num_chunks(), 0) {}
@@ -45,10 +44,10 @@ sim::Task PrecopySession::send_chunks(const std::vector<ChunkId>& chunks) {
   std::size_t i = 0;
   while (i < chunks.size()) {
     if (aborted_) break;
-    const std::size_t n = std::min<std::size_t>(cfg_.batch_chunks, chunks.size() - i);
+    const std::size_t n = std::min(kBatchChunks, chunks.size() - i);
     for (std::size_t k = 0; k < n; ++k) co_await src_store_->read_chunk(chunks[i + k]);
     if (!co_await net.transfer(src_node_, dst_node_, chunk_bytes * static_cast<double>(n),
-                               net::TrafficClass::kStoragePush, cfg_.rate_cap_Bps))
+                               net::TrafficClass::kStoragePush))
       break;  // crash under the batch: it never arrived
     for (std::size_t k = 0; k < n; ++k) {
       co_await dst_store_->write_chunk(chunks[i + k]);

@@ -18,18 +18,13 @@
 
 namespace hm::core {
 
-struct PrecopyConfig {
-  /// Chunks streamed per batched transfer inside a round.
-  std::uint32_t batch_chunks = 16;
-  /// Rate cap on the block-migration stream (QEMU shares the migration
-  /// socket between RAM and block data; the harness caps both).
-  double rate_cap_Bps = net::kUnlimitedRate;
-};
-
 class PrecopySession final : public StorageMigrationSession {
  public:
+  /// Chunks streamed per batched transfer inside a round.
+  static constexpr std::size_t kBatchChunks = 16;
+
   PrecopySession(sim::Simulator& sim, vm::Cluster& cluster, MigrationManager* mgr,
-                 net::NodeId dst_node, MigrationRecord& rec, PrecopyConfig cfg = {});
+                 net::NodeId dst_node, MigrationRecord& rec);
 
   void start() override;
   sim::Task pre_control_transfer() override;
@@ -50,7 +45,6 @@ class PrecopySession final : public StorageMigrationSession {
  private:
   sim::Task send_chunks(const std::vector<ChunkId>& chunks);
 
-  PrecopyConfig cfg_;
   storage::CowImage cow_;
   // Packed dirty-chunk map; rounds snapshot it with a word-granular drain.
   util::DirtyBitmap dirty_;

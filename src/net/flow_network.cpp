@@ -277,7 +277,7 @@ void FlowNetwork::start_leg(FlowOp* op) {
   if (op->src == op->dst) {
     // Local copy: costs loopback time, never leaves the node, not counted
     // as network traffic.
-    sim_.schedule(op->bytes / cfg_.loopback_Bps, [op] { op->step(op); });
+    sim_.schedule(op->bytes / kLoopbackBps, [op] { op->step(op); });
     return;
   }
   assert(op->src < nodes_.size() && op->dst < nodes_.size());

@@ -27,7 +27,6 @@
 //    awaiting coroutine's frame), started by one latency timer and resumed
 //    straight from the completion heap through one zero-delay event — no
 //    nested coroutine frame, no per-transfer done-Event, no allocation.
-//    The event sequence is identical to the previous coroutine-based path.
 //  * Flows live in a slab of slots recycled through a free list, so
 //    starting a flow performs no per-flow heap allocation in steady state.
 //  * Completions come from an indexed min-heap of projected finish times
@@ -142,10 +141,12 @@ const char* traffic_class_name(TrafficClass cls) noexcept;
 
 constexpr double kUnlimitedRate = std::numeric_limits<double>::infinity();
 
+/// Same-node transfers: memory-copy speed, not counted as traffic.
+constexpr double kLoopbackBps = 8.0e9;
+
 struct FlowNetworkConfig {
   double fabric_Bps = 8.0e9;     // aggregate switch capacity
   double latency_s = 100e-6;     // one-way message latency (paper: ~0.1 ms)
-  double loopback_Bps = 8.0e9;   // same-node transfers (not counted as traffic)
   /// Incremental component-scoped solving; false re-solves every
   /// component each epoch. Rates are byte-identical either way; only the
   /// solver-work counters differ.

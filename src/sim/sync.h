@@ -217,21 +217,6 @@ class Semaphore {
   WaiterList waiters_;
 };
 
-/// RAII helper for Semaphore-protected critical sections inside coroutines.
-/// Usage: co_await sem.acquire(); SemGuard g(sem); ... (guard releases).
-class SemGuard {
- public:
-  explicit SemGuard(Semaphore& s) noexcept : s_(&s) {}
-  SemGuard(const SemGuard&) = delete;
-  SemGuard& operator=(const SemGuard&) = delete;
-  ~SemGuard() {
-    if (s_) s_->release();
-  }
-
- private:
-  Semaphore* s_;
-};
-
 /// Single-server FIFO service station: a frameless replacement for the
 /// "acquire a count-1 Semaphore, delay for a fixed service time, release"
 /// coroutine pattern (disk queues, host-bus arbitration). Event-for-event

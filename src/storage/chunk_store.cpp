@@ -28,13 +28,11 @@ std::vector<ChunkId> ChunkStore::modified_set() const {
 void ChunkStore::mark_host_dirty(ChunkId c) {
   if (c == flush_inflight_) flush_redirtied_ = true;
   host_dirty_.set(c);
-  if (cfg_.background_flush) {
-    if (!flusher_running_) {
-      flusher_running_ = true;
-      sim_.spawn(flusher_loop());
-    }
-    flush_wakeup_.notify_all();
+  if (!flusher_running_) {
+    flusher_running_ = true;
+    sim_.spawn(flusher_loop());
   }
+  flush_wakeup_.notify_all();
 }
 
 sim::Task ChunkStore::flusher_loop() {

@@ -18,11 +18,10 @@
 //
 // read_chunk/write_chunk/install_base_chunk are frameless awaitables: the
 // fixed-latency bus or disk leg is an intrusive FifoStation node embedded
-// in the awaiter, and the state updates that used to follow the co_await in
-// a coroutine body run in await_resume — same synchronous order, same event
-// sequence, but no coroutine frame and no heap allocation per chunk op.
-// Since PR 4 a queued request's handoff rides the simulator's fast lane
-// (seq-stamped ring push) instead of a scheduled timer slot.
+// in the awaiter, and the state updates after the leg run in await_resume —
+// no coroutine frame and no heap allocation per chunk op.
+// A queued request's handoff rides the simulator's fast lane (seq-stamped
+// ring push).
 #pragma once
 
 #include <cassert>
@@ -63,9 +62,8 @@ struct ImageConfig {
 ///
 /// Intrusive doubly-linked list threaded through a flat slot vector indexed
 /// by chunk id, with membership in a packed bitmap: contains() is one bit
-/// test, insert/refresh/erase are pointer splices with zero allocation (the
-/// old std::list + unordered_map<ChunkId, iterator> paid a hash probe plus
-/// a node allocation per operation). A slot is two links, 8 B per chunk.
+/// test, insert/refresh/erase are pointer splices with zero allocation. A
+/// slot is two links, 8 B per chunk.
 /// Given a universe, the bitmap is sized once and the slot vector is
 /// reserved to it, so inserts never allocate; with universe 0 both grow to
 /// the largest id seen.
@@ -160,7 +158,6 @@ struct ChunkStoreConfig {
   /// guest write-back, which is the mechanism behind the in-VM write
   /// throughput degradation during migration.
   double host_bus_Bps = 100.0e6;
-  bool background_flush = true;   // flush host-dirty chunks to disk in background
 };
 
 class ChunkStore {

@@ -13,14 +13,12 @@
 
 namespace hm::storage {
 
-struct CowImageConfig {
-  std::uint64_t metadata_bytes_per_alloc = 8 * kKiB;  // L2 + refcount updates
-};
-
 class CowImage {
  public:
-  CowImage(ImageConfig img, CowImageConfig cfg = {})
-      : img_(img), cfg_(cfg), allocated_(img.num_chunks(), 0) {}
+  /// Metadata written on a cluster's first allocation: L2 + refcount updates.
+  static constexpr std::uint64_t kMetadataBytesPerAlloc = 8 * kKiB;
+
+  explicit CowImage(ImageConfig img) : img_(img), allocated_(img.num_chunks(), 0) {}
 
   bool allocated(ChunkId c) const noexcept { return allocated_[c] != 0; }
   std::uint32_t allocated_count() const noexcept { return allocated_count_; }
@@ -31,8 +29,8 @@ class CowImage {
     if (allocated_[c]) return 0;
     allocated_[c] = 1;
     ++allocated_count_;
-    metadata_bytes_ += cfg_.metadata_bytes_per_alloc;
-    return cfg_.metadata_bytes_per_alloc;
+    metadata_bytes_ += kMetadataBytesPerAlloc;
+    return kMetadataBytesPerAlloc;
   }
 
   std::uint64_t metadata_bytes_total() const noexcept { return metadata_bytes_; }
@@ -40,7 +38,6 @@ class CowImage {
 
  private:
   ImageConfig img_;
-  CowImageConfig cfg_;
   std::vector<std::uint8_t> allocated_;
   std::uint32_t allocated_count_ = 0;
   std::uint64_t metadata_bytes_ = 0;

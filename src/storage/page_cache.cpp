@@ -80,9 +80,9 @@ bool PageCache::try_reserve_capacity() {
 }
 
 // The write state machine, stepped from await_suspend and from wb_progress /
-// guest-bus wakeups. Each case mirrors one co_await of the old coroutine:
-// falling out of a case is "the await completed synchronously", returning
-// after parking `node` is "the coroutine suspended".
+// guest-bus wakeups. Each case is one wait point: falling out of a case
+// means the wait completed synchronously; returning after parking `node`
+// leaves the awaiting coroutine suspended.
 void PageCache::WriteAwaiter::step() {
   switch (st) {
     case St::kThrottle:

@@ -13,12 +13,11 @@
 // dirtying the cache dirties guest pages that the hypervisor's memory
 // pre-copy has to (re)transmit. The on_cache_touch hook wires that coupling.
 //
-// write_chunk()/read_chunk() are FRAMELESS awaitables (the PR 3 pattern,
-// applied here because the guest I/O steady state is chunk-at-a-time): the
-// awaiter embeds one WaitNode that parks a state-machine step in the same
-// throttle/eviction/bus waiter lists a coroutine would use, and the state
-// updates that used to follow each co_await run in await_resume — same
-// synchronous order, same event sequence, no coroutine frame per chunk op.
+// write_chunk()/read_chunk() are FRAMELESS awaitables, because the guest
+// I/O steady state is chunk-at-a-time: the awaiter embeds one WaitNode that
+// parks a state-machine step in the throttle/eviction/bus waiter lists, and
+// the state updates after the last wait point run in await_resume — no
+// coroutine frame per chunk op.
 // The read MISS path (backend fetch) still runs as one pooled coroutine,
 // started by symmetric transfer from the awaiter: misses leave the steady
 // state by definition, and the backend interface is Task-shaped.
@@ -91,12 +90,12 @@ class PageCache {
 
  public:
   /// Frameless buffered write of one full chunk. A hand-rolled state
-  /// machine over the same wait points the old coroutine suspended at —
-  /// dirty throttle, clean-eviction capacity, guest-bus FIFO, copy delay —
-  /// with the post-copy state updates (LRU insert, dirty marking, touch
-  /// hook) in await_resume. Non-copyable in effect: the embedded WaitNode's
-  /// address is registered with the waiter lists, so the object must be
-  /// awaited where it was materialized (`co_await cache.write_chunk(c)`).
+  /// machine over four wait points — dirty throttle, clean-eviction
+  /// capacity, guest-bus FIFO, copy delay — with the post-copy state
+  /// updates (LRU insert, dirty marking, touch hook) in await_resume.
+  /// Non-copyable in effect: the embedded WaitNode's address is
+  /// registered with the waiter lists, so the object must be awaited
+  /// where it was materialized (`co_await cache.write_chunk(c)`).
   struct [[nodiscard]] WriteAwaiter {
     PageCache& pc;
     ChunkId c;
@@ -112,7 +111,7 @@ class PageCache {
       step();
     }
     void await_resume() const {
-      pc.guest_bus_.release();  // the old SemGuard released here too
+      pc.guest_bus_.release();
       pc.lru_.insert(c);
       pc.mark_dirty(c);
       if (pc.touch_hook_) pc.touch_hook_(c);

@@ -4,8 +4,8 @@
 
 namespace hm::storage {
 
-Pvfs::Pvfs(sim::Simulator& sim, net::FlowNetwork& net, PvfsConfig cfg)
-    : sim_(sim), net_(net), cfg_(cfg), available_(sim) {}
+Pvfs::Pvfs(sim::Simulator& sim, net::FlowNetwork& net)
+    : sim_(sim), net_(net), available_(sim) {}
 
 void Pvfs::add_server(net::NodeId node, Disk* disk) {
   servers_.push_back(Server{node, disk});
@@ -16,8 +16,8 @@ std::vector<Pvfs::Extent> Pvfs::extents_of(std::uint64_t offset, std::uint64_t l
   std::uint64_t pos = offset;
   const std::uint64_t end = offset + len;
   while (pos < end) {
-    const std::uint64_t stripe_idx = pos / cfg_.stripe_bytes;
-    const std::uint64_t stripe_end = (stripe_idx + 1) * cfg_.stripe_bytes;
+    const std::uint64_t stripe_idx = pos / kStripeBytes;
+    const std::uint64_t stripe_end = (stripe_idx + 1) * kStripeBytes;
     const std::uint64_t n = std::min(end, stripe_end) - pos;
     out.push_back(Extent{static_cast<std::size_t>(stripe_idx % servers_.size()), n});
     pos += n;
@@ -33,10 +33,10 @@ sim::Task Pvfs::do_extent(net::NodeId client, Extent e, bool is_write,
     if (is_write) {
       ok = co_await net_.transfer(client, srv.node, static_cast<double>(e.bytes),
                                   net::TrafficClass::kPvfsData);
-      if (ok && cfg_.server_disk_io && srv.disk != nullptr)
+      if (ok && srv.disk != nullptr)
         co_await srv.disk->write(static_cast<double>(e.bytes));
     } else {
-      if (cfg_.server_disk_io && srv.disk != nullptr)
+      if (srv.disk != nullptr)
         co_await srv.disk->read(static_cast<double>(e.bytes));
       ok = co_await net_.transfer(srv.node, client, static_cast<double>(e.bytes),
                                   net::TrafficClass::kPvfsData);
@@ -54,13 +54,13 @@ sim::Task Pvfs::write(net::NodeId client, std::uint64_t offset, std::uint64_t le
   bytes_written_ += len;
   co_await available_.wait_open();
   // Metadata round trip to the primary server + server-side processing.
-  while (!co_await net_.request_response(client, servers_[0].node, cfg_.rpc_bytes,
-                                         cfg_.rpc_bytes, net::TrafficClass::kControl)) {
+  while (!co_await net_.request_response(client, servers_[0].node, kRpcBytes, kRpcBytes,
+                                         net::TrafficClass::kControl)) {
     co_await net_.wait_node_up(client);
     co_await net_.wait_node_up(servers_[0].node);
     co_await available_.wait_open();
   }
-  co_await sim_.delay(cfg_.server_op_latency_s);
+  co_await sim_.delay(kServerOpLatencyS);
   sim::WaitGroup wg(sim_);
   for (const Extent& e : extents_of(offset, len)) {
     wg.add();
@@ -74,13 +74,13 @@ sim::Task Pvfs::read(net::NodeId client, std::uint64_t offset, std::uint64_t len
   ++ops_;
   bytes_read_ += len;
   co_await available_.wait_open();
-  while (!co_await net_.request_response(client, servers_[0].node, cfg_.rpc_bytes,
-                                         cfg_.rpc_bytes, net::TrafficClass::kControl)) {
+  while (!co_await net_.request_response(client, servers_[0].node, kRpcBytes, kRpcBytes,
+                                         net::TrafficClass::kControl)) {
     co_await net_.wait_node_up(client);
     co_await net_.wait_node_up(servers_[0].node);
     co_await available_.wait_open();
   }
-  co_await sim_.delay(cfg_.server_op_latency_s);
+  co_await sim_.delay(kServerOpLatencyS);
   sim::WaitGroup wg(sim_);
   for (const Extent& e : extents_of(offset, len)) {
     wg.add();

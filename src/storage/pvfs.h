@@ -20,21 +20,19 @@
 
 namespace hm::storage {
 
-struct PvfsConfig {
-  std::uint32_t stripe_bytes = 64 * kKiB;
-  double rpc_bytes = 1024;     // metadata request/response size
-  bool server_disk_io = true;  // charge server-side disk time
+class Pvfs {
+ public:
+  static constexpr std::uint64_t kStripeBytes = 64 * kKiB;
+  /// Metadata request/response size.
+  static constexpr double kRpcBytes = 1024;
   /// Per-operation server-side processing time (request handling, locking,
   /// POSIX consistency bookkeeping). PVFS has no client cache and qcow2 on
   /// top serializes cluster updates, so the effective per-client throughput
   /// is far below the raw stripe bandwidth — this is what the paper's
   /// pvfs-shared baseline measures (<5% of the local write ceiling).
-  double server_op_latency_s = 4e-3;
-};
+  static constexpr double kServerOpLatencyS = 4e-3;
 
-class Pvfs {
- public:
-  Pvfs(sim::Simulator& sim, net::FlowNetwork& net, PvfsConfig cfg = {});
+  Pvfs(sim::Simulator& sim, net::FlowNetwork& net);
   Pvfs(const Pvfs&) = delete;
   Pvfs& operator=(const Pvfs&) = delete;
 
@@ -71,7 +69,6 @@ class Pvfs {
 
   sim::Simulator& sim_;
   net::FlowNetwork& net_;
-  PvfsConfig cfg_;
   std::vector<Server> servers_;
   sim::Gate available_;
   std::uint64_t bytes_written_ = 0;

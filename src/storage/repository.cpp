@@ -4,9 +4,8 @@
 
 namespace hm::storage {
 
-Repository::Repository(sim::Simulator& sim, net::FlowNetwork& net, ImageConfig img,
-                       RepositoryConfig cfg)
-    : sim_(sim), net_(net), img_(img), cfg_(cfg), available_(sim) {}
+Repository::Repository(sim::Simulator& sim, net::FlowNetwork& net, ImageConfig img)
+    : sim_(sim), net_(net), img_(img), available_(sim) {}
 
 void Repository::add_storage_node(net::NodeId node, Disk* disk) {
   servers_.push_back(Server{node, disk});
@@ -22,7 +21,7 @@ sim::Task Repository::fetch_chunk(net::NodeId reader, ChunkId c) {
   const Server& srv = servers_[c % servers_.size()];
   for (;;) {
     co_await available_.wait_open();
-    if (!co_await net_.transfer(reader, srv.node, cfg_.request_bytes,
+    if (!co_await net_.transfer(reader, srv.node, kRequestBytes,
                                 net::TrafficClass::kControl)) {
       co_await net_.wait_node_up(reader);
       co_await net_.wait_node_up(srv.node);

@@ -19,15 +19,12 @@
 
 namespace hm::storage {
 
-struct RepositoryConfig {
-  double request_bytes = 512;  // pull request size
-  std::uint32_t replication = 1;  // metadata only; reads hit the primary
-};
-
 class Repository {
  public:
-  Repository(sim::Simulator& sim, net::FlowNetwork& net, ImageConfig img,
-             RepositoryConfig cfg = {});
+  /// Wire size of one chunk fetch request.
+  static constexpr double kRequestBytes = 512;
+
+  Repository(sim::Simulator& sim, net::FlowNetwork& net, ImageConfig img);
   Repository(const Repository&) = delete;
   Repository& operator=(const Repository&) = delete;
 
@@ -61,7 +58,6 @@ class Repository {
   sim::Simulator& sim_;
   net::FlowNetwork& net_;
   ImageConfig img_;
-  RepositoryConfig cfg_;
   std::vector<Server> servers_;
   sim::Gate available_;
   std::uint64_t chunks_served_ = 0;

@@ -35,7 +35,7 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig cfg)
     repo_.add_storage_node(id, &nodes_.back()->disk());
   }
   if (cfg_.enable_pvfs) {
-    pvfs_ = std::make_unique<storage::Pvfs>(sim_, net_, cfg_.pvfs);
+    pvfs_ = std::make_unique<storage::Pvfs>(sim_, net_);
     for (auto& n : nodes_) pvfs_->add_server(n->id(), &n->disk());
   }
 }

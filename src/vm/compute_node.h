@@ -33,7 +33,6 @@ struct ClusterConfig {
   storage::ImageConfig image{};
   storage::ChunkStoreConfig chunk_store{};
   bool enable_pvfs = false;
-  storage::PvfsConfig pvfs{};
   std::uint64_t seed = 42;
 };
 

@@ -12,7 +12,7 @@ sim::Task Hypervisor::live_migrate(sim::Simulator& sim, net::FlowNetwork& net,
 
   // The migration machinery occupies host CPU on the source for the whole
   // active phase.
-  CpuLoadGuard active_load(cluster.node(src_node), cfg.host_cpu_overhead_active);
+  CpuLoadGuard active_load(cluster.node(src_node), kHostCpuOverheadActive);
 
   // Round 0: ship every used page while the VM keeps running.
   double to_send = static_cast<double>(mem.begin_full_round());
@@ -34,8 +34,8 @@ sim::Task Hypervisor::live_migrate(sim::Simulator& sim, net::FlowNetwork& net,
     }
     const double dirty = static_cast<double>(mem.take_dirty_round());
     const double resid = storage.residual_storage_bytes();
-    const double downtime_budget = cfg.migration_speed_Bps * cfg.downtime_target_s;
-    if (round >= cfg.max_rounds) {
+    const double downtime_budget = cfg.migration_speed_Bps * kDowntimeTargetS;
+    if (round >= kMaxRounds) {
       // Forced stop: ship whatever is left, blowing the downtime target —
       // the non-convergence pathology of pre-copy.
       if (!storage.ready_to_complete()) co_await storage.wait_ready_to_complete();
@@ -61,9 +61,9 @@ sim::Task Hypervisor::live_migrate(sim::Simulator& sim, net::FlowNetwork& net,
   vm.pause();
   const double t_pause = sim.now();
   const bool residue_sent =
-      co_await net.transfer(src_node, dst_node, final_dirty + cfg.device_state_bytes,
+      co_await net.transfer(src_node, dst_node, final_dirty + kDeviceStateBytes,
                             net::TrafficClass::kMemory, cfg.migration_speed_Bps);
-  if (residue_sent) rec.memory_bytes_sent += final_dirty + cfg.device_state_bytes;
+  if (residue_sent) rec.memory_bytes_sent += final_dirty + kDeviceStateBytes;
   if (!residue_sent) storage.abort();
   if (storage.aborted()) {
     vm.resume();  // the guest keeps running at the source; the retry restarts
@@ -90,7 +90,7 @@ sim::Task Hypervisor::live_migrate(sim::Simulator& sim, net::FlowNetwork& net,
   // Passive phase: wait until the source holds nothing the VM still needs.
   // Residual pulls keep the destination's transfer manager busy.
   {
-    CpuLoadGuard passive_load(cluster.node(dst_node), cfg.host_cpu_overhead_passive);
+    CpuLoadGuard passive_load(cluster.node(dst_node), kHostCpuOverheadPassive);
     co_await storage.wait_source_released();
   }
   rec.t_source_released = sim.now();

@@ -22,20 +22,21 @@ namespace hm::vm {
 struct HypervisorConfig {
   /// QEMU migration speed cap; the paper sets it to the full NIC bandwidth.
   double migration_speed_Bps = 125.0e6;
-  double downtime_target_s = 0.03;  // QEMU 1.0 default max downtime (30 ms)
-  int max_rounds = 100;             // forced stop safeguard
-  double device_state_bytes = 2.0e6;
+};
+
+class Hypervisor {
+ public:
+  static constexpr double kDowntimeTargetS = 0.03;  // QEMU 1.0 default max downtime (30 ms)
+  static constexpr int kMaxRounds = 100;             // forced stop safeguard
+  static constexpr double kDeviceStateBytes = 2.0e6;
   /// Host CPU fraction consumed by the migration machinery (QEMU migration
   /// thread + transfer manager) while the VM shares the node with it: the
   /// source during the active phase, the destination while residual state
   /// is still being pulled. This is the paper's "impact on application
   /// performance" channel beyond pure I/O contention.
-  double host_cpu_overhead_active = 0.25;
-  double host_cpu_overhead_passive = 0.10;
-};
+  static constexpr double kHostCpuOverheadActive = 0.25;
+  static constexpr double kHostCpuOverheadPassive = 0.10;
 
-class Hypervisor {
- public:
   /// Run one live migration of `vm` to `dst_node`. `storage` must already be
   /// started (the migration manager forwards the request to the hypervisor
   /// per Algorithm 1, line 9). Fills `rec` with timing/volume details.

@@ -25,7 +25,6 @@ struct VmConfig {
   GuestMemoryConfig memory{};
   storage::PageCacheConfig cache{};
   double compute_slice_s = 0.1;  // CPU accounting granularity
-  int cores = 1;
 };
 
 class VmInstance {

@@ -16,7 +16,7 @@ sim::Task AsyncWrWorkload::run(vm::VmInstance& vm) {
   std::uint64_t off = cfg_.file_offset;
   for (int it = 0; it < cfg_.iterations; ++it) {
     // Compute while the previous iteration's buffer drains to disk.
-    co_await vm.compute(cfg_.iter_compute_s, cfg_.dirty_Bps, cfg_.ws_bytes);
+    co_await vm.compute(cfg_.iter_compute_s, kDirtyBps, kWsBytes);
     // The alternate buffer can only be reused once its write completed.
     if (prev_write) co_await prev_write->wait();
     prev_write = std::make_unique<sim::Event>(simulator);

@@ -17,14 +17,15 @@ struct AsyncWrConfig {
   /// Compute time per iteration; 1 MB / (1/6 s) = the paper's ~6 MB/s.
   double iter_compute_s = 1.0 / 6.0;
   std::uint64_t file_offset = 1 * storage::kGiB;
-  /// Anonymous working set: double buffer + bookkeeping.
-  std::uint64_t ws_bytes = 4 * storage::kMiB;
-  /// Memory dirty rate while computing (generate + copy of the buffer).
-  double dirty_Bps = 12.0e6;
 };
 
 class AsyncWrWorkload final : public Workload {
  public:
+  /// Anonymous working set: double buffer + bookkeeping.
+  static constexpr std::uint64_t kWsBytes = 4 * storage::kMiB;
+  /// Memory dirty rate while computing (generate + copy of the buffer).
+  static constexpr double kDirtyBps = 12.0e6;
+
   explicit AsyncWrWorkload(AsyncWrConfig cfg = {}) : cfg_(cfg) {}
   const char* name() const noexcept override { return "AsyncWR"; }
   sim::Task run(vm::VmInstance& vm) override;

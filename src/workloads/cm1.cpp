@@ -63,12 +63,11 @@ sim::Task Cm1Application::run_rank(int rank) {
       const std::uint64_t dump_off =
           cfg_.file_offset + static_cast<std::uint64_t>(slot) * cfg_.output_bytes;
       co_await vm.file_write(dump_off, cfg_.output_bytes);
-      if (cfg_.drop_dump_cache) {
-        // The dump is collected externally; once written back, drop it from
-        // the guest cache so resident memory stays bounded.
-        co_await vm.fsync();
-        vm.drop_file_cache(dump_off, cfg_.output_bytes);
-      }
+      // Dumps are collected and processed externally (the paper omits the
+      // visualization part): once written back, drop the dump from the
+      // guest cache so resident memory stays bounded across outputs.
+      co_await vm.fsync();
+      vm.drop_file_cache(dump_off, cfg_.output_bytes);
       ++dump_idx;
       ++outputs_written_[rank];
     }

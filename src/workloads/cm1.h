@@ -28,10 +28,6 @@ struct Cm1Config {
   /// Stencil update dirty rate over the subdomain arrays while computing.
   double dirty_Bps = 30.0e6;
   std::uint64_t ws_bytes = 256 * storage::kMiB;
-  /// Dumps are collected and processed externally (the paper omits the
-  /// visualization part); once durable, their cache is dropped so the guest
-  /// footprint stays bounded across outputs.
-  bool drop_dump_cache = true;
   /// Scratch-space discipline: collected dumps are deleted, so the on-disk
   /// footprint rotates over this many output slots instead of accumulating
   /// (0 = never reuse, keep every output on disk).

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace hm::workloads {
 
@@ -96,8 +97,8 @@ TraceData generate_trace(const TraceGenSpec& spec, std::uint64_t seed) {
   const ZipfSampler chunk_zipf(chunk_universe, zipf_draws ? spec.zipf_theta : 0.0);
 
   const double dt = spec.dt_s > 0 ? spec.dt_s : 0.25;
-  const std::uint64_t steps =
-      static_cast<std::uint64_t>(std::ceil(spec.duration_s / dt));
+  const double span = std::ceil(spec.duration_s / dt);
+  const std::uint64_t steps = span > 0 ? static_cast<std::uint64_t>(span) : 0;
   double page_acc = 0, chunk_acc = 0;
   std::uint64_t scan_page = 0, scan_chunk = 0;
   std::vector<std::uint64_t> step_pages;
@@ -182,11 +183,69 @@ bool parse_double(const std::string& v, double* out) {
   return end != nullptr && end != v.c_str() && *end == '\0';
 }
 
+/// Largest page or chunk universe, step count and per-step draw count a
+/// spec may ask for: the Zipf samplers hold one double per page or chunk
+/// (128 MiB at this cap), and every count must convert to an integer
+/// exactly.
+constexpr double kMaxCount = 1 << 24;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The values a key accepts: [lo, hi], or (lo, hi] when `open_lo`; an
+/// `integer` key also rejects fractions.
+struct KeyRange {
+  std::string_view key;
+  double lo, hi;
+  bool open_lo, integer;
+};
+constexpr KeyRange kKeyRanges[] = {
+    {"dur", 0, kInf, true, false},
+    {"dt", 0, kInf, true, false},
+    {"pages", 1, kMaxCount, false, true},
+    {"page_kib", 1, 4294967296.0, false, true},
+    {"chunks", 1, kMaxCount, false, true},
+    {"chunk_kib", 1, 4294967295.0 / 1024, false, true},
+    {"offset_mib", 0, 17592186044415.0, false, true},  // offset < 2^64 bytes
+    {"mem_mbps", 0, kInf, false, false},
+    {"write_mbps", 0, kInf, false, false},
+    {"read_frac", 0, 1, false, false},
+    {"compute", 0, 1, false, false},
+    {"theta", 0, kInf, false, false},
+    {"phase", 0, kInf, false, false},
+    {"hot", 0, 1, false, false},
+    {"on", 0, kInf, false, false},
+    {"off", 0, kInf, false, false},
+    {"mult", 0, kInf, false, false},
+};
+
+/// Every bound is a whole number.
+std::string fmt_bound(double v) { return std::to_string(static_cast<std::uint64_t>(v)); }
+
+/// Empty when `d` lies in the key's range, else what the key accepts.
+std::string range_error(const KeyRange& r, double d) {
+  const bool ok = std::isfinite(d) && (r.open_lo ? d > r.lo : d >= r.lo) && d <= r.hi &&
+                  (!r.integer || d == std::floor(d));
+  if (ok) return {};
+  std::string want = r.integer ? "an integer" : "a finite number";
+  if (r.hi == kInf) return want + (r.open_lo ? " > " : " >= ") + fmt_bound(r.lo);
+  return want + " in " + (r.open_lo ? "(" : "[") + fmt_bound(r.lo) + ", " +
+         fmt_bound(std::floor(r.hi)) + "]";
+}
+
 bool apply_key(TraceGenSpec& g, const std::string& key, const std::string& val,
                std::string* err) {
+  const auto range = std::find_if(std::begin(kKeyRanges), std::end(kKeyRanges),
+                                  [&](const KeyRange& r) { return r.key == key; });
+  if (range == std::end(kKeyRanges)) {
+    if (err) *err = "trace spec: unknown key '" + key + "'";
+    return false;
+  }
   double d = 0;
   if (!parse_double(val, &d)) {
     if (err) *err = "trace spec: non-numeric value for '" + key + "'";
+    return false;
+  }
+  if (const std::string want = range_error(*range, d); !want.empty()) {
+    if (err) *err = "trace spec: '" + key + "' must be " + want + ", got '" + val + "'";
     return false;
   }
   if (key == "dur") g.duration_s = d;
@@ -207,12 +266,27 @@ bool apply_key(TraceGenSpec& g, const std::string& key, const std::string& val,
   else if (key == "hot") g.hot_fraction = d;
   else if (key == "on") g.burst_on_s = d;
   else if (key == "off") g.burst_off_s = d;
-  else if (key == "mult") g.burst_multiplier = d;
-  else {
-    if (err) *err = "trace spec: unknown key '" + key + "'";
-    return false;
-  }
+  else g.burst_multiplier = d;  // "mult": kKeyRanges names every key
   return true;
+}
+
+/// Empty when the spec's derived counts (steps, phase shifts, per-step page
+/// and chunk draws) stay within kMaxCount, else a diagnostic.
+std::string count_error(const TraceGenSpec& g) {
+  const double burst = g.pattern == TracePattern::kBurst ? std::max(1.0, g.burst_multiplier) : 1.0;
+  const std::pair<double, const char*> counts[] = {
+      {g.duration_s / g.dt_s, "dur / dt (steps)"},
+      {g.phase_s > 0 ? g.duration_s / g.phase_s : 0, "dur / phase (phase shifts)"},
+      {g.mem_dirty_Bps * g.dt_s / static_cast<double>(g.page_bytes),
+       "mem_mbps x dt / page_kib (page draws per step)"},
+      {g.chunk_write_Bps * burst * g.dt_s / g.chunk_bytes,
+       "write_mbps x dt / chunk_kib (chunk draws per step)"},
+  };
+  for (const auto& [n, what] : counts) {
+    if (!(n <= kMaxCount))  // also rejects NaN
+      return std::string("trace spec: ") + what + " must be at most " + fmt_bound(kMaxCount);
+  }
+  return {};
 }
 
 }  // namespace
@@ -260,6 +334,10 @@ bool parse_trace_spec(std::string_view arg, TraceSourceConfig* out, std::string*
     if (!apply_key(out->gen, std::string(kv.substr(0, eq)), std::string(kv.substr(eq + 1)),
                    err))
       return false;
+  }
+  if (std::string e = count_error(out->gen); !e.empty()) {
+    if (err) *err = std::move(e);
+    return false;
   }
   return true;
 }

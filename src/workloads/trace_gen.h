@@ -88,7 +88,10 @@ struct TraceSourceConfig {
 /// matching TraceGenSpec fields: dur, dt, pages, page_kib, chunks,
 /// chunk_kib, offset_mib, mem_mbps, write_mbps, read_frac, compute, theta,
 /// phase, hot, on, off, mult. Returns false with *err on an unknown pattern
-/// or key.
+/// or key, or a value out of range: counts (pages, chunks, page_kib,
+/// chunk_kib, offset_mib) are integers, dur and dt are > 0, the fractions
+/// (read_frac, compute, hot) lie in [0, 1], every other value is a finite
+/// number >= 0, and the derived step and per-step draw counts stay bounded.
 bool parse_trace_spec(std::string_view arg, TraceSourceConfig* out, std::string* err);
 
 }  // namespace hm::workloads

@@ -317,7 +317,7 @@ struct Rig {
       : n_vms(vms),
         n_dsts(dsts),
         cluster(sim, rig_cluster(seed, vms, dsts, incremental)),
-        mw(sim, cluster),
+        mw(sim, cluster, core::Approach::kHybrid),
         done(sim) {
     for (std::size_t i = 0; i < n_vms; ++i)
       mw.deploy(static_cast<net::NodeId>(i), rig_vm(), static_cast<int>(i));

@@ -11,25 +11,18 @@ using testing::SessionFixture;
 using storage::ChunkId;
 using storage::kMiB;
 
-MirrorConfig sparse_cfg() {
-  MirrorConfig cfg;
-  cfg.copy_full_image = false;  // unit tests exercise the sparse variant
-  return cfg;
-}
-
-std::unique_ptr<MirrorSession> make_session(SessionFixture& f,
-                                            MirrorConfig cfg = sparse_cfg()) {
-  auto s = std::make_unique<MirrorSession>(f.s, f.cluster, &f.mgr, /*dst=*/1, *f.rec, cfg);
+std::unique_ptr<MirrorSession> make_session(SessionFixture& f) {
+  auto s = std::make_unique<MirrorSession>(f.s, f.cluster, &f.mgr, /*dst=*/1, *f.rec);
   f.mgr.begin_migration(s.get());
   return s;
 }
 
-TEST(MirrorSession, FullImageModeCopiesWholeDisk) {
+// Haselhorst-style device-level mirroring: the background copy streams the
+// whole disk, modified or not.
+TEST(MirrorSession, BackgroundCopyCopiesWholeDisk) {
   SessionFixture f;
   f.populate(3);
-  MirrorConfig cfg;
-  cfg.copy_full_image = true;  // Haselhorst-style device-level mirroring
-  auto session = make_session(f, cfg);
+  auto session = make_session(f);
   session->start();
   f.s.run();
   EXPECT_EQ(session->chunks_copied_background(), f.mgr.replica().num_chunks());
@@ -41,7 +34,8 @@ TEST(MirrorSession, BackgroundCopyTransfersExistingChunks) {
   auto session = make_session(f);
   session->start();
   f.s.run();
-  EXPECT_EQ(session->chunks_copied_background(), 6u);
+  f.sync_and_transfer(*session);
+  for (ChunkId c = 0; c < 6; ++c) EXPECT_TRUE(f.mgr.replica().present(c)) << c;
 }
 
 TEST(MirrorSession, WritesAreMirroredSynchronously) {
@@ -76,13 +70,13 @@ TEST(MirrorSession, MirroredWriteSlowerThanLocalWrite) {
 
 TEST(MirrorSession, SyncWaitsForBackgroundCopy) {
   SessionFixture f;
-  f.populate(20);  // 20 MiB to copy at ~100 MB/s
+  f.populate(20);  // a 64 MiB disk to copy at ~100 MB/s
   auto session = make_session(f);
   session->start();
   const double t0 = f.s.now();
   f.sync_and_transfer(*session);
-  EXPECT_GT(f.s.now() - t0, 0.1);  // had to wait for the copy
-  EXPECT_EQ(session->chunks_copied_background(), 20u);
+  EXPECT_GT(f.s.now() - t0, 0.5);  // had to wait for the copy
+  EXPECT_EQ(session->chunks_copied_background(), f.mgr.replica().num_chunks());
 }
 
 TEST(MirrorSession, BackgroundCopySkipsAlreadyMirroredChunks) {
@@ -90,12 +84,13 @@ TEST(MirrorSession, BackgroundCopySkipsAlreadyMirroredChunks) {
   f.populate(4);
   auto session = make_session(f);
   session->start();
-  // Synchronous write to chunk 2 before the background copy reaches it
-  // races; after everything settles, chunk 2 must not be double-copied in
-  // the background pass.
-  f.write_chunk_now(2);
+  // A synchronous write to chunk 40 lands long before the background copy
+  // batches it (16 chunks per batch); the background pass must then skip
+  // it instead of copying it a second time.
+  f.write_chunk_now(40);
   f.s.run();
-  EXPECT_LE(session->chunks_copied_background() + session->writes_mirrored(), 5u);
+  EXPECT_EQ(session->writes_mirrored(), 1u);
+  EXPECT_EQ(session->chunks_copied_background(), f.mgr.replica().num_chunks() - 1);
 }
 
 TEST(MirrorSession, DestinationIsFullReplicaAtControlTransfer) {
@@ -106,7 +101,7 @@ TEST(MirrorSession, DestinationIsFullReplicaAtControlTransfer) {
   f.write_chunk_now(7);
   f.write_chunk_now(9);
   f.sync_and_transfer(*session);
-  for (ChunkId c : {0u, 1u, 2u, 3u, 4u, 7u, 9u})
+  for (ChunkId c = 0; c < f.mgr.replica().num_chunks(); ++c)
     EXPECT_TRUE(f.mgr.replica().present(c)) << c;
 }
 
@@ -140,8 +135,10 @@ TEST(MirrorSession, TrafficAccountedAsStoragePush) {
   session->start();
   f.s.run();
   f.write_chunk_now(8);
+  // The whole disk in the background plus the one mirrored write.
+  const double chunks = f.mgr.replica().num_chunks();
   EXPECT_DOUBLE_EQ(f.cluster.network().traffic_bytes(net::TrafficClass::kStoragePush),
-                   4.0 * kMiB);
+                   (chunks + 1) * kMiB);
 }
 
 }  // namespace

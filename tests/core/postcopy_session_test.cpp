@@ -1,6 +1,9 @@
-#include "core/postcopy_migrator.h"
-
+// Pure post-copy (Section 5.2.2): per the paper it "is based on our
+// approach and simply remains passive during the push phase" — a
+// HybridSession with push_enabled = false.
 #include <gtest/gtest.h>
+
+#include "core/hybrid_migrator.h"
 
 #include "session_fixture.h"
 
@@ -11,8 +14,12 @@ using testing::SessionFixture;
 using storage::ChunkId;
 using storage::kMiB;
 
-std::unique_ptr<HybridSession> make_session(SessionFixture& f, PostcopyConfig cfg = {}) {
-  auto s = make_postcopy_session(f.s, f.cluster, &f.mgr, /*dst=*/1, *f.rec, cfg);
+std::unique_ptr<HybridSession> make_session(SessionFixture& f,
+                                            PullOrder order = PullOrder::kByWriteCount) {
+  HybridConfig cfg;
+  cfg.push_enabled = false;
+  cfg.pull_order = order;
+  auto s = std::make_unique<HybridSession>(f.s, f.cluster, &f.mgr, /*dst=*/1, *f.rec, cfg);
   f.mgr.begin_migration(s.get());
   return s;
 }
@@ -92,9 +99,7 @@ TEST(PostcopySession, MinimalTrafficProperty) {
 
 TEST(PostcopySession, FifoOrderOption) {
   SessionFixture f;
-  PostcopyConfig cfg;
-  cfg.pull_order = PullOrder::kFifo;
-  auto session = make_session(f, cfg);
+  auto session = make_session(f, PullOrder::kFifo);
   session->start();
   for (int i = 0; i < 4; ++i) f.write_chunk_now(9);
   for (int i = 0; i < 2; ++i) f.write_chunk_now(1);

@@ -11,8 +11,8 @@ using testing::SessionFixture;
 using storage::ChunkId;
 using storage::kMiB;
 
-std::unique_ptr<PrecopySession> make_session(SessionFixture& f, PrecopyConfig cfg = {}) {
-  auto s = std::make_unique<PrecopySession>(f.s, f.cluster, &f.mgr, /*dst=*/1, *f.rec, cfg);
+std::unique_ptr<PrecopySession> make_session(SessionFixture& f) {
+  auto s = std::make_unique<PrecopySession>(f.s, f.cluster, &f.mgr, /*dst=*/1, *f.rec);
   f.mgr.begin_migration(s.get());
   return s;
 }
@@ -112,18 +112,6 @@ TEST(PrecopySession, WritesAfterControlTransferStayLocal) {
   f.write_chunk_now(9);
   EXPECT_EQ(session->chunks_sent(), sent_before);  // no more transfers
   EXPECT_TRUE(f.mgr.replica().modified(9));
-}
-
-TEST(PrecopySession, RateCapSlowsRounds) {
-  SessionFixture f;
-  f.populate(8);
-  PrecopyConfig cfg;
-  cfg.rate_cap_Bps = 1e6;  // 1 MB/s
-  auto session = make_session(f, cfg);
-  session->start();
-  const double t0 = f.s.now();
-  run_round(f, *session);
-  EXPECT_GT(f.s.now() - t0, 7.0);  // 8 MiB at 1 MB/s
 }
 
 TEST(PrecopySession, TrafficAccountedAsStoragePush) {

@@ -34,7 +34,7 @@ TEST(Auditor, CatchesArtificiallyStuckMigration) {
   ExperimentConfig cfg = small_config();
   sim::Simulator simulator;
   vm::Cluster cluster(simulator, cfg.cluster);
-  Middleware mw(simulator, cluster, cfg.approach_cfg);
+  Middleware mw(simulator, cluster, cfg.approach, cfg.approach_cfg);
   Auditor auditor(simulator, mw, /*check_interval_s=*/1.0,
                   /*progress_deadline_s=*/5.0);
   mw.set_auditor(&auditor);
@@ -72,7 +72,7 @@ TEST(Auditor, OpenFaultWindowExcusesTheStall) {
   ASSERT_TRUE(sim::parse_fault_spec("dst-crash@0.01+200", &cfg.faults, &err)) << err;
   sim::Simulator simulator;
   vm::Cluster cluster(simulator, cfg.cluster);
-  Middleware mw(simulator, cluster, cfg.approach_cfg);
+  Middleware mw(simulator, cluster, cfg.approach, cfg.approach_cfg);
   const sim::FaultPlan plan = sim::build_fault_plan(cfg.faults, cluster.rng(), 1);
   FaultInjector injector(simulator, cluster, mw, plan, 1, 1);
   Auditor auditor(simulator, mw, 1.0, 5.0);
@@ -101,7 +101,7 @@ TEST(Auditor, CatchesAdoptionConservationViolation) {
   ExperimentConfig cfg = small_config();
   sim::Simulator simulator;
   vm::Cluster cluster(simulator, cfg.cluster);
-  Middleware mw(simulator, cluster, cfg.approach_cfg);
+  Middleware mw(simulator, cluster, cfg.approach, cfg.approach_cfg);
   Auditor auditor(simulator, mw, 1.0, 5.0);
 
   storage::Disk disk(simulator, cfg.cluster.disk);

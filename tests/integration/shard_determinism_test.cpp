@@ -115,11 +115,6 @@ TEST(ShardPlanning, HardCouplersCollapse) {
   }
   {
     ExperimentConfig c = base;
-    c.record_trace_path = "/tmp/never-written.trace";
-    EXPECT_FALSE(reason(c).empty());
-  }
-  {
-    ExperimentConfig c = base;
     c.num_destinations = 1;  // every migration lands on one node
     c.normalize();
     const ShardPlan plan = plan_shards(c);

@@ -125,7 +125,7 @@ TEST(StressChained, SameVmMigratesTwice) {
   cfg.normalize();
   sim::Simulator simulator;
   vm::Cluster cluster(simulator, cfg.cluster);
-  Middleware mw(simulator, cluster, cfg.approach_cfg);
+  Middleware mw(simulator, cluster, cfg.approach, cfg.approach_cfg);
   vm::VmInstance& vm = mw.deploy(0, cfg.vm);
 
   bool wl_done = false;

@@ -131,24 +131,6 @@ TEST(TraceReplay, FileReplayMatchesInMemoryReplay) {
   std::remove(path.c_str());
 }
 
-// The record_trace_path convenience writes a loadable trace.
-TEST(TraceReplay, RecordTracePathWritesReplayableFile) {
-  ExperimentConfig cfg = asyncwr_config(1);
-  cfg.num_vms = 1;
-  cfg.num_migrations = 1;
-  const std::string path = ::testing::TempDir() + "trace_record_path.trace";
-  ExperimentConfig rec_cfg = cfg;
-  rec_cfg.record_trace_path = path;
-  const ExperimentResult live = Experiment(rec_cfg).run();
-  ASSERT_TRUE(live.error.empty()) << live.error;
-  workloads::TraceData data;
-  std::string err;
-  ASSERT_TRUE(workloads::load_trace(path, &data, &err)) << err;
-  EXPECT_EQ(data.header.num_vms, 1u);
-  EXPECT_GT(data.records.size(), 0u);
-  std::remove(path.c_str());
-}
-
 // A replay failure inside the run surfaces through the one-slice merge: the
 // reader's diagnostic lands in `error` and the run is marked incomplete.
 TEST(TraceReplay, UnreadableTraceReportsErrorAtOneShard) {

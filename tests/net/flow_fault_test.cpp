@@ -17,7 +17,7 @@ struct NetFixture {
   sim::Simulator s;
   FlowNetwork net;
   explicit NetFixture(double fabric = 1e12, double latency = 0.0)
-      : net(s, FlowNetworkConfig{fabric, latency, 8e9}) {}
+      : net(s, FlowNetworkConfig{fabric, latency}) {}
 };
 
 sim::Task xfer(FlowNetwork* net, NodeId a, NodeId b, double bytes, TrafficClass cls,

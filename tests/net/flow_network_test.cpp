@@ -17,7 +17,7 @@ struct NetFixture {
   sim::Simulator s;
   FlowNetwork net;
   explicit NetFixture(double fabric = 1e12, double latency = 0.0)
-      : net(s, FlowNetworkConfig{fabric, latency, 8e9}) {}
+      : net(s, FlowNetworkConfig{fabric, latency}) {}
 };
 
 sim::Task xfer(FlowNetwork* net, NodeId a, NodeId b, double bytes, TrafficClass cls,
@@ -154,7 +154,7 @@ TEST(FlowNetwork, LoopbackDoesNotCountAsTraffic) {
   double done_at = -1;
   f.s.spawn(xfer(&f.net, a, a, 8e9, TrafficClass::kPvfsData, &done_at, &f.s));
   f.s.run();
-  EXPECT_NEAR(done_at, 1.0, 1e-9);  // loopback at 8 GB/s
+  EXPECT_NEAR(done_at, 1.0, 1e-9);  // kLoopbackBps = 8 GB/s
   EXPECT_DOUBLE_EQ(f.net.total_traffic_bytes(), 0.0);
 }
 

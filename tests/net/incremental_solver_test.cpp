@@ -68,7 +68,7 @@ sim::Task run_flow(FlowNetwork* net, const FlowSpec* f, double* done_at,
 RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
                     bool incremental, const std::vector<NetEvent>& events = {}) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{topo.fabric, 0.0, 8e9, incremental});
+  FlowNetwork net(s, FlowNetworkConfig{topo.fabric, 0.0, incremental});
   std::vector<SwitchGroupId> groups;
   for (double up : topo.uplinks) groups.push_back(net.add_switch_group(up));
   std::vector<NodeId> nodes;
@@ -402,7 +402,7 @@ sim::Task xfer(FlowNetwork* net, NodeId a, NodeId b, double bytes) {
 
 TEST(IncrementalSolver, DisjointArrivalTouchesOnlyItsComponent) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9});
+  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0});
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6), d = net.add_node(100e6);
   s.spawn(xfer(&net, a, b, 500e6));
@@ -426,7 +426,7 @@ TEST(IncrementalSolver, DisjointArrivalTouchesOnlyItsComponent) {
 
 TEST(IncrementalSolver, SharedEndpointMergesComponents) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9});
+  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0});
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6);
   s.spawn(xfer(&net, a, b, 800e6));
@@ -449,7 +449,7 @@ TEST(IncrementalSolver, SharedEndpointMergesComponents) {
 
 TEST(IncrementalSolver, DepartureSplitsComponent) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9});
+  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0});
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6), d = net.add_node(100e6);
   // a->c and b->c share ingress(c); b->d and b->c share egress(b): one
@@ -467,7 +467,7 @@ TEST(IncrementalSolver, DepartureSplitsComponent) {
 
 TEST(IncrementalSolver, SaturatedFabricEscalatesAndMerges) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{/*fabric=*/120e6, 0.0, 8e9});
+  FlowNetwork net(s, FlowNetworkConfig{/*fabric=*/120e6, 0.0});
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6), d = net.add_node(100e6);
   double done1 = -1, done2 = -1;

@@ -14,7 +14,7 @@ constexpr double kNic = 100e6;
 struct GroupFixture {
   sim::Simulator s;
   FlowNetwork net;
-  GroupFixture() : net(s, FlowNetworkConfig{1e12, 0.0, 8e9}) {}
+  GroupFixture() : net(s, FlowNetworkConfig{1e12, 0.0}) {}
 };
 
 sim::Task xfer(FlowNetwork* net, NodeId a, NodeId b, double bytes, double* done_at,

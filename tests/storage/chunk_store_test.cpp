@@ -226,9 +226,7 @@ TEST(ChunkStore, UncachedReadHitsDisk) {
 }
 
 TEST(ChunkStore, FlushWaitsForAllDirty) {
-  ChunkStoreConfig cfg;
-  cfg.background_flush = true;
-  StoreFixture f({64 * kMiB, static_cast<std::uint32_t>(kMiB)}, cfg);
+  StoreFixture f({64 * kMiB, static_cast<std::uint32_t>(kMiB)});
   bool flushed = false;
   f.s.spawn([](ChunkStore* st, bool* fl) -> sim::Task {
     co_await st->write_chunk(0);

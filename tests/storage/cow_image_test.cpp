@@ -27,13 +27,12 @@ TEST(CowImage, OverwriteIsMetadataFree) {
   EXPECT_EQ(cow.allocated_count(), 1u);
 }
 
-TEST(CowImage, MetadataBytesConfigurable) {
-  CowImageConfig cfg;
-  cfg.metadata_bytes_per_alloc = 123;
-  CowImage cow(ImageConfig{16 * kMiB, static_cast<std::uint32_t>(kMiB)}, cfg);
-  EXPECT_EQ(cow.on_write(0), 123u);
-  EXPECT_EQ(cow.on_write(1), 123u);
-  EXPECT_EQ(cow.metadata_bytes_total(), 246u);
+TEST(CowImage, EachAllocationChargesTheMetadataConstant) {
+  CowImage cow(ImageConfig{16 * kMiB, static_cast<std::uint32_t>(kMiB)});
+  EXPECT_EQ(CowImage::kMetadataBytesPerAlloc, 8 * kKiB);
+  EXPECT_EQ(cow.on_write(0), CowImage::kMetadataBytesPerAlloc);
+  EXPECT_EQ(cow.on_write(1), CowImage::kMetadataBytesPerAlloc);
+  EXPECT_EQ(cow.metadata_bytes_total(), 2 * CowImage::kMetadataBytesPerAlloc);
 }
 
 TEST(CowImage, IndependentChunksTrackIndependently) {

@@ -15,19 +15,13 @@ struct PvfsFixture {
   std::vector<Disk*> disks;
   std::vector<std::unique_ptr<Disk>> disk_storage;
 
-  explicit PvfsFixture(int servers = 4, PvfsConfig cfg = make_cfg())
-      : network(s, net::FlowNetworkConfig{1e12, 0.0, 8e9}), pvfs(s, network, cfg) {
+  explicit PvfsFixture(int servers = 4)
+      : network(s, net::FlowNetworkConfig{1e12, 0.0}), pvfs(s, network) {
     client = network.add_node(100e6);
     for (int i = 0; i < servers; ++i) {
       disk_storage.push_back(std::make_unique<Disk>(s, DiskConfig{55e6, 0.0}));
       pvfs.add_server(network.add_node(100e6), disk_storage.back().get());
     }
-  }
-  static PvfsConfig make_cfg() {
-    PvfsConfig cfg;
-    cfg.stripe_bytes = 64 * static_cast<std::uint32_t>(kKiB);
-    cfg.rpc_bytes = 1024;
-    return cfg;
   }
 };
 
@@ -46,6 +40,7 @@ TEST(Pvfs, WriteStripesAcrossServers) {
   PvfsFixture f;
   double done_at = -1;
   // 256 KB write = 4 stripes of 64 KB -> one per server.
+  ASSERT_EQ(Pvfs::kStripeBytes, 64 * kKiB);
   f.s.spawn(do_write(&f.pvfs, f.client, 0, 256 * kKiB, &done_at, &f.s));
   f.s.run();
   for (auto& d : f.disk_storage)
@@ -68,7 +63,9 @@ TEST(Pvfs, MetadataRpcCharged) {
   double done_at = -1;
   f.s.spawn(do_write(&f.pvfs, f.client, 0, 64 * kKiB, &done_at, &f.s));
   f.s.run();
-  EXPECT_DOUBLE_EQ(f.network.traffic_bytes(net::TrafficClass::kControl), 2.0 * 1024);
+  // One metadata request and its response.
+  ASSERT_EQ(Pvfs::kRpcBytes, 1024.0);
+  EXPECT_DOUBLE_EQ(f.network.traffic_bytes(net::TrafficClass::kControl), 2.0 * Pvfs::kRpcBytes);
 }
 
 TEST(Pvfs, UnalignedWriteCoversCorrectStripes) {

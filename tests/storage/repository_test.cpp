@@ -13,7 +13,7 @@ struct RepoFixture {
   ImageConfig img{16 * kMiB, static_cast<std::uint32_t>(kMiB)};
   Repository repo;
   net::NodeId reader;
-  RepoFixture() : network(s, net::FlowNetworkConfig{1e12, 0.0, 8e9}), repo(s, network, img) {
+  RepoFixture() : network(s, net::FlowNetworkConfig{1e12, 0.0}), repo(s, network, img) {
     reader = network.add_node(100e6);
   }
 };

@@ -76,13 +76,12 @@ TEST(Hypervisor, IdleVmMigratesQuickly) {
 
 TEST(Hypervisor, DowntimeStaysNearTarget) {
   HvFixture f;
-  HypervisorConfig hv;
-  hv.downtime_target_s = 0.03;
-  auto& rec = f.migrate_now(hv);
+  auto& rec = f.migrate_now();
   f.s.run();
   ASSERT_TRUE(f.done_);
   // Idle guest: the stop-and-copy round only carries the device state plus
-  // at most downtime_target worth of dirty memory.
+  // at most kDowntimeTargetS (30 ms) worth of dirty memory.
+  ASSERT_EQ(Hypervisor::kDowntimeTargetS, 0.03);
   EXPECT_LT(rec.downtime_s, 0.1);
   EXPECT_GT(rec.downtime_s, 0.0);
 }
@@ -114,12 +113,11 @@ TEST(Hypervisor, NonConvergingMemoryForcedStopAfterMaxRounds) {
   HvFixture f;
   // Dirty faster than the NIC can ship: pre-copy cannot converge.
   f.s.spawn(dirty_forever(&f.vm));
-  HypervisorConfig hv;
-  hv.max_rounds = 5;
-  auto& rec = f.migrate_now(hv);
+  auto& rec = f.migrate_now();
   const bool finished = f.s.run_while_pending([&] { return f.done_; });
   ASSERT_TRUE(finished);
-  EXPECT_EQ(rec.memory_rounds, 5);
+  EXPECT_EQ(rec.memory_rounds, Hypervisor::kMaxRounds);
+  EXPECT_EQ(Hypervisor::kMaxRounds, 100);
   // Forced stop ships a large residue: downtime blows past the target —
   // exactly the pathology the paper describes for pre-copy under pressure.
   EXPECT_GT(rec.downtime_s, 0.1);

@@ -401,6 +401,47 @@ TEST(TraceGen, ParseSpecPatternsAndOverrides) {
   EXPECT_NE(err.find("unknown key"), std::string::npos);
 }
 
+// Out-of-range numbers are rejected with a diagnostic before any of them
+// reaches an integer cast or the generator (a negative count or duration
+// used to abort or hang it).
+TEST(TraceGen, ParseSpecRejectsOutOfRangeValues) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"zipf:chunks=-1", "'chunks' must be an integer in [1, 16777216]"},
+      {"zipf:chunks=2.5", "'chunks' must be an integer"},
+      {"zipf:pages=1e30", "'pages' must be an integer"},
+      {"zipf:page_kib=0", "'page_kib' must be an integer in [1,"},
+      {"zipf:chunk_kib=0", "'chunk_kib' must be an integer in [1,"},
+      {"zipf:offset_mib=-1", "'offset_mib' must be an integer in [0,"},
+      {"zipf:dur=-5", "'dur' must be a finite number > 0"},
+      {"zipf:dt=0", "'dt' must be a finite number > 0"},
+      {"burst:mult=-2", "'mult' must be a finite number >= 0"},
+      {"zipf:theta=nan", "'theta' must be a finite number >= 0"},
+      {"zipf:theta=inf", "'theta' must be a finite number >= 0"},
+      {"phase:hot=2", "'hot' must be a finite number in [0, 1]"},
+      {"zipf:read_frac=-1", "'read_frac' must be a finite number in [0, 1]"},
+      {"zipf:compute=1.5", "'compute' must be a finite number in [0, 1]"},
+      {"zipf:mem_mbps=-3", "'mem_mbps' must be a finite number >= 0"},
+      {"zipf:dur=1e9", "dur / dt (steps) must be at most 16777216"},
+      {"phase:phase=1e-9", "dur / phase (phase shifts) must be at most"},
+      {"zipf:write_mbps=1e300", "chunk draws per step) must be at most"},
+  };
+  for (const auto& [spec, want] : cases) {
+    TraceSourceConfig src;
+    std::string err;
+    EXPECT_FALSE(parse_trace_spec(spec, &src, &err)) << spec;
+    EXPECT_EQ(err.rfind("trace spec: ", 0), 0u) << spec << ": " << err;
+    EXPECT_NE(err.find(want), std::string::npos) << spec << ": " << err;
+  }
+  // The edges of each range are accepted.
+  TraceSourceConfig src;
+  std::string err;
+  EXPECT_TRUE(parse_trace_spec("phase:hot=1,read_frac=0,theta=0,mult=0,chunks=1,pages=16777216",
+                               &src, &err))
+      << err;
+  EXPECT_EQ(src.gen.pages, 16777216u);
+  EXPECT_EQ(src.gen.chunks, 1u);
+}
+
 // --- replay ------------------------------------------------------------------
 
 vm::ClusterConfig small_cluster() {

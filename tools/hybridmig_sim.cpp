@@ -110,6 +110,7 @@ int main(int argc, char** argv) {
   bool explain_shards = false;
   bool explain_faults = false;
   int iterations = -1;
+  std::string record_path;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -153,7 +154,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (auto v = arg_value(arg, "--record-trace")) {
-      cfg.record_trace_path = *v;
+      record_path = *v;
       continue;
     }
     if (auto v = arg_value(arg, "--vms")) {
@@ -349,8 +350,30 @@ int main(int argc, char** argv) {
     std::cout << " migrations=" << (cfg.perform_migrations ? cfg.num_migrations : 0);
   std::cout << "\n";
 
+  // Recording observes every VM's workload-API calls; the file is written
+  // once the run is over, unless the run reported an error.
+  std::optional<workloads::TraceRecorder> recorder;
+  if (!record_path.empty()) {
+    workloads::TraceHeader hdr;
+    hdr.page_bytes = cfg.vm.memory.page_bytes;
+    hdr.chunk_bytes = cfg.cluster.image.chunk_bytes;
+    hdr.pages = (cfg.vm.memory.ram_bytes + cfg.vm.memory.page_bytes - 1) /
+                cfg.vm.memory.page_bytes;
+    hdr.chunks = cfg.cluster.image.num_chunks();
+    hdr.name = std::string("rec:") + cloud::workload_name(cfg.workload);
+    recorder.emplace(hdr);
+    cfg.trace_recorder = &*recorder;
+  }
+
   cloud::Experiment exp(std::move(cfg));
   const cloud::ExperimentResult res = exp.run();
+  if (recorder && res.error.empty()) {
+    std::string err;
+    if (!workloads::write_trace(record_path, recorder->data(), &err)) {
+      std::cerr << "error: " << err << "\n";
+      return 1;
+    }
+  }
   for (const std::string& v : res.audit_violations)
     std::cerr << "audit violation: " << v << "\n";
   std::cout << "\n";

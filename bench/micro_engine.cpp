@@ -227,16 +227,23 @@ BENCHMARK(BM_YieldChurn)->Arg(1)->Arg(64);
 // 0) re-derives every rate each epoch. ns_per_epoch times the churn phase
 // alone (setup and the initial background solve excluded): a flat value
 // across background sizes is the per-epoch-cost target, modulo the
-// per-instant byte advance, which still walks every live flow.
+// per-instant byte advance, which still walks every live flow. The third
+// arg picks the fabric: 0 unlimited, 1 finite but never binding (twice the
+// NIC capacity of every flow that can be live), so the shared-constraint
+// capacity certificate, not a usage walk, must keep its rows level with
+// the unlimited ones.
 void BM_IncrementalSolveChurn(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;
   const int pairs = static_cast<int>(state.range(1)) / 2;
+  const double fabric = state.range(2) != 0
+                            ? 2.0 * static_cast<double>(state.range(1) + 4) * 117.5e6
+                            : net::kUnlimitedRate;
   constexpr int kChurn = 256;
   std::uint64_t resolved = 0, epochs = 0, churn_epochs = 0;
   double churn_ns = 0.0;
   for (auto _ : state) {
     sim::Simulator s;
-    net::FlowNetwork net(s, net::FlowNetworkConfig{net::kUnlimitedRate, 0.0, incremental});
+    net::FlowNetwork net(s, net::FlowNetworkConfig{fabric, 0.0, incremental});
     std::vector<net::NodeId> src, dst;
     for (int p = 0; p < pairs; ++p) {
       src.push_back(net.add_node(117.5e6));
@@ -279,11 +286,13 @@ void BM_IncrementalSolveChurn(benchmark::State& state) {
       churn_epochs ? churn_ns / static_cast<double>(churn_epochs) : 0.0;
 }
 BENCHMARK(BM_IncrementalSolveChurn)
-    ->ArgNames({"incremental", "background"})
-    ->Args({0, 1000})
-    ->Args({1, 1000})
-    ->Args({0, 10000})
-    ->Args({1, 10000})
+    ->ArgNames({"incremental", "background", "fabric"})
+    ->Args({0, 1000, 0})
+    ->Args({1, 1000, 0})
+    ->Args({1, 1000, 1})
+    ->Args({0, 10000, 0})
+    ->Args({1, 10000, 0})
+    ->Args({1, 10000, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Dirty-bitmap round scan: one pre-copy round = touch a working set, then

@@ -118,6 +118,7 @@ struct Experiment::Slice {
   // Simulator, network and frame-pool counters (this slice's deltas).
   std::uint64_t events = 0, flows = 0, recomputes = 0, components = 0;
   std::uint64_t flows_resolved = 0, escalations = 0;
+  std::uint64_t validation_walks = 0, certified_epochs = 0;
   std::uint64_t frames = 0, frames_reused = 0, frame_heap_allocs = 0;
   /// Injector-side counters only; the record-derived half is the merge's.
   RecoveryStats injector{};
@@ -297,6 +298,13 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
     out.error = trace_app->error();
     out.completed = false;
   }
+  for (const vm::VmInstance* v : vms) {
+    if (!out.error.empty()) break;
+    if (!v->error().empty()) {
+      out.error = v->error();  // a file op ran past the image end
+      out.completed = false;
+    }
+  }
   if (recorder != nullptr && recorder->failed() && out.error.empty())
     out.error = recorder->error();
   out.sim_duration = simulator.now();
@@ -331,6 +339,8 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   out.components = network.solved_component_count();
   out.flows_resolved = network.touched_flow_count();
   out.escalations = network.escalation_count();
+  out.validation_walks = network.validation_walk_count();
+  out.certified_epochs = network.certified_epoch_count();
   const sim::FramePool::Stats frames_after = sim::FramePool::local().stats();
   out.frames = frames_after.served - frames_before.served;
   out.frames_reused = frames_after.reused - frames_before.reused;
@@ -368,6 +378,8 @@ ExperimentResult Experiment::merge_parts(std::vector<Slice>& parts) const {
     res.engine_components += p.components;
     res.engine_flows_resolved += p.flows_resolved;
     res.engine_escalations += p.escalations;
+    res.engine_validation_walks += p.validation_walks;
+    res.engine_certified_epochs += p.certified_epochs;
     res.engine_frames += p.frames;
     res.engine_frames_reused += p.frames_reused;
     res.engine_frame_heap_allocs += p.frame_heap_allocs;

@@ -153,6 +153,12 @@ struct ExperimentResult {
   std::uint64_t engine_components = 0;   // component water-fills run
   std::uint64_t engine_flows_resolved = 0;  // flow rate re-derivations
   std::uint64_t engine_escalations = 0;  // epochs forced to a global solve
+  // Solving epochs that walked every live flow against the shared
+  // constraints, and those the capacity certificate settled without the
+  // walk (FlowNetwork invariant step 3). Read by tests and benches only:
+  // they are not kFields entries, so no golden or printout carries them.
+  std::uint64_t engine_validation_walks = 0;
+  std::uint64_t engine_certified_epochs = 0;
   // Allocator telemetry from the coroutine frame pool (this run's deltas):
   // frames served, frames recycled from a free list, and system heap
   // allocations (slab growth + oversize fallback). A steady-state run should

@@ -11,6 +11,10 @@ namespace {
 // epsilons are far below anything meaningful while absorbing FP rounding.
 constexpr double kEpsBytes = 1e-3;   // flows below this are complete
 constexpr double kEpsRate = 1.0;     // rates below 1 B/s are "saturated"
+// Relative headroom of the capacity certificate (flow_network.h, invariant
+// step 3) over users * max_nic: covers the FP error of water-fill
+// allocations and of the usage sum.
+constexpr double kCertMargin = 1e-9;
 
 bool flow_is_done(double remaining, double rate) noexcept {
   return remaining <= kEpsBytes || (rate > kEpsRate && remaining / rate < 1e-9);
@@ -45,6 +49,7 @@ SwitchGroupId FlowNetwork::add_switch_group(double uplink_Bps) {
 NodeId FlowNetwork::add_node(double egress_Bps, double ingress_Bps, SwitchGroupId group) {
   assert(group < groups_.size());
   nodes_.push_back(Node{egress_Bps, ingress_Bps, group});
+  max_nic_ = std::max({max_nic_, egress_Bps, ingress_Bps});
   ++topology_gen_;
   return static_cast<NodeId>(nodes_.size() - 1);
 }
@@ -118,7 +123,26 @@ void FlowNetwork::compute_incidence(FlowSlot& fs) noexcept {
     fs.constraints[fs.n_constraints++] = static_cast<std::uint32_t>(2 * n + 1 + gs);
     fs.constraints[fs.n_constraints++] = static_cast<std::uint32_t>(2 * n + 1 + g + gd);
   }
-  if (shared_users_.size() < constraint_space()) shared_users_.resize(constraint_space(), 0);
+  if (shared_users_.size() < constraint_space()) {
+    shared_users_.resize(constraint_space(), 0);
+    user_limit_.resize(constraint_space(), kNoLimit);
+  }
+}
+
+void FlowNetwork::refresh_certificate() {
+  const std::size_t cspace = constraint_space();
+  if (shared_users_.size() < cspace) shared_users_.resize(cspace, 0);
+  user_limit_.assign(shared_users_.size(), kNoLimit);
+  over_limit_ = 0;
+  for (std::size_t c = 2 * nodes_.size(); c < cspace; ++c) {
+    // users * max_nic_ <= cap / (1 + kCertMargin). An uncapped constraint
+    // (inf / finite, or NaN for inf / inf) keeps kNoLimit.
+    const double users =
+        constraint_cap(static_cast<std::uint32_t>(c)) / (1.0 + kCertMargin) / max_nic_;
+    if (users < static_cast<double>(kNoLimit))
+      user_limit_[c] = static_cast<std::uint32_t>(std::floor(users));
+    if (shared_users_[c] > user_limit_[c]) ++over_limit_;
+  }
 }
 
 std::uint32_t FlowNetwork::alloc_component() {
@@ -192,8 +216,7 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) {
   comp_heap_erase(slot);
   unlink(nodes_[f.src].out_head, slot, &FlowSlot::out_link);
   unlink(nodes_[f.dst].in_head, slot, &FlowSlot::in_link);
-  for (std::uint8_t k = 2; k < fs.n_constraints; ++k)
-    if (fs.constraints[k] < shared_users_.size()) --shared_users_[fs.constraints[k]];
+  for (std::uint8_t k = 2; k < fs.n_constraints; ++k) drop_shared_user(fs.constraints[k]);
   fs.op = nullptr;
   fs.in_use = false;
   live_bits_.reset(slot);
@@ -310,7 +333,7 @@ void FlowNetwork::begin_flow(FlowOp* op) {
   assert(fs.heap_pos == kNilIndex);  // released slots hold no heap entry
   fs.comp = kNilIndex;  // affected at the next settle (comp == nil)
   compute_incidence(fs);
-  for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
+  for (std::uint8_t k = 2; k < fs.n_constraints; ++k) add_shared_user(fs.constraints[k]);
   link_front(nodes_[f.src].out_head, slot, &FlowSlot::out_link);
   link_front(nodes_[f.dst].in_head, slot, &FlowSlot::in_link);
   // The arrival can merge with any component reachable through its
@@ -372,6 +395,15 @@ void FlowNetwork::scale_node_capacity(NodeId n, double egress_mult,
   Node& nd = nodes_[n];
   nd.egress_scale *= egress_mult;
   nd.ingress_scale *= ingress_mult;
+  // The certificate bounds every rate by the largest NIC capacity; faults
+  // are rare, so a node pass recomputes it.
+  double max_nic = 0.0;
+  for (const Node& x : nodes_)
+    max_nic = std::max({max_nic, x.egress_Bps * x.egress_scale, x.ingress_Bps * x.ingress_scale});
+  if (max_nic != max_nic_) {
+    max_nic_ = max_nic;
+    refresh_certificate();
+  }
   dirty_node_components(n);
   mark_dirty();
 }
@@ -596,6 +628,35 @@ void FlowNetwork::run_fill(std::size_t first_item, std::size_t n_items) {
   }
 }
 
+// Usage walk: total usage of every shared constraint, accumulated in one
+// canonical slot-order pass over cached + fresh rates (identical
+// accumulation order whichever components were re-solved, so the escalation
+// decision cannot diverge between ablation modes). Freshly solved slots are
+// recognized by their solve-pass stamp instead of an O(slab) slot->item map
+// rebuild.
+bool FlowNetwork::shared_capacity_exceeded() {
+  const std::uint32_t n_local = static_cast<std::uint32_t>(2 * nodes_.size());
+  const std::size_t cspace = constraint_space();
+  for (std::uint32_t c = n_local; c < cspace; ++c) usage_[c] = 0.0;
+  ++solve_pass_gen_;
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    FlowSlot& fs = flow_slots_[items_[i].slot];
+    fs.item_idx = static_cast<std::uint32_t>(i);
+    fs.solve_gen = solve_pass_gen_;
+  }
+  live_bits_.for_each_set([&](std::uint64_t s) {
+    const FlowSlot& fs = flow_slots_[s];
+    const double r =
+        fs.solve_gen == solve_pass_gen_ ? items_[fs.item_idx].alloc : fs.flow.rate;
+    for (std::uint8_t k = 2; k < fs.n_constraints; ++k) usage_[fs.constraints[k]] += r;
+  });
+  for (std::uint32_t c = n_local; c < cspace; ++c) {
+    const double cap = constraint_cap(c);
+    if (std::isfinite(cap) && usage_[c] > cap + kEpsRate) return true;
+  }
+  return false;
+}
+
 // One settle epoch: re-solve only the dirty region (see the header's
 // "Incremental solver invariants"), validate shared constraints, escalate to
 // a global solve when one is violated, publish rates and components.
@@ -604,15 +665,11 @@ void FlowNetwork::solve_epoch() {
   const bool topo_changed = solved_topology_gen_ != topology_gen_;
   solved_topology_gen_ = topology_gen_;
   const std::size_t cspace = constraint_space();
-  const std::uint32_t n_local = static_cast<std::uint32_t>(2 * nodes_.size());
   if (shared_users_.size() < cspace) shared_users_.resize(cspace, 0);
   if (usage_.size() < cspace) usage_.resize(cspace, 0.0);
   if (topo_changed) {
     std::fill(shared_users_.begin(), shared_users_.end(), 0u);
     reset_arena();  // constraint ids shifted: the dense layout is invalid
-    finite_shared_ = false;
-    for (std::uint32_t c = n_local; c < cspace; ++c)
-      if (std::isfinite(constraint_cap(c))) finite_shared_ = true;
   }
 
   // Phase 1 — collect the affected flows in canonical slot order. Affected
@@ -658,6 +715,7 @@ void FlowNetwork::solve_epoch() {
     assert(std::adjacent_find(worklist_.begin(), worklist_.end()) == worklist_.end());
     for (const std::uint32_t s : worklist_) collect(s);
   }
+  if (topo_changed) refresh_certificate();  // shared_users_ was just recounted
 
   bool escalated = false;
   std::size_t n_groups = 0;
@@ -731,31 +789,19 @@ void FlowNetwork::solve_epoch() {
     for (std::size_t g = 0; g < n_groups; ++g)
       water_fill(group_start_[g], group_start_[g + 1] - group_start_[g]);
 
-    // Phase 4 — validate shared constraints against total usage, accumulated
-    // in one canonical slot-order pass over cached + fresh rates (identical
-    // accumulation order whichever components were re-solved, so the
-    // escalation decision cannot diverge between ablation modes). Freshly
-    // solved slots are recognized by their solve-pass stamp instead of an
-    // O(slab) slot->item map rebuild. With no finite shared constraint
-    // nothing can be violated, so the O(live) walk is skipped.
-    if (finite_shared_) {
-      for (std::uint32_t c = n_local; c < cspace; ++c) usage_[c] = 0.0;
-      ++solve_pass_gen_;
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        FlowSlot& fs = flow_slots_[items_[i].slot];
-        fs.item_idx = static_cast<std::uint32_t>(i);
-        fs.solve_gen = solve_pass_gen_;
-      }
-      live_bits_.for_each_set([&](std::uint64_t s) {
-        const FlowSlot& fs = flow_slots_[s];
-        const double r =
-            fs.solve_gen == solve_pass_gen_ ? items_[fs.item_idx].alloc : fs.flow.rate;
-        for (std::uint8_t k = 2; k < fs.n_constraints; ++k) usage_[fs.constraints[k]] += r;
-      });
-      for (std::uint32_t c = n_local; c < cspace && !escalated; ++c) {
-        const double cap = constraint_cap(c);
-        if (std::isfinite(cap) && usage_[c] > cap + kEpsRate) escalated = true;
-      }
+    // Phase 4 — validate shared constraints (invariant step 3): the O(1)
+    // capacity certificate, or the usage walk when it cannot certify.
+    if (over_limit_ == 0) {
+      ++certified_epochs_;
+#ifndef NDEBUG
+      // The certificate's oracle: the walk it skipped finds no violation.
+      // The walk writes only its own scratch (usage_, solve stamps).
+      const bool exceeded = shared_capacity_exceeded();
+      assert(!exceeded);
+#endif
+    } else {
+      ++validation_walks_;
+      escalated = shared_capacity_exceeded();
     }
 
     // Phase 5 — escalation: a shared constraint binds across components, so

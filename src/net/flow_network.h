@@ -76,16 +76,31 @@
 //  2. Dirty components are re-partitioned and water-filled ignoring
 //     non-contained shared constraints; clean components keep their CACHED
 //     rates, projections and completion-heap entries untouched.
-//  3. Every finite shared constraint is then validated against the total
-//     usage (cached + freshly solved rates). If none is violated the
-//     allocation is the exact global max-min: it is feasible and it is
-//     max-min fair for the relaxation, whose feasible set contains the full
-//     problem's. A shared constraint that is not binding never determines a
-//     water-fill increment, so the per-component solution is bit-identical
-//     to the full solve's. Whether any shared constraint (fabric, uplinks)
-//     has a finite capacity is recorded at topology change; when none does
-//     (a non-blocking core) nothing can be violated and the O(live) usage
-//     walk is skipped outright.
+//  3. Every finite shared constraint must then hold the total usage (cached
+//     + freshly solved rates). If none is violated the allocation is the
+//     exact global max-min: it is feasible and it is max-min fair for the
+//     relaxation, whose feasible set contains the full problem's. A shared
+//     constraint that is not binding never determines a water-fill
+//     increment, so the per-component solution is bit-identical to the full
+//     solve's. Most epochs prove this with an O(1) capacity certificate
+//     instead of summing rates. Every flow's water-fill includes both its
+//     endpoint NICs, so its rate is at most max_nic, the largest NIC
+//     capacity in the network (flaps only lower a capacity, so max_nic
+//     ignores them). A shared constraint c therefore cannot be violated
+//     while shared_users_[c] * max_nic <= cap(c) / (1 + 1e-9). The 1e-9
+//     relative margin, with the walk's kEpsRate slack, covers the FP error
+//     of the water-fill allocations and of the usage sum. Each shared
+//     constraint keeps the user count it certifies (user_limit_, derived
+//     at topology change and whenever max_nic moves), and one counter
+//     holds how many constraints are past their limit (over_limit_,
+//     adjusted where shared_users_ changes). The epoch is certified when
+//     that counter is zero; a non-blocking core has no finite shared
+//     constraint and is always certified. Otherwise the usage walk runs:
+//     one O(live) pass summing every live flow's rate into its shared
+//     constraints in canonical slot order, exactly as the certificate-free
+//     solver did, so escalation decisions are unchanged. Debug builds run
+//     the walk after a certified epoch too and assert it finds no
+//     violation.
 //  4. If a shared constraint IS violated, the epoch escalates: one global
 //     water-fill over all live flows with every constraint (exactly the
 //     pre-incremental algorithm, in canonical slot order), and all flows
@@ -105,7 +120,9 @@
 // Introspection: solved_component_count() counts component water-fills,
 // touched_flow_count() counts flow re-solves (both cumulative), so benches
 // can report flows-re-solved-per-epoch; escalation_count() says how often
-// the shared-constraint check forced a global solve.
+// the shared-constraint check forced a global solve, and
+// validation_walk_count() / certified_epoch_count() split the solving
+// epochs by whether step 3 walked the live flows or certified.
 #pragma once
 
 #include <cassert>
@@ -398,6 +415,11 @@ class FlowNetwork {
   std::uint64_t touched_flow_count() const noexcept { return touched_flows_; }
   /// Epochs where a violated shared constraint forced a global solve.
   std::uint64_t escalation_count() const noexcept { return escalations_; }
+  /// Solving epochs whose shared-constraint check walked every live flow
+  /// (the capacity certificate failed; see invariant step 3).
+  std::uint64_t validation_walk_count() const noexcept { return validation_walks_; }
+  /// Solving epochs the capacity certificate settled without the walk.
+  std::uint64_t certified_epoch_count() const noexcept { return certified_epochs_; }
   /// Live connected components right now (0 when idle).
   std::size_t component_count() const noexcept { return live_components_; }
 
@@ -514,6 +536,19 @@ class FlowNetwork {
   }
   void compute_incidence(FlowSlot& fs) noexcept;
   double constraint_cap(std::uint32_t c) const noexcept;
+  /// Shared-constraint user counts, keeping over_limit_ current.
+  void add_shared_user(std::uint32_t c) noexcept {
+    if (shared_users_[c]++ == user_limit_[c]) ++over_limit_;
+  }
+  void drop_shared_user(std::uint32_t c) noexcept {
+    if (--shared_users_[c] == user_limit_[c]) --over_limit_;
+  }
+  /// Re-derive every shared constraint's certified user limit from
+  /// max_nic_ and recount over_limit_ (topology change, max_nic_ change).
+  void refresh_certificate();
+  /// The usage walk: true when some finite shared constraint carries more
+  /// than its capacity (+ kEpsRate) under the cached + freshly solved rates.
+  bool shared_capacity_exceeded();
   std::uint32_t alloc_component();
   void release_component(std::uint32_t id) noexcept;
   /// Flag a component for re-solve, queueing it on the dirty list once.
@@ -550,10 +585,10 @@ class FlowNetwork {
   // anymore (the done Event became the op pointer) and no reference into the
   // slab is held across an alloc_flow_slot() call. Live slots are tracked in
   // a packed bitmap so the live passes (byte advance each instant; the
-  // collect scan only on its fallback paths; shared-usage validation only
-  // while some shared constraint is finite; escalation) walk live flows in
-  // canonical slot order while word-skipping dead regions, instead of
-  // touching every slab slot.
+  // collect scan only on its fallback paths; the shared-usage walk only in
+  // epochs the capacity certificate cannot settle; escalation) walk live
+  // flows in canonical slot order while word-skipping dead regions, instead
+  // of touching every slab slot.
   std::vector<FlowSlot> flow_slots_;
   util::DirtyBitmap live_bits_{0};
   std::uint32_t free_head_ = kNilIndex;
@@ -571,11 +606,17 @@ class FlowNetwork {
   // Shared-constraint live user counts (containment test); indexed by
   // constraint id, only entries >= 2*nodes are maintained.
   std::vector<std::uint32_t> shared_users_;
+  // Capacity certificate (invariant step 3): per shared constraint the most
+  // users its capacity certifies (kNoLimit when uncapped), the largest NIC
+  // capacity, and how many shared constraints have more users than their
+  // limit. A topology change shifts constraint ids, so limits and count are
+  // stale until the next solve recounts shared_users_ and refreshes them.
+  static constexpr std::uint32_t kNoLimit = 0xffffffffu;
+  std::vector<std::uint32_t> user_limit_;
+  double max_nic_ = 0.0;
+  std::uint32_t over_limit_ = 0;
   std::uint64_t topology_gen_ = 0;   // bumped by add_node/add_switch_group
   std::uint64_t solved_topology_gen_ = 0;
-  // Any shared constraint with a finite capacity (recomputed at topology
-  // change)? When false, shared-constraint validation cannot fail.
-  bool finite_shared_ = false;
   // Settle worklists (see "Incremental solver invariants" step 1): consumed
   // and cleared by every solve_epoch.
   std::vector<std::uint32_t> dirty_comps_;  // components whose flag flipped
@@ -595,6 +636,8 @@ class FlowNetwork {
   std::uint64_t solved_components_ = 0;
   std::uint64_t touched_flows_ = 0;
   std::uint64_t escalations_ = 0;
+  std::uint64_t validation_walks_ = 0;
+  std::uint64_t certified_epochs_ = 0;
   double traffic_[kNumTrafficClasses] = {};
 
   // scratch buffers for the solver (avoid per-epoch allocations)

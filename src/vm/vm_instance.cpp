@@ -33,6 +33,19 @@ VmInstance::VmInstance(sim::Simulator& sim, Cluster& cluster, net::NodeId home, 
   cache_.set_run_gate(&run_gate_);
 }
 
+bool VmInstance::in_image(const char* op, std::uint64_t offset, std::uint64_t len) {
+  const storage::ImageConfig& image = cluster_.config().image;
+  // len > 0; the first test keeps offset + len - 1 from wrapping.
+  if (len - 1 <= UINT64_MAX - offset &&
+      (offset + len - 1) / image.chunk_bytes < image.num_chunks())
+    return true;
+  if (error_.empty())
+    error_ = "vm " + std::to_string(id_) + ": file " + op + " at offset " +
+             std::to_string(offset) + " length " + std::to_string(len) +
+             " runs past the image end (" + std::to_string(image.image_bytes) + " bytes)";
+  return false;
+}
+
 sim::Task VmInstance::compute(double seconds, double dirty_Bps, std::uint64_t ws_bytes) {
   const std::uint32_t lane =
       observer_ ? observer_->on_compute(*this, seconds, dirty_Bps, ws_bytes) : 0;
@@ -55,7 +68,7 @@ sim::Task VmInstance::compute(double seconds, double dirty_Bps, std::uint64_t ws
 }
 
 sim::Task VmInstance::file_write(std::uint64_t offset, std::uint64_t len) {
-  if (len == 0) co_return;
+  if (len == 0 || !in_image("write", offset, len)) co_return;
   const std::uint32_t lane = observer_ ? observer_->on_file_write(*this, offset, len) : 0;
   const std::uint32_t chunk = cluster_.config().image.chunk_bytes;
   const storage::ChunkId first = static_cast<storage::ChunkId>(offset / chunk);
@@ -71,7 +84,7 @@ sim::Task VmInstance::file_write(std::uint64_t offset, std::uint64_t len) {
 }
 
 sim::Task VmInstance::file_read(std::uint64_t offset, std::uint64_t len) {
-  if (len == 0) co_return;
+  if (len == 0 || !in_image("read", offset, len)) co_return;
   const std::uint32_t lane = observer_ ? observer_->on_file_read(*this, offset, len) : 0;
   const std::uint32_t chunk = cluster_.config().image.chunk_bytes;
   const storage::ChunkId first = static_cast<storage::ChunkId>(offset / chunk);
@@ -93,7 +106,7 @@ sim::Task VmInstance::fsync() {
 }
 
 void VmInstance::drop_file_cache(std::uint64_t offset, std::uint64_t len) {
-  if (len == 0) return;
+  if (len == 0 || !in_image("drop", offset, len)) return;
   if (observer_) observer_->on_drop_cache(*this, offset, len);
   const std::uint32_t chunk = cluster_.config().image.chunk_bytes;
   const storage::ChunkId first = static_cast<storage::ChunkId>(offset / chunk);

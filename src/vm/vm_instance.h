@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "core/metrics.h"
 #include "net/flow_network.h"
@@ -65,7 +66,8 @@ class VmInstance {
 
   /// Buffered file I/O through the guest page cache (offsets are virtual
   /// disk offsets; partial chunks are rounded to full chunks, matching the
-  /// paper's 256 KB-aligned workloads).
+  /// paper's 256 KB-aligned workloads). An op that runs past the image's
+  /// last chunk touches nothing and records error().
   sim::Task file_write(std::uint64_t offset, std::uint64_t len);
   sim::Task file_read(std::uint64_t offset, std::uint64_t len);
   sim::Task fsync();
@@ -73,6 +75,10 @@ class VmInstance {
   /// range and release the backing guest memory (used by workloads whose
   /// output files are collected externally, like CM1's dumps).
   void drop_file_cache(std::uint64_t offset, std::uint64_t len);
+
+  /// The first file op that ran past the image end, described (VM id,
+  /// offset, length, image bytes); empty while every op fit. Sticky.
+  const std::string& error() const noexcept { return error_; }
 
   /// AsyncWR's counter: total CPU seconds executed.
   double cpu_seconds() const noexcept { return cpu_seconds_; }
@@ -95,6 +101,10 @@ class VmInstance {
   std::uint32_t trace_vm() const noexcept { return trace_vm_; }
 
  private:
+  /// True when [offset, offset + len) ends inside the image's chunks; else
+  /// records the diagnostic (first one wins) and returns false.
+  bool in_image(const char* op, std::uint64_t offset, std::uint64_t len);
+
   sim::Simulator& sim_;
   Cluster& cluster_;
   net::NodeId node_;
@@ -110,6 +120,7 @@ class VmInstance {
   sim::Rng rng_;
   WorkloadObserver* observer_ = nullptr;
   std::uint32_t trace_vm_ = 0;
+  std::string error_;
 };
 
 }  // namespace hm::vm

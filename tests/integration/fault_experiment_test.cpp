@@ -162,6 +162,34 @@ TEST(ChurnExperiment, ChurnWithDomainsByteIdenticalAcrossSolverRegimes) {
       << "first violation: " << a.audit_violations.front();
 }
 
+/// The shared-constraint capacity certificate under its full workload in a
+/// Debug build, where every certified epoch also runs the usage walk and
+/// asserts it finds no violation. Four-node racks put the four migrations
+/// across one 250 MB/s uplink pair, which binds while two or more of them
+/// stream and not otherwise; NIC degrade windows move the largest NIC
+/// capacity the certificate is built on.
+TEST(ChurnExperiment, OversubscribedDegradeChurnWalksAndCertifies) {
+  ExperimentConfig cfg = fault_config(
+      core::Approach::kHybrid,
+      "churn:degrade-mtbf=3,degrade-mttr=2,factor=0.4,from=1,until=30");
+  cfg.cluster.nodes_per_switch = 4;
+  cfg.cluster.switch_uplink_Bps = 250e6;
+  cfg.num_vms = 4;
+  cfg.num_destinations = 4;
+  cfg.num_migrations = 4;
+  cfg.migration_interval_s = 1.0;
+  cfg.audit = true;
+  const ExperimentResult res = Experiment(std::move(cfg)).run();
+  EXPECT_TRUE(res.completed) << res.error;
+  EXPECT_GE(res.recovery.faults_injected, 1u);
+  EXPECT_GT(res.audit_checks, 0u);
+  EXPECT_TRUE(res.audit_violations.empty())
+      << "first violation: " << res.audit_violations.front();
+  EXPECT_GT(res.engine_validation_walks, 0u);
+  EXPECT_GT(res.engine_certified_epochs, 0u);
+  EXPECT_GT(res.engine_escalations, 0u);
+}
+
 /// Recovery percentiles: recovered migrations feed the p50/p99/p999 samples
 /// and respect sample ordering (p50 <= p99 <= p999 <= max).
 TEST(ChurnExperiment, RecoveryPercentilesOrderedAndPopulated) {

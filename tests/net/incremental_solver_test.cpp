@@ -3,11 +3,14 @@
 // every component each epoch (FlowNetworkConfig::incremental = false),
 // across randomized flow churn on several topology shapes — flat, unlimited
 // fabric, fabric-bound (escalation), oversubscribed switch groups, per-flow
-// caps — across the settle-worklist edge cases: slot reuse within one
-// instant, crashes racing arrivals, nodes added under load, escalation and
-// split-back — and across staggered arrival-only and departure epochs, whose
-// solver counters must also repeat exactly across reruns. Also covers the
-// component introspection hooks the benches report.
+// caps, finite fabrics and uplinks under NIC degrade/restore — across the
+// settle-worklist edge cases: slot reuse within one instant, crashes racing
+// arrivals, nodes added under load, escalation and split-back — and across
+// staggered arrival-only and departure epochs, whose solver counters must
+// also repeat exactly across reruns. Also covers the component
+// introspection hooks the benches report and the shared-constraint capacity
+// certificate (which epochs skip the usage walk, and that a real violation
+// still escalates).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,11 +40,11 @@ struct Topology {
 
 /// Timed topology/fault change, replayed identically in both arms.
 struct NetEvent {
-  enum Kind { kCrash, kReboot, kAddNode };
+  enum Kind { kCrash, kReboot, kAddNode, kScale };
   double t;
   Kind kind;
-  NodeId node = 0;   // crash/reboot target
-  double nic = 0.0;  // capacity of an added node
+  NodeId node = 0;   // crash/reboot/scale target
+  double nic = 0.0;  // capacity of an added node; NIC multiplier of a scale
   // Zero-delay yields before applying: one is enough to land behind the
   // same-instant arrivals but ahead of their settle.
   int yields = 0;
@@ -56,6 +59,8 @@ struct RunLog {
   std::uint64_t touched = 0;
   std::uint64_t escalations = 0;
   std::uint64_t solved_components = 0;
+  std::uint64_t walks = 0;      // validation_walk_count()
+  std::uint64_t certified = 0;  // certified_epoch_count()
 };
 
 sim::Task run_flow(FlowNetwork* net, const FlowSpec* f, double* done_at,
@@ -106,6 +111,7 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
           break;
         case NetEvent::kReboot: net.set_node_up(e.node, true); break;
         case NetEvent::kAddNode: nodes.push_back(net.add_node(e.nic)); break;
+        case NetEvent::kScale: net.scale_node_capacity(e.node, e.nic, e.nic); break;
       }
     }
     void probe() {
@@ -134,6 +140,8 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
   log.touched = net.touched_flow_count();
   log.escalations = net.escalation_count();
   log.solved_components = net.solved_component_count();
+  log.walks = net.validation_walk_count();
+  log.certified = net.certified_epoch_count();
   EXPECT_EQ(net.active_flows(), 0u);
   return log;
 }
@@ -392,6 +400,139 @@ TEST(IncrementalSolver, IdenticalCountersAcrossReruns) {
   EXPECT_EQ(a.solved_components, b.solved_components);
   EXPECT_EQ(a.touched, b.touched);
   EXPECT_EQ(a.escalations, b.escalations);
+}
+
+// --- shared-constraint capacity certificate --------------------------------
+
+TEST(IncrementalSolver, NonBindingFiniteFabricNeverWalks) {
+  // At most 150 flows of 100 MB/s NICs: a fabric of twice their sum can
+  // never bind, so every epoch certifies. Rates and completion times are
+  // those of the same flows on an unlimited fabric.
+  for (std::uint64_t seed = 91; seed <= 93; ++seed) {
+    const auto flows = random_flows(150, 16, true, seed);
+    const RunLog finite = run_scenario(flat_topology(16, 2 * 150 * 100e6), flows, true);
+    const RunLog unlimited = run_scenario(flat_topology(16, kUnlimitedRate), flows, true);
+    expect_identical(finite, unlimited);
+    EXPECT_EQ(finite.walks, 0u) << "seed " << seed;
+    EXPECT_GT(finite.certified, 0u) << "seed " << seed;
+    EXPECT_EQ(finite.escalations, 0u) << "seed " << seed;
+    expect_identical(finite, run_scenario(flat_topology(16, 2 * 150 * 100e6), flows, false));
+  }
+}
+
+/// Two racks behind 1.25 GB/s uplinks, 117.5 MB/s NICs: twelve long
+/// cross-rack flows (more users than the uplink certifies: 1.25e9 / 117.5e6
+/// = 10.6) plus ten short cross-rack flows arriving one at a time.
+std::vector<FlowSpec> binding_uplink_flows() {
+  std::vector<FlowSpec> flows;
+  for (NodeId i = 0; i < 12; ++i) flows.push_back(FlowSpec{0.0, i, 16 + i, 1e9, kUnlimitedRate});
+  for (NodeId k = 0; k < 10; ++k)
+    flows.push_back(FlowSpec{0.5 + 0.5 * k, 12 + k % 4, 28 + k % 4, 20e6, kUnlimitedRate});
+  return flows;
+}
+
+TEST(IncrementalSolver, BindingUplinkWalksEverySolvingEpoch) {
+  Topology topo;
+  topo.fabric = kUnlimitedRate;
+  topo.uplinks = {1.25e9, 1.25e9};
+  topo.nic.assign(32, 117.5e6);
+  topo.node_group.resize(32);
+  for (std::size_t i = 0; i < 32; ++i) topo.node_group[i] = i / 16;
+  const auto flows = binding_uplink_flows();
+  const RunLog inc = run_scenario(topo, flows, true);
+  expect_identical(inc, run_scenario(topo, flows, false));
+  // Twelve or more uplink users throughout: nothing certifies.
+  EXPECT_EQ(inc.certified, 0u);
+  EXPECT_GT(inc.walks, 0u);
+  // The count the walk-every-epoch solver produced for this scenario: the
+  // first epoch, then every short flow's arrival and departure.
+  EXPECT_EQ(inc.escalations, 21u);
+}
+
+sim::Task xfer(FlowNetwork* net, NodeId a, NodeId b, double bytes);
+
+TEST(IncrementalSolver, RaisedNicCapacityStopsCertifyingAndEscalates) {
+  // Four 100 MB/s flows on NIC-disjoint pairs under a 420 MB/s fabric:
+  // 4 x 100 MB/s fits, so the epochs certify. Raising one flow's source
+  // egress and sink ingress lifts max_nic past what the fabric certifies
+  // for four users, and the raised flow really does over-demand the
+  // fabric: the walk runs and escalates. The restore brings max_nic back
+  // and the epochs certify again.
+  for (const double f : {1 / 0.4, 1.5}) {
+    sim::Simulator s;
+    FlowNetwork net(s, FlowNetworkConfig{420e6, 0.0});
+    for (int i = 0; i < 8; ++i) net.add_node(100e6);
+    for (NodeId i = 0; i < 4; ++i) s.spawn(xfer(&net, i, 4 + i, 1e9));
+    s.run_until(0.5);
+    // A degrade and its 1/0.4 restore leave max_nic where it was.
+    net.scale_node_capacity(1, 0.4, 0.4);
+    s.run_until(0.6);
+    net.scale_node_capacity(1, 1 / 0.4, 1 / 0.4);
+    s.run_until(1.0);
+    EXPECT_EQ(net.validation_walk_count(), 0u) << "f " << f;
+    EXPECT_GT(net.certified_epoch_count(), 0u) << "f " << f;
+    EXPECT_DOUBLE_EQ(net.flow_rate(1, 5), 100e6);
+
+    net.scale_node_capacity(0, f, 1.0);
+    net.scale_node_capacity(4, 1.0, f);
+    s.run_until(2.0);
+    EXPECT_GT(net.validation_walk_count(), 0u) << "f " << f;
+    EXPECT_GT(net.escalation_count(), 0u) << "f " << f;
+    EXPECT_NEAR(net.flow_rate(0, 4), 120e6, 1.0) << "f " << f;  // 420 - 3 x 100
+    EXPECT_NEAR(net.flow_rate(1, 5), 100e6, 1.0) << "f " << f;
+
+    const std::uint64_t walks = net.validation_walk_count();
+    const std::uint64_t certified = net.certified_epoch_count();
+    net.scale_node_capacity(0, 1 / f, 1.0);
+    net.scale_node_capacity(4, 1.0, 1 / f);
+    s.run();
+    EXPECT_EQ(net.validation_walk_count(), walks) << "f " << f;
+    EXPECT_GT(net.certified_epoch_count(), certified) << "f " << f;
+  }
+}
+
+/// NIC degrade/restore windows (0.4 and its reciprocal, as the fault
+/// injector applies them) and a raise above 1 with its restore.
+std::vector<NetEvent> degrade_restore_events() {
+  std::vector<NetEvent> ev;
+  ev.push_back({1.0, NetEvent::kScale, 3, 0.4});
+  ev.push_back({1.5, NetEvent::kScale, 5, 2.0});
+  ev.push_back({2.25, NetEvent::kScale, 3, 1 / 0.4});
+  ev.push_back({2.5, NetEvent::kScale, 9, 0.4, 1});  // behind same-instant arrivals
+  ev.push_back({3.0, NetEvent::kScale, 5, 0.5});
+  ev.push_back({4.0, NetEvent::kScale, 9, 1 / 0.4});
+  return ev;
+}
+
+TEST(IncrementalSolver, EquivalentOnFiniteFabricUnderDegradeRestore) {
+  // A fabric that binds only while enough flows run at once: epochs move
+  // between certified, walked and escalated as the load and the NICs change.
+  const Topology topo = flat_topology(16, /*fabric=*/900e6);
+  const auto events = degrade_restore_events();
+  for (std::uint64_t seed = 101; seed <= 103; ++seed) {
+    const auto flows = random_flows(150, topo.nic.size(), true, seed);
+    const RunLog inc = run_scenario(topo, flows, true, events);
+    expect_identical(inc, run_scenario(topo, flows, false, events));
+    EXPECT_GT(inc.walks, 0u) << "seed " << seed;
+    EXPECT_GT(inc.certified, 0u) << "seed " << seed;
+  }
+}
+
+TEST(IncrementalSolver, EquivalentOnUplinksUnderDegradeRestore) {
+  Topology topo;
+  topo.fabric = 2e9;
+  topo.uplinks = {250e6, 250e6, 250e6, 250e6};
+  topo.nic.assign(16, 100e6);
+  topo.node_group.resize(16);
+  for (std::size_t i = 0; i < 16; ++i) topo.node_group[i] = i / 4;
+  const auto events = degrade_restore_events();
+  for (std::uint64_t seed = 111; seed <= 113; ++seed) {
+    const auto flows = random_flows(150, topo.nic.size(), true, seed);
+    const RunLog inc = run_scenario(topo, flows, true, events);
+    expect_identical(inc, run_scenario(topo, flows, false, events));
+    EXPECT_GT(inc.walks, 0u) << "seed " << seed;
+    EXPECT_GT(inc.certified, 0u) << "seed " << seed;
+  }
 }
 
 // --- introspection hooks ----------------------------------------------------

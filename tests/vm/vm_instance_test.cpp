@@ -184,6 +184,65 @@ TEST(VmInstance, DroppedRangeMissesOnReread) {
   EXPECT_EQ(f.vm.page_cache().misses(), misses_before + 2);
 }
 
+// --- file ops past the image end --------------------------------------------
+// small_cluster()'s image is 256 MiB of 1 MiB chunks. Each op below covers
+// the image's last byte and one byte past it: it must touch no chunk and
+// leave a diagnostic naming the VM, the range and the image size.
+
+constexpr std::uint64_t kImageBytes = 256 * kMiB;
+
+TEST(VmInstance, WritePastImageEndTouchesNothingAndReports) {
+  VmFixture f;
+  f.s.spawn([](VmInstance* v) -> sim::Task {
+    co_await v->file_write(kImageBytes - 1, 2);
+    co_await v->file_write(0, kMiB);  // later ops still run
+    co_await v->fsync();
+  }(&f.vm));
+  f.s.run();
+  EXPECT_EQ(f.vm.error(),
+            "vm 0: file write at offset 268435455 length 2 runs past the image end "
+            "(268435456 bytes)");
+  EXPECT_EQ(f.mgr.replica().modified_count(), 1u);  // only the in-range write
+  EXPECT_DOUBLE_EQ(f.vm.io_stats().bytes_written, 1.0 * kMiB);
+}
+
+TEST(VmInstance, ReadPastImageEndTouchesNothingAndReports) {
+  VmFixture f;
+  f.s.spawn([](VmInstance* v) -> sim::Task {
+    co_await v->file_read(kImageBytes - 1, 2);
+    co_await v->file_read(kImageBytes, 1);  // the first diagnostic sticks
+  }(&f.vm));
+  f.s.run();
+  EXPECT_EQ(f.vm.error(),
+            "vm 0: file read at offset 268435455 length 2 runs past the image end "
+            "(268435456 bytes)");
+  EXPECT_EQ(f.mgr.repo_fetches(), 0u);
+  EXPECT_EQ(f.vm.page_cache().cached_chunks(), 0u);
+  EXPECT_DOUBLE_EQ(f.vm.io_stats().bytes_read, 0.0);
+}
+
+TEST(VmInstance, DropPastImageEndTouchesNothingAndReports) {
+  VmFixture f;
+  f.s.spawn([](VmInstance* v) -> sim::Task {
+    co_await v->file_write(kImageBytes - kMiB, kMiB);  // the last chunk, cached
+    co_await v->fsync();
+  }(&f.vm));
+  f.s.run();
+  EXPECT_TRUE(f.vm.error().empty());
+  const std::size_t cached = f.vm.page_cache().cached_chunks();
+  f.vm.drop_file_cache(kImageBytes - 1, 2);
+  EXPECT_EQ(f.vm.error(),
+            "vm 0: file drop at offset 268435455 length 2 runs past the image end "
+            "(268435456 bytes)");
+  EXPECT_EQ(f.vm.page_cache().cached_chunks(), cached);  // the last chunk stays
+}
+
+TEST(VmInstance, OffsetNearUint64MaxIsRejectedNotWrapped) {
+  VmFixture f;
+  f.vm.drop_file_cache(UINT64_MAX, 2);  // offset + len wraps to 0
+  EXPECT_FALSE(f.vm.error().empty());
+}
+
 TEST(VmInstance, ComputeSlowedByNodeLoad) {
   VmFixture f;
   f.cluster.node(0).add_cpu_load(0.5);

@@ -67,13 +67,13 @@ void FlowNetwork::reset_traffic() noexcept {
 double FlowNetwork::flow_rate(NodeId src, NodeId dst) const noexcept {
   double sum = 0.0;
   for (std::uint32_t s = nodes_[src].out_head; s != kNilIndex; s = flow_slots_[s].out_link.next)
-    if (flow_slots_[s].flow.dst == dst) sum += flow_slots_[s].flow.rate;
+    if (flow_slots_[s].flow.dst == dst) sum += rate_[s];
   return sum;
 }
 
 double FlowNetwork::current_rate_sum() const noexcept {
   double sum = 0.0;
-  live_bits_.for_each_set([&](std::uint64_t s) { sum += flow_slots_[s].flow.rate; });
+  live_bits_.for_each_set([&](std::uint64_t s) { sum += rate_[s]; });
   return sum;
 }
 
@@ -84,6 +84,8 @@ std::uint32_t FlowNetwork::alloc_flow_slot() {
     return slot;
   }
   flow_slots_.emplace_back();
+  remaining_.push_back(0.0);
+  rate_.push_back(0.0);
   live_bits_.grow(flow_slots_.size());
   return static_cast<std::uint32_t>(flow_slots_.size() - 1);
 }
@@ -219,21 +221,23 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) {
   for (std::uint8_t k = 2; k < fs.n_constraints; ++k) drop_shared_user(fs.constraints[k]);
   fs.op = nullptr;
   fs.in_use = false;
+  rate_[slot] = 0.0;  // a dead slot's remaining stays put under advance_to_now
   live_bits_.reset(slot);
   fs.next_free = free_head_;
   free_head_ = slot;
   --live_flows_;
 }
 
-void FlowNetwork::apply_rate(Flow& f, double new_rate, std::uint32_t slot) {
-  if (new_rate != f.rate) {
-    f.rate = new_rate;
-    push_projection(f, slot);
+void FlowNetwork::apply_rate(std::uint32_t slot, double new_rate) {
+  if (new_rate != rate_[slot]) {
+    rate_[slot] = new_rate;
+    push_projection(slot);
   }
 }
 
-void FlowNetwork::push_projection(const Flow& f, std::uint32_t slot) {
-  const double t = f.rate > kEpsRate ? sim_.now() + f.remaining / f.rate : kUnlimitedRate;
+void FlowNetwork::push_projection(std::uint32_t slot) {
+  const double rate = rate_[slot];
+  const double t = rate > kEpsRate ? sim_.now() + remaining_[slot] / rate : kUnlimitedRate;
   if (!std::isfinite(t)) {
     comp_heap_erase(slot);  // stalled flows carry no completion entry
     return;
@@ -327,9 +331,9 @@ void FlowNetwork::begin_flow(FlowOp* op) {
   Flow& f = fs.flow;
   f.src = op->src;
   f.dst = op->dst;
-  f.remaining = op->bytes;
-  f.rate = 0.0;
   f.cap = op->cap;
+  remaining_[slot] = op->bytes;
+  assert(rate_[slot] == 0.0);  // released slots hold rate 0
   assert(fs.heap_pos == kNilIndex);  // released slots hold no heap entry
   fs.comp = kNilIndex;  // affected at the next settle (comp == nil)
   compute_incidence(fs);
@@ -445,7 +449,7 @@ void FlowNetwork::fail_flows_at(NodeId n) {
     op->failed = true;
     // The un-sent remainder never crossed the wire: uncount it (bytes are
     // charged in full at flow start).
-    traffic_[static_cast<std::size_t>(op->cls)] -= fs.flow.remaining;
+    traffic_[static_cast<std::size_t>(op->cls)] -= remaining_[slot];
     sim_.post([](void* p, void*) { auto* o = static_cast<FlowOp*>(p); o->step(o); },
               op);
     release_flow_slot(slot);
@@ -458,11 +462,18 @@ void FlowNetwork::advance_to_now() {
   const double now = sim_.now();
   const double dt = now - last_advance_;
   if (dt > 0) {
-    live_bits_.for_each_set([&](std::uint64_t s) {
-      Flow& f = flow_slots_[s].flow;
-      f.remaining -= f.rate * dt;
-      if (f.remaining < 0) f.remaining = 0;
-    });
+    // Whole slab, no liveness test (see flow_slots_): a live flow takes the
+    // same multiply, subtract and clamp as a per-flow update would.
+    double* const rem = remaining_.data();
+    const double* const rate = rate_.data();
+    const std::size_t n = remaining_.size();
+#ifndef NDEBUG
+    for (std::size_t s = 0; s < n; ++s) assert(live_bits_.test(s) || rate[s] == 0.0);
+#endif
+    for (std::size_t s = 0; s < n; ++s) {
+      const double r = rem[s] - rate[s] * dt;
+      rem[s] = r < 0 ? 0 : r;
+    }
   }
   last_advance_ = now;
 }
@@ -647,7 +658,7 @@ bool FlowNetwork::shared_capacity_exceeded() {
   live_bits_.for_each_set([&](std::uint64_t s) {
     const FlowSlot& fs = flow_slots_[s];
     const double r =
-        fs.solve_gen == solve_pass_gen_ ? items_[fs.item_idx].alloc : fs.flow.rate;
+        fs.solve_gen == solve_pass_gen_ ? items_[fs.item_idx].alloc : rate_[s];
     for (std::uint8_t k = 2; k < fs.n_constraints; ++k) usage_[fs.constraints[k]] += r;
   });
   for (std::uint32_t c = n_local; c < cspace; ++c) {
@@ -855,7 +866,7 @@ void FlowNetwork::solve_epoch() {
   arrivals_.clear();
   solved_components_ += n_groups;
   touched_flows_ += items_.size();
-  for (SolverItem& it : items_) apply_rate(*it.f, it.alloc, it.slot);
+  for (SolverItem& it : items_) apply_rate(it.slot, it.alloc);
   assert(comp_heap_.size() <= live_flows_);
 }
 
@@ -885,9 +896,9 @@ void FlowNetwork::on_completion_timer() {
   finished_scratch_.clear();
   while (!comp_heap_.empty() && comp_heap_.front().t <= now) {
     const std::uint32_t slot = comp_heap_.front().slot;
-    const Flow& f = flow_slots_[slot].flow;
-    if (flow_is_done(f.remaining, f.rate) ||
-        (f.rate > kEpsRate && now + f.remaining / f.rate <= now)) {
+    const double rem = remaining_[slot];
+    const double rate = rate_[slot];
+    if (flow_is_done(rem, rate) || (rate > kEpsRate && now + rem / rate <= now)) {
       // Done, or the residue is below the clock's resolution at this
       // magnitude (re-projecting would spin on the same timestamp).
       finished_scratch_.push_back(slot);
@@ -895,7 +906,7 @@ void FlowNetwork::on_completion_timer() {
     } else {
       // Projection drifted (FP residue): re-key it from the current state,
       // which lands strictly after now.
-      push_projection(f, slot);
+      push_projection(slot);
     }
   }
   // Stepping an op only enqueues one zero-delay wakeup (exactly what the

@@ -38,6 +38,9 @@
 //  * flow_rate() walks the source node's outgoing-flow list and
 //    current_rate_sum() walks the live flows, both on demand: only tests
 //    read them, so no epoch pays for keeping them current.
+//  * Bytes remaining and rates sit in two dense per-slot arrays, not in
+//    the slots: the byte advance that runs every instant is one branch-free
+//    multiply-subtract-clamp loop over them (dead slots hold rate 0).
 //
 // Incremental solver invariants
 // -----------------------------
@@ -426,11 +429,11 @@ class FlowNetwork {
  private:
   static constexpr std::uint32_t kNilIndex = 0xffffffffu;
 
+  /// A flow's fixed description. Its bytes remaining and current rate live
+  /// in the dense remaining_/rate_ arrays beside the slab (see flow_slots_).
   struct Flow {
     NodeId src = 0;
     NodeId dst = 0;
-    double remaining = 0;
-    double rate = 0.0;
     double cap = kUnlimitedRate;
   };
   /// Links of one intrusive doubly-linked list of flow slots.
@@ -511,11 +514,11 @@ class FlowNetwork {
 
   std::uint32_t alloc_flow_slot();
   void release_flow_slot(std::uint32_t slot);
-  void apply_rate(Flow& f, double new_rate, std::uint32_t slot);
+  void apply_rate(std::uint32_t slot, double new_rate);
   /// Re-project the flow's completion from its current remaining bytes and
   /// rate: insert or re-key its heap entry, or erase it when the rate is
   /// too small to finish.
-  void push_projection(const Flow& f, std::uint32_t slot);
+  void push_projection(std::uint32_t slot);
   // Indexed completion heap (binary, comp_before order, positions kept in
   // FlowSlot::heap_pos).
   void comp_heap_erase(std::uint32_t slot);
@@ -584,12 +587,20 @@ class FlowNetwork {
   // Slab of flow slots. A flat vector: slots hold no non-movable members
   // anymore (the done Event became the op pointer) and no reference into the
   // slab is held across an alloc_flow_slot() call. Live slots are tracked in
-  // a packed bitmap so the live passes (byte advance each instant; the
-  // collect scan only on its fallback paths; the shared-usage walk only in
-  // epochs the capacity certificate cannot settle; escalation) walk live
-  // flows in canonical slot order while word-skipping dead regions, instead
-  // of touching every slab slot.
+  // a packed bitmap so the live passes (the collect scan only on its
+  // fallback paths; the shared-usage walk only in epochs the capacity
+  // certificate cannot settle; escalation) walk live flows in canonical
+  // slot order while word-skipping dead regions, instead of touching every
+  // slab slot.
+  // The byte advance of every instant is the one pass that reads all live
+  // flows, and it reads only bytes remaining and rate. Those two live in
+  // dense arrays parallel to the slab (grown with it), so the advance
+  // streams 16 B per slot instead of striding over 128 B slots. It runs
+  // over the whole slab without a liveness test: release_flow_slot zeroes
+  // the rate, and rem - 0 * dt leaves a dead slot's value unchanged.
   std::vector<FlowSlot> flow_slots_;
+  std::vector<double> remaining_;  // bytes still to send, per slot
+  std::vector<double> rate_;       // current rate, per slot; 0 while dead
   util::DirtyBitmap live_bits_{0};
   std::uint32_t free_head_ = kNilIndex;
   std::size_t live_flows_ = 0;

@@ -7,6 +7,9 @@
 // writes issued by the migration manager land in host cache at memory speed
 // and are flushed to disk in the background; reads of recently written
 // chunks (the common case when pushing fresh data) are served from host RAM.
+// The default 6 GiB host cache holds more than a whole 4 GiB image, so it
+// never evicts: its LruChunkSet is then a bare residency bitmap with no
+// recency links (a smaller cache, or a bigger image, keeps them).
 //
 // Host-dirty bookkeeping is one bit per chunk: mark_host_dirty sets the
 // chunk's bit, and the background flusher scans the bitmap with a
@@ -67,11 +70,17 @@ struct ImageConfig {
 /// Given a universe, the bitmap is sized once and the slot vector is
 /// reserved to it, so inserts never allocate; with universe 0 both grow to
 /// the largest id seen.
+/// The links exist only to pick a victim, so a set that can never evict
+/// keeps none: with a universe smaller than the capacity, every id fits
+/// at once, insert/erase touch only the bitmap and the slot vector stays
+/// empty. A set with capacity == universe keeps its links, because a
+/// cache that reserves room before it inserts (PageCache) evicts once the
+/// set is full, not only when it overflows.
 class LruChunkSet {
  public:
   explicit LruChunkSet(std::size_t capacity, std::size_t universe = 0)
-      : capacity_(capacity), in_(universe) {
-    slots_.reserve(universe);
+      : capacity_(capacity), in_(universe), linked_(universe == 0 || capacity <= universe) {
+    if (linked_) slots_.reserve(universe);
   }
 
   bool contains(ChunkId c) const noexcept { return c < in_.size() && in_.test(c); }
@@ -80,6 +89,11 @@ class LruChunkSet {
 
   /// Insert or refresh c; returns true if an old entry was evicted.
   bool insert(ChunkId c) {
+    if (!linked_) {
+      assert(c < in_.size());
+      in_.set(c);
+      return false;
+    }
     if (c >= slots_.size()) {
       slots_.resize(c + 1);
       in_.grow(c + 1);  // no-op inside the constructor's universe
@@ -101,16 +115,26 @@ class LruChunkSet {
 
   void erase(ChunkId c) {
     if (!contains(c)) return;
-    unlink(c);
+    if (linked_) unlink(c);
     in_.reset(c);
   }
 
+  /// Whether the set keeps recency links (it can evict; see above).
+  bool linked() const noexcept { return linked_; }
+
   /// Least-recently-used member (kNil when empty); exposed so eviction
-  /// policies can scan from the cold end instead of by id.
+  /// policies can scan from the cold end instead of by id. Only a linked
+  /// set orders its members.
   static constexpr std::uint32_t kNil = kNoChunk;
-  std::uint32_t least_recent() const noexcept { return tail_; }
+  std::uint32_t least_recent() const noexcept {
+    assert(linked_);
+    return tail_;
+  }
   /// Next-more-recent member after c (walks cold -> hot).
-  std::uint32_t more_recent(ChunkId c) const noexcept { return slots_[c].prev; }
+  std::uint32_t more_recent(ChunkId c) const noexcept {
+    assert(linked_);
+    return slots_[c].prev;
+  }
 
  private:
   struct Slot {
@@ -143,6 +167,7 @@ class LruChunkSet {
   std::uint32_t head_ = kNil;  // most recently used
   std::uint32_t tail_ = kNil;  // least recently used
   util::DirtyBitmap in_;       // membership, one bit per chunk id
+  bool linked_;                // false: cannot evict, no slots kept
   std::vector<Slot> slots_;
 };
 

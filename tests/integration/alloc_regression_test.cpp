@@ -131,12 +131,19 @@ TEST(AllocRegression, PullPhaseSteadyStateIsAllocationFree) {
 // node buffers), about 2 KiB per object.
 //
 // Pinned values, bytes per chunk (the per-chunk arrays, then the object
-// itself and its fixed-size parts spread over 4096 chunks):
-//   ChunkStore     8.6   8 B LRU link slot + 4 bitmaps (present, modified,
-//                        host-dirty, LRU membership) at 1/8 B each
-//   PageCache      9.36  1 B state + 8 B LRU link slot + 2 bitmaps
-//   HybridSession 15.36  4 B write count + 1 B transfer count + 4 bitmaps,
-//                        its destination ChunkStore (8.6), three deques
+// itself and its fixed-size parts spread over 4096 chunks). An LRU set
+// keeps its 8 B link slot per chunk only when it can evict (capacity <=
+// image chunks), so the default caches, larger than the image, carry none:
+//   ChunkStore            0.60  4 bitmaps (present, modified, host-dirty,
+//                               LRU membership) at 1/8 B each; the 6 GiB
+//                               host cache never evicts
+//   PageCache             1.36  1 B state + 2 bitmaps; the 3 GiB default
+//                               cache never evicts
+//   PageCache, fleet      9.36  as above + 8 B LRU link slot: the 768 MiB
+//                               cache holds 3072 of the 4096 chunks
+//   HybridSession         7.35  4 B write count + 1 B transfer count + 4
+//                               bitmaps, its destination ChunkStore (0.60),
+//                               three deques
 namespace {
 
 constexpr std::uint32_t kFootprintChunks = 4096;
@@ -168,7 +175,7 @@ TEST(FootprintGate, ChunkStoreBytesPerChunk) {
   storage::Disk disk(s, storage::DiskConfig{});
   const double per_chunk = heap_bytes_per_chunk(
       [&] { return std::make_unique<storage::ChunkStore>(s, disk, footprint_image()); });
-  EXPECT_NEAR(per_chunk, 8.6, kFootprintSlack);
+  EXPECT_NEAR(per_chunk, 0.60, kFootprintSlack);
 }
 
 TEST(FootprintGate, PageCacheBytesPerChunk) {
@@ -176,6 +183,19 @@ TEST(FootprintGate, PageCacheBytesPerChunk) {
   NullBackend backend;
   const double per_chunk = heap_bytes_per_chunk(
       [&] { return std::make_unique<storage::PageCache>(s, backend, footprint_image()); });
+  EXPECT_NEAR(per_chunk, 1.36, kFootprintSlack);
+}
+
+// The fleet workloads' guest cache (768 MiB over the 1 GiB image) can
+// evict, so it keeps the LRU link slots: this pin gates the linked path.
+TEST(FootprintGate, FleetPageCacheBytesPerChunk) {
+  sim::Simulator s;
+  NullBackend backend;
+  storage::PageCacheConfig cfg;
+  cfg.capacity_bytes = 768 * storage::kMiB;
+  const double per_chunk = heap_bytes_per_chunk([&] {
+    return std::make_unique<storage::PageCache>(s, backend, footprint_image(), cfg);
+  });
   EXPECT_NEAR(per_chunk, 9.36, kFootprintSlack);
 }
 
@@ -186,7 +206,7 @@ TEST(FootprintGate, HybridSessionBytesPerChunk) {
   const double per_chunk = heap_bytes_per_chunk([&] {
     return std::make_unique<HybridSession>(f.s, f.cluster, &f.mgr, /*dst_node=*/1, *f.rec);
   });
-  EXPECT_NEAR(per_chunk, 15.36, kFootprintSlack);
+  EXPECT_NEAR(per_chunk, 7.35, kFootprintSlack);
 }
 
 // Wakeup-heavy steady state: every event in this scenario is a zero-delay

@@ -486,5 +486,82 @@ TEST(FlowNetwork, MaxMinNotJustEqualSplit) {
   EXPECT_NEAR(done_fast, 1.0, 1e-6);
 }
 
+// Bytes remaining and rates live in dense per-slot arrays that the byte
+// advance sweeps whole, dead slots included; a dead slot is inert because
+// its rate is 0. Run A frees two slots before the probe flows start, one by
+// completion (remaining ~0) and one by a crash (remaining left mid-flight),
+// so the probes land in those recycled slots. Run B starts the same probes
+// in fresh slots. The probes must finish at exactly the same times.
+struct SlotReuseRun {
+  double probe_done[2] = {-1, -1};
+  std::vector<int> order;
+  double rate_sum_after_history = -1;
+  double crashed_pair_rate = -1;
+};
+
+SlotReuseRun run_slot_reuse(bool with_history) {
+  NetFixture f;
+  std::vector<NodeId> n;
+  for (int i = 0; i < 10; ++i) n.push_back(f.net.add_node(kNic));
+  double done_long = -1, done_short = -1, done_crashed = -1;
+  SlotReuseRun out;
+  if (with_history) {
+    f.s.spawn(xfer(&f.net, n[0], n[1], 10e6, TrafficClass::kMemory, &done_short, &f.s));
+    f.s.spawn(xfer(&f.net, n[2], n[3], 500e6, TrafficClass::kMemory, &done_crashed, &f.s));
+  }
+  // A long flow that stays live across the whole run in both runs.
+  f.s.spawn(xfer(&f.net, n[4], n[5], 200e6, TrafficClass::kMemory, &done_long, &f.s));
+  struct Script {
+    NetFixture& f;
+    std::vector<NodeId>& n;
+    SlotReuseRun& out;
+    void crash() { f.net.set_node_up(n[3], false); }
+    void observe() {
+      out.rate_sum_after_history = f.net.current_rate_sum();
+      out.crashed_pair_rate = f.net.flow_rate(n[2], n[3]);
+    }
+    void probes() {
+      for (int i = 0; i < 2; ++i)
+        f.s.spawn(xfer_tagged(&f.net, n[6 + 2 * i], n[7 + 2 * i], 30e6, i, &out.order,
+                              &out.probe_done[i], &f.s));
+    }
+  } script{f, n, out};
+  if (with_history) f.s.schedule(0.2, [&script] { script.crash(); });
+  f.s.schedule(0.3, [&script] { script.observe(); });
+  f.s.schedule(0.5, [&script] { script.probes(); });
+  f.s.run();
+  if (with_history) {
+    EXPECT_NEAR(done_short, 0.1, 1e-9);
+    EXPECT_NEAR(done_crashed, 0.2, 1e-9);
+  }
+  EXPECT_NEAR(done_long, 2.0, 1e-9);
+  EXPECT_EQ(f.net.active_flows(), 0u);
+  return out;
+}
+
+TEST(FlowNetwork, RecycledSlotsCompleteLikeFreshOnes) {
+  const SlotReuseRun recycled = run_slot_reuse(true);
+  const SlotReuseRun fresh = run_slot_reuse(false);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_NEAR(fresh.probe_done[i], 0.8, 1e-9);
+    EXPECT_EQ(recycled.probe_done[i], fresh.probe_done[i]);
+  }
+  // Equal completions post in slot order. The free list hands the probes
+  // the crashed slot (1) and then the completed one (0), so in run A the
+  // second probe holds the lower slot; in run B they follow the long flow.
+  EXPECT_EQ(recycled.order, (std::vector<int>{1, 0}));
+  EXPECT_EQ(fresh.order, (std::vector<int>{0, 1}));
+}
+
+TEST(FlowNetwork, CurrentRateSumIgnoresDeadSlots) {
+  // After one completion and one crash only the long flow is live: the two
+  // dead slots must add nothing, whatever bytes they were left holding.
+  const SlotReuseRun recycled = run_slot_reuse(true);
+  EXPECT_EQ(recycled.rate_sum_after_history, kNic);
+  EXPECT_EQ(recycled.crashed_pair_rate, 0.0);
+  const SlotReuseRun fresh = run_slot_reuse(false);
+  EXPECT_EQ(fresh.rate_sum_after_history, kNic);
+}
+
 }  // namespace
 }  // namespace hm::net

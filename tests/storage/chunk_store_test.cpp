@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace hm::storage {
@@ -134,6 +135,41 @@ TEST(LruChunkSet, EvictionOrderSurvivesGrowth) {
   EXPECT_TRUE(lru.insert(2));  // re-insert below the grown range: evicts 500
   EXPECT_FALSE(lru.contains(500));
   EXPECT_EQ(lru.size(), 3u);
+}
+
+// A set whose universe is smaller than its capacity can never evict, so it
+// keeps no recency links. It must answer exactly like a linked set of the
+// same capacity fed the same operations.
+TEST(LruChunkSet, LinkFreeSetMatchesLinkedSet) {
+  constexpr std::size_t kUniverse = 200;
+  constexpr std::size_t kCapacity = 256;
+  LruChunkSet bare(kCapacity, kUniverse);
+  LruChunkSet linked(kCapacity);  // universe 0: always linked
+  ASSERT_FALSE(bare.linked());
+  ASSERT_TRUE(linked.linked());
+  sim::Rng rng(7);
+  for (int op = 0; op < 20000; ++op) {
+    const auto c = static_cast<ChunkId>(rng.uniform(kUniverse));
+    if (rng.uniform(3) == 0) {
+      bare.erase(c);
+      linked.erase(c);
+    } else {
+      ASSERT_EQ(bare.insert(c), linked.insert(c)) << "op " << op;
+    }
+    ASSERT_EQ(bare.size(), linked.size()) << "op " << op;
+    const auto probe = static_cast<ChunkId>(rng.uniform(kUniverse));
+    ASSERT_EQ(bare.contains(probe), linked.contains(probe)) << "op " << op;
+  }
+  for (ChunkId c = 0; c < kUniverse; ++c) EXPECT_EQ(bare.contains(c), linked.contains(c));
+}
+
+// capacity == universe can fill up, and a cache that reserves room before
+// it inserts evicts at that point, so the set keeps its links.
+TEST(LruChunkSet, CapacityEqualToUniverseKeepsLinks) {
+  EXPECT_TRUE(LruChunkSet(16, 16).linked());
+  EXPECT_FALSE(LruChunkSet(17, 16).linked());
+  EXPECT_TRUE(LruChunkSet(0, 16).linked());
+  EXPECT_TRUE(LruChunkSet(4, 0).linked());
 }
 
 TEST(ChunkStore, StartsEmpty) {

@@ -145,6 +145,26 @@ TEST(PageCache, CapacityEvictionDropsCleanChunks) {
   EXPECT_EQ(f.cache.misses(), misses_before + 1);
 }
 
+// A cache sized exactly to its image can fill up, and a write reserves
+// room before it inserts, so even a write to a resident chunk evicts the
+// coldest clean one. The cache must keep its recency links for that: the
+// write completes and the victim is the least recently used chunk.
+TEST(PageCache, CacheSizedToImageStillEvictsCleanChunkWhenFull) {
+  PageCacheConfig cfg = CacheFixture::make_cfg();
+  cfg.capacity_bytes = 16 * kMiB;  // == the 16-chunk image
+  CacheFixture f(cfg);
+  std::vector<ChunkId> released;
+  f.cache.set_release_hook([&](ChunkId c) { released.push_back(c); });
+  for (ChunkId c = 0; c < 16; ++c) f.run_read(c);  // every chunk, clean
+  ASSERT_EQ(f.cache.cached_chunks(), 16u);
+  ASSERT_TRUE(released.empty());
+  f.run_read(0);  // hit: 0 becomes the most recent, 1 the coldest
+  f.run_write(0);
+  EXPECT_EQ(released, (std::vector<ChunkId>{1}));
+  EXPECT_EQ(f.cache.cached_chunks(), 15u);
+  EXPECT_EQ(f.backend.writes, (std::vector<ChunkId>{0}));
+}
+
 TEST(PageCache, InvalidateDropsCleanCopy) {
   CacheFixture f;
   f.run_read(2);

@@ -341,15 +341,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::cout << "approach=" << core::approach_name(cfg.approach)
-            << " workload=" << cloud::workload_name(cfg.workload)
-            << " vms=" << cfg.num_vms;
-  if (cfg.perform_migrations && cfg.scheduler.enabled())
-    std::cout << " arrivals=" << sim::arrival_kind_name(cfg.scheduler.arrivals.kind);
-  else
-    std::cout << " migrations=" << (cfg.perform_migrations ? cfg.num_migrations : 0);
-  std::cout << "\n";
-
   // Recording observes every VM's workload-API calls; the file is written
   // once the run is over, unless the run reported an error.
   std::optional<workloads::TraceRecorder> recorder;
@@ -366,6 +357,16 @@ int main(int argc, char** argv) {
   }
 
   cloud::Experiment exp(std::move(cfg));
+  // The header describes the normalized config, which is what runs (a CM1
+  // grid sets the VM count; migrations are capped at the VM count).
+  const cloud::ExperimentConfig& ran = exp.config();
+  std::cout << "approach=" << core::approach_name(ran.approach)
+            << " workload=" << cloud::workload_name(ran.workload) << " vms=" << ran.num_vms;
+  if (ran.perform_migrations && ran.scheduler.enabled())
+    std::cout << " arrivals=" << sim::arrival_kind_name(ran.scheduler.arrivals.kind);
+  else
+    std::cout << " migrations=" << (ran.perform_migrations ? ran.num_migrations : 0);
+  std::cout << "\n";
   const cloud::ExperimentResult res = exp.run();
   if (recorder && res.error.empty()) {
     std::string err;

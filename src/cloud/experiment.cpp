@@ -119,6 +119,7 @@ struct Experiment::Slice {
   std::uint64_t events = 0, flows = 0, recomputes = 0, components = 0;
   std::uint64_t flows_resolved = 0, escalations = 0;
   std::uint64_t validation_walks = 0, certified_epochs = 0;
+  std::uint64_t sessions_retaining_state = 0;
   std::uint64_t frames = 0, frames_reused = 0, frame_heap_allocs = 0;
   /// Injector-side counters only; the record-derived half is the merge's.
   RecoveryStats injector{};
@@ -313,6 +314,11 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
                                : simulator.now() - workload_started_at;
   out.migrations.assign(mw.metrics().migrations().begin(),
                         mw.metrics().migrations().end());
+  for (const auto& session : mw.sessions()) {
+    const core::MigrationRecord& rec = session->record();
+    if (!session->transfer_state_released() && (rec.t_source_released > 0 || rec.abandoned))
+      ++out.sessions_retaining_state;
+  }
   for (vm::VmInstance* v : vms)
     out.per_vm.push_back(Slice::VmAgg{static_cast<std::uint32_t>(v->id()), v->io_stats(),
                                       v->cpu_seconds()});
@@ -380,6 +386,7 @@ ExperimentResult Experiment::merge_parts(std::vector<Slice>& parts) const {
     res.engine_escalations += p.escalations;
     res.engine_validation_walks += p.validation_walks;
     res.engine_certified_epochs += p.certified_epochs;
+    res.sessions_retaining_state += p.sessions_retaining_state;
     res.engine_frames += p.frames;
     res.engine_frames_reused += p.frames_reused;
     res.engine_frame_heap_allocs += p.frame_heap_allocs;

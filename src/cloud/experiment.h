@@ -159,6 +159,10 @@ struct ExperimentResult {
   // they are not kFields entries, so no golden or printout carries them.
   std::uint64_t engine_validation_walks = 0;
   std::uint64_t engine_certified_epochs = 0;
+  // Sessions of finished or abandoned migrations that still hold their
+  // per-chunk transfer state: non-zero means the release path leaks. Read
+  // by tests only, like the two counters above.
+  std::uint64_t sessions_retaining_state = 0;
   // Allocator telemetry from the coroutine frame pool (this run's deltas):
   // frames served, frames recycled from a free list, and system heap
   // allocations (slab growth + oversize fallback). A steady-state run should

@@ -142,7 +142,9 @@ sim::Task Middleware::migrate_attempt(vm::VmInstance& vm, net::NodeId dst,
       std::find(active_sessions_.begin(), active_sessions_.end(), &session));
 
   if (!session.aborted()) {
+    // The audit reads the stores and the superseded set, so it runs first.
     if (auditor_ != nullptr) auditor_->check_completion(session, chunk_bytes);
+    session.release_transfer_state();
     *completed = true;  // done: source released
     co_return;
   }
@@ -170,6 +172,9 @@ sim::Task Middleware::migrate_attempt(vm::VmInstance& vm, net::NodeId dst,
       retired_stores_.push_back(std::move(store));
     }
   }
+  // The salvage bitmap is built: the session's per-chunk state goes once
+  // its push (or background copy) has observed the abort.
+  session.release_transfer_state();
   rec.retransferred_bytes +=
       (rec.memory_bytes_sent - mem_base) +
       chunk_bytes *

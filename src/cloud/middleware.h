@@ -87,8 +87,12 @@ class Middleware {
   std::size_t vm_count() const noexcept { return slots_.size(); }
   vm::VmInstance& vm(std::size_t i) noexcept { return *slots_[i]->vm; }
   core::MigrationManager* manager_of(const vm::VmInstance& vm) noexcept;
-  /// Sessions stay alive for the whole experiment (introspection + safety
-  /// of detached background tasks).
+  /// Every session ever started, in start order. The objects stay alive for
+  /// the whole experiment: parked coroutine frames may still point into
+  /// them, and the auditor reads their records and endpoints. Their
+  /// per-chunk transfer state does not: migrate_attempt() releases it when
+  /// the attempt ends (StorageMigrationSession::release_transfer_state), so
+  /// the heap held follows the migrations in flight.
   const std::vector<std::unique_ptr<core::StorageMigrationSession>>& sessions() const {
     return sessions_;
   }

@@ -9,54 +9,64 @@ HybridSession::HybridSession(sim::Simulator& sim, vm::Cluster& cluster,
                              MigrationRecord& rec, HybridConfig cfg)
     : StorageMigrationSession(sim, cluster, mgr, dst_node, rec),
       cfg_(cfg),
-      write_count_(mgr->replica().num_chunks(), 0),
-      transfer_count_(mgr->replica().num_chunks(), 0),
-      in_remaining_(mgr->replica().num_chunks()),
-      superseded_(mgr->replica().num_chunks()),
-      in_push_queue_(mgr->replica().num_chunks()),
+      xfer_(std::in_place, mgr->replica().num_chunks()),
       push_wakeup_(sim),
       push_stopped_(sim),
       pull_gate_(sim, /*open=*/true),
-      pulling_(mgr->replica().num_chunks()),
-      source_released_(sim),
-      rng_(cluster.rng().fork("hybrid-session", static_cast<std::uint64_t>(rec.vm_id))) {}
+      source_released_(sim) {
+  if (cfg_.pull_order == PullOrder::kRandom)
+    xfer_->rng = std::make_unique<sim::Rng>(
+        cluster.rng().fork("hybrid-session", static_cast<std::uint64_t>(rec.vm_id)));
+}
+
+HybridSession::TransferState::TransferState(std::uint32_t chunks)
+    : write_count(chunks, 0),
+      transfer_count(chunks, 0),
+      in_remaining(chunks),
+      superseded(chunks),
+      in_push_queue(chunks),
+      pulling(chunks) {}
 
 HybridSession::~HybridSession() = default;
 
 std::uint32_t HybridSession::alloc_pull_slot() {
-  if (pull_free_ != kNilSlot) {
-    const std::uint32_t slot = pull_free_;
-    pull_free_ = pull_slab_[slot].next_free;
+  TransferState& t = xfer();
+  if (t.pull_free != kNilSlot) {
+    const std::uint32_t slot = t.pull_free;
+    t.pull_free = t.pull_slab[slot].next_free;
     return slot;
   }
-  pull_slab_.emplace_back();
-  return static_cast<std::uint32_t>(pull_slab_.size() - 1);
+  t.pull_slab.emplace_back();
+  return static_cast<std::uint32_t>(t.pull_slab.size() - 1);
 }
 
 void HybridSession::release_pull_slot(std::uint32_t slot) noexcept {
-  PullState& st = pull_slab_[slot];
+  TransferState& t = xfer();
+  PullState& st = t.pull_slab[slot];
   st.done.reset();  // waiters were already enqueued by set()
   st.chunk = storage::kNoChunk;
   st.cancelled = false;
-  st.next_free = pull_free_;
-  pull_free_ = slot;
+  st.next_free = t.pull_free;
+  t.pull_free = slot;
 }
 
 std::uint32_t HybridSession::inflight_slot(ChunkId c) const noexcept {
-  if (!pulling_.test(c)) return kNilSlot;
-  for (std::uint32_t slot = 0; slot < pull_slab_.size(); ++slot)
-    if (pull_slab_[slot].chunk == c) return slot;
-  assert(false && "pulling_ bit set without a slab slot");
+  const TransferState& t = xfer();
+  if (!t.pulling.test(c)) return kNilSlot;
+  for (std::uint32_t slot = 0; slot < t.pull_slab.size(); ++slot)
+    if (t.pull_slab[slot].chunk == c) return slot;
+  assert(false && "pulling bit set without a slab slot");
   return kNilSlot;
 }
 
 void HybridSession::count_transfer(ChunkId c) noexcept {
-  if (transfer_count_[c] != std::numeric_limits<std::uint8_t>::max()) ++transfer_count_[c];
+  std::uint8_t& n = xfer().transfer_count[c];
+  if (n != std::numeric_limits<std::uint8_t>::max()) ++n;
 }
 
-void HybridSession::add_remaining(ChunkId c) { in_remaining_.set(c); }
+void HybridSession::add_remaining(ChunkId c) { xfer().in_remaining.set(c); }
 
-void HybridSession::remove_remaining(ChunkId c) { in_remaining_.reset(c); }
+void HybridSession::remove_remaining(ChunkId c) { xfer().in_remaining.reset(c); }
 
 bool HybridSession::is_duplicate(ChunkId c) const {
   if (!cfg_.dedup.enabled || cfg_.dedup.duplicate_fraction <= 0) return false;
@@ -84,8 +94,8 @@ void HybridSession::start() {
     if (has_resume_ && resume_valid_.test(c)) return;
     add_remaining(c);
     if (cfg_.push_enabled) {
-      push_queue_.push_back(c);
-      in_push_queue_.set(c);
+      xfer().push_queue.push_back(c);
+      xfer().in_push_queue.set(c);
     }
   });
   if (cfg_.push_enabled) {
@@ -97,12 +107,13 @@ void HybridSession::start() {
 }
 
 bool HybridSession::next_pushable(ChunkId& out) {
-  while (!push_queue_.empty()) {
-    const ChunkId c = push_queue_.front();
-    push_queue_.pop_front();
-    in_push_queue_.reset(c);
-    if (!in_remaining_.test(c)) continue;         // already handled
-    if (write_count_[c] >= cfg_.threshold) {      // hot chunk: defer to pull phase
+  TransferState& t = xfer();
+  while (!t.push_queue.empty()) {
+    const ChunkId c = t.push_queue.front();
+    t.push_queue.pop_front();
+    t.in_push_queue.reset(c);
+    if (!t.in_remaining.test(c)) continue;         // already handled
+    if (t.write_count[c] >= cfg_.threshold) {      // hot chunk: defer to pull phase
       ++push_skipped_hot_;
       continue;
     }
@@ -139,6 +150,7 @@ sim::Task HybridSession::push_task() {
   }
   push_running_ = false;
   push_stopped_.set();
+  maybe_release_transfer_state();
 }
 
 // Algorithm 2 (WRITE), both roles.
@@ -147,12 +159,12 @@ sim::Task HybridSession::vm_write(ChunkId c) {
     // Source role (Algorithm 2): WriteCount/RemainingSet update in the
     // request path, before the local write pays the host bus — a handoff
     // racing the in-flight write must still see the chunk as remaining.
-    ++write_count_[c];
+    ++xfer().write_count[c];
     add_remaining(c);
-    if (cfg_.push_enabled && !stop_push_ && write_count_[c] < cfg_.threshold &&
-        !in_push_queue_.test(c)) {
-      push_queue_.push_back(c);
-      in_push_queue_.set(c);
+    if (cfg_.push_enabled && !stop_push_ && xfer().write_count[c] < cfg_.threshold &&
+        !xfer().in_push_queue.test(c)) {
+      xfer().push_queue.push_back(c);
+      xfer().in_push_queue.set(c);
     }
     push_wakeup_.notify_all();
     co_await mgr_->local_write(c);
@@ -160,13 +172,13 @@ sim::Task HybridSession::vm_write(ChunkId c) {
   }
   // Destination role: the new data supersedes whatever the source had —
   // cancel any pull in progress and drop the chunk from RemainingSet.
-  superseded_.set(c);
+  xfer().superseded.set(c);
   const std::uint32_t slot = inflight_slot(c);
   if (slot != kNilSlot) {
-    pull_slab_[slot].cancelled = true;
+    xfer().pull_slab[slot].cancelled = true;
     ++cancelled_pulls_;
   }
-  if (in_remaining_.test(c)) {
+  if (xfer().in_remaining.test(c)) {
     remove_remaining(c);
     maybe_release_source();
   }
@@ -182,9 +194,9 @@ sim::Task HybridSession::vm_read(ChunkId c) {
       // event is registered with synchronously here; the slot itself may
       // be recycled before we resume, which is fine (set() has already
       // enqueued the wakeup by then).
-      sim::Event& done = *pull_slab_[slot].done;
+      sim::Event& done = *xfer().pull_slab[slot].done;
       co_await done.wait();
-    } else if (in_remaining_.test(c)) {
+    } else if (xfer().in_remaining.test(c)) {
       // Case 2: scheduled but not started — suspend BACKGROUND_PULL and
       // fetch this chunk with priority.
       pull_gate_.close();
@@ -198,27 +210,28 @@ sim::Task HybridSession::vm_read(ChunkId c) {
 }
 
 bool HybridSession::next_pull_candidate(ChunkId& out) {
+  TransferState& t = xfer();
   switch (cfg_.pull_order) {
     case PullOrder::kByWriteCount:
-      while (!pull_heap_.empty()) {
-        auto [count, c] = pull_heap_.top();
-        pull_heap_.pop();
-        if (!in_remaining_.test(c) || count != write_count_[c]) continue;  // stale
+      while (!t.pull_heap.empty()) {
+        auto [count, c] = t.pull_heap.top();
+        t.pull_heap.pop();
+        if (!t.in_remaining.test(c) || count != t.write_count[c]) continue;  // stale
         out = c;
         return true;
       }
       return false;
     case PullOrder::kFifo:
     case PullOrder::kRandom:
-      while (!pull_fifo_.empty()) {
+      while (!t.pull_fifo.empty()) {
         std::size_t idx = 0;
         if (cfg_.pull_order == PullOrder::kRandom) {
-          idx = static_cast<std::size_t>(rng_.uniform(pull_fifo_.size()));
-          std::swap(pull_fifo_[idx], pull_fifo_.front());
+          idx = static_cast<std::size_t>(t.rng->uniform(t.pull_fifo.size()));
+          std::swap(t.pull_fifo[idx], t.pull_fifo.front());
         }
-        const ChunkId c = pull_fifo_.front();
-        pull_fifo_.pop_front();
-        if (!in_remaining_.test(c)) continue;
+        const ChunkId c = t.pull_fifo.front();
+        t.pull_fifo.pop_front();
+        if (!t.in_remaining.test(c)) continue;
         out = c;
         return true;
       }
@@ -237,15 +250,17 @@ sim::Task HybridSession::pull_task() {
     co_await do_pull(c, /*on_demand=*/false);
   }
   maybe_release_source();
+  pull_running_ = false;
+  maybe_release_transfer_state();
 }
 
 sim::Task HybridSession::do_pull(ChunkId c, bool on_demand) {
   (void)on_demand;
   const std::uint32_t slot = alloc_pull_slot();
-  pull_slab_[slot].done.emplace(sim_);
-  pull_slab_[slot].chunk = c;
-  pull_slab_[slot].cancelled = false;
-  pulling_.set(c);
+  xfer().pull_slab[slot].done.emplace(sim_);
+  xfer().pull_slab[slot].chunk = c;
+  xfer().pull_slab[slot].cancelled = false;
+  xfer().pulling.set(c);
   ++active_pulls_;
   auto& net = cluster_.network();
   // Pulls run only after control transfer, where aborts no longer happen:
@@ -265,22 +280,22 @@ sim::Task HybridSession::do_pull(ChunkId c, bool on_demand) {
     co_await net.wait_node_up(dst_node_);
     co_await net.wait_node_up(src_node_);
   }
-  if (!pull_slab_[slot].cancelled) {
+  if (!xfer().pull_slab[slot].cancelled) {
     co_await dst_store_->write_chunk(c);
   }
   ++chunks_pulled_;
   count_transfer(c);
-  pull_log_.push_back(c);
+  xfer().pull_log.push_back(c);
   rec_.storage_chunks_pulled += 1;
-  pulling_.reset(c);
+  xfer().pulling.reset(c);
   --active_pulls_;
-  pull_slab_[slot].done->set();
+  xfer().pull_slab[slot].done->set();
   release_pull_slot(slot);
   maybe_release_source();
 }
 
 void HybridSession::maybe_release_source() {
-  if (control_transferred_ && in_remaining_.count() == 0 && active_pulls_ == 0 &&
+  if (control_transferred_ && xfer().in_remaining.count() == 0 && active_pulls_ == 0 &&
       !source_released_.is_set()) {
     source_released_.set();
   }
@@ -296,7 +311,7 @@ sim::Task HybridSession::pre_control_transfer() {
 
   // Ship RemainingSet + WriteCount to the destination.
   const double list_bytes =
-      kListEntryBytes * static_cast<double>(in_remaining_.count()) + 64;
+      kListEntryBytes * static_cast<double>(xfer().in_remaining.count()) + 64;
   if (!co_await cluster_.network().transfer(src_node_, dst_node_, list_bytes,
                                             net::TrafficClass::kControl)) {
     aborted_ = true;  // a crash raced the handoff: control must not move
@@ -304,16 +319,17 @@ sim::Task HybridSession::pre_control_transfer() {
   }
   // Pre-size the pull log so steady-state pulls never grow it (the
   // allocation-regression suite pins the pull phase at zero heap traffic).
-  pull_log_.reserve(pull_log_.size() + in_remaining_.count());
+  xfer().pull_log.reserve(xfer().pull_log.size() + xfer().in_remaining.count());
   // Seed the pull scheduler (word-scan of the packed RemainingSet).
-  in_remaining_.for_each_set([this](std::uint64_t c64) {
+  xfer().in_remaining.for_each_set([this](std::uint64_t c64) {
     const ChunkId c = static_cast<ChunkId>(c64);
     if (cfg_.pull_order == PullOrder::kByWriteCount)
-      pull_heap_.emplace(write_count_[c], c);
+      xfer().pull_heap.emplace(xfer().write_count[c], c);
     else
-      pull_fifo_.push_back(c);
+      xfer().pull_fifo.push_back(c);
   });
   pull_started_ = true;
+  pull_running_ = true;
   sim_.spawn(pull_task());
 }
 
@@ -338,10 +354,11 @@ std::unique_ptr<storage::ChunkStore> HybridSession::take_partial_destination(
   if (control_transferred_ || dst_store_owned_ == nullptr) return nullptr;
   // Current at the destination = pushed there and not re-dirtied since
   // (a later source write puts the chunk back into RemainingSet).
+  const util::DirtyBitmap& remaining = xfer().in_remaining;
   valid_out->resize(dst_store_owned_->num_chunks());
   valid_out->clear();
   dst_store_owned_->for_each_modified([&](ChunkId c) {
-    if (!in_remaining_.test(c)) valid_out->set(c);
+    if (!remaining.test(c)) valid_out->set(c);
   });
   dst_store_ = nullptr;
   return std::move(dst_store_owned_);

@@ -19,9 +19,11 @@
 // orders and thresholds.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -87,12 +89,15 @@ class HybridSession final : public StorageMigrationSession {
   std::unique_ptr<storage::ChunkStore> take_partial_destination(
       util::DirtyBitmap* valid_out) override;
   const util::DirtyBitmap* superseded_chunks() const noexcept override {
-    return &superseded_;
+    return &xfer().superseded;
   }
   // --- introspection (tests / benches) -------------------------------------
-  std::uint32_t write_count(ChunkId c) const { return write_count_[c]; }
+  // The per-chunk accessors (write_count, remaining_size, transfer_count,
+  // pull_log, superseded_chunks) read the transfer state, so they are valid
+  // only until release_transfer_state(); the counters stay valid.
+  std::uint32_t write_count(ChunkId c) const { return xfer().write_count[c]; }
   std::size_t remaining_size() const noexcept {
-    return static_cast<std::size_t>(in_remaining_.count());
+    return static_cast<std::size_t>(xfer().in_remaining.count());
   }
   std::uint64_t chunks_pushed() const noexcept { return chunks_pushed_; }
   std::uint64_t chunks_pulled() const noexcept { return chunks_pulled_; }
@@ -103,9 +108,9 @@ class HybridSession final : public StorageMigrationSession {
   /// is that this never exceeds Threshold + 1 for any chunk. Stored in one
   /// byte that saturates at 255: exact whenever Threshold + 1 <= 255. Only
   /// tests read it; nothing in a result depends on it.
-  std::uint32_t transfer_count(ChunkId c) const { return transfer_count_[c]; }
+  std::uint32_t transfer_count(ChunkId c) const { return xfer().transfer_count[c]; }
   /// Completed pulls in completion order (tests assert prefetch priority).
-  const std::vector<ChunkId>& pull_log() const noexcept { return pull_log_; }
+  const std::vector<ChunkId>& pull_log() const noexcept { return xfer().pull_log; }
   std::uint64_t dedup_hits() const noexcept { return dedup_hits_; }
 
  private:
@@ -128,11 +133,51 @@ class HybridSession final : public StorageMigrationSession {
     std::uint32_t next_free = kNilSlot;
   };
 
+  /// Everything the session keeps per chunk, plus the queues and the pull
+  /// log that grow with the chunks moved. It lives for the attempt only:
+  /// drop_transfer_state() frees it in one statement.
+  struct TransferState {
+    explicit TransferState(std::uint32_t chunks);
+
+    std::vector<std::uint32_t> write_count;  // exact: it is the pull priority
+    std::vector<std::uint8_t> transfer_count;  // saturating, see transfer_count()
+    util::DirtyBitmap in_remaining;  // the paper's RemainingSet, packed
+    // Chunks overwritten by the destination after control transfer; the
+    // source copy is obsolete the moment the write is issued, so the source
+    // may be released while the local write is still on the host bus.
+    util::DirtyBitmap superseded;
+    // push side
+    std::deque<ChunkId> push_queue;
+    util::DirtyBitmap in_push_queue;
+    // pull side
+    std::priority_queue<std::pair<std::uint32_t, ChunkId>> pull_heap;
+    std::deque<ChunkId> pull_fifo;
+    std::deque<PullState> pull_slab;
+    std::uint32_t pull_free = kNilSlot;
+    util::DirtyBitmap pulling;  // chunks with an in-flight pull slot
+    std::vector<ChunkId> pull_log;
+    // Draws the kRandom pull order; no other order builds it (2.5 KB).
+    std::unique_ptr<sim::Rng> rng;
+  };
+
+  TransferState& xfer() noexcept {
+    assert(xfer_.has_value() && "transfer state used after release");
+    return *xfer_;
+  }
+  const TransferState& xfer() const noexcept {
+    assert(xfer_.has_value() && "transfer state used after release");
+    return *xfer_;
+  }
+  bool transfer_tasks_running() const noexcept override {
+    return push_running_ || pull_running_;
+  }
+  void drop_transfer_state() noexcept override { xfer_.reset(); }
+
   std::uint32_t alloc_pull_slot();
   void release_pull_slot(std::uint32_t slot) noexcept;
   /// Slab slot of c's in-flight pull, kNilSlot when c is not being pulled.
   std::uint32_t inflight_slot(ChunkId c) const noexcept;
-  void count_transfer(ChunkId c) noexcept;  // saturating ++transfer_count_[c]
+  void count_transfer(ChunkId c) noexcept;  // saturating ++transfer_count[c]
   void add_remaining(ChunkId c);
   void remove_remaining(ChunkId c);
   /// Deterministic content-duplicate draw for chunk `c`.
@@ -146,33 +191,18 @@ class HybridSession final : public StorageMigrationSession {
   void maybe_release_source();
 
   HybridConfig cfg_;
-  std::vector<std::uint32_t> write_count_;  // exact: it is the pull priority
-  std::vector<std::uint8_t> transfer_count_;  // saturating, see transfer_count()
-  util::DirtyBitmap in_remaining_;  // the paper's RemainingSet, packed
-  // Chunks overwritten by the destination after control transfer; the
-  // source copy is obsolete the moment the write is issued, so the source
-  // may be released while the local write is still on the host bus.
-  util::DirtyBitmap superseded_;
+  std::optional<TransferState> xfer_;
 
-  // push side
-  std::deque<ChunkId> push_queue_;
-  util::DirtyBitmap in_push_queue_;
   sim::Notification push_wakeup_;
   bool push_running_ = false;
   bool stop_push_ = false;
   sim::Event push_stopped_;
 
-  // pull side
-  std::priority_queue<std::pair<std::uint32_t, ChunkId>> pull_heap_;
-  std::deque<ChunkId> pull_fifo_;
   sim::Gate pull_gate_;
-  std::deque<PullState> pull_slab_;
-  std::uint32_t pull_free_ = kNilSlot;
-  util::DirtyBitmap pulling_;  // chunks with an in-flight pull slot
   std::size_t active_pulls_ = 0;
   bool pull_started_ = false;
+  bool pull_running_ = false;
   sim::Event source_released_;
-  sim::Rng rng_;
 
   // stats
   std::uint64_t chunks_pushed_ = 0;
@@ -181,7 +211,6 @@ class HybridSession final : public StorageMigrationSession {
   std::uint64_t cancelled_pulls_ = 0;
   std::uint64_t push_skipped_hot_ = 0;
   std::uint64_t dedup_hits_ = 0;
-  std::vector<ChunkId> pull_log_;
 };
 
 }  // namespace hm::core

@@ -111,6 +111,17 @@ std::unique_ptr<storage::ChunkStore> StorageMigrationSession::take_partial_desti
   return nullptr;
 }
 
+void StorageMigrationSession::release_transfer_state() {
+  release_requested_ = true;
+  maybe_release_transfer_state();
+}
+
+void StorageMigrationSession::maybe_release_transfer_state() {
+  if (!release_requested_ || released_ || transfer_tasks_running()) return;
+  drop_transfer_state();
+  released_ = true;
+}
+
 sim::Task StorageMigrationSession::storage_round() { co_return; }
 
 sim::Task StorageMigrationSession::wait_ready_to_complete() { co_return; }

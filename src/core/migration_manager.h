@@ -93,6 +93,14 @@ class MigrationManager final : public storage::BlockBackend {
 /// Strategy interface for one live storage migration (source + destination
 /// coordination). Concrete implementations: HybridSession (our-approach and
 /// postcopy), PrecopySession, MirrorSession, SharedSession.
+///
+/// Lifetime: a session object lives until the experiment's teardown
+/// (parked coroutine frames may still point into it), but its per-chunk
+/// transfer state (write counts, transfer sets, queues, the pull log) lives
+/// only for its attempt. When the attempt ends the owner calls
+/// release_transfer_state(); from then on only record(), the endpoints,
+/// the store pointers and the scalar counters stay readable, and any
+/// per-chunk accessor trips a Debug assert.
 class StorageMigrationSession {
  public:
   StorageMigrationSession(sim::Simulator& sim, vm::Cluster& cluster, MigrationManager* mgr,
@@ -158,6 +166,16 @@ class StorageMigrationSession {
   virtual std::unique_ptr<storage::ChunkStore> take_partial_destination(
       util::DirtyBitmap* valid_out);
 
+  /// The attempt is over: the source was released and audited, or the
+  /// attempt aborted and take_partial_destination() has run. Drops the
+  /// per-chunk transfer state now, or, while one of the session's own
+  /// tasks is still winding down (an aborted push whose failed transfer
+  /// has yet to return), the moment the last one exits. Schedules nothing.
+  /// Idempotent.
+  void release_transfer_state();
+  /// True once the per-chunk transfer state is gone.
+  bool transfer_state_released() const noexcept { return released_; }
+
   bool control_transferred() const noexcept { return control_transferred_; }
   MigrationRecord& record() noexcept { return rec_; }
   const MigrationRecord& record() const noexcept { return rec_; }
@@ -176,6 +194,14 @@ class StorageMigrationSession {
   virtual const util::DirtyBitmap* superseded_chunks() const noexcept { return nullptr; }
 
  protected:
+  /// A session task calls this as it exits: completes a release that was
+  /// waiting for the task to wind down.
+  void maybe_release_transfer_state();
+  /// Whether a task of the session can still touch its transfer state.
+  virtual bool transfer_tasks_running() const noexcept { return false; }
+  /// Drop the per-chunk transfer state (the single release point).
+  virtual void drop_transfer_state() noexcept {}
+
   sim::Simulator& sim_;
   vm::Cluster& cluster_;
   MigrationManager* mgr_;  // null for the shared-storage baseline
@@ -195,6 +221,10 @@ class StorageMigrationSession {
   util::DirtyBitmap resume_valid_{0};
   bool has_resume_ = false;
   MigrationRecord& rec_;
+
+ private:
+  bool release_requested_ = false;
+  bool released_ = false;
 };
 
 }  // namespace hm::core

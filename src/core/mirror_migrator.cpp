@@ -13,9 +13,10 @@ MirrorSession::MirrorSession(sim::Simulator& sim, vm::Cluster& cluster,
 void MirrorSession::start() {
   if (has_resume_) {
     // Chunks preserved at an adopted destination need no re-mirroring.
-    for (ChunkId c = 0; c < mirrored_.size(); ++c)
-      if (resume_valid_.test(c)) mirrored_[c] = 1;
+    for (ChunkId c = 0; c < mirrored().size(); ++c)
+      if (resume_valid_.test(c)) mirrored()[c] = 1;
   }
+  bg_running_ = true;
   sim_.spawn(background_copy());
 }
 
@@ -33,7 +34,7 @@ std::unique_ptr<storage::ChunkStore> MirrorSession::take_partial_destination(
   valid_out->resize(dst_store_owned_->num_chunks());
   valid_out->clear();
   dst_store_owned_->for_each_modified([&](ChunkId c) {
-    if (mirrored_[c]) valid_out->set(c);
+    if (mirrored()[c]) valid_out->set(c);
   });
   dst_store_ = nullptr;
   return std::move(dst_store_owned_);
@@ -52,7 +53,7 @@ sim::Task MirrorSession::background_copy() {
     std::vector<ChunkId> batch;
     while (next < n && batch.size() < kBatchChunks) {
       const ChunkId c = next++;
-      if (!mirrored_[c]) batch.push_back(c);  // sync writes may have covered it
+      if (!mirrored()[c]) batch.push_back(c);  // sync writes may have covered it
     }
     if (batch.empty()) continue;
     for (ChunkId c : batch) {
@@ -70,12 +71,14 @@ sim::Task MirrorSession::background_copy() {
       break;  // crash under the batch; the retry re-streams un-mirrored chunks
     for (ChunkId c : batch) {
       co_await dst_store_->write_chunk(c);
-      mirrored_[c] = 1;
+      mirrored()[c] = 1;
       ++bg_copied_;
       rec_.storage_chunks_pushed += 1;
     }
   }
   bg_done_.set();
+  bg_running_ = false;
+  maybe_release_transfer_state();
 }
 
 sim::Task MirrorSession::mirror_remote_write(ChunkId c, sim::WaitGroup& wg) {
@@ -85,7 +88,7 @@ sim::Task MirrorSession::mirror_remote_write(ChunkId c, sim::WaitGroup& wg) {
                                         net::TrafficClass::kStoragePush);
   if (ok && !aborted_) {
     co_await dst_store_->write_chunk(c);
-    mirrored_[c] = 1;
+    mirrored()[c] = 1;
     ++writes_mirrored_;
     rec_.storage_chunks_pushed += 1;
   }
@@ -110,6 +113,7 @@ sim::Task MirrorSession::vm_write(ChunkId c) {
   co_await wg.wait();
   --inflight_writes_;
   drain_.notify_all();
+  maybe_release_transfer_state();
 }
 
 sim::Task MirrorSession::wait_ready_to_complete() { co_await bg_done_.wait(); }

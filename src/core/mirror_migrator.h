@@ -6,6 +6,7 @@
 // intensive workloads (the trade-off the paper measures).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -35,11 +36,24 @@ class MirrorSession final : public StorageMigrationSession {
   std::uint64_t writes_mirrored() const noexcept { return writes_mirrored_; }
 
  private:
+  std::vector<std::uint8_t>& mirrored() noexcept {
+    assert(!transfer_state_released() && "transfer state used after release");
+    return mirrored_;
+  }
+  /// The background copy and every mirrored write (whose remote leg marks
+  /// mirrored_) must have returned before the release.
+  bool transfer_tasks_running() const noexcept override {
+    return bg_running_ || inflight_writes_ > 0;
+  }
+  void drop_transfer_state() noexcept override { std::vector<std::uint8_t>().swap(mirrored_); }
+
   sim::Task background_copy();
   sim::Task mirror_remote_write(ChunkId c, sim::WaitGroup& wg);
 
-  std::vector<std::uint8_t> mirrored_;  // chunk already at destination
+  // Chunk already at destination: the per-chunk transfer state.
+  std::vector<std::uint8_t> mirrored_;
   std::size_t inflight_writes_ = 0;
+  bool bg_running_ = false;
   sim::Event bg_done_;
   sim::Notification drain_;
   std::uint64_t bg_copied_ = 0;

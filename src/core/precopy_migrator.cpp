@@ -8,23 +8,24 @@ PrecopySession::PrecopySession(sim::Simulator& sim, vm::Cluster& cluster,
                                MigrationManager* mgr, net::NodeId dst_node,
                                MigrationRecord& rec)
     : StorageMigrationSession(sim, cluster, mgr, dst_node, rec),
-      cow_(mgr->replica().image()),
-      dirty_(mgr->replica().num_chunks()),
-      send_count_(mgr->replica().num_chunks(), 0) {}
+      xfer_(std::in_place, mgr->replica().image()) {}
+
+PrecopySession::TransferState::TransferState(const storage::ImageConfig& img)
+    : cow(img), dirty(img.num_chunks()), send_count(img.num_chunks(), 0) {}
 
 void PrecopySession::start() {
   // Bulk phase: every chunk of the qcow2 snapshot (= every modified chunk)
   // is queued for the first round; on a retry, chunks already current at
   // the adopted destination are skipped.
   mgr_->replica().for_each_modified([this](ChunkId c) {
-    cow_.on_write(c);
+    xfer().cow.on_write(c);
     if (has_resume_ && resume_valid_.test(c)) return;
-    dirty_.set(c);
+    xfer().dirty.set(c);
   });
 }
 
 double PrecopySession::residual_storage_bytes() const {
-  return static_cast<double>(dirty_.count()) *
+  return static_cast<double>(xfer().dirty.count()) *
          static_cast<double>(src_store_->image().chunk_bytes);
 }
 
@@ -32,8 +33,8 @@ sim::Task PrecopySession::vm_write(ChunkId c) {
   // Dirty tracking commits in the request path so a round scan racing the
   // in-flight local write still counts it (same ordering as Algorithm 2).
   if (!control_transferred_) {
-    cow_.on_write(c);
-    dirty_.set(c);
+    xfer().cow.on_write(c);
+    xfer().dirty.set(c);
   }
   co_await mgr_->local_write(c);
 }
@@ -51,7 +52,7 @@ sim::Task PrecopySession::send_chunks(const std::vector<ChunkId>& chunks) {
       break;  // crash under the batch: it never arrived
     for (std::size_t k = 0; k < n; ++k) {
       co_await dst_store_->write_chunk(chunks[i + k]);
-      ++send_count_[chunks[i + k]];
+      ++xfer().send_count[chunks[i + k]];
       ++chunks_sent_;
       rec_.storage_chunks_pushed += 1;
     }
@@ -59,7 +60,7 @@ sim::Task PrecopySession::send_chunks(const std::vector<ChunkId>& chunks) {
   }
   // Everything unsent goes back into the dirty set so the retry (or the
   // next round) re-streams it.
-  for (; i < chunks.size(); ++i) dirty_.set(chunks[i]);
+  for (; i < chunks.size(); ++i) xfer().dirty.set(chunks[i]);
 }
 
 // One block-migration round: snapshot the dirty set (word-granular drain)
@@ -68,8 +69,8 @@ sim::Task PrecopySession::send_chunks(const std::vector<ChunkId>& chunks) {
 sim::Task PrecopySession::storage_round() {
   ++rounds_;
   std::vector<ChunkId> batch;
-  batch.reserve(dirty_.count());
-  dirty_.drain([&](std::uint64_t c) { batch.push_back(static_cast<ChunkId>(c)); });
+  batch.reserve(xfer().dirty.count());
+  xfer().dirty.drain([&](std::uint64_t c) { batch.push_back(static_cast<ChunkId>(c)); });
   co_await send_chunks(batch);
 }
 
@@ -87,7 +88,7 @@ std::unique_ptr<storage::ChunkStore> PrecopySession::take_partial_destination(
   valid_out->resize(dst_store_owned_->num_chunks());
   valid_out->clear();
   dst_store_owned_->for_each_modified([&](ChunkId c) {
-    if (!dirty_.test(c)) valid_out->set(c);
+    if (!xfer().dirty.test(c)) valid_out->set(c);
   });
   dst_store_ = nullptr;
   return std::move(dst_store_owned_);

@@ -8,8 +8,9 @@
 // pre-copy's non-convergence problem (the paper's core criticism).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <vector>
 
 #include "core/migration_manager.h"
@@ -39,16 +40,36 @@ class PrecopySession final : public StorageMigrationSession {
 
   std::uint64_t chunks_sent() const noexcept { return chunks_sent_; }
   std::uint64_t rounds() const noexcept { return rounds_; }
-  std::uint32_t send_count(ChunkId c) const { return send_count_[c]; }
-  const storage::CowImage& cow() const noexcept { return cow_; }
+  // Per-chunk, so valid only until release_transfer_state().
+  std::uint32_t send_count(ChunkId c) const { return xfer().send_count[c]; }
+  const storage::CowImage& cow() const noexcept { return xfer().cow; }
 
  private:
+  /// The per-chunk state of one attempt, dropped in one statement when it
+  /// ends. Every task that touches it is awaited by the hypervisor, so the
+  /// release never has to wait for one.
+  struct TransferState {
+    explicit TransferState(const storage::ImageConfig& img);
+
+    storage::CowImage cow;
+    // Packed dirty-chunk map; rounds snapshot it with a word-granular drain.
+    util::DirtyBitmap dirty;
+    std::vector<std::uint32_t> send_count;
+  };
+
+  TransferState& xfer() noexcept {
+    assert(xfer_.has_value() && "transfer state used after release");
+    return *xfer_;
+  }
+  const TransferState& xfer() const noexcept {
+    assert(xfer_.has_value() && "transfer state used after release");
+    return *xfer_;
+  }
+  void drop_transfer_state() noexcept override { xfer_.reset(); }
+
   sim::Task send_chunks(const std::vector<ChunkId>& chunks);
 
-  storage::CowImage cow_;
-  // Packed dirty-chunk map; rounds snapshot it with a word-granular drain.
-  util::DirtyBitmap dirty_;
-  std::vector<std::uint32_t> send_count_;
+  std::optional<TransferState> xfer_;
   std::uint64_t chunks_sent_ = 0;
   std::uint64_t rounds_ = 0;
 };

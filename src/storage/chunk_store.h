@@ -30,6 +30,8 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -67,9 +69,12 @@ struct ImageConfig {
 /// by chunk id, with membership in a packed bitmap: contains() is one bit
 /// test, insert/refresh/erase are pointer splices with zero allocation. A
 /// slot is two links, 8 B per chunk.
-/// Given a universe, the bitmap is sized once and the slot vector is
-/// reserved to it, so inserts never allocate; with universe 0 both grow to
-/// the largest id seen.
+/// Given a universe, the bitmap and the slot vector are sized to it once,
+/// so inserts never allocate; with universe 0 both grow to the largest id
+/// seen. Slots are default-initialized, i.e. left unwritten: only a
+/// member's slot is ever read, and it was written when the member was
+/// linked, so neither sizing nor growth touches a page beyond the slots
+/// that inserts write.
 /// The links exist only to pick a victim, so a set that can never evict
 /// keeps none: with a universe smaller than the capacity, every id fits
 /// at once, insert/erase touch only the bitmap and the slot vector stays
@@ -80,7 +85,7 @@ class LruChunkSet {
  public:
   explicit LruChunkSet(std::size_t capacity, std::size_t universe = 0)
       : capacity_(capacity), in_(universe), linked_(universe == 0 || capacity <= universe) {
-    if (linked_) slots_.reserve(universe);
+    if (linked_) slots_.resize(universe);
   }
 
   bool contains(ChunkId c) const noexcept { return c < in_.size() && in_.test(c); }
@@ -138,8 +143,17 @@ class LruChunkSet {
 
  private:
   struct Slot {
-    std::uint32_t prev = kNil;  // toward MRU
-    std::uint32_t next = kNil;  // toward LRU
+    std::uint32_t prev;  // toward MRU
+    std::uint32_t next;  // toward LRU
+  };
+  /// Constructs elements by default-initialization, so resize() writes
+  /// nothing into a trivial Slot.
+  template <class T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <class U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
   };
 
   void link_front(ChunkId c) noexcept {
@@ -168,7 +182,7 @@ class LruChunkSet {
   std::uint32_t tail_ = kNil;  // least recently used
   util::DirtyBitmap in_;       // membership, one bit per chunk id
   bool linked_;                // false: cannot evict, no slots kept
-  std::vector<Slot> slots_;
+  std::vector<Slot, DefaultInitAllocator<Slot>> slots_;
 };
 
 struct ChunkStoreConfig {

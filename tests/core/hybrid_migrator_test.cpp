@@ -234,6 +234,37 @@ TEST(HybridSessionInFlightPulls, ReadWaitsOnItsOwnChunksPull) {
   EXPECT_EQ(t.session->transfer_count(TwoPullsInFlight::kDemand), 1u);
 }
 
+// The attempt can end before the session's own tasks have returned; the
+// release of the per-chunk state then waits for the last one to exit.
+TEST(HybridSessionRelease, WaitsForThePullTaskParkedBehindADemandRead) {
+  TwoPullsInFlight t;
+  t.f.wait_release(*t.session);
+  t.session->release_transfer_state();
+  // Chunk 2's pull finished first and the pull task parked at the gate the
+  // demand read closed. Chunk 5's pull released the source and reopened
+  // the gate, but the pull task has yet to resume and find its heap empty.
+  EXPECT_FALSE(t.session->transfer_state_released());
+  t.f.s.run();
+  EXPECT_TRUE(t.session->transfer_state_released());
+  EXPECT_EQ(t.session->chunks_pulled(), 2u);  // counters outlive the state
+}
+
+TEST(HybridSessionRelease, WaitsForAnAbortedPushToExit) {
+  SessionFixture f;
+  f.populate(8);
+  auto session = make_session(f);
+  session->start();
+  f.s.run_while_pending([&] { return session->chunks_pushed() == 2; });
+  session->abort();
+  session->release_transfer_state();
+  EXPECT_FALSE(session->transfer_state_released());  // chunk 2's push is in flight
+  f.s.run();
+  EXPECT_TRUE(session->transfer_state_released());
+  EXPECT_EQ(session->chunks_pushed(), 3u);
+  session->release_transfer_state();  // idempotent
+  EXPECT_TRUE(session->transfer_state_released());
+}
+
 TEST(HybridSessionInFlightPulls, DestinationWriteCancelsOnlyItsOwnChunksPull) {
   TwoPullsInFlight t;
   ASSERT_EQ(t.session->chunks_pulled(), 0u) << "both pulls must be in flight";

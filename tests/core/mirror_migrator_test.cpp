@@ -128,6 +128,21 @@ TEST(MirrorSession, WritesAfterControlStayLocal) {
   EXPECT_TRUE(f.mgr.replica().modified(11));
 }
 
+// After an abort the background copy may still be mid-batch: the release
+// of the mirrored set waits until it has returned.
+TEST(MirrorSession, ReleaseWaitsForTheAbortedBackgroundCopy) {
+  SessionFixture f;
+  f.populate(3);
+  auto session = make_session(f);
+  session->start();
+  f.s.run_while_pending([&] { return session->chunks_copied_background() > 0; });
+  session->abort();
+  session->release_transfer_state();
+  EXPECT_FALSE(session->transfer_state_released());
+  f.s.run();
+  EXPECT_TRUE(session->transfer_state_released());
+}
+
 TEST(MirrorSession, TrafficAccountedAsStoragePush) {
   SessionFixture f;
   f.populate(3);

@@ -93,6 +93,10 @@ TEST(SteadyStateSoak, TwoVirtualHoursOfChurnWithAuditorArmed) {
   EXPECT_GT(res.recovery.total_retries, 0);
   EXPECT_GT(s.preemptions, 0u);
 
+  // Every attempt gave its per-chunk transfer state back when it ended:
+  // completed attempts after their audit, aborted ones after the salvage.
+  EXPECT_EQ(res.sessions_retaining_state, 0u);
+
   // Conservation/liveness auditor: armed the whole run, zero violations.
   EXPECT_GT(res.audit_checks, 100u);
   EXPECT_TRUE(res.audit_violations.empty())

@@ -90,9 +90,11 @@ class Middleware {
   /// Every session ever started, in start order. The objects stay alive for
   /// the whole experiment: parked coroutine frames may still point into
   /// them, and the auditor reads their records and endpoints. Their
-  /// per-chunk transfer state does not: migrate_attempt() releases it when
-  /// the attempt ends (StorageMigrationSession::release_transfer_state), so
-  /// the heap held follows the migrations in flight.
+  /// per-chunk transfer state does not: migrate_attempt() ends every
+  /// attempt with the last step of the session's attempt lifecycle
+  /// (StorageMigrationSession::release_transfer_state, after the completion
+  /// audit or the salvage), so the heap held follows the migrations in
+  /// flight.
   const std::vector<std::unique_ptr<core::StorageMigrationSession>>& sessions() const {
     return sessions_;
   }
@@ -110,6 +112,14 @@ class Middleware {
   std::unique_ptr<core::StorageMigrationSession> make_session(VmSlot& slot,
                                                               net::NodeId dst,
                                                               core::MigrationRecord& rec);
+  /// Whether an attempt toward `dst` can reuse `state`; retires it if not.
+  bool keep_resumable(core::MigrationManager::ResumeState& state, net::NodeId dst);
+  /// Hands `mgr`'s salvaged replica, if still usable, to the new `session`.
+  void adopt_salvage(core::MigrationManager& mgr, core::StorageMigrationSession& session,
+                     int vm_id);
+  /// Keeps the aborted `session`'s replica, if still usable, in `mgr`'s
+  /// resume slot. Returns the chunks kept.
+  double salvage(core::MigrationManager& mgr, core::StorageMigrationSession& session);
 
   sim::Simulator& sim_;
   vm::Cluster& cluster_;
@@ -120,9 +130,8 @@ class Middleware {
   std::vector<std::unique_ptr<VmSlot>> slots_;
   std::vector<std::unique_ptr<core::StorageMigrationSession>> sessions_;
   std::vector<core::StorageMigrationSession*> active_sessions_;  // attempts in flight
-  /// Partial destination replicas discarded on retry (destination crashed or
-  /// target changed). In-flight host-bus/flusher work may still reference
-  /// them, so they are parked until teardown instead of destroyed mid-run.
+  /// Partial destination replicas no attempt can reuse (destination crashed
+  /// or target changed), parked until teardown (see keep_resumable).
   std::vector<std::unique_ptr<storage::ChunkStore>> retired_stores_;
   int next_vm_id_ = 0;
 };

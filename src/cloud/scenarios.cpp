@@ -179,8 +179,7 @@ std::vector<ScenarioPoint> scenario_points() {
       {0.0, "0"}, {0.25, "0.25"}, {0.5, "0.5"}, {0.75, "0.75"}};
   for (const auto& [fraction, x] : fractions) {
     ExperimentConfig cfg = ior_config(hybrid);
-    cfg.approach_cfg.hybrid.dedup.enabled = fraction > 0;
-    cfg.approach_cfg.hybrid.dedup.duplicate_fraction = fraction;
+    cfg.approach_cfg.hybrid.duplicate_fraction = fraction;
     add("ablation/dedup", core::approach_name(hybrid), x, cfg);
   }
 

@@ -69,13 +69,13 @@ void HybridSession::add_remaining(ChunkId c) { xfer().in_remaining.set(c); }
 void HybridSession::remove_remaining(ChunkId c) { xfer().in_remaining.reset(c); }
 
 bool HybridSession::is_duplicate(ChunkId c) const {
-  if (!cfg_.dedup.enabled || cfg_.dedup.duplicate_fraction <= 0) return false;
+  if (cfg_.duplicate_fraction <= 0) return false;
   // Deterministic per-(session, chunk) draw so repeated transfers of a
   // chunk agree on its duplicate status.
   const std::uint64_t h =
       sim::splitmix64(static_cast<std::uint64_t>(rec_.vm_id) * 0x9e3779b9ULL + c);
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return u < cfg_.dedup.duplicate_fraction;
+  return u < cfg_.duplicate_fraction;
 }
 
 double HybridSession::wire_bytes(ChunkId c) {
@@ -91,7 +91,7 @@ double HybridSession::wire_bytes(ChunkId c) {
 // there are skipped — that is the resumed work.
 void HybridSession::start() {
   src_store_->for_each_modified([this](ChunkId c) {
-    if (has_resume_ && resume_valid_.test(c)) return;
+    if (resumed_current(c)) return;
     add_remaining(c);
     if (cfg_.push_enabled) {
       xfer().push_queue.push_back(c);
@@ -99,8 +99,7 @@ void HybridSession::start() {
     }
   });
   if (cfg_.push_enabled) {
-    push_running_ = true;
-    sim_.spawn(push_task());
+    spawn_task(push_task());
   } else {
     push_stopped_.set();
   }
@@ -143,14 +142,14 @@ sim::Task HybridSession::push_task() {
       add_remaining(c);
       continue;
     }
+    if (dst_store_ == nullptr) break;  // salvaged under the push: no replica left
     co_await dst_store_->write_chunk(c);
     ++chunks_pushed_;
     count_transfer(c);
     rec_.storage_chunks_pushed += 1;
   }
-  push_running_ = false;
   push_stopped_.set();
-  maybe_release_transfer_state();
+  task_exited();
 }
 
 // Algorithm 2 (WRITE), both roles.
@@ -202,7 +201,7 @@ sim::Task HybridSession::vm_read(ChunkId c) {
       pull_gate_.close();
       remove_remaining(c);
       ++demand_pulls_;
-      co_await do_pull(c, /*on_demand=*/true);
+      co_await do_pull(c);
       pull_gate_.open();
     }
   }
@@ -247,15 +246,13 @@ sim::Task HybridSession::pull_task() {
     ChunkId c;
     if (!next_pull_candidate(c)) break;
     remove_remaining(c);
-    co_await do_pull(c, /*on_demand=*/false);
+    co_await do_pull(c);
   }
   maybe_release_source();
-  pull_running_ = false;
-  maybe_release_transfer_state();
+  task_exited();
 }
 
-sim::Task HybridSession::do_pull(ChunkId c, bool on_demand) {
-  (void)on_demand;
+sim::Task HybridSession::do_pull(ChunkId c) {
   const std::uint32_t slot = alloc_pull_slot();
   xfer().pull_slab[slot].done.emplace(sim_);
   xfer().pull_slab[slot].chunk = c;
@@ -329,8 +326,7 @@ sim::Task HybridSession::pre_control_transfer() {
       xfer().pull_fifo.push_back(c);
   });
   pull_started_ = true;
-  pull_running_ = true;
-  sim_.spawn(pull_task());
+  spawn_task(pull_task());
 }
 
 sim::Task HybridSession::wait_source_released() {
@@ -347,21 +343,6 @@ void HybridSession::abort() {
   // recycled on their own completion path.
   stop_push_ = true;
   push_wakeup_.notify_all();
-}
-
-std::unique_ptr<storage::ChunkStore> HybridSession::take_partial_destination(
-    util::DirtyBitmap* valid_out) {
-  if (control_transferred_ || dst_store_owned_ == nullptr) return nullptr;
-  // Current at the destination = pushed there and not re-dirtied since
-  // (a later source write puts the chunk back into RemainingSet).
-  const util::DirtyBitmap& remaining = xfer().in_remaining;
-  valid_out->resize(dst_store_owned_->num_chunks());
-  valid_out->clear();
-  dst_store_owned_->for_each_modified([&](ChunkId c) {
-    if (!remaining.test(c)) valid_out->set(c);
-  });
-  dst_store_ = nullptr;
-  return std::move(dst_store_owned_);
 }
 
 }  // namespace hm::core

@@ -19,7 +19,6 @@
 // orders and thresholds.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -40,18 +39,6 @@ enum class PullOrder : std::uint8_t {
   kRandom,        // ablation: uniformly random
 };
 
-/// De-duplication extension (the paper's future work, Section 6): before
-/// moving a chunk, exchange a content fingerprint; if the destination
-/// already holds identical content (a base-image block, a zero chunk, a
-/// repeated pattern), only the fingerprint crosses the wire. Content itself
-/// is synthetic in this reproduction, so duplicate detection is modelled
-/// statistically: a deterministic per-chunk draw marks `duplicate_fraction`
-/// of the chunks as already present at the destination.
-struct DedupConfig {
-  bool enabled = false;
-  double duplicate_fraction = 0.0;
-};
-
 struct HybridConfig {
   /// Max times a chunk is pushed before being declared hot. The paper keeps
   /// this a free parameter; the ablation/threshold scenarios sweep it.
@@ -59,7 +46,14 @@ struct HybridConfig {
   /// Disable to obtain the pure post-copy baseline.
   bool push_enabled = true;
   PullOrder pull_order = PullOrder::kByWriteCount;
-  DedupConfig dedup{};
+  /// De-duplication extension (the paper's future work, Section 6): before
+  /// moving a chunk, exchange a content fingerprint; if the destination
+  /// already holds identical content (a base-image block, a zero chunk, a
+  /// repeated pattern), only the fingerprint crosses the wire. Content
+  /// itself is synthetic in this reproduction, so duplicate detection is
+  /// modelled statistically: a deterministic per-chunk draw marks this
+  /// fraction of the chunks as already present at the destination. 0 is off.
+  double duplicate_fraction = 0.0;
 
   static constexpr std::uint32_t kUnlimitedThreshold =
       std::numeric_limits<std::uint32_t>::max();
@@ -86,8 +80,11 @@ class HybridSession final : public StorageMigrationSession {
   sim::Task vm_read(ChunkId c) override;
   sim::Task vm_write(ChunkId c) override;
   void abort() override;
-  std::unique_ptr<storage::ChunkStore> take_partial_destination(
-      util::DirtyBitmap* valid_out) override;
+  /// Pushed and not re-dirtied since (a source write puts the chunk back
+  /// into RemainingSet).
+  bool current_at_destination(ChunkId c) const override {
+    return !xfer().in_remaining.test(c);
+  }
   const util::DirtyBitmap* superseded_chunks() const noexcept override {
     return &xfer().superseded;
   }
@@ -160,17 +157,8 @@ class HybridSession final : public StorageMigrationSession {
     std::unique_ptr<sim::Rng> rng;
   };
 
-  TransferState& xfer() noexcept {
-    assert(xfer_.has_value() && "transfer state used after release");
-    return *xfer_;
-  }
-  const TransferState& xfer() const noexcept {
-    assert(xfer_.has_value() && "transfer state used after release");
-    return *xfer_;
-  }
-  bool transfer_tasks_running() const noexcept override {
-    return push_running_ || pull_running_;
-  }
+  TransferState& xfer() noexcept { return live(xfer_); }
+  const TransferState& xfer() const noexcept { return live(xfer_); }
   void drop_transfer_state() noexcept override { xfer_.reset(); }
 
   std::uint32_t alloc_pull_slot();
@@ -187,21 +175,19 @@ class HybridSession final : public StorageMigrationSession {
   bool next_pull_candidate(ChunkId& out);
   sim::Task push_task();
   sim::Task pull_task();
-  sim::Task do_pull(ChunkId c, bool on_demand);
+  sim::Task do_pull(ChunkId c);
   void maybe_release_source();
 
   HybridConfig cfg_;
   std::optional<TransferState> xfer_;
 
   sim::Notification push_wakeup_;
-  bool push_running_ = false;
   bool stop_push_ = false;
   sim::Event push_stopped_;
 
   sim::Gate pull_gate_;
   std::size_t active_pulls_ = 0;
   bool pull_started_ = false;
-  bool pull_running_ = false;
   sim::Event source_released_;
 
   // stats

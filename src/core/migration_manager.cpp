@@ -77,7 +77,8 @@ StorageMigrationSession::StorageMigrationSession(sim::Simulator& sim, vm::Cluste
       mgr_(mgr),
       src_node_(mgr != nullptr ? mgr->node() : 0),
       dst_node_(dst_node),
-      rec_(rec) {
+      rec_(rec),
+      dst_epoch_(cluster.network().node_epoch(dst_node)) {
   if (mgr_ != nullptr) {
     dst_store_owned_ = cluster_.make_replica(dst_node_);
     dst_store_ = dst_store_owned_.get();
@@ -96,19 +97,24 @@ void StorageMigrationSession::transfer_control() {
 
 void StorageMigrationSession::abort() { aborted_ = true; }
 
-void StorageMigrationSession::adopt_destination(
-    std::unique_ptr<storage::ChunkStore> store, util::DirtyBitmap valid) {
-  if (store == nullptr) return;
-  assert(!control_transferred_);
-  dst_store_owned_ = std::move(store);
+void StorageMigrationSession::adopt(MigrationManager::ResumeState state) {
+  assert(!control_transferred_ && state.dst_node == dst_node_ && state.dst_store != nullptr);
+  dst_store_owned_ = std::move(state.dst_store);
   dst_store_ = dst_store_owned_.get();
-  resume_valid_ = std::move(valid);
-  has_resume_ = true;
+  resume_valid_ = std::move(state.valid);
 }
 
-std::unique_ptr<storage::ChunkStore> StorageMigrationSession::take_partial_destination(
-    util::DirtyBitmap*) {
-  return nullptr;
+std::optional<MigrationManager::ResumeState>
+StorageMigrationSession::take_partial_destination() {
+  if (control_transferred_ || dst_store_owned_ == nullptr) return std::nullopt;
+  MigrationManager::ResumeState state{std::move(dst_store_owned_),
+                                      util::DirtyBitmap(dst_store_->num_chunks()),
+                                      dst_node_, dst_epoch_};
+  state.dst_store->for_each_modified([&](ChunkId c) {
+    if (current_at_destination(c)) state.valid.set(c);
+  });
+  dst_store_ = nullptr;
+  return state;
 }
 
 void StorageMigrationSession::release_transfer_state() {
@@ -116,9 +122,16 @@ void StorageMigrationSession::release_transfer_state() {
   maybe_release_transfer_state();
 }
 
+void StorageMigrationSession::task_exited() noexcept {
+  assert(live_tasks_ > 0);
+  --live_tasks_;
+  maybe_release_transfer_state();
+}
+
 void StorageMigrationSession::maybe_release_transfer_state() {
-  if (!release_requested_ || released_ || transfer_tasks_running()) return;
+  if (!release_requested_ || released_ || live_tasks_ > 0) return;
   drop_transfer_state();
+  resume_valid_ = util::DirtyBitmap{};
   released_ = true;
 }
 

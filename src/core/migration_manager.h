@@ -8,10 +8,12 @@
 // transfer strategies (Table 1).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "core/metrics.h"
 #include "net/flow_network.h"
@@ -63,17 +65,22 @@ class MigrationManager final : public storage::BlockBackend {
   std::uint64_t repo_fetches() const noexcept { return repo_fetches_; }
 
   // --- abort/retry bookkeeping (fault axis) ---------------------------------
-  /// Partial destination replica preserved across an aborted attempt.
-  /// `valid` marks chunks whose content in `dst_store` is still current;
-  /// local_write() keeps it honest while the VM runs between attempts
-  /// (a source write makes the destination copy stale). The state is only
-  /// reusable while the destination node's crash epoch is unchanged — a
-  /// destination crash loses the un-synced partial replica.
+  /// Partial destination replica salvaged from an aborted attempt
+  /// (StorageMigrationSession::take_partial_destination). `valid` marks
+  /// chunks whose content in `dst_store` is still current; local_write()
+  /// keeps it honest while the VM runs between attempts (a source write
+  /// makes the destination copy stale).
   struct ResumeState {
     std::unique_ptr<storage::ChunkStore> dst_store;
     util::DirtyBitmap valid{0};
     net::NodeId dst_node = 0;
-    std::uint64_t dst_epoch = 0;
+    std::uint64_t dst_epoch = 0;  // dst_node's crash epoch when the attempt began
+
+    /// Whether an attempt toward `dst` may reuse the replica: same
+    /// destination, not crashed since (a crash loses the un-synced replica).
+    bool usable_at(const net::FlowNetwork& net, net::NodeId dst) const noexcept {
+      return dst_node == dst && dst_epoch == net.node_epoch(dst);
+    }
   };
   std::optional<ResumeState>& resume_state() noexcept { return resume_; }
 
@@ -94,13 +101,29 @@ class MigrationManager final : public storage::BlockBackend {
 /// coordination). Concrete implementations: HybridSession (our-approach and
 /// postcopy), PrecopySession, MirrorSession, SharedSession.
 ///
-/// Lifetime: a session object lives until the experiment's teardown
-/// (parked coroutine frames may still point into it), but its per-chunk
-/// transfer state (write counts, transfer sets, queues, the pull log) lives
-/// only for its attempt. When the attempt ends the owner calls
-/// release_transfer_state(); from then on only record(), the endpoints,
-/// the store pointers and the scalar counters stay readable, and any
-/// per-chunk accessor trips a Debug assert.
+/// Attempt lifecycle. One session drives one migration attempt. This class
+/// owns the lifecycle around the strategy's transfer, so a strategy states
+/// only how it moves chunks and which of them are current at the
+/// destination (current_at_destination):
+///   1. adopt(), on a retry, before start(): take over the partial
+///      destination replica an earlier attempt salvaged; resumed_current()
+///      names the chunks start() need not send again.
+///   2. start() ... wait_source_released(): the transfer. Every task the
+///      strategy spawns goes through spawn_task() and calls task_exited()
+///      as its last statement.
+///   3. After an abort, take_partial_destination() salvages the
+///      destination replica. dst_store_ is null from then on, and a task
+///      still in flight skips its destination write and exits.
+///   4. release_transfer_state() once the attempt is over (completed and
+///      audited, or aborted and salvaged): the per-chunk transfer state
+///      (write counts, transfer sets, queues, the pull log) is dropped the
+///      moment no spawned task is live.
+///
+/// Lifetime: the session object lives until the experiment's teardown
+/// (parked coroutine frames may still point into it). After the release
+/// only record(), the endpoints, the store pointers and the scalar
+/// counters stay readable; a per-chunk accessor trips live()'s Debug
+/// assert.
 class StorageMigrationSession {
  public:
   StorageMigrationSession(sim::Simulator& sim, vm::Cluster& cluster, MigrationManager* mgr,
@@ -153,25 +176,23 @@ class StorageMigrationSession {
   net::NodeId source_node() const noexcept { return src_node_; }
   net::NodeId destination_node() const noexcept { return dst_node_; }
 
-  /// Retry support: before start(), replace the destination replica with
-  /// partial state preserved from a previous attempt; `valid` marks the
-  /// chunks already current there, which the strategy skips when seeding
-  /// its transfer set.
-  void adopt_destination(std::unique_ptr<storage::ChunkStore> store,
-                         util::DirtyBitmap valid);
-  /// After an abort: relinquish the partial destination replica together
-  /// with the set of still-current chunks (written out through valid_out).
-  /// Returns null when the strategy keeps no resumable state or control
-  /// already moved.
-  virtual std::unique_ptr<storage::ChunkStore> take_partial_destination(
-      util::DirtyBitmap* valid_out);
+  /// Lifecycle step 1: replace the destination replica with the one `state`
+  /// salvaged from an earlier attempt to the same destination.
+  void adopt(MigrationManager::ResumeState state);
+  /// Lifecycle step 3: relinquish the partial destination replica, with
+  /// `valid` marking its modified chunks that current_at_destination()
+  /// vouches for. Empty when control already moved, the session has no
+  /// destination replica (pvfs-shared) or it was taken already.
+  std::optional<MigrationManager::ResumeState> take_partial_destination();
+  /// The strategy's predicate: whether chunk `c`, modified at the
+  /// destination replica, is current there. Reads the transfer state, so
+  /// valid only until the release.
+  virtual bool current_at_destination(ChunkId c) const = 0;
 
-  /// The attempt is over: the source was released and audited, or the
-  /// attempt aborted and take_partial_destination() has run. Drops the
-  /// per-chunk transfer state now, or, while one of the session's own
-  /// tasks is still winding down (an aborted push whose failed transfer
-  /// has yet to return), the moment the last one exits. Schedules nothing.
-  /// Idempotent.
+  /// Lifecycle step 4: drop the per-chunk transfer state now, or, while a
+  /// task of the session is still winding down (an aborted push whose
+  /// transfer has yet to return), the moment the last one exits. Schedules
+  /// nothing. Idempotent.
   void release_transfer_state();
   /// True once the per-chunk transfer state is gone.
   bool transfer_state_released() const noexcept { return released_; }
@@ -183,7 +204,8 @@ class StorageMigrationSession {
   /// Introspection for the invariant auditor. Both stay valid across
   /// transfer_control(): the destination replica's ownership moves to the
   /// manager but the object survives, and src_store_ is repointed at the
-  /// retained source replica. Null for the shared-storage baseline.
+  /// retained source replica. Null for the shared-storage baseline, and the
+  /// destination is null once take_partial_destination() took it.
   const storage::ChunkStore* source_store() const noexcept { return src_store_; }
   const storage::ChunkStore* destination_store() const noexcept { return dst_store_; }
   /// Chunks whose source content was made obsolete by a destination-side
@@ -194,13 +216,25 @@ class StorageMigrationSession {
   virtual const util::DirtyBitmap* superseded_chunks() const noexcept { return nullptr; }
 
  protected:
-  /// A session task calls this as it exits: completes a release that was
-  /// waiting for the task to wind down.
-  void maybe_release_transfer_state();
-  /// Whether a task of the session can still touch its transfer state.
-  virtual bool transfer_tasks_running() const noexcept { return false; }
-  /// Drop the per-chunk transfer state (the single release point).
+  /// Whether the adopted replica already holds chunk `c` current.
+  bool resumed_current(ChunkId c) const noexcept {
+    return c < resume_valid_.size() && resume_valid_.test(c);
+  }
+  /// Spawn a task that touches the transfer state; it must end with
+  /// task_exited(), which completes a release that was waiting for it.
+  void spawn_task(sim::Task t) {
+    ++live_tasks_;
+    sim_.spawn(std::move(t));
+  }
+  void task_exited() noexcept;
+  /// Drop the strategy's per-chunk transfer state (the single release point).
   virtual void drop_transfer_state() noexcept {}
+  /// The strategy's transfer state, asserting (Debug) it was not released.
+  template <class State>
+  static auto& live(State& state) noexcept {
+    assert(state.has_value() && "transfer state used after release");
+    return *state;
+  }
 
   sim::Simulator& sim_;
   vm::Cluster& cluster_;
@@ -216,13 +250,14 @@ class StorageMigrationSession {
   storage::ChunkStore* src_store_ = nullptr;
   bool control_transferred_ = false;
   bool aborted_ = false;
-  // Chunks already current at the adopted destination replica (see
-  // adopt_destination); only meaningful while has_resume_ is set.
-  util::DirtyBitmap resume_valid_{0};
-  bool has_resume_ = false;
   MigrationRecord& rec_;
 
  private:
+  void maybe_release_transfer_state();
+
+  std::uint64_t dst_epoch_;  // the destination's crash epoch at construction
+  util::DirtyBitmap resume_valid_;  // see resumed_current(); empty unless adopted
+  std::uint32_t live_tasks_ = 0;  // spawn_task()s yet to call task_exited()
   bool release_requested_ = false;
   bool released_ = false;
 };

@@ -6,18 +6,15 @@ MirrorSession::MirrorSession(sim::Simulator& sim, vm::Cluster& cluster,
                              MigrationManager* mgr, net::NodeId dst_node,
                              MigrationRecord& rec)
     : StorageMigrationSession(sim, cluster, mgr, dst_node, rec),
-      mirrored_(mgr->replica().num_chunks(), 0),
+      mirrored_(std::in_place, mgr->replica().num_chunks(), 0),
       bg_done_(sim),
       drain_(sim) {}
 
 void MirrorSession::start() {
-  if (has_resume_) {
-    // Chunks preserved at an adopted destination need no re-mirroring.
-    for (ChunkId c = 0; c < mirrored().size(); ++c)
-      if (resume_valid_.test(c)) mirrored()[c] = 1;
-  }
-  bg_running_ = true;
-  sim_.spawn(background_copy());
+  // Chunks preserved at an adopted destination need no re-mirroring.
+  for (ChunkId c = 0; c < mirrored().size(); ++c)
+    if (resumed_current(c)) mirrored()[c] = 1;
+  spawn_task(background_copy());
 }
 
 void MirrorSession::abort() {
@@ -26,18 +23,6 @@ void MirrorSession::abort() {
   // task itself bails at the next loop head or failed transfer.
   bg_done_.set();
   drain_.notify_all();
-}
-
-std::unique_ptr<storage::ChunkStore> MirrorSession::take_partial_destination(
-    util::DirtyBitmap* valid_out) {
-  if (control_transferred_ || dst_store_owned_ == nullptr) return nullptr;
-  valid_out->resize(dst_store_owned_->num_chunks());
-  valid_out->clear();
-  dst_store_owned_->for_each_modified([&](ChunkId c) {
-    if (mirrored()[c]) valid_out->set(c);
-  });
-  dst_store_ = nullptr;
-  return std::move(dst_store_owned_);
 }
 
 sim::Task MirrorSession::background_copy() {
@@ -70,6 +55,7 @@ sim::Task MirrorSession::background_copy() {
                                net::TrafficClass::kStoragePush))
       break;  // crash under the batch; the retry re-streams un-mirrored chunks
     for (ChunkId c : batch) {
+      if (dst_store_ == nullptr) break;  // salvaged mid-batch: no replica left
       co_await dst_store_->write_chunk(c);
       mirrored()[c] = 1;
       ++bg_copied_;
@@ -77,8 +63,7 @@ sim::Task MirrorSession::background_copy() {
     }
   }
   bg_done_.set();
-  bg_running_ = false;
-  maybe_release_transfer_state();
+  task_exited();
 }
 
 sim::Task MirrorSession::mirror_remote_write(ChunkId c, sim::WaitGroup& wg) {
@@ -93,6 +78,7 @@ sim::Task MirrorSession::mirror_remote_write(ChunkId c, sim::WaitGroup& wg) {
     rec_.storage_chunks_pushed += 1;
   }
   wg.done();  // the guest write must never deadlock on a failed mirror leg
+  task_exited();
 }
 
 // Writes complete on the source only after they also complete on the
@@ -109,11 +95,10 @@ sim::Task MirrorSession::vm_write(ChunkId c) {
     co_await self->mgr_->local_write(chunk);
     w.done();
   }(this, c, wg));
-  sim_.spawn(mirror_remote_write(c, wg));
+  spawn_task(mirror_remote_write(c, wg));
   co_await wg.wait();
   --inflight_writes_;
   drain_.notify_all();
-  maybe_release_transfer_state();
 }
 
 sim::Task MirrorSession::wait_ready_to_complete() { co_await bg_done_.wait(); }

@@ -6,8 +6,8 @@
 // intensive workloads (the trade-off the paper measures).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/migration_manager.h"
@@ -27,8 +27,8 @@ class MirrorSession final : public StorageMigrationSession {
   sim::Task wait_source_released() override;
   sim::Task vm_write(ChunkId c) override;
   void abort() override;
-  std::unique_ptr<storage::ChunkStore> take_partial_destination(
-      util::DirtyBitmap* valid_out) override;
+  /// Copied or mirrored there (a later guest write is mirrored too).
+  bool current_at_destination(ChunkId c) const override { return live(mirrored_)[c] != 0; }
   bool ready_to_complete() const override { return bg_done_.is_set(); }
   sim::Task wait_ready_to_complete() override;
 
@@ -36,24 +36,15 @@ class MirrorSession final : public StorageMigrationSession {
   std::uint64_t writes_mirrored() const noexcept { return writes_mirrored_; }
 
  private:
-  std::vector<std::uint8_t>& mirrored() noexcept {
-    assert(!transfer_state_released() && "transfer state used after release");
-    return mirrored_;
-  }
-  /// The background copy and every mirrored write (whose remote leg marks
-  /// mirrored_) must have returned before the release.
-  bool transfer_tasks_running() const noexcept override {
-    return bg_running_ || inflight_writes_ > 0;
-  }
-  void drop_transfer_state() noexcept override { std::vector<std::uint8_t>().swap(mirrored_); }
+  std::vector<std::uint8_t>& mirrored() noexcept { return live(mirrored_); }
+  void drop_transfer_state() noexcept override { mirrored_.reset(); }
 
   sim::Task background_copy();
   sim::Task mirror_remote_write(ChunkId c, sim::WaitGroup& wg);
 
   // Chunk already at destination: the per-chunk transfer state.
-  std::vector<std::uint8_t> mirrored_;
-  std::size_t inflight_writes_ = 0;
-  bool bg_running_ = false;
+  std::optional<std::vector<std::uint8_t>> mirrored_;
+  std::size_t inflight_writes_ = 0;  // guest writes awaiting both legs
   sim::Event bg_done_;
   sim::Notification drain_;
   std::uint64_t bg_copied_ = 0;

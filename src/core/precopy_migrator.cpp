@@ -1,7 +1,5 @@
 #include "core/precopy_migrator.h"
 
-#include <cassert>
-
 namespace hm::core {
 
 PrecopySession::PrecopySession(sim::Simulator& sim, vm::Cluster& cluster,
@@ -19,7 +17,7 @@ void PrecopySession::start() {
   // the adopted destination are skipped.
   mgr_->replica().for_each_modified([this](ChunkId c) {
     xfer().cow.on_write(c);
-    if (has_resume_ && resume_valid_.test(c)) return;
+    if (resumed_current(c)) return;
     xfer().dirty.set(c);
   });
 }
@@ -80,18 +78,5 @@ sim::Task PrecopySession::pre_control_transfer() { co_await storage_round(); }
 // The destination holds the full snapshot at control transfer; the source
 // is released immediately (Table 1 semantics).
 sim::Task PrecopySession::wait_source_released() { co_return; }
-
-std::unique_ptr<storage::ChunkStore> PrecopySession::take_partial_destination(
-    util::DirtyBitmap* valid_out) {
-  if (control_transferred_ || dst_store_owned_ == nullptr) return nullptr;
-  // Current at the destination = sent there and not re-dirtied since.
-  valid_out->resize(dst_store_owned_->num_chunks());
-  valid_out->clear();
-  dst_store_owned_->for_each_modified([&](ChunkId c) {
-    if (!xfer().dirty.test(c)) valid_out->set(c);
-  });
-  dst_store_ = nullptr;
-  return std::move(dst_store_owned_);
-}
 
 }  // namespace hm::core

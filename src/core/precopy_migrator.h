@@ -8,7 +8,6 @@
 // pre-copy's non-convergence problem (the paper's core criticism).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -31,8 +30,8 @@ class PrecopySession final : public StorageMigrationSession {
   sim::Task pre_control_transfer() override;
   sim::Task wait_source_released() override;
   sim::Task vm_write(ChunkId c) override;
-  std::unique_ptr<storage::ChunkStore> take_partial_destination(
-      util::DirtyBitmap* valid_out) override;
+  /// Sent and not re-dirtied since.
+  bool current_at_destination(ChunkId c) const override { return !xfer().dirty.test(c); }
 
   bool converges_with_memory() const override { return true; }
   double residual_storage_bytes() const override;
@@ -57,14 +56,8 @@ class PrecopySession final : public StorageMigrationSession {
     std::vector<std::uint32_t> send_count;
   };
 
-  TransferState& xfer() noexcept {
-    assert(xfer_.has_value() && "transfer state used after release");
-    return *xfer_;
-  }
-  const TransferState& xfer() const noexcept {
-    assert(xfer_.has_value() && "transfer state used after release");
-    return *xfer_;
-  }
+  TransferState& xfer() noexcept { return live(xfer_); }
+  const TransferState& xfer() const noexcept { return live(xfer_); }
   void drop_transfer_state() noexcept override { xfer_.reset(); }
 
   sim::Task send_chunks(const std::vector<ChunkId>& chunks);

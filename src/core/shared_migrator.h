@@ -26,6 +26,8 @@ class SharedSession final : public StorageMigrationSession {
     control_transferred_ = true;
   }
   sim::Task wait_source_released() override { co_return; }
+  // No destination replica: nothing to salvage.
+  bool current_at_destination(ChunkId) const override { return false; }
 
  private:
   storage::PvfsBackend& backend_;

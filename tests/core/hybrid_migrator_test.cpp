@@ -408,8 +408,7 @@ TEST(HybridDedup, DuplicatesMoveOnlyFingerprints) {
   SessionFixture f;
   f.populate(16);
   HybridConfig cfg;
-  cfg.dedup.enabled = true;
-  cfg.dedup.duplicate_fraction = 1.0;  // everything is a duplicate
+  cfg.duplicate_fraction = 1.0;  // everything is a duplicate
   auto session = make_session(f, cfg);
   session->start();
   f.s.run();
@@ -420,12 +419,11 @@ TEST(HybridDedup, DuplicatesMoveOnlyFingerprints) {
             16.0 * 1024);
 }
 
-TEST(HybridDedup, DisabledDedupMovesFullChunks) {
+TEST(HybridDedup, FractionZeroMovesFullChunks) {
   SessionFixture f;
   f.populate(4);
   HybridConfig cfg;
-  cfg.dedup.enabled = false;
-  cfg.dedup.duplicate_fraction = 1.0;  // must be ignored when disabled
+  cfg.duplicate_fraction = 0.0;  // de-duplication off
   auto session = make_session(f, cfg);
   session->start();
   f.s.run();
@@ -438,8 +436,7 @@ TEST(HybridDedup, PartialFractionSavesProportionally) {
   SessionFixture f;
   f.populate(32);
   HybridConfig cfg;
-  cfg.dedup.enabled = true;
-  cfg.dedup.duplicate_fraction = 0.5;
+  cfg.duplicate_fraction = 0.5;
   auto session = make_session(f, cfg);
   session->start();
   f.s.run();
@@ -452,8 +449,7 @@ TEST(HybridDedup, PullPhaseAlsoDeduplicates) {
   SessionFixture f;
   HybridConfig cfg;
   cfg.threshold = 1;
-  cfg.dedup.enabled = true;
-  cfg.dedup.duplicate_fraction = 1.0;
+  cfg.duplicate_fraction = 1.0;
   auto session = make_session(f, cfg);
   session->start();
   for (int i = 0; i < 2; ++i) f.write_chunk_now(3);
@@ -468,8 +464,7 @@ TEST(HybridDedup, DuplicateStatusIsStablePerChunk) {
   SessionFixture f;
   f.populate(1);
   HybridConfig cfg;
-  cfg.dedup.enabled = true;
-  cfg.dedup.duplicate_fraction = 0.5;
+  cfg.duplicate_fraction = 0.5;
   auto session = make_session(f, cfg);
   session->start();
   f.s.run();

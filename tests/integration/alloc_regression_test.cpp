@@ -291,10 +291,9 @@ TEST(FootprintGate, AbortedHybridSessionBytesPerChunk) {
   session->abort();
   f.s.run();  // the push observes the abort and exits
   f.mgr.end_migration();
-  util::DirtyBitmap valid;
-  std::unique_ptr<storage::ChunkStore> salvaged = session->take_partial_destination(&valid);
-  ASSERT_NE(salvaged, nullptr);
-  EXPECT_GE(valid.count(), 16u);
+  std::optional<MigrationManager::ResumeState> salvaged = session->take_partial_destination();
+  ASSERT_TRUE(salvaged.has_value());
+  EXPECT_GE(salvaged->valid.count(), 16u);
 
   session->release_transfer_state();
   ASSERT_TRUE(session->transfer_state_released());

@@ -166,7 +166,10 @@ struct ExperimentResult {
   // Allocator telemetry from the coroutine frame pool (this run's deltas):
   // frames served, frames recycled from a free list, and system heap
   // allocations (slab growth + oversize fallback). A steady-state run should
-  // show engine_frame_heap_allocs ~ 0 beyond warm-up.
+  // show engine_frame_heap_allocs ~ 0 beyond warm-up. Only engine_frames is
+  // a result field: the other two follow the pool's 64-byte size classes,
+  // so a frame that grows by a few bytes moves them with the same timeline
+  // (hm_alloc_tests and perfbench read them directly).
   std::uint64_t engine_frames = 0;
   std::uint64_t engine_frames_reused = 0;
   std::uint64_t engine_frame_heap_allocs = 0;

@@ -1,9 +1,7 @@
 #include "cloud/middleware.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <cstddef>
 #include <stdexcept>
 #include <utility>
 
@@ -107,14 +105,6 @@ sim::Task Middleware::migrate_attempt(vm::VmInstance& vm, net::NodeId dst,
 
   const double mem_base = rec.memory_bytes_sent;
   const double push_base = rec.storage_chunks_pushed;
-  // Frame-pool size class: the pool recycles coroutine frames in 64-byte
-  // classes, and this frame must not share a class with
-  // HybridSession::push_task's (257-320 bytes), or the engine's
-  // frames_reused / frame_heap_allocs counters, which the fig4 and steady
-  // goldens pin, shift. These bytes keep it in the 321-384 class (336
-  // bytes with the pad under gcc 12).
-  [[maybe_unused]] std::array<std::byte, 112> frame_class_pad{};
-
   // MIGRATION_REQUEST on the source manager (Algorithm 1), then forward the
   // request to the hypervisor, which migrates memory independently.
   if (slot->mgr) slot->mgr->begin_migration(&session);

@@ -55,8 +55,6 @@ const ResultField kFields[] = {
      kSolverWork | kImplementation},
     {"escalations", HM_GET(r.engine_escalations), kAlways, kSolverWork},
     {"coroutine_frames", HM_GET(r.engine_frames), kAlways, kImplementation},
-    {"frames_reused", HM_GET(r.engine_frames_reused), kAlways, kImplementation},
-    {"frame_heap_allocs", HM_GET(r.engine_frame_heap_allocs), kAlways, kImplementation},
     {"avg_migration_s", HM_GET(r.avg_migration_time), kAlways},
     {"total_traffic_gb", HM_GET(r.total_traffic / kGiB), kAlways},
     // Fault recovery and availability.

@@ -23,17 +23,6 @@ void Gate::open() {
   for (WaitNode* n = waiters_.drain(); n != nullptr; n = n->next) sim_->post(n->fn, n->a, n->b);
 }
 
-void Semaphore::release() {
-  if (!waiters_.empty()) {
-    // The permit is handed directly to the woken waiter (count_ stays 0),
-    // which keeps the queue strictly FIFO.
-    WaitNode* n = waiters_.pop();
-    sim_->post(n->fn, n->a, n->b);
-    return;
-  }
-  ++count_;
-}
-
 void WaitGroup::done() {
   if (count_ > 0) --count_;
   if (count_ == 0) {

@@ -1,8 +1,8 @@
 // Coroutine synchronization primitives for the simulator: one-shot events,
-// repeatable notifications, gates (suspend/resume), FIFO semaphores,
-// wait-groups, barriers and a single-server FIFO service station. All
-// wakeups are funneled through the simulator's event queue so resumption
-// order is deterministic and stack depth stays bounded.
+// repeatable notifications, gates (suspend/resume), wait-groups, barriers
+// and a single-server FIFO service station. All wakeups are funneled
+// through the simulator's event queue so resumption order is deterministic
+// and stack depth stays bounded.
 //
 // Waiter storage is intrusive: each awaiter embeds a WaitNode that lives in
 // the suspended coroutine's frame, so registering a waiter and waking it
@@ -29,6 +29,8 @@ class IntrusiveQueue {
  public:
   bool empty() const noexcept { return head_ == nullptr; }
   std::size_t size() const noexcept { return size_; }
+  /// Oldest node (nullptr when empty); follow `next` to walk the queue.
+  Node* front() const noexcept { return head_; }
 
   void push(Node* n) noexcept {
     n->next = nullptr;
@@ -174,56 +176,12 @@ class Gate {
   WaiterList waiters_;
 };
 
-/// Counting semaphore with strict FIFO handoff (fair queueing — used to
-/// model service queues with per-holder logic between acquire and release).
-class Semaphore {
- public:
-  Semaphore(Simulator& sim, std::size_t count) : sim_(&sim), count_(count) {}
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  struct Awaiter {
-    Semaphore& s;
-    WaitNode node;
-    bool await_ready() const noexcept { return s.try_acquire(); }
-    void await_suspend(std::coroutine_handle<> h) noexcept {
-      node.bind(h);
-      s.add_waiter(&node);
-    }
-    void await_resume() const noexcept {}
-  };
-  Awaiter acquire() noexcept { return Awaiter{*this, {}}; }
-  void release();
-
-  // Frameless-awaiter interface (same protocol the coroutine Awaiter uses):
-  // a failed try_acquire() followed by add_waiter() parks the caller; being
-  // woken from the queue means the permit is already owned (FIFO handoff —
-  // release() transfers it directly, count_ stays 0).
-  bool try_acquire() noexcept {
-    if (count_ > 0 && waiters_.empty()) {
-      --count_;
-      return true;
-    }
-    return false;
-  }
-  void add_waiter(WaitNode* n) noexcept { waiters_.push(n); }
-
-  std::size_t available() const noexcept { return count_; }
-  std::size_t queue_length() const noexcept { return waiters_.size(); }
-
- private:
-  Simulator* sim_;
-  std::size_t count_;
-  WaiterList waiters_;
-};
-
-/// Single-server FIFO service station: a frameless replacement for the
-/// "acquire a count-1 Semaphore, delay for a fixed service time, release"
-/// coroutine pattern (disk queues, host-bus arbitration). Event-for-event
-/// identical to that pattern — an idle submit schedules one service timer;
-/// a queued request wakes through one zero-delay handoff event before its
-/// timer, preserving strict FIFO — but with no coroutine frame per request.
-/// Nodes are embedded in the callers' awaiters, so queueing never allocates.
+/// Single-server FIFO service station: every fixed-service queue in the
+/// model (disks, the host bus, the guest bus) is one. An idle submit
+/// schedules one service timer; a queued request wakes through one
+/// zero-delay handoff event before its timer, preserving strict FIFO, and
+/// no request costs a coroutine frame. Nodes are embedded in the callers'
+/// awaiters, so queueing never allocates.
 class FifoStation {
  public:
   explicit FifoStation(Simulator& sim) : sim_(&sim) {}
@@ -260,8 +218,8 @@ class FifoStation {
   void complete(Node* n) {
     if (!queue_.empty()) {
       // Hand the server to the oldest queued request through the fast lane
-      // (one zero-delay event, like a Semaphore handoff), then resume the
-      // finished caller synchronously.
+      // (one zero-delay event), then resume the finished caller
+      // synchronously.
       sim_->post(&handoff_thunk, this, queue_.pop());
     } else {
       busy_ = false;

@@ -11,13 +11,11 @@
 // never evicts: its LruChunkSet is then a bare residency bitmap with no
 // recency links (a smaller cache, or a bigger image, keeps them).
 //
-// Host-dirty bookkeeping is one bit per chunk: mark_host_dirty sets the
-// chunk's bit, and the background flusher scans the bitmap with a
-// round-robin cursor (word-skip over clean regions). The flusher has
-// exactly one disk write in flight, so detecting a re-dirty during that
-// write needs two members, not a per-chunk array: the in-flight chunk id
-// and a flag that mark_host_dirty raises when it hits that id — no deque,
-// no hash probes on the write path.
+// This header also holds the two pieces both storage caches (this host
+// cache and the guest PageCache) are built from: the LruChunkSet that
+// records residency, and the WriteBackDrain that owns the dirty set and
+// drains it in the background, one chunk at a time, through the cache's
+// write leg (here a physical disk write).
 //
 // read_chunk/write_chunk/install_base_chunk are frameless awaitables: the
 // fixed-latency bus or disk leg is an intrusive FifoStation node embedded
@@ -76,15 +74,15 @@ struct ImageConfig {
 /// linked, so neither sizing nor growth touches a page beyond the slots
 /// that inserts write.
 /// The links exist only to pick a victim, so a set that can never evict
-/// keeps none: with a universe smaller than the capacity, every id fits
+/// keeps none: with a universe no larger than the capacity, every id fits
 /// at once, insert/erase touch only the bitmap and the slot vector stays
-/// empty. A set with capacity == universe keeps its links, because a
-/// cache that reserves room before it inserts (PageCache) evicts once the
-/// set is full, not only when it overflows.
+/// empty. PageCache, which makes room before it inserts, needs a victim
+/// only for an absent chunk when the set plus its reservations is full,
+/// and it skips that check for a set that holds the whole universe.
 class LruChunkSet {
  public:
   explicit LruChunkSet(std::size_t capacity, std::size_t universe = 0)
-      : capacity_(capacity), in_(universe), linked_(universe == 0 || capacity <= universe) {
+      : capacity_(capacity), in_(universe), linked_(universe == 0 || capacity < universe) {
     if (linked_) slots_.resize(universe);
   }
 
@@ -185,6 +183,111 @@ class LruChunkSet {
   std::vector<Slot, DefaultInitAllocator<Slot>> slots_;
 };
 
+/// Background write-back shared by the storage caches. It owns the dirty
+/// set (one bit per chunk) and the one task, spawned at the first mark(),
+/// that drains it through `Leg`: a callable mapping a chunk id to an
+/// awaitable write of that chunk.
+///
+/// The task scans the bitmap round-robin from a cursor (word-skipping clean
+/// regions) and has exactly one write in flight, so detecting a re-dirty
+/// during that write needs two members, not a per-chunk array: the
+/// in-flight chunk id and a flag that mark() raises when it hits that id.
+/// A re-dirtied chunk keeps its bit for the cursor's next lap. Fairness
+/// holds because the cursor always advances past a just-written chunk
+/// before considering it again, so a continuously re-dirtied chunk cannot
+/// starve the rest of the dirty set.
+template <class Leg>
+class WriteBackDrain {
+ public:
+  WriteBackDrain(sim::Simulator& sim, std::uint32_t num_chunks, Leg leg)
+      : sim_(sim), leg_(leg), dirty_(num_chunks), wakeup_(sim), progress_(sim) {}
+  WriteBackDrain(const WriteBackDrain&) = delete;
+  WriteBackDrain& operator=(const WriteBackDrain&) = delete;
+
+  /// Hold the drain while `gate` is closed (checked before each pick).
+  void set_gate(sim::Gate* gate) noexcept { gate_ = gate; }
+
+  void mark(ChunkId c) {
+    if (c == inflight_) redirtied_ = true;
+    dirty_.set(c);
+    if (!running_) {
+      running_ = true;
+      sim_.spawn(loop());
+    }
+    wakeup_.notify_all();
+  }
+
+  bool dirty(ChunkId c) const noexcept { return dirty_.test(c); }
+  std::uint64_t dirty_count() const noexcept { return dirty_.count(); }
+  /// Completed chunk writes.
+  std::uint64_t writes() const noexcept { return writes_; }
+  /// Notified after every completed write.
+  sim::Notification& progress() noexcept { return progress_; }
+
+  /// Frameless wait until no chunk is dirty: the condition is re-checked
+  /// at every completed write, the same single wakeup a coroutine looping
+  /// on progress() would take.
+  struct [[nodiscard]] CleanAwaiter {
+    WriteBackDrain& d;
+    std::coroutine_handle<> cont = nullptr;
+    sim::WaitNode node;
+
+    bool await_ready() const noexcept { return !d.dirty_.any(); }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      cont = h;
+      node.fn = &step;
+      node.a = this;
+      d.progress_.add_waiter(&node);
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    static void step(void* self, void*) {
+      auto* w = static_cast<CleanAwaiter*>(self);
+      if (w->d.dirty_.any())
+        w->d.progress_.add_waiter(&w->node);
+      else
+        w->cont.resume();
+    }
+  };
+  CleanAwaiter wait_clean() noexcept { return CleanAwaiter{*this, nullptr, {}}; }
+
+ private:
+  sim::Task loop() {
+    for (;;) {
+      if (gate_ != nullptr) co_await gate_->wait_open();
+      if (!dirty_.any()) {
+        co_await wakeup_.wait();
+        continue;
+      }
+      // Resume after the last written chunk, wrap at the end.
+      std::uint64_t next = dirty_.find_next(cursor_);
+      if (next == util::DirtyBitmap::npos) next = dirty_.find_next(0);
+      const ChunkId c = static_cast<ChunkId>(next);
+      cursor_ = c + 1;
+      inflight_ = c;
+      redirtied_ = false;
+      co_await leg_(c);
+      ++writes_;
+      if (!redirtied_) dirty_.reset(c);
+      inflight_ = kNoChunk;
+      progress_.notify_all();
+    }
+  }
+
+  sim::Simulator& sim_;
+  Leg leg_;
+  sim::Gate* gate_ = nullptr;
+  util::DirtyBitmap dirty_;
+  std::uint32_t cursor_ = 0;
+  ChunkId inflight_ = kNoChunk;  // the chunk under the one write in flight
+  bool redirtied_ = false;       // mark() hit inflight_ during its write
+  bool running_ = false;
+  std::uint64_t writes_ = 0;
+  sim::Notification wakeup_;
+  sim::Notification progress_;
+};
+
 struct ChunkStoreConfig {
   std::uint64_t host_cache_bytes = 6 * kGiB;  // host RAM available for the image file
   /// Sustained virtual-disk throughput through the FUSE layer (host cache
@@ -248,7 +351,7 @@ class ChunkStore {
     }
     void await_resume() const {
       st.cache_.insert(c);
-      st.mark_host_dirty(c);
+      st.drain_.mark(c);
     }
   };
 
@@ -301,21 +404,24 @@ class ChunkStore {
     return WriteAwaiter{*this, c, /*mark_modified=*/false, {}};
   }
   /// Wait until every host-dirty chunk reached the physical disk.
-  sim::Task flush();
+  auto flush() noexcept { return drain_.wait_clean(); }
 
   bool host_cached(ChunkId c) const noexcept { return cache_.contains(c); }
   std::size_t host_dirty_chunks() const noexcept {
-    return static_cast<std::size_t>(host_dirty_.count());
+    return static_cast<std::size_t>(drain_.dirty_count());
   }
   std::uint64_t cache_hits() const noexcept { return cache_hits_; }
   std::uint64_t cache_misses() const noexcept { return cache_misses_; }
   Disk& disk() noexcept { return disk_; }
 
  private:
-  sim::Task flusher_loop();
-  void mark_host_dirty(ChunkId c);
+  /// The drain's write leg: one chunk to the physical disk.
+  struct DiskWrite {
+    Disk& disk;
+    double bytes;
+    Disk::IoAwaiter operator()(ChunkId) const noexcept { return disk.write(bytes); }
+  };
 
-  sim::Simulator& sim_;
   Disk& disk_;
   ImageConfig img_;
   ChunkStoreConfig cfg_;
@@ -324,16 +430,7 @@ class ChunkStore {
   util::DirtyBitmap modified_;
   LruChunkSet cache_;
   sim::FifoStation bus_;  // host-bus arbitration (single server, FIFO)
-  // Host-dirty bookkeeping: bit set while a chunk is cached but not yet on
-  // disk. flush_redirtied_ records a mark_host_dirty of flush_inflight_
-  // (the chunk under the one in-flight disk write, kNoChunk when idle).
-  util::DirtyBitmap host_dirty_;
-  ChunkId flush_inflight_ = kNoChunk;
-  bool flush_redirtied_ = false;
-  std::uint32_t flush_cursor_ = 0;
-  sim::Notification flush_wakeup_;
-  sim::Notification flush_progress_;
-  bool flusher_running_ = false;
+  WriteBackDrain<DiskWrite> drain_;  // host-dirty: cached but not yet on disk
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
 };

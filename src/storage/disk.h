@@ -6,10 +6,8 @@
 //
 // read()/write() are frameless awaitables: a request is an intrusive
 // FifoStation node embedded in the awaiter (no coroutine frame, no heap
-// allocation per I/O). The event sequence is identical to the previous
-// semaphore-guarded coroutine — one service timer per request, plus one
-// zero-delay handoff event (a fast-lane push since PR 4) when the request
-// had to queue.
+// allocation per I/O): one service timer per request, plus one zero-delay
+// fast-lane handoff event when the request had to queue.
 #pragma once
 
 #include <coroutine>

@@ -13,36 +13,40 @@
 // dirtying the cache dirties guest pages that the hypervisor's memory
 // pre-copy has to (re)transmit. The on_cache_touch hook wires that coupling.
 //
+// Each fact has one record: a chunk is resident iff it is in the LRU set,
+// and dirty iff its bit is set in the WriteBackDrain (chunk_store.h), the
+// same drain the host cache uses. Here the drain holds while the VM's run
+// gate is closed and writes each chunk through the backend. Only a clean
+// resident chunk with no write pending can leave, and leaving always fires
+// the release hook.
+//
+// Capacity is enforced when room is made, not when a chunk is inserted: a
+// fill of an absent chunk first evicts clean chunks until the resident set
+// plus the fills still in flight (reserved_) is below capacity, so the LRU
+// set never evicts on insert (a Debug assert). A write to a resident chunk,
+// or to one another pending write will insert, needs no room, and a
+// resident chunk stays resident while a write to it is pending.
+//
 // write_chunk()/read_chunk() are FRAMELESS awaitables, because the guest
-// I/O steady state is chunk-at-a-time: the awaiter embeds one WaitNode that
-// parks a state-machine step in the throttle/eviction/bus waiter lists, and
-// the state updates after the last wait point run in await_resume — no
+// I/O steady state is chunk-at-a-time: the write awaiter embeds one WaitNode
+// that parks a state-machine step on the drain's progress (throttle, room),
+// and both awaiters embed a FifoStation node for the guest bus (the memory
+// copy); the state updates after the copy run in await_resume — no
 // coroutine frame per chunk op.
 // The read MISS path (backend fetch) still runs as one pooled coroutine,
 // started by symmetric transfer from the awaiter: misses leave the steady
 // state by definition, and the backend interface is Task-shaped.
-//
-// Dirty bookkeeping is the same bitmap + round-robin cursor pattern as
-// ChunkStore's host-dirty set: mark_dirty sets the chunk's bit, and the
-// write-back task scans the bitmap from a cursor (word-skipping clean
-// regions). The task has one write-back in flight at a time; mark_dirty of
-// that chunk raises a flag that leaves the bit set for the cursor's next
-// lap — no per-chunk array, no deque, no hash probes on the write path.
-// Fairness holds because the cursor always advances past a just-written
-// chunk before considering it again, so a continuously re-dirtied chunk
-// cannot starve the rest of the dirty set.
 #pragma once
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "storage/chunk_store.h"
-#include "util/bitmap.h"
 
 namespace hm::storage {
 
@@ -77,7 +81,7 @@ class PageCache {
 
   /// Gate the write-back task on the VM's run state: the guest kernel (and
   /// thus its write-back) is frozen while the hypervisor pauses the VM.
-  void set_run_gate(sim::Gate* gate) noexcept { run_gate_ = gate; }
+  void set_run_gate(sim::Gate* gate) noexcept { drain_.set_gate(gate); }
 
   /// Hook invoked when a chunk leaves the cache (eviction / invalidate);
   /// the VM uses it to release the backing guest memory pages.
@@ -85,23 +89,22 @@ class PageCache {
     release_hook_ = std::move(hook);
   }
 
- private:
-  enum class State : std::uint8_t { kAbsent, kClean, kDirty };
-
- public:
   /// Frameless buffered write of one full chunk. A hand-rolled state
-  /// machine over four wait points — dirty throttle, clean-eviction
-  /// capacity, guest-bus FIFO, copy delay — with the post-copy state
-  /// updates (LRU insert, dirty marking, touch hook) in await_resume.
-  /// Non-copyable in effect: the embedded WaitNode's address is
-  /// registered with the waiter lists, so the object must be awaited
-  /// where it was materialized (`co_await cache.write_chunk(c)`).
+  /// machine over three wait points — dirty throttle, room for an absent
+  /// chunk, guest-bus copy — with the post-copy state updates (LRU insert,
+  /// dirty marking, touch hook) in await_resume.
+  /// Non-copyable in effect: the embedded nodes' addresses are registered
+  /// with the waiter lists, so the object must be awaited where it was
+  /// materialized (`co_await cache.write_chunk(c)`).
   struct [[nodiscard]] WriteAwaiter {
     PageCache& pc;
     ChunkId c;
     std::coroutine_handle<> cont = nullptr;
-    sim::WaitNode node;
-    enum class St : std::uint8_t { kThrottle, kReserve, kCopy } st = St::kThrottle;
+    sim::WaitNode node;          // throttle and room waits
+    sim::FifoStation::Node bus;  // the copy
+    WriteAwaiter* next = nullptr;  // PageCache::writing_ link
+    bool throttle_passed = false;
+    bool reserved = false;  // holds one of reserved_'s slots
 
     bool await_ready() const noexcept { return false; }  // the copy always suspends
     void await_suspend(std::coroutine_handle<> h) {
@@ -111,9 +114,11 @@ class PageCache {
       step();
     }
     void await_resume() const {
-      pc.guest_bus_.release();
-      pc.lru_.insert(c);
-      pc.mark_dirty(c);
+      [[maybe_unused]] const WriteAwaiter* head = pc.writing_.pop();
+      assert(head == this);  // the bus completes writes in reservation order
+      if (reserved) --pc.reserved_;
+      pc.insert(c);
+      pc.drain_.mark(c);
       if (pc.touch_hook_) pc.touch_hook_(c);
     }
 
@@ -125,59 +130,42 @@ class PageCache {
   };
 
   /// Frameless buffered read of one full chunk. Cache hits — the steady
-  /// state — run the guest-bus + copy-delay machine with zero frames; a
-  /// miss symmetric-transfers into one pooled coroutine for the backend
-  /// fetch (see read_miss). Same awaited-in-place contract as WriteAwaiter.
+  /// state — queue a guest-bus copy with zero frames; a miss
+  /// symmetric-transfers into one pooled coroutine for the backend fetch
+  /// (see read_miss). Same awaited-in-place contract as WriteAwaiter.
   struct [[nodiscard]] ReadAwaiter {
     PageCache& pc;
     ChunkId c;
-    std::coroutine_handle<> cont = nullptr;
-    sim::WaitNode node;
+    sim::FifoStation::Node bus;
     sim::Task miss;
-    bool hit = false;
 
     bool await_ready() const noexcept { return false; }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-      cont = h;
-      if (pc.state_[c] != State::kAbsent) {
-        hit = true;
+      if (pc.lru_.contains(c)) {
         ++pc.hits_;
-        pc.lru_.insert(c);
-        node.fn = &bus_thunk;
-        node.a = this;
-        if (pc.guest_bus_.try_acquire())
-          start_copy();
-        else
-          pc.guest_bus_.add_waiter(&node);
+        pc.lru_.insert(c);  // refresh recency
+        bus.service_s = pc.img_.chunk_bytes / pc.cfg_.read_Bps;
+        bus.cont = h;
+        pc.guest_bus_.submit(&bus);
         return std::noop_coroutine();
       }
       miss = pc.read_miss(c);
       return miss.await_suspend(h);  // start the fetch, parent as continuation
     }
     void await_resume() {
-      if (hit) {
-        pc.guest_bus_.release();
-        return;
-      }
-      miss.await_resume();  // propagate a backend exception, if any
+      if (miss.valid()) miss.await_resume();  // propagate a backend exception, if any
     }
-
-   private:
-    static void bus_thunk(void* self, void*) {
-      static_cast<ReadAwaiter*>(self)->start_copy();
-    }
-    void start_copy();
   };
 
   /// Buffered write of one full chunk.
   WriteAwaiter write_chunk(ChunkId c) noexcept {
-    assert(c < state_.size());
-    return WriteAwaiter{*this, c, nullptr, {}};
+    assert(c < img_.num_chunks());
+    return WriteAwaiter{*this, c, nullptr, {}, {}};
   }
   /// Buffered read of one full chunk (miss fetches through the backend).
   ReadAwaiter read_chunk(ChunkId c) noexcept {
-    assert(c < state_.size());
-    return ReadAwaiter{*this, c, nullptr, {}, {}, false};
+    assert(c < img_.num_chunks());
+    return ReadAwaiter{*this, c, {}, {}};
   }
   /// fsync: wait until no dirty chunk remains, then sync the backend.
   sim::Task fsync();
@@ -185,45 +173,48 @@ class PageCache {
   void invalidate(ChunkId c);
 
   std::uint64_t dirty_bytes() const noexcept {
-    return dirty_.count() * img_.chunk_bytes;
+    return drain_.dirty_count() * img_.chunk_bytes;
   }
   std::size_t cached_chunks() const noexcept { return lru_.size(); }
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
-  std::uint64_t writeback_ops() const noexcept { return writeback_ops_; }
+  std::uint64_t writeback_ops() const noexcept { return drain_.writes(); }
   std::uint64_t throttle_events() const noexcept { return throttle_events_; }
 
  private:
-  sim::Task writeback_loop();
-  sim::Task read_miss(ChunkId c);
-  void mark_dirty(ChunkId c);
-  /// Evict clean LRU entries until a slot is free. False when everything
-  /// resident is dirty (caller waits for write-back progress and retries).
-  bool try_reserve_capacity();
+  /// The drain's write leg: wait for the backend to take the chunk.
+  struct BackendWrite {
+    BlockBackend& backend;
+    sim::Task operator()(ChunkId c) const { return backend.backend_write_chunk(c); }
+  };
 
-  sim::Simulator& sim_;
+  sim::Task read_miss(ChunkId c);
+  /// Evict clean, unpinned LRU entries until one more chunk fits beside
+  /// the resident set and the reservations. False when no chunk can leave
+  /// (the caller waits for write-back progress and retries).
+  bool make_room();
+  bool write_pending(ChunkId c) const noexcept;
+  bool can_leave(ChunkId c) const noexcept {
+    return !drain_.dirty(c) && !write_pending(c);
+  }
+  void drop(ChunkId c);
+  void insert(ChunkId c);
+
   BlockBackend& backend_;
   ImageConfig img_;
   PageCacheConfig cfg_;
-  std::vector<State> state_;
   LruChunkSet lru_;
-  // Dirty bitmap + cursor (see header comment). wb_redirtied_ records a
-  // mark_dirty of wb_inflight_ (the chunk under the one in-flight
-  // write-back, kNoChunk when idle).
-  util::DirtyBitmap dirty_;
-  std::uint32_t wb_cursor_ = 0;
-  ChunkId wb_inflight_ = kNoChunk;
-  bool wb_redirtied_ = false;
-  sim::Semaphore guest_bus_;
-  sim::Notification wb_wakeup_;
-  sim::Notification wb_progress_;
-  bool wb_running_ = false;
+  // Fills made room for but not yet inserted (writes to absent chunks).
+  std::uint32_t reserved_ = 0;
+  // Writes between making room and inserting, oldest first: each pins its
+  // chunk, and the guest bus completes them in this order.
+  sim::IntrusiveQueue<WriteAwaiter> writing_;
+  sim::FifoStation guest_bus_;
+  WriteBackDrain<BackendWrite> drain_;
   std::function<void(ChunkId)> touch_hook_;
   std::function<void(ChunkId)> release_hook_;
-  sim::Gate* run_gate_ = nullptr;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t writeback_ops_ = 0;
   std::uint64_t throttle_events_ = 0;
 };
 

@@ -597,22 +597,4 @@ sim::Task TraceApplication::run_all() {
   t_end_ = sim_.now();
 }
 
-// --- TraceWorkload -----------------------------------------------------------
-
-sim::Task TraceWorkload::run(vm::VmInstance& vm) {
-  std::vector<vm::VmInstance*> one{&vm};
-  if (data_ != nullptr) {
-    TraceApplication app(vm.cluster().sim(), one, *data_, opts_);
-    co_await app.run_all();
-    error_ = app.error();
-    applied_ = app.records_applied();
-  } else {
-    TraceApplication app(vm.cluster().sim(), one, path_, opts_);
-    co_await app.run_all();
-    error_ = app.error();
-    applied_ = app.records_applied();
-  }
-  finished_at_ = vm.cluster().sim().now();
-}
-
 }  // namespace hm::workloads

@@ -52,9 +52,11 @@
 #include <string>
 #include <vector>
 
+#include "sim/sync.h"
+#include "sim/task.h"
 #include "storage/chunk_store.h"
+#include "vm/vm_instance.h"
 #include "vm/workload_observer.h"
-#include "workloads/workload.h"
 
 namespace hm::workloads {
 
@@ -297,33 +299,6 @@ class TraceApplication {
   std::uint64_t applied_ = 0;
   double t_start_ = 0;
   double t_end_ = 0;
-};
-
-/// Workload-interface adapter: replays a trace on ONE VM (broadcast by
-/// default, so a single-source generated trace drives any VM). This is what
-/// plugs the trace axis into harnesses built around workloads::Workload.
-class TraceWorkload final : public Workload {
- public:
-  explicit TraceWorkload(const TraceData* data, TraceReplayOptions opts = {.broadcast = true})
-      : data_(data), opts_(opts) {}
-  explicit TraceWorkload(std::string path, TraceReplayOptions opts = {.broadcast = true})
-      : path_(std::move(path)), opts_(opts) {}
-
-  const char* name() const noexcept override { return "trace"; }
-  sim::Task run(vm::VmInstance& vm) override;
-
-  bool failed() const noexcept { return !error_.empty(); }
-  const std::string& error() const noexcept { return error_; }
-  std::uint64_t records_applied() const noexcept { return applied_; }
-  double finished_at() const noexcept { return finished_at_; }
-
- private:
-  const TraceData* data_ = nullptr;
-  std::string path_;
-  TraceReplayOptions opts_;
-  std::string error_;
-  std::uint64_t applied_ = 0;
-  double finished_at_ = 0;
 };
 
 }  // namespace hm::workloads

@@ -155,9 +155,10 @@ TEST(AllocRegression, PullPhaseSteadyStateIsAllocationFree) {
 //   ChunkStore            0.60  4 bitmaps (present, modified, host-dirty,
 //                               LRU membership) at 1/8 B each; the 6 GiB
 //                               host cache never evicts
-//   PageCache             1.36  1 B state + 2 bitmaps; the 3 GiB default
-//                               cache never evicts
-//   PageCache, fleet      9.36  as above + 8 B LRU link slot: the 768 MiB
+//   PageCache             0.36  2 bitmaps (LRU membership, the drain's
+//                               dirty set); the 3 GiB default cache never
+//                               evicts
+//   PageCache, fleet      8.36  as above + 8 B LRU link slot: the 768 MiB
 //                               cache holds 3072 of the 4096 chunks
 //   HybridSession         6.75  4 B write count + 1 B transfer count + 4
 //                               bitmaps, its destination ChunkStore (0.60),
@@ -202,7 +203,7 @@ TEST(FootprintGate, PageCacheBytesPerChunk) {
   NullBackend backend;
   const double per_chunk = heap_bytes_per_chunk(
       [&] { return std::make_unique<storage::PageCache>(s, backend, footprint_image()); });
-  EXPECT_NEAR(per_chunk, 1.36, kFootprintSlack);
+  EXPECT_NEAR(per_chunk, 0.36, kFootprintSlack);
 }
 
 // The fleet workloads' guest cache (768 MiB over the 1 GiB image) can
@@ -215,7 +216,7 @@ TEST(FootprintGate, FleetPageCacheBytesPerChunk) {
   const double per_chunk = heap_bytes_per_chunk([&] {
     return std::make_unique<storage::PageCache>(s, backend, footprint_image(), cfg);
   });
-  EXPECT_NEAR(per_chunk, 9.36, kFootprintSlack);
+  EXPECT_NEAR(per_chunk, 8.36, kFootprintSlack);
 }
 
 TEST(FootprintGate, HybridSessionBytesPerChunk) {
@@ -301,18 +302,31 @@ TEST(FootprintGate, AbortedHybridSessionBytesPerChunk) {
 }
 
 // Wakeup-heavy steady state: every event in this scenario is a zero-delay
-// continuation (notification wakeups, FIFO semaphore handoffs, yields) plus
-// the driver's timers — i.e. the simulator's fast lane and SmallFn slots,
-// nothing else. Pins the PR 4 dispatch machinery at zero heap allocations.
+// continuation (notification wakeups, FIFO station handoffs, yields) plus
+// the station's zero-length service timers and the driver's timers — i.e.
+// the simulator's fast lane, timer slots and SmallFn slots, nothing else.
+// Pins the PR 4 dispatch machinery at zero heap allocations.
 namespace {
 
-sim::Task churn_waiter(sim::Simulator* s, sim::Notification* note, sim::Semaphore* sem,
+/// One zero-length service at a FifoStation: queued behind the other
+/// waiters, it wakes through the station's fast-lane handoff.
+struct StationHold {
+  sim::FifoStation& st;
+  sim::FifoStation::Node node;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    node.cont = h;
+    st.submit(&node);
+  }
+  void await_resume() const noexcept {}
+};
+
+sim::Task churn_waiter(sim::Simulator* s, sim::Notification* note, sim::FifoStation* station,
                        std::uint64_t* wakeups) {
   for (;;) {
     co_await note->wait();
-    co_await sem->acquire();
-    co_await s->yield();  // fast-lane hop while holding the semaphore
-    sem->release();
+    co_await StationHold{*station, {0.0, nullptr, nullptr}};
+    co_await s->yield();  // fast-lane hop
     ++*wakeups;
   }
 }
@@ -329,9 +343,9 @@ sim::Task churn_driver(sim::Simulator* s, sim::Notification* note) {
 TEST(AllocRegression, WakeupAndYieldChurnIsAllocationFree) {
   sim::Simulator s;
   sim::Notification note(s);
-  sim::Semaphore sem(s, 1);
+  sim::FifoStation station(s);
   std::uint64_t wakeups = 0;
-  for (int i = 0; i < 16; ++i) s.spawn(churn_waiter(&s, &note, &sem, &wakeups));
+  for (int i = 0; i < 16; ++i) s.spawn(churn_waiter(&s, &note, &station, &wakeups));
   s.spawn(churn_driver(&s, &note));
   // Warm-up: frame pool, fast-lane ring and event slab reach capacity.
   step_until(s, [&] { return wakeups >= 512; });
@@ -343,7 +357,7 @@ TEST(AllocRegression, WakeupAndYieldChurnIsAllocationFree) {
 
   ASSERT_GE(wakeups, 4096u);
   EXPECT_EQ(after - before, 0u)
-      << "notification/semaphore wakeups, FIFO handoffs and yields must ride "
+      << "notification wakeups, FIFO station handoffs and yields must ride "
          "the fast lane without touching the heap";
 }
 

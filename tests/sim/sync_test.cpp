@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -113,42 +114,49 @@ TEST(Gate, ReclosableGate) {
   EXPECT_EQ(counter, 1);
 }
 
-Task hold_semaphore(Simulator* s, Semaphore* sem, double hold_s, std::vector<int>* order,
-                    int id) {
-  co_await sem->acquire();
+/// One service of `service_s` at a FifoStation, awaited in place.
+struct Serve {
+  FifoStation& st;
+  FifoStation::Node node;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    node.cont = h;
+    st.submit(&node);
+  }
+  void await_resume() const noexcept {}
+};
+
+Task hold_station(Simulator* s, FifoStation* st, double service_s, std::vector<int>* order,
+                  std::vector<double>* done_at, int id) {
+  co_await Serve{*st, {service_s, nullptr, nullptr}};
   order->push_back(id);
-  co_await s->delay(hold_s);
-  sem->release();
+  done_at->push_back(s->now());
 }
 
-TEST(Semaphore, MutualExclusionSerializes) {
+TEST(FifoStation, MutualExclusionSerializes) {
   Simulator s;
-  Semaphore sem(s, 1);
+  FifoStation st(s);
   std::vector<int> order;
-  for (int i = 0; i < 4; ++i) s.spawn(hold_semaphore(&s, &sem, 1.0, &order, i));
+  std::vector<double> done_at;
+  for (int i = 0; i < 4; ++i) s.spawn(hold_station(&s, &st, 1.0, &order, &done_at, i));
   s.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));  // strict FIFO
-  EXPECT_DOUBLE_EQ(s.now(), 4.0);                    // serialized holds
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));             // strict FIFO
+  EXPECT_EQ(done_at, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));  // serialized services
+  EXPECT_FALSE(st.busy());
 }
 
-TEST(Semaphore, CountTwoAllowsTwoConcurrent) {
+TEST(FifoStation, QueueLengthVisible) {
   Simulator s;
-  Semaphore sem(s, 2);
+  FifoStation st(s);
   std::vector<int> order;
-  for (int i = 0; i < 4; ++i) s.spawn(hold_semaphore(&s, &sem, 1.0, &order, i));
-  s.run();
-  EXPECT_DOUBLE_EQ(s.now(), 2.0);  // two waves of two
-}
-
-TEST(Semaphore, QueueLengthVisible) {
-  Simulator s;
-  Semaphore sem(s, 1);
-  std::vector<int> order;
-  for (int i = 0; i < 3; ++i) s.spawn(hold_semaphore(&s, &sem, 1.0, &order, i));
+  std::vector<double> done_at;
+  for (int i = 0; i < 3; ++i) s.spawn(hold_station(&s, &st, 1.0, &order, &done_at, i));
   s.run_until(0.5);
-  EXPECT_EQ(sem.queue_length(), 2u);
+  EXPECT_TRUE(st.busy());
+  EXPECT_EQ(st.queue_length(), 2u);  // behind the one in service
   s.run();
-  EXPECT_EQ(sem.queue_length(), 0u);
+  EXPECT_EQ(st.queue_length(), 0u);
+  EXPECT_FALSE(st.busy());
 }
 
 Task wg_worker(Simulator* s, WaitGroup* wg, double dt) {

@@ -163,13 +163,17 @@ TEST(LruChunkSet, LinkFreeSetMatchesLinkedSet) {
   for (ChunkId c = 0; c < kUniverse; ++c) EXPECT_EQ(bare.contains(c), linked.contains(c));
 }
 
-// capacity == universe can fill up, and a cache that reserves room before
-// it inserts evicts at that point, so the set keeps its links.
-TEST(LruChunkSet, CapacityEqualToUniverseKeepsLinks) {
-  EXPECT_TRUE(LruChunkSet(16, 16).linked());
+// A set with capacity == universe holds every id at once, so it never
+// evicts and keeps no links; one slot less and it can evict.
+TEST(LruChunkSet, CapacityEqualToUniverseKeepsNoLinks) {
+  EXPECT_FALSE(LruChunkSet(16, 16).linked());
   EXPECT_FALSE(LruChunkSet(17, 16).linked());
+  EXPECT_TRUE(LruChunkSet(15, 16).linked());
   EXPECT_TRUE(LruChunkSet(0, 16).linked());
   EXPECT_TRUE(LruChunkSet(4, 0).linked());
+  LruChunkSet full(16, 16);
+  for (ChunkId c = 0; c < 16; ++c) EXPECT_FALSE(full.insert(c));
+  EXPECT_EQ(full.size(), 16u);
 }
 
 TEST(ChunkStore, StartsEmpty) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -145,24 +146,92 @@ TEST(PageCache, CapacityEvictionDropsCleanChunks) {
   EXPECT_EQ(f.cache.misses(), misses_before + 1);
 }
 
-// A cache sized exactly to its image can fill up, and a write reserves
-// room before it inserts, so even a write to a resident chunk evicts the
-// coldest clean one. The cache must keep its recency links for that: the
-// write completes and the victim is the least recently used chunk.
-TEST(PageCache, CacheSizedToImageStillEvictsCleanChunkWhenFull) {
-  PageCacheConfig cfg = CacheFixture::make_cfg();
-  cfg.capacity_bytes = 16 * kMiB;  // == the 16-chunk image
-  CacheFixture f(cfg);
+// A write to a resident chunk needs no room, so a full cache evicts
+// nothing for it: not one sized to its image (its LRU set keeps no
+// links), nor a smaller one that can evict.
+TEST(PageCache, WriteToResidentChunkEvictsNothingWhenFull) {
+  for (const std::uint64_t capacity : {16 * kMiB, 8 * kMiB}) {
+    PageCacheConfig cfg = CacheFixture::make_cfg();
+    cfg.capacity_bytes = capacity;
+    CacheFixture f(cfg);
+    const auto slots = static_cast<ChunkId>(capacity / kMiB);
+    std::vector<ChunkId> released;
+    f.cache.set_release_hook([&](ChunkId c) { released.push_back(c); });
+    for (ChunkId c = 0; c < slots; ++c) f.run_read(c);  // full, every chunk clean
+    ASSERT_EQ(f.cache.cached_chunks(), slots);
+    f.run_write(0);  // chunk 0 is the coldest
+    EXPECT_TRUE(released.empty()) << slots << "-chunk cache";
+    EXPECT_EQ(f.cache.cached_chunks(), slots);
+    EXPECT_EQ(f.backend.writes, (std::vector<ChunkId>{0}));
+    const auto misses_before = f.cache.misses();
+    for (ChunkId c = 0; c < slots; ++c) f.run_read(c);
+    EXPECT_EQ(f.cache.misses(), misses_before) << "every chunk stays cached";
+  }
+}
+
+// Two writes of absent chunks both pass the room check before either
+// inserts. Room counts the reservations, so the second write evicts the
+// coldest clean chunk itself: the set never exceeds its capacity, every
+// chunk that leaves fires the release hook, and it misses on its next read.
+TEST(PageCache, ConcurrentFillsReserveRoomBeforeInserting) {
+  CacheFixture f;  // 8 chunks
+  std::vector<ChunkId> released;
+  std::size_t inserted = 0;
+  std::size_t peak = 0;
+  f.cache.set_release_hook([&](ChunkId c) { released.push_back(c); });
+  f.cache.set_touch_hook([&](ChunkId) {  // every write and fill here inserts
+    ++inserted;
+    peak = std::max(peak, f.cache.cached_chunks());
+  });
+  for (ChunkId c = 0; c < 7; ++c) f.run_read(c);  // 7 of 8 slots, clean
+  for (const ChunkId c : {ChunkId{8}, ChunkId{9}}) {
+    f.s.spawn([](PageCache* pc, ChunkId ch) -> sim::Task { co_await pc->write_chunk(ch); }(
+        &f.cache, c));
+  }
+  f.s.run();
+  EXPECT_LE(peak, 8u);
+  EXPECT_EQ(released, (std::vector<ChunkId>{0}));
+  EXPECT_EQ(inserted - released.size(), f.cache.cached_chunks());
+
+  const auto misses_before = f.cache.misses();
+  f.run_read(0);
+  EXPECT_EQ(f.cache.misses(), misses_before + 1) << "chunk 0 left the cache";
+  EXPECT_LE(peak, 8u);
+  EXPECT_EQ(released.size(), 2u);  // its fill evicted the next coldest
+  EXPECT_EQ(inserted - released.size(), f.cache.cached_chunks());
+}
+
+// A pending write pins its resident chunk: a fill that needs room while
+// the write is on the guest bus evicts the next clean chunk instead.
+TEST(PageCache, PendingWritePinsResidentChunk) {
+  CacheFixture f;  // 8 chunks
   std::vector<ChunkId> released;
   f.cache.set_release_hook([&](ChunkId c) { released.push_back(c); });
-  for (ChunkId c = 0; c < 16; ++c) f.run_read(c);  // every chunk, clean
-  ASSERT_EQ(f.cache.cached_chunks(), 16u);
-  ASSERT_TRUE(released.empty());
-  f.run_read(0);  // hit: 0 becomes the most recent, 1 the coldest
-  f.run_write(0);
+  for (ChunkId c = 0; c < 8; ++c) f.run_read(c);  // full; 0 is the coldest
+  for (const ChunkId c : {ChunkId{0}, ChunkId{8}}) {
+    f.s.spawn([](PageCache* pc, ChunkId ch) -> sim::Task { co_await pc->write_chunk(ch); }(
+        &f.cache, c));
+  }
+  f.s.run();
   EXPECT_EQ(released, (std::vector<ChunkId>{1}));
-  EXPECT_EQ(f.cache.cached_chunks(), 15u);
-  EXPECT_EQ(f.backend.writes, (std::vector<ChunkId>{0}));
+  EXPECT_EQ(f.cache.cached_chunks(), 8u);
+  const auto misses_before = f.cache.misses();
+  f.run_read(0);
+  EXPECT_EQ(f.cache.misses(), misses_before);
+}
+
+// Two writes of the same absent chunk need one slot between them.
+TEST(PageCache, WritesOfOneAbsentChunkReserveOneSlot) {
+  CacheFixture f;  // 8 chunks
+  std::vector<ChunkId> released;
+  f.cache.set_release_hook([&](ChunkId c) { released.push_back(c); });
+  for (ChunkId c = 0; c < 7; ++c) f.run_read(c);
+  for (int i = 0; i < 2; ++i) {
+    f.s.spawn([](PageCache* pc) -> sim::Task { co_await pc->write_chunk(8); }(&f.cache));
+  }
+  f.s.run();
+  EXPECT_TRUE(released.empty());
+  EXPECT_EQ(f.cache.cached_chunks(), 8u);
 }
 
 TEST(PageCache, InvalidateDropsCleanCopy) {

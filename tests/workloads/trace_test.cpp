@@ -475,12 +475,30 @@ struct ReplayFixture {
         mgr(s, cluster, 0, 0),
         vm(s, cluster, 0, 0, mgr, small_vm()) {}
 
-  void run(TraceWorkload& wl, bool* done) {
-    s.spawn([](TraceWorkload* w, vm::VmInstance* v, bool* d) -> sim::Task {
-      co_await w->run(*v);
+  /// What one replay left behind.
+  struct Replay {
+    bool done = false;
+    std::string error;
+    std::uint64_t records_applied = 0;
+    double finished_at = 0;
+    bool failed() const noexcept { return !error.empty(); }
+  };
+
+  /// Replay `source` (TraceData or a file path) on this fixture's one VM
+  /// and run the simulation to quiescence.
+  template <class Source>
+  Replay replay(const Source& source, TraceReplayOptions opts = {.broadcast = true}) {
+    TraceApplication app(s, {&vm}, source, opts);
+    Replay out;
+    s.spawn([](TraceApplication* a, bool* d) -> sim::Task {
+      co_await a->run_all();
       *d = true;
-    }(&wl, &vm, done));
+    }(&app, &out.done));
     s.run();
+    out.error = app.error();
+    out.records_applied = app.records_applied();
+    out.finished_at = app.finished_at();
+    return out;
   }
 };
 
@@ -518,12 +536,10 @@ TEST(TraceReplayUnit, AppliesChunkAndMemoryRecords) {
   const TraceData data = replay_trace();
   ReplayFixture f;
   const std::uint64_t dirty_before = f.vm.memory().dirty_bytes();
-  TraceWorkload wl(&data);
-  bool done = false;
-  f.run(wl, &done);
-  ASSERT_TRUE(done);
-  EXPECT_FALSE(wl.failed()) << wl.error();
-  EXPECT_EQ(wl.records_applied(), data.records.size());
+  const ReplayFixture::Replay res = f.replay(data);
+  ASSERT_TRUE(res.done);
+  EXPECT_FALSE(res.failed()) << res.error;
+  EXPECT_EQ(res.records_applied, data.records.size());
   EXPECT_DOUBLE_EQ(f.vm.io_stats().bytes_written, 16.0 * kMiB);
   EXPECT_DOUBLE_EQ(f.vm.io_stats().bytes_read, 4.0 * kMiB);
   // 8 pages of anon memory dirtied on top of the baseline (the chunk writes
@@ -536,11 +552,9 @@ TEST(TraceReplayUnit, ReplayIsDeterministic) {
   double finished[2];
   for (int i = 0; i < 2; ++i) {
     ReplayFixture f;
-    TraceWorkload wl(&data);
-    bool done = false;
-    f.run(wl, &done);
-    ASSERT_TRUE(done);
-    finished[i] = wl.finished_at();
+    const ReplayFixture::Replay res = f.replay(data);
+    ASSERT_TRUE(res.done);
+    finished[i] = res.finished_at;
   }
   EXPECT_EQ(finished[0], finished[1]);
 }
@@ -558,14 +572,12 @@ TEST(TraceReplayUnit, RespectsRunGate) {
   data.header.records = 1;
 
   ReplayFixture f;
-  TraceWorkload wl(&data);
-  bool done = false;
   f.s.schedule(0.1, [&] { f.vm.pause(); });
   f.s.schedule(1.1, [&] { f.vm.resume(); });
-  f.run(wl, &done);
-  ASSERT_TRUE(done);
+  const ReplayFixture::Replay res = f.replay(data);
+  ASSERT_TRUE(res.done);
   // 0.5 s of compute stretched by the 1 s pause.
-  EXPECT_NEAR(wl.finished_at(), 1.5, 0.2);
+  EXPECT_NEAR(res.finished_at, 1.5, 0.2);
 }
 
 TEST(TraceReplayUnit, BroadcastRejectsNetSend) {
@@ -579,12 +591,10 @@ TEST(TraceReplayUnit, BroadcastRejectsNetSend) {
   data.records.push_back(r);
   data.header.records = 1;
   ReplayFixture f;
-  TraceWorkload wl(&data);  // broadcast by default
-  bool done = false;
-  f.run(wl, &done);
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(wl.failed());
-  EXPECT_NE(wl.error().find("broadcast"), std::string::npos) << wl.error();
+  const ReplayFixture::Replay res = f.replay(data);  // broadcast by default
+  ASSERT_TRUE(res.done);
+  EXPECT_TRUE(res.failed());
+  EXPECT_NE(res.error.find("broadcast"), std::string::npos) << res.error;
 }
 
 TEST(TraceReplayUnit, GeometryLargerThanReplayImageIsErrorNotUB) {
@@ -604,12 +614,10 @@ TEST(TraceReplayUnit, GeometryLargerThanReplayImageIsErrorNotUB) {
   data.records.push_back(r);
   data.header.records = 1;
   ReplayFixture f;
-  TraceWorkload wl(&data);
-  bool done = false;
-  f.run(wl, &done);
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(wl.failed());
-  EXPECT_NE(wl.error().find("outside the replay image"), std::string::npos) << wl.error();
+  const ReplayFixture::Replay res = f.replay(data);
+  ASSERT_TRUE(res.done);
+  EXPECT_TRUE(res.failed());
+  EXPECT_NE(res.error.find("outside the replay image"), std::string::npos) << res.error;
 
   TraceData net;
   TraceRecord s;
@@ -623,23 +631,18 @@ TEST(TraceReplayUnit, GeometryLargerThanReplayImageIsErrorNotUB) {
   ReplayFixture f2;
   TraceReplayOptions exact;
   exact.broadcast = false;
-  TraceWorkload wl2(&net, exact);
-  bool done2 = false;
-  f2.run(wl2, &done2);
-  ASSERT_TRUE(done2);
-  EXPECT_TRUE(wl2.failed());
-  EXPECT_NE(wl2.error().find("outside the replay cluster"), std::string::npos)
-      << wl2.error();
+  const ReplayFixture::Replay res2 = f2.replay(net, exact);
+  ASSERT_TRUE(res2.done);
+  EXPECT_TRUE(res2.failed());
+  EXPECT_NE(res2.error.find("outside the replay cluster"), std::string::npos) << res2.error;
 }
 
 TEST(TraceReplayUnit, MissingFileSurfacesError) {
   ReplayFixture f;
-  TraceWorkload wl(tmp_path("definitely_missing.trace"));
-  bool done = false;
-  f.run(wl, &done);
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(wl.failed());
-  EXPECT_NE(wl.error().find("cannot open"), std::string::npos) << wl.error();
+  const ReplayFixture::Replay res = f.replay(tmp_path("definitely_missing.trace"));
+  ASSERT_TRUE(res.done);
+  EXPECT_TRUE(res.failed());
+  EXPECT_NE(res.error.find("cannot open"), std::string::npos) << res.error;
 }
 
 // --- committed reference trace ----------------------------------------------
@@ -662,13 +665,11 @@ TEST(TraceGolden, ReferenceTraceLoadsAndReplaysDeterministically) {
   double written[2];
   for (int i = 0; i < 2; ++i) {
     ReplayFixture f;
-    TraceWorkload wl(&data);
-    bool done = false;
-    f.run(wl, &done);
-    ASSERT_TRUE(done);
-    ASSERT_FALSE(wl.failed()) << wl.error();
-    EXPECT_EQ(wl.records_applied(), data.records.size());
-    finished[i] = wl.finished_at();
+    const ReplayFixture::Replay res = f.replay(data);
+    ASSERT_TRUE(res.done);
+    ASSERT_FALSE(res.failed()) << res.error;
+    EXPECT_EQ(res.records_applied, data.records.size());
+    finished[i] = res.finished_at;
     written[i] = f.vm.io_stats().bytes_written;
   }
   EXPECT_EQ(finished[0], finished[1]);

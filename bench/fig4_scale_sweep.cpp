@@ -47,9 +47,8 @@
 // result-field table's recovery fields to each row. Churn regimes also run
 // the invariant auditor (cloud/auditor.h); any violation fails the sweep.
 //
-// The sixth argument sets the shard count ("auto" resolves it at plan time
-// to min(component count, worker threads available)): every experiment in
-// the sweep runs on that many parallel in-process simulator shards (see
+// The sixth argument sets the shard count: every experiment in the sweep
+// runs on up to that many parallel in-process simulator shards (see
 // cloud/shard_plan.h). The nonblocking core decomposes into independent
 // shards; the oversub core's finite fabric/uplinks couple every flow, so
 // its plan collapses to one shard (the JSON rows report shards=1 and the
@@ -59,7 +58,7 @@
 // check_sweep_golden.py --shards.
 //
 // Usage: fig4_scale_sweep [max_n] [oversub|nonblocking] [stagger_s]
-//                         [asyncwr|trace:SPEC] [none|faults:SPEC] [shards|auto]
+//                         [asyncwr|trace:SPEC] [none|faults:SPEC] [shards]
 //                         [--full-solve]
 //        (defaults: 256 oversub 0 asyncwr none 1). --full-solve, anywhere on
 //        the command line, runs the full re-solve regime, which must
@@ -123,14 +122,15 @@ int main(int argc, char** argv) {
       nonblocking = true;
     } else if (std::strcmp(argv[2], "oversub") != 0) {
       std::cerr << "usage: fig4_scale_sweep [max_n] [oversub|nonblocking] [stagger_s]"
-                   " [asyncwr|trace:SPEC] [none|faults:SPEC] [shards|auto] [--full-solve]\n";
+                   " [asyncwr|trace:SPEC] [none|faults:SPEC] [shards] [--full-solve]\n";
       return 2;
     }
   }
   const double stagger_s = argc > 3 ? cli::parse_number<double>("stagger_s", argv[3], 0.0) : 0.0;
   const std::string workload = argc > 4 ? argv[4] : "asyncwr";
   const std::string faults_arg = argc > 5 ? argv[5] : "none";
-  const std::uint32_t shards = argc > 6 ? cli::parse_shards("shards", argv[6]) : 1;
+  const std::uint32_t shards =
+      argc > 6 ? cli::parse_number<std::uint32_t>("shards", argv[6], 1) : 1;
   sim::FaultSpec faults;
   {
     std::string err;

@@ -26,7 +26,7 @@
 // least-loaded placement, preemption on.
 //
 // Usage: steady_state_sweep [max_n] [oversub|nonblocking] [auto|SPEC]
-//                           [none|faults:SPEC] [shards|auto] [--full-solve]
+//                           [none|faults:SPEC] [shards] [--full-solve]
 //        (defaults: 64 oversub auto none 1). --full-solve, anywhere on the
 //        command line, runs the full re-solve regime.
 #include <cstdio>
@@ -77,13 +77,14 @@ int main(int argc, char** argv) {
       nonblocking = true;
     } else if (std::strcmp(argv[2], "oversub") != 0) {
       std::cerr << "usage: steady_state_sweep [max_n] [oversub|nonblocking]"
-                   " [auto|SPEC] [none|faults:SPEC] [shards|auto] [--full-solve]\n";
+                   " [auto|SPEC] [none|faults:SPEC] [shards] [--full-solve]\n";
       return 2;
     }
   }
   const std::string spec_arg = argc > 3 ? argv[3] : "auto";
   const std::string faults_arg = argc > 4 ? argv[4] : "none";
-  const std::uint32_t shards = argc > 5 ? cli::parse_shards("shards", argv[5]) : 1;
+  const std::uint32_t shards =
+      argc > 5 ? cli::parse_number<std::uint32_t>("shards", argv[5], 1) : 1;
   sim::FaultSpec faults;
   {
     std::string err;

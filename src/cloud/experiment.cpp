@@ -160,7 +160,6 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   std::unique_ptr<Auditor> auditor;
   std::unique_ptr<Scheduler> scheduler;
 
-  const std::size_t n_vms = cfg.num_vms;
   // `owned` holds global VM ids. Each slice builds a full cluster replica
   // with the global node numbering, so VM i always deploys on node i
   // regardless of slicing.
@@ -221,8 +220,8 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   }
 
   // --- migration schedule -------------------------------------------------
-  // Launch k targets VM k with destination n_vms + (k % num_destinations);
-  // times and schedule order depend only on the global index, so a slice
+  // Launch k targets VM k with destination cfg.destination_of(k); times
+  // and schedule order depend only on the global index, so a slice
   // schedules its owned subset identically to the whole fleet.
   // With the continuous scheduler enabled the fixed launch schedule is
   // replaced wholesale: requests arrive from the configured stream and the
@@ -232,7 +231,7 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   if (cfg.perform_migrations && cfg.scheduler.enabled()) {
     migrations_done.add();
     scheduler = std::make_unique<Scheduler>(
-        simulator, cluster, mw, cfg.scheduler, static_cast<net::NodeId>(n_vms),
+        simulator, cluster, mw, cfg.scheduler, static_cast<net::NodeId>(cfg.num_vms),
         static_cast<std::uint32_t>(cfg.num_destinations), &migrations_done);
     scheduler->start();
   } else if (cfg.perform_migrations) {
@@ -242,9 +241,8 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
       if (k >= cfg.num_migrations) continue;
       const double at = cfg.first_migration_at + static_cast<double>(k) *
                                                      cfg.migration_interval_s;
-      const net::NodeId dst =
-          static_cast<net::NodeId>(n_vms + (k % cfg.num_destinations));
-      launches.push_back(MigLaunch{&simulator, &mw, vms[idx], &migrations_done, dst});
+      launches.push_back(
+          MigLaunch{&simulator, &mw, vms[idx], &migrations_done, cfg.destination_of(k)});
       migrations_done.add();
       simulator.schedule(at, [l = &launches.back()] {
         l->sim->spawn(migrate_and_signal(l->mw, l->target, l->dst, l->done));
@@ -254,21 +252,9 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   }
 
   // --- fault plan ---------------------------------------------------------
-  // Churn/rand/global-scoped plans statically collapse to one slice, which
-  // owns every VM and arms the whole plan. Routable scripted plans
-  // (plan_shards verified every target maps into one component) arm per
-  // slice with the events the slice owns.
+  // Any fault spec collapses the shard plan, so this slice owns every VM.
   if (cfg.faults.enabled()) {
-    sim::FaultPlan plan = sim::build_fault_plan(
-        cfg.faults, cluster.rng(), static_cast<std::uint32_t>(cfg.num_migrations));
-    if (owned.size() < n_vms) {
-      std::erase_if(plan.events, [&](const sim::FaultEvent& ev) {
-        const auto v = static_cast<std::uint32_t>(ev.target % n_vms);
-        return !std::binary_search(owned.begin(), owned.end(), v);
-      });
-    }
-    injector = std::make_unique<FaultInjector>(simulator, cluster, mw, std::move(plan),
-                                               cfg.num_vms, cfg.num_destinations);
+    injector = std::make_unique<FaultInjector>(simulator, cluster, mw, cfg);
     injector->arm();
   }
 

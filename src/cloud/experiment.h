@@ -47,7 +47,8 @@ struct ExperimentConfig {
 
   /// Number of source VMs (CM1 overrides this with its rank count).
   std::size_t num_vms = 1;
-  /// Destination nodes available (sources map onto them round-robin).
+  /// Destination nodes available (sources map onto them round-robin, see
+  /// destination_of).
   std::size_t num_destinations = 1;
   /// How many of the sources get migrated.
   std::size_t num_migrations = 1;
@@ -80,23 +81,29 @@ struct ExperimentConfig {
   /// shard plan (the auditor must observe every migration).
   bool audit = false;
 
-  /// Simulator shards for this one experiment (parallel in-process). The
-  /// deterministic partitioner (cloud/shard_plan.h) decomposes the VM fleet
-  /// into constraint-graph components and runs them on worker threads drawn
-  /// from sim::WorkerBudget. Anything that couples slices — a finite fabric
-  /// aggregate or finite switch uplinks, CM1/IOR, faults, PVFS, trace
-  /// recording, non-broadcast replay — conservatively collapses the plan to
-  /// one shard. Every virtual-time field of the result is byte-identical
-  /// for any shard count — only wall_ms may change. kShardsAuto picks
-  /// min(component count, workers available) at plan time.
+  /// Simulator shards for this one experiment (parallel in-process): at
+  /// most this many. The deterministic partitioner (cloud/shard_plan.h)
+  /// decomposes the VM fleet into constraint-graph components and runs
+  /// them on worker threads drawn from sim::WorkerBudget. Anything that
+  /// couples slices — any fault spec, the auditor, the scheduler, PVFS,
+  /// CM1/IOR, non-broadcast replay, trace recording, a finite fabric
+  /// aggregate or finite switch uplinks — collapses the plan to one shard.
+  /// Every virtual-time field of the result is byte-identical for any
+  /// shard count — only wall_ms may change.
   std::uint32_t shards = 1;
-  static constexpr std::uint32_t kShardsAuto = 0xffffffffu;
 
   std::uint64_t seed = 42;
 
   /// Ensure the cluster is large enough for sources + destinations and that
   /// approach-specific settings (PVFS) are consistent.
   void normalize();
+
+  /// Migration k moves VM k off node k onto this node: the destinations
+  /// follow the VM nodes and take migrations round-robin. Needs a
+  /// normalized config (num_destinations >= 1).
+  net::NodeId destination_of(std::size_t k) const noexcept {
+    return static_cast<net::NodeId>(num_vms + k % num_destinations);
+  }
 
   /// A diagnostic when this config cannot run, else empty: the chunk and
   /// page sizes must be positive and the selected workload's file extent

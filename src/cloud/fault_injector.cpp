@@ -4,58 +4,60 @@
 
 namespace hm::cloud {
 
+std::size_t fault_migration(const ExperimentConfig& cfg, const sim::FaultEvent& ev) {
+  return cfg.num_vms > 0 ? ev.target % cfg.num_vms : 0;
+}
+
+std::vector<net::NodeId> fault_nodes(const ExperimentConfig& cfg, const sim::FaultEvent& ev) {
+  switch (sim::fault_kind_info(ev.kind).scope) {
+    case sim::FaultScope::kMigrationSource:
+      return {static_cast<net::NodeId>(fault_migration(cfg, ev))};
+    case sim::FaultScope::kMigrationDest:
+      return {cfg.destination_of(fault_migration(cfg, ev))};
+    case sim::FaultScope::kNode:
+      return {static_cast<net::NodeId>(ev.target % cfg.cluster.num_nodes)};
+    case sim::FaultScope::kDomain: {
+      std::vector<net::NodeId> members;
+      for (const std::uint32_t n : cfg.faults.domains[ev.target].nodes)
+        if (n < cfg.cluster.num_nodes) members.push_back(static_cast<net::NodeId>(n));
+      return members;
+    }
+    case sim::FaultScope::kRepository:
+      break;
+  }
+  return {};
+}
+
+std::size_t churn_node_count(const ExperimentConfig& cfg) {
+  const std::uint32_t nodes = cfg.faults.churn_spec.nodes;
+  return std::min(nodes > 0 ? nodes : cfg.num_vms + cfg.num_destinations, cfg.cluster.num_nodes);
+}
+
 FaultInjector::FaultInjector(sim::Simulator& sim, vm::Cluster& cluster, Middleware& mw,
-                             sim::FaultPlan plan, std::size_t num_vms,
-                             std::size_t num_destinations)
+                             const ExperimentConfig& cfg)
     : sim_(sim),
       cluster_(cluster),
       mw_(mw),
-      plan_(std::move(plan)),
-      num_vms_(num_vms),
-      num_destinations_(num_destinations == 0 ? 1 : num_destinations),
+      cfg_(cfg),
       down_holds_(cluster.size(), 0),
       paused_vms_(cluster.size()),
       down_since_(cluster.size(), 0),
-      window_holds_(cluster.size(), 0) {
-  domain_nodes_.reserve(plan_.domains.size());
-  for (const sim::FaultDomain& d : plan_.domains) {
-    std::vector<net::NodeId> members;
-    for (const std::uint32_t n : d.nodes)
-      if (n < cluster_.size()) members.push_back(static_cast<net::NodeId>(n));
-    domain_nodes_.push_back(std::move(members));
-  }
-}
-
-net::NodeId FaultInjector::resolve_node(const sim::FaultEvent& ev) const {
-  if (sim::fault_kind_is_node(ev.kind))
-    return static_cast<net::NodeId>(ev.target % cluster_.size());
-  if (sim::fault_kind_is_domain(ev.kind)) return 0;  // resolved per member
-  const std::size_t k = num_vms_ > 0 ? ev.target % num_vms_ : 0;
-  switch (ev.kind) {
-    case sim::FaultKind::kDestCrash:
-    case sim::FaultKind::kSlowReceiver:
-      // Destination of migration #k under the experiment's round-robin map.
-      return static_cast<net::NodeId>(num_vms_ + k % num_destinations_);
-    default:
-      return static_cast<net::NodeId>(k);  // source node of migration #k
-  }
-}
+      window_holds_(cluster.size(), 0) {}
 
 void FaultInjector::arm() {
-  for (const sim::FaultEvent& ev : plan_.events) {
-    slots_.push_back(Slot{this, ev, resolve_node(ev)});
+  for (const sim::FaultEvent& ev : sim::build_fault_plan(
+           cfg_.faults, cluster_.rng(), static_cast<std::uint32_t>(cfg_.num_migrations))) {
+    slots_.push_back(Slot{this, ev});
     Slot* s = &slots_.back();
-    sim_.schedule_at(ev.at, [s] { s->self->apply_event(s->ev, s->node); });
-    sim_.schedule_at(ev.at + ev.duration_s,
-                     [s] { s->self->restore_event(s->ev, s->node); });
+    sim_.schedule_at(ev.at, [s] { s->self->strike(s->ev, true); });
+    sim_.schedule_at(ev.at + ev.duration_s, [s] { s->self->strike(s->ev, false); });
   }
-  if (plan_.churn) arm_churn();
+  if (cfg_.faults.churn) arm_churn();
 }
 
 void FaultInjector::arm_churn() {
-  const sim::FaultChurnSpec& cs = plan_.churn_spec;
-  std::size_t n_nodes = cs.nodes > 0 ? cs.nodes : num_vms_ + num_destinations_;
-  n_nodes = std::min(n_nodes, cluster_.size());
+  const sim::FaultChurnSpec& cs = cfg_.faults.churn_spec;
+  const std::size_t n_nodes = churn_node_count(cfg_);
   // Fixed construction order (node-major, then category, then domains):
   // every process owns a named fork of the experiment stream, so adding a
   // category or resizing the fleet never perturbs the other processes.
@@ -81,7 +83,7 @@ void FaultInjector::arm_churn() {
     }
   }
   if (cs.domain_mtbf > 0) {
-    for (std::size_t d = 0; d < plan_.domains.size(); ++d) {
+    for (std::size_t d = 0; d < cfg_.faults.domains.size(); ++d) {
       sim::FaultEvent ev;
       ev.kind = sim::FaultKind::kDomainCrash;
       ev.factor = cs.factor;
@@ -96,7 +98,8 @@ void FaultInjector::arm_churn() {
 void FaultInjector::schedule_next(ChurnProc& p, double t_base) {
   const double at = t_base + p.rng.exponential(p.mtbf);
   const double dur = std::max(0.5, p.rng.exponential(p.mttr));
-  if (plan_.churn_spec.until > 0 && at > plan_.churn_spec.until) return;
+  const double until = cfg_.faults.churn_spec.until;
+  if (until > 0 && at > until) return;
   p.ev.at = at;
   p.ev.duration_s = dur;
   ChurnProc* pp = &p;
@@ -104,102 +107,51 @@ void FaultInjector::schedule_next(ChurnProc& p, double t_base) {
 }
 
 void FaultInjector::fire_churn(ChurnProc& p) {
-  apply_event(p.ev, resolve_node(p.ev));
+  strike(p.ev, true);
   ChurnProc* pp = &p;
   sim_.schedule_at(p.ev.at + p.ev.duration_s, [pp] { pp->self->restore_churn(*pp); });
 }
 
 void FaultInjector::restore_churn(ChurnProc& p) {
-  restore_event(p.ev, resolve_node(p.ev));
+  strike(p.ev, false);
   // Next occurrence counts its MTBF gap from the end of this repair window.
   schedule_next(p, p.ev.at + p.ev.duration_s);
 }
 
-void FaultInjector::apply_event(const sim::FaultEvent& ev, net::NodeId node) {
-  auto& net = cluster_.network();
-  ++faults_applied_;
-  switch (ev.kind) {
-    case sim::FaultKind::kSourceCrash:
-    case sim::FaultKind::kDestCrash:
-    case sim::FaultKind::kNodeCrash:
-      ++window_holds_[node];
-      crash_node(node);
-      break;
-    case sim::FaultKind::kLinkDegrade:
-    case sim::FaultKind::kNodeDegrade:
-      ++window_holds_[node];
-      net.scale_node_capacity(node, ev.factor, ev.factor);
-      break;
-    case sim::FaultKind::kLinkFlap:
-    case sim::FaultKind::kNodeFlap:
-      ++window_holds_[node];
-      net.set_link_flapped(node, true);
-      break;
-    case sim::FaultKind::kSlowReceiver:
-      ++window_holds_[node];
-      net.scale_node_capacity(node, 1.0, ev.factor);
-      break;
-    case sim::FaultKind::kRepoOutage:
-      if (outage_holds_++ == 0) set_repo_available(false);
-      break;
-    case sim::FaultKind::kDomainCrash:
-      // One correlated event: every member node dies in the same instant
-      // (ascending id), so a migration whose source AND destination share
-      // the rack loses both endpoints atomically.
-      ++correlated_events_;
-      for (const net::NodeId n : domain_nodes_[ev.target]) {
-        ++window_holds_[n];
-        crash_node(n);
-      }
-      break;
-    case sim::FaultKind::kDomainDegrade:
-      ++correlated_events_;
-      for (const net::NodeId n : domain_nodes_[ev.target]) {
-        ++window_holds_[n];
-        net.scale_node_capacity(n, ev.factor, ev.factor);
-      }
-      break;
+void FaultInjector::strike(const sim::FaultEvent& ev, bool begin) {
+  const sim::FaultKindInfo& kind = sim::fault_kind_info(ev.kind);
+  if (begin) {
+    ++faults_applied_;
+    if (kind.scope == sim::FaultScope::kDomain) ++correlated_events_;
   }
-}
-
-void FaultInjector::restore_event(const sim::FaultEvent& ev, net::NodeId node) {
+  if (kind.effect == sim::FaultEffect::kOutage) {
+    if (begin ? outage_holds_++ == 0 : --outage_holds_ == 0) set_repo_available(!begin);
+    return;
+  }
   auto& net = cluster_.network();
-  switch (ev.kind) {
-    case sim::FaultKind::kSourceCrash:
-    case sim::FaultKind::kDestCrash:
-    case sim::FaultKind::kNodeCrash:
-      reboot_node(node);
-      --window_holds_[node];
-      break;
-    case sim::FaultKind::kLinkDegrade:
-    case sim::FaultKind::kNodeDegrade:
-      net.scale_node_capacity(node, 1.0 / ev.factor, 1.0 / ev.factor);
-      --window_holds_[node];
-      break;
-    case sim::FaultKind::kLinkFlap:
-    case sim::FaultKind::kNodeFlap:
-      net.set_link_flapped(node, false);
-      --window_holds_[node];
-      break;
-    case sim::FaultKind::kSlowReceiver:
-      net.scale_node_capacity(node, 1.0, 1.0 / ev.factor);
-      --window_holds_[node];
-      break;
-    case sim::FaultKind::kRepoOutage:
-      if (--outage_holds_ == 0) set_repo_available(true);
-      break;
-    case sim::FaultKind::kDomainCrash:
-      for (const net::NodeId n : domain_nodes_[ev.target]) {
-        reboot_node(n);
-        --window_holds_[n];
-      }
-      break;
-    case sim::FaultKind::kDomainDegrade:
-      for (const net::NodeId n : domain_nodes_[ev.target]) {
-        net.scale_node_capacity(n, 1.0 / ev.factor, 1.0 / ev.factor);
-        --window_holds_[n];
-      }
-      break;
+  const double mult = begin ? ev.factor : 1.0 / ev.factor;
+  // A domain's members are struck in ascending id in the same instant, so a
+  // migration whose source and destination share the rack loses both
+  // endpoints atomically.
+  for (const net::NodeId n : fault_nodes(cfg_, ev)) {
+    if (begin) ++window_holds_[n];
+    switch (kind.effect) {
+      case sim::FaultEffect::kCrash:
+        begin ? crash_node(n) : reboot_node(n);
+        break;
+      case sim::FaultEffect::kDegrade:
+        net.scale_node_capacity(n, mult, mult);
+        break;
+      case sim::FaultEffect::kFlap:
+        net.set_link_flapped(n, begin);
+        break;
+      case sim::FaultEffect::kSlowReceive:
+        net.scale_node_capacity(n, 1.0, mult);
+        break;
+      case sim::FaultEffect::kOutage:
+        break;
+    }
+    if (!begin) --window_holds_[n];
   }
 }
 

@@ -1,13 +1,14 @@
-// Replays a sim::FaultPlan through the ordinary simulator lanes: every
-// fault is a pair of scheduled events (apply at `at`, restore at
-// `at + duration_s`) acting on the cluster — node crash/reboot, NIC
-// capacity scaling, link flaps, repository/PVFS outage windows — plus the
+// Replays an experiment's fault spec through the ordinary simulator lanes:
+// every fault is a pair of scheduled events (open at `at`, close at
+// `at + duration_s`) applying its kind's effect (sim::FaultKindInfo) to
+// the nodes fault_nodes() resolves — node crash/reboot, NIC capacity
+// scaling, link flaps, repository/PVFS outage windows — plus the
 // middleware hook that aborts in-flight migration attempts whose endpoints
-// just died. Because the plan is materialized up front from the experiment
-// seed and the injector only uses scheduled timers, fault runs inherit the
-// engine's determinism contract unchanged.
+// just died. Because the events are materialized up front from the
+// experiment seed and the injector only uses scheduled timers, fault runs
+// inherit the engine's determinism contract unchanged.
 //
-// Churn mode (plan.churn): instead of a bounded pre-built list, each node
+// Churn mode (spec.churn): instead of a bounded pre-built list, each node
 // runs continuous per-category fault processes (crash / degrade / flap) and
 // each failure domain a correlated-crash process, every process on its own
 // forked RNG stream (cluster rng -> fork("churn", node) -> per-category
@@ -15,31 +16,41 @@
 // with exponential MTBF gaps and MTTR durations, so a long-horizon run
 // never materializes its (unbounded) fault timeline. Each process's draw
 // sequence is self-contained, which keeps churn runs byte-identical across
-// solver regimes and shard drivers just like scripted plans.
+// solver regimes just like scripted plans.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <vector>
 
+#include "cloud/experiment.h"
 #include "cloud/middleware.h"
 #include "sim/fault_plan.h"
 
 namespace hm::cloud {
 
+/// The migration a migration-scoped event names: its target wrapped to the
+/// VM count.
+std::size_t fault_migration(const ExperimentConfig& cfg, const sim::FaultEvent& ev);
+/// The node ids `ev` strikes in the normalized config's cluster, ascending:
+/// the source (node k) or destination (cfg.destination_of(k)) of migration
+/// k, a node id wrapped to the cluster size, or the members of a failure
+/// domain that exist in the cluster. Empty for a repository outage.
+std::vector<net::NodeId> fault_nodes(const ExperimentConfig& cfg, const sim::FaultEvent& ev);
+/// Nodes that run churn processes: the churn spec's `nodes` or else every
+/// migration endpoint (sources + destinations), capped at the cluster.
+std::size_t churn_node_count(const ExperimentConfig& cfg);
+
 class FaultInjector {
  public:
-  /// `num_vms`/`num_destinations` mirror the experiment's migration
-  /// schedule: migration #k runs from node k to node num_vms + k %
-  /// num_destinations, which is how a FaultEvent::target resolves to nodes.
+  /// Injects cfg.faults; `cfg` is normalized and outlives the injector.
   FaultInjector(sim::Simulator& sim, vm::Cluster& cluster, Middleware& mw,
-                sim::FaultPlan plan, std::size_t num_vms,
-                std::size_t num_destinations);
+                const ExperimentConfig& cfg);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Schedule apply/restore timers for every planned event, and start the
-  /// churn processes (if the plan carries a churn spec).
+  /// Schedule open/close timers for every planned event, and start the
+  /// churn processes (if the spec has a churn body).
   void arm();
 
   std::uint32_t faults_applied() const noexcept { return faults_applied_; }
@@ -68,7 +79,6 @@ class FaultInjector {
   struct Slot {
     FaultInjector* self;
     sim::FaultEvent ev;
-    net::NodeId node = 0;  // resolved target node (node-scoped kinds)
   };
   /// One continuous churn process (per node x category, or per domain).
   /// Draw order per occurrence: gap, then duration — always from this
@@ -82,9 +92,8 @@ class FaultInjector {
     double mttr = 0;
   };
 
-  net::NodeId resolve_node(const sim::FaultEvent& ev) const;
-  void apply_event(const sim::FaultEvent& ev, net::NodeId node);
-  void restore_event(const sim::FaultEvent& ev, net::NodeId node);
+  /// Open (`begin`) or close one fault window on every node it strikes.
+  void strike(const sim::FaultEvent& ev, bool begin);
   void crash_node(net::NodeId n);
   void reboot_node(net::NodeId n);
   void set_repo_available(bool up);
@@ -98,13 +107,9 @@ class FaultInjector {
   sim::Simulator& sim_;
   vm::Cluster& cluster_;
   Middleware& mw_;
-  sim::FaultPlan plan_;
-  std::size_t num_vms_;
-  std::size_t num_destinations_;
+  const ExperimentConfig& cfg_;
   std::deque<Slot> slots_;       // deque: addresses must survive the timers
   std::deque<ChurnProc> churn_;  // likewise
-  /// Domain member lists clipped to real cluster nodes.
-  std::vector<std::vector<net::NodeId>> domain_nodes_;
   // Overlapping windows on the same resource are hold-counted: the resource
   // goes down on 0 -> 1 and comes back on 1 -> 0.
   std::vector<std::uint32_t> down_holds_;

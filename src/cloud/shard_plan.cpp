@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "net/shard_partition.h"
-#include "sim/worker_budget.h"
 
 namespace hm::cloud {
 
@@ -19,35 +18,11 @@ ShardPlan single(std::size_t n_vms, std::string reason) {
   return plan;
 }
 
-/// Why the fault axis forbids sharding this config, or empty when the fault
-/// plan is routable: a scripted-only spec whose every event resolves to the
-/// nodes of one migration's component, so each slice can arm exactly the
-/// events it owns and the merged timeline still matches shards=1.
-std::string fault_coupling_reason(const ExperimentConfig& cfg) {
-  if (!cfg.faults.enabled()) return {};
-  if (cfg.faults.churn) return "churn fault process spans every node";
-  if (cfg.faults.rand) return "seeded fault draws share one RNG stream";
-  if (!sim::fault_spec_shard_routable(cfg.faults))
-    return "fault events target global or node-scoped resources";
-  for (const sim::FaultEvent& ev : cfg.faults.scripted) {
-    // Destination-scoped events resolve to node n_vms + k % num_destinations,
-    // which is only guaranteed to sit in migration k's own component when the
-    // schedule actually launches migration k.
-    const std::size_t k = cfg.num_vms > 0 ? ev.target % cfg.num_vms : 0;
-    const bool dst_scoped = ev.kind == sim::FaultKind::kDestCrash ||
-                            ev.kind == sim::FaultKind::kSlowReceiver;
-    if (dst_scoped && (!cfg.perform_migrations || k >= cfg.num_migrations))
-      return "scripted fault targets an unused migration destination";
-  }
-  return {};
-}
-
-/// Statically known cross-slice coupling (fault regimes, global observers,
+/// Statically known cross-slice coupling (faults, global observers,
 /// storage services, cross-VM workload channels, shared network
 /// constraints), or empty if the slices can run independently.
 std::string coupling_reason(const ExperimentConfig& cfg) {
-  std::string fault_reason = fault_coupling_reason(cfg);
-  if (!fault_reason.empty()) return fault_reason;
+  if (cfg.faults.enabled()) return "fault injection runs on one shard";
   if (cfg.audit) return "auditor observes every migration";
   if (cfg.perform_migrations && cfg.scheduler.enabled())
     return "continuous-arrival scheduler spans the fleet";
@@ -75,20 +50,10 @@ std::string coupling_reason(const ExperimentConfig& cfg) {
   return {};
 }
 
-/// Resolve --shards=auto: as many shards as there are components to fill,
-/// bounded by the worker threads the budget would grant plus the caller's
-/// own thread (which runs shard 0).
-std::uint32_t resolve_auto_shards(std::uint32_t components) {
-  const std::size_t workers = sim::WorkerBudget::instance().available();
-  const auto want = static_cast<std::uint32_t>(std::max<std::size_t>(1, workers + 1));
-  return std::min(std::max(components, 1u), want);
-}
-
 }  // namespace
 
 ShardPlan plan_shards(const ExperimentConfig& cfg) {
   const std::size_t n_vms = cfg.num_vms;
-  const bool auto_shards = cfg.shards == ExperimentConfig::kShardsAuto;
   if (cfg.shards <= 1 || n_vms <= 1) return single(n_vms, {});
   std::string reason = coupling_reason(cfg);
   if (!reason.empty()) return single(n_vms, std::move(reason));
@@ -103,27 +68,12 @@ ShardPlan plan_shards(const ExperimentConfig& cfg) {
   for (std::uint32_t i = 0; i < n_vms; ++i)
     edges.emplace_back(i, i);  // VM i deploys on node i
   if (cfg.perform_migrations) {
-    for (std::uint32_t k = 0; k < cfg.num_migrations; ++k) {
-      const auto dst = static_cast<std::uint32_t>(n_vms + (k % cfg.num_destinations));
-      edges.emplace_back(k, dst);
-    }
+    for (std::uint32_t k = 0; k < cfg.num_migrations; ++k)
+      edges.emplace_back(k, cfg.destination_of(k));
   }
 
-  std::uint32_t bins = cfg.shards;
-  if (auto_shards) {
-    // Two passes: learn the component count with one bin per VM, then
-    // re-bin to min(components, workers + caller).
-    const net::ShardAssignment probe = net::partition_items(
-        n_vms, cfg.cluster.num_nodes, edges, static_cast<std::uint32_t>(n_vms));
-    bins = resolve_auto_shards(probe.components);
-    if (bins <= 1) {
-      ShardPlan plan = single(n_vms, probe.components <= 1
-                                         ? "auto: single connected component"
-                                         : "auto: no worker threads available");
-      plan.components = probe.components;
-      return plan;
-    }
-  }
+  // More bins than VMs would only stay empty.
+  const auto bins = static_cast<std::uint32_t>(std::min<std::size_t>(cfg.shards, n_vms));
   const net::ShardAssignment asg =
       net::partition_items(n_vms, cfg.cluster.num_nodes, edges, bins);
 

@@ -7,28 +7,20 @@
 // spans two slices. plan_shards() decides that *conservatively* from the
 // ExperimentConfig alone:
 //
-//  * Couplers that collapse the plan to one shard: non-routable fault
-//    regimes — churn processes, seeded "rand:" draws (one shared RNG
-//    stream), and repo-/node-/domain-scoped events — the invariant auditor
-//    (observes every migration), the continuous-arrival scheduler, PVFS
-//    (striped across all nodes), CM1/IOR workloads (halo exchange /
-//    repository reads), non-broadcast trace replay (absolute VM indices),
-//    trace recording (observes every VM), and finally a finite fabric
-//    aggregate or finite switch uplinks (every flow competes for them).
-//    The first one found, in that order, is the reported reason. Scripted
-//    fault plans whose every event resolves inside one migration's
-//    component ARE routable: each slice arms exactly the events it owns
-//    and the merged timeline still matches shards=1.
+//  * Couplers that collapse the plan to one shard: any fault spec
+//    (scripted, rand: or churn:), the invariant auditor (observes every
+//    migration), the continuous-arrival scheduler, PVFS (striped across all
+//    nodes), CM1/IOR workloads (halo exchange / repository reads),
+//    non-broadcast trace replay (absolute VM indices), trace recording
+//    (observes every VM), and finally a finite fabric aggregate or finite
+//    switch uplinks (every flow competes for them). The first one found,
+//    in that order, is the reported reason.
 //
 //  * Otherwise VMs partition by the connected components of their planned
 //    NIC endpoint sets (home node + migration destination) — the same
 //    component structure FlowNetwork::solve_epoch maintains dynamically —
-//    via net::partition_items, and run fully independently.
-//
-// The collapse applies to every requested shard count, explicit or
-// ExperimentConfig::kShardsAuto, which resolves the count at plan time to
-// min(component count, workers available to sim::WorkerBudget plus the
-// caller's thread).
+//    via net::partition_items into at most `shards` slices, and run fully
+//    independently.
 //
 // Residual couplings only observable at runtime (a repository fetch from a
 // foreign-owned stripe, a max_sim_time truncation whose cut point depends

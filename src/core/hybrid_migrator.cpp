@@ -11,9 +11,9 @@ HybridSession::HybridSession(sim::Simulator& sim, vm::Cluster& cluster,
       cfg_(cfg),
       xfer_(std::in_place, mgr->replica().num_chunks()),
       push_wakeup_(sim),
-      push_stopped_(sim),
+      push_stopped_(sim, /*open=*/false),
       pull_gate_(sim, /*open=*/true),
-      source_released_(sim) {
+      source_released_(sim, /*open=*/false) {
   if (cfg_.pull_order == PullOrder::kRandom)
     xfer_->rng = std::make_unique<sim::Rng>(
         cluster.rng().fork("hybrid-session", static_cast<std::uint64_t>(rec.vm_id)));
@@ -43,7 +43,7 @@ std::uint32_t HybridSession::alloc_pull_slot() {
 void HybridSession::release_pull_slot(std::uint32_t slot) noexcept {
   TransferState& t = xfer();
   PullState& st = t.pull_slab[slot];
-  st.done.reset();  // waiters were already enqueued by set()
+  st.done.reset();  // waiters were already enqueued by open()
   st.chunk = storage::kNoChunk;
   st.cancelled = false;
   st.next_free = t.pull_free;
@@ -101,7 +101,7 @@ void HybridSession::start() {
   if (cfg_.push_enabled) {
     spawn_task(push_task());
   } else {
-    push_stopped_.set();
+    push_stopped_.open();
   }
 }
 
@@ -148,7 +148,7 @@ sim::Task HybridSession::push_task() {
     count_transfer(c);
     rec_.storage_chunks_pushed += 1;
   }
-  push_stopped_.set();
+  push_stopped_.open();
   task_exited();
 }
 
@@ -191,10 +191,10 @@ sim::Task HybridSession::vm_read(ChunkId c) {
     if (slot != kNilSlot) {
       // Case 1: already being pulled — wait for completion. The slot's
       // event is registered with synchronously here; the slot itself may
-      // be recycled before we resume, which is fine (set() has already
+      // be recycled before we resume, which is fine (open() has already
       // enqueued the wakeup by then).
-      sim::Event& done = *xfer().pull_slab[slot].done;
-      co_await done.wait();
+      sim::Gate& done = *xfer().pull_slab[slot].done;
+      co_await done.wait_open();
     } else if (xfer().in_remaining.test(c)) {
       // Case 2: scheduled but not started — suspend BACKGROUND_PULL and
       // fetch this chunk with priority.
@@ -254,7 +254,7 @@ sim::Task HybridSession::pull_task() {
 
 sim::Task HybridSession::do_pull(ChunkId c) {
   const std::uint32_t slot = alloc_pull_slot();
-  xfer().pull_slab[slot].done.emplace(sim_);
+  xfer().pull_slab[slot].done.emplace(sim_, /*open=*/false);
   xfer().pull_slab[slot].chunk = c;
   xfer().pull_slab[slot].cancelled = false;
   xfer().pulling.set(c);
@@ -286,15 +286,15 @@ sim::Task HybridSession::do_pull(ChunkId c) {
   rec_.storage_chunks_pulled += 1;
   xfer().pulling.reset(c);
   --active_pulls_;
-  xfer().pull_slab[slot].done->set();
+  xfer().pull_slab[slot].done->open();
   release_pull_slot(slot);
   maybe_release_source();
 }
 
 void HybridSession::maybe_release_source() {
   if (control_transferred_ && xfer().in_remaining.count() == 0 && active_pulls_ == 0 &&
-      !source_released_.is_set()) {
-    source_released_.set();
+      !source_released_.is_open()) {
+    source_released_.open();
   }
 }
 
@@ -303,7 +303,7 @@ void HybridSession::maybe_release_source() {
 sim::Task HybridSession::pre_control_transfer() {
   stop_push_ = true;
   push_wakeup_.notify_all();
-  co_await push_stopped_.wait();
+  co_await push_stopped_.wait_open();
   if (aborted_) co_return;  // fault hit during the push drain: no handoff
 
   // Ship RemainingSet + WriteCount to the destination.
@@ -332,7 +332,7 @@ sim::Task HybridSession::pre_control_transfer() {
 sim::Task HybridSession::wait_source_released() {
   assert(pull_started_ && control_transferred_);
   maybe_release_source();
-  co_await source_released_.wait();
+  co_await source_released_.wait_open();
 }
 
 void HybridSession::abort() {

@@ -119,12 +119,12 @@ class HybridSession final : public StorageMigrationSession {
   /// whether a chunk has a slot at all, so only an in-flight chunk pays a
   /// scan of the slab, which holds one slot per concurrent pull (the
   /// background pull plus any on-demand reads). A deque keeps the
-  /// non-movable intrusive Event stable across growth. The Event's waiter
+  /// non-movable intrusive Gate stable across growth. The Gate's waiter
   /// list is intrusive (nodes live in the waiting coroutines' frames), so
-  /// emplacing and setting it never allocates — pull wakeups are heap-free
+  /// emplacing and opening it never allocates — pull wakeups are heap-free
   /// end to end.
   struct PullState {
-    std::optional<sim::Event> done;  // emplaced per use of the slot
+    std::optional<sim::Gate> done;  // emplaced closed per use of the slot
     ChunkId chunk = storage::kNoChunk;
     bool cancelled = false;
     std::uint32_t next_free = kNilSlot;
@@ -183,12 +183,12 @@ class HybridSession final : public StorageMigrationSession {
 
   sim::Notification push_wakeup_;
   bool stop_push_ = false;
-  sim::Event push_stopped_;
+  sim::Gate push_stopped_;
 
   sim::Gate pull_gate_;
   std::size_t active_pulls_ = 0;
   bool pull_started_ = false;
-  sim::Event source_released_;
+  sim::Gate source_released_;
 
   // stats
   std::uint64_t chunks_pushed_ = 0;

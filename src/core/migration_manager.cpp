@@ -48,15 +48,15 @@ sim::Task MigrationManager::local_read(ChunkId c) {
     auto it = inflight_fetch_.find(c);
     if (it != inflight_fetch_.end()) {
       auto ev = it->second;  // keep alive across suspension
-      co_await ev->wait();
+      co_await ev->wait_open();
     } else {
-      auto ev = std::make_shared<sim::Event>(sim_);
+      auto ev = std::make_shared<sim::Gate>(sim_, /*open=*/false);
       inflight_fetch_.emplace(c, ev);
       ++repo_fetches_;
       co_await cluster_.repository().fetch_chunk(node_, c);
       co_await replica_->install_base_chunk(c);
       inflight_fetch_.erase(c);
-      ev->set();
+      ev->open();
     }
   }
   co_await replica_->read_chunk(c);

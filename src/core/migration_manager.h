@@ -92,7 +92,7 @@ class MigrationManager final : public storage::BlockBackend {
   std::unique_ptr<storage::ChunkStore> replica_;
   StorageMigrationSession* session_ = nullptr;
   // Deduplicate concurrent on-demand fetches of the same base chunk.
-  std::unordered_map<ChunkId, std::shared_ptr<sim::Event>> inflight_fetch_;
+  std::unordered_map<ChunkId, std::shared_ptr<sim::Gate>> inflight_fetch_;
   std::uint64_t repo_fetches_ = 0;
   std::optional<ResumeState> resume_;
 };

@@ -7,7 +7,7 @@ MirrorSession::MirrorSession(sim::Simulator& sim, vm::Cluster& cluster,
                              MigrationRecord& rec)
     : StorageMigrationSession(sim, cluster, mgr, dst_node, rec),
       mirrored_(std::in_place, mgr->replica().num_chunks(), 0),
-      bg_done_(sim),
+      bg_done_(sim, /*open=*/false),
       drain_(sim) {}
 
 void MirrorSession::start() {
@@ -21,7 +21,7 @@ void MirrorSession::abort() {
   StorageMigrationSession::abort();
   // Unblock pre_control_transfer / wait_ready_to_complete; the background
   // task itself bails at the next loop head or failed transfer.
-  bg_done_.set();
+  bg_done_.open();
   drain_.notify_all();
 }
 
@@ -62,7 +62,7 @@ sim::Task MirrorSession::background_copy() {
       rec_.storage_chunks_pushed += 1;
     }
   }
-  bg_done_.set();
+  bg_done_.open();
   task_exited();
 }
 
@@ -101,13 +101,13 @@ sim::Task MirrorSession::vm_write(ChunkId c) {
   drain_.notify_all();
 }
 
-sim::Task MirrorSession::wait_ready_to_complete() { co_await bg_done_.wait(); }
+sim::Task MirrorSession::wait_ready_to_complete() { co_await bg_done_.wait_open(); }
 
 // Control may move only once the destination is a full replica: the
 // background copy finished before stop-and-copy (ready_to_complete), so the
 // paused-VM part only drains the last in-flight mirrored writes.
 sim::Task MirrorSession::pre_control_transfer() {
-  co_await bg_done_.wait();
+  co_await bg_done_.wait_open();
   if (aborted_) co_return;
   while (inflight_writes_ > 0 && !aborted_) co_await drain_.wait();
 }

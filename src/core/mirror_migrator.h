@@ -29,7 +29,7 @@ class MirrorSession final : public StorageMigrationSession {
   void abort() override;
   /// Copied or mirrored there (a later guest write is mirrored too).
   bool current_at_destination(ChunkId c) const override { return live(mirrored_)[c] != 0; }
-  bool ready_to_complete() const override { return bg_done_.is_set(); }
+  bool ready_to_complete() const override { return bg_done_.is_open(); }
   sim::Task wait_ready_to_complete() override;
 
   std::uint64_t chunks_copied_background() const noexcept { return bg_copied_; }
@@ -45,7 +45,7 @@ class MirrorSession final : public StorageMigrationSession {
   // Chunk already at destination: the per-chunk transfer state.
   std::optional<std::vector<std::uint8_t>> mirrored_;
   std::size_t inflight_writes_ = 0;  // guest writes awaiting both legs
-  sim::Event bg_done_;
+  sim::Gate bg_done_;
   sim::Notification drain_;
   std::uint64_t bg_copied_ = 0;
   std::uint64_t writes_mirrored_ = 0;

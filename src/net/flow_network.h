@@ -384,6 +384,9 @@ class FlowNetwork {
   /// components owning the node's NIC constraints so the next settle
   /// re-solves them.
   void scale_node_capacity(NodeId n, double egress_mult, double ingress_mult);
+  /// Current NIC capacity multipliers (1 outside degrade/slow-receiver windows).
+  double egress_scale(NodeId n) const noexcept { return nodes_[n].egress_scale; }
+  double ingress_scale(NodeId n) const noexcept { return nodes_[n].ingress_scale; }
   /// Link flap: while any hold is active the node's NIC capacities read as
   /// zero (flows through it stall at rate 0 but stay queued). Hold-counted
   /// so overlapping flap windows nest.

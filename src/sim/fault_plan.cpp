@@ -2,24 +2,30 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <tuple>
 
 namespace hm::sim {
 
 namespace {
 
-struct KindName {
-  FaultKind kind;
-  const char* name;
+using E = FaultEffect;
+using S = FaultScope;
+// Indexed by FaultKind.
+constexpr FaultKindInfo kKinds[] = {
+    {"src-crash", E::kCrash, S::kMigrationSource},
+    {"dst-crash", E::kCrash, S::kMigrationDest},
+    {"degrade", E::kDegrade, S::kMigrationSource},
+    {"flap", E::kFlap, S::kMigrationSource},
+    {"slow-recv", E::kSlowReceive, S::kMigrationDest},
+    {"repo-outage", E::kOutage, S::kRepository},
+    {"node-crash", E::kCrash, S::kNode},
+    {"node-degrade", E::kDegrade, S::kNode},
+    {"node-flap", E::kFlap, S::kNode},
+    {"domain-crash", E::kCrash, S::kDomain},
+    {"domain-degrade", E::kDegrade, S::kDomain},
 };
-constexpr KindName kKindNames[] = {
-    {FaultKind::kSourceCrash, "src-crash"}, {FaultKind::kDestCrash, "dst-crash"},
-    {FaultKind::kLinkDegrade, "degrade"},   {FaultKind::kLinkFlap, "flap"},
-    {FaultKind::kSlowReceiver, "slow-recv"}, {FaultKind::kRepoOutage, "repo-outage"},
-    {FaultKind::kNodeCrash, "node-crash"},   {FaultKind::kNodeDegrade, "node-degrade"},
-    {FaultKind::kNodeFlap, "node-flap"},     {FaultKind::kDomainCrash, "domain-crash"},
-    {FaultKind::kDomainDegrade, "domain-degrade"},
-};
+static_assert(std::size(kKinds) == static_cast<std::size_t>(FaultKind::kDomainDegrade) + 1);
 
 double clamp_factor(double f) {
   if (!(f > 0.0)) return 1e-3;
@@ -52,18 +58,14 @@ bool parse_event(std::string_view tok, FaultEvent* ev, std::string* err) {
   if (at_pos == std::string_view::npos)
     return fail(err, "fault event '" + std::string(tok) + "' missing '@TIME'");
   const std::string_view kind = tok.substr(0, at_pos);
-  bool known = false;
-  for (const auto& kn : kKindNames) {
-    if (kind == kn.name) {
-      ev->kind = kn.kind;
-      known = true;
-      break;
-    }
+  const FaultKindInfo* row = std::find_if(std::begin(kKinds), std::end(kKinds),
+                                          [&](const FaultKindInfo& r) { return kind == r.name; });
+  if (row == std::end(kKinds)) {
+    std::string names;
+    for (const FaultKindInfo& r : kKinds) names.append(names.empty() ? "" : "|").append(r.name);
+    return fail(err, "unknown fault kind '" + std::string(kind) + "' (" + names + ")");
   }
-  if (!known)
-    return fail(err, "unknown fault kind '" + std::string(kind) +
-                         "' (src-crash|dst-crash|degrade|flap|slow-recv|repo-outage|"
-                         "node-crash|node-degrade|node-flap|domain-crash|domain-degrade)");
+  ev->kind = static_cast<FaultKind>(row - kKinds);
   std::string_view rest = tok.substr(at_pos + 1);
   const auto next_mod = [&] { return rest.find_first_of("+*#"); };
   auto mod = next_mod();
@@ -240,8 +242,9 @@ bool parse_domains(std::string_view body, std::vector<FaultDomain>* out,
 
 bool validate_spec(const FaultSpec& spec, std::string* err) {
   for (const FaultEvent& ev : spec.scripted) {
-    if (fault_kind_is_domain(ev.kind) && ev.target >= spec.domains.size())
-      return fail(err, std::string("scripted '") + fault_kind_name(ev.kind) +
+    if (fault_kind_info(ev.kind).scope == FaultScope::kDomain &&
+        ev.target >= spec.domains.size())
+      return fail(err, std::string("scripted '") + fault_kind_info(ev.kind).name +
                            "' targets domain #" + std::to_string(ev.target) + " but only " +
                            std::to_string(spec.domains.size()) + " domain(s) are defined");
   }
@@ -250,29 +253,10 @@ bool validate_spec(const FaultSpec& spec, std::string* err) {
   return true;
 }
 
-void sort_plan(FaultPlan* plan) {
-  std::stable_sort(plan->events.begin(), plan->events.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     return std::tie(a.at, a.kind, a.target) <
-                            std::tie(b.at, b.kind, b.target);
-                   });
-}
-
 }  // namespace
 
-const char* fault_kind_name(FaultKind k) noexcept {
-  for (const auto& kn : kKindNames)
-    if (kn.kind == k) return kn.name;
-  return "?";
-}
-
-bool fault_kind_is_domain(FaultKind k) noexcept {
-  return k == FaultKind::kDomainCrash || k == FaultKind::kDomainDegrade;
-}
-
-bool fault_kind_is_node(FaultKind k) noexcept {
-  return k == FaultKind::kNodeCrash || k == FaultKind::kNodeDegrade ||
-         k == FaultKind::kNodeFlap;
+const FaultKindInfo& fault_kind_info(FaultKind k) noexcept {
+  return kKinds[static_cast<std::size_t>(k)];
 }
 
 bool parse_fault_spec(std::string_view arg, FaultSpec* out, std::string* err) {
@@ -311,31 +295,9 @@ bool parse_fault_spec(std::string_view arg, FaultSpec* out, std::string* err) {
   return validate_spec(*out, err);
 }
 
-bool fault_spec_shard_routable(const FaultSpec& spec) {
-  if (spec.rand || spec.churn) return false;
-  if (spec.scripted.empty()) return true;
-  for (const FaultEvent& ev : spec.scripted) {
-    switch (ev.kind) {
-      case FaultKind::kSourceCrash:
-      case FaultKind::kDestCrash:
-      case FaultKind::kLinkDegrade:
-      case FaultKind::kLinkFlap:
-      case FaultKind::kSlowReceiver:
-        break;  // migration-scoped: routable to the target's owning shard
-      default:
-        return false;  // repo-/node-/domain-scoped effects are global
-    }
-  }
-  return true;
-}
-
-FaultPlan build_fault_plan(const FaultSpec& spec, const Rng& rng,
-                           std::uint32_t num_migrations) {
-  FaultPlan plan;
-  plan.events = spec.scripted;
-  plan.churn = spec.churn;
-  plan.churn_spec = spec.churn_spec;
-  plan.domains = spec.domains;
+std::vector<FaultEvent> build_fault_plan(const FaultSpec& spec, const Rng& rng,
+                                         std::uint32_t num_migrations) {
+  std::vector<FaultEvent> events = spec.scripted;
   if (spec.rand) {
     Rng r = rng.fork("fault-plan");
     const FaultRandSpec& rs = spec.rand_spec;
@@ -362,12 +324,14 @@ FaultPlan build_fault_plan(const FaultSpec& spec, const Rng& rng,
         ev.target = num_migrations > 0
                         ? static_cast<std::uint32_t>(r.uniform(num_migrations))
                         : 0;
-        plan.events.push_back(ev);
+        events.push_back(ev);
       }
     }
   }
-  sort_plan(&plan);
-  return plan;
+  std::stable_sort(events.begin(), events.end(), [](const FaultEvent& a, const FaultEvent& b) {
+    return std::tie(a.at, a.kind, a.target) < std::tie(b.at, b.kind, b.target);
+  });
+  return events;
 }
 
 }  // namespace hm::sim

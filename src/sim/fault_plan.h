@@ -27,25 +27,43 @@
 
 namespace hm::sim {
 
+/// Declaration order is the (at, kind, target) sort key of a fault plan.
 enum class FaultKind : std::uint8_t {
-  kSourceCrash,    // source node of migration #target crashes, reboots after duration
-  kDestCrash,      // destination node of migration #target crashes + reboots
-  kLinkDegrade,    // source-node NIC capacity scaled by `factor` for duration
-  kLinkFlap,       // source-node link hard-down (capacity 0) for duration
-  kSlowReceiver,   // destination-node ingress scaled by `factor` for duration
-  kRepoOutage,     // repository / PVFS servers unavailable for duration
-  kNodeCrash,      // node #target (a raw node id) crashes + reboots
-  kNodeDegrade,    // node #target NIC capacity scaled by `factor`
-  kNodeFlap,       // node #target link hard-down for duration
-  kDomainCrash,    // failure domain #target: every member node crashes atomically
-  kDomainDegrade,  // failure domain #target: every member NIC degraded together
+  kSourceCrash,
+  kDestCrash,
+  kLinkDegrade,
+  kLinkFlap,
+  kSlowReceiver,
+  kRepoOutage,
+  kNodeCrash,
+  kNodeDegrade,
+  kNodeFlap,
+  kDomainCrash,
+  kDomainDegrade,
 };
-const char* fault_kind_name(FaultKind k) noexcept;
-/// Domain-scoped kinds take a domain index (not a migration/node id) as
-/// their target and strike every member node in the same instant.
-bool fault_kind_is_domain(FaultKind k) noexcept;
-/// Node-scoped kinds take a raw node id as their target.
-bool fault_kind_is_node(FaultKind k) noexcept;
+
+/// What a fault does to each node it strikes, for its window: crash then
+/// reboot, scale the NIC by `factor` both ways, hold the link down, scale
+/// only ingress, or (no node) take the repository and PVFS servers offline.
+enum class FaultEffect : std::uint8_t { kCrash, kDegrade, kFlap, kSlowReceive, kOutage };
+/// What a FaultEvent::target names: a migration index (its source or its
+/// destination node), a raw node id, a failure-domain index, or nothing
+/// (the repository).
+enum class FaultScope : std::uint8_t {
+  kMigrationSource,
+  kMigrationDest,
+  kNode,
+  kDomain,
+  kRepository,
+};
+
+/// One row per FaultKind: its --faults grammar name, effect and scope.
+struct FaultKindInfo {
+  const char* name;
+  FaultEffect effect;
+  FaultScope scope;
+};
+const FaultKindInfo& fault_kind_info(FaultKind k) noexcept;
 
 struct FaultEvent {
   FaultKind kind = FaultKind::kLinkDegrade;
@@ -82,17 +100,6 @@ struct FaultChurnSpec {
                                // migration endpoints: sources + destinations)
 };
 
-/// Materialized plan: events sorted by (at, kind, target), plus the lazily
-/// emitted churn process (if any) and the failure-domain table both the
-/// scripted domain events and the churn domain process index into.
-struct FaultPlan {
-  std::vector<FaultEvent> events;
-  bool churn = false;
-  FaultChurnSpec churn_spec{};
-  std::vector<FaultDomain> domains;
-  bool enabled() const noexcept { return churn || !events.empty(); }
-};
-
 /// Knobs for the "rand:" spec form — per-category counts plus the shared
 /// time window and default severity the draws use.
 struct FaultRandSpec {
@@ -109,12 +116,10 @@ struct FaultRandSpec {
 };
 
 /// Parsed --faults=SPEC, before seeding. Grammar (optional "faults:" prefix):
-///   SPEC    := "none" | BODY [';' DOMAINS]
+///   SPEC    := "none" | BODY [';' DOMAINS] | DOMAINS
 ///   BODY    := EVENT (';' EVENT)* | "rand:" k=v (',' k=v)* | "churn:" k=v (',' k=v)*
 ///   EVENT   := KIND '@' T ['+' DUR] ['*' FACTOR] ['#' TARGET]
-///   KIND    := src-crash | dst-crash | degrade | flap | slow-recv |
-///              repo-outage | node-crash | node-degrade | node-flap |
-///              domain-crash | domain-degrade
+///   KIND    := a FaultKindInfo::name
 ///   DOMAINS := "domains:" NAME '=' RANGE ('+' RANGE)* (',' NAME '=' ...)*
 ///   RANGE   := N | N '-' M          (inclusive node-id range)
 /// rand keys: crashes, dst-crashes, degrades, flaps, slow, outages (counts),
@@ -138,20 +143,12 @@ struct FaultSpec {
 /// are clamped into (0, 1].
 bool parse_fault_spec(std::string_view arg, FaultSpec* out, std::string* err);
 
-/// True when the spec's fault effects can be routed to a single owning
-/// shard: only scripted, migration-targeted events (src-crash, dst-crash,
-/// degrade, flap, slow-recv). Seeded draws (rand), the churn process, and
-/// repo-/node-/domain-scoped kinds are never routable — those regimes
-/// collapse the shard plan conservatively.
-bool fault_spec_shard_routable(const FaultSpec& spec);
-
-/// Materialize a plan: scripted events verbatim, random events drawn from
-/// rng.fork("fault-plan") in a fixed category order (so adding a category
-/// never perturbs the draws of existing ones). Targets are drawn uniformly
-/// over [0, num_migrations). The result is sorted by (at, kind, target).
-/// The churn spec and domain table pass through untouched — churn events
-/// are emitted lazily by the injector, not materialized here.
-FaultPlan build_fault_plan(const FaultSpec& spec, const Rng& rng,
-                           std::uint32_t num_migrations);
+/// Materialize the spec's events: scripted events verbatim, random events
+/// drawn from rng.fork("fault-plan") in a fixed category order (so adding a
+/// category never perturbs the draws of existing ones), targets uniform over
+/// [0, num_migrations). Sorted by (at, kind, target). Churn events are
+/// emitted lazily by the injector, never materialized here.
+std::vector<FaultEvent> build_fault_plan(const FaultSpec& spec, const Rng& rng,
+                                         std::uint32_t num_migrations);
 
 }  // namespace hm::sim

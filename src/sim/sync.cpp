@@ -7,12 +7,6 @@ namespace hm::sim {
 // continuations are merely pushed onto the simulator's fast lane, not run
 // inline.
 
-void Event::set() {
-  if (set_) return;
-  set_ = true;
-  for (WaitNode* n = waiters_.drain(); n != nullptr; n = n->next) sim_->post(n->fn, n->a, n->b);
-}
-
 void Notification::notify_all() {
   for (WaitNode* n = waiters_.drain(); n != nullptr; n = n->next) sim_->post(n->fn, n->a, n->b);
 }

@@ -1,8 +1,9 @@
-// Coroutine synchronization primitives for the simulator: one-shot events,
-// repeatable notifications, gates (suspend/resume), wait-groups, barriers
-// and a single-server FIFO service station. All wakeups are funneled
-// through the simulator's event queue so resumption order is deterministic
-// and stack depth stays bounded.
+// Coroutine synchronization primitives for the simulator: repeatable
+// notifications, gates (suspend/resume; a gate built closed that only ever
+// opens is a one-shot event), wait-groups, barriers and a single-server
+// FIFO service station. All wakeups are funneled through the simulator's
+// event queue so resumption order is deterministic and stack depth stays
+// bounded.
 //
 // Waiter storage is intrusive: each awaiter embeds a WaitNode that lives in
 // the suspended coroutine's frame, so registering a waiter and waking it
@@ -84,35 +85,6 @@ struct WaitNode {
 
 using WaiterList = IntrusiveQueue<WaitNode>;
 
-/// One-shot broadcast event. Waiters before set() suspend; waiters after
-/// set() continue immediately.
-class Event {
- public:
-  explicit Event(Simulator& sim) : sim_(&sim) {}
-  Event(const Event&) = delete;
-  Event& operator=(const Event&) = delete;
-
-  bool is_set() const noexcept { return set_; }
-  void set();
-
-  struct Awaiter {
-    Event& ev;
-    WaitNode node;
-    bool await_ready() const noexcept { return ev.set_; }
-    void await_suspend(std::coroutine_handle<> h) noexcept {
-      node.bind(h);
-      ev.waiters_.push(&node);
-    }
-    void await_resume() const noexcept {}
-  };
-  Awaiter wait() noexcept { return Awaiter{*this, {}}; }
-
- private:
-  Simulator* sim_;
-  bool set_ = false;
-  WaiterList waiters_;
-};
-
 /// Repeatable notification: every call to notify_all() wakes the waiters
 /// registered at that moment (condition-variable style, always "spurious
 /// safe" because callers re-check their predicate in a loop).
@@ -146,8 +118,9 @@ class Notification {
 };
 
 /// Open/closed gate. wait_open() passes immediately while open and blocks
-/// while closed. Used for VM pause/resume and for suspending the
-/// BACKGROUND_PULL task (Algorithm 4 of the paper).
+/// while closed. Used for VM pause/resume, for suspending the
+/// BACKGROUND_PULL task (Algorithm 4 of the paper) and, built closed and
+/// only ever opened, as a one-shot completion event.
 class Gate {
  public:
   explicit Gate(Simulator& sim, bool open = true) : sim_(&sim), open_(open) {}

@@ -35,7 +35,7 @@ class AsyncWrWorkload final : public Workload {
   double finished_at() const noexcept { return finished_at_; }
 
  private:
-  sim::Task async_write(vm::VmInstance& vm, std::uint64_t offset, sim::Event& done);
+  sim::Task async_write(vm::VmInstance& vm, std::uint64_t offset, sim::Gate& done);
 
   AsyncWrConfig cfg_;
   int iterations_done_ = 0;

@@ -126,6 +126,41 @@ bool write_trace(const std::string& path, const TraceData& data, std::string* er
   return true;
 }
 
+std::string check_trace_record(const TraceHeader& h, const TraceRecord& r, std::uint64_t index,
+                               double prev_t) {
+  const auto where = [index] { return " (record " + std::to_string(index) + ")"; };
+  const std::uint8_t op = static_cast<std::uint8_t>(r.op);
+  if (op < kMinTraceOp || op > kMaxTraceOp) return "unknown op " + std::to_string(op) + where();
+  if (!std::isfinite(r.t) || r.t < prev_t)
+    return "non-monotone or non-finite timestamp " + std::to_string(r.t) + where();
+  if (r.vm >= h.num_vms)
+    return "vm index " + std::to_string(r.vm) + " out of range (num_vms=" +
+           std::to_string(h.num_vms) + ")" + where();
+  switch (r.op) {
+    case TraceOp::kMemDirty:
+      if (h.pages > 0 && (r.a > h.pages || r.b > h.pages - r.a))
+        return "page range [" + std::to_string(r.a) + ", +" + std::to_string(r.b) +
+               ") outside pages=" + std::to_string(h.pages) + where();
+      break;
+    case TraceOp::kChunkWrite:
+    case TraceOp::kChunkRead:
+      if (h.chunks > 0 && (r.a > h.chunks || r.b > h.chunks - r.a))
+        return "chunk range [" + std::to_string(r.a) + ", +" + std::to_string(r.b) +
+               ") outside chunks=" + std::to_string(h.chunks) + where();
+      break;
+    case TraceOp::kCompute:
+      if (!valid_f64_field(r.a) || !valid_f64_field(r.b))
+        return "compute with non-finite seconds/rate" + where();
+      break;
+    case TraceOp::kNetSend:
+      if (!valid_f64_field(r.c)) return "net-send with non-finite bytes" + where();
+      break;
+    default:
+      break;
+  }
+  return {};
+}
+
 // --- TraceReader -------------------------------------------------------------
 
 bool TraceReader::fail(std::string msg) {
@@ -188,42 +223,6 @@ bool TraceReader::open(const std::string& path) {
   return true;
 }
 
-bool TraceReader::validate(const TraceRecord& r) {
-  const std::uint64_t idx = read_;  // 0-based index of this record
-  const auto where = [idx] { return " (record " + std::to_string(idx) + ")"; };
-  const std::uint8_t op = static_cast<std::uint8_t>(r.op);
-  if (op < kMinTraceOp || op > kMaxTraceOp)
-    return fail("unknown op " + std::to_string(op) + where());
-  if (!std::isfinite(r.t) || (read_ == 0 ? r.t < 0 : r.t < last_t_))
-    return fail("non-monotone or non-finite timestamp " + std::to_string(r.t) + where());
-  if (r.vm >= header_.num_vms)
-    return fail("vm index " + std::to_string(r.vm) + " out of range (num_vms=" +
-                std::to_string(header_.num_vms) + ")" + where());
-  switch (r.op) {
-    case TraceOp::kMemDirty:
-      if (header_.pages > 0 && (r.a > header_.pages || r.b > header_.pages - r.a))
-        return fail("page range [" + std::to_string(r.a) + ", +" + std::to_string(r.b) +
-                    ") outside pages=" + std::to_string(header_.pages) + where());
-      break;
-    case TraceOp::kChunkWrite:
-    case TraceOp::kChunkRead:
-      if (header_.chunks > 0 && (r.a > header_.chunks || r.b > header_.chunks - r.a))
-        return fail("chunk range [" + std::to_string(r.a) + ", +" + std::to_string(r.b) +
-                    ") outside chunks=" + std::to_string(header_.chunks) + where());
-      break;
-    case TraceOp::kCompute:
-      if (!valid_f64_field(r.a) || !valid_f64_field(r.b))
-        return fail("compute with non-finite seconds/rate" + where());
-      break;
-    case TraceOp::kNetSend:
-      if (!valid_f64_field(r.c)) return fail("net-send with non-finite bytes" + where());
-      break;
-    default:
-      break;
-  }
-  return true;
-}
-
 bool TraceReader::next(TraceRecord& out) {
   if (done_ || !ok()) return false;
   if (read_ == header_.records) {
@@ -240,7 +239,8 @@ bool TraceReader::next(TraceRecord& out) {
     return fail("truncated record stream: got " + std::to_string(read_) + " of " +
                 std::to_string(header_.records) + " records");
   out = decode_trace_record(buf);
-  if (!validate(out)) return false;
+  if (std::string e = check_trace_record(header_, out, read_, last_t_); !e.empty())
+    return fail(std::move(e));
   last_t_ = out.t;
   ++read_;
   return true;
@@ -445,8 +445,11 @@ TraceApplication::TraceApplication(sim::Simulator& sim, std::vector<vm::VmInstan
 bool TraceApplication::next_record(TraceRecord& out) {
   if (data_ != nullptr) {
     if (cursor_ >= data_->records.size()) return false;
-    out = data_->records[cursor_++];
-    return true;
+    out = data_->records[cursor_];
+    error_ = check_trace_record(header_, out, cursor_,
+                                cursor_ == 0 ? 0.0 : data_->records[cursor_ - 1].t);
+    ++cursor_;
+    return error_.empty();
   }
   if (!reader_) return false;
   if (reader_->next(out)) return true;

@@ -115,10 +115,18 @@ TraceRecord decode_trace_record(const unsigned char in[kTraceRecordBytes]);
 /// Write a complete trace file. Returns false (with *err set) on I/O error.
 bool write_trace(const std::string& path, const TraceData& data, std::string* err);
 
+/// The diagnostic for record `index` of a trace with header `h`, whose
+/// previous record was stamped `prev_t` (0 before the first), or empty when
+/// the record is valid: a known op, vm < num_vms, a finite timestamp no
+/// earlier than `prev_t`, page/chunk ranges inside the header universes
+/// and finite f64 fields. Both trace sources (file and in-memory) check
+/// every record with it before replay.
+std::string check_trace_record(const TraceHeader& h, const TraceRecord& r, std::uint64_t index,
+                               double prev_t);
+
 /// Streaming trace reader with bounded memory: the header is parsed on
 /// open(), records are decoded one at a time from a fixed-size buffer, and
-/// every record is validated (known op, vm < num_vms, non-decreasing finite
-/// timestamps, page/chunk indices inside the header universes). A malformed
+/// every record is validated (check_trace_record). A malformed
 /// trace — truncated header or records, bad magic/version, out-of-range
 /// fields, non-monotone time, zero-length file — fails with a diagnostic in
 /// error(), never UB.
@@ -138,7 +146,6 @@ class TraceReader {
 
  private:
   bool fail(std::string msg);
-  bool validate(const TraceRecord& r);
 
   std::ifstream in_;
   TraceHeader header_;
@@ -251,8 +258,9 @@ struct TraceReplayOptions {
 /// per-(vm, lane) FIFO worker that executes it; completion is when the
 /// stream is exhausted and every lane drained. Construction from TraceData
 /// (in-memory) or from a file path (single streaming reader, bounded
-/// memory). A validation failure mid-stream stops dispatch and surfaces in
-/// error(); everything already issued still runs to completion.
+/// memory). Either source checks each record with check_trace_record; a
+/// validation failure mid-stream stops dispatch and surfaces in error();
+/// everything already issued still runs to completion.
 class TraceApplication {
  public:
   TraceApplication(sim::Simulator& sim, std::vector<vm::VmInstance*> vms,

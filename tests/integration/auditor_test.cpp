@@ -73,8 +73,7 @@ TEST(Auditor, OpenFaultWindowExcusesTheStall) {
   sim::Simulator simulator;
   vm::Cluster cluster(simulator, cfg.cluster);
   Middleware mw(simulator, cluster, cfg.approach, cfg.approach_cfg);
-  const sim::FaultPlan plan = sim::build_fault_plan(cfg.faults, cluster.rng(), 1);
-  FaultInjector injector(simulator, cluster, mw, plan, 1, 1);
+  FaultInjector injector(simulator, cluster, mw, cfg);
   Auditor auditor(simulator, mw, 1.0, 5.0);
   auditor.set_injector(&injector);
   mw.set_auditor(&auditor);

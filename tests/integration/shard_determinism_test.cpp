@@ -14,7 +14,6 @@
 #include "integration/result_compare.h"
 #include "net/flow_network.h"
 #include "sim/fault_plan.h"
-#include "sim/worker_budget.h"
 
 namespace hm::cloud {
 namespace {
@@ -125,16 +124,12 @@ TEST(ShardPlanning, HardCouplersCollapse) {
 
 TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
   // A finite fabric aggregate or finite switch uplinks tie every flow to
-  // every other, so the plan is one shard at any requested count — explicit
-  // or auto — and says why. The budget leaves auto room to shard, as the
-  // unlimited-network control shows.
-  sim::WorkerBudget& budget = sim::WorkerBudget::instance();
-  const unsigned saved = budget.capacity();
-  budget.set_capacity(3);
+  // every other, so the plan is one shard at any requested count and says
+  // why. The unlimited-network control shards.
   ExperimentConfig control = decomposable_config(1);
-  control.shards = ExperimentConfig::kShardsAuto;
+  control.shards = 4;
   control.normalize();
-  EXPECT_EQ(plan_shards(control).shard_count(), 4u);  // min(8 components, 3 + caller)
+  EXPECT_EQ(plan_shards(control).shard_count(), 4u);
 
   ExperimentConfig fabric = decomposable_config(1);
   fabric.cluster.network.fabric_Bps = 8e9;
@@ -147,7 +142,7 @@ TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
   };
   for (const auto& [base, why] : cases) {
     SCOPED_TRACE(why);
-    for (std::uint32_t n : {4u, 8u, ExperimentConfig::kShardsAuto}) {
+    for (std::uint32_t n : {4u, 8u}) {
       SCOPED_TRACE("shards=" + std::to_string(n));
       ExperimentConfig c = base;
       c.shards = n;
@@ -166,7 +161,6 @@ TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
     EXPECT_EQ(ref.engine_events, got.engine_events);
     EXPECT_EQ(ref.engine_frames, got.engine_frames);
   }
-  budget.set_capacity(saved);
 }
 
 TEST(ShardDeterminism, ByteIdenticalAcrossShardCounts) {
@@ -266,36 +260,33 @@ TEST(ShardFallback, SeededFaultDrawsCollapseToOneShard) {
   const ExperimentResult ref = run_with_shards(cfg, 1);
   const ExperimentResult got = run_with_shards(cfg, 4);
   EXPECT_EQ(got.shards_used, 1u);
-  EXPECT_EQ(got.shard_fallback_reason, "seeded fault draws share one RNG stream");
+  EXPECT_EQ(got.shard_fallback_reason, "fault injection runs on one shard");
   EXPECT_GT(got.recovery.faults_injected, 0u);  // the axis actually fired
   expect_identical(ref, got, /*exact_epochs=*/true);
 }
 
-TEST(ShardFallback, ChurnAndNodeScopedFaultsCollapseWithSpecificReasons) {
-  auto reason_for = [](const char* spec) {
+TEST(ShardFallback, EveryFaultSpecCollapsesWithOneReason) {
+  // Scripted events of every scope, seeded draws and churn all run on one
+  // shard, with one reason.
+  for (const char* spec :
+       {"src-crash@2+3#1;degrade@4+5*0.25#2;flap@6+1#5", "dst-crash@2+3#6", "node-crash@5+4#3",
+        "repo-outage@5+4", "domain-crash@5+4#0;domains:rack0=0-1", "rand:crashes=1",
+        "churn:crash-mtbf=50,crash-mttr=5"}) {
     ExperimentConfig cfg = decomposable_config(1);
     cfg.shards = 4;
     std::string err;
-    EXPECT_TRUE(sim::parse_fault_spec(spec, &cfg.faults, &err)) << err;
+    ASSERT_TRUE(sim::parse_fault_spec(spec, &cfg.faults, &err)) << err;
     cfg.normalize();
     const ShardPlan plan = plan_shards(cfg);
     EXPECT_EQ(plan.shard_count(), 1u) << spec;
-    return plan.collapse_reason;
-  };
-  EXPECT_EQ(reason_for("churn:crash-mtbf=50,crash-mttr=5"),
-            "churn fault process spans every node");
-  EXPECT_EQ(reason_for("node-crash@5+4#3"),
-            "fault events target global or node-scoped resources");
-  EXPECT_EQ(reason_for("repo-outage@5+4"),
-            "fault events target global or node-scoped resources");
-  EXPECT_EQ(reason_for("domain-crash@5+4#0;domains:rack0=0-1"),
-            "fault events target global or node-scoped resources");
+    EXPECT_EQ(plan.collapse_reason, "fault injection runs on one shard") << spec;
+  }
 }
 
-TEST(ShardDeterminism, RoutableScriptedFaultPlanStillShards) {
+TEST(ShardFallback, ScriptedFaultPlanCollapsesAndMatchesOneShard) {
   // Migration-scoped scripted events (src-crash, degrade, flap on migration
-  // k) resolve entirely inside migration k's component: the plan shards, and
-  // each slice arms exactly the events it owns — byte-identical to shards=1.
+  // k) run on one shard like every fault spec: the run at shards=4 is the
+  // one-slice run, byte-identical to shards=1.
   ExperimentConfig cfg = decomposable_config(1);
   std::string err;
   ASSERT_TRUE(sim::parse_fault_spec(
@@ -306,24 +297,10 @@ TEST(ShardDeterminism, RoutableScriptedFaultPlanStillShards) {
   EXPECT_EQ(ref.recovery.faults_injected, 3u);
   EXPECT_GE(ref.recovery.total_retries, 1);
   const ExperimentResult got = run_with_shards(cfg, 4);
-  EXPECT_EQ(got.shards_used, 4u);
-  EXPECT_TRUE(got.shard_fallback_reason.empty()) << got.shard_fallback_reason;
+  EXPECT_EQ(got.shards_used, 1u);
+  EXPECT_EQ(got.shard_fallback_reason, "fault injection runs on one shard");
   expect_identical(ref, got, /*exact_epochs=*/true);
-}
-
-TEST(ShardFallback, DstScopedEventOnUnusedMigrationCollapses) {
-  // dst-crash targeting migration 6 when only 4 migrations run: the
-  // destination node is not pinned to any launched migration's component,
-  // so the planner must collapse rather than mis-route the event.
-  ExperimentConfig cfg = decomposable_config(1);
-  cfg.num_migrations = 4;
-  std::string err;
-  ASSERT_TRUE(sim::parse_fault_spec("dst-crash@2+3#6", &cfg.faults, &err)) << err;
-  cfg.shards = 4;
-  cfg.normalize();
-  const ShardPlan plan = plan_shards(cfg);
-  EXPECT_EQ(plan.shard_count(), 1u);
-  EXPECT_EQ(plan.collapse_reason, "scripted fault targets an unused migration destination");
+  EXPECT_EQ(ref.engine_events, got.engine_events);
 }
 
 TEST(ShardFallback, AuditedRunCollapsesToOneShard) {

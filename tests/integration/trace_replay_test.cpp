@@ -145,5 +145,44 @@ TEST(TraceReplay, UnreadableTraceReportsErrorAtOneShard) {
   EXPECT_EQ(res.shards_used, 1u);
 }
 
+// In-memory traces are checked record by record like trace files: a
+// malformed record fails the run with the reader's diagnostic.
+TEST(TraceReplay, InMemoryTraceIsValidatedLikeATraceFile) {
+  workloads::TraceRecord unknown_op;
+  unknown_op.t = 1.0;
+  unknown_op.op = static_cast<workloads::TraceOp>(42);
+  workloads::TraceRecord fsync;
+  fsync.t = 1.0;
+  fsync.op = workloads::TraceOp::kFsync;
+  workloads::TraceRecord earlier = fsync;
+  earlier.t = 0.5;
+  const std::pair<std::vector<workloads::TraceRecord>, const char*> cases[] = {
+      {{unknown_op, earlier}, "unknown op 42 (record 0)"},
+      {{fsync, earlier}, "non-monotone or non-finite timestamp 0.500000 (record 1)"},
+  };
+  for (const auto& [records, diagnostic] : cases) {
+    SCOPED_TRACE(diagnostic);
+    workloads::TraceData trace;
+    trace.records = records;
+    trace.header.records = records.size();
+    ExperimentConfig cfg = asyncwr_config(1);
+    cfg.workload = WorkloadKind::kTrace;
+    cfg.trace.data = &trace;
+    const ExperimentResult in_memory = Experiment(cfg).run();
+    EXPECT_FALSE(in_memory.completed);
+    EXPECT_EQ(in_memory.error, diagnostic);
+
+    const std::string path = ::testing::TempDir() + "trace_replay_invalid.trace";
+    std::string err;
+    ASSERT_TRUE(workloads::write_trace(path, trace, &err)) << err;
+    cfg.trace.data = nullptr;
+    cfg.trace.path = path;
+    const ExperimentResult from_file = Experiment(cfg).run();
+    EXPECT_FALSE(from_file.completed);
+    EXPECT_EQ(from_file.error, diagnostic);
+    std::remove(path.c_str());
+  }
+}
+
 }  // namespace
 }  // namespace hm::cloud

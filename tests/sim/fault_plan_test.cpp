@@ -17,12 +17,12 @@ FaultSpec parse_ok(const char* arg) {
   return spec;
 }
 
-TEST(FaultPlan, NoneAndEmptyDisable) {
+TEST(FaultSpec, NoneAndEmptyDisable) {
   EXPECT_FALSE(parse_ok("none").enabled());
   EXPECT_FALSE(parse_ok("").enabled());
 }
 
-TEST(FaultPlan, ScriptedEventWithAllModifiers) {
+TEST(FaultSpec, ScriptedEventWithAllModifiers) {
   FaultSpec spec = parse_ok("degrade@40+15*0.5#3");
   ASSERT_EQ(spec.scripted.size(), 1u);
   const FaultEvent& e = spec.scripted[0];
@@ -33,7 +33,7 @@ TEST(FaultPlan, ScriptedEventWithAllModifiers) {
   EXPECT_EQ(e.target, 3u);
 }
 
-TEST(FaultPlan, ScriptedListParsesEveryKind) {
+TEST(FaultSpec, ScriptedListParsesEveryKind) {
   FaultSpec spec = parse_ok(
       "src-crash@10;dst-crash@20;degrade@30;flap@40;slow-recv@50;repo-outage@60");
   ASSERT_EQ(spec.scripted.size(), 6u);
@@ -45,14 +45,14 @@ TEST(FaultPlan, ScriptedListParsesEveryKind) {
   EXPECT_EQ(spec.scripted[5].kind, FaultKind::kRepoOutage);
 }
 
-TEST(FaultPlan, OptionalFaultsPrefixIsAccepted) {
+TEST(FaultSpec, OptionalFaultsPrefixIsAccepted) {
   FaultSpec spec = parse_ok("faults:src-crash@5+2");
   ASSERT_EQ(spec.scripted.size(), 1u);
   EXPECT_EQ(spec.scripted[0].kind, FaultKind::kSourceCrash);
   EXPECT_DOUBLE_EQ(spec.scripted[0].duration_s, 2.0);
 }
 
-TEST(FaultPlan, RandSpecParsesKeys) {
+TEST(FaultSpec, RandSpecParsesKeys) {
   FaultSpec spec =
       parse_ok("rand:crashes=2,dst-crashes=1,degrades=4,flaps=3,slow=2,outages=1,"
                "from=20,span=120,dur=8,factor=0.5");
@@ -69,7 +69,7 @@ TEST(FaultPlan, RandSpecParsesKeys) {
   EXPECT_DOUBLE_EQ(spec.rand_spec.factor, 0.5);
 }
 
-TEST(FaultPlan, MalformedSpecsAreRejected) {
+TEST(FaultSpec, MalformedSpecsAreRejected) {
   for (const char* bad :
        {"bogus@10", "src-crash", "src-crash@", "degrade@x", "rand:nope=3",
         "src-crash@10+", "degrade@10*"}) {
@@ -80,24 +80,23 @@ TEST(FaultPlan, MalformedSpecsAreRejected) {
   }
 }
 
-TEST(FaultPlan, BuildIsDeterministicSortedAndTargeted) {
+TEST(FaultSpec, BuildIsDeterministicSortedAndTargeted) {
   FaultSpec spec = parse_ok("rand:crashes=3,degrades=5,flaps=2,from=10,span=50");
   const Rng rng(1234);
-  const FaultPlan a = build_fault_plan(spec, rng, /*num_migrations=*/4);
-  const FaultPlan b = build_fault_plan(spec, rng, /*num_migrations=*/4);
-  ASSERT_EQ(a.events.size(), 10u);
-  ASSERT_EQ(b.events.size(), 10u);
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].kind, b.events[i].kind) << i;
-    EXPECT_DOUBLE_EQ(a.events[i].at, b.events[i].at) << i;
-    EXPECT_DOUBLE_EQ(a.events[i].duration_s, b.events[i].duration_s) << i;
-    EXPECT_EQ(a.events[i].target, b.events[i].target) << i;
+  const std::vector<FaultEvent> a = build_fault_plan(spec, rng, /*num_migrations=*/4);
+  const std::vector<FaultEvent> b = build_fault_plan(spec, rng, /*num_migrations=*/4);
+  ASSERT_EQ(a.size(), 10u);
+  ASSERT_EQ(b.size(), 10u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind) << i;
+    EXPECT_DOUBLE_EQ(a[i].at, b[i].at) << i;
+    EXPECT_DOUBLE_EQ(a[i].duration_s, b[i].duration_s) << i;
+    EXPECT_EQ(a[i].target, b[i].target) << i;
   }
-  EXPECT_TRUE(std::is_sorted(a.events.begin(), a.events.end(),
-                             [](const FaultEvent& x, const FaultEvent& y) {
-                               return x.at < y.at;
-                             }));
-  for (const FaultEvent& e : a.events) {
+  EXPECT_TRUE(std::is_sorted(a.begin(), a.end(), [](const FaultEvent& x, const FaultEvent& y) {
+    return x.at < y.at;
+  }));
+  for (const FaultEvent& e : a) {
     EXPECT_GE(e.at, 10.0);
     EXPECT_LT(e.at, 60.0);
     EXPECT_LT(e.target, 4u);
@@ -105,7 +104,7 @@ TEST(FaultPlan, BuildIsDeterministicSortedAndTargeted) {
   }
 }
 
-TEST(FaultPlan, NewNodeAndDomainKindsParse) {
+TEST(FaultSpec, NewNodeAndDomainKindsParse) {
   FaultSpec spec = parse_ok(
       "node-crash@10#5;node-degrade@20*0.5#6;node-flap@30#7;"
       "domain-crash@40#0;domain-degrade@50*0.3#1;domains:r0=0-1,r1=2-3");
@@ -121,13 +120,13 @@ TEST(FaultPlan, NewNodeAndDomainKindsParse) {
   EXPECT_EQ(spec.domains[1].nodes, (std::vector<std::uint32_t>{2, 3}));
 }
 
-TEST(FaultPlan, DomainRangesAndUnions) {
+TEST(FaultSpec, DomainRangesAndUnions) {
   FaultSpec spec = parse_ok("node-crash@5#0;domains:rack=0-2+7+9-10");
   ASSERT_EQ(spec.domains.size(), 1u);
   EXPECT_EQ(spec.domains[0].nodes, (std::vector<std::uint32_t>{0, 1, 2, 7, 9, 10}));
 }
 
-TEST(FaultPlan, ChurnSpecParsesKeys) {
+TEST(FaultSpec, ChurnSpecParsesKeys) {
   FaultSpec spec = parse_ok(
       "churn:crash-mtbf=600,crash-mttr=20,degrade-mtbf=300,degrade-mttr=30,"
       "flap-mtbf=150,flap-mttr=2,domain-mtbf=3600,domain-mttr=60,"
@@ -148,14 +147,10 @@ TEST(FaultPlan, ChurnSpecParsesKeys) {
   EXPECT_EQ(spec.churn_spec.nodes, 16u);
   ASSERT_EQ(spec.domains.size(), 1u);
   const Rng rng(9);
-  const FaultPlan plan = build_fault_plan(spec, rng, 4);
-  EXPECT_TRUE(plan.enabled());
-  EXPECT_TRUE(plan.churn);
-  EXPECT_TRUE(plan.events.empty());  // churn events materialize lazily
-  EXPECT_EQ(plan.domains.size(), 1u);
+  EXPECT_TRUE(build_fault_plan(spec, rng, 4).empty());  // churn events materialize lazily
 }
 
-TEST(FaultPlan, RandZeroCountsDisable) {
+TEST(FaultSpec, RandZeroCountsDisable) {
   // All-zero category counts: the spec parses but is a no-op plan.
   FaultSpec spec;
   std::string err;
@@ -163,7 +158,7 @@ TEST(FaultPlan, RandZeroCountsDisable) {
   EXPECT_FALSE(err.empty());
 }
 
-TEST(FaultPlan, FactorIsClampedToUnitInterval) {
+TEST(FaultSpec, FactorIsClampedToUnitInterval) {
   // factor is a capacity multiplier in (0, 1]: non-positive values clamp to
   // a small positive floor, values > 1 clamp to 1.
   EXPECT_DOUBLE_EQ(parse_ok("degrade@10*0").scripted[0].factor, 1e-3);
@@ -172,17 +167,17 @@ TEST(FaultPlan, FactorIsClampedToUnitInterval) {
   EXPECT_DOUBLE_EQ(parse_ok("churn:crash-mtbf=60,factor=7").churn_spec.factor, 1.0);
 }
 
-TEST(FaultPlan, RandDurationsHaveAFloor) {
+TEST(FaultSpec, RandDurationsHaveAFloor) {
   // Exponential duration draws are floored at 0.5 s so no fault window is
   // degenerate.
   FaultSpec spec = parse_ok("rand:degrades=40,from=0,span=10,dur=0.01");
   const Rng rng(77);
-  const FaultPlan plan = build_fault_plan(spec, rng, 4);
-  ASSERT_EQ(plan.events.size(), 40u);
-  for (const FaultEvent& e : plan.events) EXPECT_GE(e.duration_s, 0.5);
+  const std::vector<FaultEvent> events = build_fault_plan(spec, rng, 4);
+  ASSERT_EQ(events.size(), 40u);
+  for (const FaultEvent& e : events) EXPECT_GE(e.duration_s, 0.5);
 }
 
-TEST(FaultPlan, ChurnGrammarErrors) {
+TEST(FaultSpec, ChurnGrammarErrors) {
   for (const char* bad : {
            "churn:",                              // no category enabled
            "churn:factor=0.5",                    // still no category
@@ -203,7 +198,7 @@ TEST(FaultPlan, ChurnGrammarErrors) {
   }
 }
 
-TEST(FaultPlan, DomainGrammarErrors) {
+TEST(FaultSpec, DomainGrammarErrors) {
   for (const char* bad : {
            "node-crash@5;domains:",                 // empty section
            "node-crash@5;domains:r0",               // missing '='
@@ -223,29 +218,17 @@ TEST(FaultPlan, DomainGrammarErrors) {
   }
 }
 
-TEST(FaultPlan, ShardRoutability) {
-  // Migration-scoped scripted plans route; everything else collapses.
-  EXPECT_TRUE(fault_spec_shard_routable(parse_ok("src-crash@10#1;degrade@20*0.5")));
-  EXPECT_TRUE(fault_spec_shard_routable(parse_ok("dst-crash@10;slow-recv@20;flap@5")));
-  EXPECT_FALSE(fault_spec_shard_routable(parse_ok("repo-outage@10")));
-  EXPECT_FALSE(fault_spec_shard_routable(parse_ok("node-crash@10#3")));
-  EXPECT_FALSE(fault_spec_shard_routable(
-      parse_ok("domain-crash@10#0;domains:r0=0-1")));
-  EXPECT_FALSE(fault_spec_shard_routable(parse_ok("rand:crashes=1")));
-  EXPECT_FALSE(fault_spec_shard_routable(parse_ok("churn:crash-mtbf=60")));
-}
-
-TEST(FaultPlan, ScriptedEventsPassThroughBuildVerbatim) {
+TEST(FaultSpec, ScriptedEventsPassThroughBuildVerbatim) {
   FaultSpec spec = parse_ok("flap@30+2;src-crash@10+5#1");
   const Rng rng(7);
-  const FaultPlan plan = build_fault_plan(spec, rng, 2);
-  ASSERT_EQ(plan.events.size(), 2u);
+  const std::vector<FaultEvent> events = build_fault_plan(spec, rng, 2);
+  ASSERT_EQ(events.size(), 2u);
   // Sorted by time: the crash at t=10 comes first.
-  EXPECT_EQ(plan.events[0].kind, FaultKind::kSourceCrash);
-  EXPECT_DOUBLE_EQ(plan.events[0].at, 10.0);
-  EXPECT_EQ(plan.events[0].target, 1u);
-  EXPECT_EQ(plan.events[1].kind, FaultKind::kLinkFlap);
-  EXPECT_DOUBLE_EQ(plan.events[1].at, 30.0);
+  EXPECT_EQ(events[0].kind, FaultKind::kSourceCrash);
+  EXPECT_DOUBLE_EQ(events[0].at, 10.0);
+  EXPECT_EQ(events[0].target, 1u);
+  EXPECT_EQ(events[1].kind, FaultKind::kLinkFlap);
+  EXPECT_DOUBLE_EQ(events[1].at, 30.0);
 }
 
 }  // namespace

@@ -18,16 +18,16 @@ Task trivial(int* out) {
   co_return;
 }
 
-Task wait_on(Event* ev, int* out) {
-  co_await ev->wait();
+Task wait_on(Gate* gate, int* out) {
+  co_await gate->wait_open();
   *out += 1;
 }
 
 // A frame made deliberately large (but still pooled) via a live local array.
-Task bulky(Event* ev, int* out) {
+Task bulky(Gate* gate, int* out) {
   std::array<char, 1024> buf{};
   buf[0] = 1;
-  co_await ev->wait();
+  co_await gate->wait_open();
   *out += buf[0];
 }
 
@@ -60,7 +60,7 @@ TEST(FramePool, SteadyStateChurnReusesFrames) {
 
 TEST(FramePool, ExhaustionGrowsBySlabsAndThenRecycles) {
   Simulator s;
-  Event gate(s);
+  Gate gate(s, /*open=*/false);
   int ran = 0;
   // Hold many frames live at once: a 64 KiB slab holds a bounded number of
   // frames of one size, so 4000 concurrent coroutines must grow the pool.
@@ -72,14 +72,14 @@ TEST(FramePool, ExhaustionGrowsBySlabsAndThenRecycles) {
   const FramePool::Stats grown = FramePool::local().stats();
   EXPECT_GT(grown.heap, base.heap);  // exhaustion grew the pool
   EXPECT_GT(FramePool::local().slab_bytes(), slab_bytes_before);
-  gate.set();
+  gate.open();
   s.run();
   EXPECT_EQ(ran, 4000);
   // Second wave of the same shape: fully recycled, zero heap growth.
-  Event gate2(s);
+  Gate gate2(s, /*open=*/false);
   const FramePool::Stats before2 = FramePool::local().stats();
   for (int i = 0; i < 4000; ++i) s.spawn(bulky(&gate2, &ran));
-  gate2.set();
+  gate2.open();
   s.run();
   const FramePool::Stats after2 = FramePool::local().stats();
   EXPECT_EQ(ran, 8000);
@@ -89,13 +89,13 @@ TEST(FramePool, ExhaustionGrowsBySlabsAndThenRecycles) {
 
 TEST(FramePool, DistinctLiveFramesNeverAlias) {
   Simulator s;
-  Event gate(s);
+  Gate gate(s, /*open=*/false);
   int ran = 0;
   // If the free list handed out a frame twice, two coroutines would share
   // state and the counters below would be wrong (and ASan would scream).
   for (int i = 0; i < 257; ++i) s.spawn(wait_on(&gate, &ran));
   s.run();
-  gate.set();
+  gate.open();
   s.run();
   EXPECT_EQ(ran, 257);
 }

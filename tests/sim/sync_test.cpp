@@ -10,46 +10,6 @@
 namespace hm::sim {
 namespace {
 
-Task wait_event(Event* e, int* counter) {
-  co_await e->wait();
-  ++(*counter);
-}
-
-TEST(Event, WaitersResumeOnSet) {
-  Simulator s;
-  Event e(s);
-  int counter = 0;
-  for (int i = 0; i < 3; ++i) s.spawn(wait_event(&e, &counter));
-  s.run();
-  EXPECT_EQ(counter, 0);  // not set yet
-  e.set();
-  s.run();
-  EXPECT_EQ(counter, 3);
-}
-
-TEST(Event, WaitAfterSetContinuesImmediately) {
-  Simulator s;
-  Event e(s);
-  e.set();
-  int counter = 0;
-  s.spawn(wait_event(&e, &counter));
-  s.run();
-  EXPECT_EQ(counter, 1);
-}
-
-TEST(Event, DoubleSetIsIdempotent) {
-  Simulator s;
-  Event e(s);
-  int counter = 0;
-  s.spawn(wait_event(&e, &counter));
-  s.run();
-  e.set();
-  e.set();
-  s.run();
-  EXPECT_EQ(counter, 1);
-  EXPECT_TRUE(e.is_set());
-}
-
 Task wait_notification(Notification* n, int* counter) {
   co_await n->wait();
   ++(*counter);
@@ -91,13 +51,36 @@ TEST(Gate, ClosedGateBlocksUntilOpen) {
   Simulator s;
   Gate g(s, /*open=*/false);
   int counter = 0;
-  s.spawn(pass_gate(&g, &counter));
-  s.spawn(pass_gate(&g, &counter));
+  for (int i = 0; i < 3; ++i) s.spawn(pass_gate(&g, &counter));
   s.run();
   EXPECT_EQ(counter, 0);
   g.open();
   s.run();
-  EXPECT_EQ(counter, 2);
+  EXPECT_EQ(counter, 3);
+}
+
+// A gate built closed that only ever opens is a one-shot event.
+TEST(Gate, WaitAfterOpenContinuesImmediately) {
+  Simulator s;
+  Gate g(s, /*open=*/false);
+  g.open();
+  int counter = 0;
+  s.spawn(pass_gate(&g, &counter));
+  s.run();
+  EXPECT_EQ(counter, 1);
+}
+
+TEST(Gate, DoubleOpenIsIdempotent) {
+  Simulator s;
+  Gate g(s, /*open=*/false);
+  int counter = 0;
+  s.spawn(pass_gate(&g, &counter));
+  s.run();
+  g.open();
+  g.open();
+  s.run();
+  EXPECT_EQ(counter, 1);
+  EXPECT_TRUE(g.is_open());
 }
 
 TEST(Gate, ReclosableGate) {

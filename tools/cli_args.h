@@ -10,8 +10,6 @@
 #include <limits>
 #include <string>
 
-#include "cloud/experiment.h"
-
 namespace hm::cli {
 
 /// Parse a whole argument as a number in [lo, hi]; anything else (empty,
@@ -30,14 +28,6 @@ T parse_number(const char* flag, const std::string& text,
   else
     std::cerr << flag << ": expected a number, got '" << text << "'\n";
   std::exit(2);
-}
-
-/// A shard count: "auto" or a number >= 1. kShardsAuto is UINT32_MAX, so a
-/// numeric count stops one below it.
-inline std::uint32_t parse_shards(const char* flag, const std::string& text) {
-  if (text == "auto") return cloud::ExperimentConfig::kShardsAuto;
-  return parse_number<std::uint32_t>(flag, text, 1,
-                                     cloud::ExperimentConfig::kShardsAuto - 1);
 }
 
 }  // namespace hm::cli

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "cloud/experiment.h"
+#include "cloud/fault_injector.h"
 #include "cloud/report.h"
 #include "cloud/shard_plan.h"
 #include "cli_args.h"
@@ -68,10 +69,10 @@ void usage() {
       "  --audit             run the virtual-time watchdog/invariant auditor\n"
       "                      (liveness + chunk conservation; violations fail\n"
       "                      the run)\n"
-      "  --shards=N|auto     parallel in-process simulator shards (default 1;\n"
-      "                      byte-identical virtual timeline for any value;\n"
-      "                      auto = min(components, worker threads available);\n"
-      "                      a finite fabric or finite uplinks collapse to 1)\n"
+      "  --shards=N          parallel in-process simulator shards, at most N\n"
+      "                      (default 1; byte-identical virtual timeline for\n"
+      "                      any value; faults, a finite fabric or finite\n"
+      "                      uplinks collapse to 1)\n"
       "  --explain-shards    print the shard plan (count, per-shard VM loads,\n"
       "                      collapse reason) for this config and exit\n"
       "  --seed=N            RNG seed (default 42)\n"
@@ -220,7 +221,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (auto v = arg_value(arg, "--shards")) {
-      cfg.shards = cli::parse_shards("--shards", *v);
+      cfg.shards = parse_number<std::uint32_t>("--shards", *v, 1);
       continue;
     }
     if (std::strcmp(arg, "--explain-shards") == 0) {
@@ -261,43 +262,38 @@ int main(int argc, char** argv) {
     }
     // Cluster seeds its RNG as Rng(cfg.seed), so a fresh Rng reproduces the
     // exact plan the run would arm.
-    const sim::FaultPlan plan =
-        sim::build_fault_plan(planned.faults, sim::Rng(planned.seed),
-                              static_cast<std::uint32_t>(planned.num_migrations));
-    const std::size_t n_vms = planned.num_vms;
-    const std::size_t n_dst = planned.num_destinations;
-    const std::size_t n_nodes = planned.cluster.num_nodes;
-    auto target_of = [&](const sim::FaultEvent& ev) -> std::string {
-      if (sim::fault_kind_is_domain(ev.kind)) {
-        const auto& dom = plan.domains[ev.target % plan.domains.size()];
-        std::string s = "domain '" + dom.name + "' (nodes";
-        for (const auto n : dom.nodes) s += " " + std::to_string(n);
-        return s + ")";
+    const sim::FaultSpec& spec = planned.faults;
+    const std::vector<sim::FaultEvent> events = sim::build_fault_plan(
+        spec, sim::Rng(planned.seed), static_cast<std::uint32_t>(planned.num_migrations));
+    const auto describe = [&](const sim::FaultEvent& ev) -> std::string {
+      std::string nodes;
+      for (const net::NodeId n : cloud::fault_nodes(planned, ev)) nodes += " " + std::to_string(n);
+      const std::string k = std::to_string(cloud::fault_migration(planned, ev));
+      switch (sim::fault_kind_info(ev.kind).scope) {
+        case sim::FaultScope::kMigrationSource:
+          return "node" + nodes + " (migration #" + k + " source)";
+        case sim::FaultScope::kMigrationDest:
+          return "node" + nodes + " (migration #" + k + " destination)";
+        case sim::FaultScope::kNode:
+          return "node" + nodes;
+        case sim::FaultScope::kDomain:
+          return "domain '" + spec.domains[ev.target].name + "' (nodes" + nodes + ")";
+        case sim::FaultScope::kRepository:
+          break;
       }
-      if (sim::fault_kind_is_node(ev.kind))
-        return "node " + std::to_string(ev.target % n_nodes);
-      if (ev.kind == sim::FaultKind::kRepoOutage) return "repository (all stripes)";
-      const std::size_t k = n_vms > 0 ? ev.target % n_vms : 0;
-      if (ev.kind == sim::FaultKind::kDestCrash ||
-          ev.kind == sim::FaultKind::kSlowReceiver)
-        return "node " + std::to_string(n_vms + k % n_dst) + " (migration #" +
-               std::to_string(k) + " destination)";
-      return "node " + std::to_string(k) + " (migration #" + std::to_string(k) +
-             " source)";
+      return "repository (all stripes)";
     };
-    std::cout << "fault plan: " << plan.events.size() << " scripted event"
-              << (plan.events.size() == 1 ? "" : "s")
-              << (plan.churn ? " + churn process" : "") << "\n";
-    for (const sim::FaultEvent& ev : plan.events) {
+    std::cout << "fault plan: " << events.size() << " scripted event"
+              << (events.size() == 1 ? "" : "s") << (spec.churn ? " + churn process" : "")
+              << "\n";
+    for (const sim::FaultEvent& ev : events) {
       std::printf("  t=%9.3fs %-13s dur=%7.3fs factor=%.3f -> %s\n", ev.at,
-                  sim::fault_kind_name(ev.kind), ev.duration_s, ev.factor,
-                  target_of(ev).c_str());
+                  sim::fault_kind_info(ev.kind).name, ev.duration_s, ev.factor,
+                  describe(ev).c_str());
     }
-    if (plan.churn) {
-      const sim::FaultChurnSpec& cs = plan.churn_spec;
-      std::size_t churn_nodes = cs.nodes > 0 ? cs.nodes : n_vms + n_dst;
-      churn_nodes = std::min(churn_nodes, n_nodes);
-      std::cout << "churn process: " << churn_nodes << " node(s), window ["
+    if (spec.churn) {
+      const sim::FaultChurnSpec& cs = spec.churn_spec;
+      std::cout << "churn process: " << cloud::churn_node_count(planned) << " node(s), window ["
                 << cloud::fmt_double(cs.from, 1) << "s, "
                 << (cs.until > 0 ? cloud::fmt_double(cs.until, 1) + "s" : "inf")
                 << "), degrade factor " << cloud::fmt_double(cs.factor, 3) << "\n";
@@ -313,11 +309,11 @@ int main(int argc, char** argv) {
       if (cs.domain_mtbf > 0)
         std::cout << "  domain-crash: mtbf=" << cloud::fmt_double(cs.domain_mtbf, 1)
                   << "s mttr=" << cloud::fmt_double(cs.domain_mttr, 1) << "s over "
-                  << plan.domains.size() << " domain(s)\n";
+                  << spec.domains.size() << " domain(s)\n";
     }
-    if (!plan.domains.empty()) {
+    if (!spec.domains.empty()) {
       std::cout << "failure domains:\n";
-      for (const sim::FaultDomain& dom : plan.domains) {
+      for (const sim::FaultDomain& dom : spec.domains) {
         std::cout << "  " << dom.name << ":";
         for (const auto n : dom.nodes) std::cout << " " << n;
         std::cout << "\n";

@@ -1,27 +1,42 @@
-// The paper's Figures 3-5 and the ablations: runs the scenario-table points
-// (cloud/scenarios.h) whose label FIGURE/APPROACH/X lies under one of the
-// given prefixes, or every point with none, and emits one JSON row per
-// point after the field-class map of cloud/report.h's result-field table:
-// label, figure, approach and x, then every field, the paper metrics
-// included. tools/render_figures.py prints the figure panels from it.
+// The sweep driver: runs the scenario-table points (cloud/scenarios.h) whose
+// label FIGURE/APPROACH/X lies under one of the given prefixes, or every
+// point with none, and emits one JSON row per point after the field-class
+// map of cloud/report.h's result-field table: label, figure, approach and
+// x, then every field. The points cover the paper's Figures 3-5, the
+// ablations and the engine-scale families (scale/..., steady/oversub).
+// tools/render_figures.py prints the figure panels from it.
 //
 // A prefix matches whole '/'-separated label components: "paper/fig4"
 // selects Figure 4, "paper/fig5/mirror" its mirror points, and
 // "paper/fig4/postcopy/1" one point (not ".../10"). A prefix that matches
 // no point lists the figures and exits 2.
 //
-// Usage: paper_figures [PREFIX...]
+// Two options apply to every chosen point:
+//   --shards=N    run each point on up to N in-process simulator shards
+//                 (cloud/shard_plan.h). Every virtual-time field matches
+//                 the shards=1 run: check_sweep_golden.py --shards.
+//   --full-solve  re-solve every flow component each settle epoch
+//                 (FlowNetworkConfig::incremental = false), which must
+//                 reproduce the incremental timeline up to the solver-work
+//                 counters: check_sweep_golden.py --ignore-solver-work.
+// A malformed option exits 2 with a diagnostic. The exit status is 1 if
+// any point reports an error or an audit violation.
+//
+// Usage: paper_figures [--shards=N] [--full-solve] [PREFIX...]
 #include <algorithm>
+#include <cstdint>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "cli_args.h"
+#include "cloud/report.h"
+#include "cloud/scenarios.h"
+#include "cloud/sweep.h"
 
 using namespace hm;
-using namespace hm::bench;
 
 namespace {
 
@@ -30,10 +45,37 @@ bool under(const std::string& label, const std::string& prefix) {
          (label.size() == prefix.size() || label[prefix.size()] == '/');
 }
 
+/// Print a point's error and audit violations on stderr; true if it has
+/// any. The run keeps going (the JSON stays well-formed) and its exit code
+/// reports the failure.
+bool report_failures(const std::string& label, const cloud::ExperimentResult& r) {
+  if (!r.error.empty()) std::cerr << "paper_figures: " << label << ": " << r.error << "\n";
+  for (const std::string& v : r.audit_violations)
+    std::cerr << "paper_figures: " << label << " AUDIT VIOLATION: " << v << "\n";
+  return !r.error.empty() || !r.audit_violations.empty();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::vector<std::string> prefixes(argv + 1, argv + argc);
+  std::vector<std::string> prefixes;
+  std::uint32_t shards = 1;
+  bool full_solve = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.starts_with("--shards=")) {
+      shards = cli::parse_number<std::uint32_t>("--shards", arg.substr(9), 1);
+    } else if (arg == "--full-solve") {
+      full_solve = true;
+    } else if (arg.starts_with("--")) {
+      std::cerr << "paper_figures: unknown option '" << arg
+                << "'\nusage: paper_figures [--shards=N] [--full-solve] [PREFIX...]\n";
+      return 2;
+    } else {
+      prefixes.push_back(arg);
+    }
+  }
+
   const std::vector<cloud::ScenarioPoint> points = cloud::scenario_points();
   for (const std::string& prefix : prefixes) {
     if (std::none_of(points.begin(), points.end(),
@@ -55,9 +97,11 @@ int main(int argc, char** argv) {
       continue;
     chosen.push_back(&p);
     items.push_back({p.label(), p.config});
+    items.back().config.shards = shards;
+    if (full_solve) items.back().config.cluster.network.incremental = false;
   }
   std::cerr << "paper_figures: running " << items.size() << " points...\n";
-  const std::vector<ExperimentResult> results = cloud::run_sweep(items);
+  const std::vector<cloud::ExperimentResult> results = cloud::run_sweep(items);
 
   // Full precision, so the renderer's panels match C printf of the results.
   std::cout << std::setprecision(std::numeric_limits<double>::max_digits10);
@@ -65,12 +109,11 @@ int main(int argc, char** argv) {
   bool any_error = false;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const cloud::ScenarioPoint& p = *chosen[i];
-    any_error = report_failures("paper_figures", items[i].label, results[i]) || any_error;
+    any_error = report_failures(items[i].label, results[i]) || any_error;
     std::cout << (i ? ",\n" : "") << "  {\"label\": \"" << items[i].label
               << "\", \"figure\": \"" << p.figure << "\", \"approach\": \"" << p.approach
               << "\", \"x\": \"" << p.x << "\"";
-    cloud::write_json_fields(std::cout, cloud::result_fields(), p.config, results[i],
-                             /*detail=*/true);
+    cloud::write_json_fields(std::cout, cloud::result_fields(), items[i].config, results[i]);
     std::cout << "}";
   }
   std::cout << "\n]}\n";

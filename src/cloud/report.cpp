@@ -93,28 +93,28 @@ const ResultField kFields[] = {
     // Invariant auditor.
     {"audit_checks", HM_GET(r.audit_checks), kAudit},
     {"audit_violations", HM_GET(r.audit_violations.size()), kAudit},
-    // The rest of the paper's metrics, printed by the CLI and the figures.
-    {"app_execution_s", HM_GET(r.app_execution_time), kDetail},
-    {"total_migration_s", HM_GET(r.total_migration_time), kDetail},
-    {"max_downtime_s", HM_GET(r.max_downtime), kDetail},
-    {"memory_rounds", HM_GET(migration_sum<&core::MigrationRecord::memory_rounds>(r)), kDetail},
+    // The rest of the paper's metrics.
+    {"app_execution_s", HM_GET(r.app_execution_time), kAlways},
+    {"total_migration_s", HM_GET(r.total_migration_time), kAlways},
+    {"max_downtime_s", HM_GET(r.max_downtime), kAlways},
+    {"memory_rounds", HM_GET(migration_sum<&core::MigrationRecord::memory_rounds>(r)), kAlways},
     {"chunks_pushed", HM_GET(migration_sum<&core::MigrationRecord::storage_chunks_pushed>(r)),
-     kDetail},
+     kAlways},
     {"chunks_pulled", HM_GET(migration_sum<&core::MigrationRecord::storage_chunks_pulled>(r)),
-     kDetail},
-    {"memory_traffic_gb", HM_GET(r.traffic(TrafficClass::kMemory) / kGiB), kDetail},
-    {"storage_push_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePush) / kGiB), kDetail},
-    {"storage_pull_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePull) / kGiB), kDetail},
-    {"repo_read_traffic_gb", HM_GET(r.traffic(TrafficClass::kRepoRead) / kGiB), kDetail},
-    {"pvfs_data_traffic_gb", HM_GET(r.traffic(TrafficClass::kPvfsData) / kGiB), kDetail},
-    {"app_comm_traffic_gb", HM_GET(r.traffic(TrafficClass::kAppComm) / kGiB), kDetail},
-    {"control_traffic_gb", HM_GET(r.traffic(TrafficClass::kControl) / kGiB), kDetail},
-    {"migration_traffic_gb", HM_GET(r.migration_traffic / kGiB), kDetail},
-    {"bytes_written", HM_GET(r.bytes_written), kDetail},
-    {"bytes_read", HM_GET(r.bytes_read), kDetail},
-    {"write_Bps", HM_GET(r.write_Bps), kDetail},
-    {"read_Bps", HM_GET(r.read_Bps), kDetail},
-    {"cpu_s", HM_GET(r.cpu_seconds_total), kDetail},
+     kAlways},
+    {"memory_traffic_gb", HM_GET(r.traffic(TrafficClass::kMemory) / kGiB), kAlways},
+    {"storage_push_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePush) / kGiB), kAlways},
+    {"storage_pull_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePull) / kGiB), kAlways},
+    {"repo_read_traffic_gb", HM_GET(r.traffic(TrafficClass::kRepoRead) / kGiB), kAlways},
+    {"pvfs_data_traffic_gb", HM_GET(r.traffic(TrafficClass::kPvfsData) / kGiB), kAlways},
+    {"app_comm_traffic_gb", HM_GET(r.traffic(TrafficClass::kAppComm) / kGiB), kAlways},
+    {"control_traffic_gb", HM_GET(r.traffic(TrafficClass::kControl) / kGiB), kAlways},
+    {"migration_traffic_gb", HM_GET(r.migration_traffic / kGiB), kAlways},
+    {"bytes_written", HM_GET(r.bytes_written), kAlways},
+    {"bytes_read", HM_GET(r.bytes_read), kAlways},
+    {"write_Bps", HM_GET(r.write_Bps), kAlways},
+    {"read_Bps", HM_GET(r.read_Bps), kAlways},
+    {"cpu_s", HM_GET(r.cpu_seconds_total), kAlways},
 };
 #undef HM_GET
 static_assert(net::kNumTrafficClasses == 7, "one *_traffic_gb row per class");
@@ -134,7 +134,7 @@ std::ostream& operator<<(std::ostream& os, const FieldValue& value) {
 std::span<const ResultField> result_fields() { return kFields; }
 
 bool field_active(const ResultField& f, const ExperimentConfig& cfg,
-                  const ExperimentResult& r, bool detail) {
+                  const ExperimentResult& r) {
   switch (f.regime) {
     case kAlways: return true;
     case kFaults: return cfg.faults.enabled();
@@ -143,16 +143,14 @@ bool field_active(const ResultField& f, const ExperimentConfig& cfg,
     case kAudit: return cfg.audit;
     case kShards: return cfg.shards != 1;
     case kNonEmpty: return !std::get<std::string_view>(f.get(r).v).empty();
-    case kDetail: return detail;
   }
   return false;
 }
 
 void write_json_fields(std::ostream& os, std::span<const ResultField> fields,
-                       const ExperimentConfig& cfg, const ExperimentResult& r,
-                       bool detail) {
+                       const ExperimentConfig& cfg, const ExperimentResult& r) {
   for (const ResultField& f : fields)
-    if (field_active(f, cfg, r, detail)) os << ", \"" << f.name << "\": " << f.get(r);
+    if (field_active(f, cfg, r)) os << ", \"" << f.name << "\": " << f.get(r);
 }
 
 void write_sweep_header(std::ostream& os) {

@@ -38,7 +38,6 @@ enum class Regime : std::uint8_t {
   kAudit,              // cfg.audit
   kShards,             // cfg.shards != 1: a shard count was asked for
   kNonEmpty,           // the (string) value is non-empty
-  kDetail,             // hybridmig_sim and the figure rows, never the scale sweeps
 };
 
 /// Golden-gate classes (bit set); tools/check_sweep_golden.py strips them
@@ -63,15 +62,13 @@ struct ResultField {
 std::span<const ResultField> result_fields();
 inline constexpr std::size_t kRunStatusFields = 3;
 
-/// Whether `f` is printed for `cfg`'s run `r`; kDetail rows only when
-/// `detail`.
+/// Whether `f` is printed for `cfg`'s run `r`.
 bool field_active(const ResultField& f, const ExperimentConfig& cfg,
-                  const ExperimentResult& r, bool detail);
+                  const ExperimentResult& r);
 
 /// Append `, "name": value` for every active field of `fields`.
 void write_json_fields(std::ostream& os, std::span<const ResultField> fields,
-                       const ExperimentConfig& cfg, const ExperimentResult& r,
-                       bool detail = false);
+                       const ExperimentConfig& cfg, const ExperimentResult& r);
 
 /// A sweep's opening JSON line: the field-class map, then `"rows": [`.
 void write_sweep_header(std::ostream& os);

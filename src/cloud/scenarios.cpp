@@ -1,6 +1,10 @@
 #include "cloud/scenarios.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace hm::cloud {
@@ -107,8 +111,12 @@ ExperimentConfig fig5_config(core::Approach a, std::size_t n) {
   return cfg;
 }
 
-}  // namespace
-
+/// The engine-scale fleet: paper network parameters with a 1 GiB image and
+/// 1 GiB of RAM per VM under AsyncWR, so a 64-way point stays a
+/// seconds-scale run, on the oversubscribed graphene-style core (20-node
+/// edge switches on 1.25 GB/s uplinks: at high concurrency nearly every
+/// settle epoch escalates to a global solve) or a non-blocking
+/// full-bisection one (migrations decompose into per-NIC-pair components).
 ExperimentConfig lean_fleet_config(bool nonblocking) {
   ExperimentConfig cfg = asyncwr_config(core::Approach::kHybrid);
   cfg.cluster.image = storage::ImageConfig{1 * kGiB, 256 * static_cast<std::uint32_t>(kKiB)};
@@ -127,6 +135,94 @@ ExperimentConfig lean_fleet_config(bool nonblocking) {
   }
   return cfg;
 }
+
+/// Parse one of this table's spec constants into `out`; a malformed
+/// constant is a bug in the table.
+template <class Out>
+void parse_into(bool (*parse)(std::string_view, Out*, std::string*), std::string_view spec,
+                Out* out) {
+  std::string err;
+  if (!parse(spec, out, &err)) throw std::logic_error(std::string(spec) + ": " + err);
+}
+
+/// Figure 4's concurrent-migration axis at datacenter scale: n VMs on the
+/// lean fleet, all n migrated to n destinations from t=20 s, `stagger_s`
+/// apart. A zero stagger launches one burst whose homogeneous VMs then run
+/// in lockstep, so every epoch churns every component; a non-zero one
+/// desyncs the chunk streams, so each epoch carries O(1) migrations' churn.
+ExperimentConfig scale_config(std::size_t n, bool nonblocking, double stagger_s) {
+  ExperimentConfig cfg = lean_fleet_config(nonblocking);
+  cfg.first_migration_at = 20.0;
+  cfg.num_vms = n;
+  cfg.num_migrations = n;
+  cfg.num_destinations = n;
+  cfg.migration_interval_s = stagger_s;
+  cfg.cluster.num_nodes = 2 * n + 8;
+  cfg.max_sim_time = 3600.0;
+  return cfg;
+}
+
+/// A generated trace in place of AsyncWR, broadcast to every VM and seeded
+/// from the experiment seed. The geometry fits the lean fleet's VMs: a
+/// 128 MiB anon working set of 256 KiB pages and a 256 MiB file region,
+/// with AsyncWR-comparable pressure over a 60 s stream; `spec` can
+/// override any of it.
+ExperimentConfig with_trace(ExperimentConfig cfg, std::string_view spec) {
+  cfg.workload = WorkloadKind::kTrace;
+  cfg.trace.gen.page_bytes = 256 * kKiB;
+  cfg.trace.gen.pages = 512;
+  cfg.trace.gen.chunk_bytes = 256 * static_cast<std::uint32_t>(kKiB);
+  cfg.trace.gen.chunks = 1024;
+  cfg.trace.gen.file_offset = 256 * kMiB;
+  cfg.trace.gen.duration_s = 60.0;
+  cfg.trace.gen.dt_s = 0.25;
+  cfg.trace.gen.mem_dirty_Bps = 12e6;
+  cfg.trace.gen.chunk_write_Bps = 6e6;
+  parse_into(workloads::parse_trace_spec, spec, &cfg.trace);
+  return cfg;
+}
+
+/// A --faults spec replayed on the point. Churn regimes also arm the
+/// invariant auditor: its periodic tick is part of their timeline.
+ExperimentConfig with_faults(ExperimentConfig cfg, std::string_view spec) {
+  parse_into(sim::parse_fault_spec, spec, &cfg.faults);
+  cfg.audit = cfg.faults.churn;
+  return cfg;
+}
+
+/// Seeded crashes, degrades, flaps, slow receivers and a repository outage.
+constexpr const char* kRandFaults =
+    "faults:rand:crashes=2,dst-crashes=2,degrades=4,flaps=2,slow=2,outages=1,"
+    "from=20,span=8,dur=8";
+/// Churn processes plus a correlated rack (nodes 0-3).
+constexpr const char* kChurnFaults =
+    "faults:churn:crash-mtbf=60,crash-mttr=5,degrade-mtbf=45,degrade-mttr=6,"
+    "domain-mtbf=40,domain-mttr=6,factor=0.4,from=20,until=120;domains:rack0=0-3";
+
+/// The continuous-arrival axis: cloud::Scheduler serving an open Poisson
+/// request stream on an n-VM lean fleet. The stream scales with the fleet:
+/// n/100 req/s over 240 s, 25% high priority, max(2, n/8) concurrent,
+/// capacity 2, 4 anti-affinity groups, least-loaded placement, preemption.
+/// A destination pool half the fleet size makes the capacity and
+/// anti-affinity constraints bind at peak load.
+ExperimentConfig steady_config(std::size_t n) {
+  ExperimentConfig cfg = lean_fleet_config(/*nonblocking=*/false);
+  cfg.num_vms = n;
+  cfg.num_destinations = std::max<std::size_t>(2, n / 2);
+  cfg.num_migrations = 0;  // the scheduler owns the schedule
+  cfg.cluster.num_nodes = n + cfg.num_destinations + 8;
+  cfg.max_sim_time = 7200.0;
+  char spec[160];
+  std::snprintf(spec, sizeof(spec),
+                "poisson:rate=%g,until=240,hi=0.25"
+                ";sched:concurrent=%zu,capacity=2,groups=4,"
+                "policy=least-loaded,preempt=1",
+                static_cast<double>(n) / 100.0, std::max<std::size_t>(2, n / 8));
+  parse_into(parse_scheduler_spec, spec, &cfg.scheduler);
+  return cfg;
+}
+
+}  // namespace
 
 std::vector<ScenarioPoint> scenario_points() {
   std::vector<ScenarioPoint> out;
@@ -211,6 +307,23 @@ std::vector<ScenarioPoint> scenario_points() {
     cfg.approach_cfg.hybrid.threshold = threshold;
     add("ablation/threshold", core::approach_name(hybrid), x, cfg);
   }
+
+  // Engine scale families, X = the number of VMs: one family per gated
+  // regime. Churn and steady stop at 256; their n=512 runs take minutes.
+  auto family = [&](const char* figure, std::size_t first, std::size_t last, auto config) {
+    for (std::size_t n = first; n <= last; n *= 2)
+      add(figure, core::approach_name(hybrid), std::to_string(n), config(n));
+  };
+  family("scale/oversub", 2, 1024, [](std::size_t n) { return scale_config(n, false, 0.0); });
+  family("scale/nonblocking", 2, 1024,
+         [](std::size_t n) { return scale_config(n, true, 0.05); });
+  family("scale/nonblocking-trace-zipf", 2, 1024,
+         [](std::size_t n) { return with_trace(scale_config(n, true, 0.05), "trace:zipf"); });
+  family("scale/oversub-faults", 2, 1024,
+         [](std::size_t n) { return with_faults(scale_config(n, false, 0.0), kRandFaults); });
+  family("scale/oversub-churn", 2, 256,
+         [](std::size_t n) { return with_faults(scale_config(n, false, 0.0), kChurnFaults); });
+  family("steady/oversub", 8, 256, steady_config);
   return out;
 }
 

@@ -15,7 +15,9 @@ hiding behind wall-clock noise. The classes:
                   pools, settle epochs that cannot span shards).
 
 The golden's and the fresh run's field_classes must be equal, so
-reclassifying a field is a reviewed diff under tests/golden/.
+reclassifying a field is a reviewed diff under tests/golden/. Rows are
+matched by their label (FIGURE/APPROACH/X, cloud/scenarios.h); a label
+missing from either side, or repeated within one, fails by name.
 
 Usage: check_sweep_golden.py [MODE] <golden.json> <fresh.json>
        check_sweep_golden.py [MODE] <golden.json> --run NAME BINARY [ARG...]
@@ -29,7 +31,10 @@ match, 1 with a per-field diff otherwise.
 MODE picks the classes stripped: none strips wall; --ignore-solver-work
 also strips solver_work (a --full-solve run against an incremental
 golden); --shards also strips implementation (a shards=N run against a
-shards=1 golden).
+shards=1 golden) and compares floats at 6 significant digits (%g). A shard
+runs fewer, longer settle epochs than one simulator holding the whole
+fleet, and the flow network rounds each epoch's byte advance, so a sharded
+run's floats can differ in the last few bits.
 """
 import json
 import os
@@ -40,7 +45,20 @@ MODE_CLASSES = {None: {"wall"}, "--ignore-solver-work": {"wall", "solver_work"},
                 "--shards": {"wall", "implementation"}}
 
 
-def check_pair(golden_path, fresh_path, classes) -> bool:
+def rows_by_label(doc, path, ignored, digits6):
+    """The document's rows keyed by label, minus the ignored fields and with
+    floats at %g if digits6; None after naming every repeated label."""
+    rows, repeated = {}, False
+    for row in doc["rows"]:
+        if row["label"] in rows:
+            print(f"{path}: {row['label']}: duplicated label")
+            repeated = True
+        rows[row["label"]] = {k: float("%g" % v) if digits6 and isinstance(v, float) else v
+                              for k, v in row.items() if k not in ignored}
+    return None if repeated else rows
+
+
+def check_pair(golden_path, fresh_path, mode) -> bool:
     with open(golden_path) as f:
         golden = json.load(f)
     with open(fresh_path) as f:
@@ -49,20 +67,25 @@ def check_pair(golden_path, fresh_path, classes) -> bool:
         print(f"{fresh_path}: field_classes differ: golden {golden['field_classes']!r}"
               f" != fresh {fresh['field_classes']!r}")
         return False
-    ignored = {name for c in classes for name in golden["field_classes"][c]}
-    golden_rows, fresh_rows = ([{k: v for k, v in row.items() if k not in ignored}
-                                for row in doc["rows"]] for doc in (golden, fresh))
-    ok = len(golden_rows) == len(fresh_rows)
-    if not ok:
-        print(f"{fresh_path}: row count differs: golden {len(golden_rows)}"
-              f" vs fresh {len(fresh_rows)}")
-    for g, s in zip(golden_rows, fresh_rows):
-        # Each sweep writes its row's identity first (concurrent_migrations,
-        # vms, label).
-        identity, value = next(iter(g.items()))
+    ignored = {name for c in MODE_CLASSES[mode] for name in golden["field_classes"][c]}
+    golden_rows, fresh_rows = (rows_by_label(doc, path, ignored, mode == "--shards")
+                               for doc, path in ((golden, golden_path), (fresh, fresh_path)))
+    if golden_rows is None or fresh_rows is None:
+        return False
+    ok = True
+    for label in golden_rows:
+        if label not in fresh_rows:
+            print(f"{fresh_path}: {label}: missing (the golden has this row)")
+            ok = False
+    for label, s in fresh_rows.items():
+        if label not in golden_rows:
+            print(f"{fresh_path}: {label}: not in the golden")
+            ok = False
+            continue
+        g = golden_rows[label]
         for key in sorted(set(g) | set(s)):
             if g.get(key) != s.get(key):
-                print(f"{fresh_path}: {identity}={value} {key}: "
+                print(f"{fresh_path}: {label} {key}: "
                       f"golden {g.get(key)!r} != fresh {s.get(key)!r}")
                 ok = False
     if ok:
@@ -96,7 +119,7 @@ def main() -> int:
     else:
         print(__doc__, file=sys.stderr)
         return 2
-    if check_pair(args[0], fresh_path, MODE_CLASSES[mode]):
+    if check_pair(args[0], fresh_path, mode):
         return 0
     print("virtual-time drift detected: if this change is INTENDED to alter "
           "simulated behaviour, regenerate the goldens under tests/golden/")

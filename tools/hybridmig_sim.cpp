@@ -375,7 +375,7 @@ int main(int argc, char** argv) {
     std::cerr << "audit violation: " << v << "\n";
   std::cout << "\n";
   for (const cloud::ResultField& f : cloud::result_fields())
-    if (cloud::field_active(f, exp.config(), res, /*detail=*/true))
+    if (cloud::field_active(f, exp.config(), res))
       std::cout << f.name << ": " << f.get(res) << "\n";
   return (res.completed && res.audit_violations.empty()) ? 0 : 1;
 }

@@ -45,16 +45,6 @@ bool under(const std::string& label, const std::string& prefix) {
          (label.size() == prefix.size() || label[prefix.size()] == '/');
 }
 
-/// Print a point's error and audit violations on stderr; true if it has
-/// any. The run keeps going (the JSON stays well-formed) and its exit code
-/// reports the failure.
-bool report_failures(const std::string& label, const cloud::ExperimentResult& r) {
-  if (!r.error.empty()) std::cerr << "paper_figures: " << label << ": " << r.error << "\n";
-  for (const std::string& v : r.audit_violations)
-    std::cerr << "paper_figures: " << label << " AUDIT VIOLATION: " << v << "\n";
-  return !r.error.empty() || !r.audit_violations.empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,7 +66,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::vector<cloud::ScenarioPoint> points = cloud::scenario_points();
+  std::vector<cloud::ScenarioPoint> points = cloud::scenario_points();
   for (const std::string& prefix : prefixes) {
     if (std::none_of(points.begin(), points.end(),
                      [&](const auto& p) { return under(p.label(), prefix); })) {
@@ -88,17 +78,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<const cloud::ScenarioPoint*> chosen;
+  if (!prefixes.empty())
+    std::erase_if(points, [&](const cloud::ScenarioPoint& p) {
+      return std::none_of(prefixes.begin(), prefixes.end(),
+                          [&](const std::string& prefix) { return under(p.label(), prefix); });
+    });
   std::vector<cloud::SweepItem> items;
-  for (const cloud::ScenarioPoint& p : points) {
-    if (!prefixes.empty() &&
-        std::none_of(prefixes.begin(), prefixes.end(),
-                     [&](const std::string& prefix) { return under(p.label(), prefix); }))
-      continue;
-    chosen.push_back(&p);
+  for (cloud::ScenarioPoint& p : points) {
+    p.config.shards = shards;
+    if (full_solve) p.config.cluster.network.incremental = false;
     items.push_back({p.label(), p.config});
-    items.back().config.shards = shards;
-    if (full_solve) items.back().config.cluster.network.incremental = false;
   }
   std::cerr << "paper_figures: running " << items.size() << " points...\n";
   const std::vector<cloud::ExperimentResult> results = cloud::run_sweep(items);
@@ -107,13 +96,19 @@ int main(int argc, char** argv) {
   std::cout << std::setprecision(std::numeric_limits<double>::max_digits10);
   cloud::write_sweep_header(std::cout);
   bool any_error = false;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const cloud::ScenarioPoint& p = *chosen[i];
-    any_error = report_failures(items[i].label, results[i]) || any_error;
-    std::cout << (i ? ",\n" : "") << "  {\"label\": \"" << items[i].label
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    // A failed point keeps the JSON well-formed; the exit status reports it.
+    const cloud::ScenarioPoint& p = points[i];
+    const cloud::ExperimentResult& r = results[i];
+    const std::string& label = items[i].label;
+    if (!r.error.empty()) std::cerr << "paper_figures: " << label << ": " << r.error << "\n";
+    for (const std::string& v : r.audit_violations)
+      std::cerr << "paper_figures: " << label << " AUDIT VIOLATION: " << v << "\n";
+    any_error = any_error || !r.error.empty() || !r.audit_violations.empty();
+    std::cout << (i ? ",\n" : "") << "  {\"label\": \"" << label
               << "\", \"figure\": \"" << p.figure << "\", \"approach\": \"" << p.approach
               << "\", \"x\": \"" << p.x << "\"";
-    cloud::write_json_fields(std::cout, cloud::result_fields(), items[i].config, results[i]);
+    cloud::write_json_fields(std::cout, p.config, r);
     std::cout << "}";
   }
   std::cout << "\n]}\n";

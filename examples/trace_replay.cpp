@@ -105,6 +105,6 @@ int main() {
   std::remove(path.c_str());
   std::cout << "\nThe trace axis replays recorded runs bit-identically and opens\n"
                "skewed/bursty/phase-shifting write patterns via trace generators\n"
-               "(see trace_info --gen and fig4_scale_sweep's trace:* regimes).\n";
+               "(see trace_info --gen and paper_figures' scale/nonblocking-trace-zipf).\n";
   return identical ? 0 : 1;
 }

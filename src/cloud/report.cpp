@@ -30,10 +30,11 @@ auto migration_sum(const ExperimentResult& r) {
 
 #define HM_GET(expr) [](const ExperimentResult& r) -> FieldValue { return (expr); }
 using enum Regime;
+using core::MigrationRecord;
 using net::TrafficClass;
 
 const ResultField kFields[] = {
-    // Run status (kRunStatusFields rows).
+    // Run status.
     {"shards", HM_GET(r.shards_used), kShards, kImplementation},
     {"shard_fallback_reason", HM_GET(r.shard_fallback_reason), kNonEmpty, kImplementation},
     {"error", HM_GET(r.error), kNonEmpty},
@@ -97,11 +98,9 @@ const ResultField kFields[] = {
     {"app_execution_s", HM_GET(r.app_execution_time), kAlways},
     {"total_migration_s", HM_GET(r.total_migration_time), kAlways},
     {"max_downtime_s", HM_GET(r.max_downtime), kAlways},
-    {"memory_rounds", HM_GET(migration_sum<&core::MigrationRecord::memory_rounds>(r)), kAlways},
-    {"chunks_pushed", HM_GET(migration_sum<&core::MigrationRecord::storage_chunks_pushed>(r)),
-     kAlways},
-    {"chunks_pulled", HM_GET(migration_sum<&core::MigrationRecord::storage_chunks_pulled>(r)),
-     kAlways},
+    {"memory_rounds", HM_GET(migration_sum<&MigrationRecord::memory_rounds>(r)), kAlways},
+    {"chunks_pushed", HM_GET(migration_sum<&MigrationRecord::storage_chunks_pushed>(r)), kAlways},
+    {"chunks_pulled", HM_GET(migration_sum<&MigrationRecord::storage_chunks_pulled>(r)), kAlways},
     {"memory_traffic_gb", HM_GET(r.traffic(TrafficClass::kMemory) / kGiB), kAlways},
     {"storage_push_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePush) / kGiB), kAlways},
     {"storage_pull_traffic_gb", HM_GET(r.traffic(TrafficClass::kStoragePull) / kGiB), kAlways},
@@ -147,9 +146,9 @@ bool field_active(const ResultField& f, const ExperimentConfig& cfg,
   return false;
 }
 
-void write_json_fields(std::ostream& os, std::span<const ResultField> fields,
-                       const ExperimentConfig& cfg, const ExperimentResult& r) {
-  for (const ResultField& f : fields)
+void write_json_fields(std::ostream& os, const ExperimentConfig& cfg,
+                       const ExperimentResult& r) {
+  for (const ResultField& f : kFields)
     if (field_active(f, cfg, r)) os << ", \"" << f.name << "\": " << f.get(r);
 }
 

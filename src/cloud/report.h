@@ -57,18 +57,16 @@ struct ResultField {
 };
 
 /// Every result field the CLI prints and the sweeps emit and gate, in row
-/// order. The first kRunStatusFields rows (shards, shard_fallback_reason,
-/// error) tell how the run went; sweeps print them among identity fields.
+/// order.
 std::span<const ResultField> result_fields();
-inline constexpr std::size_t kRunStatusFields = 3;
 
 /// Whether `f` is printed for `cfg`'s run `r`.
 bool field_active(const ResultField& f, const ExperimentConfig& cfg,
                   const ExperimentResult& r);
 
-/// Append `, "name": value` for every active field of `fields`.
-void write_json_fields(std::ostream& os, std::span<const ResultField> fields,
-                       const ExperimentConfig& cfg, const ExperimentResult& r);
+/// Append `, "name": value` for every active result field.
+void write_json_fields(std::ostream& os, const ExperimentConfig& cfg,
+                       const ExperimentResult& r);
 
 /// A sweep's opening JSON line: the field-class map, then `"rows": [`.
 void write_sweep_header(std::ostream& os);

@@ -94,8 +94,8 @@ struct RequestRecord {
   bool preempt_requested = false;
 };
 
-/// Aggregates emitted into sweep rows (only for scheduler regimes — the
-/// regime-gated field convention of bench/fig4_scale_sweep.cpp).
+/// Aggregates emitted into sweep rows (only for scheduler regimes: the
+/// kScheduler fields of cloud/report.cpp's result-field table).
 struct SchedulerStats {
   std::uint64_t requests = 0;
   std::uint64_t dispatched = 0;

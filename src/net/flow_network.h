@@ -117,8 +117,8 @@
 // stays clean. This is what makes the full-solve regime
 // (FlowNetworkConfig::incremental = false: re-solve every component each
 // epoch) byte-identical to the incremental mode, which the randomized
-// equivalence suite asserts. The scale sweeps (fig4_scale_sweep,
-// steady_state_sweep) map their --full-solve argument onto that field.
+// equivalence suite asserts. The sweep driver (bench/paper_figures) maps
+// its --full-solve option onto that field.
 //
 // Introspection: solved_component_count() counts component water-fills,
 // touched_flow_count() counts flow re-solves (both cumulative), so benches

@@ -87,7 +87,7 @@ std::string row_for(bool faults, bool scheduler, bool audit) {
   r.recovery.max_time_to_recover_s = 1.5;
   r.scheduler.requests = 3;
   std::ostringstream os;
-  write_json_fields(os, result_fields(), cfg, r);
+  write_json_fields(os, cfg, r);
   return os.str();
 }
 

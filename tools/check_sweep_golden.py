@@ -31,10 +31,9 @@ match, 1 with a per-field diff otherwise.
 MODE picks the classes stripped: none strips wall; --ignore-solver-work
 also strips solver_work (a --full-solve run against an incremental
 golden); --shards also strips implementation (a shards=N run against a
-shards=1 golden) and compares floats at 6 significant digits (%g). A shard
-runs fewer, longer settle epochs than one simulator holding the whole
-fleet, and the flow network rounds each epoch's byte advance, so a sharded
-run's floats can differ in the last few bits.
+shards=1 golden) and compares floats at 6 significant digits (%g): a
+shard's fewer, longer settle epochs round the per-epoch byte advance
+differently, so a sharded run's floats can differ in the last bits.
 """
 import json
 import os
@@ -73,16 +72,13 @@ def check_pair(golden_path, fresh_path, mode) -> bool:
     if golden_rows is None or fresh_rows is None:
         return False
     ok = True
-    for label in golden_rows:
-        if label not in fresh_rows:
-            print(f"{fresh_path}: {label}: missing (the golden has this row)")
-            ok = False
-    for label, s in fresh_rows.items():
-        if label not in golden_rows:
-            print(f"{fresh_path}: {label}: not in the golden")
+    for label in dict.fromkeys([*golden_rows, *fresh_rows]):
+        g, s = golden_rows.get(label), fresh_rows.get(label)
+        if g is None or s is None:
+            print(f"{fresh_path}: {label}: "
+                  + ("not in the golden" if g is None else "missing (the golden has this row)"))
             ok = False
             continue
-        g = golden_rows[label]
         for key in sorted(set(g) | set(s)):
             if g.get(key) != s.get(key):
                 print(f"{fresh_path}: {label} {key}: "

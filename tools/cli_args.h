@@ -1,6 +1,6 @@
 // Checked numeric arguments for the command-line front ends (hybridmig_sim
-// and the scale sweeps): a malformed number prints a diagnostic and exits 2
-// instead of silently becoming 0 or wrapping.
+// and bench/paper_figures): a malformed number prints a diagnostic and
+// exits 2 instead of silently becoming 0 or wrapping.
 #pragma once
 
 #include <charconv>

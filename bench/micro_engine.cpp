@@ -523,8 +523,9 @@ cloud::ExperimentConfig sharded_sweep_config() {
 }
 
 // One decomposable sweep point (staggered AsyncWR fleet on a non-blocking
-// core) at 1/2/4/8 simulator shards: the multicore speedup curve for the
-// independent-slice mode, timeline byte-identical across all arguments.
+// core, 64 one-VM slices) on 1/2/4/8 worker threads: the multicore speedup
+// curve for the independent-slice mode, result byte-identical across all
+// arguments.
 void BM_ShardedSweepPoint(benchmark::State& state) {
   cloud::ExperimentConfig cfg = sharded_sweep_config();
   cfg.shards = static_cast<std::uint32_t>(state.range(0));

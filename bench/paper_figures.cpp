@@ -12,9 +12,11 @@
 // no point lists the figures and exits 2.
 //
 // Two options apply to every chosen point:
-//   --shards=N    run each point on up to N in-process simulator shards
-//                 (cloud/shard_plan.h). Every virtual-time field matches
-//                 the shards=1 run: check_sweep_golden.py --shards.
+//   --shards=N    run each point's slices (one small simulator per
+//                 independent component, cloud/shard_plan.h) on up to N
+//                 worker threads. The slices do not depend on N, so every
+//                 field but the wall and shard fields matches the shards=1
+//                 run exactly: check_sweep_golden.py --shards.
 //   --full-solve  re-solve every flow component each settle epoch
 //                 (FlowNetworkConfig::incremental = false), which must
 //                 reproduce the incremental timeline up to the solver-work

@@ -445,15 +445,16 @@ ExperimentResult Experiment::run() {
   ShardPlan plan = plan_shards(cfg_);
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<Slice> parts(plan.shard_count());
-  sim::ShardedSimulator(plan.shard_count()).run([&](std::uint32_t s) {
-    parts[s] = run_slice(plan.slices[s]);
-  });
+  sim::ShardedSimulator(plan.shard_count())
+      .run([&](std::uint32_t s) { parts[s] = run_slice(plan.slices[s]); }, cfg_.shards);
 
   // Conservative runtime guards for N slices: anything a slice cannot prove
   // independent (a repository fetch from a stripe another slice owns, a
   // max_sim_time truncation whose cut point depends on the global
   // interleave, any error whose text mentions global state) reruns the
-  // one-slice plan. Correctness is never traded for wall-clock.
+  // one-slice plan. Correctness is never traded for wall-clock; the rerun
+  // is reported, like a static collapse, only when several workers were
+  // asked for.
   std::string guard;
   for (std::size_t s = 0; parts.size() > 1 && s < parts.size() && guard.empty(); ++s) {
     if (!parts[s].error.empty())
@@ -466,13 +467,13 @@ ExperimentResult Experiment::run() {
   if (!guard.empty()) {
     plan.slices.assign(1, std::vector<std::uint32_t>(cfg_.num_vms));
     std::iota(plan.slices[0].begin(), plan.slices[0].end(), 0u);
-    plan.collapse_reason = std::move(guard);
+    plan.collapse_reason = cfg_.shards > 1 ? std::move(guard) : std::string();
     parts.assign(1, run_slice(plan.slices[0]));
   }
 
   ExperimentResult res = merge_parts(parts);
   res.shard_fallback_reason = std::move(plan.collapse_reason);
-  // One slice reports its event loop; N slices the whole sharded run.
+  // One slice reports its event loop; N slices their whole run.
   res.wall_ms = parts.size() == 1 ? parts[0].wall_ms
                                   : std::chrono::duration<double, std::milli>(
                                         std::chrono::steady_clock::now() - wall_start)

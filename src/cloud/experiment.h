@@ -81,15 +81,18 @@ struct ExperimentConfig {
   /// shard plan (the auditor must observe every migration).
   bool audit = false;
 
-  /// Simulator shards for this one experiment (parallel in-process): at
-  /// most this many. The deterministic partitioner (cloud/shard_plan.h)
-  /// decomposes the VM fleet into constraint-graph components and runs
-  /// them on worker threads drawn from sim::WorkerBudget. Anything that
-  /// couples slices — any fault spec, the auditor, the scheduler, PVFS,
-  /// CM1/IOR, non-broadcast replay, trace recording, a finite fabric
-  /// aggregate or finite switch uplinks — collapses the plan to one shard.
-  /// Every virtual-time field of the result is byte-identical for any
-  /// shard count — only wall_ms may change.
+  /// Worker threads for this one experiment (parallel in-process): at
+  /// most this many, the caller included, drawn from sim::WorkerBudget.
+  /// The slices do not depend on it: the deterministic partitioner
+  /// (cloud/shard_plan.h) gives every constraint-graph component of the
+  /// VM fleet its own small simulator at any value, 1 included, and 1 runs
+  /// them in turn on the calling thread. Anything that couples slices —
+  /// any fault spec, the auditor, the scheduler, PVFS, CM1/IOR,
+  /// non-broadcast replay, trace recording, a finite fabric aggregate or
+  /// finite switch uplinks — collapses the plan to one slice. Every
+  /// virtual-time field and engine counter of the result (events, settle
+  /// epochs, frames served) is byte-identical for any value; only wall_ms,
+  /// shard_fallback_reason and the frame pool's reuse counters may change.
   std::uint32_t shards = 1;
 
   std::uint64_t seed = 42;
@@ -180,16 +183,19 @@ struct ExperimentResult {
   std::uint64_t engine_frames = 0;
   std::uint64_t engine_frames_reused = 0;
   std::uint64_t engine_frame_heap_allocs = 0;
-  /// Shards that actually ran (after partitioning and conservative
-  /// fallback). 1 whenever the plan collapsed — tests use this to tell a
-  /// genuinely parallel run from a vacuous one.
+  /// Slices that actually ran (after partitioning and conservative
+  /// fallback), at any cfg.shards: the component count, or 1 whenever the
+  /// plan collapsed — tests use this to tell a decomposed run from a
+  /// vacuous one.
   std::uint32_t shards_used = 1;
-  /// Why shards_used fell short of the requested shard count: the plan's
+  /// Why a run that asked for several workers ran one slice: the plan's
   /// static collapse reason, or the runtime guard that forced the
-  /// one-slice rerun. Empty when the run used the planned shards.
+  /// one-slice rerun. Empty when the run used the planned slices, and
+  /// always at cfg.shards == 1.
   std::string shard_fallback_reason;
-  /// Host wall-clock: the event loop of a one-slice run, or the whole
-  /// sharded run (slices and merge) for N slices.
+  /// Host wall-clock: the event loop of a one-slice run, or for N slices
+  /// the whole run of all of them (construction, event loops and merge),
+  /// at any cfg.shards.
   double wall_ms = 0;
 
   double traffic(net::TrafficClass c) const {
@@ -202,10 +208,10 @@ class Experiment {
   explicit Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) { cfg_.normalize(); }
 
   /// Run the simulation and collect metrics: plan_shards, one simulator per
-  /// slice (in parallel when there are several), runtime guards, then one
-  /// deterministic merge. With cfg.shards > 1 and a decomposable scenario
-  /// the plan has several slices; the virtual-time fields are
-  /// byte-identical to the one-slice run either way.
+  /// slice (on up to cfg.shards threads), runtime guards, then one
+  /// deterministic merge. A decomposable scenario has one slice per
+  /// component at any cfg.shards, so its result does not depend on the
+  /// worker count.
   ExperimentResult run();
 
   const ExperimentConfig& config() const noexcept { return cfg_; }

@@ -36,7 +36,7 @@ enum class Regime : std::uint8_t {
   kFaultsOrScheduler,  // either moves the downtime percentiles
   kScheduler,          // cfg.scheduler.enabled()
   kAudit,              // cfg.audit
-  kShards,             // cfg.shards != 1: a shard count was asked for
+  kShards,             // cfg.shards != 1: a worker count was asked for
   kNonEmpty,           // the (string) value is non-empty
 };
 
@@ -46,7 +46,7 @@ enum class Regime : std::uint8_t {
 enum FieldClass : std::uint8_t {
   kWall = 1,            // host wall-clock derived
   kSolverWork = 2,      // differs between solver regimes
-  kImplementation = 4,  // engine bookkeeping that differs across shard counts
+  kImplementation = 4,  // engine bookkeeping, and the shard fields (kShards)
 };
 
 struct ResultField {

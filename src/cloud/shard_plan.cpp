@@ -1,6 +1,5 @@
 #include "cloud/shard_plan.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "net/shard_partition.h"
@@ -54,9 +53,13 @@ std::string coupling_reason(const ExperimentConfig& cfg) {
 
 ShardPlan plan_shards(const ExperimentConfig& cfg) {
   const std::size_t n_vms = cfg.num_vms;
-  if (cfg.shards <= 1 || n_vms <= 1) return single(n_vms, {});
-  std::string reason = coupling_reason(cfg);
-  if (!reason.empty()) return single(n_vms, std::move(reason));
+  if (n_vms <= 1) return single(n_vms, {});
+  // A collapse is news only to a caller that asked for more than one worker.
+  const auto collapse = [&](std::string reason) {
+    return single(n_vms, cfg.shards > 1 ? std::move(reason) : std::string());
+  };
+  if (std::string reason = coupling_reason(cfg); !reason.empty())
+    return collapse(std::move(reason));
 
   // Constraint-graph edges: each VM pins its home node's NICs for its whole
   // life; a migrated VM additionally pins its destination's. Destination
@@ -72,19 +75,9 @@ ShardPlan plan_shards(const ExperimentConfig& cfg) {
       edges.emplace_back(k, cfg.destination_of(k));
   }
 
-  // More bins than VMs would only stay empty.
-  const auto bins = static_cast<std::uint32_t>(std::min<std::size_t>(cfg.shards, n_vms));
-  const net::ShardAssignment asg =
-      net::partition_items(n_vms, cfg.cluster.num_nodes, edges, bins);
-
   ShardPlan plan;
-  plan.components = asg.components;
-  if (asg.bins_used <= 1) return single(n_vms, "single connected component");
-  std::vector<std::vector<std::uint32_t>> slots(bins);
-  for (std::uint32_t i = 0; i < n_vms; ++i)
-    slots[asg.shard_of_item[i]].push_back(i);
-  for (auto& b : slots)
-    if (!b.empty()) plan.slices.push_back(std::move(b));  // VM ids already ascending
+  plan.slices = net::partition_items(n_vms, cfg.cluster.num_nodes, edges);
+  if (plan.slices.size() <= 1) return collapse("single connected component");
   return plan;
 }
 

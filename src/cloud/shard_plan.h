@@ -1,13 +1,12 @@
-// Static coupling analysis + slice planning for sharded experiments.
+// Static coupling analysis + slice planning for experiments.
 //
-// The sharded execution contract is byte-identity: every virtual-time field
-// of the merged result must equal the one-slice run's. That is provable
-// only when the slices are causally independent — no finite network
-// constraint, no storage service, no workload channel and no fault event
-// spans two slices. plan_shards() decides that *conservatively* from the
-// ExperimentConfig alone:
+// The slice contract is byte-identity: every virtual-time field of the
+// merged result is a pure function of the config, whatever the worker
+// count. That holds because the plan itself is: plan_shards() reads the
+// ExperimentConfig alone, never `shards`, except to decide whether a
+// collapse is worth reporting. It slices *conservatively*:
 //
-//  * Couplers that collapse the plan to one shard: any fault spec
+//  * Couplers that collapse the plan to one slice: any fault spec
 //    (scripted, rand: or churn:), the invariant auditor (observes every
 //    migration), the continuous-arrival scheduler, PVFS (striped across all
 //    nodes), CM1/IOR workloads (halo exchange / repository reads),
@@ -16,11 +15,12 @@
 //    switch uplinks (every flow competes for them). The first one found,
 //    in that order, is the reported reason.
 //
-//  * Otherwise VMs partition by the connected components of their planned
-//    NIC endpoint sets (home node + migration destination) — the same
-//    component structure FlowNetwork::solve_epoch maintains dynamically —
-//    via net::partition_items into at most `shards` slices, and run fully
-//    independently.
+//  * Otherwise each connected component of the VMs' planned NIC endpoint
+//    sets (home node + migration destination) — the same component
+//    structure FlowNetwork::solve_epoch maintains dynamically — is its own
+//    slice, found by net::partition_items. Slices run fully independently,
+//    each in its own small simulator; `shards` only caps how many worker
+//    threads run them (one runs every slice in turn).
 //
 // Residual couplings only observable at runtime (a repository fetch from a
 // foreign-owned stripe, a max_sim_time truncation whose cut point depends
@@ -38,23 +38,23 @@
 namespace hm::cloud {
 
 struct ShardPlan {
-  /// Slices that actually run (ascending VM ids inside each). Size 1 means
-  /// the plan collapsed to the one slice that lists every VM; the executor
-  /// runs and merges it like any other plan. More than one: the slices are
-  /// causally independent and run with zero synchronization.
+  /// Slices that actually run (ascending VM ids inside each, ascending
+  /// minimal VM across them). Size 1 means the plan collapsed to the one
+  /// slice that lists every VM; the executor runs and merges it like any
+  /// other plan. More than one: one slice per constraint-graph component,
+  /// causally independent, run with zero synchronization.
   std::vector<std::vector<std::uint32_t>> slices;
-  /// Why the plan collapsed to one shard; empty when it did not, or when
-  /// the config never asked for shards.
+  /// Why the plan collapsed to one slice; empty when it did not, or when
+  /// the config asked for one worker (cfg.shards == 1).
   std::string collapse_reason;
-  /// Connected components found (0 when coupling was static).
-  std::uint32_t components = 0;
 
   std::uint32_t shard_count() const noexcept {
     return static_cast<std::uint32_t>(slices.size());
   }
 };
 
-/// Deterministic: same (normalized) config => same plan.
+/// Deterministic: same (normalized) config => same slices, at any
+/// cfg.shards.
 ShardPlan plan_shards(const ExperimentConfig& cfg);
 
 }  // namespace hm::cloud

@@ -19,15 +19,9 @@ std::uint32_t find_root(std::vector<std::uint32_t>& parent, std::uint32_t i) {
 
 }  // namespace
 
-ShardAssignment partition_items(
+std::vector<std::vector<std::uint32_t>> partition_items(
     std::size_t n_items, std::size_t n_nodes,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
-    std::uint32_t bins) {
-  ShardAssignment out;
-  out.shard_of_item.assign(n_items, 0);
-  if (n_items == 0) return out;
-  if (bins == 0) bins = 1;
-
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
   // Union-find over items, linked through their nodes. Roots are driven to
   // minimal item indices so component identity is canonical.
   std::vector<std::uint32_t> parent(n_items);
@@ -44,44 +38,19 @@ ShardAssignment partition_items(
     if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
   }
 
-  // Dense component ids in ascending-minimal-item order (roots are minimal,
-  // and we scan items ascending, so first-seen order is canonical).
-  std::vector<std::uint32_t> comp_of_item(n_items);
-  std::vector<std::uint32_t> comp_weight;
+  // Roots are minimal and items are scanned ascending, so first-seen order
+  // is ascending-minimal-item order and each component fills ascending.
+  std::vector<std::vector<std::uint32_t>> components;
+  std::vector<std::uint32_t> comp_of_root(n_items, kNil);
   for (std::uint32_t i = 0; i < n_items; ++i) {
     const std::uint32_t r = find_root(parent, i);
-    if (r == i) {
-      comp_of_item[i] = static_cast<std::uint32_t>(comp_weight.size());
-      comp_weight.push_back(0);
-    } else {
-      comp_of_item[i] = comp_of_item[r];
+    if (comp_of_root[r] == kNil) {
+      comp_of_root[r] = static_cast<std::uint32_t>(components.size());
+      components.emplace_back();
     }
-    ++comp_weight[comp_of_item[i]];
+    components[comp_of_root[r]].push_back(i);
   }
-  out.components = static_cast<std::uint32_t>(comp_weight.size());
-
-  // Greedy balanced packing: heaviest component first (ties: lower minimal
-  // item, i.e. lower component id), into the least-loaded bin (ties: lower
-  // bin id). Deterministic and within 4/3 of optimal makespan.
-  std::vector<std::uint32_t> order(comp_weight.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return comp_weight[a] > comp_weight[b];
-  });
-  std::vector<std::uint64_t> load(bins, 0);
-  std::vector<std::uint32_t> bin_of_comp(comp_weight.size(), 0);
-  for (const std::uint32_t c : order) {
-    std::uint32_t best = 0;
-    for (std::uint32_t b = 1; b < bins; ++b)
-      if (load[b] < load[best]) best = b;
-    bin_of_comp[c] = best;
-    load[best] += comp_weight[c];
-  }
-  for (std::uint32_t i = 0; i < n_items; ++i)
-    out.shard_of_item[i] = bin_of_comp[comp_of_item[i]];
-  for (std::uint32_t b = 0; b < bins; ++b)
-    if (load[b] > 0) ++out.bins_used;
-  return out;
+  return components;
 }
 
 }  // namespace hm::net

@@ -1,5 +1,5 @@
-// Deterministic component-to-shard partitioner over the FlowNetwork
-// constraint graph.
+// Deterministic component decomposition of the FlowNetwork constraint
+// graph.
 //
 // Two simulation items (VMs, with their migrations) can only influence each
 // other through a shared network constraint: a NIC they both use (same
@@ -7,14 +7,12 @@
 // aggregate, switch uplink). When every shared constraint is infinite — the
 // non-blocking Clos core — the constraint graph decomposes into connected
 // components over NIC endpoints alone, exactly the component structure the
-// incremental solver (PR 2) exploits per settle epoch. This header computes
-// that decomposition statically, from the planned endpoint sets, and packs
-// the components into shard bins.
+// incremental solver exploits per settle epoch. This header computes that
+// decomposition statically, from the planned endpoint sets.
 //
-// Everything is deterministic: components are identified by their minimal
-// item index, ordered ascending, and assigned greedily (heaviest first,
-// least-loaded bin, ties to the lowest bin id). The same input always
-// yields the same assignment — a prerequisite for the sharded timeline
+// Everything is deterministic: each component lists its items ascending,
+// and components are ordered by their minimal item. The same input always
+// yields the same components — a prerequisite for the sharded timeline
 // being byte-identical run to run.
 #pragma once
 
@@ -23,24 +21,12 @@
 
 namespace hm::net {
 
-struct ShardAssignment {
-  /// Per item: owning shard bin in [0, bins). Items in one connected
-  /// component always share a bin.
-  std::vector<std::uint32_t> shard_of_item;
-  /// Number of connected components found.
-  std::uint32_t components = 0;
-  /// Bins that received at least one item (<= requested bins; the rest are
-  /// legitimate empty shards — the torn-partition case).
-  std::uint32_t bins_used = 0;
-};
-
-/// Partition `n_items` items into `bins` shards. `edges` lists every
+/// The connected components of `n_items` items. `edges` lists every
 /// (item, node) incidence: an item touches a node's NIC constraints.
-/// Items connected through any chain of shared nodes land in one component;
-/// components are bin-packed balanced by item count.
-ShardAssignment partition_items(
+/// Items connected through any chain of shared nodes land in one
+/// component; out-of-range incidences link nothing.
+std::vector<std::vector<std::uint32_t>> partition_items(
     std::size_t n_items, std::size_t n_nodes,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
-    std::uint32_t bins);
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges);
 
 }  // namespace hm::net

@@ -68,11 +68,10 @@ const std::vector<ShardMessage>& ShardedSimulator::exchange(std::uint32_t shard)
 }
 
 ShardedSimulator::Stats ShardedSimulator::run(
-    const std::function<void(std::uint32_t)>& body) {
+    const std::function<void(std::uint32_t)>& body, std::uint32_t max_workers) {
   Stats st;
   st.shards = shards_;
-  WorkerGrant grant(WorkerBudget::instance(),
-                    shards_ > 0 ? shards_ - 1 : 0);
+  WorkerGrant grant(WorkerBudget::instance(), std::min(shards_, std::max(max_workers, 1u)) - 1);
   std::atomic<std::uint32_t> next{0};
   auto worker = [&] {
     for (;;) {

@@ -4,11 +4,12 @@
 // sim::Simulator plus the component slice it simulates — across worker
 // threads drawn from the process-wide WorkerBudget. Two execution modes:
 //
-//  * run(body): independent slices. Workers claim shard indices from a
-//    shared counter; any number of threads (including just the caller)
-//    produces the same per-shard results, because slices never communicate.
-//    This is the mode the experiment harness uses once the deterministic
-//    partitioner has proven the slices share no coupling at all.
+//  * run(body, max_workers): independent slices. Workers claim shard
+//    indices from a shared counter; any number of threads (including just
+//    the caller) produces the same per-shard results, because slices never
+//    communicate. This is the mode the experiment harness uses once the
+//    deterministic partitioner has proven the slices share no coupling at
+//    all; its cfg.shards is the worker cap.
 //
 //  * run_epochs(body): message-passing slices. One dedicated thread per
 //    shard (spawned regardless of budget grants — the shard count itself is
@@ -109,8 +110,9 @@ class ShardedSimulator {
   const std::vector<ShardMessage>& exchange(std::uint32_t shard);
 
   /// Independent-slice mode: run body(0..shards-1), workers claim indices.
-  /// Uses the caller plus up to (shards-1) budget-granted threads.
-  Stats run(const std::function<void(std::uint32_t shard)>& body);
+  /// Uses the caller plus up to min(shards, max_workers) - 1 budget-granted
+  /// threads; max_workers <= 1 runs every shard in turn on the caller.
+  Stats run(const std::function<void(std::uint32_t shard)>& body, std::uint32_t max_workers);
 
   /// Message-passing mode: one dedicated thread per shard (budget-advisory),
   /// so bodies may call exchange()/post() and block on the barrier.

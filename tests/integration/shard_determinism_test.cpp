@@ -1,15 +1,17 @@
-// Sharded-experiment determinism contract: with cfg.shards > 1 and a
-// decomposable scenario, the merged result must be BYTE-identical to the
-// single-shard run in every virtual-time field — migration records, traffic
-// by class, workload aggregates, solver work counters — for any shard
-// count, in both solver regimes. Coupled regimes (CM1, faults, finite
-// fabric or uplinks) and runtime guard trips (max_sim_time truncation) must
-// fall back to one shard transparently. Only the result-field table's
-// implementation-class counters (events, frames, epochs) may differ, as in
-// the --shards sweep gates.
+// Slice determinism contract: the slice plan is a pure function of the
+// config, one slice per constraint-graph component at any cfg.shards, so
+// cfg.shards only sets how many workers run them. The merged result must
+// be BYTE-identical across worker counts in every virtual-time field —
+// migration records, traffic by class, workload aggregates — and in the
+// engine counters too (events, settle epochs, frames, solver work), in
+// both solver regimes. Coupled regimes (CM1, faults, finite fabric or
+// uplinks) and runtime guard trips (max_sim_time truncation) run the one
+// slice transparently, and say why only when several workers were asked
+// for.
 #include <gtest/gtest.h>
 
 #include "cloud/experiment.h"
+#include "cloud/scenarios.h"
 #include "cloud/shard_plan.h"
 #include "integration/result_compare.h"
 #include "net/flow_network.h"
@@ -49,27 +51,18 @@ ExperimentConfig decomposable_config(int incremental) {
   return cfg;
 }
 
-/// Every virtual field, plus solver work. `exact_epochs` compares
-/// settle-epoch counts; burst/broadcast scenarios batch same-timestamp churn
-/// of several components into shared epochs a sharded run cannot share
-/// (same work, more epochs), so those pass false. `exact_work` compares the solver
-/// work counters (components water-filled, flows resolved): they sum
-/// exactly in the incremental regime (work is component-scoped), but a
-/// full re-solve (the sweeps' --full-solve) touches every live flow each
-/// epoch, so a global run does strictly more work than the shards' local
-/// full-solves — the same split check_sweep_golden.py makes with
-/// --ignore-solver-work.
-void expect_identical(const ExperimentResult& ref, const ExperimentResult& got,
-                      bool exact_epochs, bool exact_work = true) {
+/// Every virtual field, plus every engine counter the golden classes
+/// strip: the runs compared here execute the same slices, so even the
+/// bookkeeping of their per-slice simulators must match.
+void expect_identical(const ExperimentResult& ref, const ExperimentResult& got) {
   expect_virtual_fields_equal(ref, got);
-  // Solver work: escalations always sum exactly; scheduler bookkeeping
-  // (events, frames) is never compared.
+  EXPECT_EQ(ref.shards_used, got.shards_used);
   EXPECT_EQ(ref.engine_escalations, got.engine_escalations);
-  if (exact_work) {
-    EXPECT_EQ(ref.engine_components, got.engine_components);
-    EXPECT_EQ(ref.engine_flows_resolved, got.engine_flows_resolved);
-  }
-  if (exact_epochs) EXPECT_EQ(ref.engine_recomputes, got.engine_recomputes);
+  EXPECT_EQ(ref.engine_components, got.engine_components);
+  EXPECT_EQ(ref.engine_flows_resolved, got.engine_flows_resolved);
+  EXPECT_EQ(ref.engine_recomputes, got.engine_recomputes);
+  EXPECT_EQ(ref.engine_events, got.engine_events);
+  EXPECT_EQ(ref.engine_frames, got.engine_frames);
 }
 
 ExperimentResult run_with_shards(ExperimentConfig cfg, std::uint32_t shards) {
@@ -78,24 +71,31 @@ ExperimentResult run_with_shards(ExperimentConfig cfg, std::uint32_t shards) {
 }
 
 TEST(ShardPlanning, HardCouplersCollapse) {
+  // The decomposable fleet is 8 components at every worker count.
+  for (std::uint32_t n : {1u, 4u}) {
+    ExperimentConfig c = decomposable_config(1);
+    c.shards = n;
+    c.normalize();
+    const ShardPlan plan = plan_shards(c);
+    EXPECT_EQ(plan.shard_count(), 8u) << "shards=" << n;
+    EXPECT_TRUE(plan.collapse_reason.empty()) << plan.collapse_reason;
+  }
   ExperimentConfig base = decomposable_config(1);
   base.shards = 4;
   base.normalize();
-  EXPECT_GT(plan_shards(base).shard_count(), 1u);
-  EXPECT_TRUE(plan_shards(base).collapse_reason.empty());
 
   auto reason = [](ExperimentConfig cfg) {
     cfg.normalize();
     const ShardPlan plan = plan_shards(cfg);
     EXPECT_EQ(plan.shard_count(), 1u);
+    // One worker asked for nothing, so there is no collapse to report.
+    cfg.shards = 1;
+    const ShardPlan one = plan_shards(cfg);
+    EXPECT_EQ(one.shard_count(), 1u);
+    EXPECT_TRUE(one.collapse_reason.empty()) << one.collapse_reason;
     return plan.collapse_reason;
   };
 
-  {
-    ExperimentConfig c = base;
-    c.shards = 1;
-    EXPECT_EQ(plan_shards(c).shard_count(), 1u);  // sharding not requested
-  }
   {
     ExperimentConfig c = base;
     c.workload = WorkloadKind::kCm1;
@@ -115,21 +115,21 @@ TEST(ShardPlanning, HardCouplersCollapse) {
   {
     ExperimentConfig c = base;
     c.num_destinations = 1;  // every migration lands on one node
-    c.normalize();
-    const ShardPlan plan = plan_shards(c);
-    EXPECT_EQ(plan.shard_count(), 1u);
-    EXPECT_EQ(plan.collapse_reason, "single connected component");
+    EXPECT_EQ(reason(c), "single connected component");
   }
 }
 
 TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
   // A finite fabric aggregate or finite switch uplinks tie every flow to
-  // every other, so the plan is one shard at any requested count and says
-  // why. The unlimited-network control shards.
-  ExperimentConfig control = decomposable_config(1);
-  control.shards = 4;
-  control.normalize();
-  EXPECT_EQ(plan_shards(control).shard_count(), 4u);
+  // every other, so the plan is one slice at any worker count and says why
+  // whenever more than one worker was asked for. The unlimited-network
+  // control is 8 slices at any worker count.
+  for (std::uint32_t n : {1u, 4u}) {
+    ExperimentConfig control = decomposable_config(1);
+    control.shards = n;
+    control.normalize();
+    EXPECT_EQ(plan_shards(control).shard_count(), 8u) << "shards=" << n;
+  }
 
   ExperimentConfig fabric = decomposable_config(1);
   fabric.cluster.network.fabric_Bps = 8e9;
@@ -142,24 +142,23 @@ TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
   };
   for (const auto& [base, why] : cases) {
     SCOPED_TRACE(why);
-    for (std::uint32_t n : {4u, 8u}) {
+    for (std::uint32_t n : {1u, 4u, 8u}) {
       SCOPED_TRACE("shards=" + std::to_string(n));
       ExperimentConfig c = base;
       c.shards = n;
       c.normalize();
       const ShardPlan plan = plan_shards(c);
       EXPECT_EQ(plan.shard_count(), 1u);
-      EXPECT_EQ(plan.collapse_reason, why);
+      EXPECT_EQ(plan.collapse_reason, n > 1 ? why : "");
     }
-    // The run is the one-slice plan, as at shards=1: every field matches.
+    // The run is the one-slice plan at any worker count: every field matches.
     const ExperimentResult ref = run_with_shards(base, 1);
     EXPECT_TRUE(ref.completed);
+    EXPECT_EQ(ref.shards_used, 1u);
+    EXPECT_TRUE(ref.shard_fallback_reason.empty()) << ref.shard_fallback_reason;
     const ExperimentResult got = run_with_shards(base, 4);
-    EXPECT_EQ(got.shards_used, 1u);
     EXPECT_EQ(got.shard_fallback_reason, why);
-    expect_identical(ref, got, /*exact_epochs=*/true);
-    EXPECT_EQ(ref.engine_events, got.engine_events);
-    EXPECT_EQ(ref.engine_frames, got.engine_frames);
+    expect_identical(ref, got);
   }
 }
 
@@ -171,31 +170,57 @@ TEST(ShardDeterminism, ByteIdenticalAcrossShardCounts) {
     ASSERT_TRUE(ref.error.empty()) << ref.error;
     ASSERT_EQ(ref.migrations.size(), 8u);
     EXPECT_GT(ref.max_downtime, 0.0);  // the comparison must not be vacuous
-    EXPECT_EQ(ref.shards_used, 1u);
+    // 8 singleton components: 8 slices even on one worker.
+    EXPECT_EQ(ref.shards_used, 8u);
 
     for (std::uint32_t n : {2u, 4u, 8u}) {
       SCOPED_TRACE("shards=" + std::to_string(n));
       const ExperimentResult got = run_with_shards(decomposable_config(incremental), n);
-      // 8 singleton components pack n bins: a genuinely parallel run.
-      EXPECT_EQ(got.shards_used, n);
       EXPECT_TRUE(got.shard_fallback_reason.empty()) << got.shard_fallback_reason;
-      expect_identical(ref, got, /*exact_epochs=*/true,
-                       /*exact_work=*/incremental == 1);
+      expect_identical(ref, got);
     }
   }
 }
 
 TEST(ShardDeterminism, SimultaneousMigrationsStayByteIdentical) {
-  // interval = 0: every migration launches at the same instant, so settle
-  // epochs that one global run batches across components split per shard —
-  // epoch counts drift, every simulated field must not.
+  // interval = 0: every migration launches at the same instant. Each
+  // component settles in its own simulator whatever the worker count, so
+  // even the epoch counts match.
   ExperimentConfig cfg = decomposable_config(1);
   cfg.migration_interval_s = 0.0;
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_TRUE(ref.completed);
+  EXPECT_EQ(ref.shards_used, 8u);
   const ExperimentResult got = run_with_shards(cfg, 4);
-  EXPECT_EQ(got.shards_used, 4u);
-  expect_identical(ref, got, /*exact_epochs=*/false);
+  expect_identical(ref, got);
+}
+
+TEST(ShardDeterminism, ScalePointIsExactAtEveryShardCount) {
+  // A scenario-table point whose components stay busy for the whole run:
+  // long enough that a simulator holding every component would round its
+  // per-epoch byte advance differently from one holding a single one.
+  // Slices are components at every worker count, so 1, 4 and 8 workers
+  // agree to the last bit.
+  const char* kLabel = "scale/nonblocking/our-approach/16";
+  ExperimentConfig cfg;
+  bool found = false;
+  for (const ScenarioPoint& p : scenario_points())
+    if (p.label() == kLabel) {
+      cfg = p.config;
+      found = true;
+    }
+  ASSERT_TRUE(found) << kLabel;
+  const ExperimentResult ref = run_with_shards(cfg, 1);
+  ASSERT_TRUE(ref.completed);
+  ASSERT_TRUE(ref.error.empty()) << ref.error;
+  ASSERT_EQ(ref.migrations.size(), 16u);
+  EXPECT_EQ(ref.shards_used, 16u);
+  for (std::uint32_t n : {4u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(n));
+    const ExperimentResult got = run_with_shards(cfg, n);
+    EXPECT_EQ(ref.max_downtime, got.max_downtime);
+    expect_identical(ref, got);
+  }
 }
 
 TEST(ShardDeterminism, SharedDestinationsMergeComponents) {
@@ -206,14 +231,14 @@ TEST(ShardDeterminism, SharedDestinationsMergeComponents) {
   cfg.num_destinations = 4;
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_TRUE(ref.completed);
+  EXPECT_EQ(ref.shards_used, 4u);
   const ExperimentResult got = run_with_shards(cfg, 8);
-  EXPECT_EQ(got.shards_used, 4u);
-  expect_identical(ref, got, /*exact_epochs=*/true);
+  expect_identical(ref, got);
 }
 
 TEST(ShardDeterminism, TornPartitionRunsOnFewerShards) {
-  // Two VMs, eight requested shards: two components, six empty bins. The
-  // run must use exactly the two real slices and stay byte-identical.
+  // Two VMs, eight requested workers: two components, so two slices on at
+  // most two workers, byte-identical to one worker.
   ExperimentConfig cfg = decomposable_config(1);
   cfg.num_vms = 2;
   cfg.num_migrations = 2;
@@ -221,15 +246,14 @@ TEST(ShardDeterminism, TornPartitionRunsOnFewerShards) {
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_TRUE(ref.completed);
   ASSERT_EQ(ref.migrations.size(), 2u);
+  EXPECT_EQ(ref.shards_used, 2u);
   const ExperimentResult got = run_with_shards(cfg, 8);
-  EXPECT_EQ(got.shards_used, 2u);
-  expect_identical(ref, got, /*exact_epochs=*/true);
+  expect_identical(ref, got);
 }
 
 TEST(ShardDeterminism, BroadcastTraceReplayShards) {
   // A generated broadcast trace fans the same op stream to every VM —
-  // decomposable, but every VM sees identical timestamps, so epoch counts
-  // drift like the simultaneous case.
+  // decomposable, with identical timestamps in every component.
   ExperimentConfig cfg = decomposable_config(1);
   cfg.workload = WorkloadKind::kTrace;
   cfg.trace.gen.pattern = workloads::TracePattern::kZipfian;
@@ -243,9 +267,9 @@ TEST(ShardDeterminism, BroadcastTraceReplayShards) {
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_TRUE(ref.completed);
   ASSERT_TRUE(ref.error.empty()) << ref.error;
+  EXPECT_EQ(ref.shards_used, 4u);
   const ExperimentResult got = run_with_shards(cfg, 4);
-  EXPECT_EQ(got.shards_used, 4u);
-  expect_identical(ref, got, /*exact_epochs=*/false);
+  expect_identical(ref, got);
 }
 
 TEST(ShardFallback, SeededFaultDrawsCollapseToOneShard) {
@@ -262,7 +286,7 @@ TEST(ShardFallback, SeededFaultDrawsCollapseToOneShard) {
   EXPECT_EQ(got.shards_used, 1u);
   EXPECT_EQ(got.shard_fallback_reason, "fault injection runs on one shard");
   EXPECT_GT(got.recovery.faults_injected, 0u);  // the axis actually fired
-  expect_identical(ref, got, /*exact_epochs=*/true);
+  expect_identical(ref, got);
 }
 
 TEST(ShardFallback, EveryFaultSpecCollapsesWithOneReason) {
@@ -299,8 +323,7 @@ TEST(ShardFallback, ScriptedFaultPlanCollapsesAndMatchesOneShard) {
   const ExperimentResult got = run_with_shards(cfg, 4);
   EXPECT_EQ(got.shards_used, 1u);
   EXPECT_EQ(got.shard_fallback_reason, "fault injection runs on one shard");
-  expect_identical(ref, got, /*exact_epochs=*/true);
-  EXPECT_EQ(ref.engine_events, got.engine_events);
+  expect_identical(ref, got);
 }
 
 TEST(ShardFallback, AuditedRunCollapsesToOneShard) {
@@ -334,7 +357,7 @@ TEST(ShardFallback, Cm1CollapsesToOneShard) {
   ASSERT_TRUE(ref.completed);
   const ExperimentResult got = run_with_shards(cfg, 4);
   EXPECT_EQ(got.shards_used, 1u);
-  expect_identical(ref, got, /*exact_epochs=*/true);
+  expect_identical(ref, got);
 }
 
 TEST(ShardFallback, TruncatedRunRerunsSingleShard) {
@@ -350,7 +373,7 @@ TEST(ShardFallback, TruncatedRunRerunsSingleShard) {
   EXPECT_EQ(got.shards_used, 1u);
   EXPECT_EQ(got.shard_fallback_reason, "runtime guard: max_sim_time truncation");
   EXPECT_FALSE(got.completed);
-  expect_identical(ref, got, /*exact_epochs=*/true);
+  expect_identical(ref, got);
 }
 
 }  // namespace

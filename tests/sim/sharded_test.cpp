@@ -2,9 +2,9 @@
 // rendezvous (reduce runs exactly once per epoch, with every peer parked),
 // the (t, shard, seq) total order on ShardMessage, and ShardedSimulator's
 // two execution modes — run() must cover every shard exactly once for any
-// budget (including an empty one), and run_epochs() must deliver each
-// shard a merged inbox whose content and order are independent of thread
-// scheduling. These are the primitives the sharded-experiment determinism
+// budget (including an empty one) within its worker cap, and run_epochs()
+// must deliver each shard a merged inbox whose content and order are
+// independent of thread scheduling. These are the primitives the sharded-experiment determinism
 // contract rests on, so the ordering assertions are exact.
 #include <gtest/gtest.h>
 
@@ -133,9 +133,27 @@ TEST(ShardedSimulator, RunCoversEveryShardExactlyOnce) {
   constexpr std::uint32_t kShards = 7;
   ShardedSimulator shards(kShards);
   std::vector<std::atomic<int>> hits(kShards);
-  const auto st = shards.run([&](std::uint32_t s) { hits[s].fetch_add(1); });
+  const auto st = shards.run([&](std::uint32_t s) { hits[s].fetch_add(1); }, kShards);
   EXPECT_EQ(st.shards, kShards);
   EXPECT_GE(st.threads, 1u);
+  for (std::uint32_t s = 0; s < kShards; ++s) EXPECT_EQ(hits[s].load(), 1);
+}
+
+TEST(ShardedSimulator, RunNeverExceedsTheWorkerCap) {
+  // More shards than workers: a cap of 1 runs every shard in turn on the
+  // caller, a cap of 2 adds at most one thread.
+  constexpr std::uint32_t kShards = 6;
+  ShardedSimulator one(kShards);
+  std::vector<std::thread::id> ran_on(kShards);
+  const auto st1 = one.run([&](std::uint32_t s) { ran_on[s] = std::this_thread::get_id(); }, 1);
+  EXPECT_EQ(st1.threads, 1u);
+  for (std::uint32_t s = 0; s < kShards; ++s) EXPECT_EQ(ran_on[s], std::this_thread::get_id());
+
+  ShardedSimulator two(kShards);
+  std::vector<std::atomic<int>> hits(kShards);
+  const auto st2 = two.run([&](std::uint32_t s) { hits[s].fetch_add(1); }, 2);
+  EXPECT_GE(st2.threads, 1u);
+  EXPECT_LE(st2.threads, 2u);
   for (std::uint32_t s = 0; s < kShards; ++s) EXPECT_EQ(hits[s].load(), 1);
 }
 
@@ -147,7 +165,7 @@ TEST(ShardedSimulator, RunCompletesOnCallerAloneWithEmptyBudget) {
   global.set_capacity(0);
   ShardedSimulator shards(4);
   std::vector<std::atomic<int>> hits(4);
-  const auto st = shards.run([&](std::uint32_t s) { hits[s].fetch_add(1); });
+  const auto st = shards.run([&](std::uint32_t s) { hits[s].fetch_add(1); }, 4);
   global.set_capacity(saved);
   EXPECT_EQ(st.threads, 1u);  // the caller, alone
   for (std::uint32_t s = 0; s < 4; ++s) EXPECT_EQ(hits[s].load(), 1);

@@ -10,9 +10,9 @@ hiding behind wall-clock noise. The classes:
 
   wall            host wall-clock derived.
   solver_work     differs between the incremental and full-solve regimes.
-  implementation  engine bookkeeping that differs between a sharded and a
-                  single-shard run (per-shard event loops, per-thread frame
-                  pools, settle epochs that cannot span shards).
+  implementation  engine bookkeeping (events, settle epochs, frames) and
+                  the shard fields, which print only when a run asks for
+                  several workers (--shards=N, N != 1).
 
 The golden's and the fresh run's field_classes must be equal, so
 reclassifying a field is a reviewed diff under tests/golden/. Rows are
@@ -31,9 +31,9 @@ match, 1 with a per-field diff otherwise.
 MODE picks the classes stripped: none strips wall; --ignore-solver-work
 also strips solver_work (a --full-solve run against an incremental
 golden); --shards also strips implementation (a shards=N run against a
-shards=1 golden) and compares floats at 6 significant digits (%g): a
-shard's fewer, longer settle epochs round the per-epoch byte advance
-differently, so a sharded run's floats can differ in the last bits.
+shards=1 golden, which has no shard fields). Every mode compares the remaining fields exactly: the
+slices are the same at any worker count, so a shards=N run reproduces the
+shards=1 run to the last bit.
 """
 import json
 import os
@@ -44,16 +44,15 @@ MODE_CLASSES = {None: {"wall"}, "--ignore-solver-work": {"wall", "solver_work"},
                 "--shards": {"wall", "implementation"}}
 
 
-def rows_by_label(doc, path, ignored, digits6):
-    """The document's rows keyed by label, minus the ignored fields and with
-    floats at %g if digits6; None after naming every repeated label."""
+def rows_by_label(doc, path, ignored):
+    """The document's rows keyed by label, minus the ignored fields; None
+    after naming every repeated label."""
     rows, repeated = {}, False
     for row in doc["rows"]:
         if row["label"] in rows:
             print(f"{path}: {row['label']}: duplicated label")
             repeated = True
-        rows[row["label"]] = {k: float("%g" % v) if digits6 and isinstance(v, float) else v
-                              for k, v in row.items() if k not in ignored}
+        rows[row["label"]] = {k: v for k, v in row.items() if k not in ignored}
     return None if repeated else rows
 
 
@@ -67,7 +66,7 @@ def check_pair(golden_path, fresh_path, mode) -> bool:
               f" != fresh {fresh['field_classes']!r}")
         return False
     ignored = {name for c in MODE_CLASSES[mode] for name in golden["field_classes"][c]}
-    golden_rows, fresh_rows = (rows_by_label(doc, path, ignored, mode == "--shards")
+    golden_rows, fresh_rows = (rows_by_label(doc, path, ignored)
                                for doc, path in ((golden, golden_path), (fresh, fresh_path)))
     if golden_rows is None or fresh_rows is None:
         return False

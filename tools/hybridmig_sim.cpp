@@ -69,12 +69,15 @@ void usage() {
       "  --audit             run the virtual-time watchdog/invariant auditor\n"
       "                      (liveness + chunk conservation; violations fail\n"
       "                      the run)\n"
-      "  --shards=N          parallel in-process simulator shards, at most N\n"
-      "                      (default 1; byte-identical virtual timeline for\n"
-      "                      any value; faults, a finite fabric or finite\n"
-      "                      uplinks collapse to 1)\n"
-      "  --explain-shards    print the shard plan (count, per-shard VM loads,\n"
-      "                      collapse reason) for this config and exit\n"
+      "  --shards=N          worker threads, at most N (default 1), that run\n"
+      "                      the plan's slices: one small simulator per\n"
+      "                      independent component at any N (faults, a\n"
+      "                      finite fabric or finite uplinks collapse the\n"
+      "                      plan to one slice); the result is the same for\n"
+      "                      any N\n"
+      "  --explain-shards    print the shard plan (slice count, worker cap,\n"
+      "                      per-slice VM loads, collapse reason) for this\n"
+      "                      config and exit\n"
       "  --seed=N            RNG seed (default 42)\n"
       "  --baseline          disable migrations (reference run)\n"
       "  --list              print the approach summary (paper Table 1)\n";
@@ -326,12 +329,12 @@ int main(int argc, char** argv) {
     cloud::ExperimentConfig planned = cfg;
     planned.normalize();
     const cloud::ShardPlan plan = cloud::plan_shards(planned);
-    std::cout << "shard plan: " << plan.shard_count() << " shard"
-              << (plan.shard_count() == 1 ? " (single)" : "s (independent)");
-    if (plan.components > 0) std::cout << ", " << plan.components << " components";
-    std::cout << "\n";
+    const std::uint32_t workers = std::min(planned.shards, plan.shard_count());
+    std::cout << "shard plan: " << plan.shard_count() << " slice"
+              << (plan.shard_count() == 1 ? " (single)" : "s (independent)") << ", at most "
+              << workers << " worker" << (workers == 1 ? "" : "s") << "\n";
     for (std::uint32_t s = 0; s < plan.shard_count(); ++s)
-      std::cout << "  shard " << s << ": " << plan.slices[s].size() << " VMs\n";
+      std::cout << "  slice " << s << ": " << plan.slices[s].size() << " VMs\n";
     if (!plan.collapse_reason.empty())
       std::cout << "collapse: " << plan.collapse_reason << "\n";
     return 0;

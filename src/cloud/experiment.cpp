@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
-#include <numeric>
 
 #include "cloud/auditor.h"
 #include "cloud/fault_injector.h"
@@ -141,10 +140,32 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   // Everything below (setup included) lives on this thread, so the
   // thread-local frame pool's counters bracket the whole slice.
   const sim::FramePool::Stats frames_before = sim::FramePool::local().stats();
+  // A slice of part of the fleet builds only the nodes its VMs touch (each
+  // one's home node, and its migration's destination), renumbered densely
+  // in ascending global order, so its setup grows with the slice, not the
+  // fleet. Its repository stripes over those nodes only, which is moot: any
+  // repository fetch trips a runtime guard. The one-slice plan (every
+  // coupled regime) builds every node of the config.
+  const bool fixed_schedule = cfg.perform_migrations && !cfg.scheduler.enabled();
+  std::vector<net::NodeId> nodes;  // global id of each local node, ascending
+  if (owned.size() < cfg.num_vms) {
+    for (const std::uint32_t gid : owned) {
+      nodes.push_back(static_cast<net::NodeId>(gid));
+      if (fixed_schedule && gid < cfg.num_migrations) nodes.push_back(cfg.destination_of(gid));
+    }
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  }
+  const auto local = [&nodes](std::size_t global) {
+    return nodes.empty() ? static_cast<net::NodeId>(global)
+                         : static_cast<net::NodeId>(
+                               std::lower_bound(nodes.begin(), nodes.end(), global) -
+                               nodes.begin());
+  };
   // NOTE: the simulator must be declared first among the simulation objects
   // (destroyed last) so pending event closures never outlive it.
   sim::Simulator simulator;
-  vm::Cluster cluster(simulator, cfg.cluster);
+  vm::Cluster cluster(simulator, cfg.cluster, nodes);
   Middleware mw(simulator, cluster, cfg.approach, cfg.approach_cfg);
   std::vector<vm::VmInstance*> vms;
   Slice out;
@@ -160,12 +181,11 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   std::unique_ptr<Auditor> auditor;
   std::unique_ptr<Scheduler> scheduler;
 
-  // `owned` holds global VM ids. Each slice builds a full cluster replica
-  // with the global node numbering, so VM i always deploys on node i
-  // regardless of slicing.
+  // `owned` holds global VM ids: VM i deploys on (the local stand-in of)
+  // node i and keeps id i, whatever the slicing.
   vms.reserve(owned.size());
   for (const std::uint32_t gid : owned)
-    vms.push_back(&mw.deploy(static_cast<net::NodeId>(gid), cfg.vm, static_cast<int>(gid)));
+    vms.push_back(&mw.deploy(local(gid), cfg.vm, static_cast<int>(gid)));
 
   // --- trace recording (passive observation of the workload API) ----------
   if (recorder != nullptr)
@@ -234,15 +254,15 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
         simulator, cluster, mw, cfg.scheduler, static_cast<net::NodeId>(cfg.num_vms),
         static_cast<std::uint32_t>(cfg.num_destinations), &migrations_done);
     scheduler->start();
-  } else if (cfg.perform_migrations) {
+  } else if (fixed_schedule) {
     launches.reserve(owned.size());  // addresses must survive the timers
     for (std::size_t idx = 0; idx < owned.size(); ++idx) {
       const std::uint32_t k = owned[idx];
       if (k >= cfg.num_migrations) continue;
       const double at = cfg.first_migration_at + static_cast<double>(k) *
                                                      cfg.migration_interval_s;
-      launches.push_back(
-          MigLaunch{&simulator, &mw, vms[idx], &migrations_done, cfg.destination_of(k)});
+      launches.push_back(MigLaunch{&simulator, &mw, vms[idx], &migrations_done,
+                                   local(cfg.destination_of(k))});
       migrations_done.add();
       simulator.schedule(at, [l = &launches.back()] {
         l->sim->spawn(migrate_and_signal(l->mw, l->target, l->dst, l->done));
@@ -435,44 +455,46 @@ ExperimentResult Experiment::merge_parts(std::vector<Slice>& parts) const {
   return res;
 }
 
-ExperimentResult Experiment::run() {
+ExperimentResult Experiment::run() { return run(plan_shards(cfg_)); }
+
+ExperimentResult Experiment::run(const ShardPlan& plan) {
   if (std::string err = cfg_.validate(); !err.empty()) {
     ExperimentResult res;
     res.completed = false;
     res.error = std::move(err);
     return res;
   }
-  ShardPlan plan = plan_shards(cfg_);
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<Slice> parts(plan.shard_count());
-  sim::ShardedSimulator(plan.shard_count())
-      .run([&](std::uint32_t s) { parts[s] = run_slice(plan.slices[s]); }, cfg_.shards);
-
   // Conservative runtime guards for N slices: anything a slice cannot prove
   // independent (a repository fetch from a stripe another slice owns, a
   // max_sim_time truncation whose cut point depends on the global
   // interleave, any error whose text mentions global state) reruns the
-  // one-slice plan. Correctness is never traded for wall-clock; the rerun
-  // is reported, like a static collapse, only when several workers were
-  // asked for.
-  std::string guard;
-  for (std::size_t s = 0; parts.size() > 1 && s < parts.size() && guard.empty(); ++s) {
-    if (!parts[s].error.empty())
-      guard = "runtime guard: slice error: " + parts[s].error;
-    else if (!parts[s].completed)
-      guard = "runtime guard: max_sim_time truncation";
-    else if (parts[s].repo_chunks_served > 0)
-      guard = "runtime guard: repository stripe served cross-shard traffic";
-  }
-  if (!guard.empty()) {
-    plan.slices.assign(1, std::vector<std::uint32_t>(cfg_.num_vms));
-    std::iota(plan.slices[0].begin(), plan.slices[0].end(), 0u);
-    plan.collapse_reason = cfg_.shards > 1 ? std::move(guard) : std::string();
-    parts.assign(1, run_slice(plan.slices[0]));
-  }
+  // one-slice plan. Correctness is never traded for wall-clock.
+  const bool guarded = plan.shard_count() > 1;
+  const auto guard_of = [](const Slice& p) -> std::string {
+    if (!p.error.empty()) return "runtime guard: slice error: " + p.error;
+    if (!p.completed) return "runtime guard: max_sim_time truncation";
+    if (p.repo_chunks_served > 0)
+      return "runtime guard: repository stripe served cross-shard traffic";
+    return {};
+  };
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::vector<Slice> parts(plan.shard_count());
+  sim::ShardedSimulator slices(plan.shard_count());
+  slices.run(
+      [&](std::uint32_t s) {
+        parts[s] = run_slice(plan.slices[s]);
+        // The rerun is decided: hand out no further slices.
+        if (guarded && !guard_of(parts[s]).empty()) slices.stop();
+      },
+      cfg_.shards);
+  // Slices are claimed in index order, so the lowest-index slice that trips
+  // a guard has always run: the reported guard does not depend on timing.
+  for (std::size_t s = 0; guarded && s < parts.size(); ++s)
+    if (std::string guard = guard_of(parts[s]); !guard.empty())
+      return run(one_slice_plan(cfg_.num_vms, std::move(guard)));
 
   ExperimentResult res = merge_parts(parts);
-  res.shard_fallback_reason = std::move(plan.collapse_reason);
+  res.shard_fallback_reason = plan.collapse_reason;
   // One slice reports its event loop; N slices their whole run.
   res.wall_ms = parts.size() == 1 ? parts[0].wall_ms
                                   : std::chrono::duration<double, std::milli>(

@@ -91,8 +91,8 @@ struct ExperimentConfig {
   /// non-broadcast replay, trace recording, a finite fabric aggregate or
   /// finite switch uplinks — collapses the plan to one slice. Every
   /// virtual-time field and engine counter of the result (events, settle
-  /// epochs, frames served) is byte-identical for any value; only wall_ms,
-  /// shard_fallback_reason and the frame pool's reuse counters may change.
+  /// epochs, frames served) is byte-identical for any value; only wall_ms
+  /// and the frame pool's reuse counters may change.
   std::uint32_t shards = 1;
 
   std::uint64_t seed = 42;
@@ -188,10 +188,10 @@ struct ExperimentResult {
   /// plan collapsed — tests use this to tell a decomposed run from a
   /// vacuous one.
   std::uint32_t shards_used = 1;
-  /// Why a run that asked for several workers ran one slice: the plan's
-  /// static collapse reason, or the runtime guard that forced the
-  /// one-slice rerun. Empty when the run used the planned slices, and
-  /// always at cfg.shards == 1.
+  /// Why the run used one slice: the plan's static collapse reason, or
+  /// the runtime guard that forced the one-slice rerun. Empty when the run
+  /// used the planned slices. Set at any cfg.shards; printed only when a
+  /// worker count was asked for (cfg.shards != 1).
   std::string shard_fallback_reason;
   /// Host wall-clock: the event loop of a one-slice run, or for N slices
   /// the whole run of all of them (construction, event loops and merge),
@@ -203,6 +203,8 @@ struct ExperimentResult {
   }
 };
 
+struct ShardPlan;  // cloud/shard_plan.h
+
 class Experiment {
  public:
   explicit Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) { cfg_.normalize(); }
@@ -213,6 +215,11 @@ class Experiment {
   /// component at any cfg.shards, so its result does not depend on the
   /// worker count.
   ExperimentResult run();
+  /// run() on a given plan instead of plan_shards(config()): slices,
+  /// guards and merge alike. The plan must list every VM exactly once;
+  /// one_slice_plan() runs the whole fleet in one simulator, the reference
+  /// a decomposed run must reproduce.
+  ExperimentResult run(const ShardPlan& plan);
 
   const ExperimentConfig& config() const noexcept { return cfg_; }
 
@@ -222,7 +229,8 @@ class Experiment {
 
   /// One simulator over the given global VM ids (ascending). run() sends
   /// every plan through here, so a collapsed plan is just the one slice
-  /// that lists every VM. Thread-safe: touches only locals and the const
+  /// that lists every VM. A slice of part of the fleet builds only the
+  /// nodes its VMs touch. Thread-safe: touches only locals and the const
   /// config.
   Slice run_slice(const std::vector<std::uint32_t>& owned) const;
   /// The one deterministic merge: every aggregate of the result, from one

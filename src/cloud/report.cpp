@@ -36,7 +36,7 @@ using net::TrafficClass;
 const ResultField kFields[] = {
     // Run status.
     {"shards", HM_GET(r.shards_used), kShards, kImplementation},
-    {"shard_fallback_reason", HM_GET(r.shard_fallback_reason), kNonEmpty, kImplementation},
+    {"shard_fallback_reason", HM_GET(r.shard_fallback_reason), kShards, kImplementation},
     {"error", HM_GET(r.error), kNonEmpty},
     // Engine and paper metrics.
     {"completed", HM_GET(r.completed), kAlways},

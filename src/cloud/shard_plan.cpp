@@ -1,21 +1,21 @@
 #include "cloud/shard_plan.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "net/shard_partition.h"
 
 namespace hm::cloud {
 
-namespace {
-
-ShardPlan single(std::size_t n_vms, std::string reason) {
+ShardPlan one_slice_plan(std::size_t n_vms, std::string reason) {
   ShardPlan plan;
   plan.collapse_reason = std::move(reason);
-  plan.slices.emplace_back();
-  plan.slices[0].reserve(n_vms);
-  for (std::uint32_t i = 0; i < n_vms; ++i) plan.slices[0].push_back(i);
+  plan.slices.emplace_back(n_vms);
+  std::iota(plan.slices[0].begin(), plan.slices[0].end(), 0u);
   return plan;
 }
+
+namespace {
 
 /// Statically known cross-slice coupling (faults, global observers,
 /// storage services, cross-VM workload channels, shared network
@@ -53,13 +53,9 @@ std::string coupling_reason(const ExperimentConfig& cfg) {
 
 ShardPlan plan_shards(const ExperimentConfig& cfg) {
   const std::size_t n_vms = cfg.num_vms;
-  if (n_vms <= 1) return single(n_vms, {});
-  // A collapse is news only to a caller that asked for more than one worker.
-  const auto collapse = [&](std::string reason) {
-    return single(n_vms, cfg.shards > 1 ? std::move(reason) : std::string());
-  };
+  if (n_vms <= 1) return one_slice_plan(n_vms, {});
   if (std::string reason = coupling_reason(cfg); !reason.empty())
-    return collapse(std::move(reason));
+    return one_slice_plan(n_vms, std::move(reason));
 
   // Constraint-graph edges: each VM pins its home node's NICs for its whole
   // life; a migrated VM additionally pins its destination's. Destination
@@ -77,7 +73,7 @@ ShardPlan plan_shards(const ExperimentConfig& cfg) {
 
   ShardPlan plan;
   plan.slices = net::partition_items(n_vms, cfg.cluster.num_nodes, edges);
-  if (plan.slices.size() <= 1) return collapse("single connected component");
+  if (plan.slices.size() <= 1) return one_slice_plan(n_vms, "single connected component");
   return plan;
 }
 

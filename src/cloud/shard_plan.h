@@ -3,8 +3,7 @@
 // The slice contract is byte-identity: every virtual-time field of the
 // merged result is a pure function of the config, whatever the worker
 // count. That holds because the plan itself is: plan_shards() reads the
-// ExperimentConfig alone, never `shards`, except to decide whether a
-// collapse is worth reporting. It slices *conservatively*:
+// ExperimentConfig and never its `shards`. It slices *conservatively*:
 //
 //  * Couplers that collapse the plan to one slice: any fault spec
 //    (scripted, rand: or churn:), the invariant auditor (observes every
@@ -29,6 +28,7 @@
 // outcome; the fallback costs wall-clock only.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,8 +44,9 @@ struct ShardPlan {
   /// other plan. More than one: one slice per constraint-graph component,
   /// causally independent, run with zero synchronization.
   std::vector<std::vector<std::uint32_t>> slices;
-  /// Why the plan collapsed to one slice; empty when it did not, or when
-  /// the config asked for one worker (cfg.shards == 1).
+  /// Why the plan collapsed to one slice; empty when it did not (or when
+  /// the fleet has at most one VM). Reports print it only when a worker
+  /// count was asked for (the kShards regime of shard_fallback_reason).
   std::string collapse_reason;
 
   std::uint32_t shard_count() const noexcept {
@@ -56,5 +57,9 @@ struct ShardPlan {
 /// Deterministic: same (normalized) config => same slices, at any
 /// cfg.shards.
 ShardPlan plan_shards(const ExperimentConfig& cfg);
+
+/// The plan that runs the whole fleet (VMs 0..n_vms-1) in one simulator:
+/// what every collapse and every runtime-guard rerun executes.
+ShardPlan one_slice_plan(std::size_t n_vms, std::string reason);
 
 }  // namespace hm::cloud

@@ -74,7 +74,7 @@ ShardedSimulator::Stats ShardedSimulator::run(
   WorkerGrant grant(WorkerBudget::instance(), std::min(shards_, std::max(max_workers, 1u)) - 1);
   std::atomic<std::uint32_t> next{0};
   auto worker = [&] {
-    for (;;) {
+    while (!stopped_.load()) {
       const std::uint32_t s = next.fetch_add(1, std::memory_order_relaxed);
       if (s >= shards_) return;
       body(s);

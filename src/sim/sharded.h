@@ -32,6 +32,7 @@
 // them, so the merged timeline is independent of thread scheduling.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -109,10 +110,16 @@ class ShardedSimulator {
   /// next exchange(). Callable only from bodies running under run_epochs().
   const std::vector<ShardMessage>& exchange(std::uint32_t shard);
 
-  /// Independent-slice mode: run body(0..shards-1), workers claim indices.
-  /// Uses the caller plus up to min(shards, max_workers) - 1 budget-granted
-  /// threads; max_workers <= 1 runs every shard in turn on the caller.
+  /// Independent-slice mode: run body(0..shards-1), workers claim indices
+  /// in ascending order. Uses the caller plus up to min(shards,
+  /// max_workers) - 1 budget-granted threads; max_workers <= 1 runs every
+  /// shard in turn on the caller.
   Stats run(const std::function<void(std::uint32_t shard)>& body, std::uint32_t max_workers);
+
+  /// From a body under run(): claim no further shards. Bodies already
+  /// running finish; since claims ascend, every shard below the highest
+  /// one claimed has run.
+  void stop() noexcept { stopped_.store(true); }
 
   /// Message-passing mode: one dedicated thread per shard (budget-advisory),
   /// so bodies may call exchange()/post() and block on the barrier.
@@ -135,6 +142,7 @@ class ShardedSimulator {
   };
   std::vector<Mailbox> boxes_;
   std::uint64_t messages_total_ = 0;
+  std::atomic<bool> stopped_{false};
 };
 
 }  // namespace hm::sim

@@ -16,17 +16,21 @@ sim::Task ComputeNode::consume_cpu(double dt) {
   }
 }
 
-Cluster::Cluster(sim::Simulator& sim, ClusterConfig cfg)
+Cluster::Cluster(sim::Simulator& sim, ClusterConfig cfg, std::span<const net::NodeId> subset)
     : sim_(sim), cfg_(cfg), net_(sim, cfg.network), repo_(sim, net_, cfg.image),
       rng_(cfg.seed) {
+  if (!subset.empty()) cfg_.num_nodes = subset.size();
   nodes_.reserve(cfg_.num_nodes);
+  std::size_t last_switch = 0;
   for (std::size_t i = 0; i < cfg_.num_nodes; ++i) {
-    net::SwitchGroupId group = 0;
+    const std::size_t global = subset.empty() ? i : subset[i];
+    net::SwitchGroupId group = 0;  // group 0 stays flat
     if (cfg_.nodes_per_switch > 0) {
-      const std::size_t sw = i / cfg_.nodes_per_switch;
-      while (net_.switch_group_count() <= sw + 1)
-        net_.add_switch_group(cfg_.switch_uplink_Bps);
-      group = static_cast<net::SwitchGroupId>(sw + 1);  // group 0 stays flat
+      // Ascending ids: a new switch opens the next dense group.
+      const std::size_t sw = global / cfg_.nodes_per_switch;
+      if (i == 0 || sw != last_switch) net_.add_switch_group(cfg_.switch_uplink_Bps);
+      last_switch = sw;
+      group = static_cast<net::SwitchGroupId>(net_.switch_group_count() - 1);
     }
     const net::NodeId id = net_.add_node(cfg_.nic_Bps, group);
     nodes_.push_back(std::make_unique<ComputeNode>(sim_, id, cfg_.disk));

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/flow_network.h"
@@ -96,7 +97,11 @@ class CpuLoadGuard {
 
 class Cluster {
  public:
-  Cluster(sim::Simulator& sim, ClusterConfig cfg);
+  /// Every node of `cfg`, or, when `subset` lists ascending global node
+  /// ids, only those: local node i stands for global node subset[i], in the
+  /// switch its global id sits behind (switches renumbered densely, order
+  /// kept). The repository and PVFS stripe over the nodes built.
+  Cluster(sim::Simulator& sim, ClusterConfig cfg, std::span<const net::NodeId> subset = {});
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 

@@ -1,16 +1,25 @@
 // Slice determinism contract: the slice plan is a pure function of the
 // config, one slice per constraint-graph component at any cfg.shards, so
-// cfg.shards only sets how many workers run them. The merged result must
-// be BYTE-identical across worker counts in every virtual-time field —
-// migration records, traffic by class, workload aggregates — and in the
-// engine counters too (events, settle epochs, frames, solver work), in
-// both solver regimes. Coupled regimes (CM1, faults, finite fabric or
-// uplinks) and runtime guard trips (max_sim_time truncation) run the one
-// slice transparently, and say why only when several workers were asked
-// for.
+// cfg.shards only sets how many workers run them. Two references:
+//  * the whole fleet in one simulator (Experiment::run on one_slice_plan):
+//    splitting the fleet into components must reproduce it in every
+//    virtual-time field — migration records, traffic by class, workload
+//    aggregates — and in the solver work a split preserves;
+//  * the same plan on another worker count: BYTE-identical in every
+//    virtual field and every engine counter (events, settle epochs,
+//    frames, solver work), in both solver regimes.
+// Coupled regimes (CM1, faults, finite fabric or uplinks) and runtime guard
+// trips (max_sim_time truncation) run the one slice transparently and say
+// why.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <variant>
+
 #include "cloud/experiment.h"
+#include "cloud/report.h"
 #include "cloud/scenarios.h"
 #include "cloud/shard_plan.h"
 #include "integration/result_compare.h"
@@ -51,6 +60,35 @@ ExperimentConfig decomposable_config(int incremental) {
   return cfg;
 }
 
+/// The whole fleet in one simulator, whatever the plan would be.
+ExperimentResult run_whole_fleet(const ExperimentConfig& cfg) {
+  Experiment exp(cfg);
+  return exp.run(one_slice_plan(exp.config().num_vms, "whole-fleet reference"));
+}
+
+/// A decomposed run against the whole fleet in one simulator: every
+/// virtual field, plus solver work. `exact_epochs` compares settle-epoch
+/// counts; burst/broadcast scenarios batch same-timestamp churn of several
+/// components into shared epochs that per-component simulators cannot
+/// share (same work, more epochs), so those pass false. `exact_work`
+/// compares the solver work counters (components water-filled, flows
+/// resolved): they sum exactly in the incremental regime (work is
+/// component-scoped), but a full re-solve touches every live flow each
+/// epoch, so one simulator does strictly more work than the components'
+/// local full-solves — the split check_sweep_golden.py makes with
+/// --ignore-solver-work.
+void expect_matches_whole_fleet(const ExperimentResult& whole, const ExperimentResult& got,
+                                bool exact_epochs, bool exact_work = true) {
+  EXPECT_EQ(whole.shards_used, 1u);
+  expect_virtual_fields_equal(whole, got);
+  EXPECT_EQ(whole.engine_escalations, got.engine_escalations);
+  if (exact_work) {
+    EXPECT_EQ(whole.engine_components, got.engine_components);
+    EXPECT_EQ(whole.engine_flows_resolved, got.engine_flows_resolved);
+  }
+  if (exact_epochs) EXPECT_EQ(whole.engine_recomputes, got.engine_recomputes);
+}
+
 /// Every virtual field, plus every engine counter the golden classes
 /// strip: the runs compared here execute the same slices, so even the
 /// bookkeeping of their per-slice simulators must match.
@@ -63,6 +101,43 @@ void expect_identical(const ExperimentResult& ref, const ExperimentResult& got) 
   EXPECT_EQ(ref.engine_recomputes, got.engine_recomputes);
   EXPECT_EQ(ref.engine_events, got.engine_events);
   EXPECT_EQ(ref.engine_frames, got.engine_frames);
+}
+
+/// How far the whole fleet in one simulator may drift from its split on a
+/// long scale point: the byte advance rounds once per settle epoch, and
+/// one simulator's epochs span every component (worst seen: 2e-12).
+constexpr double kWholeFleetRel = 1e-9;
+
+/// expect_virtual_fields_equal, with doubles compared to `rel` relative.
+void expect_virtual_fields_near(const ExperimentResult& a, const ExperimentResult& b,
+                                double rel) {
+  const auto expect_near = [rel](double x, double y, const std::string& what) {
+    EXPECT_LE(std::abs(x - y), rel * std::max(std::abs(x), std::abs(y)))
+        << what << ": " << x << " vs " << y;
+  };
+  for (const ResultField& f : result_fields()) {
+    if (f.classes != 0) continue;
+    const FieldValue x = f.get(a), y = f.get(b);
+    if (std::holds_alternative<double>(x.v) && std::holds_alternative<double>(y.v))
+      expect_near(std::get<double>(x.v), std::get<double>(y.v), f.name);
+    else
+      EXPECT_EQ(x, y) << f.name;
+  }
+  ASSERT_EQ(a.migrations.size(), b.migrations.size());
+  for (std::size_t i = 0; i < a.migrations.size(); ++i) {
+    const core::MigrationRecord& x = a.migrations[i];
+    const core::MigrationRecord& y = b.migrations[i];
+    const std::string at = "migration " + std::to_string(i);
+    EXPECT_EQ(x.vm_id, y.vm_id) << at;
+    EXPECT_EQ(x.memory_rounds, y.memory_rounds) << at;
+    expect_near(x.t_request, y.t_request, at + " t_request");
+    expect_near(x.t_control_transfer, y.t_control_transfer, at + " t_control_transfer");
+    expect_near(x.t_source_released, y.t_source_released, at + " t_source_released");
+    expect_near(x.downtime_s, y.downtime_s, at + " downtime_s");
+    expect_near(x.memory_bytes_sent, y.memory_bytes_sent, at + " memory_bytes_sent");
+    expect_near(x.storage_chunks_pushed, y.storage_chunks_pushed, at + " chunks_pushed");
+    expect_near(x.storage_chunks_pulled, y.storage_chunks_pulled, at + " chunks_pulled");
+  }
 }
 
 ExperimentResult run_with_shards(ExperimentConfig cfg, std::uint32_t shards) {
@@ -88,11 +163,11 @@ TEST(ShardPlanning, HardCouplersCollapse) {
     cfg.normalize();
     const ShardPlan plan = plan_shards(cfg);
     EXPECT_EQ(plan.shard_count(), 1u);
-    // One worker asked for nothing, so there is no collapse to report.
+    // The plan, reason included, does not read the worker count.
     cfg.shards = 1;
     const ShardPlan one = plan_shards(cfg);
     EXPECT_EQ(one.shard_count(), 1u);
-    EXPECT_TRUE(one.collapse_reason.empty()) << one.collapse_reason;
+    EXPECT_EQ(one.collapse_reason, plan.collapse_reason);
     return plan.collapse_reason;
   };
 
@@ -121,9 +196,8 @@ TEST(ShardPlanning, HardCouplersCollapse) {
 
 TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
   // A finite fabric aggregate or finite switch uplinks tie every flow to
-  // every other, so the plan is one slice at any worker count and says why
-  // whenever more than one worker was asked for. The unlimited-network
-  // control is 8 slices at any worker count.
+  // every other, so the plan is one slice at any worker count and says why.
+  // The unlimited-network control is 8 slices at any worker count.
   for (std::uint32_t n : {1u, 4u}) {
     ExperimentConfig control = decomposable_config(1);
     control.shards = n;
@@ -149,13 +223,13 @@ TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
       c.normalize();
       const ShardPlan plan = plan_shards(c);
       EXPECT_EQ(plan.shard_count(), 1u);
-      EXPECT_EQ(plan.collapse_reason, n > 1 ? why : "");
+      EXPECT_EQ(plan.collapse_reason, why);
     }
     // The run is the one-slice plan at any worker count: every field matches.
     const ExperimentResult ref = run_with_shards(base, 1);
     EXPECT_TRUE(ref.completed);
     EXPECT_EQ(ref.shards_used, 1u);
-    EXPECT_TRUE(ref.shard_fallback_reason.empty()) << ref.shard_fallback_reason;
+    EXPECT_EQ(ref.shard_fallback_reason, why);
     const ExperimentResult got = run_with_shards(base, 4);
     EXPECT_EQ(got.shard_fallback_reason, why);
     expect_identical(ref, got);
@@ -165,13 +239,17 @@ TEST(ShardPlanning, FiniteNetworkCollapsesAtEveryShardCount) {
 TEST(ShardDeterminism, ByteIdenticalAcrossShardCounts) {
   for (int incremental : {1, 0}) {
     SCOPED_TRACE(incremental ? "incremental" : "fullsolve");
+    const ExperimentResult whole = run_whole_fleet(decomposable_config(incremental));
+    ASSERT_TRUE(whole.completed);
+    ASSERT_TRUE(whole.error.empty()) << whole.error;
+    ASSERT_EQ(whole.migrations.size(), 8u);
+    EXPECT_GT(whole.max_downtime, 0.0);  // the comparison must not be vacuous
     const ExperimentResult ref = run_with_shards(decomposable_config(incremental), 1);
-    ASSERT_TRUE(ref.completed);
-    ASSERT_TRUE(ref.error.empty()) << ref.error;
-    ASSERT_EQ(ref.migrations.size(), 8u);
-    EXPECT_GT(ref.max_downtime, 0.0);  // the comparison must not be vacuous
     // 8 singleton components: 8 slices even on one worker.
     EXPECT_EQ(ref.shards_used, 8u);
+    EXPECT_TRUE(ref.shard_fallback_reason.empty()) << ref.shard_fallback_reason;
+    expect_matches_whole_fleet(whole, ref, /*exact_epochs=*/true,
+                               /*exact_work=*/incremental != 0);
 
     for (std::uint32_t n : {2u, 4u, 8u}) {
       SCOPED_TRACE("shards=" + std::to_string(n));
@@ -183,24 +261,27 @@ TEST(ShardDeterminism, ByteIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardDeterminism, SimultaneousMigrationsStayByteIdentical) {
-  // interval = 0: every migration launches at the same instant. Each
-  // component settles in its own simulator whatever the worker count, so
-  // even the epoch counts match.
+  // interval = 0: every migration launches at the same instant. One
+  // simulator settles the components' churn in shared epochs, so epoch
+  // counts differ from it; each component settles in its own simulator
+  // whatever the worker count, so across worker counts even they match.
   ExperimentConfig cfg = decomposable_config(1);
   cfg.migration_interval_s = 0.0;
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_TRUE(ref.completed);
   EXPECT_EQ(ref.shards_used, 8u);
+  expect_matches_whole_fleet(run_whole_fleet(cfg), ref, /*exact_epochs=*/false);
   const ExperimentResult got = run_with_shards(cfg, 4);
   expect_identical(ref, got);
 }
 
 TEST(ShardDeterminism, ScalePointIsExactAtEveryShardCount) {
   // A scenario-table point whose components stay busy for the whole run:
-  // long enough that a simulator holding every component would round its
-  // per-epoch byte advance differently from one holding a single one.
-  // Slices are components at every worker count, so 1, 4 and 8 workers
-  // agree to the last bit.
+  // long enough that a simulator holding every component rounds its
+  // per-epoch byte advance differently from one holding a single one, so
+  // the whole fleet agrees with the split to kWholeFleetRel only. Slices
+  // are components at every worker count, so 1, 4 and 8 workers agree to
+  // the last bit.
   const char* kLabel = "scale/nonblocking/our-approach/16";
   ExperimentConfig cfg;
   bool found = false;
@@ -215,6 +296,9 @@ TEST(ShardDeterminism, ScalePointIsExactAtEveryShardCount) {
   ASSERT_TRUE(ref.error.empty()) << ref.error;
   ASSERT_EQ(ref.migrations.size(), 16u);
   EXPECT_EQ(ref.shards_used, 16u);
+  const ExperimentResult whole = run_whole_fleet(cfg);
+  ASSERT_TRUE(whole.completed);
+  expect_virtual_fields_near(whole, ref, kWholeFleetRel);
   for (std::uint32_t n : {4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(n));
     const ExperimentResult got = run_with_shards(cfg, n);
@@ -224,16 +308,35 @@ TEST(ShardDeterminism, ScalePointIsExactAtEveryShardCount) {
 }
 
 TEST(ShardDeterminism, SharedDestinationsMergeComponents) {
-  // 8 migrations round-robin onto 4 destinations: VM k and VM k+4 share a
-  // destination NIC, so the partitioner must merge them — 4 components,
-  // even when 8 shards were requested.
+  // 8 simultaneous migrations round-robin onto 4 destinations: VM k and
+  // VM k+4 share a destination NIC, so the partitioner must merge them —
+  // 4 components, even when 8 workers were requested. Split, both flows
+  // would take the whole NIC, and the match with the whole fleet breaks.
   ExperimentConfig cfg = decomposable_config(1);
   cfg.num_destinations = 4;
+  cfg.migration_interval_s = 0.0;
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_TRUE(ref.completed);
   EXPECT_EQ(ref.shards_used, 4u);
+  expect_matches_whole_fleet(run_whole_fleet(cfg), ref, /*exact_epochs=*/false);
   const ExperimentResult got = run_with_shards(cfg, 8);
   expect_identical(ref, got);
+}
+
+TEST(ShardDeterminism, UnlimitedUplinksSplitLikeAFlatCore) {
+  // Racks of two nodes behind unlimited uplinks constrain nothing, so the
+  // fleet still splits per VM. Each slice builds only its own nodes, in
+  // switches renumbered densely; every migration crosses racks, and the
+  // split must still match the whole fleet.
+  ExperimentConfig cfg = decomposable_config(1);
+  cfg.cluster.nodes_per_switch = 2;
+  cfg.cluster.switch_uplink_Bps = net::kUnlimitedRate;
+  cfg.migration_interval_s = 0.0;
+  const ExperimentResult ref = run_with_shards(cfg, 1);
+  ASSERT_TRUE(ref.completed);
+  EXPECT_EQ(ref.shards_used, 8u);
+  expect_matches_whole_fleet(run_whole_fleet(cfg), ref, /*exact_epochs=*/false);
+  expect_identical(ref, run_with_shards(cfg, 4));
 }
 
 TEST(ShardDeterminism, TornPartitionRunsOnFewerShards) {
@@ -247,13 +350,15 @@ TEST(ShardDeterminism, TornPartitionRunsOnFewerShards) {
   ASSERT_TRUE(ref.completed);
   ASSERT_EQ(ref.migrations.size(), 2u);
   EXPECT_EQ(ref.shards_used, 2u);
+  expect_matches_whole_fleet(run_whole_fleet(cfg), ref, /*exact_epochs=*/true);
   const ExperimentResult got = run_with_shards(cfg, 8);
   expect_identical(ref, got);
 }
 
 TEST(ShardDeterminism, BroadcastTraceReplayShards) {
   // A generated broadcast trace fans the same op stream to every VM —
-  // decomposable, with identical timestamps in every component.
+  // decomposable, with identical timestamps in every component, which one
+  // simulator settles in shared epochs (so epoch counts differ from it).
   ExperimentConfig cfg = decomposable_config(1);
   cfg.workload = WorkloadKind::kTrace;
   cfg.trace.gen.pattern = workloads::TracePattern::kZipfian;
@@ -268,6 +373,7 @@ TEST(ShardDeterminism, BroadcastTraceReplayShards) {
   ASSERT_TRUE(ref.completed);
   ASSERT_TRUE(ref.error.empty()) << ref.error;
   EXPECT_EQ(ref.shards_used, 4u);
+  expect_matches_whole_fleet(run_whole_fleet(cfg), ref, /*exact_epochs=*/false);
   const ExperimentResult got = run_with_shards(cfg, 4);
   expect_identical(ref, got);
 }
@@ -363,12 +469,15 @@ TEST(ShardFallback, Cm1CollapsesToOneShard) {
 TEST(ShardFallback, TruncatedRunRerunsSingleShard) {
   // max_sim_time cuts the run mid-migration: where the cut lands depends on
   // the global interleave, which a slice cannot know — the executor's guard
-  // must detect the incomplete slice and transparently rerun single-shard,
-  // reproducing the single-shard truncation exactly.
+  // must detect the incomplete slice and transparently rerun the whole
+  // fleet in one simulator, reproducing its truncation exactly.
   ExperimentConfig cfg = decomposable_config(1);
   cfg.max_sim_time = 3.0;
+  const ExperimentResult whole = run_whole_fleet(cfg);
+  ASSERT_FALSE(whole.completed);
   const ExperimentResult ref = run_with_shards(cfg, 1);
-  ASSERT_FALSE(ref.completed);
+  EXPECT_EQ(ref.shard_fallback_reason, "runtime guard: max_sim_time truncation");
+  expect_identical(whole, ref);
   const ExperimentResult got = run_with_shards(cfg, 4);
   EXPECT_EQ(got.shards_used, 1u);
   EXPECT_EQ(got.shard_fallback_reason, "runtime guard: max_sim_time truncation");

@@ -2,7 +2,8 @@
 // rendezvous (reduce runs exactly once per epoch, with every peer parked),
 // the (t, shard, seq) total order on ShardMessage, and ShardedSimulator's
 // two execution modes — run() must cover every shard exactly once for any
-// budget (including an empty one) within its worker cap, and run_epochs()
+// budget (including an empty one) within its worker cap, and after stop()
+// only a prefix of the shards, and run_epochs()
 // must deliver each shard a merged inbox whose content and order are
 // independent of thread scheduling. These are the primitives the sharded-experiment determinism
 // contract rests on, so the ordering assertions are exact.
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -155,6 +157,29 @@ TEST(ShardedSimulator, RunNeverExceedsTheWorkerCap) {
   EXPECT_GE(st2.threads, 1u);
   EXPECT_LE(st2.threads, 2u);
   for (std::uint32_t s = 0; s < kShards; ++s) EXPECT_EQ(hits[s].load(), 1);
+}
+
+TEST(ShardedSimulator, StopClaimsNoFurtherShards) {
+  // Shard 3 stops the run. On one worker nothing after it runs; on several,
+  // the shards in flight finish, but claims ascend, so what ran is always
+  // a prefix 0..m that includes shard 3.
+  constexpr std::uint32_t kShards = 12;
+  for (std::uint32_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ShardedSimulator shards(kShards);
+    std::vector<std::atomic<int>> hits(kShards);
+    shards.run(
+        [&](std::uint32_t s) {
+          hits[s].fetch_add(1);
+          if (s == 3) shards.stop();
+        },
+        workers);
+    std::uint32_t ran = 0;
+    while (ran < kShards && hits[ran].load() == 1) ++ran;
+    EXPECT_GE(ran, 4u);
+    if (workers == 1) EXPECT_EQ(ran, 4u);
+    for (std::uint32_t s = ran; s < kShards; ++s) EXPECT_EQ(hits[s].load(), 0) << s;
+  }
 }
 
 TEST(ShardedSimulator, RunCompletesOnCallerAloneWithEmptyBudget) {

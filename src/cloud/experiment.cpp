@@ -117,7 +117,7 @@ struct Experiment::Slice {
   // Simulator, network and frame-pool counters (this slice's deltas).
   std::uint64_t events = 0, flows = 0, recomputes = 0, components = 0;
   std::uint64_t flows_resolved = 0, escalations = 0;
-  std::uint64_t validation_walks = 0, certified_epochs = 0;
+  std::uint64_t validation_walks = 0, certified_epochs = 0, proven_escalations = 0;
   std::uint64_t sessions_retaining_state = 0;
   std::uint64_t frames = 0, frames_reused = 0, frame_heap_allocs = 0;
   /// Injector-side counters only; the record-derived half is the merge's.
@@ -353,6 +353,7 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   out.escalations = network.escalation_count();
   out.validation_walks = network.validation_walk_count();
   out.certified_epochs = network.certified_epoch_count();
+  out.proven_escalations = network.proven_escalation_count();
   const sim::FramePool::Stats frames_after = sim::FramePool::local().stats();
   out.frames = frames_after.served - frames_before.served;
   out.frames_reused = frames_after.reused - frames_before.reused;
@@ -392,6 +393,7 @@ ExperimentResult Experiment::merge_parts(std::vector<Slice>& parts) const {
     res.engine_escalations += p.escalations;
     res.engine_validation_walks += p.validation_walks;
     res.engine_certified_epochs += p.certified_epochs;
+    res.engine_proven_escalations += p.proven_escalations;
     res.sessions_retaining_state += p.sessions_retaining_state;
     res.engine_frames += p.frames;
     res.engine_frames_reused += p.frames_reused;

@@ -164,11 +164,13 @@ struct ExperimentResult {
   std::uint64_t engine_flows_resolved = 0;  // flow rate re-derivations
   std::uint64_t engine_escalations = 0;  // epochs forced to a global solve
   // Solving epochs that walked every live flow against the shared
-  // constraints, and those the capacity certificate settled without the
-  // walk (FlowNetwork invariant step 3). Read by tests and benches only:
-  // they are not kFields entries, so no golden or printout carries them.
+  // constraints, those the capacity certificate settled without the walk,
+  // and escalations the violation certificate proved without it
+  // (FlowNetwork invariant step 3). Read by tests and benches only: they
+  // are not kFields entries, so no golden or printout carries them.
   std::uint64_t engine_validation_walks = 0;
   std::uint64_t engine_certified_epochs = 0;
+  std::uint64_t engine_proven_escalations = 0;
   // Sessions of finished or abandoned migrations that still hold their
   // per-chunk transfer state: non-zero means the release path leaks. Read
   // by tests only, like the two counters above.

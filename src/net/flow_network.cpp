@@ -15,6 +15,17 @@ constexpr double kEpsRate = 1.0;     // rates below 1 B/s are "saturated"
 // step 3) over users * max_nic: covers the FP error of water-fill
 // allocations and of the usage sum.
 constexpr double kCertMargin = 1e-9;
+// Relative headroom of the violation certificate (invariant step 3) over
+// the fabric: covers the FP error of the bottleneck bounds, of the
+// water-fill allocations they bound and of the usage sum.
+constexpr double kViolationMargin = 1e-6;
+// Debug builds run the work a certificate lets an epoch skip and assert
+// that it reaches the certificate's verdict.
+#ifdef NDEBUG
+constexpr bool kCertificateOracle = false;
+#else
+constexpr bool kCertificateOracle = true;
+#endif
 
 bool flow_is_done(double remaining, double rate) noexcept {
   return remaining <= kEpsBytes || (rate > kEpsRate && remaining / rate < 1e-9);
@@ -235,9 +246,13 @@ void FlowNetwork::apply_rate(std::uint32_t slot, double new_rate) {
   }
 }
 
-void FlowNetwork::push_projection(std::uint32_t slot) {
+double FlowNetwork::projection(std::uint32_t slot) const noexcept {
   const double rate = rate_[slot];
-  const double t = rate > kEpsRate ? sim_.now() + remaining_[slot] / rate : kUnlimitedRate;
+  return rate > kEpsRate ? sim_.now() + remaining_[slot] / rate : kUnlimitedRate;
+}
+
+void FlowNetwork::push_projection(std::uint32_t slot) {
+  const double t = projection(slot);
   if (!std::isfinite(t)) {
     comp_heap_erase(slot);  // stalled flows carry no completion entry
     return;
@@ -283,6 +298,44 @@ void FlowNetwork::comp_heap_place(std::uint32_t pos, CompEntry e) {
   flow_slots_[e.slot].heap_pos = pos;
 }
 
+// Publish every solved rate with one heap rebuild instead of one sift per
+// changed flow: changed keys are rewritten in place, stalled flows drop out
+// and newly projected ones are appended, then one heapify and one position
+// pass restore the heap. An unchanged rate keeps its old projection, exactly
+// as apply_rate leaves it; pops follow the total (t, slot) order, so the
+// layout the heapify leaves cannot change which entry pops when.
+void FlowNetwork::apply_rates_bulk() {
+  for (const SolverItem& it : items_) {
+    const std::uint32_t slot = it.slot;
+    if (it.alloc == rate_[slot]) continue;
+    rate_[slot] = it.alloc;
+    const double t = projection(slot);
+    std::uint32_t& pos = flow_slots_[slot].heap_pos;
+    if (!std::isfinite(t)) {
+      // Stalled: an infinite key marks the entry for removal below.
+      if (pos != kNilIndex) comp_heap_[pos].t = kUnlimitedRate;
+      pos = kNilIndex;
+    } else if (pos == kNilIndex) {
+      comp_heap_.push_back(CompEntry{t, slot});
+    } else {
+      comp_heap_[pos].t = t;
+    }
+  }
+  // Every live entry's key is finite (push_projection stores no other).
+  comp_heap_.erase(std::remove_if(comp_heap_.begin(), comp_heap_.end(),
+                                  [](const CompEntry& e) { return !std::isfinite(e.t); }),
+                   comp_heap_.end());
+  const auto after = [](const CompEntry& a, const CompEntry& b) { return comp_before(b, a); };
+  std::make_heap(comp_heap_.begin(), comp_heap_.end(), after);
+  for (std::uint32_t pos = 0; pos < comp_heap_.size(); ++pos)
+    flow_slots_[comp_heap_[pos].slot].heap_pos = pos;
+  assert(std::is_heap(comp_heap_.begin(), comp_heap_.end(), after));
+#ifndef NDEBUG
+  for (std::uint32_t pos = 0; pos < comp_heap_.size(); ++pos)
+    assert(flow_slots_[comp_heap_[pos].slot].heap_pos == pos);  // one entry per slot
+#endif
+}
+
 void FlowNetwork::mark_dirty() {
   if (settle_pending_) return;
   settle_pending_ = true;
@@ -322,7 +375,8 @@ void FlowNetwork::begin_flow(FlowOp* op) {
   }
   traffic_[static_cast<std::size_t>(op->cls)] += op->bytes;
 
-  advance_to_now();
+  // No byte advance here: the slot carries rate 0 until the settle, and
+  // every reader of remaining_ advances first over the same interval.
   const std::uint32_t slot = alloc_flow_slot();
   FlowSlot& fs = flow_slots_[slot];
   fs.in_use = true;
@@ -478,24 +532,18 @@ void FlowNetwork::advance_to_now() {
   last_advance_ = now;
 }
 
-// Progressive filling over one already-partitioned component (items_
-// [first_item, first_item + n_items)): raise the rate of every unfrozen flow
-// uniformly until some constraint or flow cap saturates; freeze the flows it
-// binds; repeat. Constraints are compacted per call; non-contained shared
-// constraints are skipped (the escalated global solve goes through
-// water_fill_escalated, which reuses the persistent arena layout instead).
-void FlowNetwork::water_fill(std::size_t first_item, std::size_t n_items) {
+// Stamp into cmap_ (under a fresh cmap_gen_, so nothing is cleared) how many
+// of items_[first_item, +n_items) use each constraint at incidence positions
+// [k_from, k_to).
+void FlowNetwork::count_users(std::size_t first_item, std::size_t n_items, std::uint8_t k_from,
+                              std::uint8_t k_to) {
   const std::size_t cspace = constraint_space();
-  const std::uint32_t n_local = static_cast<std::uint32_t>(2 * nodes_.size());
   if (cmap_epoch_.size() < cspace) cmap_epoch_.resize(cspace, 0);
   if (cmap_.size() < cspace) cmap_.resize(cspace, 0);
-
-  // Containment pre-pass: count this component's users per shared
-  // constraint (stamped; no clearing).
   ++cmap_gen_;
   for (std::size_t i = first_item; i < first_item + n_items; ++i) {
     const FlowSlot& fs = flow_slots_[items_[i].slot];
-    for (std::uint8_t k = 2; k < fs.n_constraints; ++k) {
+    for (std::uint8_t k = k_from; k < std::min(k_to, fs.n_constraints); ++k) {
       const std::uint32_t c = fs.constraints[k];
       if (cmap_epoch_[c] != cmap_gen_) {
         cmap_epoch_[c] = cmap_gen_;
@@ -505,6 +553,20 @@ void FlowNetwork::water_fill(std::size_t first_item, std::size_t n_items) {
       }
     }
   }
+}
+
+// Progressive filling over one already-partitioned component (items_
+// [first_item, first_item + n_items)): raise the rate of every unfrozen flow
+// uniformly until some constraint or flow cap saturates; freeze the flows it
+// binds; repeat. Constraints are compacted per call; non-contained shared
+// constraints are skipped (the escalated global solve goes through
+// water_fill_escalated, which reuses the persistent arena layout instead).
+void FlowNetwork::water_fill(std::size_t first_item, std::size_t n_items) {
+  const std::size_t cspace = constraint_space();
+  const std::uint32_t n_local = static_cast<std::uint32_t>(2 * nodes_.size());
+  // Containment pre-pass: count this component's users per shared
+  // constraint.
+  count_users(first_item, n_items, 2, 5);
   if (citem_epoch_.size() < cspace) citem_epoch_.resize(cspace, 0);
   if (citem_.size() < cspace) citem_.resize(cspace, kNilIndex);
 
@@ -668,6 +730,32 @@ bool FlowNetwork::shared_capacity_exceeded() {
   return false;
 }
 
+// Violation certificate (invariant step 3): items_ holds every live flow in
+// at least two groups, so no group's water-fill contains the fabric, and a
+// flow's relaxed rate is at least its bottleneck bound: the least of its cap,
+// its NICs' capacity per user and its uplinks' capacity per user. True when
+// those bounds alone overrun the fabric, so the usage walk would escalate.
+// A flow whose cap and NICs are all unlimited has no bound its water-fill
+// honours (it may stop below an uplink's share), so it voids the proof.
+bool FlowNetwork::fabric_overrun_proven() {
+  const double fabric = cfg_.fabric_Bps;
+  if (!std::isfinite(fabric)) return false;
+  count_users(0, items_.size(), 0, 2);  // NIC users
+  double bound_sum = 0.0;
+  for (const SolverItem& it : items_) {
+    const FlowSlot& fs = flow_slots_[it.slot];
+    double bound = it.f->cap;
+    for (int k = 0; k < 2; ++k)
+      bound = std::min(bound, constraint_cap(fs.constraints[k]) / cmap_[fs.constraints[k]]);
+    if (!std::isfinite(bound)) return false;
+    for (std::uint8_t k = 3; k < fs.n_constraints; ++k)
+      bound = std::min(bound, constraint_cap(fs.constraints[k]) / shared_users_[fs.constraints[k]]);
+    bound_sum += bound;
+  }
+  return bound_sum > fabric * (1.0 + kViolationMargin) +
+                         kEpsRate * static_cast<double>(items_.size() + 1);
+}
+
 // One settle epoch: re-solve only the dirty region (see the header's
 // "Incremental solver invariants"), validate shared constraints, escalate to
 // a global solve when one is violated, publish rates and components.
@@ -730,6 +818,9 @@ void FlowNetwork::solve_epoch() {
 
   bool escalated = false;
   std::size_t n_groups = 0;
+  // The dirty region is every live flow (collected and detached in slot
+  // order): the violation certificate applies and an escalation reuses it.
+  const bool whole_fleet = items_.size() == live_flows_;
   if (!items_.empty()) {
     // Phase 2 — partition the affected flows into connected components via
     // union-find over their NIC constraints (roots are minimal indices, so
@@ -764,8 +855,11 @@ void FlowNetwork::solve_epoch() {
     }
     // Dense group ids in first-seen (= ascending root) order, then a stable
     // counting-sort so each group's items are contiguous in slot order.
+    // Ids that never decrease along items_ (one group, or singletons in slot
+    // order) already are: that permutation is the identity and is skipped.
     group_of_item_.resize(items_.size());
     group_start_.clear();
+    bool in_group_order = true;
     for (std::uint32_t i = 0; i < items_.size(); ++i) {
       const std::uint32_t r = find_root(i);
       if (r == i) {
@@ -773,6 +867,7 @@ void FlowNetwork::solve_epoch() {
         group_start_.push_back(0);
       } else {
         group_of_item_[i] = group_of_item_[r];
+        in_group_order = in_group_order && group_of_item_[i] == n_groups - 1;
       }
       ++group_start_[group_of_item_[i]];
     }
@@ -783,26 +878,47 @@ void FlowNetwork::solve_epoch() {
       acc += sz;
     }
     group_start_.push_back(acc);
-    item_order_.resize(items_.size());
-    {
-      scatter_pos_.assign(group_start_.begin(), group_start_.end() - 1);
-      for (std::uint32_t i = 0; i < items_.size(); ++i)
-        item_order_[scatter_pos_[group_of_item_[i]]++] = i;
+
+    // Phase 3 — the violation certificate (invariant step 3): when the
+    // dirty region is every live flow and its bottleneck bounds overrun the
+    // fabric, the decomposition is bound to be thrown away, so the epoch
+    // escalates without solving it.
+    const bool proven =
+        over_limit_ != 0 && n_groups >= 2 && whole_fleet && fabric_overrun_proven();
+
+    // Phase 4 — solve each dirty component independently. The water-fill
+    // operates on contiguous runs of items_, so permute items_ itself into
+    // group order (stable: ascending within a group); items_scratch_ then
+    // keeps the slot-ordered collection.
+    bool permuted = false;
+    if (!proven || kCertificateOracle) {
+      if (!in_group_order) {
+        item_order_.resize(items_.size());
+        scatter_pos_.assign(group_start_.begin(), group_start_.end() - 1);
+        for (std::uint32_t i = 0; i < items_.size(); ++i)
+          item_order_[scatter_pos_[group_of_item_[i]]++] = i;
+        items_scratch_.resize(items_.size());
+        for (std::uint32_t i = 0; i < items_.size(); ++i)
+          items_scratch_[i] = items_[item_order_[i]];
+        items_.swap(items_scratch_);
+        permuted = true;
+      }
+      for (std::size_t g = 0; g < n_groups; ++g)
+        water_fill(group_start_[g], group_start_[g + 1] - group_start_[g]);
     }
-    // The water-fill operates on contiguous runs of items_, so permute
-    // items_ itself into group order (stable: ascending within a group).
-    items_scratch_.resize(items_.size());
-    for (std::uint32_t i = 0; i < items_.size(); ++i)
-      items_scratch_[i] = items_[item_order_[i]];
-    items_.swap(items_scratch_);
 
-    // Phase 3 — solve each dirty component independently.
-    for (std::size_t g = 0; g < n_groups; ++g)
-      water_fill(group_start_[g], group_start_[g + 1] - group_start_[g]);
-
-    // Phase 4 — validate shared constraints (invariant step 3): the O(1)
-    // capacity certificate, or the usage walk when it cannot certify.
-    if (over_limit_ == 0) {
+    // Phase 5 — validate shared constraints (invariant step 3): the
+    // violation certificate's verdict, the O(1) capacity certificate, or
+    // the usage walk when neither settles the epoch.
+    if (proven) {
+      ++proven_escalations_;
+      escalated = true;
+#ifndef NDEBUG
+      // The violation certificate's oracle: the walk it skipped escalates.
+      const bool exceeded = shared_capacity_exceeded();
+      assert(exceeded);
+#endif
+    } else if (over_limit_ == 0) {
       ++certified_epochs_;
 #ifndef NDEBUG
       // The certificate's oracle: the walk it skipped finds no violation.
@@ -815,19 +931,23 @@ void FlowNetwork::solve_epoch() {
       escalated = shared_capacity_exceeded();
     }
 
-    // Phase 5 — escalation: a shared constraint binds across components, so
+    // Phase 6 — escalation: a shared constraint binds across components, so
     // the decomposition is invalid this epoch. Solve every live flow as one
     // component with the full constraint set (the pre-incremental global
     // algorithm) and merge them, so later churn re-solves — and re-attempts
     // splitting — the whole coupled region.
     if (escalated) {
       ++escalations_;
-      items_.clear();
-      live_bits_.for_each_set([&](std::uint64_t s) {
-        const std::uint32_t slot = static_cast<std::uint32_t>(s);
-        detach_from_component(slot);  // clean components join the mega solve
-        items_.push_back(SolverItem{&flow_slots_[slot].flow, slot, 0.0, false, 0, {}, 0});
-      });
+      if (whole_fleet) {
+        if (permuted) items_.swap(items_scratch_);  // back to slot order
+      } else {
+        items_.clear();
+        live_bits_.for_each_set([&](std::uint64_t s) {
+          const std::uint32_t slot = static_cast<std::uint32_t>(s);
+          detach_from_component(slot);  // clean components join the mega solve
+          items_.push_back(SolverItem{&flow_slots_[slot].flow, slot, 0.0, false, 0, {}, 0});
+        });
+      }
       water_fill_escalated();
       n_groups = 1;
       group_start_.clear();
@@ -837,9 +957,10 @@ void FlowNetwork::solve_epoch() {
     }
   }
 
-  // Phase 6 — publish: assign (re)built components and their member lists,
+  // Phase 7 — publish: assign (re)built components and their member lists,
   // record NIC-constraint ownership for arrival dirtying, apply rates
-  // (projections push only for flows whose rate actually changed).
+  // (projections move only for flows whose rate actually changed; an
+  // escalation re-keys the whole completion heap at once).
   if (nic_owner_.size() < 2 * nodes_.size()) {
     nic_owner_.resize(2 * nodes_.size(), kNilIndex);
     nic_owner_gen_.resize(2 * nodes_.size(), 0);
@@ -866,7 +987,11 @@ void FlowNetwork::solve_epoch() {
   arrivals_.clear();
   solved_components_ += n_groups;
   touched_flows_ += items_.size();
-  for (SolverItem& it : items_) apply_rate(it.slot, it.alloc);
+  if (escalated) {
+    apply_rates_bulk();
+  } else {
+    for (SolverItem& it : items_) apply_rate(it.slot, it.alloc);
+  }
   assert(comp_heap_.size() <= live_flows_);
 }
 

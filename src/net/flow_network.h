@@ -34,7 +34,13 @@
 //    (projection, slot). Each flow slot records its entry's position, so a
 //    rate change re-keys the entry in place and completion, failure,
 //    stalling or slot release erase it: the heap never outgrows the live
-//    flows and every entry popped is current.
+//    flows and every entry popped is current. An escalated epoch, which
+//    re-rates every live flow, re-keys the heap in bulk instead of one
+//    sift per flow: it rewrites changed keys in place, drops stalled flows,
+//    appends new ones and leaves unchanged-rate entries bit for bit, then
+//    restores the heap with one Floyd heapify and one position pass, O(live)
+//    rather than O(live log live). Pops follow the total (t, slot) order,
+//    so the layout that leaves does not change the timeline.
 //  * flow_rate() walks the source node's outgoing-flow list and
 //    current_rate_sum() walks the live flows, both on demand: only tests
 //    read them, so no epoch pays for keeping them current.
@@ -104,12 +110,32 @@
 //     solver did, so escalation decisions are unchanged. Debug builds run
 //     the walk after a certified epoch too and assert it finds no
 //     violation.
+//     The opposite proof, a violation certificate, settles most epochs of
+//     a saturated fabric before the dirty components are even solved. It
+//     applies when the dirty region is every live flow and splits into at
+//     least two groups, so no group's water-fill contains the fabric. A
+//     max-min flow then gets at least its bottleneck bound (Bertsekas &
+//     Gallager, Data Networks, 6.5.2): the least of its cap, each NIC's
+//     capacity over its users in the region, and each uplink's capacity
+//     over shared_users_. When every flow's cap-and-NIC bound is finite
+//     and the bounds sum past fabric * (1 + 1e-6) + kEpsRate * (n + 1),
+//     the walk is bound to find the fabric violated, so the epoch skips
+//     the per-component water-fills and the walk and escalates at once.
+//     The margin covers, per flow, a water-fill that freezes up to
+//     kEpsRate short of its bottleneck and, overall, the FP error of the
+//     bounds, the fill and the walk's sum plus the walk's own kEpsRate
+//     slack. A flow whose cap and NICs are all unlimited voids the proof:
+//     its water-fill may stop below its uplink's share. Debug builds run
+//     the skipped fills and walk and assert that they escalate.
 //  4. If a shared constraint IS violated, the epoch escalates: one global
 //     water-fill over all live flows with every constraint (exactly the
 //     pre-incremental algorithm, in canonical slot order), and all flows
 //     merge into a single component so any later change re-solves it (and
 //     re-attempts decomposition, which is how the mega-component splits
-//     back once pressure drops).
+//     back once pressure drops). When the dirty region already held every
+//     live flow, its slot-ordered collection is reused as is (no second
+//     live scan or detach pass). The escalated rates are published with
+//     one bulk completion-heap re-key (see the engine notes above).
 //
 // Cached rates are reusable because a component's solution is a pure
 // function of (member flows in slot order, their caps, endpoint capacities,
@@ -124,8 +150,9 @@
 // touched_flow_count() counts flow re-solves (both cumulative), so benches
 // can report flows-re-solved-per-epoch; escalation_count() says how often
 // the shared-constraint check forced a global solve, and
-// validation_walk_count() / certified_epoch_count() split the solving
-// epochs by whether step 3 walked the live flows or certified.
+// validation_walk_count() / certified_epoch_count() /
+// proven_escalation_count() split the solving epochs by whether step 3
+// walked the live flows, certified them, or proved the fabric violated.
 #pragma once
 
 #include <cassert>
@@ -426,6 +453,9 @@ class FlowNetwork {
   std::uint64_t validation_walk_count() const noexcept { return validation_walks_; }
   /// Solving epochs the capacity certificate settled without the walk.
   std::uint64_t certified_epoch_count() const noexcept { return certified_epochs_; }
+  /// Escalations the violation certificate proved without solving the
+  /// components or walking the usage (see invariant step 3).
+  std::uint64_t proven_escalation_count() const noexcept { return proven_escalations_; }
   /// Live connected components right now (0 when idle).
   std::size_t component_count() const noexcept { return live_components_; }
 
@@ -518,10 +548,15 @@ class FlowNetwork {
   std::uint32_t alloc_flow_slot();
   void release_flow_slot(std::uint32_t slot);
   void apply_rate(std::uint32_t slot, double new_rate);
+  /// The flow's projected completion time under its current rate; infinite
+  /// when the rate is too small to finish.
+  double projection(std::uint32_t slot) const noexcept;
   /// Re-project the flow's completion from its current remaining bytes and
   /// rate: insert or re-key its heap entry, or erase it when the rate is
   /// too small to finish.
   void push_projection(std::uint32_t slot);
+  /// Publish every item's rate with one bulk completion-heap re-key.
+  void apply_rates_bulk();
   // Indexed completion heap (binary, comp_before order, positions kept in
   // FlowSlot::heap_pos).
   void comp_heap_erase(std::uint32_t slot);
@@ -555,6 +590,9 @@ class FlowNetwork {
   /// The usage walk: true when some finite shared constraint carries more
   /// than its capacity (+ kEpsRate) under the cached + freshly solved rates.
   bool shared_capacity_exceeded();
+  /// The violation certificate: true when items_ holds every live flow in
+  /// two or more groups and their bottleneck bounds overrun the fabric.
+  bool fabric_overrun_proven();
   std::uint32_t alloc_component();
   void release_component(std::uint32_t id) noexcept;
   /// Flag a component for re-solve, queueing it on the dirty list once.
@@ -573,6 +611,8 @@ class FlowNetwork {
 
   void advance_to_now();
   void solve_epoch();
+  void count_users(std::size_t first_item, std::size_t n_items, std::uint8_t k_from,
+                   std::uint8_t k_to);
   void water_fill(std::size_t first_item, std::size_t n_items);
   void water_fill_escalated();
   void run_fill(std::size_t first_item, std::size_t n_items);
@@ -652,6 +692,7 @@ class FlowNetwork {
   std::uint64_t escalations_ = 0;
   std::uint64_t validation_walks_ = 0;
   std::uint64_t certified_epochs_ = 0;
+  std::uint64_t proven_escalations_ = 0;
   double traffic_[kNumTrafficClasses] = {};
 
   // scratch buffers for the solver (avoid per-epoch allocations)
@@ -675,7 +716,8 @@ class FlowNetwork {
   std::vector<double> wf_cap_;             // water-fill: remaining capacity
   std::vector<std::uint32_t> wf_users_;    //   and unfrozen users, per constraint
   // Epoch-stamped constraint-id maps (never cleared, O(1) reuse). cmap_
-  // holds per-component shared-user counts during a water-fill; citem_
+  // holds per-component shared-user counts during a water-fill and NIC
+  // user counts during the violation certificate; citem_
   // doubles as union-find seed and compaction index.
   std::vector<std::uint32_t> cmap_;
   std::vector<std::uint64_t> cmap_epoch_;

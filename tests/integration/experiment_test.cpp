@@ -108,6 +108,29 @@ TEST(Experiment, MultipleSimultaneousMigrations) {
   for (const auto& m : res.migrations) EXPECT_GT(m.t_source_released, 0.0);
 }
 
+TEST(Experiment, SaturatedFabricProvesEscalations) {
+  // Four simultaneous migrations on disjoint node pairs through a fabric
+  // below two NICs' worth: once the whole fleet is dirty, the bottleneck
+  // bounds prove the overrun (FlowNetwork invariant step 3) and the merge
+  // carries the count into the result.
+  ExperimentConfig cfg = small_config(core::Approach::kHybrid);
+  cfg.workload = WorkloadKind::kAsyncWr;
+  cfg.asyncwr.iterations = 60;
+  cfg.asyncwr.file_offset = 128 * kMiB;
+  cfg.num_vms = 4;
+  cfg.num_migrations = 4;
+  cfg.num_destinations = 4;
+  cfg.migration_interval_s = 0.0;
+  cfg.cluster.network.fabric_Bps = 200e6;
+  const ExperimentResult res = Experiment(cfg).run();
+  EXPECT_TRUE(res.completed) << res.error;
+  EXPECT_GT(res.engine_proven_escalations, 0u);
+  EXPECT_LE(res.engine_proven_escalations, res.engine_escalations);
+  EXPECT_LE(res.engine_validation_walks + res.engine_certified_epochs +
+                res.engine_proven_escalations,
+            res.engine_recomputes);
+}
+
 TEST(Experiment, SuccessiveMigrationsAreSpaced) {
   ExperimentConfig cfg = small_config(core::Approach::kHybrid);
   cfg.workload = WorkloadKind::kAsyncWr;

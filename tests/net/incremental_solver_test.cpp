@@ -8,9 +8,11 @@
 // arrivals, nodes added under load, escalation and split-back — and across
 // staggered arrival-only and departure epochs, whose solver counters must
 // also repeat exactly across reruns. Also covers the component
-// introspection hooks the benches report and the shared-constraint capacity
+// introspection hooks the benches report, the shared-constraint capacity
 // certificate (which epochs skip the usage walk, and that a real violation
-// still escalates).
+// still escalates), the fabric violation certificate (which escalations it
+// proves, and the cases it must leave to the walk) and the escalation's
+// bulk completion-heap re-key under link flaps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,7 +42,7 @@ struct Topology {
 
 /// Timed topology/fault change, replayed identically in both arms.
 struct NetEvent {
-  enum Kind { kCrash, kReboot, kAddNode, kScale };
+  enum Kind { kCrash, kReboot, kAddNode, kScale, kFlap, kUnflap };
   double t;
   Kind kind;
   NodeId node = 0;   // crash/reboot/scale target
@@ -61,6 +63,7 @@ struct RunLog {
   std::uint64_t solved_components = 0;
   std::uint64_t walks = 0;      // validation_walk_count()
   std::uint64_t certified = 0;  // certified_epoch_count()
+  std::uint64_t proven = 0;     // proven_escalation_count()
 };
 
 sim::Task run_flow(FlowNetwork* net, const FlowSpec* f, double* done_at,
@@ -112,6 +115,8 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
         case NetEvent::kReboot: net.set_node_up(e.node, true); break;
         case NetEvent::kAddNode: nodes.push_back(net.add_node(e.nic)); break;
         case NetEvent::kScale: net.scale_node_capacity(e.node, e.nic, e.nic); break;
+        case NetEvent::kFlap: net.set_link_flapped(e.node, true); break;
+        case NetEvent::kUnflap: net.set_link_flapped(e.node, false); break;
       }
     }
     void probe() {
@@ -142,6 +147,7 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
   log.solved_components = net.solved_component_count();
   log.walks = net.validation_walk_count();
   log.certified = net.certified_epoch_count();
+  log.proven = net.proven_escalation_count();
   EXPECT_EQ(net.active_flows(), 0u);
   return log;
 }
@@ -532,6 +538,193 @@ TEST(IncrementalSolver, EquivalentOnUplinksUnderDegradeRestore) {
     expect_identical(inc, run_scenario(topo, flows, false, events));
     EXPECT_GT(inc.walks, 0u) << "seed " << seed;
     EXPECT_GT(inc.certified, 0u) << "seed " << seed;
+  }
+}
+
+// --- fabric violation certificate -------------------------------------------
+
+/// One flow per disjoint (2i -> 2i+1) pair of 100 MB/s nodes, all at t = 0.
+std::vector<FlowSpec> lockstep_pairs(std::size_t n, double bytes) {
+  return staggered_pairs(std::vector<double>(n, 0.0), bytes);
+}
+
+sim::Task chain(FlowNetwork* net, NodeId a, NodeId b, double bytes, int links) {
+  for (int i = 0; i < links; ++i) co_await net->transfer(a, b, bytes, TrafficClass::kMemory);
+}
+
+TEST(ViolationCertificate, ProvesLockstepFabricSaturation) {
+  // Eight NIC-disjoint pairs run identical back-to-back chains under a
+  // 400 MB/s fabric, half their 800 MB/s of NIC shares: every chain link
+  // arrives in one epoch with the whole fleet dirty, so the bottleneck
+  // bounds (100 MB/s each) prove the overrun and every escalation skips
+  // the walk. The global fill gives each flow exactly fabric / N.
+  constexpr int kPairs = 8;
+  constexpr double kFabric = 400e6;
+  sim::Simulator s;
+  FlowNetwork net(s, FlowNetworkConfig{kFabric, 0.0});
+  for (int i = 0; i < 2 * kPairs; ++i) net.add_node(100e6);
+  for (NodeId p = 0; p < kPairs; ++p) s.spawn(chain(&net, 2 * p, 2 * p + 1, 20e6, 5));
+  for (const double t : {0.2, 0.6, 1.0, 1.4, 1.8}) {
+    s.run_until(t);  // mid-link: 20 MB at 50 MB/s takes 0.4 s
+    for (NodeId p = 0; p < kPairs; ++p)
+      EXPECT_EQ(net.flow_rate(2 * p, 2 * p + 1), kFabric / kPairs) << "t " << t;
+  }
+  s.run();
+  EXPECT_EQ(net.escalation_count(), 5u);
+  EXPECT_EQ(net.proven_escalation_count(), net.escalation_count());
+  EXPECT_EQ(net.validation_walk_count(), 0u);
+}
+
+TEST(ViolationCertificate, ProvesEscalationsOnceTheWholeFleetIsDirty) {
+  // Eight long flows on disjoint pairs arrive 10 ms apart under a 400 MB/s
+  // fabric. Each arrival's epoch solves only its own flow while the merged
+  // rest stays clean, so the walk decides: the fifth to eighth arrivals
+  // escalate by walk. The flows then leave one at a time (sizes differ),
+  // each departure dirties the whole merged fleet, and the bounds prove
+  // the overrun while five or more remain: 7 -> 6 -> 5 survivors.
+  const Topology topo = flat_topology(16, /*fabric=*/400e6);
+  std::vector<FlowSpec> flows;
+  for (NodeId p = 0; p < 8; ++p)
+    flows.push_back(FlowSpec{0.01 * p, 2 * p, 2 * p + 1, 100e6 + 20e6 * p, kUnlimitedRate});
+  const RunLog inc = run_scenario(topo, flows, true);
+  expect_identical(inc, run_scenario(topo, flows, false));
+  EXPECT_EQ(inc.escalations, 7u);
+  EXPECT_EQ(inc.proven, 3u);
+}
+
+TEST(ViolationCertificate, UnboundedFlowVoidsTheProof) {
+  // A pair with unlimited NICs and no cap has no bottleneck bound its
+  // water-fill honours. It outlives the rest, so every escalation goes
+  // through the walk.
+  Topology topo = flat_topology(18, /*fabric=*/400e6);
+  topo.nic[16] = topo.nic[17] = kUnlimitedRate;
+  auto flows = lockstep_pairs(9, 200e6);
+  flows.back().bytes = 2e9;
+  const RunLog inc = run_scenario(topo, flows, true);
+  expect_identical(inc, run_scenario(topo, flows, false));
+  EXPECT_GT(inc.escalations, 0u);
+  EXPECT_EQ(inc.proven, 0u);
+  EXPECT_GE(inc.walks, inc.escalations);
+}
+
+TEST(ViolationCertificate, CleanComponentLeftOutOfTheDirtyRegionGoesToTheWalk) {
+  // Long flows arrive one per instant on disjoint pairs: each arrival's
+  // epoch solves only its own flow while the merged rest stays clean, so
+  // the certificate does not apply. The fifth flow over-demands the
+  // 400 MB/s fabric and every arrival from then on escalates by walk.
+  sim::Simulator s;
+  FlowNetwork net(s, FlowNetworkConfig{400e6, 0.0});
+  for (int i = 0; i < 16; ++i) net.add_node(100e6);
+  struct Arrival {
+    sim::Simulator& s;
+    FlowNetwork& net;
+    void go(NodeId p) { s.spawn(xfer(&net, 2 * p, 2 * p + 1, 1e9)); }
+  } arrival{s, net};
+  for (NodeId p = 0; p < 8; ++p) s.schedule(0.1 * p, [a = &arrival, p] { a->go(p); });
+  s.run_until(0.75);
+  EXPECT_EQ(net.escalation_count(), 4u);
+  EXPECT_EQ(net.proven_escalation_count(), 0u);
+  EXPECT_EQ(net.validation_walk_count(), 5u);  // four flows walk and fit
+  s.run();
+}
+
+TEST(ViolationCertificate, SingleGroupKeepsItsFabricAndCertifiesNothing) {
+  // One 1 GB/s sender to eight 100 MB/s receivers: the bounds (100 MB/s
+  // each) sum past the 400 MB/s fabric, but one group contains the fabric
+  // and its own water-fill honours it, so nothing escalates.
+  sim::Simulator s;
+  FlowNetwork net(s, FlowNetworkConfig{400e6, 0.0});
+  const NodeId src = net.add_node(1e9);
+  for (int i = 0; i < 8; ++i) net.add_node(100e6);
+  for (NodeId d = 1; d <= 8; ++d) s.spawn(xfer(&net, src, d, 200e6));
+  s.run_until(1.0);
+  for (NodeId d = 1; d <= 8; ++d) EXPECT_EQ(net.flow_rate(src, d), 50e6);
+  s.run();
+  EXPECT_EQ(net.escalation_count(), 0u);
+  EXPECT_EQ(net.proven_escalation_count(), 0u);
+  EXPECT_GT(net.validation_walk_count(), 0u);
+}
+
+TEST(ViolationCertificate, BoundsWithinTheMarginGoToTheWalk) {
+  // Eight 100 MB/s flows on a fabric 20 B/s short of their 800 MB/s: the
+  // walk escalates (usage is more than kEpsRate over), but the bounds do
+  // not clear the certificate's margin (1e-6 of the fabric, 800 B/s).
+  const auto flows = lockstep_pairs(8, 100e6);
+  const RunLog inc = run_scenario(flat_topology(16, 800e6 - 20), flows, true);
+  expect_identical(inc, run_scenario(flat_topology(16, 800e6 - 20), flows, false));
+  EXPECT_GT(inc.escalations, 0u);
+  EXPECT_EQ(inc.proven, 0u);
+  // At exactly 800 MB/s the fabric holds: walked, never escalated.
+  const RunLog fits = run_scenario(flat_topology(16, 800e6), flows, true);
+  EXPECT_EQ(fits.escalations, 0u);
+  EXPECT_EQ(fits.proven, 0u);
+  EXPECT_GT(fits.walks, 0u);
+}
+
+TEST(ViolationCertificate, PessimisticBoundsGoToTheWalk) {
+  // Each sender carries three 1 MB/s-capped flows and one uncapped flow:
+  // the uncapped flow's bound is a quarter of its NIC, but max-min gives it
+  // 97 MB/s. Eight such senders bound 224 MB/s in total and use 800 MB/s:
+  // the 400 MB/s fabric is overrun without the certificate seeing it.
+  Topology topo = flat_topology(40, /*fabric=*/400e6);
+  std::vector<FlowSpec> flows;
+  for (NodeId g = 0; g < 8; ++g) {
+    const NodeId src = 5 * g;
+    for (NodeId k = 1; k <= 4; ++k)
+      flows.push_back(FlowSpec{0.0, src, src + k, 50e6, k < 4 ? 1e6 : kUnlimitedRate});
+  }
+  const RunLog inc = run_scenario(topo, flows, true);
+  expect_identical(inc, run_scenario(topo, flows, false));
+  EXPECT_GT(inc.escalations, 0u);
+  EXPECT_EQ(inc.proven, 0u);
+}
+
+// --- bulk completion-heap re-key ---------------------------------------------
+
+TEST(BulkRekey, FlappedFlowLeavesTheHeapAndRejoins) {
+  // Four 300 MB flows on disjoint pairs share a 200 MB/s fabric (50 MB/s
+  // each). Node 0's link flaps from t = 1 to t = 2: its flow stalls and
+  // drops out of the completion heap while the other three take 200/3
+  // MB/s, then rejoins at 50 MB/s. The others finish at 2 + (250 - 200/3)
+  // / 50 s; the flapped flow then runs alone at its 100 MB/s NIC.
+  const Topology topo = flat_topology(8, /*fabric=*/200e6);
+  const auto flows = lockstep_pairs(4, 300e6);
+  const std::vector<NetEvent> events = {{1.0, NetEvent::kFlap, 0},
+                                        {2.0, NetEvent::kUnflap, 0}};
+  const RunLog inc = run_scenario(topo, flows, true, events);
+  expect_identical(inc, run_scenario(topo, flows, false, events));
+  const double others = 2.0 + (250e6 - 200e6 / 3) / 50e6;
+  for (std::size_t i = 1; i < 4; ++i) EXPECT_NEAR(inc.completions[i], others, 1e-6);
+  EXPECT_NEAR(inc.completions[0], others + (200e6 / 3) / 100e6, 1e-6);
+  EXPECT_GE(inc.proven, 2u);  // the flap and the restore re-key in bulk
+
+  // Flapped past its old projection (6 s): the stalled flow left the heap,
+  // so nothing wakes then. Epochs: the arrivals, the flap, the three
+  // completions at 4.75 s, the restore at 7 s and the last completion.
+  const std::vector<NetEvent> long_flap = {{1.0, NetEvent::kFlap, 0},
+                                           {7.0, NetEvent::kUnflap, 0}};
+  const RunLog stalled = run_scenario(topo, flows, true, long_flap);
+  expect_identical(stalled, run_scenario(topo, flows, false, long_flap));
+  for (std::size_t i = 1; i < 4; ++i) EXPECT_NEAR(stalled.completions[i], 4.75, 1e-6);
+  EXPECT_NEAR(stalled.completions[0], 9.5, 1e-6);
+  EXPECT_EQ(stalled.recomputes, 5u);
+}
+
+TEST(BulkRekey, EquivalentUnderSaturatedFabricWithFlaps) {
+  // The saturated-fabric suite with links flapping mid-burst: escalated
+  // epochs stall flows, drop them from the heap and re-add them.
+  const Topology topo = flat_topology(16, /*fabric=*/250e6);
+  const std::vector<NetEvent> events = {
+      {1.0, NetEvent::kFlap, 2},   {1.5, NetEvent::kFlap, 5, 0.0, 1},
+      {2.0, NetEvent::kUnflap, 2}, {2.5, NetEvent::kFlap, 2},
+      {3.25, NetEvent::kUnflap, 5}, {4.0, NetEvent::kUnflap, 2},
+  };
+  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
+    const auto flows = random_flows(120, topo.nic.size(), false, seed);
+    const RunLog inc = run_scenario(topo, flows, true, events);
+    expect_identical(inc, run_scenario(topo, flows, false, events));
+    EXPECT_GT(inc.escalations, 0u) << "seed " << seed;
+    EXPECT_GT(inc.proven, 0u) << "seed " << seed;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cfloat>
 #include <chrono>
 #include <memory>
 
@@ -39,6 +40,14 @@ std::string ExperimentConfig::validate() const {
   // Chunk and page counts divide by these granularities.
   if (cluster.image.chunk_bytes == 0) return "cluster.image.chunk_bytes must be positive";
   if (vm.memory.page_bytes == 0) return "vm.memory.page_bytes must be positive";
+  // Migration k launches at first_migration_at + k x migration_interval_s.
+  const auto finite_non_negative = [](double v) { return v >= 0 && v <= DBL_MAX; };
+  if (!finite_non_negative(first_migration_at))
+    return "first_migration_at must be a finite number >= 0, got " +
+           std::to_string(first_migration_at);
+  if (!finite_non_negative(migration_interval_s))
+    return "migration_interval_s must be a finite number >= 0, got " +
+           std::to_string(migration_interval_s);
   // The selected workload writes file_offset + count x unit bytes.
   struct Extent { std::uint64_t offset = 0, count = 0, unit = 0; } e;
   const auto n = [](int v) { return static_cast<std::uint64_t>(std::max(v, 0)); };

@@ -109,8 +109,9 @@ struct ExperimentConfig {
   }
 
   /// A diagnostic when this config cannot run, else empty: the chunk and
-  /// page sizes must be positive and the selected workload's file extent
-  /// must fit inside the image.
+  /// page sizes must be positive, the launch time and interval finite and
+  /// non-negative, and the selected workload's file extent must fit inside
+  /// the image.
   std::string validate() const;
 };
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
+#include <climits>
 
 #include "cloud/recovery.h"
+#include "util/spec.h"
 #include "vm/compute_node.h"
 
 namespace hm::cloud {
@@ -12,25 +13,9 @@ namespace hm::cloud {
 // --------------------------------------------------------------------------
 // Spec parsing: ARRIVALS[;sched:k=v,...]
 
-namespace {
-
-bool fail(std::string* err, std::string msg) {
-  if (err != nullptr) *err = std::move(msg);
-  return false;
-}
-
-bool parse_u32(std::string_view s, std::uint32_t* out) {
-  std::uint32_t v = 0;
-  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || p != s.data() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
-
 bool parse_scheduler_spec(std::string_view arg, SchedulerConfig* out,
                           std::string* err) {
+  constexpr std::string_view kGrammar = "sched";
   SchedulerConfig cfg;
   std::string_view arrivals = arg;
   std::string_view sched;
@@ -39,50 +24,20 @@ bool parse_scheduler_spec(std::string_view arg, SchedulerConfig* out,
     sched = arg.substr(pos + 7);
   }
   if (!sim::parse_arrival_spec(arrivals, &cfg.arrivals, err)) return false;
-
-  while (!sched.empty()) {
-    const auto comma = sched.find(',');
-    std::string_view item = sched.substr(0, comma);
-    sched = comma == std::string_view::npos ? std::string_view{}
-                                            : sched.substr(comma + 1);
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    if (eq == std::string_view::npos)
-      return fail(err, "sched: expected k=v, got '" + std::string(item) + "'");
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view val = item.substr(eq + 1);
-    std::uint32_t u = 0;
-    if (key == "concurrent") {
-      if (!parse_u32(val, &u) || u == 0)
-        return fail(err, "sched: concurrent must be a positive integer");
-      cfg.max_concurrent = u;
-    } else if (key == "capacity") {
-      if (!parse_u32(val, &u))
-        return fail(err, "sched: capacity must be a non-negative integer");
-      cfg.placement.capacity = u;
-    } else if (key == "groups") {
-      if (!parse_u32(val, &u))
-        return fail(err, "sched: groups must be a non-negative integer");
-      cfg.placement.affinity_groups = u;
-    } else if (key == "policy") {
-      if (!parse_placement_policy(val, &cfg.placement.policy))
-        return fail(err, "sched: unknown policy '" + std::string(val) +
-                             "' (round-robin|least-loaded)");
-    } else if (key == "preempt") {
-      if (val == "0")
-        cfg.preempt = false;
-      else if (val == "1")
-        cfg.preempt = true;
-      else
-        return fail(err, "sched: preempt must be 0 or 1");
-    } else if (key == "attempts") {
-      if (!parse_u32(val, &u))
-        return fail(err, "sched: attempts must be a non-negative integer");
-      cfg.max_attempts = static_cast<int>(u);
-    } else {
-      return fail(err, "sched: unknown key '" + std::string(key) + "'");
-    }
-  }
+  const util::SpecKey keys[] = {
+      {"concurrent", &cfg.max_concurrent, 1, UINT32_MAX},
+      {"capacity", &cfg.placement.capacity, 0, UINT32_MAX},
+      {"groups", &cfg.placement.affinity_groups, 0, UINT32_MAX},
+      {"preempt", &cfg.preempt, 0, 1},
+      {"attempts", &cfg.max_attempts, 0, INT_MAX},
+  };
+  if (!util::for_each_item(sched, ',', [&](std::string_view item) {
+        if (item.rfind("policy=", 0) != 0) return util::parse_key_item(kGrammar, keys, item, err);
+        return parse_placement_policy(item.substr(7), &cfg.placement.policy) ||
+               util::spec_error(kGrammar, "unknown policy '" + std::string(item.substr(7)) +
+                                              "' (round-robin|least-loaded)", err);
+      }))
+    return false;
   *out = cfg;
   return true;
 }

@@ -61,8 +61,10 @@ struct SchedulerConfig {
 /// sim/arrival_process.h, plus scheduler knobs — concurrent (admission
 /// bound, > 0), capacity (per-node, 0 = unlimited), groups (anti-affinity
 /// classes, 0 = off), policy (round-robin|least-loaded), preempt (0|1),
-/// attempts (retry budget, 0 = inherit). Returns false with *err set on a
-/// malformed spec.
+/// attempts (retry budget up to INT_MAX, 0 = inherit). Items, numbers and
+/// diagnostics follow util/spec.h: every knob but policy is an integer
+/// (whole in any notation, so "2.0" is 2). Returns false with *err set on
+/// a malformed spec.
 bool parse_scheduler_spec(std::string_view arg, SchedulerConfig* out,
                           std::string* err);
 

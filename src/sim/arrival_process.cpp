@@ -2,122 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+
+#include "util/spec.h"
 
 namespace hm::sim {
-
-namespace {
-
-bool parse_double(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::string buf(s);
-  *out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size();
-}
-
-bool parse_u32(std::string_view s, std::uint32_t* out) {
-  double d = 0;
-  if (!parse_double(s, &d) || d < 0 || d != static_cast<std::uint32_t>(d))
-    return false;
-  *out = static_cast<std::uint32_t>(d);
-  return true;
-}
-
-bool fail(std::string* err, std::string msg) {
-  if (err) *err = std::move(msg);
-  return false;
-}
-
-/// Keys shared by every kind (window, cap, priority share). Returns true if
-/// `key` was one of them (with *ok set to whether the value parsed).
-bool common_key(std::string_view key, std::string_view val, ArrivalSpec* spec,
-                bool* ok) {
-  if (key == "from") *ok = parse_double(val, &spec->from) && spec->from >= 0;
-  else if (key == "until") *ok = parse_double(val, &spec->until) && spec->until > 0;
-  else if (key == "count") *ok = parse_u32(val, &spec->count);
-  else if (key == "hi")
-    *ok = parse_double(val, &spec->hi_share) && spec->hi_share >= 0 &&
-          spec->hi_share <= 1;
-  else return false;
-  return true;
-}
-
-bool parse_rate_keys(std::string_view body, ArrivalSpec* spec, std::string* err) {
-  const bool diurnal = spec->kind == ArrivalKind::kDiurnal;
-  const char* what = diurnal ? "diurnal" : "poisson";
-  while (!body.empty()) {
-    const auto comma = body.find(',');
-    const std::string_view kv = body.substr(0, comma);
-    body = comma == std::string_view::npos ? std::string_view{}
-                                           : body.substr(comma + 1);
-    const auto eq = kv.find('=');
-    if (eq == std::string_view::npos)
-      return fail(err, std::string(what) + " arrival spec expects k=v, got '" +
-                           std::string(kv) + "'");
-    const std::string_view key = kv.substr(0, eq);
-    const std::string_view val = kv.substr(eq + 1);
-    bool ok = true;
-    if (common_key(key, val, spec, &ok)) {
-      // handled
-    } else if (!diurnal && key == "rate") {
-      ok = parse_double(val, &spec->rate) && spec->rate > 0;
-    } else if (diurnal && key == "base") {
-      ok = parse_double(val, &spec->rate) && spec->rate > 0;
-    } else if (diurnal && key == "amp") {
-      ok = parse_double(val, &spec->amp) && spec->amp >= 0 && spec->amp <= 1;
-    } else if (diurnal && key == "period") {
-      ok = parse_double(val, &spec->period) && spec->period > 0;
-    } else if (diurnal && key == "phase") {
-      ok = parse_double(val, &spec->phase);
-    } else {
-      return fail(err, std::string("unknown ") + what + " arrival key '" +
-                           std::string(key) + "'");
-    }
-    if (!ok)
-      return fail(err, std::string("bad value for ") + what + " arrival key '" +
-                           std::string(key) + "'");
-  }
-  if (spec->rate <= 0)
-    return fail(err, std::string(what) + " arrival spec requires " +
-                         (diurnal ? "'base'" : "'rate'") + " > 0");
-  if (spec->until == 0 && spec->count == 0)
-    return fail(err, std::string(what) +
-                         " arrival stream is unbounded: set 'until' or 'count'");
-  if (spec->until > 0 && spec->until <= spec->from)
-    return fail(err, std::string(what) + " arrival 'until' must exceed 'from'");
-  return true;
-}
-
-bool parse_trace_items(std::string_view body, ArrivalSpec* spec, std::string* err) {
-  while (!body.empty()) {
-    const auto comma = body.find(',');
-    const std::string_view item = body.substr(0, comma);
-    body = comma == std::string_view::npos ? std::string_view{}
-                                           : body.substr(comma + 1);
-    if (item.empty()) continue;
-    if (item.find('=') != std::string_view::npos) {
-      const auto eq = item.find('=');
-      const std::string_view key = item.substr(0, eq);
-      bool ok = true;
-      if (!common_key(key, item.substr(eq + 1), spec, &ok))
-        return fail(err, "unknown trace arrival key '" + std::string(key) + "'");
-      if (!ok)
-        return fail(err, "bad value for trace arrival key '" + std::string(key) + "'");
-      continue;
-    }
-    double t = 0;
-    if (!parse_double(item, &t) || t < 0)
-      return fail(err, "bad trace arrival instant '" + std::string(item) + "'");
-    spec->times.push_back(t);
-  }
-  if (spec->times.empty())
-    return fail(err, "trace arrival spec lists no instants");
-  std::sort(spec->times.begin(), spec->times.end());
-  return true;
-}
-
-}  // namespace
 
 const char* arrival_kind_name(ArrivalKind k) noexcept {
   switch (k) {
@@ -130,23 +18,63 @@ const char* arrival_kind_name(ArrivalKind k) noexcept {
 }
 
 bool parse_arrival_spec(std::string_view arg, ArrivalSpec* out, std::string* err) {
+  using util::kInf;
+  using util::spec_error;
   *out = ArrivalSpec{};
+  ArrivalSpec& s = *out;
   if (arg.rfind("arrivals:", 0) == 0) arg = arg.substr(9);
   if (arg.empty() || arg == "none") return true;
-  if (arg.rfind("poisson:", 0) == 0) {
-    out->kind = ArrivalKind::kPoisson;
-    return parse_rate_keys(arg.substr(8), out, err);
+  // Keys shared by every kind: the window, the cap and the priority share.
+  std::vector<util::SpecKey> keys = {
+      {"from", &s.from},
+      {"until", &s.until, 0, kInf, true},
+      {"count", &s.count, 0, UINT32_MAX},
+      {"hi", &s.hi_share, 0, 1},
+  };
+  const std::size_t colon = arg.find(':');
+  const std::string_view kind = colon == std::string_view::npos ? "" : arg.substr(0, colon);
+  if (kind == "poisson") {
+    s.kind = ArrivalKind::kPoisson;
+    keys.push_back({"rate", &s.rate, 0, kInf, true});
+  } else if (kind == "diurnal") {
+    s.kind = ArrivalKind::kDiurnal;
+    keys.insert(keys.end(), {{"base", &s.rate, 0, kInf, true},
+                             {"amp", &s.amp, 0, 1},
+                             {"period", &s.period, 0, kInf, true},
+                             {"phase", &s.phase, -kInf}});
+  } else if (kind == "trace") {
+    s.kind = ArrivalKind::kTrace;
+  } else {
+    return spec_error("arrival spec", "unknown arrival process '" + std::string(arg) +
+                                          "' (poisson:...|diurnal:...|trace:...)", err);
   }
-  if (arg.rfind("diurnal:", 0) == 0) {
-    out->kind = ArrivalKind::kDiurnal;
-    return parse_rate_keys(arg.substr(8), out, err);
+  const std::string grammar = std::string(kind) + " arrival spec";
+  const std::string_view body = arg.substr(colon + 1);
+  if (s.kind == ArrivalKind::kTrace) {
+    // Items are instants, or keys.
+    double t = 0;
+    const util::SpecKey instant{"instant", &t};
+    if (!util::for_each_item(body, ',', [&](std::string_view item) {
+          if (item.find('=') != std::string_view::npos)
+            return util::parse_key_item(grammar, keys, item, err);
+          if (!util::parse_value(grammar, instant, item, err)) return false;
+          s.times.push_back(t);
+          return true;
+        }))
+      return false;
+    if (s.times.empty()) return spec_error(grammar, "lists no instants", err);
+    std::sort(s.times.begin(), s.times.end());
+    return true;
   }
-  if (arg.rfind("trace:", 0) == 0) {
-    out->kind = ArrivalKind::kTrace;
-    return parse_trace_items(arg.substr(6), out, err);
-  }
-  return fail(err, "unknown arrival process '" + std::string(arg) +
-                       "' (poisson:...|diurnal:...|trace:...)");
+  if (!util::parse_keys(grammar, body, keys, err)) return false;
+  if (s.rate <= 0)
+    return spec_error(grammar, s.kind == ArrivalKind::kDiurnal ? "requires 'base' > 0"
+                                                               : "requires 'rate' > 0", err);
+  if (s.until == 0 && s.count == 0)
+    return spec_error(grammar, "stream is unbounded: set 'until' or 'count'", err);
+  if (s.until > 0 && s.until <= s.from)
+    return spec_error(grammar, "'until' must exceed 'from'", err);
+  return true;
 }
 
 ArrivalProcess::ArrivalProcess(const ArrivalSpec& spec, const Rng& rng)

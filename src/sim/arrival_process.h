@@ -45,8 +45,11 @@ const char* arrival_kind_name(ArrivalKind k) noexcept;
 /// diurnal keys: base (mean rate), amp (relative swing in [0,1]; the
 ///   instantaneous rate is base*(1 + amp*sin(2*pi*(t-phase)/period))),
 ///   period, phase, plus from/until/count/hi as above.
-/// trace keys: hi (other items are instants; they are sorted ascending).
-/// Poisson/diurnal streams must be bounded: until > 0 or count > 0.
+/// trace keys: from/until/count/hi as above (other items are instants,
+///   >= 0, sorted ascending).
+/// Items, numbers and diagnostics follow util/spec.h: from >= 0, until > 0,
+/// count a uint32, hi in [0,1]. Poisson/diurnal streams must be bounded:
+/// until > 0 or count > 0, and until > from.
 struct ArrivalSpec {
   ArrivalKind kind = ArrivalKind::kNone;
   double rate = 0.0;        // poisson mean rate / diurnal base rate
@@ -63,8 +66,9 @@ struct ArrivalSpec {
 };
 
 /// Parse a --arrivals argument. Returns false with *err set on a malformed
-/// spec (unknown kind or key, non-positive rate/period, amp or hi outside
-/// [0,1], an unbounded poisson/diurnal stream, negative trace instants).
+/// spec (unknown kind or key, a value outside its key's range such as a
+/// non-positive rate/period or amp or hi outside [0,1], an unbounded
+/// poisson/diurnal stream, a trace listing no instant).
 bool parse_arrival_spec(std::string_view arg, ArrivalSpec* out, std::string* err);
 
 struct Arrival {

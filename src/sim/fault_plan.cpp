@@ -1,9 +1,11 @@
 #include "sim/fault_plan.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
 #include <iterator>
 #include <tuple>
+
+#include "util/spec.h"
 
 namespace hm::sim {
 
@@ -32,225 +34,144 @@ double clamp_factor(double f) {
   return f > 1.0 ? 1.0 : f;
 }
 
-bool parse_double(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::string buf(s);
-  *out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size();
-}
+using util::kInf;
+using util::kMaxCount;
+using util::spec_error;
 
-bool parse_u32(std::string_view s, std::uint32_t* out) {
-  double d = 0;
-  if (!parse_double(s, &d) || d < 0 || d != static_cast<std::uint32_t>(d))
-    return false;
-  *out = static_cast<std::uint32_t>(d);
-  return true;
-}
-
-bool fail(std::string* err, std::string msg) {
-  if (err) *err = std::move(msg);
-  return false;
-}
-
+// EVENT := KIND '@' T ['+' DUR] ['*' FACTOR] ['#' TARGET]
 bool parse_event(std::string_view tok, FaultEvent* ev, std::string* err) {
+  const std::string grammar = "fault event '" + std::string(tok) + "'";
   const auto at_pos = tok.find('@');
-  if (at_pos == std::string_view::npos)
-    return fail(err, "fault event '" + std::string(tok) + "' missing '@TIME'");
+  if (at_pos == std::string_view::npos) return spec_error(grammar, "missing '@TIME'", err);
   const std::string_view kind = tok.substr(0, at_pos);
   const FaultKindInfo* row = std::find_if(std::begin(kKinds), std::end(kKinds),
                                           [&](const FaultKindInfo& r) { return kind == r.name; });
   if (row == std::end(kKinds)) {
     std::string names;
     for (const FaultKindInfo& r : kKinds) names.append(names.empty() ? "" : "|").append(r.name);
-    return fail(err, "unknown fault kind '" + std::string(kind) + "' (" + names + ")");
+    return spec_error(grammar, "unknown fault kind '" + std::string(kind) + "' (" + names + ")",
+                      err);
   }
   ev->kind = static_cast<FaultKind>(row - kKinds);
-  std::string_view rest = tok.substr(at_pos + 1);
-  const auto next_mod = [&] { return rest.find_first_of("+*#"); };
-  auto mod = next_mod();
-  if (!parse_double(rest.substr(0, mod), &ev->at) || ev->at < 0)
-    return fail(err, "bad fault time in '" + std::string(tok) + "'");
-  while (mod != std::string_view::npos) {
-    const char sep = rest[mod];
-    rest = rest.substr(mod + 1);
-    mod = next_mod();
-    const std::string_view val = rest.substr(0, mod);
-    switch (sep) {
-      case '+':
-        if (!parse_double(val, &ev->duration_s) || ev->duration_s <= 0)
-          return fail(err, "bad fault duration in '" + std::string(tok) + "'");
-        break;
-      case '*':
-        if (!parse_double(val, &ev->factor))
-          return fail(err, "bad fault factor in '" + std::string(tok) + "'");
-        ev->factor = clamp_factor(ev->factor);
-        break;
-      case '#':
-        if (!parse_u32(val, &ev->target))
-          return fail(err, "bad fault target in '" + std::string(tok) + "'");
-        break;
-    }
+  // One key per modifier, in the order of kMarks.
+  constexpr std::string_view kMarks = "@+*#";
+  const util::SpecKey keys[] = {
+      {"time", &ev->at},
+      {"duration", &ev->duration_s, 0, kInf, true},
+      {"factor", &ev->factor, -kInf},
+      {"target", &ev->target, 0, UINT32_MAX},
+  };
+  for (std::string_view rest = tok.substr(at_pos); !rest.empty();) {
+    const auto next = rest.find_first_of(kMarks.substr(1), 1);
+    if (!util::parse_value(grammar, keys[kMarks.find(rest[0])], rest.substr(1, next - 1), err))
+      return false;
+    rest = next == std::string_view::npos ? std::string_view{} : rest.substr(next);
   }
+  ev->factor = clamp_factor(ev->factor);
   return true;
 }
 
 bool parse_rand(std::string_view body, FaultRandSpec* rs, std::string* err) {
-  while (!body.empty()) {
-    const auto comma = body.find(',');
-    const std::string_view kv = body.substr(0, comma);
-    body = comma == std::string_view::npos ? std::string_view{}
-                                           : body.substr(comma + 1);
-    const auto eq = kv.find('=');
-    if (eq == std::string_view::npos)
-      return fail(err, "fault rand spec expects k=v, got '" + std::string(kv) + "'");
-    const std::string_view key = kv.substr(0, eq);
-    const std::string_view val = kv.substr(eq + 1);
-    bool ok = true;
-    if (key == "crashes") ok = parse_u32(val, &rs->crashes);
-    else if (key == "dst-crashes") ok = parse_u32(val, &rs->dst_crashes);
-    else if (key == "degrades") ok = parse_u32(val, &rs->degrades);
-    else if (key == "flaps") ok = parse_u32(val, &rs->flaps);
-    else if (key == "slow") ok = parse_u32(val, &rs->slow);
-    else if (key == "outages") ok = parse_u32(val, &rs->outages);
-    else if (key == "from") ok = parse_double(val, &rs->from) && rs->from >= 0;
-    else if (key == "span") ok = parse_double(val, &rs->span) && rs->span > 0;
-    else if (key == "dur") ok = parse_double(val, &rs->dur) && rs->dur > 0;
-    else if (key == "factor") {
-      ok = parse_double(val, &rs->factor);
-      rs->factor = clamp_factor(rs->factor);
-    } else {
-      return fail(err, "unknown fault rand key '" + std::string(key) + "'");
-    }
-    if (!ok)
-      return fail(err, "bad value for fault rand key '" + std::string(key) + "'");
-  }
+  constexpr std::string_view kGrammar = "fault rand spec";
+  const util::SpecKey keys[] = {
+      {"crashes", &rs->crashes, 0, kMaxCount},
+      {"dst-crashes", &rs->dst_crashes, 0, kMaxCount},
+      {"degrades", &rs->degrades, 0, kMaxCount},
+      {"flaps", &rs->flaps, 0, kMaxCount},
+      {"slow", &rs->slow, 0, kMaxCount},
+      {"outages", &rs->outages, 0, kMaxCount},
+      {"from", &rs->from},
+      {"span", &rs->span, 0, kInf, true},
+      {"dur", &rs->dur, 0, kInf, true},
+      {"factor", &rs->factor, -kInf},
+  };
+  if (!util::parse_keys(kGrammar, body, keys, err)) return false;
+  rs->factor = clamp_factor(rs->factor);
   if (rs->crashes == 0 && rs->dst_crashes == 0 && rs->degrades == 0 &&
       rs->flaps == 0 && rs->slow == 0 && rs->outages == 0)
-    return fail(err, "fault rand spec enables no category "
-                     "(set crashes/dst-crashes/degrades/flaps/slow/outages)");
+    return spec_error(kGrammar, "enables no category "
+                      "(set crashes/dst-crashes/degrades/flaps/slow/outages)", err);
+  if (!std::isfinite(rs->from + rs->span))  // fault times are drawn up to it
+    return spec_error(kGrammar, "'from' + 'span' must be finite", err);
   return true;
 }
 
 bool parse_churn(std::string_view body, FaultChurnSpec* cs, std::string* err) {
-  while (!body.empty()) {
-    const auto comma = body.find(',');
-    const std::string_view kv = body.substr(0, comma);
-    body = comma == std::string_view::npos ? std::string_view{}
-                                           : body.substr(comma + 1);
-    const auto eq = kv.find('=');
-    if (eq == std::string_view::npos)
-      return fail(err, "fault churn spec expects k=v, got '" + std::string(kv) + "'");
-    const std::string_view key = kv.substr(0, eq);
-    const std::string_view val = kv.substr(eq + 1);
-    bool ok = true;
-    // MTBF/MTTR means must be strictly positive when supplied: a zero mean
-    // exponential would fire instantly forever.
-    const auto mean = [&](double* slot) {
-      double d = 0;
-      if (!parse_double(val, &d) || !(d > 0)) return false;
-      *slot = d;
-      return true;
-    };
-    if (key == "crash-mtbf") ok = mean(&cs->crash_mtbf);
-    else if (key == "crash-mttr") ok = mean(&cs->crash_mttr);
-    else if (key == "degrade-mtbf") ok = mean(&cs->degrade_mtbf);
-    else if (key == "degrade-mttr") ok = mean(&cs->degrade_mttr);
-    else if (key == "flap-mtbf") ok = mean(&cs->flap_mtbf);
-    else if (key == "flap-mttr") ok = mean(&cs->flap_mttr);
-    else if (key == "domain-mtbf") ok = mean(&cs->domain_mtbf);
-    else if (key == "domain-mttr") ok = mean(&cs->domain_mttr);
-    else if (key == "from") ok = parse_double(val, &cs->from) && cs->from >= 0;
-    else if (key == "until") ok = parse_double(val, &cs->until) && cs->until > 0;
-    else if (key == "nodes") ok = parse_u32(val, &cs->nodes);
-    else if (key == "factor") {
-      ok = parse_double(val, &cs->factor);
-      cs->factor = clamp_factor(cs->factor);
-    } else {
-      return fail(err, "unknown fault churn key '" + std::string(key) + "'");
-    }
-    if (!ok)
-      return fail(err, "bad value for fault churn key '" + std::string(key) + "'");
-  }
+  constexpr std::string_view kGrammar = "fault churn spec";
+  // MTBF/MTTR means are strictly positive: a zero-mean exponential would
+  // fire instantly forever.
+  const util::SpecKey keys[] = {
+      {"crash-mtbf", &cs->crash_mtbf, 0, kInf, true},
+      {"crash-mttr", &cs->crash_mttr, 0, kInf, true},
+      {"degrade-mtbf", &cs->degrade_mtbf, 0, kInf, true},
+      {"degrade-mttr", &cs->degrade_mttr, 0, kInf, true},
+      {"flap-mtbf", &cs->flap_mtbf, 0, kInf, true},
+      {"flap-mttr", &cs->flap_mttr, 0, kInf, true},
+      {"domain-mtbf", &cs->domain_mtbf, 0, kInf, true},
+      {"domain-mttr", &cs->domain_mttr, 0, kInf, true},
+      {"factor", &cs->factor, -kInf},
+      {"from", &cs->from},
+      {"until", &cs->until, 0, kInf, true},
+      {"nodes", &cs->nodes, 0, kMaxCount},
+  };
+  if (!util::parse_keys(kGrammar, body, keys, err)) return false;
+  cs->factor = clamp_factor(cs->factor);
   if (cs->crash_mtbf <= 0 && cs->degrade_mtbf <= 0 && cs->flap_mtbf <= 0 &&
       cs->domain_mtbf <= 0)
-    return fail(err, "fault churn spec enables no category "
-                     "(set crash-mtbf/degrade-mtbf/flap-mtbf/domain-mtbf)");
+    return spec_error(kGrammar, "enables no category "
+                      "(set crash-mtbf/degrade-mtbf/flap-mtbf/domain-mtbf)", err);
   if (cs->until > 0 && cs->until <= cs->from)
-    return fail(err, "fault churn 'until' must exceed 'from'");
+    return spec_error(kGrammar, "'until' must exceed 'from'", err);
   return true;
 }
 
 // DOMAINS := "domains:" NAME '=' RANGE ('+' RANGE)* (',' NAME '=' ...)*
-bool parse_domains(std::string_view body, std::vector<FaultDomain>* out,
-                   std::string* err) {
-  while (!body.empty()) {
-    const auto comma = body.find(',');
-    const std::string_view def = body.substr(0, comma);
-    body = comma == std::string_view::npos ? std::string_view{}
-                                           : body.substr(comma + 1);
+bool parse_domains(std::string_view body, std::vector<FaultDomain>* out, std::string* err) {
+  const bool ok = util::for_each_item(body, ',', [&](std::string_view def) {
     const auto eq = def.find('=');
     if (eq == std::string_view::npos)
-      return fail(err, "fault domain expects NAME=RANGE, got '" + std::string(def) + "'");
+      return spec_error("fault domains", "expected NAME=RANGE, got '" + std::string(def) + "'",
+                        err);
     FaultDomain dom;
     dom.name = std::string(def.substr(0, eq));
-    if (dom.name.empty())
-      return fail(err, "fault domain with empty name in '" + std::string(def) + "'");
+    const std::string grammar = "fault domain '" + dom.name + "'";
+    if (dom.name.empty()) return spec_error(grammar, "has an empty name", err);
     for (const auto& prev : *out)
-      if (prev.name == dom.name)
-        return fail(err, "duplicate fault domain '" + dom.name + "'");
-    std::string_view ranges = def.substr(eq + 1);
-    if (ranges.empty())
-      return fail(err, "fault domain '" + dom.name + "' has no member nodes");
-    while (!ranges.empty()) {
-      const auto plus = ranges.find('+');
-      const std::string_view range = ranges.substr(0, plus);
-      ranges = plus == std::string_view::npos ? std::string_view{}
-                                              : ranges.substr(plus + 1);
-      const auto dash = range.find('-');
-      std::uint32_t lo = 0, hi = 0;
-      if (dash == std::string_view::npos) {
-        if (!parse_u32(range, &lo))
-          return fail(err, "bad node id '" + std::string(range) + "' in fault domain '" +
-                               dom.name + "'");
-        hi = lo;
-      } else {
-        if (!parse_u32(range.substr(0, dash), &lo) ||
-            !parse_u32(range.substr(dash + 1), &hi) || hi < lo)
-          return fail(err, "bad node range '" + std::string(range) +
-                               "' in fault domain '" + dom.name + "'");
-      }
+      if (prev.name == dom.name) return spec_error(grammar, "is defined twice", err);
+    std::uint32_t lo = 0, hi = 0;
+    const util::SpecKey ids[] = {{"node id", &lo, 0, kMaxCount - 1},
+                                 {"node id", &hi, 0, kMaxCount - 1}};
+    const bool ranges_ok = util::for_each_item(def.substr(eq + 1), '+', [&](std::string_view r) {
+      const auto dash = r.find('-');
+      if (!util::parse_value(grammar, ids[0], r.substr(0, dash), err)) return false;
+      hi = lo;
+      if (dash != std::string_view::npos &&
+          !util::parse_value(grammar, ids[1], r.substr(dash + 1), err))
+        return false;
+      if (hi < lo)
+        return spec_error(grammar, "has an inverted range '" + std::string(r) + "'", err);
+      // Ids lie below kMaxCount, so a longer member list repeats one.
+      if (dom.nodes.size() + (hi - lo) >= kMaxCount)
+        return spec_error(grammar, "repeats a node id", err);
       for (std::uint32_t n = lo; n <= hi; ++n) dom.nodes.push_back(n);
-    }
-    if (dom.nodes.empty())
-      return fail(err, "fault domain '" + dom.name + "' has no member nodes");
+      return true;
+    });
+    if (!ranges_ok) return false;
+    if (dom.nodes.empty()) return spec_error(grammar, "has no member nodes", err);
     std::sort(dom.nodes.begin(), dom.nodes.end());
     if (std::adjacent_find(dom.nodes.begin(), dom.nodes.end()) != dom.nodes.end())
-      return fail(err, "fault domain '" + dom.name + "' repeats a node id");
+      return spec_error(grammar, "repeats a node id", err);
+    // Domains are disjoint: one node cannot belong to two racks.
+    for (const auto& prev : *out)
+      for (const std::uint32_t n : dom.nodes)
+        if (std::binary_search(prev.nodes.begin(), prev.nodes.end(), n))
+          return spec_error(grammar, "shares node " + std::to_string(n) + " with fault domain '" +
+                                         prev.name + "'", err);
     out->push_back(std::move(dom));
-  }
-  if (out->empty()) return fail(err, "fault 'domains:' section is empty");
-  // Domains are disjoint: one node cannot belong to two racks.
-  for (std::size_t i = 0; i < out->size(); ++i)
-    for (std::size_t j = i + 1; j < out->size(); ++j)
-      for (const std::uint32_t n : (*out)[i].nodes)
-        if (std::binary_search((*out)[j].nodes.begin(), (*out)[j].nodes.end(), n))
-          return fail(err, "node " + std::to_string(n) + " belongs to fault domains '" +
-                               (*out)[i].name + "' and '" + (*out)[j].name + "'");
-  return true;
-}
-
-bool validate_spec(const FaultSpec& spec, std::string* err) {
-  for (const FaultEvent& ev : spec.scripted) {
-    if (fault_kind_info(ev.kind).scope == FaultScope::kDomain &&
-        ev.target >= spec.domains.size())
-      return fail(err, std::string("scripted '") + fault_kind_info(ev.kind).name +
-                           "' targets domain #" + std::to_string(ev.target) + " but only " +
-                           std::to_string(spec.domains.size()) + " domain(s) are defined");
-  }
-  if (spec.churn && spec.churn_spec.domain_mtbf > 0 && spec.domains.empty())
-    return fail(err, "fault churn sets domain-mtbf but no 'domains:' section is defined");
-  return true;
+    return true;
+  });
+  if (ok && out->empty()) return spec_error("fault domains", "section is empty", err);
+  return ok;
 }
 
 }  // namespace
@@ -260,6 +181,7 @@ const FaultKindInfo& fault_kind_info(FaultKind k) noexcept {
 }
 
 bool parse_fault_spec(std::string_view arg, FaultSpec* out, std::string* err) {
+  constexpr std::string_view kGrammar = "fault spec";
   *out = FaultSpec{};
   if (arg.rfind("faults:", 0) == 0) arg = arg.substr(7);
   if (arg.empty() || arg == "none") return true;
@@ -267,32 +189,35 @@ bool parse_fault_spec(std::string_view arg, FaultSpec* out, std::string* err) {
   const auto dom_pos = arg.find("domains:");
   if (dom_pos != std::string_view::npos) {
     if (dom_pos != 0 && arg[dom_pos - 1] != ';')
-      return fail(err, "fault 'domains:' section must follow a ';'");
+      return spec_error(kGrammar, "'domains:' section must follow a ';'", err);
     if (!parse_domains(arg.substr(dom_pos + 8), &out->domains, err)) return false;
     arg = arg.substr(0, dom_pos == 0 ? 0 : dom_pos - 1);
   }
   if (arg.rfind("rand:", 0) == 0) {
     out->rand = true;
     if (!parse_rand(arg.substr(5), &out->rand_spec, err)) return false;
-    return validate_spec(*out, err);
-  }
-  if (arg.rfind("churn:", 0) == 0) {
+  } else if (arg.rfind("churn:", 0) == 0) {
     out->churn = true;
     if (!parse_churn(arg.substr(6), &out->churn_spec, err)) return false;
-    return validate_spec(*out, err);
+  } else {
+    if (!util::for_each_item(arg, ';', [&](std::string_view tok) {
+          return parse_event(tok, &out->scripted.emplace_back(), err);
+        }))
+      return false;
+    if (out->scripted.empty() && out->domains.empty())
+      return spec_error(kGrammar, "lists no event", err);
   }
-  while (!arg.empty()) {
-    const auto semi = arg.find(';');
-    const std::string_view tok = arg.substr(0, semi);
-    arg = semi == std::string_view::npos ? std::string_view{} : arg.substr(semi + 1);
-    if (tok.empty()) continue;
-    FaultEvent ev{};
-    if (!parse_event(tok, &ev, err)) return false;
-    out->scripted.push_back(ev);
+  for (const FaultEvent& ev : out->scripted) {
+    if (fault_kind_info(ev.kind).scope == FaultScope::kDomain && ev.target >= out->domains.size())
+      return spec_error(kGrammar, std::string("scripted '") + fault_kind_info(ev.kind).name +
+                                      "' targets domain #" + std::to_string(ev.target) +
+                                      " but only " + std::to_string(out->domains.size()) +
+                                      " domain(s) are defined", err);
   }
-  if (arg.empty() && out->scripted.empty() && out->domains.empty())
-    return fail(err, "empty fault spec");
-  return validate_spec(*out, err);
+  if (out->churn && out->churn_spec.domain_mtbf > 0 && out->domains.empty())
+    return spec_error(kGrammar, "churn sets domain-mtbf but no 'domains:' section is defined",
+                      err);
+  return true;
 }
 
 std::vector<FaultEvent> build_fault_plan(const FaultSpec& spec, const Rng& rng,

@@ -122,11 +122,16 @@ struct FaultRandSpec {
 ///   KIND    := a FaultKindInfo::name
 ///   DOMAINS := "domains:" NAME '=' RANGE ('+' RANGE)* (',' NAME '=' ...)*
 ///   RANGE   := N | N '-' M          (inclusive node-id range)
-/// rand keys: crashes, dst-crashes, degrades, flaps, slow, outages (counts),
-/// from, span, dur (seconds), factor (capacity multiplier in (0,1]).
+/// Items, numbers and diagnostics follow util/spec.h; empty items are
+/// skipped. Event modifiers: time >= 0, duration > 0, target a uint32.
+/// rand keys: crashes, dst-crashes, degrades, flaps, slow, outages (counts
+/// up to 2^24), from (>= 0), span, dur (seconds, > 0; from + span finite),
+/// factor.
 /// churn keys: crash-mtbf, crash-mttr, degrade-mtbf, degrade-mttr,
-/// flap-mtbf, flap-mttr, domain-mtbf, domain-mttr (seconds; a category is
-/// active iff its mtbf > 0), factor, from, until, nodes.
+/// flap-mtbf, flap-mttr, domain-mtbf, domain-mttr (seconds, > 0; a category
+/// is active iff its mtbf is set), factor, from (>= 0), until (> from),
+/// nodes (up to 2^24). Node ids lie below 2^24. Every factor is clamped
+/// into (0, 1].
 struct FaultSpec {
   std::vector<FaultEvent> scripted;
   bool rand = false;
@@ -138,9 +143,9 @@ struct FaultSpec {
 };
 
 /// Parse a --faults argument. Returns false with *err set on a malformed
-/// spec (unknown keys, non-positive MTBF/MTTR, empty or duplicate domain
-/// definitions, domain events referencing undefined domains, ...); factors
-/// are clamped into (0, 1].
+/// spec: a value outside its key's range, an unknown kind or key, no
+/// category enabled, an empty window, empty, duplicate or overlapping
+/// domains, a domain event naming an undefined domain.
 bool parse_fault_spec(std::string_view arg, FaultSpec* out, std::string* err);
 
 /// Materialize the spec's events: scripted events verbatim, random events

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
+
+#include "util/spec.h"
 
 namespace hm::workloads {
 
@@ -177,102 +177,12 @@ TraceData generate_trace(const TraceGenSpec& spec, std::uint64_t seed) {
 
 namespace {
 
-bool parse_double(const std::string& v, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(v.c_str(), &end);
-  return end != nullptr && end != v.c_str() && *end == '\0';
-}
+using util::kInf;
+using util::kMaxCount;
 
-/// Largest page or chunk universe, step count and per-step draw count a
-/// spec may ask for: the Zipf samplers hold one double per page or chunk
-/// (128 MiB at this cap), and every count must convert to an integer
-/// exactly.
-constexpr double kMaxCount = 1 << 24;
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// The values a key accepts: [lo, hi], or (lo, hi] when `open_lo`; an
-/// `integer` key also rejects fractions.
-struct KeyRange {
-  std::string_view key;
-  double lo, hi;
-  bool open_lo, integer;
-};
-constexpr KeyRange kKeyRanges[] = {
-    {"dur", 0, kInf, true, false},
-    {"dt", 0, kInf, true, false},
-    {"pages", 1, kMaxCount, false, true},
-    {"page_kib", 1, 4294967296.0, false, true},
-    {"chunks", 1, kMaxCount, false, true},
-    {"chunk_kib", 1, 4294967295.0 / 1024, false, true},
-    {"offset_mib", 0, 17592186044415.0, false, true},  // offset < 2^64 bytes
-    {"mem_mbps", 0, kInf, false, false},
-    {"write_mbps", 0, kInf, false, false},
-    {"read_frac", 0, 1, false, false},
-    {"compute", 0, 1, false, false},
-    {"theta", 0, kInf, false, false},
-    {"phase", 0, kInf, false, false},
-    {"hot", 0, 1, false, false},
-    {"on", 0, kInf, false, false},
-    {"off", 0, kInf, false, false},
-    {"mult", 0, kInf, false, false},
-};
-
-/// Every bound is a whole number.
-std::string fmt_bound(double v) { return std::to_string(static_cast<std::uint64_t>(v)); }
-
-/// Empty when `d` lies in the key's range, else what the key accepts.
-std::string range_error(const KeyRange& r, double d) {
-  const bool ok = std::isfinite(d) && (r.open_lo ? d > r.lo : d >= r.lo) && d <= r.hi &&
-                  (!r.integer || d == std::floor(d));
-  if (ok) return {};
-  std::string want = r.integer ? "an integer" : "a finite number";
-  if (r.hi == kInf) return want + (r.open_lo ? " > " : " >= ") + fmt_bound(r.lo);
-  return want + " in " + (r.open_lo ? "(" : "[") + fmt_bound(r.lo) + ", " +
-         fmt_bound(std::floor(r.hi)) + "]";
-}
-
-bool apply_key(TraceGenSpec& g, const std::string& key, const std::string& val,
-               std::string* err) {
-  const auto range = std::find_if(std::begin(kKeyRanges), std::end(kKeyRanges),
-                                  [&](const KeyRange& r) { return r.key == key; });
-  if (range == std::end(kKeyRanges)) {
-    if (err) *err = "trace spec: unknown key '" + key + "'";
-    return false;
-  }
-  double d = 0;
-  if (!parse_double(val, &d)) {
-    if (err) *err = "trace spec: non-numeric value for '" + key + "'";
-    return false;
-  }
-  if (const std::string want = range_error(*range, d); !want.empty()) {
-    if (err) *err = "trace spec: '" + key + "' must be " + want + ", got '" + val + "'";
-    return false;
-  }
-  if (key == "dur") g.duration_s = d;
-  else if (key == "dt") g.dt_s = d;
-  else if (key == "pages") g.pages = static_cast<std::uint64_t>(d);
-  else if (key == "page_kib") g.page_bytes = static_cast<std::uint64_t>(d) * storage::kKiB;
-  else if (key == "chunks") g.chunks = static_cast<std::uint32_t>(d);
-  else if (key == "chunk_kib")
-    g.chunk_bytes = static_cast<std::uint32_t>(d) * static_cast<std::uint32_t>(storage::kKiB);
-  else if (key == "offset_mib")
-    g.file_offset = static_cast<std::uint64_t>(d) * storage::kMiB;
-  else if (key == "mem_mbps") g.mem_dirty_Bps = d * 1e6;
-  else if (key == "write_mbps") g.chunk_write_Bps = d * 1e6;
-  else if (key == "read_frac") g.read_fraction = d;
-  else if (key == "compute") g.compute_fraction = d;
-  else if (key == "theta") g.zipf_theta = d;
-  else if (key == "phase") g.phase_s = d;
-  else if (key == "hot") g.hot_fraction = d;
-  else if (key == "on") g.burst_on_s = d;
-  else if (key == "off") g.burst_off_s = d;
-  else g.burst_multiplier = d;  // "mult": kKeyRanges names every key
-  return true;
-}
-
-/// Empty when the spec's derived counts (steps, phase shifts, per-step page
-/// and chunk draws) stay within kMaxCount, else a diagnostic.
-std::string count_error(const TraceGenSpec& g) {
+/// Whether the spec's derived counts (steps, phase shifts, per-step page and
+/// chunk draws) stay within kMaxCount; a diagnostic in *err when not.
+bool counts_bounded(const TraceGenSpec& g, std::string* err) {
   const double burst = g.pattern == TracePattern::kBurst ? std::max(1.0, g.burst_multiplier) : 1.0;
   const std::pair<double, const char*> counts[] = {
       {g.duration_s / g.dt_s, "dur / dt (steps)"},
@@ -284,62 +194,60 @@ std::string count_error(const TraceGenSpec& g) {
   };
   for (const auto& [n, what] : counts) {
     if (!(n <= kMaxCount))  // also rejects NaN
-      return std::string("trace spec: ") + what + " must be at most " + fmt_bound(kMaxCount);
+      return util::spec_error("trace spec", std::string(what) + " must be at most " +
+                                                std::to_string(static_cast<long>(kMaxCount)),
+                              err);
   }
-  return {};
+  return true;
 }
 
 }  // namespace
 
 bool parse_trace_spec(std::string_view arg, TraceSourceConfig* out, std::string* err) {
+  constexpr std::string_view kGrammar = "trace spec";
   constexpr std::string_view kPrefix = "trace:";
   if (arg.substr(0, kPrefix.size()) == kPrefix) arg.remove_prefix(kPrefix.size());
   constexpr std::string_view kFile = "file=";
   if (arg.substr(0, kFile.size()) == kFile) {
     out->path = std::string(arg.substr(kFile.size()));
-    if (out->path.empty()) {
-      if (err) *err = "trace spec: empty file path";
-      return false;
-    }
-    return true;
+    return !out->path.empty() || util::spec_error(kGrammar, "empty file path", err);
   }
   const std::size_t colon = arg.find(':');
   const std::string_view pattern = arg.substr(0, colon);
+  TraceGenSpec& g = out->gen;
   if (pattern == "zipf" || pattern == "zipfian")
-    out->gen.pattern = TracePattern::kZipfian;
+    g.pattern = TracePattern::kZipfian;
   else if (pattern == "phase" || pattern == "phase-shift")
-    out->gen.pattern = TracePattern::kPhaseShift;
+    g.pattern = TracePattern::kPhaseShift;
   else if (pattern == "burst")
-    out->gen.pattern = TracePattern::kBurst;
+    g.pattern = TracePattern::kBurst;
   else if (pattern == "scan" || pattern == "seq")
-    out->gen.pattern = TracePattern::kSequentialScan;
-  else {
-    if (err)
-      *err = "trace spec: unknown pattern '" + std::string(pattern) +
-             "' (zipf|phase|burst|scan|file=PATH)";
-    return false;
-  }
+    g.pattern = TracePattern::kSequentialScan;
+  else
+    return util::spec_error(kGrammar, "unknown pattern '" + std::string(pattern) +
+                                          "' (zipf|phase|burst|scan|file=PATH)", err);
   if (colon == std::string_view::npos) return true;
-  std::string_view rest = arg.substr(colon + 1);
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    const std::string_view kv = rest.substr(0, comma);
-    rest = comma == std::string_view::npos ? std::string_view{} : rest.substr(comma + 1);
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string_view::npos) {
-      if (err) *err = "trace spec: expected key=value, got '" + std::string(kv) + "'";
-      return false;
-    }
-    if (!apply_key(out->gen, std::string(kv.substr(0, eq)), std::string(kv.substr(eq + 1)),
-                   err))
-      return false;
-  }
-  if (std::string e = count_error(out->gen); !e.empty()) {
-    if (err) *err = std::move(e);
-    return false;
-  }
-  return true;
+  constexpr double kKiB = storage::kKiB, kMiB = storage::kMiB;
+  const util::SpecKey keys[] = {
+      {"dur", &g.duration_s, 0, kInf, true},
+      {"dt", &g.dt_s, 0, kInf, true},
+      {"pages", &g.pages, 1, kMaxCount},
+      {"page_kib", &g.page_bytes, 1, 4294967296.0, false, kKiB},
+      {"chunks", &g.chunks, 1, kMaxCount},
+      {"chunk_kib", &g.chunk_bytes, 1, 4194303, false, kKiB},  // chunk_bytes < 2^32
+      {"offset_mib", &g.file_offset, 0, 17592186044415.0, false, kMiB},  // offset < 2^64
+      {"mem_mbps", &g.mem_dirty_Bps, 0, kInf, false, 1e6},
+      {"write_mbps", &g.chunk_write_Bps, 0, kInf, false, 1e6},
+      {"read_frac", &g.read_fraction, 0, 1},
+      {"compute", &g.compute_fraction, 0, 1},
+      {"theta", &g.zipf_theta},
+      {"phase", &g.phase_s},
+      {"hot", &g.hot_fraction, 0, 1},
+      {"on", &g.burst_on_s},
+      {"off", &g.burst_off_s},
+      {"mult", &g.burst_multiplier},
+  };
+  return util::parse_keys(kGrammar, arg.substr(colon + 1), keys, err) && counts_bounded(g, err);
 }
 
 }  // namespace hm::workloads

@@ -87,11 +87,13 @@ struct TraceSourceConfig {
 /// optional "trace:" prefix is accepted). Key=value pairs override the
 /// matching TraceGenSpec fields: dur, dt, pages, page_kib, chunks,
 /// chunk_kib, offset_mib, mem_mbps, write_mbps, read_frac, compute, theta,
-/// phase, hot, on, off, mult. Returns false with *err on an unknown pattern
-/// or key, or a value out of range: counts (pages, chunks, page_kib,
+/// phase, hot, on, off, mult. Items, numbers and diagnostics follow
+/// util/spec.h. Returns false with *err on an unknown pattern or key, or a
+/// value out of range: counts (pages and chunks up to 2^24, page_kib,
 /// chunk_kib, offset_mib) are integers, dur and dt are > 0, the fractions
 /// (read_frac, compute, hot) lie in [0, 1], every other value is a finite
-/// number >= 0, and the derived step and per-step draw counts stay bounded.
+/// number >= 0, and the derived step and per-step draw counts stay within
+/// 2^24.
 bool parse_trace_spec(std::string_view arg, TraceSourceConfig* out, std::string* err);
 
 }  // namespace hm::workloads

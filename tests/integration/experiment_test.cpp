@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "integration/result_compare.h"
 
 namespace hm::cloud {
@@ -194,6 +197,30 @@ TEST(ExperimentValidate, Cm1DumpSlotsPastImageEnd) {
   cfg.cm1.dump_slots = 0;  // every output keeps its own slot
   expect_rejected(cfg);
   cfg.cm1.num_outputs = 3;
+  EXPECT_EQ(cfg.validate(), "");
+}
+
+// A negative or non-finite launch time or interval is rejected before
+// anything is built, instead of clamping every launch to t = 0.
+TEST(ExperimentValidate, LaunchScheduleIsFiniteAndNonNegative) {
+  for (const double bad : {-5.0, std::numeric_limits<double>::infinity(), std::nan("")}) {
+    ExperimentConfig cfg = small_config(core::Approach::kHybrid);
+    cfg.first_migration_at = bad;
+    ExperimentResult res = Experiment(cfg).run();
+    EXPECT_FALSE(res.completed) << bad;
+    EXPECT_EQ(res.error.rfind("first_migration_at must be a finite number >= 0", 0), 0u)
+        << res.error;
+    EXPECT_EQ(res.engine_events, 0u);
+    cfg = small_config(core::Approach::kHybrid);
+    cfg.migration_interval_s = bad;
+    res = Experiment(cfg).run();
+    EXPECT_FALSE(res.completed) << bad;
+    EXPECT_EQ(res.error.rfind("migration_interval_s must be a finite number >= 0", 0), 0u)
+        << res.error;
+  }
+  ExperimentConfig cfg = small_config(core::Approach::kHybrid);
+  cfg.first_migration_at = 0;
+  cfg.migration_interval_s = 0;
   EXPECT_EQ(cfg.validate(), "");
 }
 

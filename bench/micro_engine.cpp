@@ -139,7 +139,7 @@ void BM_WaterFill(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator s;
     net::FlowNetwork net(s, net::FlowNetworkConfig{8e9, 0.0});
-    // Wave context behind one pointer: event callbacks fit SmallFn's budget.
+    // Wave context behind one pointer: event callbacks fit a timer's two words.
     struct Wave {
       sim::Simulator& s;
       net::FlowNetwork& net;

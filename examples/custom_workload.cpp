@@ -78,7 +78,7 @@ int main() {
   bool wl_done = false, mig_done = false;
   simulator.spawn(drive(&wl, &vm, &wl_done));
   // Migrate mid-run, while the store is hot. The launch context sits behind
-  // one pointer so the timer callback fits SmallFn's two-word budget.
+  // one pointer so the timer callback's capture fits in two words.
   struct Launch {
     sim::Simulator& simulator;
     cloud::Middleware& mw;

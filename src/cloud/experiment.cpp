@@ -93,7 +93,7 @@ sim::Task migrate_and_signal(Middleware* mw, vm::VmInstance* v, net::NodeId dst,
 }
 
 /// One planned migration launch; event callbacks capture a pointer to this
-/// record (the schedule lambda must fit SmallFn's two-word budget).
+/// record (a schedule lambda's capture must fit a timer's two words).
 struct MigLaunch {
   sim::Simulator* sim;
   Middleware* mw;

@@ -31,40 +31,47 @@ PlacementMap::PlacementMap(PlacementConfig cfg, net::NodeId first_dst,
     for (Node& nd : nodes_) nd.group_count.assign(cfg_.affinity_groups, 0);
 }
 
-bool PlacementMap::admits(const Node& nd, int vm_id, net::NodeId node) const noexcept {
+std::size_t PlacementMap::own_index(int vm_id) const noexcept {
+  const auto it = resident_of_.find(vm_id);
+  return it == resident_of_.end() ? nodes_.size() : index_of(it->second);
+}
+
+bool PlacementMap::admits(std::size_t i, std::size_t own,
+                          std::uint32_t group) const noexcept {
   // A VM never migrates onto the pool node it already occupies (its own
   // residency would also trip the anti-affinity count below).
-  if (auto it = resident_of_.find(vm_id); it != resident_of_.end() && it->second == node)
-    return false;
+  if (i == own) return false;
+  const Node& nd = nodes_[i];
   if (cfg_.capacity > 0 && nd.residents + nd.reserved >= cfg_.capacity) return false;
-  if (cfg_.affinity_groups > 0 && nd.group_count[group_of(vm_id)] > 0) return false;
+  if (cfg_.affinity_groups > 0 && nd.group_count[group] > 0) return false;
   return true;
 }
 
 bool PlacementMap::feasible(int vm_id) const noexcept {
+  const std::size_t own = own_index(vm_id);
+  const std::uint32_t group = group_of(vm_id);
   for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (admits(nodes_[i], vm_id, first_dst_ + static_cast<net::NodeId>(i)))
-      return true;
+    if (admits(i, own, group)) return true;
   return false;
 }
 
 net::NodeId PlacementMap::choose(int vm_id) {
   const std::size_t n = nodes_.size();
+  const std::size_t own = own_index(vm_id);
+  const std::uint32_t group = group_of(vm_id);
   if (cfg_.policy == PlacementPolicy::kRoundRobin) {
     for (std::size_t step = 0; step < n; ++step) {
       const std::size_t i = (rr_cursor_ + step) % n;
-      const net::NodeId node = first_dst_ + static_cast<net::NodeId>(i);
-      if (admits(nodes_[i], vm_id, node)) {
+      if (admits(i, own, group)) {
         rr_cursor_ = (i + 1) % n;
-        return node;
+        return first_dst_ + static_cast<net::NodeId>(i);
       }
     }
   } else {
     std::size_t best = n;
     std::uint32_t best_load = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId node = first_dst_ + static_cast<net::NodeId>(i);
-      if (!admits(nodes_[i], vm_id, node)) continue;
+      if (!admits(i, own, group)) continue;
       const std::uint32_t load = nodes_[i].residents + nodes_[i].reserved;
       if (best == n || load < best_load) {
         best = i;

@@ -74,7 +74,12 @@ class PlacementMap {
                ? 0
                : static_cast<std::uint32_t>(vm_id) % cfg_.affinity_groups;
   }
-  bool admits(const Node& nd, int vm_id, net::NodeId node) const noexcept;
+  /// Pool index of the node `vm_id` resides on, or nodes_.size() when it
+  /// has never completed a migration into the pool.
+  std::size_t own_index(int vm_id) const noexcept;
+  /// Whether pool node `i` accepts a VM of affinity `group` residing at pool
+  /// index `own` (own_index).
+  bool admits(std::size_t i, std::size_t own, std::uint32_t group) const noexcept;
   std::size_t index_of(net::NodeId n) const noexcept {
     return static_cast<std::size_t>(n - first_dst_);
   }

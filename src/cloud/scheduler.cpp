@@ -123,15 +123,14 @@ void Scheduler::try_dispatch() {
 }
 
 int Scheduler::pick_vm_slot() {
-  std::vector<int> eligible;
-  eligible.reserve(vm_busy_.size());
+  eligible_.clear();
   for (std::size_t i = 0; i < vm_busy_.size(); ++i) {
     if (vm_busy_[i]) continue;
     if (!placement_.feasible(mw_.vm(i).id())) continue;
-    eligible.push_back(static_cast<int>(i));
+    eligible_.push_back(static_cast<int>(i));
   }
-  if (eligible.empty()) return -1;
-  return eligible[vm_rng_.uniform(eligible.size())];
+  if (eligible_.empty()) return -1;
+  return eligible_[vm_rng_.uniform(eligible_.size())];
 }
 
 void Scheduler::dispatch(RequestRecord* r) {

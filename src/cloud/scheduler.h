@@ -168,6 +168,7 @@ class Scheduler {
   std::deque<RequestRecord*> low_q_;
   std::vector<RequestRecord*> running_reqs_;
   std::vector<char> vm_busy_;
+  std::vector<int> eligible_;  // pick_vm_slot's scratch
   std::uint32_t running_ = 0;
   bool arrivals_done_ = false;
   bool finished_ = false;

@@ -5,22 +5,22 @@ namespace hm::sim {
 std::uint32_t Simulator::alloc_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = links_[slot].next;
+    free_head_ = pool_[slot].next;
     return slot;
   }
   assert(pool_.size() < kFastSlot);
   pool_.emplace_back();
-  links_.emplace_back();
   return static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
-Simulator::Timer Simulator::schedule_at(double t, SmallFn fn) {
+Simulator::Timer Simulator::schedule_raw(double t, FastFn fn, void* a, void* b) {
   if (!(t > now_)) t = now_;  // clamps past deadlines and NaN to "now"
   const std::uint32_t slot = alloc_slot();
   Slot& s = pool_[slot];
-  s.fn = std::move(fn);
+  s.fn = fn;
+  s.a = a;
+  s.b = b;
   s.seq = seq_++;
-  s.cancelled = false;
   lane_push(slot, t);
   return Timer{this, slot, s.gen};
 }
@@ -31,9 +31,10 @@ void Simulator::rebucket(unsigned b, std::uint64_t base) noexcept {
   nonempty_ &= ~(std::uint64_t{1} << (b - 1));
   last_ = base;
   while (list != kNilSlot) {
-    const LaneNode node = links_[list];
-    bucket_append(bucket_of(node.key), list, node.key);
-    list = node.next;
+    const std::uint64_t key = pool_[list].key;
+    const std::uint32_t next = pool_[list].next;
+    bucket_append(bucket_of(key), list, key);
+    list = next;
   }
 }
 
@@ -114,19 +115,21 @@ bool Simulator::pop_and_run() {
       return false;
     }
     const std::uint32_t slot = lane_pop_front();
-    Slot& s = pool_[slot];
-    if (s.cancelled) {
+    const Slot& s = pool_[slot];
+    const FastFn fn = s.fn;
+    if (fn == nullptr) {  // cancelled
       release_slot(slot);
       continue;
     }
     assert(deadline(slot) >= now_);
     now_ = deadline(slot);
     ++processed_;
-    // Move the callback out and release the slot first, so the callback can
-    // re-schedule (and the pool recycle the slot) while it runs.
-    SmallFn fn = std::move(s.fn);
+    // Copy the continuation out and release the slot first, so the callback
+    // can re-schedule (and the pool recycle the slot) while it runs.
+    void* const a = s.a;
+    void* const b = s.b;
     release_slot(slot);
-    fn();
+    fn(a, b);
     return true;
   }
 }
@@ -159,7 +162,7 @@ void Simulator::run_until(double t) {
     // the lane must not redistribute around a key the clock will not reach.
     const std::uint32_t top = lane_front(limit);
     if (top == kNilSlot || deadline(top) > t) break;
-    if (pool_[top].cancelled) {
+    if (pool_[top].fn == nullptr) {  // cancelled
       release_slot(lane_pop_front());  // skip without advancing time
       continue;
     }

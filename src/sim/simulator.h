@@ -22,22 +22,30 @@
 //    65 buckets are FIFO lists threaded through the timer slots, so equal
 //    deadlines pop in seq order and the lane never allocates beyond the
 //    slot pool.
-// Timer entries live in a slab pool recycled through a free list and hold a
-// SmallFn (two-word inline callable, compile-time capture check — see
-// small_fn.h) instead of a std::function, so no scheduled event ever
-// heap-allocates. Timer handles validate against per-slot generation
-// counters (timer slots) or against the fast lane's monotone pop count, so
-// handles outliving their entry are safely inert.
+// Both lanes carry the same raw continuation: a function pointer and two
+// opaque words. A timer entry is one 56-byte slot in a pool recycled
+// through a free list, holding that continuation next to its radix key,
+// bucket link, seq and generation. schedule()/schedule_at() take a lambda
+// whose capture is at most two words and trivially copyable (checked at
+// compile time: bigger state goes behind a pointer), bit-copy it into the
+// two words and run it through a per-type thunk, so no scheduled event
+// ever heap-allocates and none has a destructor to run. Timer handles
+// validate against per-slot generation counters (timer slots) or against
+// the fast lane's monotone pop count, so handles outliving their entry are
+// safely inert.
 #pragma once
 
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "sim/small_fn.h"
 #include "sim/task.h"
 
 namespace hm::sim {
@@ -86,15 +94,30 @@ class Simulator {
 
   /// Schedule `fn` to run `delay` seconds from now (delay clamped to >= 0;
   /// NaN counts as zero). One clamp only — schedule_at owns it.
-  Timer schedule(double delay, SmallFn fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  template <class F>
+  Timer schedule(double delay, F&& fn) {
+    return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at absolute virtual time `t` (clamped to >= now; NaN
   /// counts as now). Used where the caller already holds an absolute
   /// deadline (e.g. the flow network's completion heap) and re-deriving a
-  /// delay would round twice.
-  Timer schedule_at(double t, SmallFn fn);
+  /// delay would round twice. `fn`'s capture rides in the timer slot's two
+  /// words, so it must fit them and be trivially copyable.
+  template <class F>
+  Timer schedule_at(double t, F&& fn) {
+    using Fn = std::remove_cvref_t<F>;
+    static_assert(std::is_invocable_r_v<void, Fn&>, "a timer callback takes no arguments");
+    static_assert(sizeof(Fn) <= 2 * sizeof(void*) && alignof(Fn) <= alignof(void*),
+                  "timer capture exceeds two words: capture a pointer to a "
+                  "context struct that outlives the event instead");
+    static_assert(std::is_trivially_copyable_v<Fn>,
+                  "timer capture must be trivially copyable: it is bit-copied "
+                  "into the timer slot and never destroyed");
+    void* words[2] = {nullptr, nullptr};
+    std::memcpy(words, std::addressof(fn), sizeof(Fn));
+    return schedule_raw(t, &capture_thunk<Fn>, words[0], words[1]);
+  }
 
   // --- fast lane ------------------------------------------------------------
   // Zero-delay continuations: `fn(a, b)` runs at the CURRENT virtual time,
@@ -187,20 +210,32 @@ class Simulator {
   /// from any slab slot: alloc_slot keeps slot ids below it.
   static constexpr std::uint32_t kFastSlot = 0xfffffffeu;
 
-  /// Pooled timer entry; its deadline and list link live in the parallel
-  /// LaneNode, which is all a bucket redistribution touches.
+  /// Pooled timer entry, everything a push, a pop and a bucket move touch:
+  /// the raw continuation (fn == nullptr marks a cancelled entry), `key` =
+  /// the deadline's bit pattern, and `next`, which links the radix bucket's
+  /// FIFO while the slot is pending and the free list while it is free.
   struct Slot {
-    SmallFn fn;
+    std::uint64_t key = 0;
+    FastFn fn = nullptr;
+    void* a = nullptr;
+    void* b = nullptr;
     std::uint64_t seq = 0;  // global schedule order (ties on the deadline)
     std::uint64_t gen = 0;  // bumped on release; Timer handles compare it
-    bool cancelled = false;
-  };
-  /// `key` is the deadline's bit pattern; `next` links the radix bucket's
-  /// FIFO while the slot is pending and the free list while it is free.
-  struct LaneNode {
-    std::uint64_t key = 0;
     std::uint32_t next = kNilSlot;
   };
+  static_assert(sizeof(Slot) <= 64);
+
+  /// Rebuilds a schedule_at capture from the two words it was copied into
+  /// and calls it.
+  template <class F>
+  static void capture_thunk(void* a, void* b) {
+    void* words[2] = {a, b};
+    alignas(F) unsigned char bytes[sizeof(F)];
+    std::memcpy(bytes, words, sizeof(F));
+    (*std::launder(reinterpret_cast<F*>(bytes)))();
+  }
+  /// schedule_at's untyped half: clamp `t`, fill a pool slot, push it.
+  Timer schedule_raw(double t, FastFn fn, void* a, void* b);
 
   /// Fast-lane ring entry. Its timestamp is implicit: entries are pushed at
   /// the then-current virtual time, and because pops always take the global
@@ -232,20 +267,20 @@ class Simulator {
   };
   static std::uint64_t key_of(double t) noexcept { return std::bit_cast<std::uint64_t>(t); }
   double deadline(std::uint32_t slot) const noexcept {
-    return std::bit_cast<double>(links_[slot].key);
+    return std::bit_cast<double>(pool_[slot].key);
   }
   unsigned bucket_of(std::uint64_t key) const noexcept {
     return static_cast<unsigned>(64 - std::countl_zero(key ^ last_));
   }
   void bucket_append(unsigned b, std::uint32_t slot, std::uint64_t key) noexcept {
-    links_[slot].next = kNilSlot;
+    pool_[slot].next = kNilSlot;
     Bucket& bk = buckets_[b];
     if (key < bk.min_key) bk.min_key = key;
     if (bk.tail == kNilSlot) {
       bk.head = slot;
       if (b > 0) nonempty_ |= std::uint64_t{1} << (b - 1);
     } else {
-      links_[bk.tail].next = slot;
+      pool_[bk.tail].next = slot;
     }
     bk.tail = slot;
   }
@@ -253,7 +288,7 @@ class Simulator {
     if (lane_size_ == 0) last_ = key_of(now_);  // rebase an empty lane
     ++lane_size_;
     const std::uint64_t key = key_of(t);
-    links_[slot].key = key;
+    pool_[slot].key = key;
     bucket_append(bucket_of(key), slot, key);
   }
   /// Re-base the lane on `base` (<= every pending key, and agreeing with
@@ -267,7 +302,7 @@ class Simulator {
   std::uint32_t lane_pop_front() noexcept {
     Bucket& b0 = buckets_[0];
     const std::uint32_t slot = b0.head;
-    b0.head = links_[slot].next;
+    b0.head = pool_[slot].next;
     if (b0.head == kNilSlot) b0.tail = kNilSlot;
     --lane_size_;
     return slot;
@@ -278,10 +313,8 @@ class Simulator {
   std::uint32_t alloc_slot();
   void release_slot(std::uint32_t slot) noexcept {
     Slot& s = pool_[slot];
-    s.fn = nullptr;  // drop captured state promptly
-    s.cancelled = false;
     ++s.gen;
-    links_[slot].next = free_head_;
+    s.next = free_head_;
     free_head_ = slot;
   }
   void cancel_entry(std::uint32_t slot, std::uint64_t gen) noexcept {
@@ -290,14 +323,14 @@ class Simulator {
       if (it != nullptr) it->fn = nullptr;
       return;
     }
-    if (slot < pool_.size() && pool_[slot].gen == gen) pool_[slot].cancelled = true;
+    if (slot < pool_.size() && pool_[slot].gen == gen) pool_[slot].fn = nullptr;
   }
   bool entry_active(std::uint32_t slot, std::uint64_t gen) const noexcept {
     if (slot == kFastSlot) {
       const FastItem* it = const_cast<Simulator*>(this)->fast_entry(gen);
       return it != nullptr && it->fn != nullptr;
     }
-    return slot < pool_.size() && pool_[slot].gen == gen && !pool_[slot].cancelled;
+    return slot < pool_.size() && pool_[slot].gen == gen && pool_[slot].fn != nullptr;
   }
 
   /// Ring entry for global fast-lane index `idx`, or null once popped.
@@ -327,7 +360,6 @@ class Simulator {
   std::size_t fast_count_ = 0;
   std::uint64_t fast_popped_ = 0;  // entries ever popped (handle validation)
   std::vector<Slot> pool_;
-  std::vector<LaneNode> links_;  // parallel to pool_
   std::uint32_t free_head_ = kNilSlot;
   double now_ = 0.0;
   std::uint64_t seq_ = 0;

@@ -268,6 +268,13 @@ TEST(Placement, CommitVacatesPreviousPoolResidency) {
   m.commit(11, 0);
   EXPECT_EQ(m.residents(10), 0u);  // old residency vacated
   EXPECT_EQ(m.residents(11), 1u);
+
+  // A one-node pool holding the VM has nowhere else to put it.
+  PlacementMap one(PlacementConfig{}, 10, 1);
+  one.reserve(10, 0);
+  one.commit(10, 0);
+  EXPECT_FALSE(one.feasible(0));
+  EXPECT_TRUE(one.feasible(1));
 }
 
 // --------------------------------------------------------------------------

@@ -89,7 +89,7 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
   RunLog log;
   log.completions.assign(flows.size(), -1.0);
   // Scenario context behind one pointer: schedule callbacks must fit
-  // SmallFn's two-word capture budget.
+  // a timer's two-word capture budget.
   struct Ctx {
     sim::Simulator& s;
     FlowNetwork& net;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <set>
@@ -180,6 +182,92 @@ TEST(Simulator, RecycledEntryKeepsOldHandlesInert) {
   EXPECT_TRUE(second);
 }
 
+// A timer's capture is bit-copied into its slot's two words and rebuilt when
+// it pops: every capture the budget admits must arrive bit for bit,
+// including a pointer pair with one null word and captures narrower than a
+// word.
+TEST(Simulator, TimerCaptureWordsArriveIntact) {
+  static std::vector<std::pair<const int*, const int*>> pointers;
+  static std::vector<std::uint64_t> bits;
+  pointers.clear();
+  bits.clear();
+  Simulator s;
+  int x = 0, y = 0;
+  int* const none = nullptr;
+  s.schedule(1.0, [p = &x, q = &y] { pointers.emplace_back(p, q); });
+  s.schedule(2.0, [p = &x, q = none] { pointers.emplace_back(p, q); });
+  s.schedule(3.0, [p = none, q = &y] { pointers.emplace_back(p, q); });
+  s.schedule(4.0, [u = std::uint64_t{0x0123456789abcdef}, d = -0.0] {
+    bits.push_back(u);
+    bits.push_back(std::bit_cast<std::uint64_t>(d));
+  });
+  s.schedule(5.0, [i = std::int32_t{-7}, c = 'q'] {
+    bits.push_back(static_cast<std::uint32_t>(i));
+    bits.push_back(static_cast<std::uint64_t>(c));
+  });
+  s.schedule(6.0, [] { bits.push_back(42); });
+  s.run();
+  EXPECT_EQ(pointers, (std::vector<std::pair<const int*, const int*>>{
+                          {&x, &y}, {&x, nullptr}, {nullptr, &y}}));
+  EXPECT_EQ(bits, (std::vector<std::uint64_t>{0x0123456789abcdef, 0x8000000000000000,
+                                              0xfffffff9, 'q', 42}));
+}
+
+// Cancelling marks the slot's continuation dead: whether the timer is due
+// now, due later, or cancelled by an earlier callback, its fn never runs,
+// the pop that drops it counts no event and moves no clock, and the handle
+// reads inactive from the cancel on.
+TEST(Simulator, CancelledTimerNeverCallsItsFn) {
+  Simulator s;
+  int calls = 0;
+  Simulator::Timer due_now = s.schedule(0.0, [&calls] { ++calls; });
+  Simulator::Timer later = s.schedule(2.0, [&calls] { ++calls; });
+  Simulator::Timer by_callback = s.schedule(3.0, [&calls] { ++calls; });
+  Simulator::Timer past_horizon = s.schedule(8.0, [&calls] { ++calls; });
+  s.schedule(1.0, [&by_callback] { by_callback.cancel(); });
+  due_now.cancel();
+  later.cancel();
+  EXPECT_FALSE(due_now.active());
+  EXPECT_FALSE(later.active());
+  EXPECT_TRUE(by_callback.active());
+  s.run_until(5.0);
+  EXPECT_FALSE(by_callback.active());
+  past_horizon.cancel();
+  EXPECT_FALSE(past_horizon.active());
+  s.run();
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(s.events_processed(), 1u);  // the canceller only
+  EXPECT_DOUBLE_EQ(s.now(), 5.0);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+// Deadlines behind the clock, -inf and NaN all clamp to now(): they fire at
+// the current instant, in schedule order, without the clock moving.
+TEST(Simulator, PastOrNaNDeadlineClampsToNow) {
+  Simulator s;
+  s.schedule(3.0, [] {});
+  s.run();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<int, double>> fired;
+  struct Ctx {
+    Simulator& s;
+    std::vector<std::pair<int, double>>& fired;
+    void record(int id) { fired.emplace_back(id, s.now()); }
+  } ctx{s, fired};
+  s.schedule_at(1.0, [c = &ctx] { c->record(0); });
+  s.schedule_at(nan, [c = &ctx] { c->record(1); });
+  s.schedule(nan, [c = &ctx] { c->record(2); });
+  s.schedule_at(-inf, [c = &ctx] { c->record(3); });
+  s.schedule(-1.0, [c = &ctx] { c->record(4); });
+  s.schedule(0.5, [c = &ctx] { c->record(5); });
+  s.run_until(3.0);  // the clamped timers are due now; the last is not
+  EXPECT_EQ(fired, (std::vector<std::pair<int, double>>{
+                       {0, 3.0}, {1, 3.0}, {2, 3.0}, {3, 3.0}, {4, 3.0}}));
+  s.run();
+  EXPECT_EQ(fired.back(), (std::pair<int, double>{5, 3.5}));
+}
+
 // Out-of-order deadlines land in different radix buckets and are
 // redistributed as the clock advances; global time order must hold.
 TEST(Simulator, OutOfOrderSchedulingInterleavesLanes) {
@@ -196,7 +284,7 @@ TEST(Simulator, OutOfOrderSchedulingInterleavesLanes) {
 TEST(Simulator, PoolRecyclingUnderChainedScheduling) {
   Simulator s;
   // Hop state lives in one struct so each event's callback is a single
-  // pointer capture (SmallFn's two-word budget).
+  // pointer capture (a timer's two-word capture budget).
   struct Chain {
     Simulator& s;
     int remaining = 10000;

@@ -11,7 +11,6 @@
 #include "core/hybrid_migrator.h"
 #include "net/flow_network.h"
 #include "sim/random.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "storage/chunk_store.h"
@@ -474,29 +473,6 @@ void BM_SessionRoundRobin(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionRoundRobin)->Arg(1)->Arg(64)->Arg(1024)->UseManualTime();
 
-// Epoch rendezvous cost: N shard threads spinning through the EpochBarrier
-// + mailbox exchange (one small message to every peer per epoch).
-void BM_ShardBarrier(benchmark::State& state) {
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  constexpr int kEpochsPerIter = 200;
-  std::uint64_t epochs = 0;
-  for (auto _ : state) {
-    sim::ShardedSimulator sim(shards);
-    const auto st = sim.run_epochs([&](std::uint32_t s) {
-      for (int e = 0; e < kEpochsPerIter; ++e) {
-        for (std::uint32_t to = 0; to < shards; ++to)
-          if (to != s) sim.post(s, to, static_cast<double>(e), s);
-        benchmark::DoNotOptimize(sim.exchange(s).size());
-      }
-    });
-    epochs += st.epochs;
-  }
-  state.SetItemsProcessed(state.iterations() * kEpochsPerIter);
-  state.counters["epochs/sec"] =
-      benchmark::Counter(static_cast<double>(epochs), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ShardBarrier)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
 // 64-VM AsyncWR migration fleet for the sweep-point benchmark below.
 cloud::ExperimentConfig sharded_sweep_config() {
   using storage::kMiB;
@@ -523,9 +499,9 @@ cloud::ExperimentConfig sharded_sweep_config() {
 }
 
 // One decomposable sweep point (staggered AsyncWR fleet on a non-blocking
-// core, 64 one-VM slices) on 1/2/4/8 worker threads: the multicore speedup
-// curve for the independent-slice mode, result byte-identical across all
-// arguments.
+// core, 64 one-VM slices) on up to 1/2/4/8 workers, never more than the
+// hardware threads: the multicore speedup curve for the independent-slice
+// mode, result byte-identical across all arguments.
 void BM_ShardedSweepPoint(benchmark::State& state) {
   cloud::ExperimentConfig cfg = sharded_sweep_config();
   cfg.shards = static_cast<std::uint32_t>(state.range(0));

@@ -12,11 +12,15 @@
 // no point lists the figures and exits 2.
 //
 // Two options apply to every chosen point:
-//   --shards=N    run each point's slices (one small simulator per
-//                 independent component, cloud/shard_plan.h) on up to N
-//                 worker threads. The slices do not depend on N, so every
-//                 field but the wall and shard fields matches the shards=1
-//                 run exactly: check_sweep_golden.py --shards.
+//   --shards=N    run the sweep on N workers (default: one per hardware
+//                 thread, and never more). Every slice of every point (one
+//                 small simulator per independent component,
+//                 cloud/shard_plan.h) is a task of one work queue, so a
+//                 lone label fans its slices over the workers too. N != 1
+//                 also prints each row's shard fields. The slices do not
+//                 depend on N, so every field but the wall and shard fields
+//                 matches the shards=1 run exactly: check_sweep_golden.py
+//                 --shards.
 //   --full-solve  re-solve every flow component each settle epoch
 //                 (FlowNetworkConfig::incremental = false), which must
 //                 reproduce the incremental timeline up to the solver-work
@@ -51,7 +55,7 @@ bool under(const std::string& label, const std::string& prefix) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> prefixes;
-  std::uint32_t shards = 1;
+  std::uint32_t shards = 0;  // 0: not given, one worker per hardware thread
   bool full_solve = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -87,12 +91,12 @@ int main(int argc, char** argv) {
     });
   std::vector<cloud::SweepItem> items;
   for (cloud::ScenarioPoint& p : points) {
-    p.config.shards = shards;
+    p.config.shards = std::max(shards, 1u);
     if (full_solve) p.config.cluster.network.incremental = false;
     items.push_back({p.label(), p.config});
   }
   std::cerr << "paper_figures: running " << items.size() << " points...\n";
-  const std::vector<cloud::ExperimentResult> results = cloud::run_sweep(items);
+  const std::vector<cloud::ExperimentResult> results = cloud::run_sweep(items, shards);
 
   // Full precision, so the renderer's panels match C printf of the results.
   std::cout << std::setprecision(std::numeric_limits<double>::max_digits10);

@@ -7,10 +7,10 @@
 #include <memory>
 
 #include "cloud/auditor.h"
+#include "cloud/executor.h"
 #include "cloud/fault_injector.h"
 #include "cloud/shard_plan.h"
 #include "sim/frame_pool.h"
-#include "sim/sharded.h"
 
 namespace hm::cloud {
 
@@ -70,6 +70,12 @@ std::string ExperimentConfig::validate() const {
 }
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
+}
 
 sim::Task run_and_signal(workloads::Workload* w, vm::VmInstance* v, sim::WaitGroup* wg) {
   co_await w->run(*v);
@@ -297,7 +303,7 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
   }
 
   // --- event loop -----------------------------------------------------------
-  const auto wall_start = std::chrono::steady_clock::now();
+  const Clock::time_point wall_start = Clock::now();
   while (workload_done.count() != 0 || migrations_done.count() != 0) {
     if (!simulator.step()) break;
     if (cfg.max_sim_time > 0 && simulator.now() > cfg.max_sim_time) {
@@ -305,9 +311,7 @@ Experiment::Slice Experiment::run_slice(const std::vector<std::uint32_t>& owned)
       break;
     }
   }
-  out.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
+  out.wall_ms = ms_since(wall_start);
 
   // --- raw material for the merge -----------------------------------------
   if (trace_app && trace_app->failed()) {
@@ -469,18 +473,21 @@ ExperimentResult Experiment::merge_parts(std::vector<Slice>& parts) const {
 ExperimentResult Experiment::run() { return run(plan_shards(cfg_)); }
 
 ExperimentResult Experiment::run(const ShardPlan& plan) {
-  if (std::string err = cfg_.validate(); !err.empty()) {
-    ExperimentResult res;
-    res.completed = false;
-    res.error = std::move(err);
-    return res;
-  }
+  const Clock::time_point start = Clock::now();
+  ExperimentResult res = std::move(run_all({this, 1}, {&plan, 1}, cfg_.shards)[0]);
+  // N merged slices report the whole fan-out, worker start and stop included.
+  if (res.shards_used > 1) res.wall_ms = ms_since(start);
+  return res;
+}
+
+std::vector<ExperimentResult> Experiment::run_all(std::span<const Experiment> exps,
+                                                  std::span<const ShardPlan> plans,
+                                                  unsigned workers) {
   // Conservative runtime guards for N slices: anything a slice cannot prove
   // independent (a repository fetch from a stripe another slice owns, a
   // max_sim_time truncation whose cut point depends on the global
   // interleave, any error whose text mentions global state) reruns the
   // one-slice plan. Correctness is never traded for wall-clock.
-  const bool guarded = plan.shard_count() > 1;
   const auto guard_of = [](const Slice& p) -> std::string {
     if (!p.error.empty()) return "runtime guard: slice error: " + p.error;
     if (!p.completed) return "runtime guard: max_sim_time truncation";
@@ -488,30 +495,46 @@ ExperimentResult Experiment::run(const ShardPlan& plan) {
       return "runtime guard: repository stripe served cross-shard traffic";
     return {};
   };
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<Slice> parts(plan.shard_count());
-  sim::ShardedSimulator slices(plan.shard_count());
-  slices.run(
-      [&](std::uint32_t s) {
-        parts[s] = run_slice(plan.slices[s]);
-        // The rerun is decided: hand out no further slices.
-        if (guarded && !guard_of(parts[s]).empty()) slices.stop();
+  struct Point {
+    std::vector<Slice> parts;
+    Clock::time_point start;  // when slice 0 started
+  };
+  std::vector<ExperimentResult> results(exps.size());
+  std::vector<Point> points(exps.size());
+  std::vector<std::uint32_t> slices(exps.size(), 0);  // 0: invalid config, no task
+  for (std::size_t p = 0; p < exps.size(); ++p) {
+    if (std::string err = exps[p].cfg_.validate(); !err.empty()) {
+      results[p].completed = false;
+      results[p].error = std::move(err);
+    } else {
+      slices[p] = plans[p].shard_count();
+      points[p].parts.resize(slices[p]);
+    }
+  }
+  fan_out(
+      slices, workers,
+      [&](std::size_t p, std::uint32_t s) {
+        if (s == 0) points[p].start = Clock::now();
+        const Slice& part = points[p].parts[s] = exps[p].run_slice(plans[p].slices[s]);
+        return slices[p] > 1 && !guard_of(part).empty();
       },
-      cfg_.shards);
-  // Slices are claimed in index order, so the lowest-index slice that trips
-  // a guard has always run: the reported guard does not depend on timing.
-  for (std::size_t s = 0; guarded && s < parts.size(); ++s)
-    if (std::string guard = guard_of(parts[s]); !guard.empty())
-      return run(one_slice_plan(cfg_.num_vms, std::move(guard)));
-
-  ExperimentResult res = merge_parts(parts);
-  res.shard_fallback_reason = plan.collapse_reason;
-  // One slice reports its event loop; N slices their whole run.
-  res.wall_ms = parts.size() == 1 ? parts[0].wall_ms
-                                  : std::chrono::duration<double, std::milli>(
-                                        std::chrono::steady_clock::now() - wall_start)
-                                        .count();
-  return res;
+      [&](std::size_t p, std::uint32_t trip) {
+        if (slices[p] == 0) return;  // results[p] holds the config error
+        const Experiment& exp = exps[p];
+        std::vector<Slice>& parts = points[p].parts;
+        std::string reason = plans[p].collapse_reason;
+        if (trip < slices[p]) {  // the lowest tripped slice names the guard
+          reason = guard_of(parts[trip]);
+          parts.clear();
+          parts.push_back(exp.run_slice(one_slice_plan(exp.cfg_.num_vms, {}).slices[0]));
+        }
+        ExperimentResult& res = results[p] = exp.merge_parts(parts);
+        res.shard_fallback_reason = std::move(reason);
+        // One slice reports its event loop; N slices their span.
+        res.wall_ms = parts.size() == 1 ? parts[0].wall_ms : ms_since(points[p].start);
+        parts = {};
+      });
+  return results;
 }
 
 ExperimentResult run_baseline(ExperimentConfig cfg) {

@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,8 +82,10 @@ struct ExperimentConfig {
   /// shard plan (the auditor must observe every migration).
   bool audit = false;
 
-  /// Worker threads for this one experiment (parallel in-process): at
-  /// most this many, the caller included, drawn from sim::WorkerBudget.
+  /// Workers that Experiment::run() fans this experiment's slices over:
+  /// at most this many, the caller included, and never more than the
+  /// hardware threads (run_sweep takes its worker count as an argument
+  /// instead; there this field only selects the kShards report regime).
   /// The slices do not depend on it: the deterministic partitioner
   /// (cloud/shard_plan.h) gives every constraint-graph component of the
   /// VM fleet its own small simulator at any value, 1 included, and 1 runs
@@ -196,9 +199,11 @@ struct ExperimentResult {
   /// used the planned slices. Set at any cfg.shards; printed only when a
   /// worker count was asked for (cfg.shards != 1).
   std::string shard_fallback_reason;
-  /// Host wall-clock: the event loop of a one-slice run, or for N slices
-  /// the whole run of all of them (construction, event loops and merge),
-  /// at any cfg.shards.
+  /// Host wall-clock: the event loop of a one-slice run. For N slices,
+  /// Experiment::run reports its whole fan-out (workers, construction,
+  /// event loops and merge), and a run_sweep row the span from its first
+  /// slice's start to the end of its merge, which may include other
+  /// points' slices running on the same workers.
   double wall_ms = 0;
 
   double traffic(net::TrafficClass c) const {
@@ -213,7 +218,7 @@ class Experiment {
   explicit Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) { cfg_.normalize(); }
 
   /// Run the simulation and collect metrics: plan_shards, one simulator per
-  /// slice (on up to cfg.shards threads), runtime guards, then one
+  /// slice (on up to cfg.shards workers), runtime guards, then one
   /// deterministic merge. A decomposable scenario has one slice per
   /// component at any cfg.shards, so its result does not depend on the
   /// worker count.
@@ -223,6 +228,13 @@ class Experiment {
   /// one_slice_plan() runs the whole fleet in one simulator, the reference
   /// a decomposed run must reproduce.
   ExperimentResult run(const ShardPlan& plan);
+  /// The one fan-out behind run() and run_sweep() (cloud/executor.h):
+  /// every slice of every exps[i], planned by plans[i], from one work queue
+  /// on `workers` workers (0 = one per hardware thread), then each point's
+  /// guards and merge exactly as run(plans[i]) would. Result i is exps[i]'s.
+  static std::vector<ExperimentResult> run_all(std::span<const Experiment> exps,
+                                               std::span<const ShardPlan> plans,
+                                               unsigned workers);
 
   const ExperimentConfig& config() const noexcept { return cfg_; }
 

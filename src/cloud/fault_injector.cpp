@@ -5,7 +5,8 @@
 namespace hm::cloud {
 
 std::size_t fault_migration(const ExperimentConfig& cfg, const sim::FaultEvent& ev) {
-  return cfg.num_vms > 0 ? ev.target % cfg.num_vms : 0;
+  const std::size_t range = cfg.num_migrations > 0 ? cfg.num_migrations : cfg.num_vms;
+  return range > 0 ? ev.target % range : 0;
 }
 
 std::vector<net::NodeId> fault_nodes(const ExperimentConfig& cfg, const sim::FaultEvent& ev) {

@@ -30,7 +30,8 @@
 namespace hm::cloud {
 
 /// The migration a migration-scoped event names: its target wrapped to the
-/// VM count.
+/// migration count (the range rand: draws from), or to the VM count when
+/// no migration is configured.
 std::size_t fault_migration(const ExperimentConfig& cfg, const sim::FaultEvent& ev);
 /// The node ids `ev` strikes in the normalized config's cluster, ascending:
 /// the source (node k) or destination (cfg.destination_of(k)) of migration

@@ -41,6 +41,8 @@ const ResultField kFields[] = {
     // Engine and paper metrics.
     {"completed", HM_GET(r.completed), kAlways},
     {"sim_s", HM_GET(r.sim_duration), kAlways},
+    // A one-slice run's event loop; for N slices, Experiment::run's whole
+    // fan-out, or a sweep row's first slice start to the end of its merge.
     {"wall_ms", HM_GET(r.wall_ms), kAlways, kWall},
     {"events", HM_GET(r.engine_events), kAlways, kImplementation},
     {"events_per_sec", HM_GET(r.wall_ms > 0 ? r.engine_events / (r.wall_ms / 1e3) : 0.0),

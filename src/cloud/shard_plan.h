@@ -18,8 +18,9 @@
 //    sets (home node + migration destination) — the same component
 //    structure FlowNetwork::solve_epoch maintains dynamically — is its own
 //    slice, found by net::partition_items. Slices run fully independently,
-//    each in its own small simulator; `shards` only caps how many worker
-//    threads run them (one runs every slice in turn).
+//    each in its own small simulator; the worker count of the one fan-out
+//    (cloud/executor.h) only sets how many threads run them (one runs
+//    every slice in turn).
 //
 // Residual couplings only observable at runtime (a repository fetch from a
 // foreign-owned stripe, a max_sim_time truncation whose cut point depends

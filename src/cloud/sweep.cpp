@@ -1,42 +1,18 @@
 #include "cloud/sweep.h"
 
-#include <atomic>
-#include <thread>
-
-#include "sim/worker_budget.h"
+#include "cloud/shard_plan.h"
 
 namespace hm::cloud {
 
 std::vector<ExperimentResult> run_sweep(const std::vector<SweepItem>& items,
-                                        unsigned threads) {
-  std::vector<ExperimentResult> results(items.size());
-  if (items.empty()) return results;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(items.size()));
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= items.size()) return;
-      Experiment exp(items[i].config);
-      results[i] = exp.run();
-    }
-  };
-
-  // Extra workers beyond the caller come out of the shared process budget,
-  // so a sweep of sharded experiments (sweep threads x shard workers)
-  // cannot oversubscribe the machine: whatever this layer takes, the shard
-  // layer no longer can, and vice versa. The caller always participates,
-  // so the sweep completes even with an empty budget.
-  sim::WorkerGrant grant(sim::WorkerBudget::instance(), threads - 1);
-  std::vector<std::thread> pool;
-  pool.reserve(grant.granted());
-  for (unsigned t = 0; t < grant.granted(); ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& th : pool) th.join();
-  return results;
+                                        unsigned workers) {
+  std::vector<Experiment> exps;
+  std::vector<ShardPlan> plans;
+  exps.reserve(items.size());
+  plans.reserve(items.size());
+  for (const SweepItem& item : items)
+    plans.push_back(plan_shards(exps.emplace_back(item.config).config()));
+  return Experiment::run_all(exps, plans, workers);
 }
 
 }  // namespace hm::cloud

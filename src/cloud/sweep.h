@@ -1,7 +1,8 @@
-// Parallel parameter-sweep runner. Each experiment owns its simulator and
-// is fully independent, so sweeps fan out over a thread pool (per the
-// hpc-parallel guidance: coarse-grained task parallelism with no shared
-// mutable state; results land in pre-sized slots, no locks on the hot path).
+// Parameter-sweep runner. Each experiment is independent, and so is each
+// slice of one (cloud/shard_plan.h), so a sweep is one fan-out
+// (cloud/executor.h): every (point, slice) pair is a task of one work
+// queue, each point merges its own slices, and the results land in input
+// order.
 #pragma once
 
 #include <string>
@@ -16,13 +17,12 @@ struct SweepItem {
   ExperimentConfig config;
 };
 
-/// Run all experiments, using up to `threads` worker threads (0 = hardware
-/// concurrency). Results are returned in input order. Extra threads beyond
-/// the calling one are drawn from sim::WorkerBudget, the same pool sharded
-/// experiments draw shard workers from, so sweep x shard parallelism never
-/// oversubscribes the machine; the grant is best-effort and affects
-/// wall-clock only.
+/// Run all experiments on `workers` workers, the caller included (0 = one
+/// per hardware thread; never more than the hardware threads). Each
+/// point's result equals its lone Experiment::run() in every field but
+/// wall_ms; the points' cfg.shards are not read here. Results are returned
+/// in input order.
 std::vector<ExperimentResult> run_sweep(const std::vector<SweepItem>& items,
-                                        unsigned threads = 0);
+                                        unsigned workers = 0);
 
 }  // namespace hm::cloud

@@ -8,9 +8,9 @@
 // Simulator's event slab, extended to coroutine frames.
 //
 // Thread safety: the pool is thread_local. That is safe under the project's
-// concurrency model — run_sweep() gives each worker thread its own
-// Simulator, and a simulation (including every coroutine it creates and
-// destroys) runs entirely on one thread, so frames are always returned to
+// concurrency model — the one fan-out (cloud/executor.h) runs each slice,
+// its own Simulator and every coroutine it creates and destroys, entirely
+// on the worker thread that claimed it, so frames are always returned to
 // the pool they came from.
 #pragma once
 

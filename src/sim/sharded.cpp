@@ -1,10 +1,7 @@
 #include "sim/sharded.h"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
-
-#include "sim/worker_budget.h"
 
 namespace hm::sim {
 
@@ -67,43 +64,17 @@ const std::vector<ShardMessage>& ShardedSimulator::exchange(std::uint32_t shard)
   return boxes_[shard].inbox;
 }
 
-ShardedSimulator::Stats ShardedSimulator::run(
-    const std::function<void(std::uint32_t)>& body, std::uint32_t max_workers) {
-  Stats st;
-  st.shards = shards_;
-  WorkerGrant grant(WorkerBudget::instance(), std::min(shards_, std::max(max_workers, 1u)) - 1);
-  std::atomic<std::uint32_t> next{0};
-  auto worker = [&] {
-    while (!stopped_.load()) {
-      const std::uint32_t s = next.fetch_add(1, std::memory_order_relaxed);
-      if (s >= shards_) return;
-      body(s);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(grant.granted());
-  for (unsigned i = 0; i < grant.granted(); ++i) pool.emplace_back(worker);
-  worker();  // the caller always participates
-  for (auto& th : pool) th.join();
-  st.threads = grant.granted() + 1;
-  return st;
-}
-
 ShardedSimulator::Stats ShardedSimulator::run_epochs(
     const std::function<void(std::uint32_t)>& body) {
   Stats st;
   st.shards = shards_;
   // Bodies block on the shared barrier, so every shard needs its own
-  // thread; budget tokens are taken as available (advisory) but the thread
-  // count is fixed by correctness.
-  WorkerGrant grant(WorkerBudget::instance(),
-                    shards_ > 0 ? shards_ - 1 : 0);
+  // thread.
   std::vector<std::thread> pool;
   pool.reserve(shards_ - 1);
   for (std::uint32_t s = 1; s < shards_; ++s) pool.emplace_back([&body, s] { body(s); });
   body(0);
   for (auto& th : pool) th.join();
-  st.threads = shards_;
   st.epochs = barrier_.epochs_completed();
   st.messages = messages_total_;
   return st;

@@ -1,21 +1,11 @@
-// Parallel-in-process sharded simulation.
+// Message-passing shards: N shard bodies, one dedicated thread each, that
+// rendezvous on a shared EpochBarrier and exchange ShardMessages at epoch
+// boundaries.
 //
-// A ShardedSimulator runs N shard bodies — each typically owning a private
-// sim::Simulator plus the component slice it simulates — across worker
-// threads drawn from the process-wide WorkerBudget. Two execution modes:
-//
-//  * run(body, max_workers): independent slices. Workers claim shard
-//    indices from a shared counter; any number of threads (including just
-//    the caller) produces the same per-shard results, because slices never
-//    communicate. This is the mode the experiment harness uses once the
-//    deterministic partitioner has proven the slices share no coupling at
-//    all; its cfg.shards is the worker cap.
-//
-//  * run_epochs(body): message-passing slices. One dedicated thread per
-//    shard (spawned regardless of budget grants — the shard count itself is
-//    the caller's cap), so bodies may rendezvous on the shared EpochBarrier
-//    and exchange ShardMessages at epoch boundaries. No experiment executor
-//    uses it; perfbench's sim.shard_round_us probe times one exchange round.
+// No experiment runs this way: independent slices run from the one work
+// queue of cloud/executor.h. What is left here has one caller outside its
+// own tests, perfbench's sim.shard_round_us probe, which times one
+// exchange round; it goes together with that probe.
 //
 // Determinism contract — why (t, shard, seq) ordering preserves
 // byte-identity: within one shard, event order is already a pure function
@@ -32,7 +22,6 @@
 // them, so the merged timeline is independent of thread scheduling.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -90,9 +79,8 @@ class ShardedSimulator {
  public:
   struct Stats {
     std::uint32_t shards = 0;
-    std::uint32_t threads = 0;       // workers used, caller included
-    std::uint64_t epochs = 0;        // barrier epochs completed (run_epochs)
-    std::uint64_t messages = 0;      // cross-shard messages exchanged
+    std::uint64_t epochs = 0;    // barrier epochs completed
+    std::uint64_t messages = 0;  // cross-shard messages exchanged
   };
 
   explicit ShardedSimulator(std::uint32_t shards);
@@ -110,19 +98,9 @@ class ShardedSimulator {
   /// next exchange(). Callable only from bodies running under run_epochs().
   const std::vector<ShardMessage>& exchange(std::uint32_t shard);
 
-  /// Independent-slice mode: run body(0..shards-1), workers claim indices
-  /// in ascending order. Uses the caller plus up to min(shards,
-  /// max_workers) - 1 budget-granted threads; max_workers <= 1 runs every
-  /// shard in turn on the caller.
-  Stats run(const std::function<void(std::uint32_t shard)>& body, std::uint32_t max_workers);
-
-  /// From a body under run(): claim no further shards. Bodies already
-  /// running finish; since claims ascend, every shard below the highest
-  /// one claimed has run.
-  void stop() noexcept { stopped_.store(true); }
-
-  /// Message-passing mode: one dedicated thread per shard (budget-advisory),
-  /// so bodies may call exchange()/post() and block on the barrier.
+  /// Run body(0..shards-1) on one dedicated thread per shard (shard 0 on
+  /// the caller), so bodies may call exchange()/post() and block on the
+  /// barrier.
   Stats run_epochs(const std::function<void(std::uint32_t shard)>& body);
 
  private:
@@ -142,7 +120,6 @@ class ShardedSimulator {
   };
   std::vector<Mailbox> boxes_;
   std::uint64_t messages_total_ = 0;
-  std::atomic<bool> stopped_{false};
 };
 
 }  // namespace hm::sim

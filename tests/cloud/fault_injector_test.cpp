@@ -102,5 +102,32 @@ TEST(FaultInjector, EveryKindStrikesItsResolvedNodes) {
   EXPECT_EQ(injector.node_crashes(), 5u);  // 1 + 1 + 1 + the two of rackB
 }
 
+TEST(FaultInjector, MigrationTargetsWrapToTheMigrationsThatRun) {
+  // 4 VMs on nodes 0-3, 3 migrations onto destinations 4-6: a target names
+  // one of the 3 migrations, never VM 3, whose migration does not run.
+  ExperimentConfig cfg;
+  cfg.num_vms = 4;
+  cfg.num_migrations = 3;
+  cfg.num_destinations = 3;
+  std::string err;
+  ASSERT_TRUE(sim::parse_fault_spec("src-crash@5#5;dst-crash@5#7;dst-crash@5#3", &cfg.faults,
+                                    &err))
+      << err;
+  cfg.normalize();
+  const std::vector<sim::FaultEvent>& evs = cfg.faults.scripted;
+  ASSERT_EQ(evs.size(), 3u);
+  EXPECT_EQ(fault_migration(cfg, evs[0]), 2u);
+  EXPECT_EQ(fault_nodes(cfg, evs[0]), std::vector<net::NodeId>{2});
+  EXPECT_EQ(fault_migration(cfg, evs[1]), 1u);
+  EXPECT_EQ(fault_nodes(cfg, evs[1]), std::vector<net::NodeId>{5});
+  EXPECT_EQ(fault_migration(cfg, evs[2]), 0u);
+  EXPECT_EQ(fault_nodes(cfg, evs[2]), std::vector<net::NodeId>{4});
+
+  // With no migration configured, targets wrap to the VM count.
+  cfg.num_migrations = 0;
+  EXPECT_EQ(fault_migration(cfg, evs[0]), 1u);
+  EXPECT_EQ(fault_nodes(cfg, evs[0]), std::vector<net::NodeId>{1});
+}
+
 }  // namespace
 }  // namespace hm::cloud

@@ -10,7 +10,8 @@
 //    frames, solver work), in both solver regimes.
 // Coupled regimes (CM1, faults, finite fabric or uplinks) and runtime guard
 // trips (max_sim_time truncation) run the one slice transparently and say
-// why.
+// why. A sweep runs every point's slices from one work queue, and each row
+// must equal the point's lone run at any worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "cloud/report.h"
 #include "cloud/scenarios.h"
 #include "cloud/shard_plan.h"
+#include "cloud/sweep.h"
 #include "integration/result_compare.h"
 #include "net/flow_network.h"
 #include "sim/fault_plan.h"
@@ -483,6 +485,47 @@ TEST(ShardFallback, TruncatedRunRerunsSingleShard) {
   EXPECT_EQ(got.shard_fallback_reason, "runtime guard: max_sim_time truncation");
   EXPECT_FALSE(got.completed);
   expect_identical(ref, got);
+}
+
+TEST(Sweep, MatchesLonePointsAtAnyWorkerCount) {
+  // One work queue runs every slice of every point: a decomposable fleet
+  // (8 slices), a collapsed one (finite fabric), a two-slice fleet whose
+  // slices both trip max_sim_time (the lower one names the guard, then the
+  // whole fleet reruns) and an invalid config (no task). Each row must
+  // equal the point's lone Experiment::run in every field but the wall
+  // ones, shard fields and guard reason included, at any worker count.
+  std::vector<SweepItem> items(4);
+  items[0].config = decomposable_config(1);
+  items[1].config = decomposable_config(1);
+  items[1].config.cluster.network.fabric_Bps = 8e9;
+  items[2].config = decomposable_config(1);
+  items[2].config.num_vms = items[2].config.num_migrations = 2;
+  items[2].config.num_destinations = 2;
+  items[2].config.max_sim_time = 3.0;
+  items[3].config = decomposable_config(1);
+  items[3].config.cluster.image.chunk_bytes = 0;
+
+  std::vector<ExperimentResult> lone;
+  for (const SweepItem& item : items) lone.push_back(Experiment(item.config).run());
+  EXPECT_EQ(lone[0].shards_used, 8u);
+  EXPECT_EQ(lone[1].shards_used, 1u);
+  EXPECT_EQ(lone[1].shard_fallback_reason, "finite fabric aggregate couples all flows");
+  EXPECT_EQ(plan_shards(Experiment(items[2].config).config()).shard_count(), 2u);
+  EXPECT_EQ(lone[2].shard_fallback_reason, "runtime guard: max_sim_time truncation");
+  EXPECT_FALSE(lone[2].completed);
+  EXPECT_FALSE(lone[3].error.empty());
+
+  for (unsigned workers : {1u, 4u}) {
+    const std::vector<ExperimentResult> swept = run_sweep(items, workers);
+    ASSERT_EQ(swept.size(), items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) + " point " + std::to_string(i));
+      for (const ResultField& f : result_fields())
+        if (!(f.classes & kWall)) EXPECT_EQ(f.get(lone[i]), f.get(swept[i])) << f.name;
+      EXPECT_EQ(lone[i].error, swept[i].error);
+      expect_virtual_fields_equal(lone[i], swept[i]);
+    }
+  }
 }
 
 }  // namespace

@@ -1,92 +1,20 @@
-// Sharding machinery: the WorkerBudget token pool, the EpochBarrier
-// rendezvous (reduce runs exactly once per epoch, with every peer parked),
-// the (t, shard, seq) total order on ShardMessage, and ShardedSimulator's
-// two execution modes — run() must cover every shard exactly once for any
-// budget (including an empty one) within its worker cap, and after stop()
-// only a prefix of the shards, and run_epochs()
-// must deliver each shard a merged inbox whose content and order are
-// independent of thread scheduling. These are the primitives the sharded-experiment determinism
-// contract rests on, so the ordering assertions are exact.
+// Message-passing shard primitives: the EpochBarrier rendezvous (reduce
+// runs exactly once per epoch, with every peer parked), the
+// (t, shard, seq) total order on ShardMessage, and
+// ShardedSimulator::run_epochs(), which must deliver each shard a merged
+// inbox whose content and order are independent of thread scheduling. The
+// ordering assertions are exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/sharded.h"
-#include "sim/worker_budget.h"
 
 namespace hm::sim {
 namespace {
-
-TEST(WorkerBudget, GrantsWithinCapacity) {
-  WorkerBudget b(4);
-  EXPECT_EQ(b.capacity(), 4u);
-  EXPECT_EQ(b.available(), 4u);
-  EXPECT_EQ(b.acquire(3), 3u);
-  EXPECT_EQ(b.available(), 1u);
-  // Partial grant: only one token left.
-  EXPECT_EQ(b.acquire(5), 1u);
-  EXPECT_EQ(b.available(), 0u);
-  EXPECT_EQ(b.acquire(1), 0u);
-  b.release(4);
-  EXPECT_EQ(b.available(), 4u);
-}
-
-TEST(WorkerBudget, ZeroCapacityGrantsNothing) {
-  WorkerBudget b(0);
-  EXPECT_EQ(b.acquire(8), 0u);
-  EXPECT_EQ(b.acquire(0), 0u);
-  EXPECT_EQ(b.available(), 0u);
-}
-
-TEST(WorkerBudget, SetCapacityReseeds) {
-  WorkerBudget b(2);
-  EXPECT_EQ(b.acquire(2), 2u);
-  b.release(2);
-  b.set_capacity(6);
-  EXPECT_EQ(b.capacity(), 6u);
-  EXPECT_EQ(b.acquire(6), 6u);
-  b.release(6);
-}
-
-TEST(WorkerBudget, GrantRaiiReleasesOnScopeExit) {
-  WorkerBudget b(3);
-  {
-    WorkerGrant g(b, 2);
-    EXPECT_EQ(g.granted(), 2u);
-    EXPECT_EQ(b.available(), 1u);
-    WorkerGrant g2(b, 2);  // only one token remains
-    EXPECT_EQ(g2.granted(), 1u);
-    EXPECT_EQ(b.available(), 0u);
-  }
-  EXPECT_EQ(b.available(), 3u);
-}
-
-TEST(WorkerBudget, ConcurrentAcquireNeverOversubscribes) {
-  WorkerBudget b(8);
-  std::atomic<unsigned> total{0};
-  std::atomic<unsigned> peak{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        const unsigned got = b.acquire(3);
-        const unsigned now = total.fetch_add(got) + got;
-        unsigned p = peak.load();
-        while (now > p && !peak.compare_exchange_weak(p, now)) {
-        }
-        total.fetch_sub(got);
-        b.release(got);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_LE(peak.load(), 8u);
-  EXPECT_EQ(b.available(), 8u);
-}
 
 TEST(EpochBarrier, ReduceRunsOncePerEpochWhilePeersPark) {
   constexpr std::uint32_t kParties = 4;
@@ -131,71 +59,6 @@ TEST(ShardMessage, TotalOrderIsTimeThenShardThenSeq) {
     EXPECT_EQ(msgs[i].payload, want[i]) << "position " << i;
 }
 
-TEST(ShardedSimulator, RunCoversEveryShardExactlyOnce) {
-  constexpr std::uint32_t kShards = 7;
-  ShardedSimulator shards(kShards);
-  std::vector<std::atomic<int>> hits(kShards);
-  const auto st = shards.run([&](std::uint32_t s) { hits[s].fetch_add(1); }, kShards);
-  EXPECT_EQ(st.shards, kShards);
-  EXPECT_GE(st.threads, 1u);
-  for (std::uint32_t s = 0; s < kShards; ++s) EXPECT_EQ(hits[s].load(), 1);
-}
-
-TEST(ShardedSimulator, RunNeverExceedsTheWorkerCap) {
-  // More shards than workers: a cap of 1 runs every shard in turn on the
-  // caller, a cap of 2 adds at most one thread.
-  constexpr std::uint32_t kShards = 6;
-  ShardedSimulator one(kShards);
-  std::vector<std::thread::id> ran_on(kShards);
-  const auto st1 = one.run([&](std::uint32_t s) { ran_on[s] = std::this_thread::get_id(); }, 1);
-  EXPECT_EQ(st1.threads, 1u);
-  for (std::uint32_t s = 0; s < kShards; ++s) EXPECT_EQ(ran_on[s], std::this_thread::get_id());
-
-  ShardedSimulator two(kShards);
-  std::vector<std::atomic<int>> hits(kShards);
-  const auto st2 = two.run([&](std::uint32_t s) { hits[s].fetch_add(1); }, 2);
-  EXPECT_GE(st2.threads, 1u);
-  EXPECT_LE(st2.threads, 2u);
-  for (std::uint32_t s = 0; s < kShards; ++s) EXPECT_EQ(hits[s].load(), 1);
-}
-
-TEST(ShardedSimulator, StopClaimsNoFurtherShards) {
-  // Shard 3 stops the run. On one worker nothing after it runs; on several,
-  // the shards in flight finish, but claims ascend, so what ran is always
-  // a prefix 0..m that includes shard 3.
-  constexpr std::uint32_t kShards = 12;
-  for (std::uint32_t workers : {1u, 4u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    ShardedSimulator shards(kShards);
-    std::vector<std::atomic<int>> hits(kShards);
-    shards.run(
-        [&](std::uint32_t s) {
-          hits[s].fetch_add(1);
-          if (s == 3) shards.stop();
-        },
-        workers);
-    std::uint32_t ran = 0;
-    while (ran < kShards && hits[ran].load() == 1) ++ran;
-    EXPECT_GE(ran, 4u);
-    if (workers == 1) EXPECT_EQ(ran, 4u);
-    for (std::uint32_t s = ran; s < kShards; ++s) EXPECT_EQ(hits[s].load(), 0) << s;
-  }
-}
-
-TEST(ShardedSimulator, RunCompletesOnCallerAloneWithEmptyBudget) {
-  // Drain the process budget: run() must still complete (the caller always
-  // participates; grants are a wall-clock concern only).
-  WorkerBudget& global = WorkerBudget::instance();
-  const unsigned saved = global.capacity();
-  global.set_capacity(0);
-  ShardedSimulator shards(4);
-  std::vector<std::atomic<int>> hits(4);
-  const auto st = shards.run([&](std::uint32_t s) { hits[s].fetch_add(1); }, 4);
-  global.set_capacity(saved);
-  EXPECT_EQ(st.threads, 1u);  // the caller, alone
-  for (std::uint32_t s = 0; s < 4; ++s) EXPECT_EQ(hits[s].load(), 1);
-}
-
 TEST(ShardedSimulator, ExchangeDeliversDeterministicMergedInbox) {
   constexpr std::uint32_t kShards = 4;
   constexpr int kEpochs = 6;
@@ -223,7 +86,6 @@ TEST(ShardedSimulator, ExchangeDeliversDeterministicMergedInbox) {
   });
 
   EXPECT_EQ(st.shards, kShards);
-  EXPECT_EQ(st.threads, kShards);  // dedicated thread per shard
   EXPECT_GE(st.epochs, static_cast<std::uint64_t>(kEpochs));
   EXPECT_EQ(st.messages,
             static_cast<std::uint64_t>(kShards) * (kShards - 1) * 3 * kEpochs);

@@ -7,7 +7,6 @@
 //   hybridmig_sim --approach=precopy --workload=asyncwr --migrations=4
 //   hybridmig_sim --approach=pvfs-shared --workload=cm1 --grid=4x4
 //   hybridmig_sim --list
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +18,6 @@
 #include "cloud/experiment.h"
 #include "cloud/fault_injector.h"
 #include "cloud/report.h"
-#include "cloud/shard_plan.h"
 #include "cli_args.h"
 
 using namespace hm;
@@ -69,15 +67,6 @@ void usage() {
       "  --audit             run the virtual-time watchdog/invariant auditor\n"
       "                      (liveness + chunk conservation; violations fail\n"
       "                      the run)\n"
-      "  --shards=N          worker threads, at most N (default 1), that run\n"
-      "                      the plan's slices: one small simulator per\n"
-      "                      independent component at any N (faults, a\n"
-      "                      finite fabric or finite uplinks collapse the\n"
-      "                      plan to one slice); the result is the same for\n"
-      "                      any N\n"
-      "  --explain-shards    print the shard plan (slice count, worker cap,\n"
-      "                      per-slice VM loads, collapse reason) for this\n"
-      "                      config and exit\n"
       "  --seed=N            RNG seed (default 42)\n"
       "  --baseline          disable migrations (reference run)\n"
       "  --list              print the approach summary (paper Table 1)\n";
@@ -111,7 +100,6 @@ int main(int argc, char** argv) {
   cfg.asyncwr.file_offset = storage::kGiB;
   cfg.max_sim_time = 7200.0;
   bool explicit_dests = false;
-  bool explain_shards = false;
   bool explain_faults = false;
   int iterations = -1;
   std::string record_path;
@@ -223,14 +211,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (auto v = arg_value(arg, "--shards")) {
-      cfg.shards = parse_number<std::uint32_t>("--shards", *v, 1);
-      continue;
-    }
-    if (std::strcmp(arg, "--explain-shards") == 0) {
-      explain_shards = true;
-      continue;
-    }
     if (std::strcmp(arg, "--explain-faults") == 0) {
       explain_faults = true;
       continue;
@@ -322,21 +302,6 @@ int main(int argc, char** argv) {
         std::cout << "\n";
       }
     }
-    return 0;
-  }
-
-  if (explain_shards) {
-    cloud::ExperimentConfig planned = cfg;
-    planned.normalize();
-    const cloud::ShardPlan plan = cloud::plan_shards(planned);
-    const std::uint32_t workers = std::min(planned.shards, plan.shard_count());
-    std::cout << "shard plan: " << plan.shard_count() << " slice"
-              << (plan.shard_count() == 1 ? " (single)" : "s (independent)") << ", at most "
-              << workers << " worker" << (workers == 1 ? "" : "s") << "\n";
-    for (std::uint32_t s = 0; s < plan.shard_count(); ++s)
-      std::cout << "  slice " << s << ": " << plan.slices[s].size() << " VMs\n";
-    if (!plan.collapse_reason.empty())
-      std::cout << "collapse: " << plan.collapse_reason << "\n";
     return 0;
   }
 
